@@ -2,8 +2,8 @@
 
 For a catalogue of sjfBCQs, prints the full dichotomy report and then
 *demonstrates* each verdict on a concrete instance: FP cells run the
-polynomial algorithm, hard cells fall back to (budgeted) enumeration via
-the dispatcher.
+polynomial algorithm, hard cells go to whatever exact method the planner
+picks.
 
 Run:  python examples/dichotomy_explorer.py
 """
@@ -11,10 +11,8 @@ Run:  python examples/dichotomy_explorer.py
 from repro.core.classify import Tractability, classify
 from repro.core.problems import VAL, VAL_CODD, VAL_UNIFORM
 from repro.core.query import Atom, BCQ
-from repro.exact.dispatch import (
-    count_valuations,
-    select_valuation_algorithm,
-)
+from repro.exact import planner
+from repro.exact.dispatch import count_valuations
 from repro.io.queries import format_query
 from repro.workloads.generators import random_incomplete_db
 
@@ -41,14 +39,14 @@ for query in CATALOGUE:
         db = random_incomplete_db(
             schema, seed=7, uniform=uniform, codd=codd, domain_size=3
         )
-        algorithm = select_valuation_algorithm(db, query)
+        algorithm = planner.plan("val", db, query, "poly").chosen
         count = count_valuations(db, query)
         verdict = report.entry(variant).tractability
         print(
             "  %-8s -> %-12s algorithm=%-18s #Val=%d"
-            % (variant.paper_name, verdict.value, algorithm or "brute-force", count)
+            % (variant.paper_name, verdict.value, algorithm or "exponential", count)
         )
-        # The classifier and the dispatcher must tell the same story.
+        # The classifier and the planner must tell the same story.
         if verdict is Tractability.FP:
             assert algorithm is not None, format_query(query)
     print()

@@ -153,15 +153,13 @@ import time
 
 from repro.core.query import Atom, BCQ
 from repro.db.valuation import count_total_valuations
-from repro.exact.dispatch import count_valuations, resolve_valuation_method
+from repro.exact.dispatch import count_valuations, solve
 
 big_db = build_three_coloring_db(cycle_graph(40))
 hard_query = BCQ([Atom("R", ["x", "x"])])
-chosen = resolve_valuation_method(big_db, hard_query)
+answer = solve("val", big_db, hard_query)
+chosen, hard_count, elapsed = answer.method, answer.count, answer.seconds
 assert chosen == "dpdb"  # the 40-cycle's elimination width is far below the cap
-started = time.perf_counter()
-hard_count = count_valuations(big_db, hard_query)
-elapsed = time.perf_counter() - started
 assert hard_count == count_valuations(big_db, hard_query, method="lineage")
 print(
     "\nhard cell at scale: #Valu(R(x,x)) on the 40-cycle coloring database"

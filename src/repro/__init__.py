@@ -12,7 +12,8 @@ Public API highlights::
 :func:`solve` is the unified front door — one call for every planner
 problem (``val``, ``comp``, ``val-weighted``, ``marginals``, ``sweep``)
 returning a structured :class:`Answer`; the per-problem functions remain
-as thin wrappers.
+as thin wrappers.  ``repro.exact.planner.plan`` shows the explainable
+decision without solving.
 """
 
 from repro.core.query import Atom, BCQ, Const, Negation, UCQ, Var
@@ -26,10 +27,6 @@ from repro.exact import (
     count_valuations,
     count_valuations_sweep,
     count_valuations_weighted,
-    plan_completions,
-    plan_sweep,
-    plan_valuations,
-    plan_valuations_weighted,
     solve,
 )
 
@@ -54,10 +51,6 @@ __all__ = [
     "count_valuations",
     "count_valuations_sweep",
     "count_valuations_weighted",
-    "plan_completions",
-    "plan_sweep",
-    "plan_valuations",
-    "plan_valuations_weighted",
     "solve",
     "__version__",
 ]

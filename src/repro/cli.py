@@ -31,13 +31,8 @@ from repro import __version__
 from repro.core.classify import classify
 from repro.core.query import BCQ
 from repro.db.valuation import count_total_valuations
-from repro.exact.dispatch import (
-    count_completions,
-    count_valuations,
-    resolve_completion_method,
-    resolve_valuation_method,
-    solve,
-)
+from repro.exact.brute import DEFAULT_BUDGET
+from repro.exact.dispatch import solve
 from repro.io.databases import parse_database
 from repro.io.queries import parse_query
 
@@ -73,20 +68,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     with capture() as captured:
         with span("cli.count", mode=args.mode):
-            if args.mode == "val":
-                if query is None:
-                    resolved = "total"
-                    count = count_total_valuations(db)
-                else:
-                    resolved = resolve_valuation_method(db, query, args.method)
-                    count = count_valuations(
-                        db, query, method=resolved, budget=args.budget
-                    )
-            else:
-                resolved = resolve_completion_method(db, query, args.method)
-                count = count_completions(
-                    db, query, method=resolved, budget=args.budget
-                )
+            count, method = _count(args, db, query, args.budget)
     elapsed = time.perf_counter() - started
     if args.trace:
         _print_trace(captured)
@@ -96,7 +78,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
                 {
                     "mode": args.mode,
                     "count": count,
-                    "method": resolved,
+                    "method": method,
                     "seconds": round(elapsed, 6),
                 }
             )
@@ -104,6 +86,15 @@ def _cmd_count(args: argparse.Namespace) -> int:
     else:
         print(count)
     return 0
+
+
+def _count(args: argparse.Namespace, db, query, budget) -> tuple[int, str]:
+    """``(count, method)`` of one ``--mode`` question: a single planned
+    :func:`solve` call (``#Val`` without a query is the valuation total)."""
+    if args.mode == "val" and query is None:
+        return count_total_valuations(db), "total"
+    answer = solve(args.mode, db, query, method=args.method, budget=budget)
+    return answer.count, answer.method
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
@@ -239,10 +230,10 @@ class _DeltaAction(argparse.Action):
 def _cmd_update(args: argparse.Namespace) -> int:
     """Apply a delta chain to a database and count on the updated instance.
 
-    The planner sees the derived instance's provenance: a resolution-only
-    chain is answered by *conditioning* the parent's circuit, an
-    insert/delete chain by recompiling only the touched lineage
-    components (``--plan`` shows the choice without solving).
+    The planner sees the derived instance's provenance and routes it to
+    the ``delta`` method (``--plan`` shows the choice without solving);
+    a one-shot command holds no ancestor circuit to condition, so the
+    updated instance compiles once.
     """
     from repro.io.databases import DatabaseSyntaxError, parse_delta
     from repro.obs import capture, span
@@ -559,15 +550,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     query = parse_query(args.query) if args.query else None
     with capture() as captured:
         with span("cli.stats", mode=args.mode):
-            if args.mode == "val":
-                if query is None:
-                    count = count_total_valuations(db)
-                else:
-                    resolved = resolve_valuation_method(db, query, args.method)
-                    count = count_valuations(db, query, method=resolved)
-            else:
-                resolved = resolve_completion_method(db, query, args.method)
-                count = count_completions(db, query, method=resolved)
+            count, _method = _count(args, db, query, DEFAULT_BUDGET)
     snapshot = default_registry().snapshot()
     if args.json:
         print(

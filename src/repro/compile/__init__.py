@@ -37,15 +37,12 @@ from repro.compile.backend import (
     LineageReport,
     ValuationCircuit,
     artifact_from_bytes,
-    count_completions_circuit,
     count_completions_lineage,
-    count_valuations_circuit,
     count_valuations_lineage,
     explain_completions,
     explain_valuations,
     explain_valuations_circuit,
     lineage_supports,
-    valuation_marginals,
     valuation_marginals_recount,
 )
 from repro.compile.circuit import DDNNF, CircuitSampler
@@ -74,12 +71,9 @@ __all__ = [
     "CompletionCircuit",
     "count_completions_lineage",
     "count_valuations_lineage",
-    "count_completions_circuit",
-    "count_valuations_circuit",
     "explain_completions",
     "explain_valuations",
     "explain_valuations_circuit",
-    "valuation_marginals",
     "valuation_marginals_recount",
     "lineage_supports",
     "DDNNF",

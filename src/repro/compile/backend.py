@@ -1091,42 +1091,6 @@ def _compile_cnf_components(
     }
 
 
-def count_valuations_delta(db: IncompleteDatabase, query: BooleanQuery) -> int:
-    """``#Val(q)(D)`` for a delta-derived instance, from its parent.
-
-    Resolution-only deltas compile the parent circuit and condition it;
-    fact deltas recompile componentwise (where a component store — the
-    engine cache — turns unchanged components into reuse).  Answers are
-    bit-identical to a from-scratch count; raises :class:`ValueError`
-    when ``db`` has no recorded provenance.
-    """
-    from repro.db.deltas import resolution_only
-
-    parent = db.parent
-    delta = db.delta
-    if parent is None or delta is None:
-        raise ValueError(
-            "database has no delta provenance; build it via db.apply(delta)"
-        )
-    if resolution_only(delta):
-        return ValuationCircuit(parent, query).condition(delta).count()
-    return ValuationCircuit.compile_componentwise(db, query).count()
-
-
-def count_completions_delta(
-    db: IncompleteDatabase, query: BooleanQuery | None = None
-) -> int:
-    """``#Comp(q)(D)`` for a delta-derived instance (componentwise
-    recompile — completions range over *potential facts*, which every
-    delta kind can change, so the circuit is respliced rather than
-    conditioned).  Raises :class:`ValueError` without provenance."""
-    if db.parent is None or db.delta is None:
-        raise ValueError(
-            "database has no delta provenance; build it via db.apply(delta)"
-        )
-    return CompletionCircuit.compile_componentwise(db, query).count()
-
-
 def artifact_from_bytes(
     data: bytes, db: IncompleteDatabase
 ) -> "ValuationCircuit | CompletionCircuit":
@@ -1144,33 +1108,6 @@ def artifact_from_bytes(
     raise CircuitFormatError(
         "bad magic %r: not a circuit artifact" % (bytes(data[:4]),)
     )
-
-
-def count_valuations_circuit(
-    db: IncompleteDatabase, query: BooleanQuery
-) -> int:
-    """``#Val(q)(D)`` through the circuit pipeline (compile + one count)."""
-    return ValuationCircuit(db, query).count()
-
-
-def count_completions_circuit(
-    db: IncompleteDatabase, query: BooleanQuery | None = None
-) -> int:
-    """``#Comp(q)(D)`` through the circuit pipeline (compile + one count)."""
-    return CompletionCircuit(db, query).count()
-
-
-def valuation_marginals(
-    db: IncompleteDatabase,
-    query: BooleanQuery,
-    weights: NullWeights | None = None,
-) -> dict[Null, dict[Term, Fraction]]:
-    """Per-null marginals of one instance (compiles a throwaway circuit).
-
-    For repeated questions about the same instance build a
-    :class:`ValuationCircuit` once instead.
-    """
-    return ValuationCircuit(db, query).marginals(weights)
 
 
 def valuation_marginals_recount(
@@ -1281,13 +1218,8 @@ __all__ = [
     "artifact_from_bytes",
     "count_valuations_lineage",
     "count_completions_lineage",
-    "count_valuations_circuit",
-    "count_completions_circuit",
-    "count_valuations_delta",
-    "count_completions_delta",
     "ValuationCircuit",
     "CompletionCircuit",
-    "valuation_marginals",
     "valuation_marginals_recount",
     "explain_valuations",
     "explain_completions",

@@ -18,7 +18,7 @@ fingerprints of derived instances can record the chain exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import Any, Iterable, Mapping, Union
 
 from repro.db.fact import Fact
 from repro.db.terms import Null, Term, is_null
@@ -134,6 +134,34 @@ def resolution_only(delta: Delta) -> bool:
     return isinstance(delta, RESOLUTION_KINDS)
 
 
+#: Longest provenance chain :func:`delta_chain` walks.  Beyond this a
+#: fresh compile is cheaper than replaying the chain (and an unbounded
+#: walk could loop on pathological hand-built provenance).
+MAX_CHAIN_DEPTH = 64
+
+
+def delta_chain(db) -> "list[tuple[Any, list]]":
+    """Ancestors of ``db`` with the deltas leading back down to ``db``.
+
+    Returns ``[(parent, [d_k]), (grandparent, [d_{k-1}, d_k]), ...]``,
+    nearest ancestor first; each delta list replays that ancestor forward
+    into ``db``.  Empty when ``db`` has no provenance (it was not built
+    via :meth:`~repro.db.incomplete.IncompleteDatabase.apply`).
+    """
+    chain: list = []
+    suffix: list = []
+    node = db
+    while len(chain) < MAX_CHAIN_DEPTH:
+        parent = getattr(node, "parent", None)
+        delta = getattr(node, "delta", None)
+        if parent is None or delta is None:
+            break
+        suffix.insert(0, delta)
+        chain.append((parent, list(suffix)))
+        node = parent
+    return chain
+
+
 def _term_key(term: Term) -> str:
     return repr(term)
 
@@ -171,9 +199,11 @@ __all__ = [
     "Delta",
     "DeleteFacts",
     "InsertFacts",
+    "MAX_CHAIN_DEPTH",
     "RESOLUTION_KINDS",
     "ResolveNull",
     "RestrictDomain",
+    "delta_chain",
     "delta_form",
     "is_delta",
     "resolution_only",

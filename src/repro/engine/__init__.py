@@ -20,8 +20,8 @@ from repro.engine.fingerprint import (
 )
 from repro.engine.incremental import (
     cached_ancestor,
-    delta_chain,
     derive_instance_circuit,
+    instance_circuit,
 )
 from repro.engine.jobs import (
     CountJob,
@@ -30,7 +30,6 @@ from repro.engine.jobs import (
     execute_job_capturing,
     instance_db,
     instance_fingerprint_of,
-    needs_circuit,
 )
 from repro.engine.pool import BatchEngine, run_batch
 
@@ -40,7 +39,6 @@ __all__ = [
     "CountJob",
     "JobResult",
     "cached_ancestor",
-    "delta_chain",
     "derive_instance_circuit",
     "execute_job",
     "execute_job_capturing",
@@ -50,8 +48,8 @@ __all__ = [
     "fingerprint_instance",
     "fingerprint_job",
     "fingerprint_query",
+    "instance_circuit",
     "instance_db",
     "instance_fingerprint_of",
-    "needs_circuit",
     "run_batch",
 ]

@@ -310,10 +310,10 @@ def fingerprint_job(job: "CountJob") -> str | None:
         # An update job answers #Val of the *updated* instance, so it is
         # fingerprinted as the plain 'val' job on the delta-chain result —
         # memo entries are shared with equivalent from-scratch val jobs.
+        from repro.engine.jobs import instance_db
+
         try:
-            child = job.db
-            for delta in job.deltas:
-                child = child.apply(delta)
+            child = instance_db(job)
         except (ValueError, KeyError, TypeError):
             return None  # invalid chain: solve reports the real error
         payload = repr(("val", (), query_form, fingerprint_db(child)))

@@ -1,62 +1,78 @@
-"""Delta-aware circuit derivation: answer updated instances from ancestors.
+"""Circuit-store access: get, derive from a delta ancestor, or compile.
 
-An instance built via ``db.apply(delta)`` carries provenance — its parent
-instance and the delta between them.  When the engine misses the circuit
-store on such an instance, this module walks the ancestor chain
-(:func:`delta_chain`), asks the cache for the nearest compiled ancestor
-(:meth:`~repro.engine.cache.CountCache.get_ancestor_circuit`), and derives
-the child circuit from it:
+Every circuit-backed registry method (``circuit`` for all five planner
+problems, ``delta`` for ``val``/``comp``) fetches its compiled circuit
+through :func:`instance_circuit`.  With a circuit store (the engine's
+:class:`~repro.engine.cache.CountCache`) the fetch is, in order:
 
-* a **resolution-only** delta suffix (resolve-null, restrict-domain) is
-  applied by *conditioning* — one linear program rewrite per delta, no
-  recompilation (``#Val`` circuits only; projected ``#Comp`` circuits sum
-  choice variables out, so conditioning them is unsound by construction);
-* any suffix containing an **insert/delete** recompiles the child
-  componentwise, splicing every clause component unchanged since the
-  ancestor from the cache's component store.
+1. a store hit on the instance fingerprint;
+2. a derivation from the nearest cached delta ancestor — an instance
+   built via ``db.apply(delta)`` carries provenance, so on a miss this
+   module walks the ancestor chain (:func:`repro.db.deltas.delta_chain`),
+   asks the store for the nearest compiled ancestor
+   (:meth:`~repro.engine.cache.CountCache.get_ancestor_circuit`), and
+   derives the child circuit from it:
 
-The derived circuit is installed as an ordinary store entry whose parent
-link makes ``--cache-mb`` eviction drop children with their parents.
-Answers are bit-identical to from-scratch compilation either way.
+   * a **resolution-only** delta suffix (resolve-null, restrict-domain)
+     is applied by *conditioning* — one linear program rewrite per
+     delta, no recompilation (``#Val`` circuits only; projected ``#Comp``
+     circuits sum choice variables out, so conditioning them is unsound
+     by construction);
+   * any suffix containing an **insert/delete** recompiles the child
+     componentwise, splicing every clause component unchanged since the
+     ancestor from the store's component store;
+3. a fresh compile, installed into the store.
+
+A derived circuit is installed with a parent link, so ``--cache-mb``
+eviction drops children with their parents.  Without a store every fetch
+compiles a throwaway circuit.  Answers are bit-identical either way.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
+from repro.compile.backend import CompletionCircuit, ValuationCircuit
 from repro.core.query import BooleanQuery
-from repro.db.deltas import resolution_only
+from repro.db.deltas import delta_chain, resolution_only
 from repro.db.incomplete import IncompleteDatabase
 from repro.engine.fingerprint import fingerprint_instance
 from repro.obs import event as _event, incr as _incr, span as _span
 
-#: Longest provenance chain the derivation will walk.  Beyond this a
-#: fresh compile is cheaper than replaying the chain (and an unbounded
-#: walk could loop on pathological hand-built provenance).
-MAX_CHAIN_DEPTH = 64
 
-
-def delta_chain(
+def instance_circuit(
+    kind: str,
     db: IncompleteDatabase,
-) -> list[tuple[IncompleteDatabase, list]]:
-    """Ancestors of ``db`` with the deltas leading back down to ``db``.
+    query: BooleanQuery | None,
+    store: Any = None,
+) -> Any:
+    """The compiled ``kind`` (``'val'``/``'comp'``) circuit of ``(db, query)``.
 
-    Returns ``[(parent, [d_k]), (grandparent, [d_{k-1}, d_k]), ...]``,
-    nearest ancestor first; each delta list replays that ancestor forward
-    into ``db``.  Empty when ``db`` has no provenance.
+    Fetched from ``store`` when it holds the instance, derived from a
+    cached delta ancestor when one is there, compiled (and installed)
+    otherwise.  ``store`` is anything with the
+    :class:`~repro.engine.cache.CountCache` circuit calls; ``None``
+    compiles a throwaway circuit.
     """
-    chain: list[tuple[IncompleteDatabase, list]] = []
-    suffix: list = []
-    node = db
-    while len(chain) < MAX_CHAIN_DEPTH:
-        parent = getattr(node, "parent", None)
-        delta = getattr(node, "delta", None)
-        if parent is None or delta is None:
-            break
-        suffix.insert(0, delta)
-        chain.append((parent, list(suffix)))
-        node = parent
-    return chain
+    fingerprint = (
+        None if store is None else fingerprint_instance(db, query, kind)
+    )
+    if fingerprint is not None:
+        circuit = store.get_circuit(fingerprint)
+        if circuit is None:
+            circuit = derive_instance_circuit(
+                db, query, kind, store, fingerprint
+            )
+        if circuit is not None:
+            return circuit
+    compiled = (
+        CompletionCircuit(db, query)
+        if kind == "comp"
+        else ValuationCircuit(db, query)  # type: ignore[arg-type]
+    )
+    if fingerprint is not None:
+        store.put_circuit(fingerprint, compiled)
+    return compiled
 
 
 def cached_ancestor(
@@ -71,12 +87,9 @@ def cached_ancestor(
     batch engine uses it to keep derivable jobs in the parent process
     instead of shipping them to a compile worker.
     """
-    has_circuit = getattr(circuits, "has_circuit", None)
-    if has_circuit is None:
-        return None
     for ancestor, _deltas in delta_chain(db):
         fingerprint = fingerprint_instance(ancestor, query, kind)
-        if fingerprint is not None and has_circuit(fingerprint):
+        if fingerprint is not None and circuits.has_circuit(fingerprint):
             return fingerprint
     return None
 
@@ -93,14 +106,10 @@ def derive_instance_circuit(
     Call on a circuit-store miss for ``db``.  Walks the provenance chain,
     takes the nearest cached ancestor, and either conditions it (val,
     resolution-only suffix) or recompiles the child componentwise against
-    the cache's component store.  The result is installed into
+    the store's component store.  The result is installed into
     ``circuits`` under ``fingerprint`` with its parent link and returned;
-    ``None`` when ``db`` has no provenance, no ancestor is cached, or the
-    cache lacks the ancestor API (worker-side one-slot stores).
+    ``None`` when ``db`` has no provenance or no ancestor is cached.
     """
-    get_ancestor = getattr(circuits, "get_ancestor_circuit", None)
-    if get_ancestor is None:
-        return None
     chain = delta_chain(db)
     if not chain:
         return None
@@ -112,40 +121,30 @@ def derive_instance_circuit(
             return None
         ancestry.append(ancestor_fingerprint)
         deltas_of[ancestor_fingerprint] = deltas
-    found = get_ancestor(ancestry)
+    found = circuits.get_ancestor_circuit(ancestry)
     if found is None:
         return None
     ancestor_fingerprint, circuit = found
     deltas = deltas_of[ancestor_fingerprint]
-    conditionable = kind == "val" and all(map(resolution_only, deltas))
-    with _span(
-        "delta.derive",
-        kind=kind,
-        mode="condition" if conditionable else "splice",
-        chain=len(deltas),
-    ):
-        if conditionable:
+    mode = (
+        "condition"
+        if kind == "val" and all(map(resolution_only, deltas))
+        else "splice"
+    )
+    with _span("delta.derive", kind=kind, mode=mode, chain=len(deltas)):
+        if mode == "condition":
             for delta in deltas:
                 circuit = circuit.condition(delta)
         else:
-            from repro.compile.backend import (
-                CompletionCircuit,
-                ValuationCircuit,
+            compiler = CompletionCircuit if kind == "comp" else ValuationCircuit
+            circuit = compiler.compile_componentwise(
+                db, query, components=circuits  # type: ignore[arg-type]
             )
-
-            if kind == "comp":
-                circuit = CompletionCircuit.compile_componentwise(
-                    db, query, components=circuits
-                )
-            else:
-                circuit = ValuationCircuit.compile_componentwise(
-                    db, query, components=circuits
-                )
     _incr("delta.derivations")
     _event(
         "delta.derived",
         kind=kind,
-        mode="condition" if conditionable else "splice",
+        mode=mode,
         chain=len(deltas),
         ancestor=ancestor_fingerprint[:12],
     )
@@ -157,8 +156,7 @@ def derive_instance_circuit(
 
 
 __all__ = [
-    "MAX_CHAIN_DEPTH",
     "cached_ancestor",
-    "delta_chain",
     "derive_instance_circuit",
+    "instance_circuit",
 ]

@@ -8,11 +8,12 @@ serial path and the pool workers run; it never raises, reporting solver
 failures in :attr:`JobResult.error` instead so one poisoned instance cannot
 take down a batch.
 
-Problem kinds that evaluate a compiled d-DNNF circuit (``val-weighted``,
-``marginals``, and the exact problems under ``method='circuit'``) accept a
-circuit store (:class:`~repro.engine.cache.CountCache`): the instance is
-compiled at most once per store and every further question about it is a
-linear circuit pass — the amortization the batch engine exists for.
+Every job but ``approx-val`` is answered by one
+:func:`repro.exact.dispatch.solve` call, planned once, with the engine's
+circuit store (:class:`~repro.engine.cache.CountCache`) passed along: a
+circuit-backed method compiles the instance at most once per store and
+every further question about it is a linear circuit pass — the
+amortization the batch engine exists for.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from typing import Any, Mapping, Sequence
 
 from repro.core.query import BooleanQuery
 from repro.db.incomplete import IncompleteDatabase
+from repro.engine.cache import CountCache
 from repro.exact.brute import DEFAULT_BUDGET
+from repro.exact.dispatch import solve
 from repro.obs import capture as _capture
 
 #: Problem kinds the engine understands.
@@ -33,8 +36,9 @@ PROBLEMS = (
     "update",
 )
 
-#: Problems answered by passes over a compiled circuit.
-CIRCUIT_PROBLEMS = ("val-weighted", "marginals", "sweep")
+#: Registry methods that answer from a compiled circuit, and so read,
+#: derive into and fill the engine's circuit store.
+CIRCUIT_METHODS = ("circuit", "delta")
 
 #: Problems whose ``weights`` knob is meaningful: the scalar circuit
 #: problems take one per-null table, ``sweep`` takes a *sequence* of
@@ -56,7 +60,8 @@ class CountJob:
     sequence, the result one count per table) or ``'update'`` (``#Val``
     of ``db`` after applying the ``deltas`` chain, answered from a cached
     ancestor circuit when possible).  ``method`` and ``budget`` are
-    forwarded to :mod:`repro.exact.dispatch` for the exact problems.
+    forwarded to :func:`repro.exact.dispatch.solve` for the exact
+    problems (``'update'`` always runs the ``delta`` method).
     """
 
     problem: str
@@ -179,14 +184,17 @@ def _jsonable(value: Any) -> Any:
 def execute_job(job: CountJob, circuits: Any = None) -> JobResult:
     """Solve one job, catching solver errors into the result record.
 
-    ``circuits`` is an optional circuit store (the engine passes its
-    :class:`~repro.engine.cache.CountCache`); without one, circuit-backed
-    problems compile a throwaway circuit per job.
+    Every exact problem is one :func:`repro.exact.dispatch.solve` call —
+    ``'update'`` is ``'val'`` on :func:`instance_db` under the ``delta``
+    method — with ``circuits`` as the circuit store (the engine passes
+    its :class:`~repro.engine.cache.CountCache`; without one,
+    circuit-backed methods compile a throwaway circuit per job).
+    ``'approx-val'`` is the one problem outside the planner.
     """
     started = time.perf_counter()
     with _capture() as captured:
         try:
-            count, method = _solve(job, circuits)
+            count, method = _answer(job, circuits)
             error = None
         except Exception as exc:  # noqa: BLE001 - batch isolation by design
             count, method = None, None
@@ -199,53 +207,37 @@ def execute_job(job: CountJob, circuits: Any = None) -> JobResult:
         label=job.label,
         error=error,
     )
-    metrics = capture_metrics(captured)
+    metrics = captured.digest()
     if metrics:
         result.meta["metrics"] = metrics
     return result
 
 
-def capture_metrics(captured: "_capture") -> dict[str, Any]:
-    """A job's observability payload: the compact, picklable digest of one
-    solve's capture — inclusive per-phase seconds plus solver counters.
+def _answer(job: CountJob, circuits: Any) -> tuple[Any, str]:
+    if job.problem == "approx-val":
+        from repro.approx.fpras import fpras_count_valuations
 
-    This is the ``meta['metrics']`` schema the JSONL result format
-    round-trips: ``{"phases": {name: seconds}, "counters": {name: n}}``,
-    either key omitted when empty, the whole dict empty when nothing was
-    captured (observability disabled).
-    """
-    metrics: dict[str, Any] = {}
-    phases = {
-        name: round(seconds, 6)
-        for name, seconds in sorted(captured.phase_totals().items())
-    }
-    if phases:
-        metrics["phases"] = phases
-    if captured.counters:
-        metrics["counters"] = dict(sorted(captured.counters.items()))
-    return metrics
-
-
-class _CapturedCircuitStore:
-    """A one-slot circuit store handed to :func:`execute_job` in a worker.
-
-    The worker has no access to the parent's :class:`CountCache`; this
-    shim captures whatever circuit the solve compiled so it can be
-    serialized and shipped home with the answer.
-    """
-
-    __slots__ = ("circuit",)
-
-    def __init__(self) -> None:
-        self.circuit: Any = None
-
-    def get_circuit(self, instance: str) -> Any | None:
-        return self.circuit
-
-    def put_circuit(
-        self, instance: str, circuit: Any, parent: str | None = None
-    ) -> None:
-        self.circuit = circuit
+        estimate = fpras_count_valuations(
+            job.db,
+            job.query,  # type: ignore[arg-type]  # __post_init__ guarantees it
+            epsilon=job.epsilon,
+            delta=job.delta,
+            seed=job.seed,
+        )
+        return estimate, "karp-luby"
+    update = job.problem == "update"
+    answer = solve(
+        "val" if update else job.problem,
+        instance_db(job),
+        job.query,
+        method="delta" if update else job.method,
+        weights=job.weights,
+        budget=job.budget,
+        store=circuits,
+    )
+    if job.problem == "marginals":
+        return marginals_record(answer.count), answer.method
+    return answer.count, answer.method
 
 
 def execute_job_capturing(job: CountJob) -> JobResult:
@@ -253,55 +245,23 @@ def execute_job_capturing(job: CountJob) -> JobResult:
     compiled artifact back as bytes (see
     :meth:`repro.compile.backend.ValuationCircuit.to_bytes`).
 
-    A serialization failure never fails the job — the answer is already
-    computed; the parent merely loses the chance to cache the circuit.
+    The worker has no access to the parent's store, so it solves against
+    a private :class:`~repro.engine.cache.CountCache` and ships the
+    circuit keyed by the job's own instance (an ``'update'`` job's child,
+    not any ancestor it touched).  A serialization failure never fails
+    the job — the answer is already computed; the parent merely loses the
+    chance to cache the circuit.
     """
-    store = _CapturedCircuitStore()
+    store = CountCache()
     result = execute_job(job, store)
-    if result.ok and store.circuit is not None:
+    instance = instance_fingerprint_of(job) if result.ok else None
+    circuit = None if instance is None else store.get_circuit(instance)
+    if circuit is not None:
         try:
-            result.artifact = store.circuit.to_bytes()
+            result.artifact = circuit.to_bytes()
         except Exception:  # noqa: BLE001 - artifact loss must not poison the answer
             result.artifact = None
     return result
-
-
-def needs_circuit(job: CountJob) -> bool:
-    """True when solving ``job`` will evaluate a compiled circuit, so the
-    engine should schedule it around its circuit store (worker compile for
-    the first job of a fresh instance, in-parent passes afterwards).
-
-    Keyed on the *resolved* method, not the requested one: a weighted job
-    that resolves to the Theorem 3.6 closed form, or a ``method='circuit'``
-    job on a non-(U)CQ that falls back to ``brute``, never compiles a
-    circuit — it stays pool-eligible and its memo entry stays unlinked
-    (an instance link would make the cache refuse to store it).
-    """
-    # Imported lazily: dispatch builds on the engine (circular otherwise).
-    from repro.compile.backend import lineage_supports
-    from repro.exact.dispatch import (
-        resolve_sweep_method,
-        resolve_weighted_method,
-    )
-
-    if job.problem in ("marginals", "update"):
-        return True
-    if job.problem in ("val-weighted", "sweep"):
-        resolver = (
-            resolve_sweep_method
-            if job.problem == "sweep"
-            else resolve_weighted_method
-        )
-        try:
-            resolved = resolver(job.db, job.query, job.method)
-        except ValueError:
-            # Invalid method for this problem: execute_job will turn it
-            # into a per-job error — the partition must not raise.
-            return False
-        return resolved == "circuit"
-    if job.method == "circuit" and job.problem in ("val", "comp"):
-        return lineage_supports(job.query)
-    return False
 
 
 def instance_db(job: CountJob) -> IncompleteDatabase:
@@ -311,8 +271,6 @@ def instance_db(job: CountJob) -> IncompleteDatabase:
     circuit belongs to the delta-chain *result* — provenance rides along,
     so the engine can later derive the circuit from a cached ancestor.
     """
-    if job.problem != "update":
-        return job.db
     db = job.db
     for delta in job.deltas:
         db = db.apply(delta)
@@ -333,54 +291,6 @@ def instance_fingerprint_of(job: CountJob) -> str | None:
     return fingerprint_instance(db, job.query, kind)
 
 
-def _circuit_for(job: CountJob, circuits: Any) -> tuple[Any, str]:
-    """The compiled circuit for ``job``'s instance, plus how it was got.
-
-    Returns ``(circuit, source)`` with ``source`` one of ``'cached'``
-    (store hit), ``'derived'`` (conditioned or spliced from a cached
-    delta ancestor — see :mod:`repro.engine.incremental`) or
-    ``'compiled'`` (fresh).  Derivation kicks in for *any* circuit
-    problem whose instance carries delta provenance, not just
-    ``'update'`` jobs.
-    """
-    from repro.compile.backend import CompletionCircuit, ValuationCircuit
-
-    db = instance_db(job)
-    kind = "comp" if job.problem == "comp" else "val"
-    fingerprint = None
-    if circuits is not None:
-        from repro.engine.fingerprint import fingerprint_instance
-
-        fingerprint = fingerprint_instance(db, job.query, kind)
-    if fingerprint is not None:
-        cached = circuits.get_circuit(fingerprint)
-        if cached is not None:
-            return cached, "cached"
-        if getattr(db, "parent", None) is not None:
-            from repro.engine.incremental import derive_instance_circuit
-
-            derived = derive_instance_circuit(
-                db, job.query, kind, circuits, fingerprint
-            )
-            if derived is not None:
-                return derived, "derived"
-    if job.problem == "comp":
-        compiled: Any = CompletionCircuit(db, job.query)
-    else:
-        assert job.query is not None
-        compiled = ValuationCircuit(db, job.query)
-    if fingerprint is not None:
-        circuits.put_circuit(fingerprint, compiled)
-    return compiled, "compiled"
-
-
-def _instance_circuit(job: CountJob, circuits: Any):
-    """The compiled circuit for ``job``'s instance — cached when a store
-    is available, compiled fresh otherwise."""
-    circuit, _source = _circuit_for(job, circuits)
-    return circuit
-
-
 def marginals_record(marginals: dict) -> dict[str, dict[str, float]]:
     """Marginal tables keyed by reprs, JSON- and comparison-friendly."""
     return {
@@ -390,90 +300,3 @@ def marginals_record(marginals: dict) -> dict[str, dict[str, float]]:
         }
         for null, table in marginals.items()
     }
-
-
-def _solve(job: CountJob, circuits: Any = None) -> tuple[Any, str]:
-    # Imported lazily: dispatch offers batch wrappers built on the engine,
-    # so a module-level import would be circular.
-    from repro.exact.dispatch import (
-        count_completions,
-        count_valuations,
-        count_valuations_sweep,
-        count_valuations_weighted,
-        resolve_completion_method,
-        resolve_sweep_method,
-        resolve_valuation_method,
-        resolve_weighted_method,
-    )
-
-    if job.problem == "val":
-        assert job.query is not None
-        resolved = resolve_valuation_method(job.db, job.query, job.method)
-        if resolved == "circuit":
-            return _instance_circuit(job, circuits).count(), resolved
-        return (
-            count_valuations(
-                job.db, job.query, method=resolved, budget=job.budget
-            ),
-            resolved,
-        )
-    if job.problem == "comp":
-        resolved = resolve_completion_method(job.db, job.query, job.method)
-        if resolved == "circuit":
-            return _instance_circuit(job, circuits).count(), resolved
-        return (
-            count_completions(
-                job.db, job.query, method=resolved, budget=job.budget
-            ),
-            resolved,
-        )
-    if job.problem == "val-weighted":
-        assert job.query is not None
-        resolved = resolve_weighted_method(job.db, job.query, job.method)
-        if resolved == "circuit":
-            compiled = _instance_circuit(job, circuits)
-            return compiled.weighted_count(job.weights), resolved
-        return (
-            count_valuations_weighted(
-                job.db,
-                job.query,
-                job.weights,
-                method=resolved,
-                budget=job.budget,
-            ),
-            resolved,
-        )
-    if job.problem == "sweep":
-        assert job.query is not None
-        rows = list(job.weights or ())
-        resolved = resolve_sweep_method(job.db, job.query, job.method)
-        if resolved == "circuit":
-            compiled = _instance_circuit(job, circuits)
-            return compiled.weighted_count_many(rows), resolved
-        return (
-            count_valuations_sweep(
-                job.db, job.query, rows, method=resolved, budget=job.budget
-            ),
-            resolved,
-        )
-    if job.problem == "marginals":
-        compiled = _instance_circuit(job, circuits)
-        return marginals_record(compiled.marginals(job.weights)), "circuit"
-    if job.problem == "update":
-        assert job.query is not None
-        compiled, source = _circuit_for(job, circuits)
-        # 'delta' marks an answer actually derived from an ancestor
-        # circuit (conditioning or component splice); a cold store still
-        # reports the honest 'circuit' compile.
-        return compiled.count(), "delta" if source == "derived" else "circuit"
-    assert job.problem == "approx-val"
-    from repro.approx.fpras import fpras_count_valuations
-
-    estimate = fpras_count_valuations(
-        job.db,
-        job.query,  # type: ignore[arg-type]  # __post_init__ guarantees it
-        epsilon=job.epsilon,
-        delta=job.delta,
-        seed=job.seed,
-    )
-    return estimate, "karp-luby"

@@ -14,10 +14,12 @@ The pipeline is:
    are solved serially in the parent instead of failing, with the reason
    recorded in the result's ``meta['fallback']``.
 
-Circuit-backed jobs (``val-weighted``, ``marginals``, ``method='circuit'``)
-are scheduled around the parent's circuit store: the **first** job of each
-not-yet-cached instance goes to a worker, which compiles the circuit,
-answers, and ships the serialized artifact home
+Jobs that may be answered from a circuit (``val-weighted``, ``marginals``,
+``sweep``, ``update``, ``method='circuit'``/``'delta'``, and ``auto``
+exact jobs on delta-derived instances — read off the job, never by
+planning it) are scheduled around the parent's circuit store: the
+**first** job of each not-yet-cached instance goes to a worker, which
+compiles the circuit, answers, and ships the serialized artifact home
 (:func:`~repro.engine.jobs.execute_job_capturing`); the parent rehydrates
 and installs it (:func:`repro.compile.backend.artifact_from_bytes`), and
 every *further* question about that instance — in this batch or the next —
@@ -49,19 +51,21 @@ import pickle
 import time
 from typing import Iterable, Sequence
 
+from repro.compile.backend import artifact_from_bytes
 from repro.compile.serialize import CircuitFormatError
 from repro.core.query import BCQ, Negation, UCQ
+from repro.db.deltas import delta_chain
 from repro.engine.cache import CountCache
 from repro.engine.fingerprint import fingerprint_instance, fingerprint_job
-from repro.engine.incremental import cached_ancestor, delta_chain
+from repro.engine.incremental import cached_ancestor
 from repro.engine.jobs import (
+    CIRCUIT_METHODS,
     CountJob,
     JobResult,
     execute_job,
     execute_job_capturing,
     instance_db,
     instance_fingerprint_of,
-    needs_circuit,
 )
 from repro.obs import (
     default_registry,
@@ -181,7 +185,7 @@ class BatchEngine:
                     fingerprints[index],
                     result.count,
                     result.method,
-                    instance=self._instance_of(jobs[index]),
+                    instance=_instance_of(jobs[index], result),
                 )
 
         for first, duplicate_indices in followers.items():
@@ -214,7 +218,7 @@ class BatchEngine:
                         fingerprints[index],
                         result.count,
                         result.method,
-                        instance=self._instance_of(jobs[index]),
+                        instance=_instance_of(jobs[index], result),
                     )
                     # Remaining duplicates are served from this success.
                     source = result
@@ -223,10 +227,6 @@ class BatchEngine:
         return results  # type: ignore[return-value]
 
     # -- execution ---------------------------------------------------------
-
-    def _instance_of(self, job: CountJob) -> str | None:
-        """Circuit-store key linking a memo entry to its instance."""
-        return instance_fingerprint_of(job) if needs_circuit(job) else None
 
     def _derivable(self, job: CountJob, claimed: set[str]) -> bool:
         """Whether the job's instance derives from an ancestor circuit.
@@ -268,28 +268,29 @@ class BatchEngine:
                 )
                 serial.append(index)
                 continue
-            if needs_circuit(job):
+            instance = (
+                instance_fingerprint_of(job) if _may_use_circuit(job) else None
+            )
+            if instance is None:
+                parallel.append(index)
+            elif (
+                self.cache.has_circuit(instance)
+                or instance in claimed
+                # Delta-derived instance with a cached (or claimed)
+                # ancestor: the parent conditions/resplices the ancestor
+                # circuit in a linear pass — cheaper than a worker
+                # recompile, and the derived circuit lands in the store
+                # with its provenance link intact.
+                or self._derivable(job, claimed)
+            ):
+                serial.append(index)
+            else:
                 # One worker compile per unique instance: the first job of
                 # a not-yet-cached instance ships its circuit home, every
                 # other question about it runs in the parent as a linear
                 # pass over the installed artifact.
-                instance = instance_fingerprint_of(job)
-                if instance is None or self.cache.has_circuit(instance):
-                    serial.append(index)
-                elif instance in claimed:
-                    serial.append(index)
-                elif self._derivable(job, claimed):
-                    # Delta-derived instance with a cached ancestor: the
-                    # parent conditions/resplices the ancestor circuit in
-                    # a linear pass — cheaper than a worker recompile,
-                    # and the derived circuit lands in the store with its
-                    # provenance link intact.
-                    serial.append(index)
-                else:
-                    claimed.add(instance)
-                    compile_remote.append(index)
-                continue
-            parallel.append(index)
+                claimed.add(instance)
+                compile_remote.append(index)
 
         pool_indices = parallel + compile_remote
         if len(pool_indices) <= 1:
@@ -420,10 +421,6 @@ class BatchEngine:
         if instance is None:
             return
         try:
-            # Imported lazily: repro.compile pulls the whole compilation
-            # stack, which workers that never touch circuits skip loading.
-            from repro.compile.backend import artifact_from_bytes
-
             # Update jobs ship the *child* instance's circuit; rehydrate
             # against the database the chain produces, not the base one.
             compiled = artifact_from_bytes(payload, instance_db(job))
@@ -438,6 +435,32 @@ class BatchEngine:
             _incr("engine.worker_circuit_installs")
         else:
             result.meta["artifact_rejected"] = "circuit exceeds the cache bound"
+
+
+def _may_use_circuit(job: CountJob) -> bool:
+    """Whether ``job`` may be answered from a compiled circuit — read off
+    the job (problem, requested method, provenance), never by planning.
+
+    ``auto`` never picks ``circuit`` for ``val``/``comp`` (lineage is
+    always cheaper) but may pick ``delta`` on a delta-derived instance.
+    """
+    if job.problem == "approx-val":
+        return False
+    if job.problem == "update" or job.method in CIRCUIT_METHODS:
+        return True
+    if job.method != "auto":
+        return False
+    return job.problem not in ("val", "comp") or job.db.parent is not None
+
+
+def _instance_of(job: CountJob, result: JobResult) -> str | None:
+    """Circuit-store key linking a memo entry to its instance: set only
+    when the answering method read a circuit (a closed form or a brute
+    fallback never compiles one, and a link to an absent circuit would
+    make the cache refuse to store the answer)."""
+    if result.method not in CIRCUIT_METHODS:
+        return None
+    return instance_fingerprint_of(job)
 
 
 def _pool_solve(task: tuple[CountJob, bool]) -> JobResult:

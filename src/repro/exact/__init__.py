@@ -10,10 +10,11 @@
   case (unary schemas, uniform domain), with the warm-up closed forms.
 * :mod:`repro.exact.completion_check` — Lemma B.2 certificate check for
   Codd tables (bipartite matching).
-* :mod:`repro.exact.dispatch` — ``count_valuations`` / ``count_completions``
-  front doors that pick the best applicable algorithm; on hard cells they
-  now prefer the lineage-compilation backend (:mod:`repro.compile`) over
-  brute force for (U)CQs.
+* :mod:`repro.exact.planner` — the method registry: every algorithm with
+  its applicability, cost and runner; :func:`~repro.exact.planner.plan`
+  picks one per question.
+* :mod:`repro.exact.dispatch` — :func:`solve`, the one front door (plan
+  once, run the chosen method), and the ``count_*`` wrappers over it.
 """
 
 from repro.exact.brute import (
@@ -37,14 +38,6 @@ from repro.exact.dispatch import (
     count_valuations,
     count_valuations_sweep,
     count_valuations_weighted,
-    plan_completions,
-    plan_sweep,
-    plan_valuations,
-    plan_valuations_weighted,
-    resolve_completion_method,
-    resolve_sweep_method,
-    resolve_valuation_method,
-    resolve_weighted_method,
     solve,
 )
 
@@ -65,13 +58,5 @@ __all__ = [
     "count_valuations",
     "count_valuations_sweep",
     "count_valuations_weighted",
-    "plan_completions",
-    "plan_sweep",
-    "plan_valuations",
-    "plan_valuations_weighted",
-    "resolve_completion_method",
-    "resolve_sweep_method",
-    "resolve_valuation_method",
-    "resolve_weighted_method",
     "solve",
 ]

@@ -1,20 +1,20 @@
 """Front-door counting API: plan, then run the chosen registry method.
 
 :func:`solve` is the one front door: ``solve(problem, db, query,
-method=..., weights=..., budget=...)`` plans the instance through the
-solver planner (:mod:`repro.exact.planner`) — a registry in which every
-algorithm declares its problem kinds, applicability conditions, capability
-flags and a cheap cost estimate — executes the chosen entry, and returns a
-structured :class:`Answer` carrying the count, the explainable
-:class:`Plan`, wall seconds, and the observability stats captured during
-the run.  The historical per-problem functions (``count_valuations`` /
-``count_completions`` / :func:`count_valuations_weighted` /
-:func:`count_valuations_sweep`) are thin wrappers over :func:`solve` with
-their signatures and behavior unchanged.  There is no per-method
-conditional here: adding a solver is one
-:func:`repro.exact.planner.register` call, and ``repro-count plan`` prints
-the full decision (chosen method, rejected alternatives, reasons) for any
-instance.
+method=..., weights=..., budget=..., store=...)`` plans the instance once
+through the solver planner (:mod:`repro.exact.planner`) — a registry in
+which every algorithm declares its problem kinds, applicability
+conditions, capability flags and a cheap cost estimate — executes the
+chosen entry, and returns a structured :class:`Answer` carrying the count,
+the explainable :class:`Plan`, wall seconds, and the observability stats
+captured while planning and running.  The CLI and every batch-engine job
+answer through it; the engine passes its cache as the circuit ``store``.
+The per-problem functions (``count_valuations`` / ``count_completions`` /
+:func:`count_valuations_weighted` / :func:`count_valuations_sweep`) are
+thin wrappers over :func:`solve`.  There is no per-method conditional
+here: adding a solver is one :func:`repro.exact.planner.register` call,
+and ``repro-count plan`` prints the full decision (chosen method,
+rejected alternatives, reasons) for any instance.
 
 Method vocabulary (see the registry for the authoritative table):
 
@@ -27,9 +27,13 @@ Method vocabulary (see the registry for the authoritative table):
 ``codd`` / ``uniform`` / ``uniform-unary``  Theorems 3.7 / 3.9 / 4.6
 ``lineage``         compile to CNF, exact #SAT with component caching;
                     degrades to ``brute`` on non-(U)CQs
+``dpdb``            the same CNF, counted by a DP over a tree
+                    decomposition; degrades to ``brute`` on non-(U)CQs
 ``circuit``         the same search recorded once as a d-DNNF circuit
                     (weighted counts, marginals and exact samples become
                     linear passes); degrades to ``brute`` on non-(U)CQs
+``delta``           an updated instance's circuit, derived from a cached
+                    ancestor circuit; degrades to ``circuit``
 ``brute``           enumerate all valuations (opt-in ``budget``)
 =================== ======================================================
 
@@ -57,21 +61,9 @@ __all__ = [
     "NoPolynomialAlgorithm",
     "Plan",
     "count_completions",
-    "count_completions_batch",
     "count_valuations",
-    "count_valuations_batch",
     "count_valuations_sweep",
     "count_valuations_weighted",
-    "plan_completions",
-    "plan_sweep",
-    "plan_valuations",
-    "plan_valuations_weighted",
-    "resolve_completion_method",
-    "resolve_sweep_method",
-    "resolve_valuation_method",
-    "resolve_weighted_method",
-    "select_completion_algorithm",
-    "select_valuation_algorithm",
     "solve",
 ]
 
@@ -88,8 +80,9 @@ class Answer:
     list of numbers for ``sweep``); ``method`` the concrete registry
     method that ran; ``plan`` the full explainable decision;
     ``seconds`` the wall time of the run; ``stats`` the observability
-    digest captured while solving (``phases``/``counters``, empty when
-    the obs layer is disabled).
+    digest of planning and running (``phases``/``counters``, empty when
+    the obs layer is disabled — the same digest an engine job reports as
+    ``meta['metrics']``).
     """
 
     problem: str
@@ -108,6 +101,7 @@ def solve(
     method: str = "auto",
     weights: Any = None,
     budget: int | None = brute.DEFAULT_BUDGET,
+    store: Any = None,
 ) -> Answer:
     """Answer one counting question: plan, run, report.
 
@@ -117,155 +111,37 @@ def solve(
     vocabulary (``'auto'``, ``'poly'`` where offered, or a concrete
     method name); ``weights`` is one per-null weight table for the
     weighted problems and a *sequence* of tables for ``'sweep'``;
-    ``budget`` only limits ``brute``.
+    ``budget`` only limits ``brute``.  ``store`` is an optional circuit
+    store (the batch engine passes its
+    :class:`~repro.engine.cache.CountCache`): circuit-backed methods read
+    the instance's circuit from it, derive it from a cached delta
+    ancestor, or compile and install it.
 
     Raises :class:`ValueError` for an unknown problem or method,
     :class:`NoPolynomialAlgorithm` when ``method='poly'`` hits a #P-hard
     cell — exactly the errors the per-problem wrappers have always
     raised.
     """
-    built = planner.plan(problem, db, query, method)
-    if built.chosen is None:
-        if method == "poly":
-            raise NoPolynomialAlgorithm(built.error)
-        raise ValueError(built.error)
-    started = time.perf_counter()
     with _capture() as captured:
+        built = planner.plan(problem, db, query, method)
+        if built.chosen is None:
+            if method == "poly":
+                raise NoPolynomialAlgorithm(built.error)
+            raise ValueError(built.error)
+        started = time.perf_counter()
         count = planner.run(
-            problem, built.chosen, db, query, budget=budget, weights=weights
+            problem, built.chosen, db, query,
+            budget=budget, weights=weights, store=store,
         )
-    seconds = time.perf_counter() - started
-    stats: dict[str, Any] = {}
-    phases = captured.phase_totals()
-    if phases:
-        stats["phases"] = {
-            name: round(value, 6) for name, value in sorted(phases.items())
-        }
-    if captured.counters:
-        stats["counters"] = dict(sorted(captured.counters.items()))
+        seconds = time.perf_counter() - started
     return Answer(
         problem=problem,
         count=count,
         method=built.chosen,
         plan=built,
         seconds=seconds,
-        stats=stats,
+        stats=captured.digest(),
     )
-
-
-# -- polynomial-cell selection ---------------------------------------------
-
-
-def _select_polynomial(
-    problem: str, db: IncompleteDatabase, query: BooleanQuery | None
-) -> str | None:
-    # The planner's poly mode already is "cheapest applicable polynomial
-    # method, or none"; a plan never raises, it just leaves chosen=None.
-    return planner.plan(problem, db, query, "poly").chosen
-
-
-def select_valuation_algorithm(
-    db: IncompleteDatabase, query: BooleanQuery
-) -> str | None:
-    """Name of the applicable polynomial ``#Val`` algorithm, or ``None``.
-
-    Preference order (encoded as registry cost tiers): the Theorem 3.6
-    formula, then Theorem 3.7 (Codd tables), then Theorem 3.9 (uniform
-    naive tables).
-    """
-    return _select_polynomial("val", db, query)
-
-
-def select_completion_algorithm(
-    db: IncompleteDatabase, query: BooleanQuery | None
-) -> str | None:
-    """Name of the applicable polynomial ``#Comp`` algorithm, or ``None``."""
-    return _select_polynomial("comp", db, query)
-
-
-# -- plans -----------------------------------------------------------------
-
-
-def plan_valuations(
-    db: IncompleteDatabase, query: BooleanQuery, method: str = "auto"
-) -> Plan:
-    """The explainable ``#Val`` plan (chosen method + rejected alternatives)."""
-    return planner.plan("val", db, query, method)
-
-
-def plan_completions(
-    db: IncompleteDatabase,
-    query: BooleanQuery | None = None,
-    method: str = "auto",
-) -> Plan:
-    """The explainable ``#Comp`` plan."""
-    return planner.plan("comp", db, query, method)
-
-
-def plan_valuations_weighted(
-    db: IncompleteDatabase, query: BooleanQuery, method: str = "auto"
-) -> Plan:
-    """The explainable weighted-``#Val`` plan."""
-    return planner.plan("val-weighted", db, query, method)
-
-
-def plan_sweep(
-    db: IncompleteDatabase, query: BooleanQuery, method: str = "auto"
-) -> Plan:
-    """The explainable plan for a weighted-``#Val`` sweep (one instance,
-    many weight tables)."""
-    return planner.plan("sweep", db, query, method)
-
-
-# -- resolution ------------------------------------------------------------
-
-
-def resolve_valuation_method(
-    db: IncompleteDatabase, query: BooleanQuery, method: str = "auto"
-) -> str:
-    """The concrete algorithm ``count_valuations`` will run.
-
-    ``auto`` resolves to the cheapest applicable registry method
-    (polynomial if one exists, else ``lineage`` on (U)CQs, else
-    ``brute``); ``poly`` raises :class:`NoPolynomialAlgorithm` on hard
-    cells; other names resolve to themselves (``lineage``/``circuit``
-    degrade to ``brute`` on queries the compiler cannot encode).
-    """
-    return planner.resolve("val", db, query, method)
-
-
-def resolve_completion_method(
-    db: IncompleteDatabase,
-    query: BooleanQuery | None = None,
-    method: str = "auto",
-) -> str:
-    """The concrete algorithm ``count_completions`` will run."""
-    return planner.resolve("comp", db, query, method)
-
-
-def resolve_weighted_method(
-    db: IncompleteDatabase, query: BooleanQuery, method: str = "auto"
-) -> str:
-    """The concrete algorithm :func:`count_valuations_weighted` will run.
-
-    ``auto`` prefers the Theorem 3.6 closed form (weighted counting stays
-    a product of per-null sums on that cell), then the circuit backend on
-    any other (U)CQ, then weighted brute enumeration.
-    """
-    return planner.resolve("val-weighted", db, query, method)
-
-
-def resolve_sweep_method(
-    db: IncompleteDatabase, query: BooleanQuery, method: str = "auto"
-) -> str:
-    """The concrete algorithm :func:`count_valuations_sweep` will run.
-
-    Same preference order as :func:`resolve_weighted_method` — the
-    closed form on the Theorem 3.6 cell (one per-null product per
-    table), else the circuit backend, which compiles once and answers
-    every table in one batched pass, else brute enumeration per table.
-    """
-    return planner.resolve("sweep", db, query, method)
 
 
 # -- execution (thin wrappers over ``solve``) -------------------------------
@@ -341,59 +217,3 @@ def count_valuations_sweep(
         "sweep", db, query, method=method, weights=list(weight_rows),
         budget=budget,
     ).count
-
-
-# -- batch wrappers --------------------------------------------------------
-
-
-def _count_batch(
-    problem: str,
-    instances,
-    method: str,
-    budget: int | None,
-    workers: int | None,
-) -> list[int]:
-    # Imported lazily: the engine executes jobs through this module, so a
-    # top-level import would be circular.
-    from repro.engine import CountJob, run_batch
-
-    jobs = [
-        CountJob(
-            problem, db, query, method=method, budget=budget,
-            label="batch-%d" % index,
-        )
-        for index, (db, query) in enumerate(instances)
-    ]
-    results = run_batch(jobs, workers=workers)
-    for result in results:
-        if not result.ok:
-            raise RuntimeError(
-                "batch job %s failed: %s" % (result.label, result.error)
-            )
-    return [result.count for result in results]  # type: ignore[misc]
-
-
-def count_valuations_batch(
-    instances,
-    method: str = "auto",
-    budget: int | None = brute.DEFAULT_BUDGET,
-    workers: int | None = None,
-) -> list[int]:
-    """``#Val`` for many ``(db, query)`` pairs through the batch engine.
-
-    Instances are deduplicated by canonical fingerprint and the unique
-    cache misses fan out to a multiprocessing pool (:mod:`repro.engine`) —
-    on repeated or isomorphic instances this is far cheaper than calling
-    :func:`count_valuations` in a loop.  The first failing job raises.
-    """
-    return _count_batch("val", instances, method, budget, workers)
-
-
-def count_completions_batch(
-    instances,
-    method: str = "auto",
-    budget: int | None = brute.DEFAULT_BUDGET,
-    workers: int | None = None,
-) -> list[int]:
-    """``#Comp`` for many ``(db, query_or_None)`` pairs through the engine."""
-    return _count_batch("comp", instances, method, budget, workers)

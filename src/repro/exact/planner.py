@@ -21,13 +21,18 @@ reason.  ``method='auto'`` picks the cheapest applicable method,
 carries the hardness verdict when none applies), and a concrete method
 name is honored verbatim — with the registered fallback (e.g. the lineage
 compiler degrading to ``brute`` on a non-(U)CQ) applied exactly where the
-old dispatch ``if`` chains did.  :mod:`repro.exact.dispatch` and the
-``repro-count plan`` CLI are the two consumers; the batch engine reaches
-the registry through dispatch.
+old dispatch ``if`` chains did.  A plan costs only the methods its request
+can choose: every applicability predicate is cheap, and the expensive
+estimates (the dpdb width probe) run only for rows ``auto`` compares.
 
-Adding a solver is now one :func:`register` call — dispatch, ``auto``,
-``plan`` output and the capability table all pick it up without touching
-a conditional.
+:func:`run` executes one chosen method.  Circuit-backed methods take an
+optional circuit ``store`` (the engine's
+:class:`~repro.engine.cache.CountCache`) and fetch their circuit through
+:func:`repro.engine.incremental.instance_circuit`.
+:func:`repro.exact.dispatch.solve` is the one caller of the pair — the
+CLI and every batch-engine job answer through it — so adding a solver is
+one :func:`register` call: ``auto``, ``plan`` output and the capability
+table all pick it up without touching a conditional.
 """
 
 from __future__ import annotations
@@ -36,14 +41,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from repro.compile.backend import (
-    count_completions_circuit,
-    count_completions_delta,
     count_completions_lineage,
-    count_valuations_circuit,
-    count_valuations_delta,
     count_valuations_lineage,
     lineage_supports,
-    valuation_marginals,
 )
 from repro.compile.dpdb import (
     DPDB_WIDTH_LIMIT,
@@ -59,7 +59,7 @@ from repro.core.patterns import (
     has_shared_variable,
 )
 from repro.core.query import BCQ, BooleanQuery
-from repro.db.deltas import resolution_only as _resolution_only
+from repro.db.deltas import delta_chain, resolution_only
 from repro.db.incomplete import IncompleteDatabase
 from repro.db.valuation import count_total_valuations
 from repro.exact import brute
@@ -230,11 +230,13 @@ class Plan:
         lines.append("considered:")
         for item in self.considered:
             marker = "*" if item.method == self.chosen else " "
-            verdict = (
-                "cost %-6.2f" % item.cost
-                if item.applicable and item.cost is not None
-                else "n/a        "
-            )
+            if not item.applicable:
+                verdict = "n/a        "
+            elif item.cost is None:
+                # A forced or poly request could never choose this row.
+                verdict = "not costed "
+            else:
+                verdict = "cost %-6.2f" % item.cost
             flags = "".join(
                 (
                     "P" if item.polynomial else "-",
@@ -269,36 +271,18 @@ def plan(
     outside the problem's vocabulary; every *semantic* failure (``poly``
     on a hard cell, no applicable method) is reported in :attr:`Plan.error`
     so the CLI can still print the full analysis.
+
+    Every row's applicability is checked, but only the rows the request
+    can choose are costed: all applicable methods for ``auto``, the
+    applicable polynomial ones for ``poly``, the one method a forced
+    request runs.  The others keep ``cost=None``.
     """
     entries = methods_for(problem)
     valid = method_names(problem)
     if method not in valid:
         raise ValueError("unknown method %r (one of %s)" % (method, valid))
 
-    considered: list[Considered] = []
-    verdicts: dict[str, tuple[bool, str, float | None]] = {}
-    for entry in entries:
-        applicable, reason = entry.applies(db, query)
-        cost = entry.cost(db, query) if applicable else None
-        detail = (
-            entry.detail(db, query)
-            if applicable and entry.detail is not None
-            else None
-        )
-        verdicts[entry.name] = (applicable, reason, cost)
-        considered.append(
-            Considered(
-                method=entry.name,
-                applicable=applicable,
-                reason=reason,
-                cost=cost,
-                polynomial=entry.polynomial,
-                supports_weights=entry.supports_weights,
-                supports_marginals=entry.supports_marginals,
-                detail=detail,
-            )
-        )
-
+    verdicts = {entry.name: entry.applies(db, query) for entry in entries}
     notes: list[str] = []
     error: str | None = None
     chosen: str | None
@@ -309,30 +293,48 @@ def plan(
             if verdicts[entry.name][0]
             and (method == "auto" or entry.polynomial)
         ]
-        if pool:
-            chosen = min(
-                pool, key=lambda entry: verdicts[entry.name][2]  # type: ignore[arg-type, return-value]
-            ).name
-        else:
-            chosen = None
-            error = _no_method_error(problem, query, method)
     else:
         entry = _REGISTRY[problem][method]
-        applicable, reason, _cost = verdicts[method]
+        applicable, reason = verdicts[method]
+        chosen = method
         if not applicable and entry.fallback is not None:
             chosen = entry.fallback
             notes.append(
                 "requested %r cannot handle this instance (%s); "
                 "degrading to %r" % (method, reason, entry.fallback)
             )
-        else:
-            chosen = method
-            if not applicable:
-                notes.append(
-                    "forced %r although the planner does not expect it to "
-                    "apply (%s); the solver will raise its own error"
-                    % (method, reason)
-                )
+        elif not applicable:
+            notes.append(
+                "forced %r although the planner does not expect it to "
+                "apply (%s); the solver will raise its own error"
+                % (method, reason)
+            )
+        pool = [
+            entry for entry in entries
+            if entry.name == chosen and verdicts[entry.name][0]
+        ]
+    costs = {entry.name: entry.cost(db, query) for entry in pool}
+    if method in ("auto", "poly"):
+        chosen = min(costs, key=costs.__getitem__, default=None)
+        if chosen is None:
+            error = _no_method_error(problem, query, method)
+    considered = tuple(
+        Considered(
+            method=entry.name,
+            applicable=verdicts[entry.name][0],
+            reason=verdicts[entry.name][1],
+            cost=costs.get(entry.name),
+            polynomial=entry.polynomial,
+            supports_weights=entry.supports_weights,
+            supports_marginals=entry.supports_marginals,
+            detail=(
+                entry.detail(db, query)
+                if entry.name in costs and entry.detail is not None
+                else None
+            ),
+        )
+        for entry in entries
+    )
     _obs_event(
         "planner.decision",
         problem=problem,
@@ -354,7 +356,7 @@ def plan(
         problem=problem,
         requested=method,
         chosen=chosen,
-        considered=tuple(considered),
+        considered=considered,
         notes=tuple(notes),
         error=error,
     )
@@ -376,25 +378,6 @@ def _no_method_error(
     return "no registered method can solve problem %r on this instance" % problem
 
 
-def resolve(
-    problem: str,
-    db: IncompleteDatabase,
-    query: BooleanQuery | None,
-    method: str = "auto",
-) -> str:
-    """The concrete method a front door will run (see :func:`plan`).
-
-    ``method='poly'`` raises :class:`NoPolynomialAlgorithm` on hard cells;
-    an instance no method can solve raises :class:`ValueError`.
-    """
-    built = plan(problem, db, query, method)
-    if built.chosen is None:
-        if method == "poly":
-            raise NoPolynomialAlgorithm(built.error)
-        raise ValueError(built.error)
-    return built.chosen
-
-
 def run(
     problem: str,
     method: str,
@@ -402,15 +385,26 @@ def run(
     query: BooleanQuery | None,
     budget: int | None = None,
     weights: Mapping[Any, Any] | None = None,
+    store: Any = None,
 ) -> Any:
-    """Execute one *resolved* method through its registry entry."""
+    """Execute one *resolved* method through its registry entry.
+
+    ``store`` is an optional circuit store (the engine's
+    :class:`~repro.engine.cache.CountCache`) that circuit-backed methods
+    fetch from, derive into and install into.
+    """
     entry = _REGISTRY.get(problem, {}).get(method)
     if entry is None:
         raise ValueError(
             "no registered method %r for problem %r" % (method, problem)
         )
+    knobs: dict[str, Any] = {"budget": budget, "weights": weights}
+    if store is not None:
+        # Only a store-carrying caller passes the knob, so solvers
+        # registered without one keep working for plain solves.
+        knobs["store"] = store
     with _span("planner.run", problem=problem, method=method):
-        return entry.run(db, query, budget=budget, weights=weights)
+        return entry.run(db, query, **knobs)
 
 
 # ---------------------------------------------------------------------------
@@ -507,36 +501,23 @@ def _applies_lineage(
     return True, "(U)CQ lineage compiles to CNF; exact #SAT search"
 
 
-def _applies_dpdb(kind: str) -> Applies:
+def _applies_dpdb(
+    db: IncompleteDatabase, query: BooleanQuery | None
+) -> tuple[bool, str]:
     """Applicability of the tree-decomposition DP for ``val``/``comp``.
 
     Applies wherever lineage does (a forced ``method='dpdb'`` is honored;
     the runner itself degrades to the trail core above its hard width
-    cap), but the *reason* carries the width probe's verdict so the plan
-    explains why ``auto`` did or did not pick it.
+    cap).  Whether ``auto`` prefers it is the width probe's call, which
+    is a *cost* (:func:`_dpdb_cost`, reported in the row's detail) — so
+    only plans that compare dpdb against other methods pay for it.
     """
-
-    def applies(
-        db: IncompleteDatabase, query: BooleanQuery | None
-    ) -> tuple[bool, str]:
-        if (kind == "val" or query is not None) and not lineage_supports(
-            query
-        ):
-            return False, "lineage compilation handles (U)CQs only"
-        probe = dpdb_probe(kind, db, query)
-        if probe.ok and probe.width is not None:
-            if probe.width <= DPDB_WIDTH_LIMIT:
-                return True, (
-                    "elimination width %d <= %d: join/project/sum DP "
-                    "linear in formula size" % (probe.width, DPDB_WIDTH_LIMIT)
-                )
-            return True, (
-                "elimination width %d > %d: trail search preferred"
-                % (probe.width, DPDB_WIDTH_LIMIT)
-            )
-        return True, "%s; trail search preferred" % probe.reason
-
-    return applies
+    if not lineage_supports(query):
+        return False, "lineage compilation handles (U)CQs only"
+    return True, (
+        "(U)CQ lineage compiles to CNF; join/project/sum DP over a tree "
+        "decomposition, priced by its elimination width"
+    )
 
 
 def _applies_circuit(
@@ -558,25 +539,13 @@ def _applies_marginal_circuit(
 
 
 def _delta_provenance(db: IncompleteDatabase) -> tuple[int, bool]:
-    """``(chain depth, resolution-only?)`` of the delta provenance chain.
-
-    Depth 0 means no provenance (the instance was built directly, not via
-    :meth:`~repro.db.incomplete.IncompleteDatabase.apply`).  The walk is
-    bounded so pathological hand-built chains cannot loop the planner.
-    """
-    depth = 0
-    pure = True
-    node = db
-    while depth < 64:
-        parent = getattr(node, "parent", None)
-        delta = getattr(node, "delta", None)
-        if parent is None or delta is None:
-            break
-        if not _resolution_only(delta):
-            pure = False
-        depth += 1
-        node = parent
-    return depth, pure
+    """``(chain depth, resolution-only?)`` of the delta provenance chain
+    (depth 0: the instance was built directly, not via
+    :meth:`~repro.db.incomplete.IncompleteDatabase.apply`)."""
+    chain = delta_chain(db)
+    if not chain:
+        return 0, True
+    return len(chain), all(map(resolution_only, chain[-1][1]))
 
 
 def _applies_delta(kind: str) -> Applies:
@@ -585,9 +554,7 @@ def _applies_delta(kind: str) -> Applies:
     def applies(
         db: IncompleteDatabase, query: BooleanQuery | None
     ) -> tuple[bool, str]:
-        if (kind == "val" or query is not None) and not lineage_supports(
-            query
-        ):
+        if not lineage_supports(query):
             return False, "lineage compilation handles (U)CQs only"
         depth, pure = _delta_provenance(db)
         if depth == 0:
@@ -725,7 +692,11 @@ def _dpdb_detail(kind: str) -> Detail:
     def detail(
         db: IncompleteDatabase, query: BooleanQuery | None
     ) -> Mapping[str, Any] | None:
-        return dpdb_probe(kind, db, query).detail()
+        probe = dpdb_probe(kind, db, query)
+        found = probe.detail()
+        if not probe.ok:
+            found["probe"] = probe.reason
+        return found
 
     return detail
 
@@ -745,14 +716,15 @@ def _brute_cost(db: IncompleteDatabase, query: BooleanQuery | None) -> float:
 
 
 def _run_ignoring(function: Callable[..., Any], *forward: str) -> Run:
-    """Adapt a solver to the uniform ``run(db, query, budget, weights)``
-    signature, forwarding only the knobs it takes."""
+    """Adapt a solver to the uniform ``run(db, query, budget, weights,
+    store)`` signature, forwarding only the knobs it takes."""
 
     def adapted(
         db: IncompleteDatabase,
         query: BooleanQuery | None,
         budget: int | None = None,
         weights: Any = None,
+        store: Any = None,
     ) -> Any:
         kwargs = {}
         if "budget" in forward:
@@ -762,6 +734,39 @@ def _run_ignoring(function: Callable[..., Any], *forward: str) -> Run:
         return function(db, query, **kwargs)
 
     return adapted
+
+
+def _run_on_circuit(
+    kind: str, ask: Callable[[Any, Any], Any], derived: bool = False
+) -> Run:
+    """A circuit-backed solver: fetch the ``kind`` circuit of the instance
+    (from the store, derived from a cached delta ancestor, or compiled and
+    installed — :func:`repro.engine.incremental.instance_circuit`), then
+    answer ``ask(circuit, weights)``.  ``derived`` methods refuse
+    instances without delta provenance."""
+
+    def run(
+        db: IncompleteDatabase,
+        query: BooleanQuery | None,
+        budget: int | None = None,
+        weights: Any = None,
+        store: Any = None,
+    ) -> Any:
+        if derived and db.parent is None:
+            raise ValueError(
+                "database has no delta provenance; build it via "
+                "db.apply(delta)"
+            )
+        # Imported lazily: the engine builds on this module.
+        from repro.engine.incremental import instance_circuit
+
+        return ask(instance_circuit(kind, db, query, store), weights)
+
+    return run
+
+
+def _count(circuit: Any, weights: Any) -> Any:
+    return circuit.count()
 
 
 register(Method(
@@ -803,13 +808,13 @@ register(Method(
 register(Method(
     name="delta",
     problem="val",
-    description="condition/resplice the parent instance's circuit (updates)",
+    description="condition/resplice a cached ancestor's circuit (updates)",
     polynomial=False,
     supports_weights=False,
     supports_marginals=False,
     applies=_applies_delta("val"),
     cost=_delta_cost("val"),
-    run=_run_ignoring(count_valuations_delta),
+    run=_run_on_circuit("val", _count, derived=True),
     fallback="circuit",
     detail=_delta_detail("val"),
 ))
@@ -821,7 +826,7 @@ register(Method(
     polynomial=False,
     supports_weights=False,
     supports_marginals=False,
-    applies=_applies_dpdb("val"),
+    applies=_applies_dpdb,
     cost=_dpdb_cost("val"),
     run=_run_ignoring(count_valuations_dpdb),
     fallback="brute",
@@ -850,7 +855,7 @@ register(Method(
     supports_marginals=True,
     applies=_applies_circuit,
     cost=_search_cost(TIER_CIRCUIT),
-    run=_run_ignoring(count_valuations_circuit),
+    run=_run_on_circuit("val", _count),
     fallback="brute",
 ))
 
@@ -887,7 +892,7 @@ register(Method(
     supports_marginals=False,
     applies=_applies_delta("comp"),
     cost=_delta_cost("comp"),
-    run=_run_ignoring(count_completions_delta),
+    run=_run_on_circuit("comp", _count, derived=True),
     fallback="circuit",
     detail=_delta_detail("comp"),
 ))
@@ -899,7 +904,7 @@ register(Method(
     polynomial=False,
     supports_weights=False,
     supports_marginals=False,
-    applies=_applies_dpdb("comp"),
+    applies=_applies_dpdb,
     cost=_dpdb_cost("comp"),
     run=_run_ignoring(count_completions_dpdb),
     fallback="brute",
@@ -928,7 +933,7 @@ register(Method(
     supports_marginals=True,
     applies=_applies_circuit,
     cost=_search_cost(TIER_CIRCUIT),
-    run=_run_ignoring(count_completions_circuit),
+    run=_run_on_circuit("comp", _count),
     fallback="brute",
 ))
 
@@ -959,18 +964,6 @@ register(Method(
 ))
 
 
-def _run_weighted_circuit(
-    db: IncompleteDatabase,
-    query: BooleanQuery | None,
-    budget: int | None = None,
-    weights: Any = None,
-) -> Any:
-    from repro.compile.backend import ValuationCircuit
-
-    assert query is not None
-    return ValuationCircuit(db, query).weighted_count(weights)
-
-
 register(Method(
     name="circuit",
     problem="val-weighted",
@@ -980,7 +973,9 @@ register(Method(
     supports_marginals=True,
     applies=_applies_circuit,
     cost=_search_cost(TIER_CIRCUIT),
-    run=_run_weighted_circuit,
+    run=_run_on_circuit(
+        "val", lambda circuit, weights: circuit.weighted_count(weights)
+    ),
     fallback="brute",
 ))
 
@@ -999,16 +994,6 @@ register(Method(
 ))
 
 
-def _run_marginals(
-    db: IncompleteDatabase,
-    query: BooleanQuery | None,
-    budget: int | None = None,
-    weights: Any = None,
-) -> Any:
-    assert query is not None
-    return valuation_marginals(db, query, weights)
-
-
 register(Method(
     name="circuit",
     problem="marginals",
@@ -1018,7 +1003,9 @@ register(Method(
     supports_marginals=True,
     applies=_applies_marginal_circuit,
     cost=_search_cost(TIER_CIRCUIT),
-    run=_run_marginals,
+    run=_run_on_circuit(
+        "val", lambda circuit, weights: circuit.marginals(weights)
+    ),
 ))
 
 
@@ -1027,6 +1014,7 @@ def _run_sweep_single_occurrence(
     query: BooleanQuery | None,
     budget: int | None = None,
     weights: Any = None,
+    store: Any = None,
 ) -> Any:
     return [
         _val_nonuniform.count_valuations_weighted_single_occurrence(
@@ -1036,23 +1024,12 @@ def _run_sweep_single_occurrence(
     ]
 
 
-def _run_sweep_circuit(
-    db: IncompleteDatabase,
-    query: BooleanQuery | None,
-    budget: int | None = None,
-    weights: Any = None,
-) -> Any:
-    from repro.compile.backend import ValuationCircuit
-
-    assert query is not None
-    return ValuationCircuit(db, query).weighted_count_many(list(weights or ()))
-
-
 def _run_sweep_brute(
     db: IncompleteDatabase,
     query: BooleanQuery | None,
     budget: int | None = None,
     weights: Any = None,
+    store: Any = None,
 ) -> Any:
     return [
         brute.count_valuations_weighted_brute(
@@ -1083,7 +1060,10 @@ register(Method(
     supports_marginals=True,
     applies=_applies_circuit,
     cost=_search_cost(TIER_CIRCUIT),
-    run=_run_sweep_circuit,
+    run=_run_on_circuit(
+        "val",
+        lambda circuit, rows: circuit.weighted_count_many(list(rows or ())),
+    ),
     fallback="brute",
 ))
 
@@ -1110,6 +1090,5 @@ __all__ = [
     "methods_for",
     "plan",
     "register",
-    "resolve",
     "run",
 ]

@@ -293,6 +293,26 @@ class capture:
                 )
         return totals
 
+    def digest(self) -> dict[str, Any]:
+        """The compact, picklable digest of the scope: inclusive seconds
+        per phase plus counters, ``{"phases": {name: seconds},
+        "counters": {name: n}}`` — either key omitted when empty, ``{}``
+        when nothing was captured (observability disabled).
+
+        This is ``Answer.stats`` and an engine job's ``meta['metrics']``
+        (the schema the JSONL result format round-trips).
+        """
+        digest: dict[str, Any] = {}
+        phases = self.phase_totals()
+        if phases:
+            digest["phases"] = {
+                name: round(seconds, 6)
+                for name, seconds in sorted(phases.items())
+            }
+        if self.counters:
+            digest["counters"] = dict(sorted(self.counters.items()))
+        return digest
+
     @property
     def seconds(self) -> float:
         """Total wall time of the captured root spans."""

@@ -307,14 +307,12 @@ class TestEngineCircuitStore:
         # instance-linked (a link to an absent circuit would make the
         # cache refuse to store the answer).
         from repro.core.query import Atom, BCQ
-        from repro.engine.jobs import needs_circuit
         from repro.workloads.generators import (
             scaling_single_occurrence_instance,
         )
 
         db, query = scaling_single_occurrence_instance(3, seed=1)
         job = CountJob("val-weighted", db, query, label="w")
-        assert not needs_circuit(job)
         cache = CountCache()
         engine = BatchEngine(workers=0, cache=cache)
         [first] = engine.run([job])
@@ -328,7 +326,9 @@ class TestEngineCircuitStore:
             "val", db, CustomQuery("t", ["R"], lambda database: True),
             method="circuit",
         )
-        assert not needs_circuit(opaque)
+        [degraded] = engine.run([opaque])
+        assert degraded.ok and degraded.method == "brute"
+        assert cache.stats()["circuits"] == 0
 
     def test_poisoned_jobs_stay_per_job_errors(self):
         # Batch isolation: a weights table naming an unknown null, or a

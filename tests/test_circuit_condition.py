@@ -13,12 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.compile.backend import (
-    CompletionCircuit,
-    ValuationCircuit,
-    count_completions_delta,
-    count_valuations_delta,
-)
+from repro.compile.backend import CompletionCircuit, ValuationCircuit
 from repro.compile.circuit import DDNNF
 from repro.compile.lineage import clause_components, component_key
 from repro.complexity.cnf import CNF, count_models_brute
@@ -34,6 +29,7 @@ from repro.db.deltas import (
 from repro.db.fact import Fact
 from repro.db.incomplete import IncompleteDatabase
 from repro.db.terms import Null
+from repro.exact import planner
 from repro.workloads.generators import random_incomplete_db
 
 QUERY = BCQ([Atom("R", ["x", "y"]), Atom("S", ["y"])])
@@ -328,19 +324,19 @@ def test_componentwise_comp_matches_plain_compile():
 def test_count_delta_helpers_require_and_use_provenance():
     db = random_update_db(2)
     with pytest.raises(ValueError):
-        count_valuations_delta(db, QUERY)
+        planner.run("val", "delta", db, QUERY)
     nulls = sorted(db.nulls, key=repr)
     null = nulls[0]
     value = sorted(db.domain_of(null), key=repr)[0]
     child = db.apply(ResolveNull(null, value))
-    assert count_valuations_delta(child, QUERY) == ValuationCircuit(
+    assert planner.run("val", "delta", child, QUERY) == ValuationCircuit(
         child, QUERY
     ).count()
     grown = db.apply(InsertFacts(frozenset({Fact("S", ("v1",))})))
-    assert count_valuations_delta(grown, QUERY) == ValuationCircuit(
+    assert planner.run("val", "delta", grown, QUERY) == ValuationCircuit(
         grown, QUERY
     ).count()
-    assert count_completions_delta(child) == CompletionCircuit(
+    assert planner.run("comp", "delta", child, None) == CompletionCircuit(
         child, None
     ).count()
 

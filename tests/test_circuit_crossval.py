@@ -48,12 +48,8 @@ from repro.exact.brute import (
     count_valuations_brute,
     count_valuations_weighted_brute,
 )
-from repro.exact.dispatch import (
-    count_valuations,
-    count_valuations_weighted,
-    resolve_valuation_method,
-    resolve_weighted_method,
-)
+from repro.exact import planner
+from repro.exact.dispatch import count_valuations, count_valuations_weighted
 from repro.workloads.generators import (
     random_incomplete_db,
     scaling_hard_val_instance,
@@ -373,17 +369,17 @@ class TestDispatchRouting:
     def test_circuit_method_resolves_and_falls_back(self):
         db = _db(0, True, False)
         query = QUERIES[1]
-        assert resolve_valuation_method(db, query, "circuit") == "circuit"
+        assert planner.plan("val", db, query, "circuit").chosen == "circuit"
         opaque = CustomQuery("opaque", ["R"], lambda database: True)
-        assert resolve_valuation_method(db, opaque, "circuit") == "brute"
+        assert planner.plan("val", db, opaque, "circuit").chosen == "brute"
 
     def test_weighted_routing(self):
         db = _db(0, True, False)
         free = BCQ([Atom("R", ["x", "y"]), Atom("S", ["z"])])
-        assert resolve_weighted_method(db, free) == "single-occurrence"
-        assert resolve_weighted_method(db, QUERIES[1]) == "circuit"
+        assert planner.plan("val-weighted", db, free).chosen == "single-occurrence"
+        assert planner.plan("val-weighted", db, QUERIES[1]).chosen == "circuit"
         opaque = CustomQuery("opaque", ["R"], lambda database: True)
-        assert resolve_weighted_method(db, opaque) == "brute"
+        assert planner.plan("val-weighted", db, opaque).chosen == "brute"
 
     def test_weighted_single_occurrence_matches_brute(self):
         db = _db(5, False, False)

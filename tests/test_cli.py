@@ -71,6 +71,28 @@ class TestCount:
         ) == 0
         assert int(capsys.readouterr().out.strip()) == 2
 
+    @pytest.mark.parametrize("command", ["count", "stats"])
+    @pytest.mark.parametrize("mode", ["val", "comp"])
+    def test_one_plan_per_invocation(self, db_file, capsys, command, mode):
+        import json
+
+        from repro.obs import capture
+
+        with capture() as captured:
+            assert main([
+                command, "--mode", mode, "--db", db_file,
+                "--query", "R(x), S(x)", "--json",
+            ]) == 0
+        chosen = {
+            name: value for name, value in captured.counters.items()
+            if name.startswith("planner.chosen.")
+        }
+        assert sum(chosen.values()) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert record["count"] == 2
+        if command == "count":
+            assert chosen == {"planner.chosen.%s" % record["method"]: 1}
+
 
 class TestPlan:
     def test_val_auto_explains_choice_and_rejections(self, db_file, capsys):

@@ -11,12 +11,11 @@ import pytest
 
 from repro.core.query import Atom, BCQ, Const, UCQ
 from repro.exact.brute import count_completions_brute, count_valuations_brute
+from repro.exact import planner
 from repro.exact.dispatch import (
     NoPolynomialAlgorithm,
     count_completions,
     count_valuations,
-    resolve_completion_method,
-    resolve_valuation_method,
 )
 from repro.workloads.generators import (
     random_incomplete_db,
@@ -91,7 +90,7 @@ def test_hard_val_family_small_sizes(size):
     db, query = scaling_hard_val_instance(size, chord_probability=0.3, seed=size)
     # Small cycles keep the lineage treewidth low, so auto now routes the
     # hard cell to the tree-decomposition DP instead of the trail search.
-    assert resolve_valuation_method(db, query) == "dpdb"
+    assert planner.plan("val", db, query).chosen == "dpdb"
     assert count_valuations(db, query) == count_valuations_brute(db, query)
 
 
@@ -101,7 +100,7 @@ def test_hard_comp_family_small_sizes(size):
     for q in (None, query):
         # At these sizes the projection-constrained width is still small,
         # so auto picks the projected DP over the trail search.
-        assert resolve_completion_method(db, q) == "dpdb"
+        assert planner.plan("comp", db, q).chosen == "dpdb"
         assert count_completions(db, q) == count_completions_brute(db, q)
 
 
@@ -116,11 +115,11 @@ class TestAutoSelection:
         db = IncompleteDatabase(
             [Fact("R", [Null(1), Null(1)])], dom={Null(1): ["a", "b"]}
         )
-        assert resolve_valuation_method(db, BCQ([Atom("R", ["x", "x"])])) == (
+        assert planner.plan("val", db, BCQ([Atom("R", ["x", "x"])])).chosen == (
             "dpdb"
         )
         # Tractable cell: auto keeps the polynomial algorithm.
-        assert resolve_valuation_method(db, BCQ([Atom("R", ["x", "y"])])) == (
+        assert planner.plan("val", db, BCQ([Atom("R", ["x", "y"])])).chosen == (
             "single-occurrence"
         )
 
@@ -134,6 +133,6 @@ class TestAutoSelection:
             [Fact("R", [Null(1)])], dom={Null(1): ["a", "b"]}
         )
         opaque = CustomQuery("nonempty", ["R"], lambda d: len(d) > 0)
-        assert resolve_valuation_method(db, opaque) == "brute"
-        assert resolve_completion_method(db, opaque) == "brute"
+        assert planner.plan("val", db, opaque).chosen == "brute"
+        assert planner.plan("comp", db, opaque).chosen == "brute"
         assert count_valuations(db, opaque) == 2

@@ -13,12 +13,8 @@ from repro.db.incomplete import IncompleteDatabase
 from repro.db.terms import Null
 from repro.engine import BatchEngine, CountJob
 from repro.exact.brute import count_valuations_brute
-from repro.exact.dispatch import (
-    count_completions,
-    count_valuations,
-    resolve_completion_method,
-    resolve_valuation_method,
-)
+from repro.exact import planner
+from repro.exact.dispatch import count_completions, count_valuations
 
 
 def _empty_db():
@@ -105,7 +101,7 @@ class TestLineageOnNonUCQ:
     def test_negation_falls_back(self):
         negated = Negation(BCQ([Atom("R", ["x"]), Atom("S", ["x"])]))
         assert (
-            resolve_valuation_method(self._db(), negated, "lineage")
+            planner.plan("val", self._db(), negated, "lineage").chosen
             == "brute"
         )
         assert count_valuations(
@@ -117,7 +113,7 @@ class TestLineageOnNonUCQ:
             "nonempty", ["R", "S"], lambda database: len(database) >= 2
         )
         assert (
-            resolve_valuation_method(self._db(), opaque, "lineage")
+            planner.plan("val", self._db(), opaque, "lineage").chosen
             == "brute"
         )
         assert count_valuations(self._db(), opaque, method="lineage") == (
@@ -127,7 +123,7 @@ class TestLineageOnNonUCQ:
     def test_comp_negation_falls_back(self):
         negated = Negation(BCQ([Atom("R", ["x"]), Atom("S", ["x"])]))
         assert (
-            resolve_completion_method(self._db(), negated, "lineage")
+            planner.plan("comp", self._db(), negated, "lineage").chosen
             == "brute"
         )
         assert count_completions(self._db(), negated, method="lineage") == (
@@ -137,7 +133,7 @@ class TestLineageOnNonUCQ:
     def test_ucq_still_uses_lineage(self):
         query = BCQ([Atom("R", ["x"])])
         assert (
-            resolve_valuation_method(self._db(), query, "lineage")
+            planner.plan("val", self._db(), query, "lineage").chosen
             == "lineage"
         )
 

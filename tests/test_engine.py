@@ -10,11 +10,7 @@ from repro.db.incomplete import IncompleteDatabase
 from repro.db.terms import Null
 from repro.engine import BatchEngine, CountCache, CountJob, execute_job, run_batch
 from repro.engine.jsonl import JobSyntaxError, read_jobs
-from repro.exact.dispatch import (
-    count_completions,
-    count_valuations,
-    count_valuations_batch,
-)
+from repro.exact.dispatch import count_completions, count_valuations
 from repro.workloads.generators import (
     scaling_codd_instance,
     scaling_hard_val_instance,
@@ -132,8 +128,11 @@ class TestBatchEngine:
         for size in (4, 5, 4):
             db, query = scaling_hard_val_instance(size, seed=size)
             instances.append((db, query))
-        counts = count_valuations_batch(instances, workers=0)
-        assert counts == [
+        results = run_batch(
+            [CountJob("val", db, query) for db, query in instances],
+            workers=0,
+        )
+        assert [result.count for result in results] == [
             count_valuations(db, query) for db, query in instances
         ]
 
@@ -284,3 +283,58 @@ class TestBatchCli:
         captured = capsys.readouterr()
         record = json.loads(captured.out.splitlines()[0])
         assert record["error"] is not None
+
+
+class TestOnePlanPerJob:
+    """Every executed job is planned exactly once (inside its own solve);
+    scheduling and memo hits plan nothing."""
+
+    @staticmethod
+    def _jobs():
+        from repro.db.deltas import ResolveNull
+
+        db, query = scaling_hard_val_instance(6, seed=2)
+        other_db, other_query = scaling_hard_val_instance(7, seed=3)
+        null = sorted(db.nulls, key=repr)[0]
+        weights = {null: {value: 2 for value in db.domain_of(null)}}
+        return [
+            CountJob("val", db, query, label="val"),
+            CountJob("comp", db, query, label="comp"),
+            CountJob("val-weighted", db, query, weights=weights, label="w"),
+            CountJob("marginals", db, query, label="marginals"),
+            CountJob("sweep", db, query, weights=[weights, None], label="sweep"),
+            CountJob(
+                "update", db, query, deltas=[ResolveNull(null, "c0")],
+                label="update",
+            ),
+            CountJob("marginals", other_db, other_query, label="other"),
+            CountJob("val", db, query, label="val-again"),
+        ]
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_each_executed_job_plans_once(self, workers):
+        from repro.obs import capture
+
+        def plans(counters):
+            return sum(
+                value for name, value in counters.items()
+                if name.startswith("planner.chosen.")
+            )
+
+        engine = BatchEngine(workers=workers)
+        jobs = self._jobs()
+        with capture() as captured:
+            results = engine.run(jobs)
+        assert all(result.ok for result in results), [r.error for r in results]
+        executed = [result for result in results if not result.cache_hit]
+        assert {result.problem for result in executed} == {
+            "val", "comp", "val-weighted", "marginals", "sweep", "update",
+        }
+        for result in executed:
+            assert plans(result.meta["metrics"]["counters"]) == 1, result.label
+        assert results[-1].cache_hit
+        assert plans(captured.counters) == len(executed)
+        with capture() as again:
+            repeated = engine.run(jobs)
+        assert all(result.cache_hit for result in repeated)
+        assert plans(again.counters) == 0

@@ -137,6 +137,36 @@ class TestWorkerCompiledCircuits:
         assert engine.cache.stats()["worker_circuits"] == 2
 
 
+    def test_cold_update_ships_and_installs_the_child_circuit(self):
+        from repro.db.deltas import ResolveNull
+        from repro.engine.fingerprint import fingerprint_instance
+
+        db, query = scaling_hard_val_instance(9, seed=5)
+        null = sorted(db.nulls, key=repr)[0]
+        delta = ResolveNull(null, sorted(db.domain_of(null), key=repr)[0])
+        child = db.apply(delta)
+        other_db, other_query = scaling_hard_val_instance(10, seed=6)
+        engine = BatchEngine(workers=2)
+        update, _other = engine.run([
+            CountJob("update", db, query, deltas=[delta], label="u"),
+            CountJob("marginals", other_db, other_query, label="m"),
+        ])
+        assert update.ok and update.method == "delta"
+        assert update.meta.get("compiled_in_worker")
+        child_key = fingerprint_instance(child, query, "val")
+        assert engine.cache.has_circuit(child_key)
+        assert not engine.cache.has_circuit(fingerprint_instance(db, query, "val"))
+        hits = engine.cache.circuit_hits
+        [read] = engine.run([
+            CountJob("val-weighted", child, query, weights=_weights_for(child))
+        ])
+        assert read.ok and read.method == "circuit"
+        assert engine.cache.circuit_hits == hits + 1
+        assert read.count == ValuationCircuit(child, query).weighted_count(
+            _weights_for(child)
+        )
+
+
 class TestSerialFallbackMetadata:
     def test_unpicklable_job_records_fallback_reason(self):
         from repro.core.query import CustomQuery

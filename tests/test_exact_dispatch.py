@@ -8,12 +8,11 @@ from repro.db.fact import Fact
 from repro.db.incomplete import IncompleteDatabase
 from repro.db.terms import Null
 from repro.exact.brute import count_completions_brute, count_valuations_brute
+from repro.exact import planner
 from repro.exact.dispatch import (
     NoPolynomialAlgorithm,
     count_completions,
     count_valuations,
-    select_completion_algorithm,
-    select_valuation_algorithm,
 )
 
 from tests.conftest import small_incomplete_dbs
@@ -36,32 +35,32 @@ def _uniform_db():
 class TestSelection:
     def test_single_occurrence_selected_anywhere(self):
         query = BCQ([Atom("R", ["x", "y"])])
-        assert select_valuation_algorithm(_codd_db(), query) == (
+        assert planner.plan("val", _codd_db(), query, "poly").chosen == (
             "single-occurrence"
         )
 
     def test_codd_selected(self):
         query = BCQ([Atom("R", ["x", "x"])])
-        assert select_valuation_algorithm(_codd_db(), query) == "codd"
+        assert planner.plan("val", _codd_db(), query, "poly").chosen == "codd"
 
     def test_uniform_selected(self):
         query = BCQ([Atom("R", ["x"]), Atom("S", ["x"])])
-        assert select_valuation_algorithm(_uniform_db(), query) == "uniform"
+        assert planner.plan("val", _uniform_db(), query, "poly").chosen == "uniform"
 
     def test_hard_cell_has_no_algorithm(self):
         query = BCQ([Atom("R", ["x", "x"])])
         naive_nonuniform = IncompleteDatabase(
             [Fact("R", [Null(1), Null(1)])], dom={Null(1): ["a", "b"]}
         )
-        assert select_valuation_algorithm(naive_nonuniform, query) is None
+        assert planner.plan("val", naive_nonuniform, query, "poly").chosen is None
 
     def test_completion_selection(self):
-        assert select_completion_algorithm(_uniform_db(), None) == (
+        assert planner.plan("comp", _uniform_db(), None, "poly").chosen == (
             "uniform-unary"
         )
         binary = IncompleteDatabase.uniform([Fact("R", ["a", "b"])], ["a"])
-        assert select_completion_algorithm(binary, None) is None
-        assert select_completion_algorithm(_codd_db(), None) is None
+        assert planner.plan("comp", binary, None, "poly").chosen is None
+        assert planner.plan("comp", _codd_db(), None, "poly").chosen is None
 
 
 class TestCountValuations:

@@ -13,9 +13,15 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.compile.backend import ValuationCircuit, count_valuations_circuit
+from repro.compile.backend import ValuationCircuit
 from repro.core.query import Atom, BCQ, Var
-from repro.db.deltas import DeleteFacts, InsertFacts, ResolveNull, RestrictDomain
+from repro.db.deltas import (
+    DeleteFacts,
+    InsertFacts,
+    ResolveNull,
+    RestrictDomain,
+    delta_chain,
+)
 from repro.db.fact import Fact
 from repro.db.incomplete import IncompleteDatabase
 from repro.db.terms import Null
@@ -24,7 +30,6 @@ from repro.engine import (
     CountCache,
     CountJob,
     cached_ancestor,
-    delta_chain,
     derive_instance_circuit,
     execute_job,
     fingerprint_instance,
@@ -86,7 +91,7 @@ def test_derive_installs_with_parent_link():
     cache.put_circuit(fp_db, ValuationCircuit(db, QUERY))
     derived = derive_instance_circuit(child, QUERY, "val", cache)
     assert derived is not None
-    assert derived.count() == count_valuations_circuit(child, QUERY)
+    assert derived.count() == ValuationCircuit(child, QUERY).count()
     assert cache.has_circuit(fp_child)
     assert cache.parent_chain_hits == 1
     # evicting the parent takes the derived child with it
@@ -153,7 +158,7 @@ def test_update_job_matches_fresh_compile():
     child = instance_db(job)
     result = execute_job(job, CountCache())
     assert result.ok
-    assert result.count == count_valuations_circuit(child, QUERY)
+    assert result.count == ValuationCircuit(child, QUERY).count()
 
 
 def test_update_job_validation():
@@ -203,7 +208,7 @@ def test_update_batch_derives_from_cached_parent():
     results = run_batch(jobs, cache=cache, workers=1)
     for job, result in zip(jobs, results):
         assert result.ok, result.error
-        expected = count_valuations_circuit(instance_db(job), QUERY)
+        expected = ValuationCircuit(instance_db(job), QUERY).count()
         assert result.count == expected
     assert results[1].method == "delta"
     assert results[2].method == "delta"
@@ -227,9 +232,7 @@ def test_update_batch_splices_insert_delete():
     results = run_batch(jobs, cache=cache, workers=1)
     for job, result in zip(jobs, results):
         assert result.ok, result.error
-        assert result.count == count_valuations_circuit(
-            instance_db(job), QUERY
-        )
+        assert result.count == ValuationCircuit(instance_db(job), QUERY).count()
 
 
 def test_update_job_error_reporting():
@@ -257,9 +260,7 @@ def test_update_jobs_in_multiprocess_batch():
     results = engine.run(jobs)
     for job, result in zip(jobs, results):
         assert result.ok, result.error
-        assert result.count == count_valuations_circuit(
-            instance_db(job), QUERY
-        )
+        assert result.count == ValuationCircuit(instance_db(job), QUERY).count()
 
 
 # -- planner ----------------------------------------------------------------
@@ -299,7 +300,7 @@ def test_planner_delta_runs_bit_identical():
     db = base_db()
     child = db.apply(ResolveNull(N1, "b"))
     assert planner.run("val", "delta", child, QUERY) == (
-        count_valuations_circuit(child, QUERY)
+        ValuationCircuit(child, QUERY).count()
     )
 
 
@@ -322,7 +323,7 @@ def test_cli_update_conditioning(tmp_path, capsys):
     child = db.apply(ResolveNull(N1, "b")).apply(
         RestrictDomain(N2, frozenset({"a", "c"}))
     )
-    assert record["count"] == count_valuations_circuit(child, QUERY)
+    assert record["count"] == ValuationCircuit(child, QUERY).count()
     assert record["method"] == "delta"
     assert record["deltas"] == 2
     assert record["derivation"]
@@ -376,7 +377,7 @@ def test_jsonl_update_jobs_round_trip(tmp_path, capsys):
     assert lines[1]["label"] == "u1"
     assert lines[1]["method"] == "delta"
     child = base_db().apply(ResolveNull(N1, "b"))
-    assert lines[1]["count"] == count_valuations_circuit(child, QUERY)
+    assert lines[1]["count"] == ValuationCircuit(child, QUERY).count()
     assert "parent-chain" in captured.err
 
 

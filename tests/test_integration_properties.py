@@ -14,12 +14,8 @@ from repro.db.fact import Fact
 from repro.db.incomplete import IncompleteDatabase
 from repro.db.terms import Null
 from repro.exact.brute import count_completions_brute, count_valuations_brute
-from repro.exact.dispatch import (
-    count_completions,
-    count_valuations,
-    select_completion_algorithm,
-    select_valuation_algorithm,
-)
+from repro.exact import planner
+from repro.exact.dispatch import count_completions, count_valuations
 from repro.workloads.generators import random_incomplete_db
 
 from tests.conftest import small_incomplete_dbs
@@ -82,13 +78,13 @@ class TestClassifierConsistentWithDispatcher:
         else:
             val_variant, comp_variant = VAL, None
         if report.entry(val_variant).tractability is Tractability.FP:
-            assert select_valuation_algorithm(db, query) is not None
+            assert planner.plan("val", db, query, "poly").chosen is not None
         if (
             comp_variant is not None
             and report.entry(comp_variant).tractability is Tractability.FP
             and all(f.arity == 1 for f in db.facts)
         ):
-            assert select_completion_algorithm(db, query) is not None
+            assert planner.plan("comp", db, query, "poly").chosen is not None
 
     @given(st.sampled_from(QUERIES + UNARY_QUERIES), st.integers(0, 30))
     @settings(max_examples=40, deadline=None)

@@ -83,6 +83,24 @@ class TestJobMetrics:
         )
         assert metrics["counters"].get("planner.decision", 0) >= 1
 
+    def test_answer_stats_and_job_metrics_share_one_digest(self):
+        # solve() and an engine job report the same digest of plan + run,
+        # so a planning phase (the dpdb width probe) shows in both.
+        from repro.compile.dpdb import probe_cache_clear
+        from repro.exact.dispatch import solve
+
+        db, query = scaling_hard_val_instance(6, seed=6)
+        probe_cache_clear()
+        answer = solve("val", db, query)
+        probe_cache_clear()
+        result = execute_job(CountJob("val", db, query))
+        assert answer.method == result.method == "dpdb"
+        assert "dpdb.probe" in answer.stats["phases"]
+        assert set(answer.stats["phases"]) == set(result.meta["metrics"]["phases"])
+        assert set(answer.stats["counters"]) == set(
+            result.meta["metrics"]["counters"]
+        )
+
     def test_metrics_absent_when_disabled(self):
         db, query = scaling_hard_val_instance(5, seed=5)
         previous = set_enabled(False)

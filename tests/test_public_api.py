@@ -29,10 +29,6 @@ EXPECTED_ALL = [
     "count_valuations",
     "count_valuations_sweep",
     "count_valuations_weighted",
-    "plan_completions",
-    "plan_sweep",
-    "plan_valuations",
-    "plan_valuations_weighted",
     "solve",
     "__version__",
 ]
@@ -50,8 +46,8 @@ class TestPublicSurface:
         assert str(inspect.signature(repro.solve)) == (
             "(problem: 'str', db: 'IncompleteDatabase', "
             "query: 'BooleanQuery | None' = None, *, method: 'str' = 'auto', "
-            "weights: 'Any' = None, budget: 'int | None' = 2000000) "
-            "-> 'Answer'"
+            "weights: 'Any' = None, budget: 'int | None' = 2000000, "
+            "store: 'Any' = None) -> 'Answer'"
         )
 
     def test_wrapper_signatures(self):

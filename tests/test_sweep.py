@@ -16,7 +16,7 @@ import pytest
 
 from repro.compile.backend import CompletionCircuit, ValuationCircuit
 from repro.core.query import Atom, BCQ
-from repro.engine import BatchEngine, CountJob, execute_job, needs_circuit
+from repro.engine import BatchEngine, CountJob, execute_job
 from repro.engine.fingerprint import fingerprint_job
 from repro.engine.jsonl import (
     JobSyntaxError,
@@ -30,10 +30,9 @@ from repro.exact.dispatch import (
     count_valuations,
     count_valuations_sweep,
     count_valuations_weighted,
-    plan_sweep,
-    resolve_sweep_method,
     solve,
 )
+from repro.exact import planner
 from repro.io.databases import parse_database
 from repro.io.queries import parse_query
 from repro.workloads.generators import (
@@ -241,7 +240,7 @@ class TestSolveFacade:
     def test_sweep_single_occurrence_cell(self):
         db = parse_database("domain a b c\nR(?n1, a)\nS(?n2)")
         query = parse_query("R(x, y), S(z)")
-        assert resolve_sweep_method(db, query, "auto") == "single-occurrence"
+        assert planner.plan("sweep", db, query, "auto").chosen == "single-occurrence"
         rows = [
             None,
             {
@@ -264,7 +263,7 @@ class TestSolveFacade:
 
     def test_plan_sweep_reports_problem(self):
         db, query = _random_instance(1)
-        built = plan_sweep(db, query)
+        built = planner.plan("sweep", db, query)
         assert built.problem == "sweep"
         assert built.chosen is not None
 
@@ -289,11 +288,9 @@ class TestEngineSweepJobs:
         job = CountJob("sweep", db, query, weights=rows, label="a")
         twin = CountJob("sweep", db, query, weights=list(rows), label="b")
         assert fingerprint_job(job) == fingerprint_job(twin)
-        assert needs_circuit(job) == (
-            resolve_sweep_method(db, query, "auto") == "circuit"
-        )
         result = execute_job(job)
         assert result.ok
+        assert result.method == planner.plan("sweep", db, query).chosen
         assert result.count == [
             count_valuations_weighted(db, query, weights=row) for row in rows
         ]
