@@ -52,7 +52,15 @@ this layout directly while the search runs, and the binary codec
 (:mod:`repro.compile.serialize`) parses straight into it, so rehydrated
 artifacts never materialize an intermediate node-tuple forest.
 
-All arithmetic is exact for int/Fraction weights.
+**Lanes.**  Every pass is one of two walkers over that program:
+:meth:`DDNNF._upward` computes node values children-first and
+:meth:`DDNNF._downward` derivatives and literal counts parents-first.
+Both touch node values only through ``*`` and ``+``, so one body runs on
+whatever the weight tables hold, and the row count picks the *lane*: one
+weight row runs on Python scalars (``scalar``); N > 1 rows run on
+length-N numpy columns, ``int64`` when a magnitude bound proves no
+intermediate can overflow and exact ``object`` columns otherwise.  All
+arithmetic is exact for int/Fraction weights.
 """
 
 from __future__ import annotations
@@ -62,12 +70,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from repro.obs import span as _span
+import numpy as _np
 
-try:  # numpy accelerates the batched passes; everything works without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the scalar fallback
-    _np = None  # type: ignore[assignment]
+from repro.obs import span as _span
 
 #: Largest clamped-magnitude bound for which int64 columns cannot overflow.
 _INT64_SAFE = 1 << 62
@@ -401,87 +406,246 @@ class DDNNF:
             self._num_variables, self._countable,
         )
 
-    # -- weights -----------------------------------------------------------
+    # -- weight tables -----------------------------------------------------
 
-    def _weight_arrays(
-        self, weights: WeightMap | None
-    ) -> tuple[list, list, list]:
-        """Flat per-variable weight tables ``(positive, negative, free)``.
+    def _weight_tables(self, rows: list) -> tuple:
+        """The weight tables of ``rows`` and the lane they run on.
 
+        Returns ``(lane, (positive, negative, free_sum), (zero, one))``.
         ``positive[v]``/``negative[v]`` weigh the two literal polarities
         (``1`` for unweighted and non-countable variables alike — a
-        non-countable literal must act as a unit factor).  ``free[v]`` is
-        the both-values-extend factor of a freed variable: ``w⁺ + w⁻``
-        for countable variables (``2`` unweighted) and ``1`` for
-        non-countable ones, which in a projected circuit are collapsed
-        and must not contribute.  Variables outside the countable set
-        must not carry weights.
+        non-countable literal must act as a unit factor).
+        ``free_sum[v]`` is the both-values-extend factor of a freed
+        variable: ``w⁺ + w⁻`` for countable variables (``2`` unweighted)
+        and ``1`` for non-countable ones, which in a projected circuit are
+        collapsed and must not contribute.  Variables outside the
+        countable set must not carry weights.
+
+        One row gives tables of Python scalars, the ``scalar`` lane.  For
+        N > 1 rows every entry is a length-N numpy column: ``int64`` when
+        every weight is a machine int and :meth:`_magnitude_bound` proves
+        no intermediate can overflow, exact ``object`` columns otherwise.
+        ``zero``/``one`` are the lane's constants.
         """
         size = self._num_variables + 1
-        positive: list = [1] * size
-        negative: list = [1] * size
-        free_sum: list = [2 if self._is_countable[v] else 1 for v in range(size)]
-        if weights:
-            for variable, pair in weights.items():
+        default_free = [2 if flag else 1 for flag in self._is_countable]
+        tables = []
+        all_int = True
+        for row in rows:
+            table = ([1] * size, [1] * size, list(default_free))
+            positive, negative, free_sum = table
+            for variable, pair in (row or {}).items():
                 if variable not in self._countable:
                     raise ValueError(
                         "variable %r is not countable in this circuit"
                         % (variable,)
                     )
-                positive[variable] = pair[0]
-                negative[variable] = pair[1]
-                free_sum[variable] = pair[0] + pair[1]
-        return positive, negative, free_sum
+                w_pos, w_neg = pair[0], pair[1]
+                positive[variable] = w_pos
+                negative[variable] = w_neg
+                free_sum[variable] = w_pos + w_neg
+                if all_int and not (
+                    isinstance(w_pos, int) and isinstance(w_neg, int)
+                ):
+                    all_int = False
+            tables.append(table)
+        if len(tables) == 1:
+            return "scalar", tables[0], (0, 1)
+        # One column per variable out of the per-row tables.
+        columns = [list(zip(*per_row)) for per_row in zip(*tables)]
+        lane = "object"
+        if all_int and self._magnitude_bound(columns[0], columns[1]) < _INT64_SAFE:
+            lane = "int64"
+        dtype = _np.int64 if lane == "int64" else object
+        zero = _np.zeros(len(tables), dtype=dtype)
+        arrays = tuple(_np.array(column, dtype=dtype) for column in columns)
+        return lane, arrays, (zero, zero + 1)
 
-    # -- upward pass -------------------------------------------------------
+    def _magnitude_bound(self, positive: list, negative: list) -> int:
+        """Upper bound on |any intermediate| of the batched int passes.
 
-    def _values(self, positive: list, negative: list, free_sum: list) -> list:
-        """Weighted value of every node, children-first (one linear sweep
-        over the flat program)."""
-        with _span("circuit.upward", nodes=len(self._offsets)):
-            return self._values_pass(positive, negative, free_sum)
+        ``positive``/``negative`` hold one weight column per variable.
+        The bound is :meth:`_upward` run on clamped magnitude tables —
+        each weight replaced by its per-variable magnitude
+        ``max(max_rows |w|, 1)``, each free factor by the *sum* of the two
+        polarity bounds — with both leaf constants set to 1.  Every factor
+        is then ``>= 1``, so each partial product and sum of a pass stays
+        below its node's value here; determinism bounds each
+        downward-pass derivative and count contribution by the root's
+        value.  If the returned bound fits int64, so does every number the
+        batched passes touch.
+        """
+        bound_pos = [max(1, max(map(abs, column))) for column in positive]
+        bound_neg = [max(1, max(map(abs, column))) for column in negative]
+        bound_free = [p + q for p, q in zip(bound_pos, bound_neg)]
+        values = self._upward(bound_pos, bound_neg, bound_free, 1, 1)
+        return max(max(values), max(bound_free))
 
-    def _values_pass(
-        self, positive: list, negative: list, free_sum: list
-    ) -> list:
+    # -- the two walkers ---------------------------------------------------
+
+    def _upward(self, positive, negative, free_sum, false, true) -> list:
+        """Value of every node, children first: one sweep over the program.
+
+        Node values meet only ``*`` and ``+``, so this one body serves
+        every lane — Python scalars, numpy columns, and the clamped
+        magnitudes of :meth:`_magnitude_bound` — with ``false``/``true``
+        the values of the two leaf constants.
+        """
         code = self._code
-        values: list = [0] * len(self._offsets)
-        for index, offset in enumerate(self._offsets):
-            kind = code[offset]
-            if kind == KIND_PRODUCT:
-                value = 1
-                for cursor in range(offset + 2, offset + 2 + code[offset + 1]):
-                    value *= values[code[cursor]]
-                    if not value:
-                        break
-                values[index] = value
-            elif kind == KIND_DECISION:
-                total = 0
-                cursor = offset + 2
-                for _ in range(code[offset + 1]):
-                    nlits = code[cursor]
-                    cursor += 1
-                    literals_end = cursor + nlits
-                    nfree = code[literals_end]
-                    free_end = literals_end + 1 + nfree
-                    child = code[free_end]
-                    term = values[child]
-                    if term:
+        leaves = (false, true)
+        zero = false * 0  # the lane's zero, whatever the leaf values are
+        values: list = [None] * len(self._offsets)
+        with _span("circuit.upward", nodes=len(self._offsets)):
+            for index, offset in enumerate(self._offsets):
+                kind = code[offset]
+                if kind == KIND_PRODUCT:
+                    # Start from the first child: on the column lanes a
+                    # product costs one vector op per child after it.
+                    start = offset + 2
+                    end = start + code[offset + 1]
+                    value = values[code[start]] if end > start else true
+                    for cursor in range(start + 1, end):
+                        value = value * values[code[cursor]]
+                elif kind == KIND_DECISION:
+                    value = zero
+                    cursor = offset + 2
+                    for _ in range(code[offset + 1]):
+                        nlits = code[cursor]
+                        cursor += 1
+                        literals_end = cursor + nlits
+                        nfree = code[literals_end]
+                        free_end = literals_end + 1 + nfree
+                        term = values[code[free_end]]
                         for position in range(cursor, literals_end):
                             literal = code[position]
-                            term *= (
+                            term = term * (
                                 positive[literal]
                                 if literal > 0
                                 else negative[-literal]
                             )
                         for position in range(literals_end + 1, free_end):
-                            term *= free_sum[code[position]]
-                        total += term
-                    cursor = free_end + 1
-                values[index] = total
-            else:
-                values[index] = kind  # the kind codes 0/1 are the values
+                            term = term * free_sum[code[position]]
+                        value = value + term
+                        cursor = free_end + 1
+                else:
+                    value = leaves[kind]  # the kind codes 0/1 index them
+                values[index] = value
         return values
+
+    def _downward(
+        self, positive, negative, free_sum, values: list, zero, one
+    ) -> tuple[list, list]:
+        """Per-variable weighted literal counts ``(count_positive,
+        count_negative)`` from the node ``values`` of :meth:`_upward`: one
+        sweep over the program, parents first.
+
+        ``derivative[node]`` accumulates the partial derivative of the
+        root's value in the node's value — the derivative trick of
+        arithmetic-circuit inference — and every decision branch credits
+        its derivative-weighted value to the countable literals it forces
+        or frees.  Like :meth:`_upward` it meets node values only through
+        ``*`` and ``+``, so it serves every lane (``zero``/``one`` are the
+        lane's constants).
+        """
+        code = self._code
+        offsets = self._offsets
+        is_countable = self._is_countable
+        derivative: list = [zero] * len(offsets)
+        derivative[self._root] = one
+        size = self._num_variables + 1
+        count_positive: list = [zero] * size
+        count_negative: list = [zero] * size
+        with _span("circuit.literal_counts", nodes=len(offsets)):
+            for index in range(len(offsets) - 1, -1, -1):
+                outer = derivative[index]
+                offset = offsets[index]
+                kind = code[offset]
+                if kind == KIND_PRODUCT:
+                    length = code[offset + 1]
+                    start = offset + 2
+                    # prefix/suffix products avoid dividing by a zero child
+                    suffixes: list = [1] * (length + 1)
+                    for position in range(length - 1, -1, -1):
+                        suffixes[position] = (
+                            suffixes[position + 1]
+                            * values[code[start + position]]
+                        )
+                    prefix = 1
+                    for position in range(length):
+                        child = code[start + position]
+                        derivative[child] = (
+                            derivative[child]
+                            + outer * prefix * suffixes[position + 1]
+                        )
+                        prefix = prefix * values[child]
+                elif kind == KIND_DECISION:
+                    cursor = offset + 2
+                    for _ in range(code[offset + 1]):
+                        nlits = code[cursor]
+                        cursor += 1
+                        literals_end = cursor + nlits
+                        nfree = code[literals_end]
+                        free_start = literals_end + 1
+                        free_end = free_start + nfree
+                        child = code[free_end]
+                        literal_weight = 1
+                        for position in range(cursor, literals_end):
+                            literal = code[position]
+                            literal_weight = literal_weight * (
+                                positive[literal]
+                                if literal > 0
+                                else negative[-literal]
+                            )
+                        literals_start = cursor
+                        cursor = free_end + 1
+                        free_factor = 1
+                        any_countable_free = False
+                        for position in range(free_start, free_end):
+                            variable = code[position]
+                            free_factor = free_factor * free_sum[variable]
+                            if is_countable[variable]:
+                                any_countable_free = True
+                        down = outer * literal_weight * free_factor
+                        derivative[child] = derivative[child] + down
+                        contribution = down * values[child]
+                        for position in range(literals_start, literals_end):
+                            literal = code[position]
+                            if literal > 0:
+                                if is_countable[literal]:
+                                    count_positive[literal] = (
+                                        count_positive[literal] + contribution
+                                    )
+                            elif is_countable[-literal]:
+                                count_negative[-literal] = (
+                                    count_negative[-literal] + contribution
+                                )
+                        if any_countable_free:
+                            base = outer * literal_weight * values[child]
+                            suffixes = [1] * (nfree + 1)
+                            for position in range(nfree - 1, -1, -1):
+                                suffixes[position] = (
+                                    suffixes[position + 1]
+                                    * free_sum[code[free_start + position]]
+                                )
+                            prefix = 1
+                            for position in range(nfree):
+                                variable = code[free_start + position]
+                                if is_countable[variable]:
+                                    others = (
+                                        base * prefix * suffixes[position + 1]
+                                    )
+                                    count_positive[variable] = (
+                                        count_positive[variable]
+                                        + others * positive[variable]
+                                    )
+                                    count_negative[variable] = (
+                                        count_negative[variable]
+                                        + others * negative[variable]
+                                    )
+                                prefix = prefix * free_sum[variable]
+        return count_positive, count_negative
+
+    # -- the passes --------------------------------------------------------
 
     def evaluate(self, weights: WeightMap | None = None):
         """The (weighted) model count of the circuit.
@@ -489,9 +653,10 @@ class DDNNF:
         With ``weights=None`` every countable variable weighs ``(1, 1)``
         and the result is the exact model count; otherwise it is
         ``sum over models of prod over countable v of w(v, model(v))``,
-        exact whenever the weights are ints or Fractions.
+        exact whenever the weights are ints or Fractions.  The one-row
+        case of :meth:`evaluate_many`.
         """
-        return self._values(*self._weight_arrays(weights))[self._root]
+        return self.evaluate_many([weights])[0]
 
     def count(self) -> int:
         """Exact (projected) model count — cached after the first pass."""
@@ -499,179 +664,15 @@ class DDNNF:
             self._count = self.evaluate(None)
         return self._count
 
-    # -- batched passes: one interpreter sweep, N weight rows --------------
-
-    def _weight_columns(
-        self, weight_rows: Sequence[WeightMap | None]
-    ) -> tuple[list, list, list, bool]:
-        """Per-variable weight *columns* across N rows, plus an int flag.
-
-        The batched analogue of :meth:`_weight_arrays`: ``positive[v]``
-        is the length-N list of w⁺ for variable ``v``, one entry per
-        row (defaults as in the scalar tables).  ``all_int`` is True
-        when every explicit weight is a machine int, which is what
-        gates the int64 fast path.
-        """
-        size = self._num_variables + 1
-        n = len(weight_rows)
-        positive: list = [[1] * n for _ in range(size)]
-        negative: list = [[1] * n for _ in range(size)]
-        free_sum: list = [
-            [2 if self._is_countable[v] else 1] * n for v in range(size)
-        ]
-        all_int = True
-        for column, row in enumerate(weight_rows):
-            if not row:
-                continue
-            for variable, pair in row.items():
-                if variable not in self._countable:
-                    raise ValueError(
-                        "variable %r is not countable in this circuit"
-                        % (variable,)
-                    )
-                w_pos, w_neg = pair[0], pair[1]
-                positive[variable][column] = w_pos
-                negative[variable][column] = w_neg
-                free_sum[variable][column] = w_pos + w_neg
-                if all_int and not (
-                    isinstance(w_pos, int) and isinstance(w_neg, int)
-                ):
-                    all_int = False
-        return positive, negative, free_sum, all_int
-
-    def _magnitude_bound(self, positive: list, negative: list) -> int:
-        """Upper bound on |any intermediate| of the batched int passes.
-
-        One scalar sweep with every weight replaced by its clamped
-        per-variable magnitude ``max(max_rows |w|, 1)`` (free factors by
-        the *sum* of the two polarity bounds) and every node value
-        clamped to ``>= 1``.  Clamping makes products monotone in the
-        number of factors, so every partial product/sum of the upward
-        pass is bounded by the maximum node value; determinism bounds
-        each downward-pass derivative and count contribution by the
-        root's value.  If the returned bound fits int64, so does every
-        number the batched passes touch.
-        """
-
-        def clamped(column: list) -> int:
-            bound = 1
-            for weight in column:
-                magnitude = weight if weight >= 0 else -weight
-                if magnitude > bound:
-                    bound = magnitude
-            return bound
-
-        bound_pos = [clamped(column) for column in positive]
-        bound_neg = [clamped(column) for column in negative]
-        bound_free = [p + q for p, q in zip(bound_pos, bound_neg)]
-        maximum = max(max(bound_pos), max(bound_neg), max(bound_free))
-        code = self._code
-        values = [1] * len(self._offsets)
-        for index, offset in enumerate(self._offsets):
-            kind = code[offset]
-            if kind == KIND_PRODUCT:
-                value = 1
-                for cursor in range(offset + 2, offset + 2 + code[offset + 1]):
-                    value *= values[code[cursor]]
-            elif kind == KIND_DECISION:
-                value = 0
-                cursor = offset + 2
-                for _ in range(code[offset + 1]):
-                    nlits = code[cursor]
-                    cursor += 1
-                    literals_end = cursor + nlits
-                    nfree = code[literals_end]
-                    free_end = literals_end + 1 + nfree
-                    term = values[code[free_end]]
-                    for position in range(cursor, literals_end):
-                        literal = code[position]
-                        term *= (
-                            bound_pos[literal]
-                            if literal > 0
-                            else bound_neg[-literal]
-                        )
-                    for position in range(literals_end + 1, free_end):
-                        term *= bound_free[code[position]]
-                    value += term
-                    cursor = free_end + 1
-                if value < 1:
-                    value = 1
-            else:
-                value = 1
-            values[index] = value
-            if value > maximum:
-                maximum = value
-        return maximum
-
-    def _column_arrays(
-        self, positive: list, negative: list, free_sum: list, all_int: bool
-    ) -> tuple:
-        """The weight columns as numpy arrays of the exactness-safe dtype:
-        int64 when every weight is a machine int and the magnitude bound
-        proves no intermediate can overflow, else exact object columns."""
-        dtype: object = object
-        if all_int and self._magnitude_bound(positive, negative) < _INT64_SAFE:
-            dtype = _np.int64
-        return (
-            _np.array(positive, dtype=dtype),
-            _np.array(negative, dtype=dtype),
-            _np.array(free_sum, dtype=dtype),
-        )
-
-    def _values_many(self, pos, neg, free) -> list:
-        """Length-N value column of every node, children-first: the
-        upward pass with each scalar replaced by a numpy column."""
-        np = _np
-        n = pos.shape[1]
-        code = self._code
-        zeros = np.zeros(n, dtype=pos.dtype)
-        ones = zeros + 1
-        values: list = [None] * len(self._offsets)
-        for index, offset in enumerate(self._offsets):
-            kind = code[offset]
-            if kind == KIND_PRODUCT:
-                length = code[offset + 1]
-                if length:
-                    value = values[code[offset + 2]]
-                    for cursor in range(offset + 3, offset + 2 + length):
-                        value = value * values[code[cursor]]
-                else:
-                    value = ones
-                values[index] = value
-            elif kind == KIND_DECISION:
-                total = zeros
-                cursor = offset + 2
-                for _ in range(code[offset + 1]):
-                    nlits = code[cursor]
-                    cursor += 1
-                    literals_end = cursor + nlits
-                    nfree = code[literals_end]
-                    free_end = literals_end + 1 + nfree
-                    term = values[code[free_end]]
-                    for position in range(cursor, literals_end):
-                        literal = code[position]
-                        term = term * (
-                            pos[literal] if literal > 0 else neg[-literal]
-                        )
-                    for position in range(literals_end + 1, free_end):
-                        term = term * free[code[position]]
-                    total = total + term
-                    cursor = free_end + 1
-                values[index] = total
-            else:
-                values[index] = ones if kind else zeros
-        return values
-
     def evaluate_many(self, weight_rows: Sequence[WeightMap | None]) -> list:
         """The weighted model count under each of N weight rows at once.
 
         Exactly ``[self.evaluate(row) for row in weight_rows]`` — bit
-        identical for int weights, exactly rational for Fractions — but
-        the circuit program is interpreted once, each node holding a
-        length-N column instead of a scalar.  Machine-int rows whose
-        intermediates provably fit in int64 run on the numpy fast path;
-        everything else uses exact object columns; without numpy the
-        scalar pass is looped per row.
+        identical for int weights, exactly rational for Fractions — from
+        one upward sweep over the program.  The row count picks the lane,
+        recorded on the span: Python scalars for one row; for N > 1 rows
+        numpy columns, int64 when the rows are machine ints whose
+        intermediates provably fit, exact object columns otherwise.
         """
         rows = list(weight_rows)
         if not rows:
@@ -680,148 +681,10 @@ class DDNNF:
             "circuit.evaluate_many",
             nodes=len(self._offsets),
             rows=len(rows),
-        ):
-            if _np is None:
-                return [self.evaluate(row) for row in rows]
-            columns = self._weight_columns(rows)
-            values = self._values_many(*self._column_arrays(*columns))
-            return values[self._root].tolist()
-
-    def literal_counts_many(
-        self, weight_rows: Sequence[WeightMap | None]
-    ) -> list[dict]:
-        """:meth:`literal_counts` for N weight rows in one batched pass.
-
-        Returns one ``literal -> weighted count`` dict per row, exactly
-        equal to the looped scalar results; the upward and downward
-        sweeps each run once over the program with length-N columns.
-        """
-        rows = list(weight_rows)
-        if not rows:
-            return []
-        with _span(
-            "circuit.literal_counts_many",
-            nodes=len(self._offsets),
-            rows=len(rows),
-        ):
-            if _np is None:
-                return [self.literal_counts(row) for row in rows]
-            return self._literal_counts_many_pass(rows)
-
-    def _literal_counts_many_pass(self, rows: list) -> list[dict]:
-        pos, neg, free = self._column_arrays(*self._weight_columns(rows))
-        values = self._values_many(pos, neg, free)
-        n = len(rows)
-        code = self._code
-        offsets = self._offsets
-        is_countable = self._is_countable
-        ones = _np.zeros(n, dtype=pos.dtype) + 1
-        # None marks an all-zero column nobody has touched yet: untouched
-        # nodes are skipped exactly like the scalar pass's zero check.
-        derivative: list = [None] * len(offsets)
-        derivative[self._root] = ones
-        size = self._num_variables + 1
-        count_positive: list = [None] * size
-        count_negative: list = [None] * size
-
-        for index in range(len(offsets) - 1, -1, -1):
-            outer = derivative[index]
-            if outer is None:
-                continue
-            offset = offsets[index]
-            kind = code[offset]
-            if kind == KIND_PRODUCT:
-                length = code[offset + 1]
-                start = offset + 2
-                suffixes: list = [1] * (length + 1)
-                for position in range(length - 1, -1, -1):
-                    suffixes[position] = (
-                        suffixes[position + 1] * values[code[start + position]]
-                    )
-                prefix = 1
-                for position in range(length):
-                    child = code[start + position]
-                    _column_add(
-                        derivative, child,
-                        outer * prefix * suffixes[position + 1],
-                    )
-                    prefix = prefix * values[child]
-            elif kind == KIND_DECISION:
-                cursor = offset + 2
-                for _ in range(code[offset + 1]):
-                    nlits = code[cursor]
-                    cursor += 1
-                    literals_end = cursor + nlits
-                    nfree = code[literals_end]
-                    free_start = literals_end + 1
-                    free_end = free_start + nfree
-                    child = code[free_end]
-                    literal_weight = 1
-                    for position in range(cursor, literals_end):
-                        literal = code[position]
-                        literal_weight = literal_weight * (
-                            pos[literal] if literal > 0 else neg[-literal]
-                        )
-                    literals_start = cursor
-                    cursor = free_end + 1
-                    free_factor = 1
-                    any_countable_free = False
-                    for position in range(free_start, free_end):
-                        variable = code[position]
-                        free_factor = free_factor * free[variable]
-                        if is_countable[variable]:
-                            any_countable_free = True
-                    down = outer * literal_weight * free_factor
-                    _column_add(derivative, child, down)
-                    contribution = down * values[child]
-                    for position in range(literals_start, literals_end):
-                        literal = code[position]
-                        if literal > 0:
-                            if is_countable[literal]:
-                                _column_add(
-                                    count_positive, literal, contribution
-                                )
-                        elif is_countable[-literal]:
-                            _column_add(
-                                count_negative, -literal, contribution
-                            )
-                    if any_countable_free:
-                        base = outer * literal_weight * values[child]
-                        suffixes = [1] * (nfree + 1)
-                        for position in range(nfree - 1, -1, -1):
-                            suffixes[position] = (
-                                suffixes[position + 1]
-                                * free[code[free_start + position]]
-                            )
-                        prefix = 1
-                        for position in range(nfree):
-                            variable = code[free_start + position]
-                            if is_countable[variable]:
-                                others = base * prefix * suffixes[position + 1]
-                                _column_add(
-                                    count_positive, variable,
-                                    others * pos[variable],
-                                )
-                                _column_add(
-                                    count_negative, variable,
-                                    others * neg[variable],
-                                )
-                            prefix = prefix * free[variable]
-
-        zero_row = [0] * n
-        counts_rows: list[dict] = [{} for _ in range(n)]
-        for variable in self._countable:
-            column = count_positive[variable]
-            positives = zero_row if column is None else column.tolist()
-            column = count_negative[variable]
-            negatives = zero_row if column is None else column.tolist()
-            for row_index in range(n):
-                row = counts_rows[row_index]
-                row[variable] = positives[row_index]
-                row[-variable] = negatives[row_index]
-        return counts_rows
-
-    # -- downward pass: all-literals marginal counts -----------------------
+        ) as span:
+            lane, tables, leaves = self._weight_tables(rows)
+            span.fields["lane"] = lane
+            return _rows_of(lane, self._upward(*tables, *leaves)[self._root])
 
     def literal_counts(self, weights: WeightMap | None = None) -> dict:
         """``literal -> (weighted) count of models containing it``.
@@ -830,110 +693,45 @@ class DDNNF:
         one upward plus one downward pass — this is the derivative trick
         of arithmetic-circuit inference, and what replaces the per-value
         condition-and-recount loop: ``counts[v] + counts[-v]`` equals the
-        total count for every countable variable (smoothness).
+        total count for every countable variable (smoothness).  The
+        one-row case of :meth:`literal_counts_many`.
         """
-        with _span("circuit.literal_counts", nodes=len(self._offsets)):
-            return self._literal_counts_pass(weights)
+        return self.literal_counts_many([weights])[0]
 
-    def _literal_counts_pass(self, weights: WeightMap | None) -> dict:
-        positive, negative, free_sum = self._weight_arrays(weights)
-        values = self._values(positive, negative, free_sum)
-        code = self._code
-        offsets = self._offsets
-        is_countable = self._is_countable
-        derivative: list = [0] * len(offsets)
-        derivative[self._root] = 1
-        size = self._num_variables + 1
-        count_positive: list = [0] * size
-        count_negative: list = [0] * size
+    def literal_counts_many(
+        self, weight_rows: Sequence[WeightMap | None]
+    ) -> list[dict]:
+        """:meth:`literal_counts` for N weight rows in one batched pass.
 
-        for index in range(len(offsets) - 1, -1, -1):
-            outer = derivative[index]
-            if not outer:
-                continue
-            offset = offsets[index]
-            kind = code[offset]
-            if kind == KIND_PRODUCT:
-                length = code[offset + 1]
-                start = offset + 2
-                # prefix/suffix products avoid division (children may be 0)
-                suffixes = [1] * (length + 1)
-                for position in range(length - 1, -1, -1):
-                    suffixes[position] = (
-                        suffixes[position + 1] * values[code[start + position]]
-                    )
-                prefix = 1
-                for position in range(length):
-                    child = code[start + position]
-                    derivative[child] += outer * prefix * suffixes[position + 1]
-                    prefix *= values[child]
-            elif kind == KIND_DECISION:
-                cursor = offset + 2
-                for _ in range(code[offset + 1]):
-                    nlits = code[cursor]
-                    cursor += 1
-                    literals_end = cursor + nlits
-                    nfree = code[literals_end]
-                    free_start = literals_end + 1
-                    free_end = free_start + nfree
-                    child = code[free_end]
-                    literal_weight = 1
-                    for position in range(cursor, literals_end):
-                        literal = code[position]
-                        literal_weight *= (
-                            positive[literal]
-                            if literal > 0
-                            else negative[-literal]
-                        )
-                    literals_start = cursor
-                    cursor = free_end + 1
-                    if not literal_weight:
-                        continue
-                    free_factor = 1
-                    any_countable_free = False
-                    for position in range(free_start, free_end):
-                        variable = code[position]
-                        free_factor *= free_sum[variable]
-                        if is_countable[variable]:
-                            any_countable_free = True
-                    branch_value = literal_weight * free_factor * values[child]
-                    derivative[child] += outer * literal_weight * free_factor
-                    if not branch_value:
-                        continue
-                    contribution = outer * branch_value
-                    for position in range(literals_start, literals_end):
-                        literal = code[position]
-                        if literal > 0:
-                            if is_countable[literal]:
-                                count_positive[literal] += contribution
-                        elif is_countable[-literal]:
-                            count_negative[-literal] += contribution
-                    if any_countable_free:
-                        base = outer * literal_weight * values[child]
-                        suffixes = [1] * (nfree + 1)
-                        for position in range(nfree - 1, -1, -1):
-                            suffixes[position] = (
-                                suffixes[position + 1]
-                                * free_sum[code[free_start + position]]
-                            )
-                        prefix = 1
-                        for position in range(nfree):
-                            variable = code[free_start + position]
-                            if is_countable[variable]:
-                                others = base * prefix * suffixes[position + 1]
-                                count_positive[variable] += (
-                                    others * positive[variable]
-                                )
-                                count_negative[variable] += (
-                                    others * negative[variable]
-                                )
-                            prefix *= free_sum[variable]
-
-        counts: dict = {}
-        for variable in self._countable:
-            counts[variable] = count_positive[variable]
-            counts[-variable] = count_negative[variable]
-        return counts
+        Returns one ``literal -> weighted count`` dict per row, exactly
+        equal to the looped results; the upward and downward sweeps each
+        run once over the program, on the lane :meth:`evaluate_many`
+        would pick.
+        """
+        rows = list(weight_rows)
+        if not rows:
+            return []
+        with _span(
+            "circuit.literal_counts_many",
+            nodes=len(self._offsets),
+            rows=len(rows),
+        ) as span:
+            lane, tables, leaves = self._weight_tables(rows)
+            span.fields["lane"] = lane
+            values = self._upward(*tables, *leaves)
+            count_positive, count_negative = self._downward(
+                *tables, values, *leaves
+            )
+            counts_rows: list[dict] = [{} for _ in rows]
+            for variable in self._countable:
+                for counts, positive, negative in zip(
+                    counts_rows,
+                    _rows_of(lane, count_positive[variable]),
+                    _rows_of(lane, count_negative[variable]),
+                ):
+                    counts[variable] = positive
+                    counts[-variable] = negative
+            return counts_rows
 
     # -- exact sampling ----------------------------------------------------
 
@@ -954,8 +752,8 @@ class CircuitSampler:
 
     def __init__(self, circuit: DDNNF, weights: WeightMap | None = None) -> None:
         self._circuit = circuit
-        self._weights = circuit._weight_arrays(weights)
-        self._values = circuit._values(*self._weights)
+        _lane, self._weights, leaves = circuit._weight_tables([weights])
+        self._values = circuit._upward(*self._weights, *leaves)
         if not self._values[circuit.root]:
             raise ValueError(
                 "circuit has no (weighted) models; nothing to sample"
@@ -1034,13 +832,10 @@ class CircuitSampler:
         return assignment
 
 
-def _column_add(columns: list, index: int, contribution) -> None:
-    """Accumulate a column into a lazily-allocated column table (``None``
-    entries stand for all-zero columns that were never touched)."""
-    previous = columns[index]
-    columns[index] = (
-        contribution if previous is None else previous + contribution
-    )
+def _rows_of(lane: str, value) -> list:
+    """A pass result as one entry per weight row: the scalar itself on the
+    ``scalar`` lane, the numpy column's Python values otherwise."""
+    return [value] if lane == "scalar" else value.tolist()
 
 
 def draw_index(rng: random.Random, weights_seq: Sequence) -> int:

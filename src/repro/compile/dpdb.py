@@ -41,13 +41,12 @@ projected assignments* — the projected model count, bit-identical to the
 trail core's.  (Projected counting is unweighted; mixing ``weights`` and
 ``projection`` is rejected.)
 
-**Table dtypes.**  With numpy present, tables are int64 columns when a
-magnitude sweep proves no intermediate can overflow — first a cheap
-product bound, then (mirroring PR 7's ``evaluate_many`` gating) a float64
-*guard pass* that runs the very same DP on clamped magnitudes and checks
-the running maximum against ``2^61`` — and exact Python-int/Fraction
-object columns otherwise.  Without numpy a scalar fallback runs the same
-recurrences over plain lists.
+**Table dtypes.**  Tables are numpy int64 columns when a magnitude
+sweep proves no intermediate can overflow — first a cheap product bound,
+then (mirroring the circuit's ``evaluate_many`` gating) a float64 *guard
+pass* that runs the very same DP on clamped magnitudes and checks the
+running maximum against ``2^61`` — and exact Python-int/Fraction object
+columns otherwise.
 
 The planner talks to this module through :func:`dpdb_probe` — a memoized
 width probe that compiles the encoding once, reads the two-phase greedy
@@ -63,6 +62,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Iterable, Iterator, Mapping
 
+import numpy as _np
+
+from repro.compile.circuit import _INT64_SAFE
 from repro.compile.decompose import (
     Decomposition,
     decompose,
@@ -84,11 +86,6 @@ from repro.obs import (
     span as _span,
 )
 
-try:  # numpy is optional at runtime; the scalar fallback keeps results exact
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatching
-    _np = None  # type: ignore[assignment]
-
 #: Planner preference threshold: at or below this width the DP is treated
 #: as the cheap method for a hard cell (tables of at most
 #: ``2^(limit+1)`` cells per node).
@@ -108,7 +105,6 @@ DPDB_PROBE_CLAUSE_LIMIT = 50_000
 #: int64 is safe while the guard pass's running maximum stays below this
 #: (one bit of slack under ``2^62`` absorbs float64 rounding).
 _INT64_GUARD = float(1 << 61)
-_INT64_SAFE = 1 << 62
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +230,6 @@ def _solve(
     projected: bool,
 ) -> tuple[str, list[Any], int]:
     """Pick the table dtype, run the pass(es), return root factors."""
-    if _np is None:
-        factors, rows = _run_python(decomposition, positive, negative, projected)
-        return "python", factors, rows
     if not all_int:
         factors, rows, _ = _run_numpy(
             decomposition, positive, negative, projected, dtype=object
@@ -328,7 +321,6 @@ def _run_numpy(
     cell.  Returns ``(root_factors, cells_processed, running_max)``.
     """
     np = _np
-    assert np is not None
     messages: list[Any] = [None] * len(decomposition)
     factors: list[Any] = []
     rows = 0
@@ -399,75 +391,11 @@ def _indicator(message: Any, dtype: Any) -> Any:
     """``[x > 0]`` per cell, staying in the table dtype (Python ints for
     object tables, so no int64 can sneak into an exact pass)."""
     np = _np
-    assert np is not None
     if dtype is object:
         clamped = np.zeros(message.shape, dtype=object)
         clamped[message > 0] = 1
         return clamped
     return (message > 0).astype(dtype)
-
-
-def _run_python(
-    decomposition: Decomposition,
-    positive: list[Any],
-    negative: list[Any],
-    projected: bool,
-) -> tuple[list[Any], int]:
-    """The same DP over plain Python lists (no numpy; always exact)."""
-    messages: list[Any] = [None] * len(decomposition)
-    factors: list[Any] = []
-    rows = 0
-
-    for node in range(len(decomposition)):
-        bag_vars = list(_bits(decomposition.bags[node]))
-        width = len(bag_vars)
-        at = {variable: bit for bit, variable in enumerate(bag_vars)}
-        size = 1 << width
-        table: list[Any] = [1] * size
-
-        for child in decomposition.children[node]:
-            message = messages[child]
-            messages[child] = None
-            sep_bits = [
-                at[variable]
-                for variable in _bits(decomposition.separator(child))
-            ]
-            for cell in range(size):
-                selector = 0
-                for bit, source in enumerate(sep_bits):
-                    selector |= ((cell >> source) & 1) << bit
-                table[cell] = table[cell] * message[selector]
-            rows += size
-
-        for clause in decomposition.node_clauses[node]:
-            pos_mask = 0
-            neg_mask = 0
-            for literal in clause:
-                if literal > 0:
-                    pos_mask |= 1 << at[literal]
-                else:
-                    neg_mask |= 1 << at[-literal]
-            for cell in range(size):
-                if (cell & pos_mask) == 0 and (cell & neg_mask) == neg_mask:
-                    table[cell] = 0
-            rows += size
-
-        eliminated = decomposition.order[node]
-        bit = at[eliminated]
-        w_pos, w_neg = positive[eliminated], negative[eliminated]
-        low = (1 << bit) - 1
-        message = [
-            w_neg * table[(cell & ~low) << 1 | (cell & low)]
-            + w_pos * table[((cell & ~low) << 1) | (1 << bit) | (cell & low)]
-            for cell in range(size >> 1)
-        ]
-        if _clamp_message(decomposition, node, projected):
-            message = [1 if value > 0 else 0 for value in message]
-        if decomposition.parent[node] < 0:
-            factors.append(message[0])
-        else:
-            messages[node] = message
-    return factors, rows
 
 
 def _bits(mask: int) -> Iterator[int]:

@@ -57,7 +57,6 @@ from repro.core.query import BCQ, Negation, UCQ
 from repro.db.deltas import delta_chain
 from repro.engine.cache import CountCache
 from repro.engine.fingerprint import fingerprint_instance, fingerprint_job
-from repro.engine.incremental import cached_ancestor
 from repro.engine.jobs import (
     CIRCUIT_METHODS,
     CountJob,
@@ -240,16 +239,13 @@ class BatchEngine:
             db = instance_db(job)
         except (ValueError, KeyError, TypeError):
             return False
-        if getattr(db, "parent", None) is None:
-            return False
         kind = "comp" if job.problem == "comp" else "val"
-        if cached_ancestor(db, job.query, kind, self.cache) is not None:
-            return True
-        if claimed:
-            for ancestor, _deltas in delta_chain(db):
-                fingerprint = fingerprint_instance(ancestor, job.query, kind)
-                if fingerprint is not None and fingerprint in claimed:
-                    return True
+        for ancestor, _deltas in delta_chain(db):
+            fingerprint = fingerprint_instance(ancestor, job.query, kind)
+            if fingerprint is not None and (
+                fingerprint in claimed or self.cache.has_circuit(fingerprint)
+            ):
+                return True
         return False
 
     def _execute(self, jobs: Sequence[CountJob]) -> list[JobResult]:

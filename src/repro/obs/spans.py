@@ -137,6 +137,11 @@ class _NullSpan:
 
     __slots__ = ()
 
+    @property
+    def fields(self) -> dict[str, Any]:
+        """A fresh dict per access, so annotating a disabled span is a no-op."""
+        return {}
+
     def __enter__(self) -> "_NullSpan":
         return self
 

@@ -126,7 +126,7 @@ def _feasible_scipy(problem: IntegerFeasibilityProblem) -> bool | None:
     try:
         import numpy as np
         from scipy.optimize import Bounds, LinearConstraint as SciCon, milp
-    except ImportError:  # pragma: no cover - scipy is present in CI
+    except ImportError:  # scipy is optional; "auto" falls back to Python
         return None
 
     n = problem.num_variables

@@ -6,8 +6,7 @@ Three layers of coverage for ``method='dpdb'``:
   bit-identically, on full *and* projected counts, plus exact weighted
   evaluation (negative ints and Fractions) against brute enumeration;
 * directed structure — the decomposition's join/introduce/forget shape,
-  bag invariants, the numpy/object-table boundary and the no-numpy
-  scalar fallback;
+  bag invariants and the int64/object-table boundary;
 * the planner seam — the width probe, the width-threshold fallback, and
   the width detail surfaced in plans.
 """
@@ -17,7 +16,6 @@ from fractions import Fraction
 
 import pytest
 
-import repro.compile.dpdb as dpdb_module
 from repro.compile.backend import (
     ValuationCircuit,
     count_completions_lineage,
@@ -203,19 +201,14 @@ class TestDifferentialFrontDoors:
 
 
 class TestTableDtypes:
-    """The numpy int64 / guard / object ladder and the scalar fallback."""
+    """The numpy int64 / guard / object ladder."""
 
     def test_small_int_counts_take_the_int64_path(self):
         stats = {}
         count_models_dpdb(CNF(4, [(1, 2), (-2, 3)]), stats=stats)
-        if dpdb_module._np is None:  # pragma: no cover - no-numpy machines
-            assert stats["path"] == "python"
-        else:
-            assert stats["path"] == "int64"
+        assert stats["path"] == "int64"
 
     def test_huge_counts_cross_the_int64_boundary_exactly(self):
-        if dpdb_module._np is None:  # pragma: no cover
-            pytest.skip("numpy unavailable")
         # 40 independent triangles: count 7^40 > 2^62, but every DP
         # intermediate is small — the guard pass proves int64 is safe and
         # the free/root combination happens in Python ints.
@@ -228,8 +221,6 @@ class TestTableDtypes:
         assert stats["path"] == "int64+guard"
 
     def test_huge_weights_fall_back_to_object_tables(self):
-        if dpdb_module._np is None:  # pragma: no cover
-            pytest.skip("numpy unavailable")
         cnf = CNF(4, [(1, 2), (3, 4)])
         big = 1 << 40
         weights = {v: (big, big) for v in range(1, 5)}
@@ -239,34 +230,12 @@ class TestTableDtypes:
         assert result == _weighted_brute(cnf, weights)
 
     def test_fraction_weights_take_the_object_path(self):
-        if dpdb_module._np is None:  # pragma: no cover
-            pytest.skip("numpy unavailable")
         cnf = CNF(3, [(1, -2), (2, 3)])
         weights = {1: (Fraction(1, 3), Fraction(2, 3))}
         stats = {}
         result = count_models_dpdb(cnf, weights=weights, stats=stats)
         assert stats["path"] == "object"
         assert result == _weighted_brute(cnf, weights)
-
-    def test_python_fallback_runs_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(dpdb_module, "_np", None)
-        rng = random.Random(99)
-        for _ in range(25):
-            cnf = _random_cnf(rng, max_variables=7, max_clauses=10)
-            projection = frozenset(
-                rng.sample(
-                    range(1, cnf.num_variables + 1),
-                    rng.randint(0, cnf.num_variables),
-                )
-            )
-            stats = {}
-            assert count_models_dpdb(cnf, stats=stats) == (
-                count_models_brute(cnf)
-            )
-            assert stats["path"] == "python"
-            assert count_models_dpdb(cnf, projection=projection) == (
-                count_models_brute(cnf, projection=projection)
-            )
 
 
 class TestDecompositionStructure:

@@ -118,13 +118,14 @@ class TestDisabled:
             assert not enabled()
             assert span("p", registry=registry) is _NULL_SPAN
             with capture() as captured:
-                with span("p", registry=registry):
-                    pass
+                with span("p", registry=registry) as disabled:
+                    disabled.fields["lane"] = "scalar"  # annotating: no-op
                 incr("c")
                 event("e")
             assert captured.roots == []
             assert captured.counters == {}
             assert registry.histogram("p").count == 0
+            assert _NULL_SPAN.fields == {}
         finally:
             set_enabled(previous)
 
