@@ -31,6 +31,7 @@ from repro import __version__
 from repro.core.classify import classify
 from repro.core.query import BCQ
 from repro.db.valuation import count_total_valuations
+from repro.exact import planner
 from repro.exact.brute import DEFAULT_BUDGET
 from repro.exact.dispatch import solve
 from repro.io.databases import parse_database
@@ -195,8 +196,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    from repro.exact import planner
-
     db = _load_db(args.db)
     query = parse_query(args.query) if args.query else None
     if args.problem != "comp" and query is None:
@@ -263,8 +262,6 @@ def _cmd_update(args: argparse.Namespace) -> int:
         return 2
 
     if args.plan:
-        from repro.exact import planner
-
         built = planner.plan(args.mode, child, query, args.method)
         if args.json:
             print(json.dumps(built.to_dict()))
@@ -590,6 +587,15 @@ def _cmd_show(args: argparse.Namespace) -> int:
     return 0
 
 
+def _method_help(*problems: str) -> str:
+    """The ``--method`` vocabulary of ``problems``, read off the registry."""
+    return " | ".join(
+        dict.fromkeys(
+            name for problem in problems for name in planner.method_names(problem)
+        )
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-count",
@@ -614,14 +620,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--db", required=True, help="database file")
     p_count.add_argument("--query", help="query text (optional for comp)")
     p_count.add_argument(
-        "--method",
-        default="auto",
-        help="auto | poly | lineage | circuit | brute | algorithm name",
+        "--method", default="auto", help=_method_help("val", "comp")
     )
     p_count.add_argument(
         "--budget",
         type=int,
-        default=2_000_000,
+        default=DEFAULT_BUDGET,
         help="max valuations for brute force",
     )
     p_count.add_argument(
@@ -731,7 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_update.add_argument(
         "--budget",
         type=int,
-        default=2_000_000,
+        default=DEFAULT_BUDGET,
         help="max valuations for brute force",
     )
     p_update.add_argument(
@@ -782,12 +786,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="file with one JSON row object (or null) per line",
     )
     p_sweep.add_argument(
-        "--method", default="auto",
-        help="auto | a concrete sweep method (single-occurrence, circuit, "
-        "brute)",
+        "--method", default="auto", help=_method_help("sweep")
     )
     p_sweep.add_argument(
-        "--budget", type=int, default=2_000_000,
+        "--budget", type=int, default=DEFAULT_BUDGET,
         help="max valuations for brute force",
     )
     p_sweep.add_argument(
@@ -837,8 +839,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--query", help="query text (optional for comp)")
     p_stats.add_argument("--mode", choices=("val", "comp"), default="val")
     p_stats.add_argument(
-        "--method", default="auto",
-        help="auto | poly | lineage | circuit | brute | algorithm name",
+        "--method", default="auto", help=_method_help("val", "comp")
     )
     p_stats.add_argument(
         "--json", action="store_true",

@@ -40,7 +40,6 @@ from repro.compile.backend import (
     count_completions_lineage,
     count_valuations_lineage,
     explain_completions,
-    explain_valuations,
     explain_valuations_circuit,
     lineage_supports,
     valuation_marginals_recount,
@@ -49,10 +48,8 @@ from repro.compile.circuit import DDNNF, CircuitSampler
 from repro.compile.ddnnf_trace import TraceBuilder
 from repro.compile.encode import (
     CompletionEncoding,
-    SatisfactionEncoding,
     ValuationEncoding,
     compile_completion_cnf,
-    compile_satisfaction_cnf,
     compile_valuation_cnf,
 )
 from repro.compile.lineage import (
@@ -72,7 +69,6 @@ __all__ = [
     "count_completions_lineage",
     "count_valuations_lineage",
     "explain_completions",
-    "explain_valuations",
     "explain_valuations_circuit",
     "valuation_marginals_recount",
     "lineage_supports",
@@ -80,10 +76,8 @@ __all__ = [
     "CircuitSampler",
     "TraceBuilder",
     "CompletionEncoding",
-    "SatisfactionEncoding",
     "ValuationEncoding",
     "compile_completion_cnf",
-    "compile_satisfaction_cnf",
     "compile_valuation_cnf",
     "LineageUnsupportedQuery",
     "enumerate_completion_matches",

@@ -1163,16 +1163,6 @@ class LineageReport:
     circuit_edges: int | None = None
 
 
-def explain_valuations(
-    db: IncompleteDatabase, query: BooleanQuery
-) -> LineageReport:
-    """Run the ``#Val`` backend and report what the counter saw."""
-    encoding = compile_valuation_cnf(db, query)
-    counter = ModelCounter(encoding.cnf)
-    count = encoding.count_from_models(counter.count())
-    return _report("val", count, encoding.cnf, counter)
-
-
 def explain_completions(
     db: IncompleteDatabase, query: BooleanQuery | None = None
 ) -> LineageReport:
@@ -1221,7 +1211,6 @@ __all__ = [
     "ValuationCircuit",
     "CompletionCircuit",
     "valuation_marginals_recount",
-    "explain_valuations",
     "explain_completions",
     "explain_valuations_circuit",
     "LineageReport",

@@ -427,7 +427,7 @@ class DpdbProbe:
     projection_mask: int = 0
 
     def detail(self) -> dict[str, Any]:
-        """The cost detail surfaced in ``Plan`` rows and ``plan --json``."""
+        """The gate detail surfaced in ``Plan`` rows and ``plan --json``."""
         payload: dict[str, Any] = {
             "width_limit": DPDB_WIDTH_LIMIT,
             "variables": self.variables,
@@ -609,44 +609,6 @@ def count_completions_dpdb(
     )
 
 
-def count_valuations_weighted_dpdb(
-    db: IncompleteDatabase,
-    query: BooleanQuery,
-    weights: Mapping[Any, Any] | None = None,
-) -> Any:
-    """Weighted ``#Val`` through the DP: the weighted total factorizes per
-    null, the falsifying mass is one weighted DP pass over the complement
-    encoding with the circuit's ``(w⁺, w⁻)`` weight-table convention.
-    Exact for int/Fraction weights; agrees with
-    :meth:`ValuationCircuit.weighted_count` answer for answer."""
-    from repro.db.valuation import resolve_null_weights
-
-    probe = dpdb_probe("val", db, query)
-    if not probe.ok or probe.width is None or probe.width > DPDB_HARD_WIDTH_CAP:
-        from repro.compile.backend import ValuationCircuit
-
-        _record_fallback("val-weighted", probe)
-        return ValuationCircuit(db, query).weighted_count(weights)
-    encoding = probe.encoding
-    resolved = resolve_null_weights(db, weights)
-    if encoding.total_valuations == 0:
-        return 0
-    total: Any = 1
-    for null in db.nulls:
-        total = total * sum(resolved[null].values())
-    variable_weights = {
-        variable: (resolved[null].get(value, 0), 1)
-        for (null, value), variable in encoding.choices.items()
-    }
-    decomposition = decompose_from_elimination(
-        encoding.cnf, probe.order, probe.width, probe.bags
-    )
-    falsifying = count_models_dpdb(
-        encoding.cnf, weights=variable_weights, decomposition=decomposition
-    )
-    return total - falsifying
-
-
 def _fallback(
     kind: str,
     probe: DpdbProbe,
@@ -658,14 +620,6 @@ def _fallback(
         count_valuations_lineage,
     )
 
-    _record_fallback(kind, probe)
-    if kind == "val":
-        assert query is not None
-        return count_valuations_lineage(db, query)
-    return count_completions_lineage(db, query)
-
-
-def _record_fallback(kind: str, probe: DpdbProbe) -> None:
     _incr("dpdb.fallback")
     _obs_event(
         "dpdb.fallback",
@@ -679,6 +633,10 @@ def _record_fallback(kind: str, probe: DpdbProbe) -> None:
             % (probe.width, DPDB_HARD_WIDTH_CAP)
         ),
     )
+    if kind == "val":
+        assert query is not None
+        return count_valuations_lineage(db, query)
+    return count_completions_lineage(db, query)
 
 
 __all__ = [
@@ -690,7 +648,6 @@ __all__ = [
     "count_completions_dpdb",
     "count_models_dpdb",
     "count_valuations_dpdb",
-    "count_valuations_weighted_dpdb",
     "dpdb_probe",
     "probe_cache_clear",
 ]

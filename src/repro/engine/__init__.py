@@ -19,7 +19,6 @@ from repro.engine.fingerprint import (
     fingerprint_query,
 )
 from repro.engine.incremental import (
-    cached_ancestor,
     derive_instance_circuit,
     instance_circuit,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "CountCache",
     "CountJob",
     "JobResult",
-    "cached_ancestor",
     "derive_instance_circuit",
     "execute_job",
     "execute_job_capturing",

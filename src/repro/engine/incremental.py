@@ -75,25 +75,6 @@ def instance_circuit(
     return compiled
 
 
-def cached_ancestor(
-    db: IncompleteDatabase,
-    query: BooleanQuery | None,
-    kind: str,
-    circuits: Any,
-) -> str | None:
-    """Fingerprint of the nearest cached ancestor circuit, if any.
-
-    A statistics-free peek (``has_circuit``) for routing decisions — the
-    batch engine uses it to keep derivable jobs in the parent process
-    instead of shipping them to a compile worker.
-    """
-    for ancestor, _deltas in delta_chain(db):
-        fingerprint = fingerprint_instance(ancestor, query, kind)
-        if fingerprint is not None and circuits.has_circuit(fingerprint):
-            return fingerprint
-    return None
-
-
 def derive_instance_circuit(
     db: IncompleteDatabase,
     query: BooleanQuery | None,
@@ -156,7 +137,6 @@ def derive_instance_circuit(
 
 
 __all__ = [
-    "cached_ancestor",
     "derive_instance_circuit",
     "instance_circuit",
 ]

@@ -11,8 +11,8 @@
 * :mod:`repro.exact.completion_check` — Lemma B.2 certificate check for
   Codd tables (bipartite matching).
 * :mod:`repro.exact.planner` — the method registry: every algorithm with
-  its applicability, cost and runner; :func:`~repro.exact.planner.plan`
-  picks one per question.
+  its applicability and runner, in preference order;
+  :func:`~repro.exact.planner.plan` picks one per question.
 * :mod:`repro.exact.dispatch` — :func:`solve`, the one front door (plan
   once, run the chosen method), and the ``count_*`` wrappers over it.
 """

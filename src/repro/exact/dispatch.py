@@ -4,7 +4,7 @@
 method=..., weights=..., budget=..., store=...)`` plans the instance once
 through the solver planner (:mod:`repro.exact.planner`) — a registry in
 which every algorithm declares its problem kinds, applicability
-conditions, capability flags and a cheap cost estimate — executes the
+conditions and capability flags, in preference order — executes the
 chosen entry, and returns a structured :class:`Answer` carrying the count,
 the explainable :class:`Plan`, wall seconds, and the observability stats
 captured while planning and running.  The CLI and every batch-engine job
@@ -12,16 +12,19 @@ answer through it; the engine passes its cache as the circuit ``store``.
 The per-problem functions (``count_valuations`` / ``count_completions`` /
 :func:`count_valuations_weighted` / :func:`count_valuations_sweep`) are
 thin wrappers over :func:`solve`.  There is no per-method conditional
-here: adding a solver is one :func:`repro.exact.planner.register` call,
-and ``repro-count plan`` prints the full decision (chosen method,
-rejected alternatives, reasons) for any instance.
+here: adding a solver is one :func:`repro.exact.planner.register` call
+(it joins the end of its problem's order), and ``repro-count plan``
+prints the full decision (chosen method, rows passed over and not
+reached, rejected alternatives, reasons) for any instance.
 
 Method vocabulary (see the registry for the authoritative table):
 
 =================== ======================================================
-``auto``            cheapest applicable method: a polynomial Table 1
-                    algorithm when one applies, else ``lineage`` on
-                    (U)CQs, else ``brute``
+``auto``            first applicable method in preference order: a
+                    polynomial Table 1 algorithm when one applies, else
+                    ``delta`` on a conditionable update, ``dpdb`` at
+                    probed width <= 12, ``lineage`` on (U)CQs, else
+                    ``brute``
 ``poly``            polynomial algorithm or :class:`NoPolynomialAlgorithm`
 ``single-occurrence`` Theorem 3.6 closed formula (``#Val``, weighted too)
 ``codd`` / ``uniform`` / ``uniform-unary``  Theorems 3.7 / 3.9 / 4.6
@@ -33,7 +36,8 @@ Method vocabulary (see the registry for the authoritative table):
                     (weighted counts, marginals and exact samples become
                     linear passes); degrades to ``brute`` on non-(U)CQs
 ``delta``           an updated instance's circuit, derived from a cached
-                    ancestor circuit; degrades to ``circuit``
+                    ancestor circuit; degrades to ``circuit``, then
+                    ``brute``
 ``brute``           enumerate all valuations (opt-in ``budget``)
 =================== ======================================================
 

@@ -1,38 +1,42 @@
 """The solver planner: one method registry behind every counting front door.
 
-Every exact algorithm in the repo — the closed-form Table 1 cells, the
-lineage #SAT backend, the d-DNNF circuit pipeline, brute enumeration — is
-registered here as a :class:`Method` with
+Every exact algorithm in the repo — the closed-form Table 1 cells, delta
+conditioning, the tree-decomposition DP, the lineage #SAT backend, the
+d-DNNF circuit pipeline, brute enumeration — is registered here as a
+:class:`Method` with
 
 * the **problem kinds** it serves (``val``, ``comp``, ``val-weighted``,
   ``marginals``, ``sweep``),
 * an **applicability predicate** returning a human-readable reason either
   way (the dichotomy conditions, database shape, query class),
 * **capability flags** (polynomial? weighted counting? marginals?),
-* a **cheap cost estimate** — a tier encoding the preference lattice
-  (closed form < lineage < circuit < brute) plus a bounded size term, so
-  two applicable methods in the same tier still order deterministically,
+* an optional **preference gate** ``prefer(D, q) -> (take it?, detail)``
+  that ``auto`` asks only when it reaches the row (the dpdb width probe,
+  the shape of a delta chain),
 * the **solver callable** itself.
 
+Registration order is preference order.  Each problem registers its
+Table 1 closed forms first (a purely syntactic check settles them), then
+``delta``, ``dpdb``, ``lineage``, ``circuit`` and ``brute``.
+
 :func:`plan` turns ``(problem, D, q, method)`` into an explainable
-:class:`Plan`: the chosen method plus every rejected alternative with its
-reason.  ``method='auto'`` picks the cheapest applicable method,
-``method='poly'`` restricts the choice to polynomial methods (and the plan
-carries the hardness verdict when none applies), and a concrete method
-name is honored verbatim — with the registered fallback (e.g. the lineage
-compiler degrading to ``brute`` on a non-(U)CQ) applied exactly where the
-old dispatch ``if`` chains did.  A plan costs only the methods its request
-can choose: every applicability predicate is cheap, and the expensive
-estimates (the dpdb width probe) run only for rows ``auto`` compares.
+:class:`Plan`: every row's applicability with its reason, the chosen
+method, and the rows passed over on the way.  ``method='auto'`` takes the
+first applicable row whose gate passes (or that has none), so a
+closed-form cell never pays for the width probe; ``method='poly'`` takes
+the first applicable polynomial row (and the plan carries the hardness
+verdict when none applies); a concrete method name is honored verbatim,
+following the registered fallbacks (``delta`` -> ``circuit`` -> ``brute``
+on a non-(U)CQ) until a method applies.
 
 :func:`run` executes one chosen method.  Circuit-backed methods take an
 optional circuit ``store`` (the engine's
 :class:`~repro.engine.cache.CountCache`) and fetch their circuit through
 :func:`repro.engine.incremental.instance_circuit`.
 :func:`repro.exact.dispatch.solve` is the one caller of the pair — the
-CLI and every batch-engine job answer through it — so adding a solver is
-one :func:`register` call: ``auto``, ``plan`` output and the capability
-table all pick it up without touching a conditional.
+CLI and every batch-engine job answer through it.  A new solver is one
+:func:`register` call; it joins the end of its problem's order, so
+``auto`` reaches it only where no earlier row applies.
 """
 
 from __future__ import annotations
@@ -61,7 +65,6 @@ from repro.core.patterns import (
 from repro.core.query import BCQ, BooleanQuery
 from repro.db.deltas import delta_chain, resolution_only
 from repro.db.incomplete import IncompleteDatabase
-from repro.db.valuation import count_total_valuations
 from repro.exact import brute
 from repro.exact import comp_uniform as _comp_uniform
 from repro.exact import val_codd as _val_codd
@@ -86,31 +89,17 @@ PROBLEMS = ("val", "comp", "val-weighted", "marginals", "sweep")
 #: vocabulary unchanged).
 _POLY_PROBLEMS = frozenset({"val", "comp"})
 
-#: Cost tiers: the preference lattice ``auto`` optimizes over.  Within a
-#: problem, any applicable lower-tier method beats any higher-tier one;
-#: the fractional size term added by each estimator stays below 1.0 so it
-#: can only order methods *within* a tier.
-TIER_CLOSED_FORM = 1.0
-TIER_CLOSED_FORM_CODD = 2.0
-TIER_CLOSED_FORM_UNIFORM = 3.0
-TIER_DELTA = 8.5
-TIER_DPDB = 9.0
-TIER_LINEAGE = 10.0
-TIER_CIRCUIT = 11.0
-TIER_BRUTE = 20.0
-
-
 Applies = Callable[[IncompleteDatabase, BooleanQuery | None], "tuple[bool, str]"]
-Cost = Callable[[IncompleteDatabase, BooleanQuery | None], float]
-Run = Callable[..., Any]
-Detail = Callable[
-    [IncompleteDatabase, BooleanQuery | None], "Mapping[str, Any] | None"
+Prefer = Callable[
+    [IncompleteDatabase, BooleanQuery | None],
+    "tuple[bool, Mapping[str, Any] | None]",
 ]
+Run = Callable[..., Any]
 
 
 @dataclass(frozen=True)
 class Method:
-    """One registered solver: capabilities, applicability, cost, entry point."""
+    """One registered solver: capabilities, applicability, entry point."""
 
     name: str
     problem: str
@@ -119,16 +108,17 @@ class Method:
     supports_weights: bool
     supports_marginals: bool
     applies: Applies
-    cost: Cost
     run: Run
     #: Method to degrade to when this one is *forced* on an instance it
-    #: cannot handle (``None``: honor the forced choice and let the solver
+    #: cannot handle; a forced plan follows the chain until a method
+    #: applies (``None``: honor the forced choice and let the solver
     #: raise its own error).
     fallback: str | None = None
-    #: Optional cost-detail hook: structured numbers behind the cost
-    #: estimate (e.g. the dpdb width probe), surfaced in :class:`Plan`
-    #: rows and ``repro-count plan --json``.
-    detail: Detail | None = None
+    #: Optional preference gate ``(take it?, detail)``, asked only when
+    #: ``auto`` reaches this applicable row; a failed gate passes the row
+    #: over for the next one.  The detail (e.g. the dpdb width probe)
+    #: surfaces in :class:`Plan` rows and ``repro-count plan --json``.
+    prefer: Prefer | None = None
 
 
 #: problem -> method name -> registration, in registration order.
@@ -173,12 +163,15 @@ class Considered:
     method: str
     applicable: bool
     reason: str
-    cost: float | None
+    #: ``chosen``; ``passed over`` (the request reached the row and
+    #: declined it: a failed ``auto`` gate, or a non-polynomial row under
+    #: ``poly``); ``not reached`` (any other applicable row); ``n/a``.
+    verdict: str
     polynomial: bool
     supports_weights: bool
     supports_marginals: bool
-    #: Structured cost detail (e.g. ``{"width": 8, "width_limit": 12}``
-    #: from the dpdb probe); ``None`` for methods without a detail hook.
+    #: The row's gate detail (e.g. ``{"width": 8, "width_limit": 12}``
+    #: from the dpdb probe) when the plan asked its gate, else ``None``.
     detail: Mapping[str, Any] | None = None
 
 
@@ -206,7 +199,7 @@ class Plan:
                     "method": item.method,
                     "applicable": item.applicable,
                     "reason": item.reason,
-                    "cost": item.cost,
+                    "verdict": item.verdict,
                     "polynomial": item.polynomial,
                     "supports_weights": item.supports_weights,
                     "supports_marginals": item.supports_marginals,
@@ -230,13 +223,6 @@ class Plan:
         lines.append("considered:")
         for item in self.considered:
             marker = "*" if item.method == self.chosen else " "
-            if not item.applicable:
-                verdict = "n/a        "
-            elif item.cost is None:
-                # A forced or poly request could never choose this row.
-                verdict = "not costed "
-            else:
-                verdict = "cost %-6.2f" % item.cost
             flags = "".join(
                 (
                     "P" if item.polynomial else "-",
@@ -245,8 +231,8 @@ class Plan:
                 )
             )
             lines.append(
-                "  %s %-18s %s [%s]  %s"
-                % (marker, item.method, verdict, flags, item.reason)
+                "  %s %-18s %-11s [%s]  %s"
+                % (marker, item.method, item.verdict, flags, item.reason)
             )
             if item.detail:
                 lines.append(
@@ -272,66 +258,60 @@ def plan(
     on a hard cell, no applicable method) is reported in :attr:`Plan.error`
     so the CLI can still print the full analysis.
 
-    Every row's applicability is checked, but only the rows the request
-    can choose are costed: all applicable methods for ``auto``, the
-    applicable polynomial ones for ``poly``, the one method a forced
-    request runs.  The others keep ``cost=None``.
+    Every row's applicability is checked (a cheap syntactic test).
+    ``auto`` then walks the rows in registration order and stops at the
+    first applicable one whose gate passes or that has none; ``poly``
+    stops at the first applicable polynomial row.  A gate runs only when
+    ``auto`` reaches its row; a forced plan runs its chosen row's gate
+    just to report the detail.
     """
     entries = methods_for(problem)
     valid = method_names(problem)
     if method not in valid:
         raise ValueError("unknown method %r (one of %s)" % (method, valid))
 
-    verdicts = {entry.name: entry.applies(db, query) for entry in entries}
+    applicability = {entry.name: entry.applies(db, query) for entry in entries}
+    verdicts = {
+        name: "not reached" if applicable else "n/a"
+        for name, (applicable, _reason) in applicability.items()
+    }
+    details: dict[str, Mapping[str, Any] | None] = {}
     notes: list[str] = []
-    error: str | None = None
-    chosen: str | None
+    chosen: str | None = None
     if method in ("auto", "poly"):
-        pool = [
-            entry
-            for entry in entries
-            if verdicts[entry.name][0]
-            and (method == "auto" or entry.polynomial)
-        ]
+        for entry in entries:
+            if not applicability[entry.name][0]:
+                continue
+            if method == "poly":
+                preferred = entry.polynomial
+            elif entry.prefer is None:
+                preferred = True
+            else:
+                preferred, details[entry.name] = entry.prefer(db, query)
+            if preferred:
+                chosen = entry.name
+                break
+            verdicts[entry.name] = "passed over"
     else:
-        entry = _REGISTRY[problem][method]
-        applicable, reason = verdicts[method]
-        chosen = method
-        if not applicable and entry.fallback is not None:
-            chosen = entry.fallback
-            notes.append(
-                "requested %r cannot handle this instance (%s); "
-                "degrading to %r" % (method, reason, entry.fallback)
-            )
-        elif not applicable:
-            notes.append(
-                "forced %r although the planner does not expect it to "
-                "apply (%s); the solver will raise its own error"
-                % (method, reason)
-            )
-        pool = [
-            entry for entry in entries
-            if entry.name == chosen and verdicts[entry.name][0]
-        ]
-    costs = {entry.name: entry.cost(db, query) for entry in pool}
-    if method in ("auto", "poly"):
-        chosen = min(costs, key=costs.__getitem__, default=None)
-        if chosen is None:
-            error = _no_method_error(problem, query, method)
+        chosen = _follow_fallbacks(problem, method, applicability, notes)
+        entry = _REGISTRY[problem][chosen]
+        if applicability[chosen][0] and entry.prefer is not None:
+            details[chosen] = entry.prefer(db, query)[1]
+    error = None
+    if chosen is None:
+        error = _no_method_error(problem, query, method)
+    else:
+        verdicts[chosen] = "chosen"
     considered = tuple(
         Considered(
             method=entry.name,
-            applicable=verdicts[entry.name][0],
-            reason=verdicts[entry.name][1],
-            cost=costs.get(entry.name),
+            applicable=applicability[entry.name][0],
+            reason=applicability[entry.name][1],
+            verdict=verdicts[entry.name],
             polynomial=entry.polynomial,
             supports_weights=entry.supports_weights,
             supports_marginals=entry.supports_marginals,
-            detail=(
-                entry.detail(db, query)
-                if entry.name in costs and entry.detail is not None
-                else None
-            ),
+            detail=details.get(entry.name),
         )
         for entry in entries
     )
@@ -343,10 +323,10 @@ def plan(
         rejected={
             item.method: item.reason for item in considered if not item.applicable
         },
-        costs={
-            item.method: item.cost
+        passed_over={
+            item.method: item.detail
             for item in considered
-            if item.cost is not None
+            if item.verdict == "passed over"
         },
         failed=error is not None,
     )
@@ -360,6 +340,33 @@ def plan(
         notes=tuple(notes),
         error=error,
     )
+
+
+def _follow_fallbacks(
+    problem: str,
+    method: str,
+    applicability: Mapping[str, tuple[bool, str]],
+    notes: list[str],
+) -> str:
+    """The method a forced request runs: ``method`` when it applies, else
+    the first applicable method down its fallback chain, one note per
+    hop.  A chain that ends on an inapplicable method is honored as is."""
+    while not applicability[method][0]:
+        reason = applicability[method][1]
+        fallback = _REGISTRY[problem][method].fallback
+        if fallback is None:
+            notes.append(
+                "forced %r although the planner does not expect it to "
+                "apply (%s); the solver will raise its own error"
+                % (method, reason)
+            )
+            break
+        notes.append(
+            "%r cannot handle this instance (%s); degrading to %r"
+            % (method, reason, fallback)
+        )
+        method = fallback
+    return method
 
 
 def _no_method_error(
@@ -508,16 +515,33 @@ def _applies_dpdb(
 
     Applies wherever lineage does (a forced ``method='dpdb'`` is honored;
     the runner itself degrades to the trail core above its hard width
-    cap).  Whether ``auto`` prefers it is the width probe's call, which
-    is a *cost* (:func:`_dpdb_cost`, reported in the row's detail) — so
-    only plans that compare dpdb against other methods pay for it.
+    cap).  Whether ``auto`` takes it is the width probe's call
+    (:func:`_prefer_dpdb`), made only when ``auto`` reaches the row.
     """
     if not lineage_supports(query):
         return False, "lineage compilation handles (U)CQs only"
     return True, (
         "(U)CQ lineage compiles to CNF; join/project/sum DP over a tree "
-        "decomposition, priced by its elimination width"
+        "decomposition, preferred at low elimination width"
     )
+
+
+def _prefer_dpdb(kind: str) -> Prefer:
+    """Take dpdb when the width probe succeeds at width at most
+    :data:`~repro.compile.dpdb.DPDB_WIDTH_LIMIT`; above it the trail
+    search (the next row) is the better bet."""
+
+    def prefer(
+        db: IncompleteDatabase, query: BooleanQuery | None
+    ) -> tuple[bool, Mapping[str, Any] | None]:
+        probe = dpdb_probe(kind, db, query)
+        found = probe.detail()
+        if not probe.ok:
+            found["probe"] = probe.reason
+            return False, found
+        return probe.width is not None and probe.width <= DPDB_WIDTH_LIMIT, found
+
+    return prefer
 
 
 def _applies_circuit(
@@ -575,139 +599,30 @@ def _applies_delta(kind: str) -> Applies:
     return applies
 
 
-def _delta_cost(kind: str) -> Cost:
-    """Below every search tier for a conditionable chain; otherwise the
-    componentwise recompile lands just *above* the circuit method (same
-    asymptotics, splicing pays off only when the component store is warm,
-    which a cold cost estimate must not assume)."""
+def _prefer_delta(kind: str) -> Prefer:
+    """Take delta only for ``val`` on a resolution-only chain, answered by
+    conditioning the parent circuit.  A splice recompiles the touched
+    components, which pays off only when the component store is warm, so
+    the search rows go first."""
 
-    def cost(db: IncompleteDatabase, query: BooleanQuery | None) -> float:
-        depth, pure = _delta_provenance(db)
-        if kind == "val" and pure:
-            return TIER_DELTA + _fraction(depth)
-        return (
-            TIER_CIRCUIT
-            + 0.5
-            + _fraction(_effective_search_variables(db)) / 2.0
-        )
-
-    return cost
-
-
-def _delta_detail(kind: str) -> Detail:
-    def detail(
+    def prefer(
         db: IncompleteDatabase, query: BooleanQuery | None
-    ) -> Mapping[str, Any] | None:
+    ) -> tuple[bool, Mapping[str, Any] | None]:
         depth, pure = _delta_provenance(db)
-        mode = "condition" if kind == "val" and pure else "splice"
-        return {"chain": depth, "resolution_only": pure, "mode": mode}
+        condition = kind == "val" and pure
+        return condition, {
+            "chain": depth,
+            "resolution_only": pure,
+            "mode": "condition" if condition else "splice",
+        }
 
-    return detail
+    return prefer
 
 
 def _applies_always(
     db: IncompleteDatabase, query: BooleanQuery | None
 ) -> tuple[bool, str]:
     return True, "enumeration works on any query (budgeted)"
-
-
-# ---------------------------------------------------------------------------
-# cost estimates (tier + bounded size term)
-# ---------------------------------------------------------------------------
-
-
-def _fraction(size: int) -> float:
-    """A monotone size proxy in ``[0, 1)`` — orders within a tier only."""
-    return size / (size + 1.0)
-
-
-def _instance_size(db: IncompleteDatabase, query: BooleanQuery | None) -> int:
-    atoms = len(query.atoms) if isinstance(query, BCQ) else 1
-    return len(db.facts) * max(atoms, 1)
-
-
-def _choice_variables(db: IncompleteDatabase) -> int:
-    return sum(len(db.domain_of(null)) for null in db.nulls)
-
-
-def _effective_search_variables(db: IncompleteDatabase) -> int:
-    """Choice variables the search will actually branch over.
-
-    The counter's preprocessing pass (:mod:`repro.compile.preprocess`)
-    runs before every lineage/circuit search: a singleton-domain null's
-    exactly-one block is a unit clause, so its variable is propagated
-    away at the root and never costs a decision.  The cost estimate sees
-    the formula the search sees, not the raw encoding.
-    """
-    return sum(
-        domain_size
-        for null in db.nulls
-        if (domain_size := len(db.domain_of(null))) > 1
-    )
-
-
-def _closed_form_cost(tier: float) -> Cost:
-    def cost(db: IncompleteDatabase, query: BooleanQuery | None) -> float:
-        return tier + _fraction(_instance_size(db, query))
-
-    return cost
-
-
-def _search_cost(tier: float) -> Cost:
-    def cost(db: IncompleteDatabase, query: BooleanQuery | None) -> float:
-        # The search is exponential in lineage treewidth, which no cheap
-        # estimate sees; the size term is the choice-variable count *after*
-        # the counter's preprocessing strips what root propagation removes.
-        return tier + _fraction(_effective_search_variables(db))
-
-    return cost
-
-
-def _dpdb_cost(kind: str) -> Cost:
-    """Width-driven estimate: below the width limit the DP undercuts the
-    trail search (:data:`TIER_DPDB` < :data:`TIER_LINEAGE`); at high width
-    or a blown probe budget it lands strictly *between* lineage and
-    circuit (``TIER_LINEAGE + 0.5 + frac/2`` with ``frac < 1``), so
-    ``auto`` keeps preferring the trail core without dpdb ever looking
-    cheaper than the method it would delegate to."""
-
-    def cost(db: IncompleteDatabase, query: BooleanQuery | None) -> float:
-        probe = dpdb_probe(kind, db, query)
-        if (
-            probe.ok
-            and probe.width is not None
-            and probe.width <= DPDB_WIDTH_LIMIT
-        ):
-            return TIER_DPDB + _fraction(probe.width)
-        return (
-            TIER_LINEAGE
-            + 0.5
-            + _fraction(_effective_search_variables(db)) / 2.0
-        )
-
-    return cost
-
-
-def _dpdb_detail(kind: str) -> Detail:
-    def detail(
-        db: IncompleteDatabase, query: BooleanQuery | None
-    ) -> Mapping[str, Any] | None:
-        probe = dpdb_probe(kind, db, query)
-        found = probe.detail()
-        if not probe.ok:
-            found["probe"] = probe.reason
-        return found
-
-    return detail
-
-
-def _brute_cost(db: IncompleteDatabase, query: BooleanQuery | None) -> float:
-    # Enumeration visits every valuation: the magnitude of the product is
-    # the honest cost signal, capped into the tier's band.  bit_length()
-    # (never str()) keeps this safe past CPython's int-to-str digit limit
-    # on astronomically large totals.
-    bits = count_total_valuations(db).bit_length()
-    return TIER_BRUTE + min(bits, 999) / 1000.0
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +692,6 @@ register(Method(
     supports_weights=True,
     supports_marginals=False,
     applies=_applies_single_occurrence,
-    cost=_closed_form_cost(TIER_CLOSED_FORM),
     run=_run_ignoring(_val_nonuniform.count_valuations_single_occurrence),
 ))
 
@@ -789,7 +703,6 @@ register(Method(
     supports_weights=False,
     supports_marginals=False,
     applies=_applies_codd,
-    cost=_closed_form_cost(TIER_CLOSED_FORM_CODD),
     run=_run_ignoring(_val_codd.count_valuations_codd),
 ))
 
@@ -801,7 +714,6 @@ register(Method(
     supports_weights=False,
     supports_marginals=False,
     applies=_applies_uniform_val,
-    cost=_closed_form_cost(TIER_CLOSED_FORM_UNIFORM),
     run=_run_ignoring(_val_uniform.count_valuations_uniform),
 ))
 
@@ -813,10 +725,9 @@ register(Method(
     supports_weights=False,
     supports_marginals=False,
     applies=_applies_delta("val"),
-    cost=_delta_cost("val"),
     run=_run_on_circuit("val", _count, derived=True),
     fallback="circuit",
-    detail=_delta_detail("val"),
+    prefer=_prefer_delta("val"),
 ))
 
 register(Method(
@@ -827,10 +738,9 @@ register(Method(
     supports_weights=False,
     supports_marginals=False,
     applies=_applies_dpdb,
-    cost=_dpdb_cost("val"),
     run=_run_ignoring(count_valuations_dpdb),
     fallback="brute",
-    detail=_dpdb_detail("val"),
+    prefer=_prefer_dpdb("val"),
 ))
 
 register(Method(
@@ -841,7 +751,6 @@ register(Method(
     supports_weights=False,
     supports_marginals=False,
     applies=_applies_lineage,
-    cost=_search_cost(TIER_LINEAGE),
     run=_run_ignoring(count_valuations_lineage),
     fallback="brute",
 ))
@@ -854,7 +763,6 @@ register(Method(
     supports_weights=True,
     supports_marginals=True,
     applies=_applies_circuit,
-    cost=_search_cost(TIER_CIRCUIT),
     run=_run_on_circuit("val", _count),
     fallback="brute",
 ))
@@ -867,7 +775,6 @@ register(Method(
     supports_weights=True,
     supports_marginals=False,
     applies=_applies_always,
-    cost=_brute_cost,
     run=_run_ignoring(brute.count_valuations_brute, "budget"),
 ))
 
@@ -879,7 +786,6 @@ register(Method(
     supports_weights=False,
     supports_marginals=False,
     applies=_applies_uniform_unary,
-    cost=_closed_form_cost(TIER_CLOSED_FORM),
     run=_run_ignoring(_comp_uniform.count_completions_uniform_unary),
 ))
 
@@ -891,10 +797,9 @@ register(Method(
     supports_weights=False,
     supports_marginals=False,
     applies=_applies_delta("comp"),
-    cost=_delta_cost("comp"),
     run=_run_on_circuit("comp", _count, derived=True),
     fallback="circuit",
-    detail=_delta_detail("comp"),
+    prefer=_prefer_delta("comp"),
 ))
 
 register(Method(
@@ -905,10 +810,9 @@ register(Method(
     supports_weights=False,
     supports_marginals=False,
     applies=_applies_dpdb,
-    cost=_dpdb_cost("comp"),
     run=_run_ignoring(count_completions_dpdb),
     fallback="brute",
-    detail=_dpdb_detail("comp"),
+    prefer=_prefer_dpdb("comp"),
 ))
 
 register(Method(
@@ -919,7 +823,6 @@ register(Method(
     supports_weights=False,
     supports_marginals=False,
     applies=_applies_lineage,
-    cost=_search_cost(TIER_LINEAGE),
     run=_run_ignoring(count_completions_lineage),
     fallback="brute",
 ))
@@ -932,7 +835,6 @@ register(Method(
     supports_weights=False,
     supports_marginals=True,
     applies=_applies_circuit,
-    cost=_search_cost(TIER_CIRCUIT),
     run=_run_on_circuit("comp", _count),
     fallback="brute",
 ))
@@ -945,7 +847,6 @@ register(Method(
     supports_weights=False,
     supports_marginals=False,
     applies=_applies_always,
-    cost=_brute_cost,
     run=_run_ignoring(brute.count_completions_brute, "budget"),
 ))
 
@@ -957,7 +858,6 @@ register(Method(
     supports_weights=True,
     supports_marginals=False,
     applies=_applies_single_occurrence,
-    cost=_closed_form_cost(TIER_CLOSED_FORM),
     run=_run_ignoring(
         _val_nonuniform.count_valuations_weighted_single_occurrence, "weights"
     ),
@@ -972,7 +872,6 @@ register(Method(
     supports_weights=True,
     supports_marginals=True,
     applies=_applies_circuit,
-    cost=_search_cost(TIER_CIRCUIT),
     run=_run_on_circuit(
         "val", lambda circuit, weights: circuit.weighted_count(weights)
     ),
@@ -987,7 +886,6 @@ register(Method(
     supports_weights=True,
     supports_marginals=False,
     applies=_applies_always,
-    cost=_brute_cost,
     run=_run_ignoring(
         brute.count_valuations_weighted_brute, "budget", "weights"
     ),
@@ -1002,7 +900,6 @@ register(Method(
     supports_weights=True,
     supports_marginals=True,
     applies=_applies_marginal_circuit,
-    cost=_search_cost(TIER_CIRCUIT),
     run=_run_on_circuit(
         "val", lambda circuit, weights: circuit.marginals(weights)
     ),
@@ -1047,7 +944,6 @@ register(Method(
     supports_weights=True,
     supports_marginals=False,
     applies=_applies_single_occurrence,
-    cost=_closed_form_cost(TIER_CLOSED_FORM),
     run=_run_sweep_single_occurrence,
 ))
 
@@ -1059,7 +955,6 @@ register(Method(
     supports_weights=True,
     supports_marginals=True,
     applies=_applies_circuit,
-    cost=_search_cost(TIER_CIRCUIT),
     run=_run_on_circuit(
         "val",
         lambda circuit, rows: circuit.weighted_count_many(list(rows or ())),
@@ -1075,7 +970,6 @@ register(Method(
     supports_weights=True,
     supports_marginals=False,
     applies=_applies_always,
-    cost=_brute_cost,
     run=_run_sweep_brute,
 ))
 

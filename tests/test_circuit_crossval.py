@@ -31,10 +31,12 @@ from repro.approx.sampler import (
 from repro.compile import (
     CompletionCircuit,
     ValuationCircuit,
-    compile_satisfaction_cnf,
     count_models,
     valuation_marginals_recount,
 )
+from repro.compile.lineage import enumerate_valuation_matches
+from repro.compile.variables import ChoiceVariables
+from repro.complexity.cnf import CNF
 from repro.core.query import Atom, BCQ, Const, CustomQuery, UCQ
 from repro.db.valuation import (
     apply_valuation,
@@ -98,6 +100,67 @@ def _weight_product(resolved, valuation):
     )
 
 
+#: Widest clause :func:`_assert_disjunction` emits.  Matches arrive
+#: roughly grouped by locality in the database, so grouping neighbours
+#: keeps tree parents local too.
+_DISJUNCTION_FANIN = 4
+
+
+def _witness_cnf(db, query):
+    """The witness encoding of ``#Val(q)(D)``: ``(cnf, projection)``.
+
+    The positive counterpart of the complement encoding the backends
+    compile.  The lineage DNF is folded into CNF with one witness
+    (commander) variable per multi-condition match, and the projected
+    model count onto the choice variables is ``#Val``: a choice
+    assignment extends to a model exactly when some match is fully
+    chosen.  Its global "some witness holds" disjunction couples the
+    whole formula, so it serves as an oracle on small instances only.
+    """
+    cnf = CNF()
+    choices = ChoiceVariables(cnf, db)
+    matches = enumerate_valuation_matches(db, query)
+    trivially_true = bool(matches) and not matches[0]
+    if not trivially_true:
+        witnesses = []
+        for conditions in matches:
+            if len(conditions) == 1:
+                ((null, value),) = conditions
+                witnesses.append(choices.var(null, value))
+            else:
+                commander = cnf.new_variable()
+                for null, value in conditions:
+                    cnf.add_clause((-commander, choices.var(null, value)))
+                witnesses.append(commander)
+        # Empty DNF compiles to the empty clause: no valuation satisfies q.
+        _assert_disjunction(cnf, witnesses)
+    return cnf, frozenset(choices.variables())
+
+
+def _assert_disjunction(cnf, literals):
+    """Assert ``l1 ∨ ... ∨ lk`` via a balanced OR-tree of short clauses.
+
+    Each tree parent ``p`` gets the one-sided Tseitin clause
+    ``p → (child1 ∨ ... ∨ childF)`` and the root level is asserted
+    directly, so a projected model restricted to the original variables
+    exists iff the plain disjunction is satisfiable, while no clause
+    exceeds ``_DISJUNCTION_FANIN + 1`` literals (a single wide clause
+    would hand the treewidth heuristic an m-clique).
+    """
+    while len(literals) > _DISJUNCTION_FANIN:
+        grouped = []
+        for start in range(0, len(literals), _DISJUNCTION_FANIN):
+            group = literals[start:start + _DISJUNCTION_FANIN]
+            if len(group) == 1:
+                grouped.append(group[0])
+                continue
+            parent = cnf.new_variable()
+            cnf.add_clause([-parent] + group)
+            grouped.append(parent)
+        literals = grouped
+    cnf.add_clause(literals)
+
+
 @pytest.mark.parametrize("flavor,uniform,codd", FLAVORS)
 @pytest.mark.parametrize("seed", range(8))
 def test_circuit_counts_match_counter_and_brute(seed, flavor, uniform, codd):
@@ -118,11 +181,8 @@ def test_circuit_counts_match_counter_and_brute(seed, flavor, uniform, codd):
         )
         # Projected counting cross-check: the witness encoding counts the
         # satisfying side directly, as a projected model count.
-        encoding = compile_satisfaction_cnf(db, query)
-        assert (
-            count_models(encoding.cnf, projection=encoding.projection)
-            == expected
-        )
+        cnf, projection = _witness_cnf(db, query)
+        assert count_models(cnf, projection=projection) == expected
 
 
 @pytest.mark.parametrize("flavor,uniform,codd", FLAVORS)

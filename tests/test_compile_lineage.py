@@ -10,7 +10,7 @@ from repro.compile import (
     count_valuations_lineage,
     enumerate_valuation_matches,
     explain_completions,
-    explain_valuations,
+    explain_valuations_circuit,
 )
 from repro.compile.variables import instantiations
 from repro.core.query import Atom, BCQ, Const, CustomQuery, Negation, UCQ
@@ -144,13 +144,16 @@ class TestValuationEncoding:
 
     def test_explain_reports_sizes(self):
         db = _figure1_db()
-        report = explain_valuations(db, BCQ([Atom("S", ["x", "x"])]))
+        report, _compiled = explain_valuations_circuit(
+            db, BCQ([Atom("S", ["x", "x"])])
+        )
         assert report.mode == "val"
         assert report.count == count_valuations_brute(
             db, BCQ([Atom("S", ["x", "x"])])
         )
         assert report.num_variables == 5  # |dom(n1)| + |dom(n2)|
         assert report.num_clauses > 0
+        assert report.circuit_nodes > 0
 
 
 class TestCompletionEncoding:

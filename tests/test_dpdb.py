@@ -17,7 +17,6 @@ from fractions import Fraction
 import pytest
 
 from repro.compile.backend import (
-    ValuationCircuit,
     count_completions_lineage,
     count_valuations_lineage,
 )
@@ -28,7 +27,6 @@ from repro.compile.dpdb import (
     count_completions_dpdb,
     count_models_dpdb,
     count_valuations_dpdb,
-    count_valuations_weighted_dpdb,
     dpdb_probe,
     probe_cache_clear,
 )
@@ -143,7 +141,7 @@ class TestDifferentialSolver:
 
 
 class TestDifferentialFrontDoors:
-    """The #Val / #Comp / weighted front doors against lineage and circuit."""
+    """The #Val / #Comp front doors against the trail core."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_instances_val_and_comp(self, seed):
@@ -181,22 +179,6 @@ class TestDifferentialFrontDoors:
         assert probe.ok and probe.width <= DPDB_WIDTH_LIMIT
         assert count_completions_dpdb(db, query) == (
             count_completions_lineage(db, query)
-        )
-
-    def test_weighted_front_door_matches_circuit(self):
-        db, query = scaling_hard_val_instance(7)
-        rng = random.Random(7)
-        weights = {
-            null: {
-                value: Fraction(rng.randint(-3, 5), rng.randint(1, 4))
-                for value in db.domain_of(null)
-            }
-            for null in db.nulls
-        }
-        expected = ValuationCircuit(db, query).weighted_count(weights)
-        assert count_valuations_weighted_dpdb(db, query, weights) == expected
-        assert count_valuations_weighted_dpdb(db, query) == (
-            ValuationCircuit(db, query).weighted_count()
         )
 
 
@@ -371,7 +353,7 @@ class TestWidthThresholdFallback:
             item for item in high.considered if item.method == "dpdb"
         )
         assert dpdb_row.applicable  # forced dpdb stays honorable
-        assert dpdb_row.cost > 10.0  # costed above the lineage tier
+        assert dpdb_row.verdict == "passed over"  # the gate sent auto on
         assert dpdb_row.detail["width"] > DPDB_WIDTH_LIMIT
 
     def test_forced_dpdb_above_the_cap_still_answers_correctly(self):

@@ -14,7 +14,7 @@ import pytest
 
 from repro.cli import main
 from repro.compile.backend import ValuationCircuit
-from repro.core.query import Atom, BCQ, Var
+from repro.core.query import Atom, BCQ, Negation, Var
 from repro.db.deltas import (
     DeleteFacts,
     InsertFacts,
@@ -29,7 +29,6 @@ from repro.engine import (
     BatchEngine,
     CountCache,
     CountJob,
-    cached_ancestor,
     derive_instance_circuit,
     execute_job,
     fingerprint_instance,
@@ -51,7 +50,7 @@ def base_db():
     )
 
 
-# -- delta_chain / cached_ancestor ------------------------------------------
+# -- delta_chain / ancestor lookup -----------------------------------------
 
 
 def test_delta_chain_orders_nearest_first():
@@ -68,18 +67,22 @@ def test_delta_chain_orders_nearest_first():
     assert delta_chain(db) == []
 
 
-def test_cached_ancestor_finds_nearest():
+def test_ancestor_lookup_finds_nearest():
     db = base_db()
     c1 = db.apply(ResolveNull(N1, "b"))
     c2 = c1.apply(RestrictDomain(N2, frozenset({"a"})))
+    ancestry = [
+        fingerprint_instance(parent, QUERY, "val")
+        for parent, _deltas in delta_chain(c2)
+    ]
+    fp_c1, fp_db = ancestry
     cache = CountCache()
-    fp_db = fingerprint_instance(db, QUERY, "val")
+    assert cache.get_ancestor_circuit(ancestry) is None
     cache.put_circuit(fp_db, ValuationCircuit(db, QUERY))
-    assert cached_ancestor(c2, QUERY, "val", cache) == fp_db
-    fp_c1 = fingerprint_instance(c1, QUERY, "val")
+    assert cache.get_ancestor_circuit(ancestry)[0] == fp_db
     cache.put_circuit(fp_c1, ValuationCircuit(c1, QUERY))
-    assert cached_ancestor(c2, QUERY, "val", cache) == fp_c1
-    assert cached_ancestor(db, QUERY, "val", cache) is None
+    assert cache.get_ancestor_circuit(ancestry)[0] == fp_c1
+    assert cache.parent_chain_hits == 2
 
 
 def test_derive_installs_with_parent_link():
@@ -235,6 +238,26 @@ def test_update_batch_splices_insert_delete():
         assert result.count == ValuationCircuit(instance_db(job), QUERY).count()
 
 
+def test_update_job_on_a_non_ucq_falls_back_to_brute():
+    # Neither delta nor its circuit fallback compiles a negated query, so
+    # the forced delta of an update job degrades along the chain to brute.
+    db = base_db()
+    delta = ResolveNull(N1, "b")
+    update = execute_job(
+        CountJob(
+            problem="update", db=db, query=Negation(QUERY), deltas=[delta]
+        ),
+        CountCache(),
+    )
+    val = execute_job(
+        CountJob(problem="val", db=db.apply(delta), query=Negation(QUERY)),
+        CountCache(),
+    )
+    assert update.ok, update.error
+    assert val.ok and val.method == "brute"
+    assert (update.count, update.method) == (val.count, "brute")
+
+
 def test_update_job_error_reporting():
     db = base_db()
     job = CountJob(
@@ -276,17 +299,15 @@ def test_planner_prefers_delta_on_conditionable_chains():
     assert "conditioning" in entry.reason
 
 
-def test_planner_delta_costs_splice_above_circuit():
+def test_planner_passes_over_delta_splices():
     db = base_db()
     child = db.apply(InsertFacts(frozenset({Fact("S", ("b", "b"))})))
     built = planner.plan("val", child, QUERY)
     entry = next(c for c in built.considered if c.method == "delta")
-    circuit_entry = next(
-        c for c in built.considered if c.method == "circuit"
-    )
     assert entry.applicable
+    assert entry.verdict == "passed over"
     assert entry.detail["mode"] == "splice"
-    assert entry.cost > circuit_entry.cost
+    assert built.chosen != "delta"
 
 
 def test_planner_delta_falls_back_without_provenance():

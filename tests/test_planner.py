@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.compile.dpdb import probe_cache_clear
+from repro.compile.dpdb import DPDB_WIDTH_LIMIT, dpdb_probe, probe_cache_clear
 from repro.core.query import Atom, BCQ, CustomQuery, Negation
-from repro.db.deltas import InsertFacts, ResolveNull
+from repro.db.deltas import InsertFacts, ResolveNull, RestrictDomain
 from repro.db.incomplete import IncompleteDatabase
 from repro.db.fact import Fact
 from repro.db.terms import Null
@@ -23,7 +23,7 @@ from repro.exact.dispatch import (
     count_valuations_weighted,
     solve,
 )
-from repro.obs import capture
+from repro.obs import add_sink, capture, remove_sink
 from repro.workloads.generators import (
     random_incomplete_db,
     scaling_codd_instance,
@@ -90,18 +90,25 @@ class TestPlans:
         assert rejected["single-occurrence"]  # a human-readable reason
         text = plan.explain()
         assert "lineage" in text and "single-occurrence" in text
-        assert "width" in text  # the dpdb probe's cost detail surfaces
+        assert "width" in text  # the dpdb gate's probe detail surfaces
 
-    def test_plan_costs_order_applicable_methods(self):
+    def test_plan_marks_rows_by_verdict(self):
         db, query = scaling_hard_val_instance(6, seed=1)
         plan = planner.plan("val", db, query)
-        costs = {
-            item.method: item.cost
-            for item in plan.considered
-            if item.applicable
+        verdicts = {item.method: item.verdict for item in plan.considered}
+        assert verdicts == {
+            "single-occurrence": "n/a",
+            "codd": "n/a",
+            "uniform": "n/a",
+            "delta": "n/a",
+            "dpdb": "chosen",
+            "lineage": "not reached",
+            "circuit": "not reached",
+            "brute": "not reached",
         }
-        assert costs["dpdb"] < costs["lineage"] < costs["circuit"]
-        assert costs["circuit"] < costs["brute"]
+        details = {item.method: item.detail for item in plan.considered}
+        assert details.pop("dpdb")["width"] <= DPDB_WIDTH_LIMIT
+        assert set(details.values()) == {None}
 
     def test_poly_plan_on_hard_cell_carries_error(self):
         db, query = scaling_hard_val_instance(6, seed=1)
@@ -176,8 +183,8 @@ class TestDispatchParity:
 
     def test_resolution_survives_astronomical_valuation_totals(self):
         # 5000 nulls of domain 10: the total has ~5000 decimal digits,
-        # past CPython's int-to-str conversion limit — cost estimation
-        # must never stringify it.
+        # past CPython's int-to-str conversion limit — planning must
+        # never stringify it.
         domain = ["v%d" % i for i in range(10)]
         facts = [Fact("R", [Null(i)]) for i in range(5000)]
         db = IncompleteDatabase(facts, uniform_domain=domain)
@@ -225,26 +232,53 @@ class TestDispatchParity:
         assert weighted_circuit == weighted_brute
 
     def test_registration_extends_auto_without_dispatch_edits(self):
-        """Adding a method is one register() call: auto picks it up."""
+        """Adding a method is one register() call: auto reaches it where
+        no earlier row applies."""
         db, query = scaling_hard_val_instance(6, seed=1)
+        opaque = CustomQuery("nonempty", ["R"], lambda database: True)
         name = "test-shortcut"
         try:
             planner.register(planner.Method(
                 name=name,
-                problem="val",
+                problem="marginals",
                 description="test-only constant-time method",
                 polynomial=True,
                 supports_weights=False,
-                supports_marginals=False,
+                supports_marginals=True,
                 applies=lambda d, q: (True, "always (test)"),
-                cost=lambda d, q: 0.5,
                 run=lambda d, q, budget=None, weights=None: 42,
             ))
-            assert planner.plan("val", db, query).chosen == name
-            assert count_valuations(db, query) == 42
+            assert planner.plan("marginals", db, opaque).chosen == name
+            assert solve("marginals", db, opaque).count == 42
+            # Where the circuit row applies, the order reaches it first.
+            assert planner.plan("marginals", db, query).chosen == "circuit"
+        finally:
+            del planner._REGISTRY["marginals"][name]
+        assert planner.plan("marginals", db, opaque).chosen is None
+
+    def test_a_registered_val_row_lands_after_brute(self):
+        db, query = scaling_hard_val_instance(6, seed=1)
+        name = "test-late"
+        try:
+            planner.register(planner.Method(
+                name=name,
+                problem="val",
+                description="test-only method behind the fixed order",
+                polynomial=False,
+                supports_weights=False,
+                supports_marginals=False,
+                applies=lambda d, q: (True, "always (test)"),
+                run=lambda d, q, budget=None, weights=None: 42,
+            ))
+            names = [entry.name for entry in planner.methods_for("val")]
+            assert names[-2:] == ["brute", name]
+            built = planner.plan("val", db, query)
+            assert built.chosen == "dpdb"
+            late = next(c for c in built.considered if c.method == name)
+            assert late.verdict == "not reached"
+            assert planner.plan("val", db, query, name).chosen == name
         finally:
             del planner._REGISTRY["val"][name]
-        assert planner.plan("val", db, query).chosen == "dpdb"
 
 
 def _corpus():
@@ -275,6 +309,28 @@ def _corpus():
     }
 
 
+#: The ``auto`` choice per corpus case, in :data:`planner.PROBLEMS` order
+#: (val, comp, val-weighted, marginals, sweep), as the tier-cost planner
+#: made it; the preference order must reproduce every one.
+_AUTO_CHOICES = {
+    "single-occurrence": (
+        "single-occurrence", "lineage", "single-occurrence", "circuit",
+        "single-occurrence",
+    ),
+    "codd": ("codd", "dpdb", "circuit", "circuit", "circuit"),
+    "uniform": ("uniform", "uniform-unary", "circuit", "circuit", "circuit"),
+    "hard-val": ("dpdb", "lineage", "circuit", "circuit", "circuit"),
+    "hard-comp": ("dpdb", "dpdb", "circuit", "circuit", "circuit"),
+    "uniform-unary": (
+        "uniform", "uniform-unary", "circuit", "circuit", "circuit",
+    ),
+    "random-comp": ("uniform", "dpdb", "circuit", "circuit", "circuit"),
+    "negation": ("brute", "brute", "brute", None, "brute"),
+    "opaque": ("brute", "brute", "brute", None, "brute"),
+    "resolved-child": ("delta", "lineage", "circuit", "circuit", "circuit"),
+    "inserted-child": ("dpdb", "lineage", "circuit", "circuit", "circuit"),
+}
+
 #: The non-empty ``poly`` choices on the corpus (every other one is None).
 _POLY_CHOICES = {
     ("codd", "val"): "codd",
@@ -288,24 +344,107 @@ _POLY_CHOICES = {
 
 
 def _expected_choice(name, problem, method):
-    """What a forced or ``poly`` request chose before plans stopped
-    costing rows the request cannot choose."""
+    """What a forced or ``poly`` request chooses: the method itself, or
+    the first applicable one down its fallback chain."""
     if method == "poly":
         return _POLY_CHOICES.get((name, problem))
+    if name in ("negation", "opaque"):
+        if method in ("delta", "lineage", "dpdb", "circuit") and (
+            problem != "marginals"  # no fallback: the solver raises
+        ):
+            return "brute"
+        return method
     if method == "delta" and not name.endswith("-child"):
         return "circuit"
-    if (
-        name in ("negation", "opaque")
-        and method in ("lineage", "dpdb", "circuit")
-        and problem != "marginals"  # no fallback: the solver raises
-    ):
-        return "brute"
     return method
 
 
-class TestPlanCosting:
-    """A plan costs only what its request can choose; ``auto`` still
-    compares every applicable method at its full cost."""
+class TestPreferenceOrder:
+    """``auto`` takes the first applicable row whose gate passes; ``poly``
+    the first applicable polynomial row; a forced request its method or
+    the first applicable fallback.  Gates run only where the walk
+    reaches them."""
+
+    def test_auto_and_poly_choices_are_pinned(self):
+        for name, (db, query) in _corpus().items():
+            for problem, expected in zip(planner.PROBLEMS, _AUTO_CHOICES[name]):
+                case = (name, problem)
+                assert planner.plan(problem, db, query).chosen == expected, case
+                if "poly" in planner.method_names(problem):
+                    assert planner.plan(problem, db, query, "poly").chosen == (
+                        _POLY_CHOICES.get(case)
+                    ), case
+
+    def test_auto_takes_the_first_row_whose_gate_passes(self):
+        for name, (db, query) in _corpus().items():
+            for problem in planner.PROBLEMS:
+                built = planner.plan(problem, db, query)
+                rows = {c.method: c for c in built.considered}
+                reached = True
+                for entry in planner.methods_for(problem):
+                    row = rows[entry.name]
+                    case = (name, problem, entry.name)
+                    if not row.applicable:
+                        assert row.verdict == "n/a" and row.detail is None, case
+                        continue
+                    if not reached:
+                        assert row.verdict == "not reached", case
+                        assert row.detail is None, case
+                        continue
+                    gate = (
+                        (True, None) if entry.prefer is None
+                        else entry.prefer(db, query)
+                    )
+                    assert row.detail == gate[1], case
+                    assert row.verdict == (
+                        "chosen" if gate[0] else "passed over"
+                    ), case
+                    reached = not gate[0]
+                assert reached == (built.chosen is None), (name, problem)
+
+    def test_auto_on_closed_form_cells_never_probes_or_encodes(self, monkeypatch):
+        def no_probe(*args):
+            raise AssertionError("auto probed a closed-form cell")
+
+        monkeypatch.setattr(planner, "dpdb_probe", no_probe)
+        for name, (db, query) in _corpus().items():
+            for problem, expected in zip(planner.PROBLEMS, _AUTO_CHOICES[name]):
+                closed = {e.name for e in planner.methods_for(problem) if e.polynomial}
+                if expected not in closed:
+                    continue
+                probe_cache_clear()
+                with capture() as captured:
+                    built = planner.plan(problem, db, query)
+                case = (name, problem)
+                assert built.chosen == expected, case
+                phases = captured.phase_totals()
+                assert "dpdb.probe" not in phases, case
+                assert "compile.encode" not in phases, case
+
+    def test_width_zero_restrict_chain_now_conditions(self):
+        """The one corpus choice the order changed on purpose: the tier
+        costs took dpdb here (9.00 against delta's 9.17, an artifact of
+        their size terms).  Both answers are exact."""
+        n1, n2 = Null("w1"), Null("w2")
+        db = IncompleteDatabase(
+            [Fact("R", [n1, n1]), Fact("S", [n1, n2]), Fact("S", [n2, n2])],
+            uniform_domain=["a", "b", "c"],
+        )
+        query = BCQ([Atom("R", ["x", "x"])])
+        child = db.apply(RestrictDomain(n1, frozenset({"a"}))).apply(
+            RestrictDomain(n2, frozenset({"b"}))
+        )
+        built = planner.plan("val", child, query)
+        assert built.chosen == "delta"
+        rows = {c.method: c for c in built.considered}
+        assert rows["delta"].detail == {
+            "chain": 2, "resolution_only": True, "mode": "condition",
+        }
+        assert rows["dpdb"].verdict == "not reached"
+        assert dpdb_probe("val", child, query).width == 0
+        expected = count_valuations(child, query, method="brute")
+        assert solve("val", child, query).count == expected
+        assert count_valuations(child, query, method="dpdb") == expected
 
     def test_forced_and_poly_plans_choose_as_before_without_probing(self):
         for name, (db, query) in _corpus().items():
@@ -320,27 +459,63 @@ class TestPlanCosting:
                     assert built.chosen == _expected_choice(*case), case
                     if built.chosen != "dpdb":
                         assert "dpdb.probe" not in captured.phase_totals(), case
-                    costed = [c.method for c in built.considered if c.cost is not None]
-                    assert len(costed) <= (3 if method == "poly" else 1), case
+                    # Only the chosen row's gate runs, for its detail.
+                    assert all(
+                        c.detail is None
+                        for c in built.considered
+                        if c.method != built.chosen
+                    ), case
+                    if method != "poly":
+                        assert "passed over" not in {
+                            c.verdict for c in built.considered
+                        }, case
 
-    def test_auto_picks_the_argmin_of_full_costs(self):
-        for name, (db, query) in _corpus().items():
-            for problem in ("val", "comp", "val-weighted", "sweep"):
-                full = {
-                    entry.name: entry.cost(db, query)
-                    for entry in planner.methods_for(problem)
-                    if entry.applies(db, query)[0]
-                }
-                built = planner.plan(problem, db, query)
-                assert built.chosen == min(full, key=full.__getitem__), name
-                assert {
-                    c.method: c.cost for c in built.considered if c.applicable
-                } == full, name
+    def test_forced_fallbacks_follow_the_chain_with_one_note_per_hop(self):
+        db, query = scaling_hard_val_instance(6, seed=1)
+        built = planner.plan("val", db, Negation(query), "delta")
+        assert built.chosen == "brute"
+        assert len(built.notes) == 2
+        assert "'delta'" in built.notes[0] and "'circuit'" in built.notes[0]
+        assert "'circuit'" in built.notes[1] and "'brute'" in built.notes[1]
+        assert solve("val", db, Negation(query), method="delta").method == "brute"
 
     def test_explain_marks_rows_a_forced_request_skipped(self):
         db, query = scaling_hard_val_instance(6, seed=1)
         forced = planner.plan("val", db, query, "circuit")
         lineage = next(c for c in forced.considered if c.method == "lineage")
-        assert lineage.applicable and lineage.cost is None
-        assert "lineage            not costed" in forced.explain()
-        assert "not costed" not in planner.plan("val", db, query).explain()
+        assert lineage.applicable and lineage.verdict == "not reached"
+        assert lineage.detail is None
+        assert "lineage            not reached" in forced.explain()
+        assert "* circuit            chosen" in forced.explain()
+        auto = planner.plan("val", db, query).explain()
+        assert "* dpdb               chosen" in auto
+        assert "detail: width_limit=" in auto
+        assert "lineage            not reached" in auto
+
+    def test_rows_passed_over_carry_their_gate_detail(self):
+        db, query = scaling_hard_comp_instance(20)
+        records = []
+        add_sink(records.append)
+        try:
+            built = planner.plan("comp", db, query)
+        finally:
+            remove_sink(records.append)
+        assert built.chosen == "lineage"
+        dpdb_row = next(c for c in built.considered if c.method == "dpdb")
+        assert dpdb_row.verdict == "passed over"
+        width = dpdb_row.detail["width"]
+        assert width > DPDB_WIDTH_LIMIT
+        text = built.explain()
+        assert "dpdb               passed over" in text
+        assert "width=%d" % width in text
+        record = built.to_dict()
+        assert "cost" not in record["considered"][0]
+        assert [item["verdict"] for item in record["considered"]] == [
+            c.verdict for c in built.considered
+        ]
+        (decision,) = [
+            record for record in records
+            if record["name"] == "planner.decision"
+        ]
+        assert "costs" not in decision
+        assert decision["passed_over"] == {"dpdb": dpdb_row.detail}
