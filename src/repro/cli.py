@@ -99,16 +99,22 @@ def _count(args: argparse.Namespace, db, query, budget) -> tuple[int, str]:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro.compile.backend import (
-        explain_completions,
-        explain_valuations_circuit,
-    )
+    from repro.compile.backend import explain
 
     if args.weights and not args.marginals:
         print(
             "--weights only applies together with --marginals",
             file=sys.stderr,
         )
+        return 2
+    if args.mode == "comp" and args.marginals:
+        print(
+            "--marginals applies to --mode val (per-null tables)",
+            file=sys.stderr,
+        )
+        return 2
+    if args.mode == "val" and not args.query:
+        print("--mode val needs --query", file=sys.stderr)
         return 2
     from repro.obs import capture, span
 
@@ -118,35 +124,23 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     marginals = None
     with capture() as captured:
         with span("cli.explain", mode=args.mode):
-            if args.mode == "comp":
-                if args.marginals:
-                    print(
-                        "--marginals applies to --mode val (per-null tables)",
-                        file=sys.stderr,
-                    )
-                    return 2
-                report = explain_completions(db, query)
-            else:
-                if query is None:
-                    print("--mode val needs --query", file=sys.stderr)
-                    return 2
-                report, compiled = explain_valuations_circuit(db, query)
-                if args.marginals:
-                    weights = None
-                    if args.weights:
-                        from repro.engine.jsonl import parse_weights
+            report, compiled = explain(args.mode, db, query)
+            if args.marginals:
+                weights = None
+                if args.weights:
+                    from repro.engine.jsonl import parse_weights
 
-                        weights = parse_weights(
-                            json.loads(args.weights), db, "--weights"
-                        )
-                    try:
-                        marginals = compiled.marginals(weights)
-                    except ValueError as exc:
-                        # Unsatisfiable query, or weights zeroing out every
-                        # satisfying valuation — either way there is no
-                        # distribution to report on.
-                        print("%s" % exc, file=sys.stderr)
-                        return 1
+                    weights = parse_weights(
+                        json.loads(args.weights), db, "--weights"
+                    )
+                try:
+                    marginals = compiled.marginals(weights)
+                except ValueError as exc:
+                    # Unsatisfiable query, or weights zeroing out every
+                    # satisfying valuation — either way there is no
+                    # distribution to report on.
+                    print("%s" % exc, file=sys.stderr)
+                    return 1
     elapsed = time.perf_counter() - started
     if args.trace:
         _print_trace(captured)
@@ -176,12 +170,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     print("cnf:              %d variables, %d clauses"
           % (report.num_variables, report.num_clauses))
     print("heuristic width:  %s" % report.heuristic_width)
-    if report.circuit_nodes is not None:
-        print("circuit:          %d nodes, %d edges"
-              % (report.circuit_nodes, report.circuit_edges))
-    else:
-        print("search:           %d cached components, %d splits"
-              % (report.cache_entries, report.components_split))
+    print("circuit:          %d nodes, %d edges"
+          % (report.circuit_nodes, report.circuit_edges))
     if marginals is not None:
         print("marginals (P[null = value | query holds]):")
         for null in sorted(marginals, key=repr):

@@ -29,7 +29,12 @@ database and knowledge-compilation literature:
 (compile once, ask many) backends of :mod:`repro.exact.dispatch`; either
 way the cost is exponential in the heuristic treewidth of the lineage,
 not in the number of nulls, which is what turns the hard cells from
-toy-only into a workload.
+toy-only into a workload.  Its two compiled artifacts,
+:class:`ValuationCircuit` (``#Val``) and :class:`CompletionCircuit`
+(``#Comp``), share one constructor, one trace compile and one binary
+codec; :data:`~repro.compile.backend.ARTIFACTS` maps each problem kind
+to its class, :func:`artifact_from_bytes` rehydrates either, and
+:func:`explain` reports what one compile saw and recorded.
 """
 
 from repro.compile.backend import (
@@ -39,8 +44,7 @@ from repro.compile.backend import (
     artifact_from_bytes,
     count_completions_lineage,
     count_valuations_lineage,
-    explain_completions,
-    explain_valuations_circuit,
+    explain,
     lineage_supports,
     valuation_marginals_recount,
 )
@@ -68,8 +72,7 @@ __all__ = [
     "CompletionCircuit",
     "count_completions_lineage",
     "count_valuations_lineage",
-    "explain_completions",
-    "explain_valuations_circuit",
+    "explain",
     "valuation_marginals_recount",
     "lineage_supports",
     "DDNNF",

@@ -24,7 +24,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import cached_property, partial
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.complexity.cnf import CNF
 from repro.compile.circuit import (
@@ -68,19 +69,6 @@ from repro.db.valuation import (
 )
 from repro.obs import incr as _incr, span as _span
 
-#: Frame magics of the two wrapper artifacts (see ``to_bytes``).
-VALUATION_MAGIC = b"RVAL"
-COMPLETION_MAGIC = b"RCMP"
-
-
-def _write_optional_uint(writer: Writer, value: int | None) -> None:
-    writer.uint(0 if value is None else value + 1)
-
-
-def _read_optional_uint(reader: Reader) -> int | None:
-    encoded = reader.uint()
-    return None if encoded == 0 else encoded - 1
-
 
 def count_valuations_lineage(
     db: IncompleteDatabase, query: BooleanQuery
@@ -106,53 +94,219 @@ def count_completions_lineage(
 # ---------------------------------------------------------------------------
 
 
-class _ChoiceView:
-    """Choice map of a delta-derived instance.
+def _trace_compile(
+    cnf: CNF,
+    projection: Iterable[int] | None = None,
+    reference: bool = False,
+) -> tuple[DDNNF, int, tuple]:
+    """One trace-recording search over ``cnf``: ``(circuit, count, stats)``.
 
-    A conditioned circuit keeps the *parent's* variable universe, so the
-    child's surviving ``(null, value)`` pairs must keep the parent's
-    variable ids.  This view exposes exactly the
-    :class:`~repro.compile.variables.ChoiceVariables` surface the circuit
-    passes use (``items`` / ``var`` / ``variables`` / ``decode``) over
-    that restricted pair set.
+    The count is the model count, projected onto ``projection`` when one
+    is given, and the circuit counts over the same variables.  ``stats``
+    is ``(heuristic width, cache entries, components split)``.  Both
+    artifact constructors and every component the splice recompiles run
+    through here.
+    """
+    trace = TraceBuilder()
+    counter = ModelCounter(
+        cnf, projection=projection, trace=trace, reference=reference
+    )
+    count = counter.count()
+    assert counter.trace_root is not None
+    with _span("compile.trace_build"):
+        circuit = trace.build(
+            counter.trace_root, cnf.num_variables, countable=projection
+        )
+    stats = counter.stats()
+    return circuit, count, (
+        stats["width"], stats["cache_entries"], stats["components_split"]
+    )
+
+
+class _CircuitArtifact:
+    """What both compiled artifacts share: construction, statistics, codec.
+
+    Every construction path ends in one initializer, :meth:`_init`: the
+    traced compile (the constructor), the componentwise splice
+    (:meth:`compile_componentwise`), delta conditioning
+    (:meth:`ValuationCircuit.condition`) and rehydration
+    (:meth:`from_bytes`).  A subclass supplies its encoding
+    (``_compile``), the rebuild of its variable map from an instance
+    (``_rebind``) and its questions.  ``_variables`` is that map; the
+    :attr:`header` attributes travel in the frame right after the count.
     """
 
-    __slots__ = ("_vars", "_pairs")
+    #: ``'val'`` or ``'comp'``: the :data:`ARTIFACTS` key, and the kind
+    #: the splice keys its components by.
+    kind: str
+    #: Frame magic of :meth:`to_bytes`.
+    magic: bytes
+    #: Per-kind uint attributes framed between the count and the stats.
+    header: tuple[str, ...] = ()
 
-    def __init__(self, pairs: Mapping[tuple[Null, Term], int]) -> None:
-        self._vars = dict(pairs)
-        self._pairs = sorted(self._vars.items(), key=lambda item: item[1])
+    def __init__(
+        self,
+        db: IncompleteDatabase,
+        query: BooleanQuery | None = None,
+        reference: bool = False,
+    ) -> None:
+        self._init(*self._compile(
+            db, query, partial(_trace_compile, reference=reference)
+        ))
 
     @classmethod
-    def from_parent(
-        cls, parent_choices, child_db: IncompleteDatabase
-    ) -> "_ChoiceView":
-        pairs = {}
-        for null in child_db.nulls:
-            for value in child_db.domain_of(null):
-                pairs[(null, value)] = parent_choices.var(null, value)
-        return cls(pairs)
+    def compile_componentwise(
+        cls,
+        db: IncompleteDatabase,
+        query: BooleanQuery | None = None,
+        components=None,
+    ):
+        """Compile by independent lineage components, reusing cached ones.
 
-    def var(self, null: Null, value: Term) -> int:
-        return self._vars[(null, value)]
+        Model counts (projected ones too) multiply across
+        variable-disjoint CNF components, so each component compiles on
+        its own and the sub-circuits splice under one product root — same
+        answers as the monolithic constructor, bit for bit.
+        ``components`` is an optional component store
+        (``get_component`` / ``put_component``; the engine passes its
+        :class:`~repro.engine.cache.CountCache`): an insert/delete delta
+        invalidates only the components whose clauses changed, every
+        other sub-DAG is a cache hit.
+        """
+        return cls._build(*cls._compile(
+            db, query,
+            partial(
+                _compile_cnf_components, kind=cls.kind, components=components
+            ),
+        ))
 
-    def items(self) -> list[tuple[tuple[Null, Term], int]]:
-        return list(self._pairs)
+    @classmethod
+    def _compile(cls, db, query, compile_cnf) -> tuple:
+        """Encode ``(db, query)``, compile the CNF with ``compile_cnf``
+        (``(cnf, projection) -> (circuit, models, stats)``) and return
+        the :meth:`_init` arguments."""
+        raise NotImplementedError
 
-    def variables(self) -> list[int]:
-        return [variable for _pair, variable in self._pairs]
+    @staticmethod
+    def _rebind(db: IncompleteDatabase, circuit: DDNNF, header: tuple):
+        """The variable map of ``db`` for a rehydrated ``circuit``; raises
+        :class:`~repro.compile.serialize.CircuitFormatError` when the
+        payload cannot belong to ``db``."""
+        raise NotImplementedError
 
-    def decode(self, variable: int) -> tuple[Null, Term]:
-        for pair, known in self._pairs:
-            if known == variable:
-                return pair
-        raise KeyError("variable %d is not a choice variable" % variable)
+    @classmethod
+    def _build(cls, *parts):
+        artifact = cls.__new__(cls)
+        artifact._init(*parts)
+        return artifact
 
-    def __len__(self) -> int:
-        return len(self._vars)
+    def _init(
+        self,
+        db: IncompleteDatabase,
+        variables,
+        header: tuple,
+        circuit: DDNNF,
+        count: int,
+        stats: tuple,
+        wire_bytes: int | None = None,
+    ) -> None:
+        self._db = db
+        self._variables = variables
+        for name, value in zip(self.header, header):
+            setattr(self, name, value)
+        self.circuit = circuit
+        self._count = count
+        (
+            self.num_clauses,
+            self.heuristic_width,
+            self.cache_entries,
+            self.components_split,
+        ) = stats
+        self._wire_bytes = wire_bytes
+
+    # -- serialization -----------------------------------------------------
+
+    def to_bytes(self) -> bytes:
+        """The artifact as a versioned binary payload.
+
+        Only process-independent state travels: the count, the
+        :attr:`header` fields, the compile statistics and the d-DNNF node
+        table.  The variable map is *not* serialized — :meth:`from_bytes`
+        rebuilds it deterministically from the instance, which keeps the
+        format free of pickled objects.
+        """
+        writer = Writer()
+        writer.uint(self._count)
+        for name in self.header:
+            writer.uint(getattr(self, name))
+        writer.uint(self.num_clauses)
+        width = self.heuristic_width  # framed as width + 1, 0 for None
+        writer.uint(0 if width is None else width + 1)
+        writer.uint(self.cache_entries)
+        writer.uint(self.components_split)
+        with _span("compile.serialize", nodes=self.circuit.num_nodes):
+            writer.blob(dumps_circuit(self.circuit))
+        return frame(self.magic, writer.getvalue())
+
+    @classmethod
+    def from_bytes(cls, data: bytes, db: IncompleteDatabase):
+        """Rehydrate an artifact compiled (possibly elsewhere) for ``db``.
+
+        The variable map is rebuilt from ``db`` — variable allocation is
+        deterministic (choice variables in null order with sorted domain
+        values, then one variable per sorted potential fact), so the
+        rebuilt map names exactly the variables the serialized circuit
+        was compiled over.  Raises
+        :class:`~repro.compile.serialize.CircuitFormatError` on version
+        mismatch, corruption, or a payload paired with the wrong
+        database.
+        """
+        reader = Reader(unframe(data, cls.magic))
+        count = reader.uint()
+        header = tuple(reader.uint() for _name in cls.header)
+        num_clauses, width = reader.uint(), reader.uint()
+        stats = (
+            num_clauses, width - 1 if width else None,
+            reader.uint(), reader.uint(),
+        )
+        circuit = loads_circuit(reader.blob())
+        reader.expect_end()
+        variables = cls._rebind(db, circuit, header)
+        return cls._build(
+            db, variables, header, circuit, count, stats, len(data)
+        )
+
+    # -- accounting --------------------------------------------------------
+
+    def count(self) -> int:
+        """The exact, big-int count (``#Val`` resp. ``#Comp``)."""
+        return self._count
+
+    @property
+    def wire_bytes(self) -> int | None:
+        """Exact serialized size when the artifact crossed the wire."""
+        return self._wire_bytes
+
+    def memory_bytes(self) -> int:
+        """Resident size for cache accounting (circuit dominates).
+
+        The structural estimate is used for every circuit — a rehydrated
+        artifact occupies the same Python object graph as a local compile,
+        so accounting stays symmetric; the (smaller) wire size only ever
+        raises the figure, never lowers it.
+        """
+        estimate = self.circuit.memory_bytes() + 512
+        if self._wire_bytes is not None and self._wire_bytes > estimate:
+            return self._wire_bytes
+        return estimate
+
+    def __repr__(self) -> str:
+        return "%s(count=%d, %r)" % (
+            type(self).__name__, self._count, self.circuit
+        )
 
 
-class ValuationCircuit:
+class ValuationCircuit(_CircuitArtifact):
     """A compiled ``(D, q)``: every ``#Val``-flavored question in circuit passes.
 
     Construction runs the *complement* encoding
@@ -177,83 +331,37 @@ class ValuationCircuit:
       per sample, no rejection and no re-search.  (Top-down *descent*
       would sample the circuit's own models — the falsifying
       valuations — which is the wrong side of the complement.)
+
+    The scalar questions are the one-row case of their ``_many`` passes.
+    ``query`` is required: lineage rejects a missing one.
     """
 
-    def __init__(
-        self,
-        db: IncompleteDatabase,
-        query: BooleanQuery,
-        reference: bool = False,
-    ) -> None:
-        with _span("compile.encode", mode="val"):
-            encoding = compile_valuation_cnf(db, query)
-        trace = TraceBuilder()
-        counter = ModelCounter(encoding.cnf, trace=trace, reference=reference)
-        self._falsifying = counter.count()
-        assert counter.trace_root is not None
-        with _span("compile.trace_build"):
-            self.circuit = trace.build(
-                counter.trace_root, encoding.cnf.num_variables
-            )
-        self._db = db
-        self._choices = encoding.choices
-        self.total_valuations = encoding.total_valuations
-        self._count = encoding.count_from_models(self._falsifying)
-        self.num_matches = encoding.num_matches
-        self.num_clauses = len(encoding.cnf)
-        stats = counter.stats()
-        self.heuristic_width = stats["width"]
-        self.cache_entries = stats["cache_entries"]
-        self.components_split = stats["components_split"]
-        self._wire_bytes: int | None = None
-
-    # -- serialization -----------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """The artifact as a versioned binary payload.
-
-        Only process-independent state travels: the d-DNNF node table and
-        the scalar compile statistics.  The choice-variable map is *not*
-        serialized — :meth:`from_bytes` rebuilds it deterministically from
-        the instance, which keeps the format free of pickled objects.
-        """
-        writer = Writer()
-        writer.uint(self._count)
-        writer.uint(self.total_valuations)
-        writer.uint(self.num_matches)
-        writer.uint(self.num_clauses)
-        _write_optional_uint(writer, self.heuristic_width)
-        writer.uint(self.cache_entries)
-        writer.uint(self.components_split)
-        with _span("compile.serialize", nodes=self.circuit.num_nodes):
-            writer.blob(dumps_circuit(self.circuit))
-        return frame(VALUATION_MAGIC, writer.getvalue())
+    kind = "val"
+    magic = b"RVAL"
+    header = ("total_valuations", "num_matches")
+    total_valuations: int
+    num_matches: int
+    #: ``((null, value), variable)`` pairs in variable order.  A
+    #: conditioned circuit keeps the parent's variable universe, so its
+    #: surviving pairs keep the parent's ids.
+    _variables: list[tuple[tuple[Null, Term], int]]
 
     @classmethod
-    def from_bytes(
-        cls, data: bytes, db: IncompleteDatabase
-    ) -> "ValuationCircuit":
-        """Rehydrate an artifact compiled (possibly elsewhere) for ``db``.
+    def _compile(cls, db, query, compile_cnf) -> tuple:
+        with _span("compile.encode", mode="val"):
+            encoding = compile_valuation_cnf(db, query)
+        circuit, falsifying, stats = compile_cnf(encoding.cnf, None)
+        return (
+            db,
+            encoding.choices.items(),
+            (encoding.total_valuations, encoding.num_matches),
+            circuit,
+            encoding.count_from_models(falsifying),
+            (len(encoding.cnf), *stats),
+        )
 
-        The choice-variable map is reconstructed from ``db`` — variable
-        allocation is deterministic (nulls in database order, domain
-        values sorted), so the rebuilt map names exactly the variables the
-        serialized circuit was compiled over; the variable-count check
-        below rejects an artifact paired with the wrong database.  Raises
-        :class:`~repro.compile.serialize.CircuitFormatError` on version
-        mismatch, corruption, or an instance mismatch.
-        """
-        reader = Reader(unframe(data, VALUATION_MAGIC))
-        count = reader.uint()
-        total_valuations = reader.uint()
-        num_matches = reader.uint()
-        num_clauses = reader.uint()
-        heuristic_width = _read_optional_uint(reader)
-        cache_entries = reader.uint()
-        components_split = reader.uint()
-        circuit = loads_circuit(reader.blob())
-        reader.expect_end()
-
+    @staticmethod
+    def _rebind(db, circuit, header):
         cnf = CNF()
         choices = ChoiceVariables(cnf, db)
         # The complement encoding allocates choice variables only, so the
@@ -264,24 +372,28 @@ class ValuationCircuit:
                 "choice variables — wrong instance for this payload"
                 % (circuit.num_variables, cnf.num_variables)
             )
-        if total_valuations != count_total_valuations(db):
+        if header[0] != count_total_valuations(db):
             raise CircuitFormatError(
                 "artifact total valuation count does not match the database"
             )
-        compiled = cls.__new__(cls)
-        compiled._falsifying = total_valuations - count
-        compiled.circuit = circuit
-        compiled._db = db
-        compiled._choices = choices
-        compiled.total_valuations = total_valuations
-        compiled._count = count
-        compiled.num_matches = num_matches
-        compiled.num_clauses = num_clauses
-        compiled.heuristic_width = heuristic_width
-        compiled.cache_entries = cache_entries
-        compiled.components_split = components_split
-        compiled._wire_bytes = len(data)
-        return compiled
+        return choices.items()
+
+    def to_bytes(self) -> bytes:
+        """See :meth:`_CircuitArtifact.to_bytes`.
+
+        Raises :class:`ValueError` on a conditioned artifact whose
+        instance lost choice variables: conditioning keeps the parent's
+        variable universe, rehydration rebuilds the instance's own, so
+        no instance would accept the payload.
+        """
+        if self.circuit.num_variables != len(self._variables):
+            raise ValueError(
+                "cannot serialize a conditioned artifact: its circuit keeps "
+                "the parent's %d choice variables but its instance "
+                "allocates %d; compile the instance to ship it"
+                % (self.circuit.num_variables, len(self._variables))
+            )
+        return super().to_bytes()
 
     # -- deltas ------------------------------------------------------------
 
@@ -307,11 +419,11 @@ class ValuationCircuit:
         child = self._db.apply(delta)  # validates the delta
         assignments: dict[int, bool] = {}
         if isinstance(delta, ResolveNull):
-            for (null, value), variable in self._choices.items():
+            for (null, value), variable in self._variables:
                 if null == delta.null:
                     assignments[variable] = value == delta.value
         elif isinstance(delta, RestrictDomain):
-            for (null, value), variable in self._choices.items():
+            for (null, value), variable in self._variables:
                 if null == delta.null and value not in delta.values:
                     assignments[variable] = False
         else:
@@ -326,65 +438,30 @@ class ValuationCircuit:
             pinned=len(assignments),
         ):
             conditioned = self.circuit.condition(assignments)
-            derived = ValuationCircuit.__new__(ValuationCircuit)
-            derived._falsifying = conditioned.count()
+            falsifying = conditioned.count()
         _incr("delta.conditioning_passes")
-        derived.circuit = conditioned
-        derived._db = child
-        derived._choices = _ChoiceView.from_parent(self._choices, child)
-        derived.total_valuations = count_total_valuations(child)
-        derived._count = derived.total_valuations - derived._falsifying
-        derived.num_matches = self.num_matches
-        derived.num_clauses = self.num_clauses
-        derived.heuristic_width = self.heuristic_width
-        derived.cache_entries = self.cache_entries
-        derived.components_split = self.components_split
-        derived._wire_bytes = None
-        return derived
-
-    @classmethod
-    def compile_componentwise(
-        cls,
-        db: IncompleteDatabase,
-        query: BooleanQuery,
-        components=None,
-    ) -> "ValuationCircuit":
-        """Compile by independent lineage components, reusing cached ones.
-
-        Model counts multiply across variable-disjoint CNF components, so
-        each component compiles on its own and the sub-circuits splice
-        under one product root — same answers as the monolithic
-        constructor, bit for bit.  ``components`` is an optional
-        component store (``get_component`` / ``put_component``; the
-        engine passes its :class:`~repro.engine.cache.CountCache`): an
-        insert/delete delta invalidates only the components whose
-        clauses changed, every other sub-DAG is a cache hit.
-        """
-        with _span("compile.encode", mode="val"):
-            encoding = compile_valuation_cnf(db, query)
-        circuit, falsifying, stats = _compile_cnf_components(
-            encoding.cnf, None, "val", components
+        live = {
+            (null, value)
+            for null in child.nulls
+            for value in child.domain_of(null)
+        }
+        total = count_total_valuations(child)
+        return self._build(
+            child,
+            [(pair, variable) for pair, variable in self._variables
+             if pair in live],
+            (total, self.num_matches),
+            conditioned,
+            total - falsifying,
+            (
+                self.num_clauses,
+                self.heuristic_width,
+                self.cache_entries,
+                self.components_split,
+            ),
         )
-        compiled = cls.__new__(cls)
-        compiled._falsifying = falsifying
-        compiled.circuit = circuit
-        compiled._db = db
-        compiled._choices = encoding.choices
-        compiled.total_valuations = encoding.total_valuations
-        compiled._count = encoding.count_from_models(falsifying)
-        compiled.num_matches = encoding.num_matches
-        compiled.num_clauses = len(encoding.cnf)
-        compiled.heuristic_width = stats["width"]
-        compiled.cache_entries = stats["cache_entries"]
-        compiled.components_split = stats["components_split"]
-        compiled._wire_bytes = None
-        return compiled
 
     # -- questions ---------------------------------------------------------
-
-    def count(self) -> int:
-        """``#Val(q)(D)`` — exact, big-int."""
-        return self._count
 
     def weighted_count(self, weights: NullWeights | None = None):
         """Weighted ``#Val``: each satisfying valuation counts its product
@@ -392,10 +469,27 @@ class ValuationCircuit:
         :func:`repro.db.valuation.resolve_null_weights` for the weight
         table conventions).  Exact for int/Fraction weights; equals
         :meth:`count` under ``weights=None``."""
-        resolved = resolve_null_weights(self._db, weights)
+        return self.weighted_count_many([weights])[0]
+
+    def weighted_count_many(
+        self, weight_rows: Sequence[NullWeights | None]
+    ) -> list:
+        """:meth:`weighted_count` for N weight tables in one batched pass:
+        the circuit's upward pass runs once with length-N columns
+        (:meth:`~repro.compile.circuit.DDNNF.evaluate_many`) instead of
+        once per table."""
+        resolved_rows = [
+            resolve_null_weights(self._db, row) for row in weight_rows
+        ]
         if self.total_valuations == 0:
-            return 0
-        return self._weighted_satisfying(resolved)
+            return [0] * len(resolved_rows)
+        falsifying = self.circuit.evaluate_many(
+            [self._variable_weights(resolved) for resolved in resolved_rows]
+        )
+        return [
+            self._weighted_total(resolved) - mass
+            for resolved, mass in zip(resolved_rows, falsifying)
+        ]
 
     def marginals(
         self, weights: NullWeights | None = None
@@ -409,73 +503,35 @@ class ValuationCircuit:
         valuation distribution; raises :class:`ValueError` when no
         valuation satisfies the query.
         """
-        resolved = resolve_null_weights(self._db, weights)
-        return self._marginal_table(*self._satisfying_pair_masses(resolved))
-
-    def _marginal_table(
-        self, satisfying, pair_counts
-    ) -> dict[Null, dict[Term, Fraction]]:
-        if not satisfying:
-            raise ValueError(
-                "no satisfying valuation has nonzero weight; "
-                "marginals are undefined"
-            )
-        table: dict[Null, dict[Term, Fraction]] = {}
-        for (null, value), _variable in self._choices.items():
-            table.setdefault(null, {})[value] = Fraction(
-                pair_counts[(null, value)]
-            ) / Fraction(satisfying)
-        return table
-
-    def weighted_count_many(
-        self, weight_rows: Sequence[NullWeights | None]
-    ) -> list:
-        """:meth:`weighted_count` for N weight tables in one batched pass.
-
-        Exactly ``[self.weighted_count(row) for row in weight_rows]`` —
-        the circuit's upward pass runs once with length-N columns
-        (:meth:`~repro.compile.circuit.DDNNF.evaluate_many`) instead of
-        once per table.
-        """
-        resolved_rows = [
-            resolve_null_weights(self._db, row) for row in weight_rows
-        ]
-        if not resolved_rows:
-            return []
-        if self.total_valuations == 0:
-            return [0] * len(resolved_rows)
-        falsifying = self.circuit.evaluate_many(
-            [self._variable_weights(resolved) for resolved in resolved_rows]
-        )
-        return [
-            self._weighted_total(resolved) - mass
-            for resolved, mass in zip(resolved_rows, falsifying)
-        ]
+        return self.marginals_many([weights])[0]
 
     def marginals_many(
         self, weight_rows: Sequence[NullWeights | None]
     ) -> list[dict[Null, dict[Term, Fraction]]]:
-        """:meth:`marginals` for N weight tables in one batched pass.
-
-        One batched upward+downward sweep
-        (:meth:`~repro.compile.circuit.DDNNF.literal_counts_many`)
-        replaces the per-table pass loop; each returned table equals the
-        scalar result exactly.
-        """
+        """:meth:`marginals` for N weight tables in one batched
+        upward+downward sweep
+        (:meth:`~repro.compile.circuit.DDNNF.literal_counts_many`)."""
         resolved_rows = [
             resolve_null_weights(self._db, row) for row in weight_rows
         ]
-        if not resolved_rows:
-            return []
         counts_rows = self.circuit.literal_counts_many(
             [self._variable_weights(resolved) for resolved in resolved_rows]
         )
-        return [
-            self._marginal_table(
-                *self._pair_masses_from_counts(resolved, counts)
-            )
-            for resolved, counts in zip(resolved_rows, counts_rows)
-        ]
+        tables = []
+        for resolved, counts in zip(resolved_rows, counts_rows):
+            satisfying, masses = self._pair_masses(resolved, counts)
+            if not satisfying:
+                raise ValueError(
+                    "no satisfying valuation has nonzero weight; "
+                    "marginals are undefined"
+                )
+            table: dict[Null, dict[Term, Fraction]] = {}
+            for (null, value), mass in masses.items():
+                table.setdefault(null, {})[value] = Fraction(
+                    mass
+                ) / Fraction(satisfying)
+            tables.append(table)
+        return tables
 
     def sample_valuation(
         self,
@@ -501,7 +557,9 @@ class ValuationCircuit:
         pinned: dict[Null, Term] = {}
         live = {null: dict(table) for null, table in resolved.items()}
         for null in self._db.nulls:
-            _satisfying, pair_counts = self._satisfying_pair_masses(live)
+            _satisfying, pair_counts = self._pair_masses(
+                live, self.circuit.literal_counts(self._variable_weights(live))
+            )
             values = sorted(live[null], key=repr)
             masses = [pair_counts[(null, value)] for value in values]
             if not sum(masses):
@@ -529,7 +587,7 @@ class ValuationCircuit:
         makes the model's weight the valuation's product.
         """
         table = {}
-        for (null, value), variable in self._choices.items():
+        for (null, value), variable in self._variables:
             table[variable] = (resolved[null].get(value, 0), 1)
         return table
 
@@ -539,34 +597,23 @@ class ValuationCircuit:
             total = total * sum(resolved[null].values())  # type: ignore[operator]
         return total
 
-    def _weighted_satisfying(self, resolved: dict):
-        """Weighted mass of the satisfying valuations: total - falsifying."""
-        falsifying = self.circuit.evaluate(self._variable_weights(resolved))
-        return self._weighted_total(resolved) - falsifying
-
-    def _satisfying_pair_masses(self, resolved: dict) -> tuple:
+    def _pair_masses(self, resolved: dict, counts: dict) -> tuple:
         """``(satisfying total, (null, value) -> weighted mass of
-        satisfying valuations with ν(null) = value)``, in two passes.
+        satisfying valuations with ν(null) = value)`` from the literal
+        counts of the complement circuit under ``resolved``.
 
         The pinned total factorizes (``w(⊥, c) · prod_others sum``); the
         falsifying share of the pin is the literal count of the pair's
-        choice variable in the complement circuit.  The satisfying total
-        rides the same pass: smoothness gives the falsifying total as
-        ``counts[v] + counts[-v]`` of any choice variable, so no separate
-        upward evaluation is needed.
+        choice variable.  The satisfying total rides the same pass:
+        smoothness gives the falsifying total as ``counts[v] +
+        counts[-v]`` of any choice variable, so no separate upward
+        evaluation is needed.
         """
-        counts = self.circuit.literal_counts(self._variable_weights(resolved))
-        return self._pair_masses_from_counts(resolved, counts)
-
-    def _pair_masses_from_counts(self, resolved: dict, counts: dict) -> tuple:
-        """The pair-mass arithmetic of :meth:`_satisfying_pair_masses`
-        applied to an already-computed literal-count table (which is how
-        the batched pass shares one sweep across N weight rows)."""
         totals = {
             null: sum(resolved[null].values()) for null in self._db.nulls
         }
         grand = self._weighted_total(resolved)
-        pairs = self._choices.items()
+        pairs = self._variables
         if pairs:
             _pair, any_variable = pairs[0]
             falsifying = counts[any_variable] + counts[-any_variable]
@@ -586,105 +633,34 @@ class ValuationCircuit:
             masses[(null, value)] = pinned_total - counts[variable]
         return grand - falsifying, masses
 
-    @property
-    def wire_bytes(self) -> int | None:
-        """Exact serialized size when the artifact crossed the wire."""
-        return self._wire_bytes
 
-    def memory_bytes(self) -> int:
-        """Resident size for cache accounting (circuit dominates).
-
-        The structural estimate is used for every circuit — a rehydrated
-        artifact occupies the same Python object graph as a local compile,
-        so accounting stays symmetric; the (smaller) wire size only ever
-        raises the figure, never lowers it.
-        """
-        estimate = self.circuit.memory_bytes() + 512
-        if self._wire_bytes is not None and self._wire_bytes > estimate:
-            return self._wire_bytes
-        return estimate
-
-    def __repr__(self) -> str:
-        return "ValuationCircuit(count=%d, %r)" % (self._count, self.circuit)
-
-
-class CompletionCircuit:
+class CompletionCircuit(_CircuitArtifact):
     """A compiled ``#Comp`` instance: the canonical-fact encoding's trace.
 
     The projected models of the recorded circuit are the completions of
     ``D`` (satisfying ``q`` when one was given), so beyond the exact
-    :meth:`count` the circuit also answers per-fact membership marginals
-    and samples completions uniformly — the completion-side analogues of
-    the :class:`ValuationCircuit` passes.
+    :meth:`count` the circuit also answers weighted counts, per-fact
+    membership marginals and uniform completion samples — the
+    completion-side analogues of the :class:`ValuationCircuit` passes.
     """
 
-    def __init__(
-        self,
-        db: IncompleteDatabase,
-        query: BooleanQuery | None = None,
-        reference: bool = False,
-    ) -> None:
-        with _span("compile.encode", mode="comp"):
-            encoding = compile_completion_cnf(db, query)
-        trace = TraceBuilder()
-        counter = ModelCounter(
-            encoding.cnf,
-            projection=encoding.projection,
-            trace=trace,
-            reference=reference,
-        )
-        self._count = counter.count()
-        assert counter.trace_root is not None
-        with _span("compile.trace_build"):
-            self.circuit = trace.build(
-                counter.trace_root,
-                encoding.cnf.num_variables,
-                countable=encoding.projection,
-            )
-        self._facts = encoding.facts
-        self.num_clauses = len(encoding.cnf)
-        stats = counter.stats()
-        self.heuristic_width = stats["width"]
-        self.cache_entries = stats["cache_entries"]
-        self.components_split = stats["components_split"]
-        self._sampler_cache: CircuitSampler | None = None
-        self._wire_bytes: int | None = None
-
-    # -- serialization -----------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """The artifact as a versioned binary payload (see
-        :meth:`ValuationCircuit.to_bytes` for the design)."""
-        writer = Writer()
-        writer.uint(self._count)
-        writer.uint(self.num_clauses)
-        _write_optional_uint(writer, self.heuristic_width)
-        writer.uint(self.cache_entries)
-        writer.uint(self.components_split)
-        with _span("compile.serialize", nodes=self.circuit.num_nodes):
-            writer.blob(dumps_circuit(self.circuit))
-        return frame(COMPLETION_MAGIC, writer.getvalue())
+    kind = "comp"
+    magic = b"RCMP"
+    #: The potential facts' variables (rebuilt after the choice block).
+    _variables: FactVariables
 
     @classmethod
-    def from_bytes(
-        cls, data: bytes, db: IncompleteDatabase
-    ) -> "CompletionCircuit":
-        """Rehydrate an artifact compiled (possibly elsewhere) for ``db``.
+    def _compile(cls, db, query, compile_cnf) -> tuple:
+        with _span("compile.encode", mode="comp"):
+            encoding = compile_completion_cnf(db, query)
+        circuit, count, stats = compile_cnf(encoding.cnf, encoding.projection)
+        return (
+            db, encoding.facts, (), circuit, count,
+            (len(encoding.cnf), *stats),
+        )
 
-        The fact-variable map is rebuilt deterministically (choice
-        variables first, then one variable per sorted potential fact,
-        exactly as the encoder allocates them); the projection check
-        rejects an artifact paired with the wrong database.
-        """
-        reader = Reader(unframe(data, COMPLETION_MAGIC))
-        count = reader.uint()
-        num_clauses = reader.uint()
-        heuristic_width = _read_optional_uint(reader)
-        cache_entries = reader.uint()
-        components_split = reader.uint()
-        circuit = loads_circuit(reader.blob())
-        reader.expect_end()
-
+    @staticmethod
+    def _rebind(db, circuit, header):
         cnf = CNF()
         ChoiceVariables(cnf, db)  # allocates the choice block first
         facts = FactVariables(cnf, db)
@@ -693,98 +669,9 @@ class CompletionCircuit:
                 "artifact projection does not match the database's "
                 "potential facts — wrong instance for this payload"
             )
-        compiled = cls.__new__(cls)
-        compiled._count = count
-        compiled.circuit = circuit
-        compiled._facts = facts
-        compiled.num_clauses = num_clauses
-        compiled.heuristic_width = heuristic_width
-        compiled.cache_entries = cache_entries
-        compiled.components_split = components_split
-        compiled._sampler_cache = None
-        compiled._wire_bytes = len(data)
-        return compiled
+        return facts
 
-    # -- deltas ------------------------------------------------------------
-
-    def condition_facts(
-        self, assignments: "Mapping[Fact, bool]"
-    ) -> "CompletionCircuit":
-        """Pin potential facts in or out of the counted completions.
-
-        A ``True`` fact is forced into every completion, a ``False`` one
-        excluded — one linear conditioning rewrite over the projected
-        circuit, answers identical to re-encoding with the pins as unit
-        clauses.  (Database *deltas* for ``#Comp`` change the potential
-        facts themselves and therefore recompile componentwise; this is
-        the pure conditioning move that stays within one instance.)
-        """
-        pinned = {
-            self._facts.var(fact): bool(value)
-            for fact, value in assignments.items()
-        }
-        with _span("delta.condition", kind="facts", pinned=len(pinned)):
-            conditioned = self.circuit.condition(pinned)
-            derived = CompletionCircuit.__new__(CompletionCircuit)
-            derived._count = conditioned.count()
-        _incr("delta.conditioning_passes")
-        derived.circuit = conditioned
-        derived._facts = self._facts
-        derived.num_clauses = self.num_clauses
-        derived.heuristic_width = self.heuristic_width
-        derived.cache_entries = self.cache_entries
-        derived.components_split = self.components_split
-        derived._sampler_cache = None
-        derived._wire_bytes = None
-        return derived
-
-    @classmethod
-    def compile_componentwise(
-        cls,
-        db: IncompleteDatabase,
-        query: BooleanQuery | None = None,
-        components=None,
-    ) -> "CompletionCircuit":
-        """Componentwise ``#Comp`` compile with component reuse (the
-        insert/delete delta path); see
-        :meth:`ValuationCircuit.compile_componentwise`.  Projected counts
-        multiply across variable-disjoint components just like full
-        counts, so the spliced circuit's answers match the monolithic
-        compile exactly."""
-        with _span("compile.encode", mode="comp"):
-            encoding = compile_completion_cnf(db, query)
-        circuit, count, stats = _compile_cnf_components(
-            encoding.cnf, encoding.projection, "comp", components
-        )
-        compiled = cls.__new__(cls)
-        compiled._count = count
-        compiled.circuit = circuit
-        compiled._facts = encoding.facts
-        compiled.num_clauses = len(encoding.cnf)
-        compiled.heuristic_width = stats["width"]
-        compiled.cache_entries = stats["cache_entries"]
-        compiled.components_split = stats["components_split"]
-        compiled._sampler_cache = None
-        compiled._wire_bytes = None
-        return compiled
-
-    def count(self) -> int:
-        """``#Comp(q)(D)`` — exact, big-int."""
-        return self._count
-
-    def fact_marginals(self) -> dict[Fact, Fraction]:
-        """``P[g ∈ C]`` for every potential fact ``g``, ``C`` uniform over
-        the counted completions.  Raises :class:`ValueError` on a count of
-        zero."""
-        if not self._count:
-            raise ValueError(
-                "no completion satisfies the query; marginals are undefined"
-            )
-        counts = self.circuit.literal_counts()
-        return {
-            fact: Fraction(counts[self._facts.var(fact)], self._count)
-            for fact in self._facts.facts()
-        }
+    # -- questions ---------------------------------------------------------
 
     def _fact_variable_weights(
         self, fact_weights: "Mapping[Fact, object] | None"
@@ -794,7 +681,7 @@ class CompletionCircuit:
         and ``1`` when it does not (unlisted facts always weigh 1)."""
         table = {}
         for fact, weight in (fact_weights or {}).items():
-            table[self._facts.var(fact)] = (weight, 1)
+            table[self._variables.var(fact)] = (weight, 1)
         return table
 
     def weighted_count(
@@ -804,7 +691,7 @@ class CompletionCircuit:
         of ``fact_weights[g]`` over the potential facts ``g`` it contains.
         Exact for int/Fraction weights; equals :meth:`count` when no
         weights are given."""
-        return self.circuit.evaluate(self._fact_variable_weights(fact_weights))
+        return self.weighted_count_many([fact_weights])[0]
 
     def weighted_count_many(
         self, fact_weight_rows: "Sequence[Mapping[Fact, object] | None]"
@@ -815,6 +702,12 @@ class CompletionCircuit:
             [self._fact_variable_weights(row) for row in fact_weight_rows]
         )
 
+    def fact_marginals(self) -> dict[Fact, Fraction]:
+        """``P[g ∈ C]`` for every potential fact ``g``, ``C`` uniform over
+        the counted completions.  Raises :class:`ValueError` on a count of
+        zero."""
+        return self.fact_marginals_many([None])[0]
+
     def fact_marginals_many(
         self, fact_weight_rows: "Sequence[Mapping[Fact, object] | None]"
     ) -> list[dict[Fact, Fraction]]:
@@ -824,11 +717,11 @@ class CompletionCircuit:
         counts_rows = self.circuit.literal_counts_many(
             [self._fact_variable_weights(row) for row in fact_weight_rows]
         )
-        facts = self._facts.facts()
+        facts = self._variables.facts()
         tables: list[dict[Fact, Fraction]] = []
         for counts in counts_rows:
             if facts:
-                anchor = self._facts.var(facts[0])
+                anchor = self._variables.var(facts[0])
                 # Smoothness: both polarities of any projected variable
                 # sum to the row's weighted completion total.
                 total = counts[anchor] + counts[-anchor]
@@ -840,11 +733,15 @@ class CompletionCircuit:
                     "marginals are undefined"
                 )
             tables.append({
-                fact: Fraction(counts[self._facts.var(fact)])
+                fact: Fraction(counts[self._variables.var(fact)])
                 / Fraction(total)
                 for fact in facts
             })
         return tables
+
+    @cached_property
+    def _sampler(self) -> CircuitSampler:
+        return self.circuit.sampler()
 
     def sample_completion(
         self, rng: random.Random | None = None, seed: int | None = None
@@ -852,30 +749,19 @@ class CompletionCircuit:
         """One completion, uniform over the counted completions."""
         if rng is None:
             rng = random.Random(seed)
-        if self._sampler_cache is None:
-            self._sampler_cache = self.circuit.sampler()
-        assignment = self._sampler_cache.sample(rng)
+        assignment = self._sampler.sample(rng)
+        facts = self._variables
         return frozenset(
-            fact
-            for fact in self._facts.facts()
-            if assignment.get(self._facts.var(fact))
+            fact for fact in facts.facts() if assignment.get(facts.var(fact))
         )
 
-    @property
-    def wire_bytes(self) -> int | None:
-        """Exact serialized size when the artifact crossed the wire."""
-        return self._wire_bytes
 
-    def memory_bytes(self) -> int:
-        """Resident size for cache accounting (circuit dominates); see
-        :meth:`ValuationCircuit.memory_bytes` for the symmetry rationale."""
-        estimate = self.circuit.memory_bytes() + 512
-        if self._wire_bytes is not None and self._wire_bytes > estimate:
-            return self._wire_bytes
-        return estimate
-
-    def __repr__(self) -> str:
-        return "CompletionCircuit(count=%d, %r)" % (self._count, self.circuit)
+#: The artifact class of each problem kind (engine stores, the wire codec
+#: and :func:`explain` all dispatch through it).
+ARTIFACTS: dict[str, type[_CircuitArtifact]] = {
+    "val": ValuationCircuit,
+    "comp": CompletionCircuit,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -938,11 +824,13 @@ def _compile_cnf_components(
     projection,
     kind: str,
     components,
-) -> tuple[DDNNF, int, dict]:
+) -> tuple[DDNNF, int, tuple]:
     """Compile a CNF one clause-component at a time and splice the parts.
 
-    Returns ``(circuit, model_count, stats)``; the count is the (projected
-    when ``projection`` is given) model count of the whole CNF, exact.
+    Returns ``(circuit, model_count, stats)`` like :func:`_trace_compile`;
+    the count is the (projected when ``projection`` is given) model count
+    of the whole CNF, exact, and ``stats`` is ``(widest component's
+    heuristic width, summed cache entries, number of components)``.
     ``components`` is an optional store with ``get_component`` /
     ``put_component`` keyed by :func:`~repro.compile.lineage.component_key`
     — components unchanged across database versions are reused without
@@ -960,9 +848,7 @@ def _compile_cnf_components(
             range(1, num_variables + 1)
             if projection_set is None else projection_set,
         )
-        return circuit, 0, {
-            "width": None, "cache_entries": 0, "components_split": 0,
-        }
+        return circuit, 0, (None, 0, 0)
     with _span("delta.splice", mode=kind, clauses=len(all_clauses)):
         parts = clause_components(num_variables, all_clauses)
         code: list[int] = []
@@ -996,35 +882,20 @@ def _compile_cnf_components(
                     )
                     for clause in clauses
                 ]
-                local_cnf = CNF(len(variables), local_clauses)
-                local_projection = (
-                    None if projection_set is None
-                    else frozenset(local[v] for v in countable_globals)
-                )
-                trace = TraceBuilder()
-                counter = ModelCounter(
-                    local_cnf, projection=local_projection, trace=trace
-                )
-                local_count = counter.count()
-                assert counter.trace_root is not None
-                if local_projection is None:
-                    local_circuit = trace.build(
-                        counter.trace_root, local_cnf.num_variables
+                local_circuit, local_count, (local_width, local_cache, _) = (
+                    _trace_compile(
+                        CNF(len(variables), local_clauses),
+                        None if projection_set is None
+                        else frozenset(local[v] for v in countable_globals),
                     )
-                else:
-                    local_circuit = trace.build(
-                        counter.trace_root,
-                        local_cnf.num_variables,
-                        countable=local_projection,
-                    )
-                stats = counter.stats()
+                )
                 entry = {
                     "code": local_circuit._code,
                     "offsets": local_circuit._offsets,
                     "root": local_circuit.root,
                     "count": local_count,
-                    "width": stats["width"],
-                    "cache_entries": stats["cache_entries"],
+                    "width": local_width,
+                    "cache_entries": local_cache,
                 }
                 if put_component is not None:
                     put_component(key, entry)
@@ -1084,11 +955,7 @@ def _compile_cnf_components(
         circuit._count = total
     _incr("delta.components.reused", reused)
     _incr("delta.components.recompiled", recompiled)
-    return circuit, total, {
-        "width": width,
-        "cache_entries": cache_entries,
-        "components_split": len(parts),
-    }
+    return circuit, total, (width, cache_entries, len(parts))
 
 
 def artifact_from_bytes(
@@ -1101,10 +968,9 @@ def artifact_from_bytes(
     :class:`~repro.compile.serialize.CircuitFormatError` on anything that
     is not a trustworthy wrapper payload for ``db``.
     """
-    if data[:4] == VALUATION_MAGIC:
-        return ValuationCircuit.from_bytes(data, db)
-    if data[:4] == COMPLETION_MAGIC:
-        return CompletionCircuit.from_bytes(data, db)
+    for artifact in ARTIFACTS.values():
+        if data[:4] == artifact.magic:
+            return artifact.from_bytes(data, db)
     raise CircuitFormatError(
         "bad magic %r: not a circuit artifact" % (bytes(data[:4]),)
     )
@@ -1150,7 +1016,7 @@ def valuation_marginals_recount(
 
 @dataclass
 class LineageReport:
-    """Size and difficulty statistics of one lineage compilation."""
+    """Size and difficulty statistics of one compiled artifact."""
 
     mode: str
     count: int
@@ -1159,60 +1025,40 @@ class LineageReport:
     heuristic_width: int | None
     cache_entries: int
     components_split: int
-    circuit_nodes: int | None = None
-    circuit_edges: int | None = None
+    circuit_nodes: int
+    circuit_edges: int
 
 
-def explain_completions(
-    db: IncompleteDatabase, query: BooleanQuery | None = None
-) -> LineageReport:
-    """Run the ``#Comp`` backend and report what the counter saw."""
-    encoding = compile_completion_cnf(db, query)
-    counter = ModelCounter(encoding.cnf, projection=encoding.projection)
-    return _report("comp", counter.count(), encoding.cnf, counter)
-
-
-def explain_valuations_circuit(
-    db: IncompleteDatabase, query: BooleanQuery
-) -> tuple[LineageReport, ValuationCircuit]:
-    """Compile the circuit pipeline and report both search and circuit."""
-    compiled = ValuationCircuit(db, query)
+def explain(
+    kind: str, db: IncompleteDatabase, query: BooleanQuery | None = None
+) -> tuple[LineageReport, Any]:
+    """Compile ``(db, query)`` as a ``kind`` (``'val'``/``'comp'``)
+    artifact; report what the counter saw and what it recorded."""
+    compiled = ARTIFACTS[kind](db, query)
+    circuit = compiled.circuit
     report = LineageReport(
-        mode="val",
+        mode=kind,
         count=compiled.count(),
-        num_variables=compiled.circuit.num_variables,
+        num_variables=circuit.num_variables,
         num_clauses=compiled.num_clauses,
         heuristic_width=compiled.heuristic_width,
         cache_entries=compiled.cache_entries,
         components_split=compiled.components_split,
-        circuit_nodes=compiled.circuit.num_nodes,
-        circuit_edges=compiled.circuit.num_edges,
+        circuit_nodes=circuit.num_nodes,
+        circuit_edges=circuit.num_edges,
     )
     return report, compiled
 
 
-def _report(mode, count, cnf, counter) -> LineageReport:
-    stats = counter.stats()
-    return LineageReport(
-        mode=mode,
-        count=count,
-        num_variables=cnf.num_variables,
-        num_clauses=len(cnf),
-        heuristic_width=stats["width"],
-        cache_entries=stats["cache_entries"],
-        components_split=stats["components_split"],
-    )
-
-
 __all__ = [
+    "ARTIFACTS",
     "artifact_from_bytes",
     "count_valuations_lineage",
     "count_completions_lineage",
     "ValuationCircuit",
     "CompletionCircuit",
     "valuation_marginals_recount",
-    "explain_completions",
-    "explain_valuations_circuit",
+    "explain",
     "LineageReport",
     "lineage_supports",
 ]

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.compile.backend import CompletionCircuit, ValuationCircuit
+from repro.compile.backend import ARTIFACTS
 from repro.core.query import BooleanQuery
 from repro.db.deltas import delta_chain, resolution_only
 from repro.db.incomplete import IncompleteDatabase
@@ -65,11 +65,7 @@ def instance_circuit(
             )
         if circuit is not None:
             return circuit
-    compiled = (
-        CompletionCircuit(db, query)
-        if kind == "comp"
-        else ValuationCircuit(db, query)  # type: ignore[arg-type]
-    )
+    compiled = ARTIFACTS[kind](db, query)
     if fingerprint is not None:
         store.put_circuit(fingerprint, compiled)
     return compiled
@@ -117,9 +113,8 @@ def derive_instance_circuit(
             for delta in deltas:
                 circuit = circuit.condition(delta)
         else:
-            compiler = CompletionCircuit if kind == "comp" else ValuationCircuit
-            circuit = compiler.compile_componentwise(
-                db, query, components=circuits  # type: ignore[arg-type]
+            circuit = ARTIFACTS[kind].compile_componentwise(
+                db, query, components=circuits
             )
     _incr("delta.derivations")
     _event(

@@ -25,7 +25,6 @@ from repro.core.query import Atom, BCQ
 from repro.db.fact import Fact
 from repro.db.incomplete import IncompleteDatabase
 from repro.db.terms import Null
-from repro.exact.brute import count_completions_brute
 from repro.graphs.graph import Graph
 
 QUERY = BCQ([Atom("R", ["x", "x"])])
@@ -55,8 +54,17 @@ def build_gap_db(graph: Graph) -> IncompleteDatabase:
     return IncompleteDatabase.uniform(facts, (1, 2, 3))
 
 
+def _solve_completions(db: IncompleteDatabase, query: BCQ) -> int:
+    """The default exact oracle: ``#Comp(q)(D)`` through :func:`repro.solve`
+    (imported per call: the reductions do not depend on the planner at
+    import time)."""
+    from repro.exact.dispatch import solve
+
+    return solve("comp", db, query).count
+
+
 def is_three_colorable_via_completions(
-    graph: Graph, oracle: Oracle = count_completions_brute
+    graph: Graph, oracle: Oracle = _solve_completions
 ) -> bool:
     """Decide 3-colorability from an exact ``#Compu`` oracle: the gadget
     has 8 completions iff ``G`` is 3-colorable, 7 otherwise."""

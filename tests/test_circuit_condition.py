@@ -13,11 +13,16 @@ from fractions import Fraction
 
 import pytest
 
-from repro.compile.backend import CompletionCircuit, ValuationCircuit
+from repro.compile.backend import (
+    CompletionCircuit,
+    ValuationCircuit,
+    artifact_from_bytes,
+)
 from repro.compile.circuit import DDNNF
 from repro.compile.lineage import clause_components, component_key
 from repro.complexity.cnf import CNF, count_models_brute
 from repro.compile.ddnnf_trace import TraceBuilder
+from repro.compile.encode import compile_completion_cnf, compile_valuation_cnf
 from repro.compile.sharpsat import ModelCounter
 from repro.core.query import Atom, BCQ
 from repro.db.deltas import (
@@ -29,8 +34,14 @@ from repro.db.deltas import (
 from repro.db.fact import Fact
 from repro.db.incomplete import IncompleteDatabase
 from repro.db.terms import Null
+from repro.db.valuation import count_total_valuations
 from repro.exact import planner
-from repro.workloads.generators import random_incomplete_db
+from repro.workloads.generators import (
+    random_incomplete_db,
+    scaling_block_comp_instance,
+    scaling_hard_comp_instance,
+    scaling_hard_val_instance,
+)
 
 QUERY = BCQ([Atom("R", ["x", "y"]), Atom("S", ["y"])])
 SCHEMA = {"R": 2, "S": 1}
@@ -341,16 +352,165 @@ def test_count_delta_helpers_require_and_use_provenance():
     ).count()
 
 
-def test_completion_condition_facts_partitions_the_count():
-    db = random_incomplete_db(
-        {"R": 1}, seed=9, num_nulls=2, facts_per_relation=(2, 3),
-        domain_size=3,
+# -- every construction path answers like a fresh compile -------------------
+
+PATHS = (
+    "compile", "componentwise", "conditioned",
+    "rehydrated", "rehydrated-componentwise",
+)
+
+
+class Components(dict):
+    """A bare component store (the engine passes its ``CountCache``)."""
+
+    get_component = dict.get
+    put_component = dict.__setitem__
+
+
+def stats_of(artifact):
+    names = ("num_clauses", "heuristic_width", "cache_entries",
+             "components_split") + artifact.header
+    return {name: getattr(artifact, name) for name in names}
+
+
+def encoded(kind, db, query):
+    """``(cnf, projection, header fields)`` of the kind's encoding."""
+    if kind is ValuationCircuit:
+        encoding = compile_valuation_cnf(db, query)
+        return encoding.cnf, None, {
+            "total_valuations": encoding.total_valuations,
+            "num_matches": encoding.num_matches,
+        }
+    encoding = compile_completion_cnf(db, query)
+    return encoding.cnf, encoding.projection, {}
+
+
+def compile_stats(kind, db, query):
+    """The stats a compile of ``(db, query)`` reports: the encoding's
+    size and the trace-recording counter's own statistics."""
+    cnf, projection, header = encoded(kind, db, query)
+    counter = ModelCounter(cnf, projection=projection, trace=TraceBuilder())
+    counter.count()
+    stats = counter.stats()
+    return dict(
+        header,
+        num_clauses=len(cnf),
+        heuristic_width=stats["width"],
+        cache_entries=stats["cache_entries"],
+        components_split=stats["components_split"],
     )
-    circuit = CompletionCircuit(db, None)
-    fact = sorted(circuit._facts.facts())[0]
-    with_fact = circuit.condition_facts({fact: True})
-    without = circuit.condition_facts({fact: False})
-    assert with_fact.count() + without.count() == circuit.count()
+
+
+def built_along(path, kind, db, query, delta=None):
+    """The artifact of ``db.apply(delta)`` built along ``path``, and the
+    stats it must report: a compile's, the parent compile's for a
+    conditioned artifact (with the child's valuation total), the
+    splice's for a componentwise one, and unchanged after a round trip
+    through bytes."""
+    instance = db if delta is None else db.apply(delta)
+    if path == "conditioned":
+        return kind(db, query).condition(delta), dict(
+            compile_stats(kind, db, query),
+            total_valuations=count_total_valuations(instance),
+        )
+    expected = compile_stats(kind, instance, query)
+    if path.endswith("componentwise"):
+        store = Components()
+        built = kind.compile_componentwise(instance, query, components=store)
+        # A warm store reuses every component with its recorded stats.
+        warm = kind.compile_componentwise(instance, query, components=store)
+        cnf = encoded(kind, instance, query)[0]
+        expected.update(
+            heuristic_width=warm.heuristic_width,
+            cache_entries=warm.cache_entries,
+            components_split=len(
+                clause_components(cnf.num_variables, list(cnf.clauses))
+            ),
+        )
+    else:
+        built = kind(instance, query)
+    if path.startswith("rehydrated"):
+        built = artifact_from_bytes(built.to_bytes(), instance)
+    return built, expected
+
+
+def val_cases():
+    db, query = scaling_hard_val_instance(8, seed=1)
+    first = db.nulls[0]
+    yield db, query, ResolveNull(first, sorted(db.domain_of(first))[0])
+    for seed in (3, 5):
+        db = random_update_db(seed)
+        null = sorted(db.nulls, key=repr)[0]
+        domain = sorted(db.domain_of(null), key=repr)
+        yield db, QUERY, RestrictDomain(null, frozenset(domain[:2]))
+
+
+def weight_rows(db, count):
+    rng = random.Random(count)
+    return [
+        {
+            null: {
+                value: rng.randint(1, 4)
+                for value in sorted(db.domain_of(null), key=repr)
+            }
+            for null in db.nulls
+        }
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("case", range(3))
+def test_valuation_paths_answer_like_a_fresh_compile(path, case):
+    db, query, delta = list(val_cases())[case]
+    built, expected = built_along(path, ValuationCircuit, db, query, delta)
+    instance = db.apply(delta)
+    fresh = ValuationCircuit(instance, query)
+    assert stats_of(built) == expected
+    assert built.count() == fresh.count()
+    rows = weight_rows(instance, 200)
+    assert built.weighted_count(rows[0]) == fresh.weighted_count(rows[0])
+    assert built.weighted_count_many(rows) == fresh.weighted_count_many(rows)
+    if fresh.count():
+        assert built.marginals(rows[1]) == fresh.marginals(rows[1])
+        assert built.sample_valuation(
+            seed=7, weights=rows[2]
+        ) == fresh.sample_valuation(seed=7, weights=rows[2])
+
+
+def comp_cases():
+    yield scaling_hard_comp_instance(6, seed=6)
+    yield scaling_block_comp_instance(4, seed=1)
+    yield random_incomplete_db(
+        {"R": 1, "S": 1}, seed=4, num_nulls=3,
+        facts_per_relation=(1, 3), domain_size=3,
+    ), BCQ([Atom("R", ["x"]), Atom("S", ["x"])])
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in PATHS if path != "conditioned"]
+)
+@pytest.mark.parametrize("case", range(3))
+def test_completion_paths_answer_like_a_fresh_compile(path, case):
+    db, query = list(comp_cases())[case]
+    built, expected = built_along(path, CompletionCircuit, db, query)
+    fresh = CompletionCircuit(db, query)
+    assert stats_of(built) == expected
+    assert built.count() == fresh.count()
+    facts = compile_completion_cnf(db, query).facts.facts()
+    rng = random.Random(case)
+    rows = [
+        {fact: rng.randint(1, 4) for fact in facts if rng.random() < 0.5}
+        for _ in range(200)
+    ]
+    assert built.weighted_count(rows[0]) == fresh.weighted_count(rows[0])
+    assert built.weighted_count_many(rows) == fresh.weighted_count_many(rows)
+    if fresh.count():
+        assert built.fact_marginals() == fresh.fact_marginals()
+        for seed in range(3):
+            assert built.sample_completion(
+                seed=seed
+            ) == fresh.sample_completion(seed=seed)
 
 
 # -- component keys ----------------------------------------------------------

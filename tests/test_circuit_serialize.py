@@ -280,6 +280,42 @@ class TestArtifactDispatch:
         with pytest.raises(CircuitFormatError, match="magic"):
             artifact_from_bytes(b"JUNKJUNKJUNKJUNK", db)
 
+    @pytest.mark.parametrize("componentwise", [False, True])
+    def test_both_kinds_round_trip_byte_for_byte(self, componentwise):
+        db, query = scaling_hard_val_instance(8, seed=1)
+        cdb, cquery = scaling_hard_comp_instance(6, seed=2)
+        for kind, instance, q in (
+            (ValuationCircuit, db, query),
+            (CompletionCircuit, cdb, cquery),
+            (CompletionCircuit, cdb, None),
+        ):
+            compiled = (
+                kind.compile_componentwise(instance, q)
+                if componentwise else kind(instance, q)
+            )
+            data = compiled.to_bytes()
+            restored = artifact_from_bytes(data, instance)
+            assert type(restored) is kind
+            assert restored.count() == compiled.count()
+            assert restored.to_bytes() == data
+
+    def test_conditioned_artifact_refuses_to_serialize(self):
+        # Conditioning keeps the parent's variable universe; rehydration
+        # rebuilds the child's own, so no instance would accept the
+        # payload.  to_bytes fails at the source instead.
+        from repro.db.deltas import ResolveNull, RestrictDomain
+
+        db, query = scaling_hard_val_instance(8, seed=1)
+        null = db.nulls[0]
+        domain = sorted(db.domain_of(null))
+        parent = ValuationCircuit(db, query)
+        for delta in (
+            ResolveNull(null, domain[0]),
+            RestrictDomain(null, frozenset(domain[:2])),
+        ):
+            with pytest.raises(ValueError, match="conditioned artifact"):
+                parent.condition(delta).to_bytes()
+
     def test_bare_circuit_payload_is_not_a_wrapper(self):
         db, query = scaling_hard_val_instance(8, seed=4)
         bare = dumps_circuit(ValuationCircuit(db, query).circuit)

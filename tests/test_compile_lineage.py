@@ -9,8 +9,7 @@ from repro.compile import (
     count_completions_lineage,
     count_valuations_lineage,
     enumerate_valuation_matches,
-    explain_completions,
-    explain_valuations_circuit,
+    explain,
 )
 from repro.compile.variables import instantiations
 from repro.core.query import Atom, BCQ, Const, CustomQuery, Negation, UCQ
@@ -144,9 +143,7 @@ class TestValuationEncoding:
 
     def test_explain_reports_sizes(self):
         db = _figure1_db()
-        report, _compiled = explain_valuations_circuit(
-            db, BCQ([Atom("S", ["x", "x"])])
-        )
+        report, _compiled = explain("val", db, BCQ([Atom("S", ["x", "x"])]))
         assert report.mode == "val"
         assert report.count == count_valuations_brute(
             db, BCQ([Atom("S", ["x", "x"])])
@@ -202,6 +199,7 @@ class TestCompletionEncoding:
 
     def test_explain_reports_projected_mode(self):
         db = _figure1_db()
-        report = explain_completions(db, None)
+        report, _compiled = explain("comp", db, None)
         assert report.mode == "comp"
         assert report.count == count_completions_brute(db, None)
+        assert report.circuit_nodes > 0

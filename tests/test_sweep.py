@@ -159,7 +159,7 @@ class TestBatchedCompletionPasses:
         db, query = _random_instance(seed)
         compiled = CompletionCircuit(db, query)
         rng = random.Random(seed)
-        facts = list(compiled._facts.facts())
+        facts = list(compiled._variables.facts())
         rows = [None, {}] + [
             {fact: rng.randrange(-2, 5) for fact in facts[::2]}
             for _ in range(6)
@@ -173,7 +173,7 @@ class TestBatchedCompletionPasses:
         db, query = _random_instance(3)
         compiled = CompletionCircuit(db, query)
         rng = random.Random(3)
-        facts = list(compiled._facts.facts())
+        facts = list(compiled._variables.facts())
         rows = [None] + [
             {fact: rng.randrange(1, 4) for fact in facts}
             for _ in range(4)
@@ -184,11 +184,11 @@ class TestBatchedCompletionPasses:
             # Scalar reference: one weighted downward pass per row.
             weights = compiled._fact_variable_weights(row)
             counts = compiled.circuit.literal_counts(weights)
-            anchor = compiled._facts.var(facts[0])
+            anchor = compiled._variables.var(facts[0])
             total = counts[anchor] + counts[-anchor]
             for fact in facts:
                 expected = Fraction(
-                    counts[compiled._facts.var(fact)]
+                    counts[compiled._variables.var(fact)]
                 ) / Fraction(total)
                 assert table[fact] == expected
 
