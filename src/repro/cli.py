@@ -668,16 +668,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_plan.add_argument(
         "--problem",
-        choices=("val", "comp", "val-weighted", "marginals", "sweep"),
+        choices=planner.PROBLEMS,
         default="val",
         help="problem kind the plan is for (default val)",
     )
     p_plan.add_argument("--db", required=True, help="database file")
     p_plan.add_argument("--query", help="query text (optional for comp)")
     p_plan.add_argument(
-        "--method",
-        default="auto",
-        help="auto | poly | a concrete method name (forced)",
+        "--method", default="auto", help=_method_help(*planner.PROBLEMS)
     )
     p_plan.add_argument(
         "--json",

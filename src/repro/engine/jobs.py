@@ -28,6 +28,7 @@ from repro.db.incomplete import IncompleteDatabase
 from repro.engine.cache import CountCache
 from repro.exact.brute import DEFAULT_BUDGET
 from repro.exact.dispatch import solve
+from repro.exact.planner import check_weights
 from repro.obs import capture as _capture
 
 #: Problem kinds the engine understands.
@@ -39,11 +40,6 @@ PROBLEMS = (
 #: Registry methods that answer from a compiled circuit, and so read,
 #: derive into and fill the engine's circuit store.
 CIRCUIT_METHODS = ("circuit", "delta")
-
-#: Problems whose ``weights`` knob is meaningful: the scalar circuit
-#: problems take one per-null table, ``sweep`` takes a *sequence* of
-#: tables (one answer each).
-WEIGHTED_PROBLEMS = ("val-weighted", "marginals", "sweep")
 
 
 @dataclass(frozen=True)
@@ -106,17 +102,10 @@ class CountJob:
             object.__setattr__(self, "deltas", chain)
         elif self.deltas:
             raise ValueError("deltas only apply to problem 'update'")
+        check_weights(self.problem, self.weights)
         if self.problem == "sweep":
-            if self.weights is None or isinstance(self.weights, Mapping):
-                raise ValueError(
-                    "'sweep' takes a sequence of per-null weight tables"
-                )
             # Normalized to a tuple so the job stays a hashable value.
-            object.__setattr__(self, "weights", tuple(self.weights))
-        elif self.weights is not None and self.problem not in WEIGHTED_PROBLEMS:
-            raise ValueError(
-                "weights only apply to problems %s" % (WEIGHTED_PROBLEMS,)
-            )
+            object.__setattr__(self, "weights", tuple(self.weights))  # type: ignore[arg-type]
 
 
 @dataclass

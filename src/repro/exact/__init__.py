@@ -10,9 +10,10 @@
   case (unary schemas, uniform domain), with the warm-up closed forms.
 * :mod:`repro.exact.completion_check` — Lemma B.2 certificate check for
   Codd tables (bipartite matching).
-* :mod:`repro.exact.planner` — the method registry: every algorithm with
-  its applicability and runner, in preference order;
-  :func:`~repro.exact.planner.plan` picks one per question.
+* :mod:`repro.exact.planner` — the method registry: every algorithm
+  once, with its applicability and one runner per problem kind, in
+  preference order; :func:`~repro.exact.planner.plan` picks one per
+  question.
 * :mod:`repro.exact.dispatch` — :func:`solve`, the one front door (plan
   once, run the chosen method), and the ``count_*`` wrappers over it.
 """

@@ -3,19 +3,21 @@
 :func:`solve` is the one front door: ``solve(problem, db, query,
 method=..., weights=..., budget=..., store=...)`` plans the instance once
 through the solver planner (:mod:`repro.exact.planner`) — a registry in
-which every algorithm declares its problem kinds, applicability
-conditions and capability flags, in preference order — executes the
-chosen entry, and returns a structured :class:`Answer` carrying the count,
-the explainable :class:`Plan`, wall seconds, and the observability stats
-captured while planning and running.  The CLI and every batch-engine job
-answer through it; the engine passes its cache as the circuit ``store``.
-The per-problem functions (``count_valuations`` / ``count_completions`` /
+which every algorithm is registered once, with its applicability
+conditions and one runner per problem kind it serves, in one preference
+order — executes the chosen entry, and returns a structured
+:class:`Answer` carrying the count, the explainable :class:`Plan`, wall
+seconds, and the observability stats captured while planning and
+running.  The CLI and every batch-engine job answer through it; the
+engine passes its cache as the circuit ``store``.  The per-problem
+functions (``count_valuations`` / ``count_completions`` /
 :func:`count_valuations_weighted` / :func:`count_valuations_sweep`) are
-thin wrappers over :func:`solve`.  There is no per-method conditional
-here: adding a solver is one :func:`repro.exact.planner.register` call
-(it joins the end of its problem's order), and ``repro-count plan``
-prints the full decision (chosen method, rows passed over and not
-reached, rejected alternatives, reasons) for any instance.
+thin wrappers over :func:`solve`; a ``val-weighted`` question is the
+one-row ``sweep``.  There is no per-method conditional here: adding a
+solver is one :func:`repro.exact.planner.register` call (it joins the
+end of the preference order), and ``repro-count plan`` prints the full
+decision (chosen method, rows passed over and not reached, rejected
+alternatives, reasons) for any instance.
 
 Method vocabulary (see the registry for the authoritative table):
 
@@ -115,17 +117,21 @@ def solve(
     vocabulary (``'auto'``, ``'poly'`` where offered, or a concrete
     method name); ``weights`` is one per-null weight table for the
     weighted problems and a *sequence* of tables for ``'sweep'``;
-    ``budget`` only limits ``brute``.  ``store`` is an optional circuit
+    ``budget`` only limits ``brute``; the planner answers
+    ``val-weighted`` as the ``sweep`` of the one row ``[weights]``.
+    ``store`` is an optional circuit
     store (the batch engine passes its
     :class:`~repro.engine.cache.CountCache`): circuit-backed methods read
     the instance's circuit from it, derive it from a cached delta
     ancestor, or compile and install it.
 
-    Raises :class:`ValueError` for an unknown problem or method,
+    Raises :class:`ValueError` for an unknown problem or method, or
+    for ``weights`` the problem cannot use (the check an engine job
+    makes, :func:`repro.exact.planner.check_weights`), and
     :class:`NoPolynomialAlgorithm` when ``method='poly'`` hits a #P-hard
-    cell — exactly the errors the per-problem wrappers have always
-    raised.
+    cell.
     """
+    planner.check_weights(problem, weights)
     with _capture() as captured:
         built = planner.plan(problem, db, query, method)
         if built.chosen is None:

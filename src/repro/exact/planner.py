@@ -2,22 +2,25 @@
 
 Every exact algorithm in the repo — the closed-form Table 1 cells, delta
 conditioning, the tree-decomposition DP, the lineage #SAT backend, the
-d-DNNF circuit pipeline, brute enumeration — is registered here as a
-:class:`Method` with
+d-DNNF circuit pipeline, brute enumeration — is registered here once, as
+a :class:`Method` with
 
-* the **problem kinds** it serves (``val``, ``comp``, ``val-weighted``,
-  ``marginals``, ``sweep``),
-* an **applicability predicate** returning a human-readable reason either
-  way (the dichotomy conditions, database shape, query class),
-* **capability flags** (polynomial? weighted counting? marginals?),
-* an optional **preference gate** ``prefer(D, q) -> (take it?, detail)``
-  that ``auto`` asks only when it reaches the row (the dpdb width probe,
-  the shape of a delta chain),
-* the **solver callable** itself.
+* one **runner per problem kind** it serves (``val``, ``comp``,
+  ``marginals``, ``sweep``); ``val-weighted`` is the one-row ``sweep``,
+  planned on the ``sweep`` rows and answered as ``sweep([weights])[0]``,
+* an **applicability predicate** ``applies(kind, D, q)`` returning a
+  human-readable reason either way (the dichotomy conditions, database
+  shape, query class),
+* a **polynomial** flag; the weights and marginals flags are read off
+  the kinds served (``sweep`` and ``marginals``),
+* an optional **preference gate** ``prefer(kind, D, q) -> (take it?,
+  detail)`` that ``auto`` asks only when it reaches the row (the dpdb
+  width probe, the shape of a delta chain).
 
-Registration order is preference order.  Each problem registers its
+Registration order is preference order, one order for every kind: the
 Table 1 closed forms first (a purely syntactic check settles them), then
-``delta``, ``dpdb``, ``lineage``, ``circuit`` and ``brute``.
+``delta``, ``dpdb``, ``lineage``, ``circuit`` and ``brute``.  A kind's
+rows are that order filtered by kind.
 
 :func:`plan` turns ``(problem, D, q, method)`` into an explainable
 :class:`Plan`: every row's applicability with its reason, the chosen
@@ -35,8 +38,8 @@ optional circuit ``store`` (the engine's
 :func:`repro.engine.incremental.instance_circuit`.
 :func:`repro.exact.dispatch.solve` is the one caller of the pair — the
 CLI and every batch-engine job answer through it.  A new solver is one
-:func:`register` call; it joins the end of its problem's order, so
-``auto`` reaches it only where no earlier row applies.
+:func:`register` call; it joins the end of the order, so ``auto``
+reaches it only where no earlier row applies.
 """
 
 from __future__ import annotations
@@ -84,35 +87,46 @@ class NoPolynomialAlgorithm(ValueError):
 #: them in a single vectorized pass).
 PROBLEMS = ("val", "comp", "val-weighted", "marginals", "sweep")
 
+#: The kinds a method registers runners for, and the kind that answers
+#: each problem: ``val-weighted`` is the one-row ``sweep``.
+_KINDS = ("val", "comp", "marginals", "sweep")
+_KIND = {kind: kind for kind in _KINDS} | {"val-weighted": "sweep"}
+
 #: Problems for which ``method='poly'`` is a valid request (the weighted
 #: and marginal problems never offered a poly mode; keep their method
 #: vocabulary unchanged).
 _POLY_PROBLEMS = frozenset({"val", "comp"})
 
-Applies = Callable[[IncompleteDatabase, BooleanQuery | None], "tuple[bool, str]"]
+#: Problems whose ``weights`` knob is meaningful: ``val-weighted`` and
+#: ``marginals`` take one per-null table, ``sweep`` a *sequence* of them.
+_WEIGHTED_PROBLEMS = ("val-weighted", "marginals", "sweep")
+
+Applies = Callable[
+    [str, IncompleteDatabase, BooleanQuery | None], "tuple[bool, str]"
+]
 Prefer = Callable[
-    [IncompleteDatabase, BooleanQuery | None],
+    [str, IncompleteDatabase, BooleanQuery | None],
     "tuple[bool, Mapping[str, Any] | None]",
 ]
-Run = Callable[..., Any]
+Run = Callable[[IncompleteDatabase, BooleanQuery | None, Any, Any, Any], Any]
 
 
 @dataclass(frozen=True)
 class Method:
-    """One registered solver: capabilities, applicability, entry point."""
+    """One registered solver: a runner per problem kind, applicability,
+    preference gate and fallback."""
 
     name: str
-    problem: str
     description: str
     polynomial: bool
-    supports_weights: bool
-    supports_marginals: bool
+    #: ``kind -> run(D, q, budget, weights, store)`` for every problem
+    #: kind the method serves (``sweep`` also answers ``val-weighted``).
+    runs: Mapping[str, Run]
     applies: Applies
-    run: Run
     #: Method to degrade to when this one is *forced* on an instance it
-    #: cannot handle; a forced plan follows the chain until a method
-    #: applies (``None``: honor the forced choice and let the solver
-    #: raise its own error).
+    #: cannot handle; a forced plan follows the chain, through methods
+    #: serving the plan's kind, until a method applies (``None``: honor
+    #: the forced choice and let the solver raise its own error).
     fallback: str | None = None
     #: Optional preference gate ``(take it?, detail)``, asked only when
     #: ``auto`` reaches this applicable row; a failed gate passes the row
@@ -120,35 +134,67 @@ class Method:
     #: surfaces in :class:`Plan` rows and ``repro-count plan --json``.
     prefer: Prefer | None = None
 
+    @property
+    def supports_weights(self) -> bool:
+        """Whether the method answers weighted ``#Val`` (serves ``sweep``)."""
+        return "sweep" in self.runs
 
-#: problem -> method name -> registration, in registration order.
-_REGISTRY: dict[str, dict[str, Method]] = {problem: {} for problem in PROBLEMS}
+    @property
+    def supports_marginals(self) -> bool:
+        """Whether the method answers per-null marginals."""
+        return "marginals" in self.runs
+
+
+#: method name -> registration, in preference order.
+_REGISTRY: dict[str, Method] = {}
 
 
 def register(method: Method) -> Method:
-    """Add a solver to the registry (idempotent re-registration replaces)."""
-    if method.problem not in _REGISTRY:
-        raise ValueError(
-            "unknown problem %r (one of %s)" % (method.problem, PROBLEMS)
-        )
-    _REGISTRY[method.problem][method.name] = method
+    """Add a solver at the end of the preference order (re-registering a
+    name replaces it in place)."""
+    for kind in method.runs:
+        if kind not in _KINDS:
+            raise ValueError(
+                "cannot register a runner for %r (one of %s; 'val-weighted' "
+                "runs as the one-row 'sweep')" % (kind, _KINDS)
+            )
+    _REGISTRY[method.name] = method
     return method
 
 
 def methods_for(problem: str) -> tuple[Method, ...]:
-    """Every registered method of one problem kind, in registration order."""
-    if problem not in _REGISTRY:
+    """The methods serving one problem kind, in preference order
+    (``val-weighted``: the ``sweep`` rows)."""
+    kind = _KIND.get(problem)
+    if kind is None:
         raise ValueError("unknown problem %r (one of %s)" % (problem, PROBLEMS))
-    return tuple(_REGISTRY[problem].values())
+    return tuple(entry for entry in _REGISTRY.values() if kind in entry.runs)
 
 
 def method_names(problem: str) -> tuple[str, ...]:
     """The valid ``method=`` vocabulary of a problem (requests included)."""
-    names: list[str] = ["auto"]
-    if problem in _POLY_PROBLEMS:
-        names.append("poly")
-    names.extend(_REGISTRY[problem])
-    return tuple(names)
+    return _vocabulary(problem, methods_for(problem))
+
+
+def _vocabulary(problem: str, entries: tuple[Method, ...]) -> tuple[str, ...]:
+    requests = ("auto", "poly") if problem in _POLY_PROBLEMS else ("auto",)
+    return requests + tuple(entry.name for entry in entries)
+
+
+def check_weights(problem: str, weights: Any) -> None:
+    """Raise :class:`ValueError` unless ``problem`` can use ``weights``:
+    ``sweep`` takes a sequence of per-null weight tables,
+    ``val-weighted`` and ``marginals`` one table or ``None``, every other
+    problem ``None``."""
+    if problem == "sweep":
+        if weights is None or isinstance(weights, Mapping):
+            raise ValueError(
+                "'sweep' takes a sequence of per-null weight tables"
+            )
+    elif weights is not None and problem not in _WEIGHTED_PROBLEMS:
+        raise ValueError(
+            "weights only apply to problems %s" % (_WEIGHTED_PROBLEMS,)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +309,16 @@ def plan(
     first applicable one whose gate passes or that has none; ``poly``
     stops at the first applicable polynomial row.  A gate runs only when
     ``auto`` reaches its row; a forced plan runs its chosen row's gate
-    just to report the detail.
+    just to report the detail.  ``val-weighted`` walks the ``sweep``
+    rows.
     """
     entries = methods_for(problem)
-    valid = method_names(problem)
+    valid = _vocabulary(problem, entries)
     if method not in valid:
         raise ValueError("unknown method %r (one of %s)" % (method, valid))
 
-    applicability = {entry.name: entry.applies(db, query) for entry in entries}
+    kind = _KIND[problem]
+    applicability = {entry.name: entry.applies(kind, db, query) for entry in entries}
     verdicts = {
         name: "not reached" if applicable else "n/a"
         for name, (applicable, _reason) in applicability.items()
@@ -287,16 +335,16 @@ def plan(
             elif entry.prefer is None:
                 preferred = True
             else:
-                preferred, details[entry.name] = entry.prefer(db, query)
+                preferred, details[entry.name] = entry.prefer(kind, db, query)
             if preferred:
                 chosen = entry.name
                 break
             verdicts[entry.name] = "passed over"
     else:
-        chosen = _follow_fallbacks(problem, method, applicability, notes)
-        entry = _REGISTRY[problem][chosen]
+        chosen = _follow_fallbacks(method, applicability, notes)
+        entry = _REGISTRY[chosen]
         if applicability[chosen][0] and entry.prefer is not None:
-            details[chosen] = entry.prefer(db, query)[1]
+            details[chosen] = entry.prefer(kind, db, query)[1]
     error = None
     if chosen is None:
         error = _no_method_error(problem, query, method)
@@ -343,18 +391,18 @@ def plan(
 
 
 def _follow_fallbacks(
-    problem: str,
     method: str,
     applicability: Mapping[str, tuple[bool, str]],
     notes: list[str],
 ) -> str:
     """The method a forced request runs: ``method`` when it applies, else
     the first applicable method down its fallback chain, one note per
-    hop.  A chain that ends on an inapplicable method is honored as is."""
+    hop.  A chain that ends on an inapplicable method, or on one that
+    does not serve the plan's kind, is honored as is."""
     while not applicability[method][0]:
         reason = applicability[method][1]
-        fallback = _REGISTRY[problem][method].fallback
-        if fallback is None:
+        fallback = _REGISTRY[method].fallback
+        if fallback is None or fallback not in applicability:
             notes.append(
                 "forced %r although the planner does not expect it to "
                 "apply (%s); the solver will raise its own error"
@@ -394,28 +442,28 @@ def run(
     weights: Mapping[Any, Any] | None = None,
     store: Any = None,
 ) -> Any:
-    """Execute one *resolved* method through its registry entry.
+    """Execute one *resolved* method through its runner for ``problem``.
 
-    ``store`` is an optional circuit store (the engine's
+    ``val-weighted`` runs the method's ``sweep`` runner on the one row
+    ``[weights]`` and returns its one answer (``weights=None``: the plain
+    count).  ``store`` is an optional circuit store (the engine's
     :class:`~repro.engine.cache.CountCache`) that circuit-backed methods
     fetch from, derive into and install into.
     """
-    entry = _REGISTRY.get(problem, {}).get(method)
-    if entry is None:
+    try:
+        runner = _REGISTRY[method].runs[_KIND[problem]]
+    except KeyError:
         raise ValueError(
             "no registered method %r for problem %r" % (method, problem)
-        )
-    knobs: dict[str, Any] = {"budget": budget, "weights": weights}
-    if store is not None:
-        # Only a store-carrying caller passes the knob, so solvers
-        # registered without one keep working for plain solves.
-        knobs["store"] = store
+        ) from None
     with _span("planner.run", problem=problem, method=method):
-        return entry.run(db, query, **knobs)
+        if problem == "val-weighted":
+            return runner(db, query, budget, [weights], store)[0]
+        return runner(db, query, budget, weights, store)
 
 
 # ---------------------------------------------------------------------------
-# applicability predicates (reasons in both directions)
+# applicability predicates (reasons in both directions) and gates
 # ---------------------------------------------------------------------------
 
 
@@ -433,7 +481,7 @@ def _sjf_bcq_gate(query: BooleanQuery | None) -> str | None:
 
 
 def _applies_single_occurrence(
-    db: IncompleteDatabase, query: BooleanQuery | None
+    kind: str, db: IncompleteDatabase, query: BooleanQuery | None
 ) -> tuple[bool, str]:
     gate = _sjf_bcq_gate(query)
     if gate is not None:
@@ -447,7 +495,7 @@ def _applies_single_occurrence(
 
 
 def _applies_codd(
-    db: IncompleteDatabase, query: BooleanQuery | None
+    kind: str, db: IncompleteDatabase, query: BooleanQuery | None
 ) -> tuple[bool, str]:
     gate = _sjf_bcq_gate(query)
     if gate is not None:
@@ -461,7 +509,7 @@ def _applies_codd(
 
 
 def _applies_uniform_val(
-    db: IncompleteDatabase, query: BooleanQuery | None
+    kind: str, db: IncompleteDatabase, query: BooleanQuery | None
 ) -> tuple[bool, str]:
     gate = _sjf_bcq_gate(query)
     if gate is not None:
@@ -482,7 +530,7 @@ def _applies_uniform_val(
 
 
 def _applies_uniform_unary(
-    db: IncompleteDatabase, query: BooleanQuery | None
+    kind: str, db: IncompleteDatabase, query: BooleanQuery | None
 ) -> tuple[bool, str]:
     if query is not None:
         gate = _sjf_bcq_gate(query)
@@ -501,7 +549,7 @@ def _applies_uniform_unary(
 
 
 def _applies_lineage(
-    db: IncompleteDatabase, query: BooleanQuery | None
+    kind: str, db: IncompleteDatabase, query: BooleanQuery | None
 ) -> tuple[bool, str]:
     if not lineage_supports(query):
         return False, "lineage compilation handles (U)CQs only"
@@ -509,7 +557,7 @@ def _applies_lineage(
 
 
 def _applies_dpdb(
-    db: IncompleteDatabase, query: BooleanQuery | None
+    kind: str, db: IncompleteDatabase, query: BooleanQuery | None
 ) -> tuple[bool, str]:
     """Applicability of the tree-decomposition DP for ``val``/``comp``.
 
@@ -526,36 +574,24 @@ def _applies_dpdb(
     )
 
 
-def _prefer_dpdb(kind: str) -> Prefer:
+def _prefer_dpdb(
+    kind: str, db: IncompleteDatabase, query: BooleanQuery | None
+) -> tuple[bool, Mapping[str, Any] | None]:
     """Take dpdb when the width probe succeeds at width at most
     :data:`~repro.compile.dpdb.DPDB_WIDTH_LIMIT`; above it the trail
     search (the next row) is the better bet."""
-
-    def prefer(
-        db: IncompleteDatabase, query: BooleanQuery | None
-    ) -> tuple[bool, Mapping[str, Any] | None]:
-        probe = dpdb_probe(kind, db, query)
-        found = probe.detail()
-        if not probe.ok:
-            found["probe"] = probe.reason
-            return False, found
-        return probe.width is not None and probe.width <= DPDB_WIDTH_LIMIT, found
-
-    return prefer
+    probe = dpdb_probe(kind, db, query)
+    found = probe.detail()
+    if not probe.ok:
+        found["probe"] = probe.reason
+        return False, found
+    return probe.width is not None and probe.width <= DPDB_WIDTH_LIMIT, found
 
 
 def _applies_circuit(
-    db: IncompleteDatabase, query: BooleanQuery | None
+    kind: str, db: IncompleteDatabase, query: BooleanQuery | None
 ) -> tuple[bool, str]:
-    if not lineage_supports(query):
-        return False, "lineage compilation handles (U)CQs only"
-    return True, "(U)CQ lineage compiles to a reusable d-DNNF circuit"
-
-
-def _applies_marginal_circuit(
-    db: IncompleteDatabase, query: BooleanQuery | None
-) -> tuple[bool, str]:
-    if query is None:
+    if kind == "marginals" and query is None:
         return False, "marginals are per-null posteriors; a query is required"
     if not lineage_supports(query):
         return False, "lineage compilation handles (U)CQs only"
@@ -572,83 +608,88 @@ def _delta_provenance(db: IncompleteDatabase) -> tuple[int, bool]:
     return len(chain), all(map(resolution_only, chain[-1][1]))
 
 
-def _applies_delta(kind: str) -> Applies:
+def _applies_delta(
+    kind: str, db: IncompleteDatabase, query: BooleanQuery | None
+) -> tuple[bool, str]:
     """Applicability of the incremental delta method for ``val``/``comp``."""
-
-    def applies(
-        db: IncompleteDatabase, query: BooleanQuery | None
-    ) -> tuple[bool, str]:
-        if not lineage_supports(query):
-            return False, "lineage compilation handles (U)CQs only"
-        depth, pure = _delta_provenance(db)
-        if depth == 0:
-            return False, (
-                "instance has no delta provenance (no parent circuit to "
-                "derive from)"
-            )
-        if kind == "val" and pure:
-            return True, (
-                "answer from the parent circuit by conditioning "
-                "(no recompilation)"
-            )
-        return True, (
-            "recompile only the lineage components the delta touched; "
-            "splice the rest from cache"
+    if not lineage_supports(query):
+        return False, "lineage compilation handles (U)CQs only"
+    depth, pure = _delta_provenance(db)
+    if depth == 0:
+        return False, (
+            "instance has no delta provenance (no parent circuit to "
+            "derive from)"
         )
+    if kind == "val" and pure:
+        return True, (
+            "answer from the parent circuit by conditioning "
+            "(no recompilation)"
+        )
+    return True, (
+        "recompile only the lineage components the delta touched; "
+        "splice the rest from cache"
+    )
 
-    return applies
 
-
-def _prefer_delta(kind: str) -> Prefer:
+def _prefer_delta(
+    kind: str, db: IncompleteDatabase, query: BooleanQuery | None
+) -> tuple[bool, Mapping[str, Any] | None]:
     """Take delta only for ``val`` on a resolution-only chain, answered by
     conditioning the parent circuit.  A splice recompiles the touched
     components, which pays off only when the component store is warm, so
     the search rows go first."""
-
-    def prefer(
-        db: IncompleteDatabase, query: BooleanQuery | None
-    ) -> tuple[bool, Mapping[str, Any] | None]:
-        depth, pure = _delta_provenance(db)
-        condition = kind == "val" and pure
-        return condition, {
-            "chain": depth,
-            "resolution_only": pure,
-            "mode": "condition" if condition else "splice",
-        }
-
-    return prefer
+    depth, pure = _delta_provenance(db)
+    condition = kind == "val" and pure
+    return condition, {
+        "chain": depth,
+        "resolution_only": pure,
+        "mode": "condition" if condition else "splice",
+    }
 
 
 def _applies_always(
-    db: IncompleteDatabase, query: BooleanQuery | None
+    kind: str, db: IncompleteDatabase, query: BooleanQuery | None
 ) -> tuple[bool, str]:
     return True, "enumeration works on any query (budgeted)"
 
 
 # ---------------------------------------------------------------------------
-# registrations
+# runners and registrations
 # ---------------------------------------------------------------------------
 
 
 def _run_ignoring(function: Callable[..., Any], *forward: str) -> Run:
-    """Adapt a solver to the uniform ``run(db, query, budget, weights,
-    store)`` signature, forwarding only the knobs it takes."""
+    """Adapt a solver to the runner signature ``(db, query, budget,
+    weights, store)``, forwarding only the knobs it takes."""
 
     def adapted(
         db: IncompleteDatabase,
         query: BooleanQuery | None,
-        budget: int | None = None,
-        weights: Any = None,
-        store: Any = None,
+        budget: int | None,
+        weights: Any,
+        store: Any,
     ) -> Any:
-        kwargs = {}
-        if "budget" in forward:
-            kwargs["budget"] = budget
-        if "weights" in forward:
-            kwargs["weights"] = weights
-        return function(db, query, **kwargs)
+        knobs = {"budget": budget, "weights": weights}
+        return function(db, query, **{name: knobs[name] for name in forward})
 
     return adapted
+
+
+def _per_row(function: Callable[..., Any], *forward: str) -> Run:
+    """A ``sweep`` runner answering each weight table with one weighted
+    call of ``function`` (``forward``: the other knobs it takes)."""
+    single = _run_ignoring(function, "weights", *forward)
+
+    def run(
+        db: IncompleteDatabase,
+        query: BooleanQuery | None,
+        budget: int | None,
+        weights: Any,
+        store: Any,
+    ) -> Any:
+        return [single(db, query, budget, row, store) for row in weights or ()]
+
+    return run
 
 
 def _run_on_circuit(
@@ -663,9 +704,9 @@ def _run_on_circuit(
     def run(
         db: IncompleteDatabase,
         query: BooleanQuery | None,
-        budget: int | None = None,
-        weights: Any = None,
-        store: Any = None,
+        budget: int | None,
+        weights: Any,
+        store: Any,
     ) -> Any:
         if derived and db.parent is None:
             raise ValueError(
@@ -686,291 +727,118 @@ def _count(circuit: Any, weights: Any) -> Any:
 
 register(Method(
     name="single-occurrence",
-    problem="val",
-    description="Theorem 3.6 closed formula (pattern-free sjfBCQs)",
+    description="Theorem 3.6 closed formula (pattern-free sjfBCQs); a "
+    "weighted total stays a per-null product",
     polynomial=True,
-    supports_weights=True,
-    supports_marginals=False,
+    runs={
+        "val": _run_ignoring(
+            _val_nonuniform.count_valuations_single_occurrence
+        ),
+        "sweep": _per_row(
+            _val_nonuniform.count_valuations_weighted_single_occurrence
+        ),
+    },
     applies=_applies_single_occurrence,
-    run=_run_ignoring(_val_nonuniform.count_valuations_single_occurrence),
 ))
 
 register(Method(
     name="codd",
-    problem="val",
     description="Theorem 3.7 per-null independence (Codd tables)",
     polynomial=True,
-    supports_weights=False,
-    supports_marginals=False,
+    runs={"val": _run_ignoring(_val_codd.count_valuations_codd)},
     applies=_applies_codd,
-    run=_run_ignoring(_val_codd.count_valuations_codd),
 ))
 
 register(Method(
     name="uniform",
-    problem="val",
     description="Theorem 3.9 algorithm (uniform naive tables)",
     polynomial=True,
-    supports_weights=False,
-    supports_marginals=False,
+    runs={"val": _run_ignoring(_val_uniform.count_valuations_uniform)},
     applies=_applies_uniform_val,
-    run=_run_ignoring(_val_uniform.count_valuations_uniform),
-))
-
-register(Method(
-    name="delta",
-    problem="val",
-    description="condition/resplice a cached ancestor's circuit (updates)",
-    polynomial=False,
-    supports_weights=False,
-    supports_marginals=False,
-    applies=_applies_delta("val"),
-    run=_run_on_circuit("val", _count, derived=True),
-    fallback="circuit",
-    prefer=_prefer_delta("val"),
-))
-
-register(Method(
-    name="dpdb",
-    problem="val",
-    description="lineage -> CNF, join/project/sum DP over a tree decomposition",
-    polynomial=False,
-    supports_weights=False,
-    supports_marginals=False,
-    applies=_applies_dpdb,
-    run=_run_ignoring(count_valuations_dpdb),
-    fallback="brute",
-    prefer=_prefer_dpdb("val"),
-))
-
-register(Method(
-    name="lineage",
-    problem="val",
-    description="lineage -> CNF, exact #SAT with component caching",
-    polynomial=False,
-    supports_weights=False,
-    supports_marginals=False,
-    applies=_applies_lineage,
-    run=_run_ignoring(count_valuations_lineage),
-    fallback="brute",
-))
-
-register(Method(
-    name="circuit",
-    problem="val",
-    description="the same search recorded once as a d-DNNF circuit",
-    polynomial=False,
-    supports_weights=True,
-    supports_marginals=True,
-    applies=_applies_circuit,
-    run=_run_on_circuit("val", _count),
-    fallback="brute",
-))
-
-register(Method(
-    name="brute",
-    problem="val",
-    description="enumerate all valuations (budgeted)",
-    polynomial=False,
-    supports_weights=True,
-    supports_marginals=False,
-    applies=_applies_always,
-    run=_run_ignoring(brute.count_valuations_brute, "budget"),
 ))
 
 register(Method(
     name="uniform-unary",
-    problem="comp",
     description="Theorem 4.6 closed form (uniform, unary schema)",
     polynomial=True,
-    supports_weights=False,
-    supports_marginals=False,
+    runs={
+        "comp": _run_ignoring(_comp_uniform.count_completions_uniform_unary)
+    },
     applies=_applies_uniform_unary,
-    run=_run_ignoring(_comp_uniform.count_completions_uniform_unary),
 ))
 
 register(Method(
     name="delta",
-    problem="comp",
-    description="recompile only delta-touched components, splice the rest",
+    description="condition a cached ancestor's circuit, or recompile only "
+    "the delta-touched components and splice the rest (updates)",
     polynomial=False,
-    supports_weights=False,
-    supports_marginals=False,
-    applies=_applies_delta("comp"),
-    run=_run_on_circuit("comp", _count, derived=True),
+    runs={
+        "val": _run_on_circuit("val", _count, derived=True),
+        "comp": _run_on_circuit("comp", _count, derived=True),
+    },
+    applies=_applies_delta,
     fallback="circuit",
-    prefer=_prefer_delta("comp"),
+    prefer=_prefer_delta,
 ))
 
 register(Method(
     name="dpdb",
-    problem="comp",
-    description="canonical-fact encoding, projected DP over a tree decomposition",
+    description="lineage -> CNF (canonical facts for comp), "
+    "join/project/sum DP over a tree decomposition",
     polynomial=False,
-    supports_weights=False,
-    supports_marginals=False,
+    runs={
+        "val": _run_ignoring(count_valuations_dpdb),
+        "comp": _run_ignoring(count_completions_dpdb),
+    },
     applies=_applies_dpdb,
-    run=_run_ignoring(count_completions_dpdb),
     fallback="brute",
-    prefer=_prefer_dpdb("comp"),
+    prefer=_prefer_dpdb,
 ))
 
 register(Method(
     name="lineage",
-    problem="comp",
-    description="canonical-fact encoding + projected exact model counting",
+    description="lineage -> CNF (canonical facts for comp), exact "
+    "(projected) #SAT with component caching",
     polynomial=False,
-    supports_weights=False,
-    supports_marginals=False,
+    runs={
+        "val": _run_ignoring(count_valuations_lineage),
+        "comp": _run_ignoring(count_completions_lineage),
+    },
     applies=_applies_lineage,
-    run=_run_ignoring(count_completions_lineage),
     fallback="brute",
 ))
 
 register(Method(
     name="circuit",
-    problem="comp",
-    description="the projected search recorded as a d-DNNF circuit",
+    description="the same search recorded once as a d-DNNF circuit; "
+    "weighted counts, sweeps and marginals are linear passes over it",
     polynomial=False,
-    supports_weights=False,
-    supports_marginals=True,
+    runs={
+        "val": _run_on_circuit("val", _count),
+        "comp": _run_on_circuit("comp", _count),
+        "marginals": _run_on_circuit(
+            "val", lambda circuit, weights: circuit.marginals(weights)
+        ),
+        "sweep": _run_on_circuit(
+            "val",
+            lambda circuit, rows: circuit.weighted_count_many(list(rows or ())),
+        ),
+    },
     applies=_applies_circuit,
-    run=_run_on_circuit("comp", _count),
     fallback="brute",
 ))
 
 register(Method(
     name="brute",
-    problem="comp",
-    description="enumerate valuations, deduplicate completions (budgeted)",
+    description="enumerate all valuations; deduplicate completions for "
+    "comp (budgeted)",
     polynomial=False,
-    supports_weights=False,
-    supports_marginals=False,
+    runs={
+        "val": _run_ignoring(brute.count_valuations_brute, "budget"),
+        "comp": _run_ignoring(brute.count_completions_brute, "budget"),
+        "sweep": _per_row(brute.count_valuations_weighted_brute, "budget"),
+    },
     applies=_applies_always,
-    run=_run_ignoring(brute.count_completions_brute, "budget"),
-))
-
-register(Method(
-    name="single-occurrence",
-    problem="val-weighted",
-    description="Theorem 3.6 cell: the weighted total stays a per-null product",
-    polynomial=True,
-    supports_weights=True,
-    supports_marginals=False,
-    applies=_applies_single_occurrence,
-    run=_run_ignoring(
-        _val_nonuniform.count_valuations_weighted_single_occurrence, "weights"
-    ),
-))
-
-
-register(Method(
-    name="circuit",
-    problem="val-weighted",
-    description="one weighted upward pass over the compiled d-DNNF",
-    polynomial=False,
-    supports_weights=True,
-    supports_marginals=True,
-    applies=_applies_circuit,
-    run=_run_on_circuit(
-        "val", lambda circuit, weights: circuit.weighted_count(weights)
-    ),
-    fallback="brute",
-))
-
-register(Method(
-    name="brute",
-    problem="val-weighted",
-    description="weighted enumeration of all valuations (budgeted)",
-    polynomial=False,
-    supports_weights=True,
-    supports_marginals=False,
-    applies=_applies_always,
-    run=_run_ignoring(
-        brute.count_valuations_weighted_brute, "budget", "weights"
-    ),
-))
-
-
-register(Method(
-    name="circuit",
-    problem="marginals",
-    description="all (null, value) posteriors in one up+down circuit pass",
-    polynomial=False,
-    supports_weights=True,
-    supports_marginals=True,
-    applies=_applies_marginal_circuit,
-    run=_run_on_circuit(
-        "val", lambda circuit, weights: circuit.marginals(weights)
-    ),
-))
-
-
-def _run_sweep_single_occurrence(
-    db: IncompleteDatabase,
-    query: BooleanQuery | None,
-    budget: int | None = None,
-    weights: Any = None,
-    store: Any = None,
-) -> Any:
-    return [
-        _val_nonuniform.count_valuations_weighted_single_occurrence(
-            db, query, weights=row
-        )
-        for row in (weights or ())
-    ]
-
-
-def _run_sweep_brute(
-    db: IncompleteDatabase,
-    query: BooleanQuery | None,
-    budget: int | None = None,
-    weights: Any = None,
-    store: Any = None,
-) -> Any:
-    return [
-        brute.count_valuations_weighted_brute(
-            db, query, weights=row, budget=budget
-        )
-        for row in (weights or ())
-    ]
-
-
-register(Method(
-    name="single-occurrence",
-    problem="sweep",
-    description="Theorem 3.6 cell: one per-null product per weight table",
-    polynomial=True,
-    supports_weights=True,
-    supports_marginals=False,
-    applies=_applies_single_occurrence,
-    run=_run_sweep_single_occurrence,
-))
-
-register(Method(
-    name="circuit",
-    problem="sweep",
-    description="compile once, answer every weight table in one batched pass",
-    polynomial=False,
-    supports_weights=True,
-    supports_marginals=True,
-    applies=_applies_circuit,
-    run=_run_on_circuit(
-        "val",
-        lambda circuit, rows: circuit.weighted_count_many(list(rows or ())),
-    ),
-    fallback="brute",
-))
-
-register(Method(
-    name="brute",
-    problem="sweep",
-    description="weighted enumeration repeated per weight table (budgeted)",
-    polynomial=False,
-    supports_weights=True,
-    supports_marginals=False,
-    applies=_applies_always,
-    run=_run_sweep_brute,
 ))
 
 
@@ -980,6 +848,7 @@ __all__ = [
     "NoPolynomialAlgorithm",
     "PROBLEMS",
     "Plan",
+    "check_weights",
     "method_names",
     "methods_for",
     "plan",

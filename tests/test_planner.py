@@ -43,7 +43,76 @@ def _uniform_unary_db():
     )
 
 
+#: The problem kinds each method registers a runner for, in the one
+#: preference order.
+_KINDS_SERVED = {
+    "single-occurrence": {"val", "sweep"},
+    "codd": {"val"},
+    "uniform": {"val"},
+    "uniform-unary": {"comp"},
+    "delta": {"val", "comp"},
+    "dpdb": {"val", "comp"},
+    "lineage": {"val", "comp"},
+    "circuit": {"val", "comp", "marginals", "sweep"},
+    "brute": {"val", "comp", "sweep"},
+}
+
+#: Each problem's rows, as the per-problem registrations ordered them.
+_ROWS = {
+    "val": [
+        "single-occurrence", "codd", "uniform", "delta", "dpdb", "lineage",
+        "circuit", "brute",
+    ],
+    "comp": ["uniform-unary", "delta", "dpdb", "lineage", "circuit", "brute"],
+    "val-weighted": ["single-occurrence", "circuit", "brute"],
+    "marginals": ["circuit"],
+    "sweep": ["single-occurrence", "circuit", "brute"],
+}
+
+
 class TestRegistry:
+    def test_each_method_is_registered_once_in_one_order(self):
+        assert list(planner._REGISTRY) == list(_KINDS_SERVED)
+        for name, entry in planner._REGISTRY.items():
+            assert entry.name == name
+            assert set(entry.runs) == _KINDS_SERVED[name], name
+
+    def test_each_problem_walks_the_order_filtered_by_kind(self):
+        assert set(_ROWS) == set(planner.PROBLEMS)
+        for problem, rows in _ROWS.items():
+            kind = "sweep" if problem == "val-weighted" else problem
+            assert rows == [
+                name for name, kinds in _KINDS_SERVED.items() if kind in kinds
+            ], problem
+            assert [m.name for m in planner.methods_for(problem)] == rows
+
+    def test_flags_are_the_kinds_served(self):
+        for name, entry in planner._REGISTRY.items():
+            assert entry.supports_weights == ("sweep" in _KINDS_SERVED[name])
+            assert entry.supports_marginals == (
+                "marginals" in _KINDS_SERVED[name]
+            )
+        # The flags are per method, so the comp rows of circuit and brute
+        # carry ``w`` like their val rows.
+        db, query = scaling_hard_val_instance(6, seed=1)
+        for problem in planner.PROBLEMS:
+            for row in planner.plan(problem, db, query).considered:
+                entry = planner._REGISTRY[row.method]
+                assert row.supports_weights == entry.supports_weights
+                assert row.supports_marginals == entry.supports_marginals
+
+    @pytest.mark.parametrize("kind", ["val-weighted", "approx-val"])
+    def test_register_rejects_kinds_without_runners(self, kind):
+        with pytest.raises(ValueError, match=repr(kind)):
+            planner.register(planner.Method(
+                name="test-rejected",
+                description="test-only method for an unregistrable kind",
+                polynomial=False,
+                runs={kind: lambda d, q, budget, weights, store: 0},
+                applies=lambda kind, d, q: (True, "always (test)"),
+            ))
+        assert "test-rejected" not in planner._REGISTRY
+
     def test_every_problem_has_methods(self):
         for problem in planner.PROBLEMS:
             assert planner.methods_for(problem), problem
@@ -240,20 +309,17 @@ class TestDispatchParity:
         try:
             planner.register(planner.Method(
                 name=name,
-                problem="marginals",
                 description="test-only constant-time method",
                 polynomial=True,
-                supports_weights=False,
-                supports_marginals=True,
-                applies=lambda d, q: (True, "always (test)"),
-                run=lambda d, q, budget=None, weights=None: 42,
+                runs={"marginals": lambda d, q, budget, weights, store: 42},
+                applies=lambda kind, d, q: (True, "always (test)"),
             ))
             assert planner.plan("marginals", db, opaque).chosen == name
             assert solve("marginals", db, opaque).count == 42
             # Where the circuit row applies, the order reaches it first.
             assert planner.plan("marginals", db, query).chosen == "circuit"
         finally:
-            del planner._REGISTRY["marginals"][name]
+            del planner._REGISTRY[name]
         assert planner.plan("marginals", db, opaque).chosen is None
 
     def test_a_registered_val_row_lands_after_brute(self):
@@ -262,13 +328,10 @@ class TestDispatchParity:
         try:
             planner.register(planner.Method(
                 name=name,
-                problem="val",
                 description="test-only method behind the fixed order",
                 polynomial=False,
-                supports_weights=False,
-                supports_marginals=False,
-                applies=lambda d, q: (True, "always (test)"),
-                run=lambda d, q, budget=None, weights=None: 42,
+                runs={"val": lambda d, q, budget, weights, store: 42},
+                applies=lambda kind, d, q: (True, "always (test)"),
             ))
             names = [entry.name for entry in planner.methods_for("val")]
             assert names[-2:] == ["brute", name]
@@ -278,7 +341,7 @@ class TestDispatchParity:
             assert late.verdict == "not reached"
             assert planner.plan("val", db, query, name).chosen == name
         finally:
-            del planner._REGISTRY["val"][name]
+            del planner._REGISTRY[name]
 
 
 def _corpus():
@@ -393,7 +456,7 @@ class TestPreferenceOrder:
                         continue
                     gate = (
                         (True, None) if entry.prefer is None
-                        else entry.prefer(db, query)
+                        else entry.prefer(problem, db, query)
                     )
                     assert row.detail == gate[1], case
                     assert row.verdict == (
@@ -469,6 +532,27 @@ class TestPreferenceOrder:
                         assert "passed over" not in {
                             c.verdict for c in built.considered
                         }, case
+
+    def test_val_weighted_plans_the_sweep_rows(self):
+        assert planner.method_names("val-weighted") == planner.method_names(
+            "sweep"
+        )
+
+        def rows(built):
+            return [
+                (c.method, c.applicable, c.reason, c.verdict)
+                for c in built.considered
+            ]
+
+        for name, (db, query) in _corpus().items():
+            for method in planner.method_names("sweep"):
+                single = planner.plan("val-weighted", db, query, method)
+                swept = planner.plan("sweep", db, query, method)
+                case = (name, method)
+                assert single.problem == "val-weighted", case
+                assert rows(single) == rows(swept), case
+                assert single.chosen == swept.chosen, case
+                assert single.notes == swept.notes, case
 
     def test_forced_fallbacks_follow_the_chain_with_one_note_per_hop(self):
         db, query = scaling_hard_val_instance(6, seed=1)

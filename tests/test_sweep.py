@@ -35,9 +35,11 @@ from repro.exact.dispatch import (
 from repro.exact import planner
 from repro.io.databases import parse_database
 from repro.io.queries import parse_query
+from repro.obs import add_sink, remove_sink
 from repro.workloads.generators import (
     random_incomplete_db,
     scaling_hard_val_instance,
+    scaling_single_occurrence_instance,
 )
 
 QUERY = BCQ([Atom("R", ["x", "y"]), Atom("S", ["y"])])
@@ -260,6 +262,83 @@ class TestSolveFacade:
         assert count_valuations_sweep(
             db, query, rows, method="circuit"
         ) == looped
+
+    @pytest.mark.parametrize("table", ["none", "int", "fraction"])
+    @pytest.mark.parametrize("cell, method", [
+        ("single-occurrence", "auto"),
+        ("single-occurrence", "single-occurrence"),
+        ("single-occurrence", "circuit"),
+        ("single-occurrence", "brute"),
+        ("hard", "auto"),
+        ("hard", "circuit"),
+        ("hard", "brute"),
+    ])
+    def test_val_weighted_is_the_one_row_sweep(self, cell, method, table):
+        db, query = (
+            scaling_single_occurrence_instance(3, seed=1)
+            if cell == "single-occurrence"
+            else scaling_hard_val_instance(6, seed=1)
+        )
+        rng = random.Random(5)
+        weights = None if table == "none" else {
+            null: {
+                value: (
+                    rng.randrange(1, 7) if table == "int"
+                    else Fraction(rng.randrange(1, 7), rng.randrange(1, 5))
+                )
+                for value in sorted(db.domain_of(null), key=repr)
+            }
+            for null in db.nulls
+        }
+        records: list = []
+        add_sink(records.append)
+        try:
+            single = solve(
+                "val-weighted", db, query, method=method, weights=weights
+            )
+        finally:
+            remove_sink(records.append)
+        swept = solve("sweep", db, query, method=method, weights=[weights])
+        assert single.count == swept.count[0]
+        assert single.method == swept.method
+        if weights is None:
+            assert single.count == count_valuations(db, query)
+        # The plan, event and span report the problem asked, not ``sweep``.
+        assert single.plan.problem == "val-weighted"
+        assert {
+            (record["name"], record["problem"])
+            for record in records
+            if record["name"] in ("planner.decision", "planner.run")
+        } == {
+            ("planner.decision", "val-weighted"),
+            ("planner.run", "val-weighted"),
+        }
+
+    @pytest.mark.parametrize("cell, problem, shape, message", [
+        ("single-occurrence", "val", "table", "weights only apply"),
+        ("single-occurrence", "comp", "table", "weights only apply"),
+        ("single-occurrence", "sweep", "table", "a sequence"),
+        ("single-occurrence", "sweep", "none", "a sequence"),
+        ("hard", "sweep", "partial", "a sequence"),
+    ])
+    def test_weights_the_problem_cannot_use_are_rejected(
+        self, cell, problem, shape, message
+    ):
+        """``solve`` rejects weights its problem cannot use, as an engine
+        job does: a ``val`` table is not silently ignored, and a lone
+        table is not read as ``sweep`` rows (one per null)."""
+        if cell == "single-occurrence":
+            db, query = scaling_single_occurrence_instance(3, seed=1)
+        else:
+            db, _ = scaling_hard_val_instance(6, seed=1)
+            query = BCQ([Atom("R", ["x", "y"]), Atom("S", ["z"])])
+        nulls = list(db.nulls)[:3] if shape == "partial" else db.nulls
+        table = {null: {value: 2 for value in db.domain_of(null)} for null in nulls}
+        weights = None if shape == "none" else table
+        with pytest.raises(ValueError, match=message):
+            solve(problem, db, query, weights=weights)
+        with pytest.raises(ValueError, match=message):
+            CountJob(problem, db, query, weights=weights)
 
     def test_plan_sweep_reports_problem(self):
         db, query = _random_instance(1)
