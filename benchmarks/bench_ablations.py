@@ -1,4 +1,4 @@
-"""Ablations for the design choices DESIGN.md calls out.
+"""Ablations for three design choices of the implementation.
 
 * ILP backend (Theorem 4.6 feasibility): pure-Python branch-and-prune vs.
   scipy MILP — the dispatcher's auto threshold is justified by the

@@ -1,10 +1,11 @@
 """Shared helpers for the benchmark harness.
 
-Each ``bench_*`` module regenerates one table/figure of the paper (see the
-per-experiment index in DESIGN.md).  Benchmarks print the paper-style rows
-they reproduce — run with ``pytest benchmarks/ --benchmark-only -s`` to see
-them — and assert the count identities, so a bench run doubles as an
-integration check.
+Each ``bench_*`` module regenerates one table/figure of the paper (the
+per-result index is :mod:`repro.paperindex`, printed by ``repro-count
+cite``).  Benchmarks print the paper-style rows they reproduce — run with
+``pytest benchmarks/bench_*.py --benchmark-only -s`` to see them — and
+assert the count identities, so a bench run doubles as an integration
+check (CI runs them with ``--benchmark-disable``).
 """
 
 from __future__ import annotations

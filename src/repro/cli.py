@@ -31,16 +31,30 @@ from repro import __version__
 from repro.core.classify import classify
 from repro.core.query import BCQ
 from repro.db.valuation import count_total_valuations
+from repro.engine.jsonl import JobSyntaxError
 from repro.exact import planner
 from repro.exact.brute import DEFAULT_BUDGET
 from repro.exact.dispatch import solve
-from repro.io.databases import parse_database
-from repro.io.queries import parse_query
+from repro.io.databases import DatabaseSyntaxError, parse_database
+from repro.io.queries import QuerySyntaxError, parse_query
+
+#: Bad input — an unreadable file, or malformed query, database, job or
+#: weights text.  :func:`main` reports one of these as one stderr line
+#: and exit status 2.
+_INPUT_ERRORS = (OSError, QuerySyntaxError, DatabaseSyntaxError, JobSyntaxError)
 
 
 def _load_db(path: str):
     with open(path, "r", encoding="utf-8") as handle:
         return parse_database(handle.read())
+
+
+def _load_json(text: str, context: str):
+    """``json.loads`` whose error names the flag or file line it read."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise JobSyntaxError("%s: invalid JSON (%s)" % (context, exc)) from exc
 
 
 def _print_trace(captured) -> None:
@@ -131,7 +145,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                     from repro.engine.jsonl import parse_weights
 
                     weights = parse_weights(
-                        json.loads(args.weights), db, "--weights"
+                        _load_json(args.weights, "--weights"), db, "--weights"
                     )
                 try:
                     marginals = compiled.marginals(weights)
@@ -224,7 +238,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
     a one-shot command holds no ancestor circuit to condition, so the
     updated instance compiles once.
     """
-    from repro.io.databases import DatabaseSyntaxError, parse_delta
+    from repro.io.databases import parse_delta
     from repro.obs import capture, span
 
     db = _load_db(args.db)
@@ -238,11 +252,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        deltas = [parse_delta(kind, text) for kind, text in args.deltas]
-    except DatabaseSyntaxError as exc:
-        print("%s" % exc, file=sys.stderr)
-        return 2
+    deltas = [parse_delta(kind, text) for kind, text in args.deltas]
     child = db
     try:
         for delta in deltas:
@@ -339,7 +349,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     call on the ``sweep`` problem, so a circuit-backed plan compiles once
     and evaluates every row as a vectorized pass.
     """
-    from repro.engine.jsonl import JobSyntaxError, parse_weights
+    from repro.engine.jsonl import parse_weights
 
     if (args.weights is None) == (args.weights_jsonl is None):
         print(
@@ -351,7 +361,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     db = _load_db(args.db)
     query = parse_query(args.query)
     if args.weights is not None:
-        raw_rows = json.loads(args.weights)
+        raw_rows = _load_json(args.weights, "--weights")
         if not isinstance(raw_rows, list):
             print("--weights must be a JSON array of rows", file=sys.stderr)
             return 2
@@ -364,18 +374,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 line = raw_line.strip()
                 if not line or line.startswith("#"):
                     continue
-                raw_rows.append(json.loads(line))
-                contexts.append(
-                    "%s line %d" % (args.weights_jsonl, line_number)
-                )
-    try:
-        rows = [
-            None if row is None else parse_weights(row, db, context)
-            for row, context in zip(raw_rows, contexts)
-        ]
-    except JobSyntaxError as exc:
-        print("%s" % exc, file=sys.stderr)
-        return 2
+                context = "%s line %d" % (args.weights_jsonl, line_number)
+                raw_rows.append(_load_json(line, context))
+                contexts.append(context)
+    rows = [
+        None if row is None else parse_weights(row, db, context)
+        for row, context in zip(raw_rows, contexts)
+    ]
 
     answer = solve(
         "sweep", db, query,
@@ -853,7 +858,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except planner.NoPolynomialAlgorithm as exc:
+        # A poly request on a hard cell fails like a plan that cannot
+        # choose.
+        print("repro-count %s: %s" % (args.command, exc), file=sys.stderr)
+        return 1
+    except _INPUT_ERRORS as exc:
+        print("repro-count %s: %s" % (args.command, exc), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -2,11 +2,13 @@
 
 A greedy elimination of the primal graph already *is* a tree decomposition
 in disguise: when vertex ``v`` is eliminated, ``{v} ∪ N_alive(v)`` — the
-bag the greedy loop in :mod:`repro.compile.ordering` computes and (since
-the dpdb refactor) returns — is a valid bag, and connecting each bag to
-the bag of the *first-eliminated* vertex among ``N_alive(v)`` yields a
-tree (a forest, one tree per connected component) whose width is the
-elimination width.  This module materializes that structure:
+bag :func:`~repro.compile.ordering.refined_elimination_masks` returns
+with the order — is a valid bag, and connecting each bag to the bag of
+the *first-eliminated* vertex among ``N_alive(v)`` yields a tree (a
+forest, one tree per connected component) whose width is the elimination
+width.  :func:`decompose` runs that one elimination itself;
+:func:`decompose_from_elimination` takes one the planner's width probe
+already ran.  This module materializes the structure:
 
 * ``parent[i]`` / ``children[i]`` — the rooted forest over elimination
   positions; position ``i`` eliminates ``order[i]``, and parents always
@@ -27,8 +29,8 @@ separator covers, and *joins* when it has two or more children;
 :meth:`Decomposition.stats` the headline numbers the obs layer records.
 
 ``projection`` support: eliminating every auxiliary (non-projected)
-variable *before* any projected one (the ``delay`` knob of the greedy
-loop) splits the forest into a pure-auxiliary zone below a pure-projected
+variable *before* any projected one (the elimination's ``delay`` mask)
+splits the forest into a pure-auxiliary zone below a pure-projected
 zone, which is exactly the shape the projected DP needs — see
 :mod:`repro.compile.dpdb` for why an existence-clamp at the zone boundary
 then computes the projected count.  The constrained order can have a
@@ -125,9 +127,7 @@ class Decomposition:
 
 
 def decompose(
-    cnf: CNF,
-    projection: Iterable[int] | None = None,
-    use_min_fill: bool | None = None,
+    cnf: CNF, projection: Iterable[int] | None = None
 ) -> Decomposition:
     """Build a rooted tree decomposition of ``cnf``'s primal graph.
 
@@ -148,8 +148,8 @@ def decompose(
         clauses=len(cnf),
         projected=projection_mask.bit_count(),
     ):
-        order, width, bags = _eliminate(
-            masks, projection_mask, use_min_fill=use_min_fill
+        order, width, bags = refined_elimination_masks(
+            masks, delay=projection_mask
         )
         return _assemble(cnf, masks, order, width, bags, projection_mask)
 
@@ -176,25 +176,6 @@ def decompose_from_elimination(
         return _assemble(
             cnf, primal_masks(cnf), order, width, bags, projection_mask
         )
-
-
-def _eliminate(
-    masks: Mapping[int, int],
-    projection_mask: int,
-    use_min_fill: bool | None = None,
-) -> tuple[list[int], int, list[int]]:
-    """The constrained two-phase elimination a decomposition is built on."""
-    delay = 0
-    if projection_mask:
-        occurring = 0
-        for vertex in masks:
-            occurring |= 1 << vertex
-        delay = projection_mask & occurring
-    if use_min_fill is None:
-        return refined_elimination_masks(masks, delay=delay)
-    from repro.compile.ordering import elimination_bags_masks
-
-    return elimination_bags_masks(masks, use_min_fill=use_min_fill, delay=delay)
 
 
 def _assemble(

@@ -41,12 +41,17 @@ projected assignments* — the projected model count, bit-identical to the
 trail core's.  (Projected counting is unweighted; mixing ``weights`` and
 ``projection`` is rejected.)
 
-**Table dtypes.**  Tables are numpy int64 columns when a magnitude
-sweep proves no intermediate can overflow — first a cheap product bound,
-then (mirroring the circuit's ``evaluate_many`` gating) a float64 *guard
-pass* that runs the very same DP on clamped magnitudes and checks the
-running maximum against ``2^61`` — and exact Python-int/Fraction object
-columns otherwise.
+**Table lanes.**  The DP makes one pass, and each node picks its own
+lane before it builds its table: numpy int64 columns when
+``max(|w⁺|+|w⁻|, 1) × ∏ max(peak, 1)`` over its children stays below
+``2^62``, exact Python-int/Fraction object columns otherwise.  A child's
+*peak* is the exact ``max |cell|`` of its finished message, and the
+product bounds every cell the node computes, so an int64 table cannot
+overflow; a message that crosses lanes is cast at the join.  Large
+counts thus stay in int64 at the leaves and go exact only in the upper
+nodes that need it (``stats["path"]`` reports ``int64``, ``mixed`` or
+``object``) — the dp_on_dbs way of keeping counts in exact columns, with
+no guard pass.
 
 The planner talks to this module through :func:`dpdb_probe` — a memoized
 width probe that compiles the encoding once, reads the two-phase greedy
@@ -101,10 +106,6 @@ DPDB_HARD_WIDTH_CAP = 18
 #: planner prefers the trail core).
 DPDB_PROBE_VARIABLE_LIMIT = 4_000
 DPDB_PROBE_CLAUSE_LIMIT = 50_000
-
-#: int64 is safe while the guard pass's running maximum stays below this
-#: (one bit of slack under ``2^62`` absorbs float64 rounding).
-_INT64_GUARD = float(1 << 61)
 
 
 # ---------------------------------------------------------------------------
@@ -229,59 +230,86 @@ def _solve(
     all_int: bool,
     projected: bool,
 ) -> tuple[str, list[Any], int]:
-    """Pick the table dtype, run the pass(es), return root factors."""
-    if not all_int:
-        factors, rows, _ = _run_numpy(
-            decomposition, positive, negative, projected, dtype=object
-        )
+    """The one DP pass; returns ``(path, root_factors, cells_processed)``.
+
+    Each node takes the int64 lane when ``max(|w⁺|+|w⁻|, 1)`` times the
+    product of its children's ``max(peak, 1)`` stays below
+    ``_INT64_SAFE``: every cell after each join, clause and the forget is
+    bounded by that product.  The clamps matter — without them a zero
+    weight or an all-zero child would let a huge sibling's product into
+    int64 before the zero arrives.
+    """
+    np = _np
+    messages: list[Any] = [None] * len(decomposition)
+    peaks = [0] * len(decomposition)
+    factors: list[Any] = []
+    rows = 0
+    exact_nodes = 0
+
+    for node in range(len(decomposition)):
+        eliminated = decomposition.order[node]
+        w_pos, w_neg = positive[eliminated], negative[eliminated]
+        bound = max(abs(w_pos) + abs(w_neg), 1)
+        for child in decomposition.children[node]:
+            bound *= max(peaks[child], 1)
+        dtype: Any = np.int64 if all_int and bound < _INT64_SAFE else object
+        if dtype is object:
+            exact_nodes += 1
+
+        bag_vars = list(_bits(decomposition.bags[node]))
+        width = len(bag_vars)
+        at = {variable: bit for bit, variable in enumerate(bag_vars)}
+        size = 1 << width
+        table = np.ones(size, dtype=dtype)
+        index = None
+
+        for child in decomposition.children[node]:
+            message = messages[child]
+            messages[child] = None
+            if message.dtype != dtype:
+                message = message.astype(dtype)
+            if index is None:
+                index = np.arange(size, dtype=np.int64)
+            selector = np.zeros(size, dtype=np.int64)
+            for bit, variable in enumerate(
+                _bits(decomposition.separator(child))
+            ):
+                selector |= ((index >> at[variable]) & 1) << bit
+            table = table * message[selector]
+            rows += size
+
+        for clause in decomposition.node_clauses[node]:
+            pos_mask = 0
+            neg_mask = 0
+            for literal in clause:
+                if literal > 0:
+                    pos_mask |= 1 << at[literal]
+                else:
+                    neg_mask |= 1 << at[-literal]
+            if index is None:
+                index = np.arange(size, dtype=np.int64)
+            violated = ((index & pos_mask) == 0) & (
+                (index & neg_mask) == neg_mask
+            )
+            table = np.where(violated, _zero_of(dtype), table)
+            rows += size
+
+        bit = at[eliminated]
+        split = table.reshape(1 << (width - 1 - bit), 2, 1 << bit)
+        message = (w_neg * split[:, 0, :] + w_pos * split[:, 1, :]).reshape(-1)
+        if _clamp_message(decomposition, node, projected):
+            message = _indicator(message, dtype)
+        if decomposition.parent[node] < 0:
+            factors.append(message[0] if dtype is object else int(message[0]))
+        else:
+            messages[node] = message
+            peaks[node] = int(abs(message).max())
+
+    if not exact_nodes:
+        return "int64", factors, rows
+    if exact_nodes == len(decomposition):
         return "object", factors, rows
-    if _product_bound(decomposition, positive, negative) < _INT64_SAFE:
-        factors, rows, _ = _run_numpy(
-            decomposition, positive, negative, projected, dtype=_np.int64
-        )
-        return "int64", [int(factor) for factor in factors], rows
-    # The cheap bound failed: run the float64 guard pass — the same DP on
-    # clamped magnitudes — and trust int64 only if its running maximum
-    # stays clear of overflow (NaN/inf compare False and land on object).
-    magnitude_pos = [value if value >= 0 else -value for value in positive]
-    magnitude_neg = [value if value >= 0 else -value for value in negative]
-    _, _, seen = _run_numpy(
-        decomposition,
-        magnitude_pos,
-        magnitude_neg,
-        projected,
-        dtype=_np.float64,
-        track_max=True,
-    )
-    if seen < _INT64_GUARD:
-        factors, rows, _ = _run_numpy(
-            decomposition, positive, negative, projected, dtype=_np.int64
-        )
-        return "int64+guard", [int(factor) for factor in factors], rows
-    factors, rows, _ = _run_numpy(
-        decomposition, positive, negative, projected, dtype=object
-    )
-    return "object+guard", factors, rows
-
-
-def _product_bound(
-    decomposition: Decomposition, positive: list[Any], negative: list[Any]
-) -> int:
-    """Cheap overflow bound: every table cell sums products of one
-    ``(w⁺, w⁻)`` factor per already-eliminated variable, so its magnitude
-    is at most the product of per-variable ``|w⁺|+|w⁻|`` (clamped to 1)
-    over the clause-occurring variables."""
-    bound = 1
-    for variable in decomposition.order:
-        w_pos, w_neg = positive[variable], negative[variable]
-        factor = (w_pos if w_pos >= 0 else -w_pos) + (
-            w_neg if w_neg >= 0 else -w_neg
-        )
-        if factor > 1:
-            bound *= factor
-        if bound >= _INT64_SAFE:
-            return _INT64_SAFE
-    return bound
+    return "mixed", factors, rows
 
 
 def _clamp_message(
@@ -304,83 +332,6 @@ def _clamp_message(
     return bool(
         (decomposition.projection_mask >> decomposition.order[parent]) & 1
     )
-
-
-def _run_numpy(
-    decomposition: Decomposition,
-    positive: list[Any],
-    negative: list[Any],
-    projected: bool,
-    dtype: Any,
-    track_max: bool = False,
-) -> tuple[list[Any], int, float]:
-    """One DP pass with dense numpy tables of the given dtype.
-
-    Every dtype runs the identical operation sequence, so the float64
-    guard pass majorizes each intermediate of the int64 pass cell for
-    cell.  Returns ``(root_factors, cells_processed, running_max)``.
-    """
-    np = _np
-    messages: list[Any] = [None] * len(decomposition)
-    factors: list[Any] = []
-    rows = 0
-    seen = 0.0
-
-    for node in range(len(decomposition)):
-        bag_vars = list(_bits(decomposition.bags[node]))
-        width = len(bag_vars)
-        at = {variable: bit for bit, variable in enumerate(bag_vars)}
-        size = 1 << width
-        table = np.ones(size, dtype=dtype)
-        index = None
-
-        for child in decomposition.children[node]:
-            message = messages[child]
-            messages[child] = None
-            if index is None:
-                index = np.arange(size, dtype=np.int64)
-            selector = np.zeros(size, dtype=np.int64)
-            for bit, variable in enumerate(
-                _bits(decomposition.separator(child))
-            ):
-                selector |= ((index >> at[variable]) & 1) << bit
-            table = table * message[selector]
-            rows += size
-            if track_max:
-                seen = max(seen, float(table.max()))
-
-        for clause in decomposition.node_clauses[node]:
-            pos_mask = 0
-            neg_mask = 0
-            for literal in clause:
-                if literal > 0:
-                    pos_mask |= 1 << at[literal]
-                else:
-                    neg_mask |= 1 << at[-literal]
-            if index is None:
-                index = np.arange(size, dtype=np.int64)
-            violated = ((index & pos_mask) == 0) & (
-                (index & neg_mask) == neg_mask
-            )
-            table = np.where(violated, _zero_of(dtype), table)
-            rows += size
-
-        eliminated = decomposition.order[node]
-        bit = at[eliminated]
-        split = table.reshape(1 << (width - 1 - bit), 2, 1 << bit)
-        message = (
-            negative[eliminated] * split[:, 0, :]
-            + positive[eliminated] * split[:, 1, :]
-        ).reshape(-1)
-        if track_max:
-            seen = max(seen, float(message.max()))
-        if _clamp_message(decomposition, node, projected):
-            message = _indicator(message, dtype)
-        if decomposition.parent[node] < 0:
-            factors.append(message[0])
-        else:
-            messages[node] = message
-    return factors, rows, seen
 
 
 def _zero_of(dtype: Any) -> Any:
@@ -438,6 +389,7 @@ class DpdbProbe:
         return payload
 
 
+@lru_cache(maxsize=128)
 def dpdb_probe(
     kind: str, db: IncompleteDatabase, query: BooleanQuery | None
 ) -> DpdbProbe:
@@ -449,17 +401,8 @@ def dpdb_probe(
     probe's encoding and elimination, so planning never duplicates work
     the solve would redo.
     """
-    if kind == "val":
-        return _probe_val(db, query)
-    if kind == "comp":
-        return _probe_comp(db, query)
-    raise ValueError("dpdb probes cover 'val' and 'comp'; got %r" % (kind,))
-
-
-@lru_cache(maxsize=64)
-def _probe_val(
-    db: IncompleteDatabase, query: BooleanQuery | None
-) -> DpdbProbe:
+    if kind not in ("val", "comp"):
+        raise ValueError("dpdb probes cover 'val' and 'comp'; got %r" % (kind,))
     if not lineage_supports(query):
         return DpdbProbe(
             ok=False,
@@ -473,32 +416,15 @@ def _probe_val(
         return DpdbProbe(
             ok=False, reason=budget, width=None, variables=0, clauses=0
         )
-    encoding = compile_valuation_cnf(db, query)
-    return _probe_cnf(encoding, encoding.cnf, projection_mask=0)
-
-
-@lru_cache(maxsize=64)
-def _probe_comp(
-    db: IncompleteDatabase, query: BooleanQuery | None
-) -> DpdbProbe:
-    if query is not None and not lineage_supports(query):
-        return DpdbProbe(
-            ok=False,
-            reason="lineage compilation handles (U)CQs only",
-            width=None,
-            variables=0,
-            clauses=0,
-        )
-    budget = _budget_reason(db)
-    if budget is not None:
-        return DpdbProbe(
-            ok=False, reason=budget, width=None, variables=0, clauses=0
-        )
-    encoding = compile_completion_cnf(db, query)
+    if kind == "val":
+        assert query is not None
+        valuation = compile_valuation_cnf(db, query)
+        return _probe_cnf(valuation, valuation.cnf, projection_mask=0)
+    completion = compile_completion_cnf(db, query)
     projection_mask = 0
-    for variable in encoding.projection:
+    for variable in completion.projection:
         projection_mask |= 1 << variable
-    return _probe_cnf(encoding, encoding.cnf, projection_mask=projection_mask)
+    return _probe_cnf(completion, completion.cnf, projection_mask)
 
 
 def _budget_reason(db: IncompleteDatabase) -> str | None:
@@ -531,16 +457,12 @@ def _probe_cnf(encoding: Any, cnf: CNF, projection_mask: int) -> DpdbProbe:
             clauses=len(cnf),
         )
     masks = primal_masks(cnf)
-    delay = 0
-    if projection_mask:
-        occurring = 0
-        for vertex in masks:
-            occurring |= 1 << vertex
-        delay = projection_mask & occurring
     with _span(
         "dpdb.probe", variables=cnf.num_variables, clauses=len(cnf)
     ):
-        order, width, bags = refined_elimination_masks(masks, delay=delay)
+        order, width, bags = refined_elimination_masks(
+            masks, delay=projection_mask
+        )
     return DpdbProbe(
         ok=True,
         reason="elimination width %d" % width,
@@ -556,8 +478,7 @@ def _probe_cnf(encoding: Any, cnf: CNF, projection_mask: int) -> DpdbProbe:
 
 def probe_cache_clear() -> None:
     """Drop the memoized probes (tests and long-running services)."""
-    _probe_val.cache_clear()
-    _probe_comp.cache_clear()
+    dpdb_probe.cache_clear()
 
 
 # ---------------------------------------------------------------------------

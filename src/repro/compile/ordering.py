@@ -21,19 +21,20 @@ fill count is a handful of word-wide ``&``/``~`` operations plus
 ``int.bit_count`` instead of a quadratic pair loop over Python sets.  On
 the formulas the lineage compiler emits this is the difference between the
 ordering dominating a count and the ordering being noise next to the
-search (the greedy *choices* are unchanged — same min-fill score, same
-tie-break — only their cost).  The model counter hands its
-occurrence-index-derived adjacency masks straight to
-:func:`elimination_order_masks`, so the primal graph is built exactly once
-per formula; :func:`primal_masks` additionally memoizes per CNF object so
-the planner's width probe, :func:`branching_order` and the decomposer
-share one primal-graph build.
+search.
+
+The module has one primal-graph build and one elimination.
+:func:`primal_masks` memoizes the bitset graph per CNF object, so the
+planner's width probe, the decomposer and the model counter share one
+build; :func:`refined_elimination_masks` is the one two-phase greedy
+elimination all of them run, and :func:`branching_order` is its reverse
+for the search.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.complexity.cnf import CNF
 
@@ -52,22 +53,6 @@ MIN_FILL_VERTEX_LIMIT = 2_000
 MIN_FILL_REFINE_WIDTH = 24
 
 
-def primal_graph(cnf: CNF) -> dict[int, set[int]]:
-    """Adjacency of the primal (Gaifman) graph of ``cnf``.
-
-    Vertices are the variables occurring in at least one clause; two are
-    adjacent when they co-occur in a clause.
-    """
-    adjacency: dict[int, set[int]] = {}
-    for clause in cnf.clauses:
-        variables = {abs(literal) for literal in clause}
-        for variable in variables:
-            adjacency.setdefault(variable, set()).update(
-                variables - {variable}
-            )
-    return adjacency
-
-
 #: Per-CNF memo of :func:`primal_masks`: ``cnf -> (num_clauses,
 #: num_variables, masks)``.  The CNF class is an incremental builder, so
 #: the entry is validated against the formula's current shape and rebuilt
@@ -80,9 +65,10 @@ _PRIMAL_CACHE = weakref.WeakKeyDictionary()
 def primal_masks(cnf: CNF) -> dict[int, int]:
     """The primal graph as ``variable -> neighborhood bitset``.
 
-    One pass over the clause list: every clause contributes its variable
-    bitset to each member's adjacency mask (self-bits cleared at the end).
-    This is the mask form :func:`elimination_order_masks` consumes.
+    Vertices are the variables occurring in at least one clause; two are
+    adjacent when they co-occur in a clause.  One pass over the clause
+    list: every clause contributes its variable bitset to each member's
+    adjacency mask (self-bits cleared at the end).
 
     The result is memoized per CNF object (invalidated when the clause or
     variable count changes), so the planner's width probe,
@@ -108,32 +94,28 @@ def _primal_masks_uncached(cnf: CNF) -> dict[int, int]:
         clause_mask = 0
         for literal in clause:
             clause_mask |= 1 << (literal if literal > 0 else -literal)
-        variable_mask = clause_mask
-        while variable_mask:
-            low = variable_mask & -variable_mask
-            variable = low.bit_length() - 1
+        for literal in clause:
+            variable = literal if literal > 0 else -literal
             masks[variable] = masks.get(variable, 0) | clause_mask
-            variable_mask ^= low
     for variable in masks:
         masks[variable] &= ~(1 << variable)
     return masks
 
 
 def _greedy_eliminate(
-    masks: Mapping[int, int],
-    use_min_fill: bool,
-    delay: int,
-    collect_bags: bool,
+    masks: Mapping[int, int], use_min_fill: bool, delay: int
 ) -> tuple[list[int], int, list[int]]:
-    """The one greedy elimination loop behind every public ordering.
+    """One greedy elimination pass: min-fill or min-degree score, ties
+    broken by vertex index, neighborhoods turned into cliques on
+    elimination.
 
     Returns ``(order, width, bags)`` where ``bags[i]`` is the bitset of
     ``order[i]`` plus its (fill-graph) neighbors alive at elimination time
-    — exactly the bag the elimination induces in the tree decomposition —
-    or ``[]`` when ``collect_bags`` is false.  Vertices whose bit is set
-    in ``delay`` are only eligible once no other vertex remains, which
-    forces them into the *late* (root-side) bags; the projected DP uses
-    this to keep the projection variables above every auxiliary variable.
+    — exactly the bag the elimination induces in the tree decomposition.
+    Vertices whose bit is set in ``delay`` are only eligible once no other
+    vertex remains, which forces them into the *late* (root-side) bags;
+    the projected DP uses this to keep the projection variables above
+    every auxiliary variable.
     """
     adjacency = dict(masks)
 
@@ -169,8 +151,7 @@ def _greedy_eliminate(
         neighbors = adjacency.pop(best_vertex) & alive
         alive &= ~(1 << best_vertex)
         order.append(best_vertex)
-        if collect_bags:
-            bags.append(neighbors | (1 << best_vertex))
+        bags.append(neighbors | (1 << best_vertex))
         width = max(width, neighbors.bit_count())
         remaining = neighbors
         while remaining:
@@ -181,102 +162,30 @@ def _greedy_eliminate(
     return order, width, bags
 
 
-def elimination_order_masks(
-    masks: Mapping[int, int],
-    use_min_fill: bool | None = None,
-) -> tuple[list[int], int]:
-    """Greedy elimination ordering over adjacency bitsets.
-
-    Semantics match :func:`elimination_order` exactly — min-fill score
-    (min-degree beyond :data:`MIN_FILL_VERTEX_LIMIT` vertices), ties broken
-    by vertex index, neighborhoods turned into cliques on elimination —
-    computed with ``&``/``|``/``bit_count`` instead of set algebra.
-    Returns ``(order, width)``.
-    """
-    if use_min_fill is None:
-        use_min_fill = len(masks) <= MIN_FILL_VERTEX_LIMIT
-    order, width, _ = _greedy_eliminate(
-        masks, use_min_fill, delay=0, collect_bags=False
-    )
-    return order, width
-
-
-def elimination_bags_masks(
-    masks: Mapping[int, int],
-    use_min_fill: bool | None = None,
-    delay: int = 0,
-) -> tuple[list[int], int, list[int]]:
-    """:func:`elimination_order_masks` keeping the bags it already computes.
-
-    ``bags[i]`` is the bitset bag of ``order[i]`` (the vertex plus its
-    fill-graph neighborhood at elimination time); the greedy loop always
-    had these in hand and used to discard them.  ``delay`` restricts the
-    greedy choice to non-delayed vertices while any remain (see
-    :func:`_greedy_eliminate`).
-    """
-    if use_min_fill is None:
-        use_min_fill = len(masks) <= MIN_FILL_VERTEX_LIMIT
-    return _greedy_eliminate(masks, use_min_fill, delay=delay, collect_bags=True)
-
-
 def refined_elimination_masks(
     masks: Mapping[int, int], delay: int = 0
 ) -> tuple[list[int], int, list[int]]:
-    """The two-phase elimination both consumers share, with bags.
+    """The one elimination: two-phase greedy over adjacency bitsets.
 
     Min-degree first (linear-ish, and its width is a usable difficulty
     estimate), then a min-fill refinement only where the width is small
-    enough for the refinement to matter (:data:`MIN_FILL_REFINE_WIDTH`);
-    the better of the two widths wins.  This is the policy behind
-    :func:`branching_order` and the dpdb width probe, so the width the
-    planner quotes is the width the decomposition actually gets.
+    enough for the refinement to matter (:data:`MIN_FILL_REFINE_WIDTH`)
+    and the graph small enough for its quadratic loop
+    (:data:`MIN_FILL_VERTEX_LIMIT`); the better of the two widths wins.
+    Returns ``(order, width, bags)``; ``width`` — the largest neighborhood
+    at elimination time — is the width of the tree decomposition the
+    order induces, an upper bound on the treewidth.  The dpdb width probe,
+    the decomposer and :func:`branching_order` all run this, so the width
+    the planner quotes is the width the decomposition actually gets.
     """
-    order, width, bags = _greedy_eliminate(
-        masks, use_min_fill=False, delay=delay, collect_bags=True
-    )
+    order, width, bags = _greedy_eliminate(masks, use_min_fill=False, delay=delay)
     if width <= MIN_FILL_REFINE_WIDTH and len(masks) <= MIN_FILL_VERTEX_LIMIT:
         fill_order, fill_width, fill_bags = _greedy_eliminate(
-            masks, use_min_fill=True, delay=delay, collect_bags=True
+            masks, use_min_fill=True, delay=delay
         )
         if fill_width < width:
             order, width, bags = fill_order, fill_width, fill_bags
     return order, width, bags
-
-
-def elimination_width(cnf: CNF, delay: int = 0) -> int:
-    """Width of the two-phase greedy elimination of ``cnf``'s primal graph.
-
-    The cheap width probe: an upper bound on the treewidth (exact on the
-    instances the greedy handles well), computed from the memoized
-    :func:`primal_masks` without materializing the decomposition.  This is
-    the number the planner quotes when deciding for or against ``dpdb``.
-    """
-    _, width, _ = refined_elimination_masks(primal_masks(cnf), delay=delay)
-    return width
-
-
-def elimination_order(
-    adjacency: Mapping[int, Iterable[int]],
-    use_min_fill: bool | None = None,
-) -> tuple[list[int], int]:
-    """Greedy elimination ordering of a graph; returns ``(order, width)``.
-
-    ``width`` — the largest neighborhood at elimination time — is the width
-    of the tree decomposition the ordering induces, an upper bound on the
-    treewidth.  ``use_min_fill=None`` picks min-fill for graphs up to
-    :data:`MIN_FILL_VERTEX_LIMIT` vertices and min-degree beyond.
-    """
-    masks = {
-        vertex: _mask_of(neighbors) for vertex, neighbors in adjacency.items()
-    }
-    return elimination_order_masks(masks, use_min_fill=use_min_fill)
-
-
-def _mask_of(vertices: Iterable[int]) -> int:
-    mask = 0
-    for vertex in vertices:
-        mask |= 1 << vertex
-    return mask
 
 
 def branching_order(cnf: CNF) -> tuple[list[int], int]:
@@ -289,17 +198,6 @@ def branching_order(cnf: CNF) -> tuple[list[int], int]:
     the induced width as a difficulty estimate.  (The counter turns the
     order into a flat positional rank table itself.)
     """
-    return branching_order_masks(primal_masks(cnf))
-
-
-def branching_order_masks(masks: Mapping[int, int]) -> tuple[list[int], int]:
-    """:func:`branching_order` over prebuilt adjacency bitsets.
-
-    The model counter calls this with the masks its occurrence index
-    already derived, so the primal graph is never rebuilt from the clause
-    list a second time.  The two-phase policy lives in
-    :func:`refined_elimination_masks`; branching just reverses its order.
-    """
-    order, width, _ = refined_elimination_masks(masks)
+    order, width, _ = refined_elimination_masks(primal_masks(cnf))
     order.reverse()
     return order, width

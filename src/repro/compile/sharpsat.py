@@ -23,9 +23,9 @@ in-place state** instead of immutable formula copies:
   substitution and (projected mode) pure-literal elimination, each applied
   only where it provably preserves the count;
 * a **static branching order** from a treewidth heuristic
-  (:mod:`repro.compile.ordering`) — the counter feeds the heuristic the
-  adjacency bitsets its occurrence index already derived, so the primal
-  graph is built exactly once;
+  (:func:`repro.compile.ordering.branching_order`) — the primal graph is
+  memoized per CNF, so a formula the planner's width probe already saw
+  costs the counter no second build;
 * optional **projected counting**: with a projection set ``P``, models
   that agree on ``P`` are counted once — the engine branches on ``P``
   variables only and falls back to a satisfiability check once a component
@@ -52,7 +52,7 @@ import sys
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.complexity.cnf import CNF
-from repro.compile.ordering import branching_order_masks
+from repro.compile.ordering import branching_order
 from repro.compile.preprocess import PreprocessResult, preprocess_store
 from repro.compile.trail import ClauseStore
 from repro.obs import incr as _incr, observe as _observe, span as _span
@@ -76,8 +76,9 @@ class ModelCounter:
     """Exact (projected) model counter over a :class:`CNF`.
 
     ``projection`` — variables to count over; ``None`` counts full models.
-    ``order`` — static branching order; defaults to the reverse min-fill
-    order of the formula's primal graph.
+    ``order`` — static branching order; defaults to
+    :func:`~repro.compile.ordering.branching_order` of the formula, the
+    reverse of its two-phase elimination order.
     ``trace`` — optional :class:`TraceBuilder`; when given, :meth:`count`
     additionally records the search as a d-DNNF circuit rooted at
     :attr:`trace_root`.
@@ -145,7 +146,7 @@ class ModelCounter:
         self._store = ClauseStore(cnf.num_variables, cnf.clauses)
         if order is None:
             with _span("compile.ordering", variables=cnf.num_variables):
-                order, width = branching_order_masks(self._adjacency_masks())
+                order, width = branching_order(cnf)
             self.width = width
         else:
             order = list(order)
@@ -179,26 +180,6 @@ class ModelCounter:
             full_pack.append(packed)
         self._lengths = lengths
         self._full_pack = full_pack
-
-    def _adjacency_masks(self) -> dict[int, int]:
-        """Primal-graph adjacency bitsets from the occurrence index.
-
-        The store already knows each clause's variable bitset and each
-        variable's clause list, so the primal graph falls out of one OR
-        per occurrence — the ordering heuristic never rescans the clauses.
-        """
-        store = self._store
-        var_masks = store.var_masks
-        adjacency: dict[int, int] = {}
-        for variable in range(1, store.num_variables + 1):
-            mask = 0
-            for ci in store.occ_pos[variable]:
-                mask |= var_masks[ci]
-            for ci in store.occ_neg[variable]:
-                mask |= var_masks[ci]
-            if mask:
-                adjacency[variable] = mask & ~(1 << variable)
-        return adjacency
 
     # -- public API --------------------------------------------------------
 

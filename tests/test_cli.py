@@ -208,3 +208,78 @@ class TestApproxAndShow:
         out = capsys.readouterr().out
         assert "relations: R, S" in out
         assert "total valuations: 2" in out
+
+
+class TestInputErrors:
+    """Bad input exits cleanly: one stderr line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["sweep", "--db", "@db", "--query", "R(x)", "--weights", "[{bad"], 2),
+            (
+                [
+                    "explain", "--db", "@db", "--query", "R(x)",
+                    "--marginals", "--weights", "{bad",
+                ],
+                2,
+            ),
+            (["count", "--mode", "val", "--db", "@missing", "--query", "R(x)"], 2),
+            (["batch", "--jobs", "@missing"], 2),
+            (
+                [
+                    "sweep", "--db", "@db", "--query", "R(x)",
+                    "--weights-jsonl", "@missing",
+                ],
+                2,
+            ),
+            (["count", "--mode", "val", "--db", "@db", "--query", "R(x,"], 2),
+            (["batch", "--jobs", "@jobs", "--workers", "0"], 2),
+            (
+                [
+                    "count", "--mode", "val", "--db", "@hard",
+                    "--query", "R(x,x)", "--method", "poly",
+                ],
+                1,
+            ),
+        ],
+        ids=[
+            "sweep-weights-json",
+            "explain-weights-json",
+            "missing-db",
+            "missing-jobs",
+            "missing-weights-jsonl",
+            "query-syntax",
+            "batch-job-syntax",
+            "poly-on-hard-cell",
+        ],
+    )
+    def test_exits_with_one_stderr_line(self, tmp_path, db_file, capsys, argv, code):
+        hard = tmp_path / "hard.idb"
+        hard.write_text("domain a b\nR(?n1, ?n1)\nR(a, b)\n", encoding="utf-8")
+        jobs = tmp_path / "jobs.jsonl"
+        jobs.write_text(
+            '{"problem": "val", "db": "instance.idb", "query": "R(x)"}\n{oops\n',
+            encoding="utf-8",
+        )
+        paths = {
+            "@db": db_file,
+            "@hard": str(hard),
+            "@jobs": str(jobs),
+            "@missing": str(tmp_path / "missing.txt"),
+        }
+        assert main([paths.get(arg, arg) for arg in argv]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_bad_weights_jsonl_line_names_file_and_line(
+        self, tmp_path, db_file, capsys
+    ):
+        rows = tmp_path / "rows.jsonl"
+        rows.write_text('{"n1": {"a": 2}}\n{bad\n', encoding="utf-8")
+        assert main([
+            "sweep", "--db", db_file, "--query", "R(x)",
+            "--weights-jsonl", str(rows),
+        ]) == 2
+        assert "%s line 2" % rows in capsys.readouterr().err

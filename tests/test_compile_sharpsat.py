@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.complexity.cnf import CNF, CNF3, count_models_brute, count_sat
+from repro.compile import ordering
 from repro.compile.ordering import (
     branching_order,
-    elimination_order,
-    primal_graph,
+    primal_masks,
+    refined_elimination_masks,
 )
 from repro.compile.sharpsat import ModelCounter, count_models
 
@@ -135,19 +136,18 @@ class TestReferenceParity:
 
 
 class TestOrdering:
-    def test_primal_graph_of_chain(self):
+    def test_primal_masks_of_chain(self):
         cnf = CNF(3, [(1, 2), (2, 3)])
-        graph = primal_graph(cnf)
-        assert graph == {1: {2}, 2: {1, 3}, 3: {2}}
+        assert primal_masks(cnf) == {1: 1 << 2, 2: (1 << 1) | (1 << 3), 3: 1 << 2}
 
     def test_path_has_width_one(self):
         cnf = CNF(5, [(v, v + 1) for v in range(1, 5)])
-        _order, width = elimination_order(primal_graph(cnf))
+        _order, width, _bags = refined_elimination_masks(primal_masks(cnf))
         assert width == 1
 
     def test_cycle_has_width_two(self):
         cnf = CNF(5, [(v, v + 1) for v in range(1, 5)] + [(5, 1)])
-        _order, width = elimination_order(primal_graph(cnf))
+        _order, width, _bags = refined_elimination_masks(primal_masks(cnf))
         assert width == 2
 
     def test_branching_order_covers_constrained_variables(self):
@@ -155,9 +155,19 @@ class TestOrdering:
         order, _width = branching_order(cnf)
         assert sorted(order) == [1, 2, 3, 5, 6]
 
-    def test_min_degree_fallback_same_width_on_path(self):
+    def test_min_degree_fallback_same_width_on_path(self, monkeypatch):
+        # With no width small enough to refine, the min-degree pass stands.
+        monkeypatch.setattr(ordering, "MIN_FILL_REFINE_WIDTH", 0)
         cnf = CNF(5, [(v, v + 1) for v in range(1, 5)])
-        _order, width = elimination_order(
-            primal_graph(cnf), use_min_fill=False
-        )
+        _order, width, _bags = refined_elimination_masks(primal_masks(cnf))
         assert width == 1
+
+    @given(small_cnfs(max_variables=8, max_clauses=12))
+    @settings(max_examples=60, deadline=None)
+    def test_counter_orders_by_branching_order(self, cnf):
+        order, width = branching_order(cnf)
+        counter = ModelCounter(cnf)
+        assert counter.width == width
+        assert [counter._rank[variable] for variable in order] == list(
+            range(len(order))
+        )

@@ -6,7 +6,7 @@ Three layers of coverage for ``method='dpdb'``:
   bit-identically, on full *and* projected counts, plus exact weighted
   evaluation (negative ints and Fractions) against brute enumeration;
 * directed structure — the decomposition's join/introduce/forget shape,
-  bag invariants and the int64/object-table boundary;
+  bag invariants and the per-node int64/object table lanes;
 * the planner seam — the width probe, the width-threshold fallback, and
   the width detail surfaced in plans.
 """
@@ -30,7 +30,7 @@ from repro.compile.dpdb import (
     dpdb_probe,
     probe_cache_clear,
 )
-from repro.compile.ordering import elimination_width, primal_masks
+from repro.compile.ordering import primal_masks, refined_elimination_masks
 from repro.compile.sharpsat import count_models
 from repro.complexity.cnf import CNF, count_models_brute
 from repro.core.query import Atom, BCQ
@@ -183,7 +183,7 @@ class TestDifferentialFrontDoors:
 
 
 class TestTableDtypes:
-    """The numpy int64 / guard / object ladder."""
+    """The per-node int64 / object table lanes of the one DP pass."""
 
     def test_small_int_counts_take_the_int64_path(self):
         stats = {}
@@ -192,24 +192,80 @@ class TestTableDtypes:
 
     def test_huge_counts_cross_the_int64_boundary_exactly(self):
         # 40 independent triangles: count 7^40 > 2^62, but every DP
-        # intermediate is small — the guard pass proves int64 is safe and
-        # the free/root combination happens in Python ints.
+        # intermediate is small — every node stays in int64 and the root
+        # factors and free factors combine in Python ints.
         cnf = CNF(120)
         for triangle in range(40):
             base = 3 * triangle
             cnf.add_clause((base + 1, base + 2, base + 3))
         stats = {}
         assert count_models_dpdb(cnf, stats=stats) == 7**40
-        assert stats["path"] == "int64+guard"
+        assert stats["path"] == "int64"
 
     def test_huge_weights_fall_back_to_object_tables(self):
+        # The leaves (bound 2^41) run int64; their parents (bound 2^82)
+        # run exact.
         cnf = CNF(4, [(1, 2), (3, 4)])
         big = 1 << 40
         weights = {v: (big, big) for v in range(1, 5)}
         stats = {}
         result = count_models_dpdb(cnf, weights=weights, stats=stats)
-        assert stats["path"] == "object+guard"
+        assert stats["path"] == "mixed"
         assert result == _weighted_brute(cnf, weights)
+
+    def test_zero_weight_node_over_a_huge_child_goes_exact(self):
+        # Chain 1-2-3-4: the message node 2 passes up exceeds 2^62, and
+        # variable 3 weighs (0, 0).  Without the weight clamp node 3's
+        # bound would be 0 and the huge message would be cast to int64.
+        cnf = CNF(4, [(1, 2), (2, 3), (3, 4)])
+        big = 1 << 40
+        weights = {1: (big, big), 2: (big, big), 3: (0, 0)}
+        assert decompose(cnf).order == [1, 2, 3, 4]
+        stats = {}
+        result = count_models_dpdb(cnf, weights=weights, stats=stats)
+        assert stats["path"] == "mixed"
+        assert result == _weighted_brute(cnf, weights) == 0
+
+    def test_all_zero_child_beside_a_huge_one_goes_exact(self):
+        # Node 5 joins the all-zero message of variable 1 (weight (0, 0))
+        # with the chain 2-3-4, whose message exceeds 2^62.  Without the
+        # peak clamp the join's bound would be 0.
+        cnf = CNF(5, [(1, 5), (2, 3), (3, 4), (4, 5)])
+        big = 1 << 40
+        weights = {1: (0, 0), 2: (big, big), 3: (big, -big), 4: (big, big)}
+        decomposition = decompose(cnf)
+        root = decomposition.roots[0]
+        joined = [
+            decomposition.order[child]
+            for child in decomposition.children[root]
+        ]
+        assert decomposition.order[root] == 5 and sorted(joined) == [1, 4]
+        stats = {}
+        result = count_models_dpdb(cnf, weights=weights, stats=stats)
+        assert stats["path"] == "mixed"
+        assert result == _weighted_brute(cnf, weights)
+
+    def test_signed_weight_fuzz_matches_brute_enumeration(self):
+        rng = random.Random(20261017)
+        paths = {}
+        for scale in (1, 1 << 20, 1 << 31, 1 << 40):
+            for _ in range(75):
+                cnf = _random_cnf(rng, max_variables=8, max_clauses=12)
+                weights = {
+                    variable: (
+                        rng.randint(-scale, scale),
+                        rng.randint(-scale, scale),
+                    )
+                    for variable in range(1, cnf.num_variables + 1)
+                    if rng.random() < 0.8
+                }
+                stats = {}
+                result = count_models_dpdb(cnf, weights=weights, stats=stats)
+                assert result == _weighted_brute(cnf, weights)
+                paths[stats["path"]] = paths.get(stats["path"], 0) + 1
+        # Leaves never need object columns at these scales (one weight
+        # pair is below 2^41), so the runs split into all-int64 and mixed.
+        assert set(paths) == {"int64", "mixed"}
 
     def test_fraction_weights_take_the_object_path(self):
         cnf = CNF(3, [(1, -2), (2, 3)])
@@ -291,14 +347,18 @@ class TestDecompositionStructure:
         assert stats["nodes"] == len(decomposition)
 
 
+def _width(cnf):
+    return refined_elimination_masks(primal_masks(cnf))[1]
+
+
 class TestWidthProbe:
     def test_elimination_width_on_known_graphs(self):
         chain = CNF(5, [(v, v + 1) for v in range(1, 5)])
-        assert elimination_width(chain) == 1
+        assert _width(chain) == 1
         triangle = CNF(3, [(1, 2), (2, 3), (1, 3)])
-        assert elimination_width(triangle) == 2
+        assert _width(triangle) == 2
         clique = CNF(5, [(u, v) for u in range(1, 6) for v in range(u + 1, 6)])
-        assert elimination_width(clique) == 4
+        assert _width(clique) == 4
 
     def test_primal_masks_are_cached_per_cnf(self):
         cnf = CNF(4, [(1, 2), (3, 4)])
@@ -317,6 +377,34 @@ class TestWidthProbe:
         detail = first.detail()
         assert detail["width"] == first.width
         assert detail["width_limit"] == DPDB_WIDTH_LIMIT
+
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            scaling_block_comp_instance(6, seed=3),
+            scaling_hard_comp_instance(6, seed=6),
+        ],
+        ids=["block", "hard"],
+    )
+    def test_projected_probe_and_decompose_share_one_elimination(
+        self, instance
+    ):
+        db, query = instance
+        probe_cache_clear()
+        probe = dpdb_probe("comp", db, query)
+        encoding = probe.encoding
+        decomposition = decompose(
+            encoding.cnf, projection=encoding.projection
+        )
+        assert (decomposition.order, decomposition.width, decomposition.bags) == (
+            probe.order, probe.width, probe.bags
+        )
+        assert decomposition.projection_mask == probe.projection_mask
+
+    def test_probe_rejects_other_kinds(self):
+        db, query = scaling_hard_val_instance(4)
+        with pytest.raises(ValueError):
+            dpdb_probe("sweep", db, query)
 
     def test_probe_budget_overrun_reports_itself(self):
         domain = ["a", "b"]
