@@ -1,28 +1,36 @@
-"""Karp-Luby FPRAS for ``#Val(q)`` over unions of BCQs (Corollary 5.3).
+"""Karp-Luby FPRAS and uniform sampler for ``#Val(q)`` over unions of BCQs
+(Corollary 5.3).
 
-The coverage (union-of-sets) estimator of Karp, Luby and Madras: with
+The coverage (union-of-sets) construction of Karp, Luby and Madras: with
 events ``E_1..E_m`` of known weights ``w_i = |E_i|`` and ``W = sum w_i``,
-repeat: draw event ``i`` with probability ``w_i / W``, draw ``ν`` uniform in
-``E_i``, record ``X = 1 / #{j : ν in E_j}``.  Then ``E[W X] = |E_1 ∪ ... ∪
-E_m| = #Val(q)(D)``.
+one *draw* picks event ``i`` with probability ``w_i / W``, draws ``ν``
+uniform in ``E_i`` and counts its coverage ``c(ν) = #{j : ν in E_j}``.
+The paper takes its FPRAS from Theorem 5.1 [Arenas, Croquevielle,
+Jayaram, Riveros 2019], where counting and uniform generation are two
+uses of one construction; here both read the same draw:
 
-Since ``X ∈ [1/m, 1]``, a multiplicative Chernoff bound gives relative
-error ``ε`` with confidence ``1 - δ`` after
-``t = ceil(3 m ln(2/δ) / ε²)`` samples — polynomial in the input and
-``1/ε`` because ``m <= |D|^{|atoms|}`` for a fixed query.  That matches the
-FPRAS definition of Section 5 (whose fixed confidence is 3/4; we expose
-``δ``).
+* **counting** — ``X = 1 / c(ν)`` has ``E[W X] = |E_1 ∪ ... ∪ E_m| =
+  #Val(q)(D)``.  Since ``X ∈ [1/m, 1]``, a multiplicative Chernoff bound
+  gives relative error ``ε`` with confidence ``1 - δ`` after
+  ``t = ceil(3 m ln(2/δ) / ε²)`` draws — polynomial in the input and
+  ``1/ε`` because ``m <= |D|^{|atoms|}`` for a fixed query.  That matches
+  the FPRAS definition of Section 5 (whose fixed confidence is 3/4; we
+  expose ``δ``).
+* **uniform generation** — accepting a draw with probability ``1 / c(ν)``
+  makes every satisfying valuation equally likely, after an expected
+  ``W / #Val(q)(D) <= m`` draws per sample.
 
 Randomness is always explicit: pass ``seed`` (an int) or ``rng`` (a
 ``random.Random``) — never the global ``random`` state — so batch runs
-through :mod:`repro.engine` are reproducible job by job.  Samples are
-evaluated in batches against choice structures precomputed once per
-estimator (cumulative weights for event selection, sorted domains inside
-each event), which is what makes many-sample batch jobs cheap.
+through :mod:`repro.engine` are reproducible job by job.  Event selection
+reads cumulative weights built once per estimator, and each event sorts
+its choice lists on first use, which is what makes many-draw batch jobs
+cheap.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from bisect import bisect_right
@@ -30,22 +38,13 @@ from dataclasses import dataclass
 
 from repro.core.query import BCQ, UCQ
 from repro.db.incomplete import IncompleteDatabase
+from repro.db.terms import Null, Term
 from repro.approx.events import EmbeddingEvent, enumerate_events
+from repro.util.rng import resolve_rng
 
 
-def resolve_rng(
-    seed: int | None = None, rng: random.Random | None = None
-) -> random.Random:
-    """An explicit generator from either a seed or a caller-owned ``rng``.
-
-    Passing both is an error — silently preferring one would make batch
-    reproducibility depend on an invisible precedence rule.
-    """
-    if rng is not None:
-        if seed is not None:
-            raise ValueError("pass either seed or rng, not both")
-        return rng
-    return random.Random(seed)
+class NoSatisfyingValuation(RuntimeError):
+    """The query is unsatisfiable on the instance (no event exists)."""
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ class EstimateReport:
 
 
 class KarpLubyEstimator:
-    """Reusable estimator for ``#Val(q)(D)``, ``q`` a BCQ or UCQ."""
+    """Estimator and uniform sampler for ``#Val(q)(D)``, ``q`` a BCQ or UCQ."""
 
     def __init__(
         self,
@@ -68,18 +67,13 @@ class KarpLubyEstimator:
         seed: int | None = None,
         rng: random.Random | None = None,
     ) -> None:
-        self._db = db
-        self._query = query
         self._events: list[EmbeddingEvent] = enumerate_events(db, query)
-        self._weights = [event.weight for event in self._events]
-        self._total_weight = sum(self._weights)
+        # cumulative weights for O(log m) event selection
+        self._cumulative = list(
+            itertools.accumulate(event.weight for event in self._events)
+        )
+        self._total_weight = self._cumulative[-1] if self._cumulative else 0
         self._rng = resolve_rng(seed, rng)
-        # cumulative weights for O(log m) event sampling
-        self._cumulative: list[int] = []
-        acc = 0
-        for weight in self._weights:
-            acc += weight
-            self._cumulative.append(acc)
 
     @property
     def num_events(self) -> int:
@@ -90,15 +84,13 @@ class KarpLubyEstimator:
         """``W = sum |E_i|`` — an upper bound on ``#Val(q)(D)``."""
         return self._total_weight
 
-    def _draw(self) -> float:
-        """One coverage sample ``X = 1/#{j : ν ∈ E_j}``."""
+    def _draw(self) -> tuple[dict[Null, Term], int]:
+        """One coverage draw: ``ν`` and ``#{j : ν ∈ E_j}``."""
         target = self._rng.randrange(self._total_weight)
-        index = bisect_right(self._cumulative, target)
-        valuation = self._events[index].sample(self._rng)
-        containing = sum(
-            1 for event in self._events if event.contains(valuation)
-        )
-        return 1.0 / containing
+        event = self._events[bisect_right(self._cumulative, target)]
+        valuation = event.sample(self._rng)
+        coverage = sum(1 for other in self._events if other.contains(valuation))
+        return valuation, coverage
 
     def sample_count(self, epsilon: float, delta: float = 0.25) -> int:
         """The Chernoff-derived number of coverage samples."""
@@ -127,14 +119,41 @@ class KarpLubyEstimator:
         draw = self._draw
         acc = 0.0
         for _ in range(samples):
-            acc += draw()
-        mean = acc / samples
+            acc += 1.0 / draw()[1]
         return EstimateReport(
-            estimate=mean * self._total_weight,
+            estimate=acc / samples * self._total_weight,
             samples=samples,
             num_events=len(self._events),
             total_event_weight=self._total_weight,
         )
+
+    def sample(self, max_rounds: int | None = None) -> dict[Null, Term]:
+        """One uniform satisfying valuation: draws until one is accepted
+        with probability ``1 / #{j : ν ∈ E_j}``.
+
+        Raises :class:`NoSatisfyingValuation` when no valuation satisfies
+        the query, and ``RuntimeError`` if ``max_rounds`` draws are all
+        rejected (``None`` = unbounded; the expected number of draws is at
+        most the number of events).
+        """
+        if self._total_weight == 0:
+            raise NoSatisfyingValuation(
+                "query has no embedding event on this database"
+            )
+        rounds = itertools.count() if max_rounds is None else range(max_rounds)
+        for _ in rounds:
+            valuation, coverage = self._draw()
+            if self._rng.random() < 1.0 / coverage:
+                return valuation
+        raise RuntimeError(
+            "rejection sampling did not accept within %d rounds" % max_rounds
+        )
+
+    def sample_many(
+        self, count: int, max_rounds_each: int | None = None
+    ) -> list[dict[Null, Term]]:
+        """``count`` independent uniform satisfying valuations."""
+        return [self.sample(max_rounds_each) for _ in range(count)]
 
 
 def fpras_count_valuations(

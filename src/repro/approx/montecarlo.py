@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import random
 
-from repro.approx.fpras import resolve_rng
 from repro.core.query import BooleanQuery
 from repro.db.incomplete import IncompleteDatabase
 from repro.db.terms import Null, Term
 from repro.db.valuation import apply_valuation, count_total_valuations
 from repro.eval.evaluate import evaluate
+from repro.util.rng import resolve_rng
 
 
 def _sorted_domains(db: IncompleteDatabase) -> list[tuple[Null, list[Term]]]:

@@ -29,19 +29,29 @@ import time
 
 from repro import __version__
 from repro.core.classify import classify
-from repro.core.query import BCQ
+from repro.core.query import BCQ, UCQ
 from repro.db.valuation import count_total_valuations
 from repro.engine.jsonl import JobSyntaxError
 from repro.exact import planner
-from repro.exact.brute import DEFAULT_BUDGET
+from repro.exact.brute import DEFAULT_BUDGET, BruteForceBudgetExceeded
 from repro.exact.dispatch import solve
 from repro.io.databases import DatabaseSyntaxError, parse_database
 from repro.io.queries import QuerySyntaxError, parse_query
 
-#: Bad input — an unreadable file, or malformed query, database, job or
-#: weights text.  :func:`main` reports one of these as one stderr line
-#: and exit status 2.
-_INPUT_ERRORS = (OSError, QuerySyntaxError, DatabaseSyntaxError, JobSyntaxError)
+#: Bad input — an unreadable file, malformed query, database, job or
+#: weights text, or a ``--method`` outside the problem's vocabulary.
+#: :func:`main` reports one of these as one stderr line and exit status 2.
+_INPUT_ERRORS = (
+    OSError,
+    QuerySyntaxError,
+    DatabaseSyntaxError,
+    JobSyntaxError,
+    planner.UnknownMethod,
+)
+
+#: A well-formed question the requested method cannot answer: ``poly`` on
+#: a hard cell, or brute force past its budget.  One stderr line, exit 1.
+_UNANSWERED = (planner.NoPolynomialAlgorithm, BruteForceBudgetExceeded)
 
 
 def _load_db(path: str):
@@ -205,11 +215,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     if args.problem != "comp" and query is None:
         print("--problem %s needs --query" % args.problem, file=sys.stderr)
         return 2
-    try:
-        built = planner.plan(args.problem, db, query, args.method)
-    except ValueError as exc:
-        print("%s" % exc, file=sys.stderr)
-        return 2
+    built = planner.plan(args.problem, db, query, args.method)
     if args.json:
         print(json.dumps(built.to_dict()))
     else:
@@ -307,8 +313,14 @@ def _cmd_update(args: argparse.Namespace) -> int:
 def _cmd_approx(args: argparse.Namespace) -> int:
     from repro.approx.fpras import KarpLubyEstimator
 
+    if not (0 < args.epsilon < 1 and 0 < args.delta < 1):
+        print("need 0 < --epsilon < 1 and 0 < --delta < 1", file=sys.stderr)
+        return 2
     db = _load_db(args.db)
     query = parse_query(args.query)
+    if not isinstance(query, (BCQ, UCQ)):
+        print("the FPRAS applies to BCQs and UCQs", file=sys.stderr)
+        return 2
     started = time.perf_counter()
     estimator = KarpLubyEstimator(db, query, seed=args.seed)
     report = estimator.estimate(args.epsilon, args.delta)
@@ -860,9 +872,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except planner.NoPolynomialAlgorithm as exc:
-        # A poly request on a hard cell fails like a plan that cannot
-        # choose.
+    except _UNANSWERED as exc:
+        # Fails like a plan that cannot choose.
         print("repro-count %s: %s" % (args.command, exc), file=sys.stderr)
         return 1
     except _INPUT_ERRORS as exc:

@@ -68,6 +68,7 @@ from repro.db.valuation import (
     resolve_null_weights,
 )
 from repro.obs import incr as _incr, span as _span
+from repro.util.rng import resolve_rng
 
 
 def count_valuations_lineage(
@@ -543,9 +544,11 @@ class ValuationCircuit(_CircuitArtifact):
         or proportional to its weight product) by iterated conditioning:
         each null is pinned from its conditional marginal given the pins
         so far — ``k`` linear passes, never a rejection.  Raises
-        :class:`ValueError` when the query is unsatisfiable."""
-        if rng is None:
-            rng = random.Random(seed)
+        :class:`ValueError` when no satisfying valuation has nonzero
+        weight (the query is unsatisfiable, or ``weights`` zero it out),
+        when ``weights`` is malformed, and when both ``seed`` and ``rng``
+        are passed."""
+        rng = resolve_rng(seed, rng)
         resolved = resolve_null_weights(self._db, weights)
         if not self._db.nulls:
             if self._count == 0:
@@ -747,9 +750,7 @@ class CompletionCircuit(_CircuitArtifact):
         self, rng: random.Random | None = None, seed: int | None = None
     ) -> frozenset[Fact]:
         """One completion, uniform over the counted completions."""
-        if rng is None:
-            rng = random.Random(seed)
-        assignment = self._sampler.sample(rng)
+        assignment = self._sampler.sample(resolve_rng(seed, rng))
         facts = self._variables
         return frozenset(
             fact for fact in facts.facts() if assignment.get(facts.var(fact))

@@ -3,8 +3,8 @@
 Three stores live side by side:
 
 * the **answer memo** — ``fingerprint -> (count, resolved method)`` pairs,
-  one per distinct *question*.  Answers are tiny; an optional
-  ``max_entries`` bound turns the memo into an LRU;
+  one per distinct *question*.  Answers are tiny, so the memo is
+  unbounded except through the circuits its entries link to;
 * the **circuit slot** — ``instance fingerprint -> compiled circuit``
   (:class:`~repro.compile.backend.ValuationCircuit` /
   :class:`~repro.compile.backend.CompletionCircuit`), one per distinct
@@ -21,8 +21,9 @@ Three stores live side by side:
   and :meth:`CountCache.get_ancestor_circuit` walks a child's ancestor
   chain so a fingerprint miss can still be answered by conditioning a
   cached ancestor (tallied as ``parent_chain_hits``);
-* the **component store** — a small LRU of compiled clause-component
-  programs keyed by :func:`~repro.compile.lineage.component_key`.
+* the **component store** — an LRU of at most
+  :data:`DEFAULT_MAX_COMPONENTS` compiled clause-component programs keyed
+  by :func:`~repro.compile.lineage.component_key`.
   Insert/delete deltas recompile only the components their clauses
   touched; everything else splices from here.
 
@@ -35,29 +36,18 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Sequence
 
-#: Default bound of the clause-component program store (entries).
+#: Bound of the clause-component program store (entries).
 DEFAULT_MAX_COMPONENTS = 512
 
 
 class CountCache:
-    """LRU answer memo plus byte-bounded circuit store, with statistics."""
+    """Answer memo plus byte-bounded circuit store, with statistics."""
 
-    def __init__(
-        self,
-        max_entries: int | None = None,
-        max_circuit_bytes: int | None = None,
-        max_components: int | None = DEFAULT_MAX_COMPONENTS,
-    ) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be positive (or None)")
+    def __init__(self, max_circuit_bytes: int | None = None) -> None:
         if max_circuit_bytes is not None and max_circuit_bytes < 0:
             raise ValueError("max_circuit_bytes must be >= 0 (or None)")
-        if max_components is not None and max_components < 0:
-            raise ValueError("max_components must be >= 0 (or None)")
-        self._entries: OrderedDict[str, tuple[Any, str]] = OrderedDict()
-        self._max_entries = max_entries
+        self._entries: dict[str, tuple[Any, str]] = {}
         self._max_circuit_bytes = max_circuit_bytes
-        self._max_components = max_components
         # instance fingerprint -> (circuit, bytes); LRU order.
         self._circuits: OrderedDict[str, tuple[Any, int]] = OrderedDict()
         # links for joint eviction: memo entry <-> owning instance.
@@ -86,7 +76,6 @@ class CountCache:
         if entry is None:
             self.misses += 1
             return None
-        self._entries.move_to_end(fingerprint)
         self.hits += 1
         return entry
 
@@ -110,17 +99,10 @@ class CountCache:
             self._unlink_entry(fingerprint)
             return
         self._entries[fingerprint] = (count, method)
-        self._entries.move_to_end(fingerprint)
         self._unlink_entry(fingerprint)
         if instance is not None:
             self._entry_instance[fingerprint] = instance
             self._instance_entries.setdefault(instance, set()).add(fingerprint)
-        if (
-            self._max_entries is not None
-            and len(self._entries) > self._max_entries
-        ):
-            evicted, _value = self._entries.popitem(last=False)
-            self._unlink_entry(evicted)
 
     def _unlink_entry(self, fingerprint: str) -> None:
         instance = self._entry_instance.pop(fingerprint, None)
@@ -262,14 +244,9 @@ class CountCache:
 
     def put_component(self, key: tuple, entry: dict) -> None:
         """Store one compiled clause-component program (bounded LRU)."""
-        if self._max_components == 0:
-            return
         self._components[key] = entry
         self._components.move_to_end(key)
-        if (
-            self._max_components is not None
-            and len(self._components) > self._max_components
-        ):
+        if len(self._components) > DEFAULT_MAX_COMPONENTS:
             self._components.popitem(last=False)
 
     # -- statistics --------------------------------------------------------

@@ -81,6 +81,10 @@ class NoPolynomialAlgorithm(ValueError):
     i.e. the instance sits in a #P-hard cell of Table 1."""
 
 
+class UnknownMethod(ValueError):
+    """A ``method=`` name outside the problem's vocabulary."""
+
+
 #: Problem kinds the planner understands.  ``sweep`` is the batched form
 #: of ``val-weighted``: one instance, a *sequence* of weight tables, one
 #: answer per table (the circuit method compiles once and answers all of
@@ -299,10 +303,11 @@ def plan(
 ) -> Plan:
     """Build the explainable plan for one instance.
 
-    Raises :class:`ValueError` for an unknown problem or a method name
-    outside the problem's vocabulary; every *semantic* failure (``poly``
-    on a hard cell, no applicable method) is reported in :attr:`Plan.error`
-    so the CLI can still print the full analysis.
+    Raises :class:`ValueError` for an unknown problem and
+    :class:`UnknownMethod` for a method name outside the problem's
+    vocabulary; every *semantic* failure (``poly`` on a hard cell, no
+    applicable method) is reported in :attr:`Plan.error` so the CLI can
+    still print the full analysis.
 
     Every row's applicability is checked (a cheap syntactic test).
     ``auto`` then walks the rows in registration order and stops at the
@@ -315,7 +320,7 @@ def plan(
     entries = methods_for(problem)
     valid = _vocabulary(problem, entries)
     if method not in valid:
-        raise ValueError("unknown method %r (one of %s)" % (method, valid))
+        raise UnknownMethod("unknown method %r (one of %s)" % (method, valid))
 
     kind = _KIND[problem]
     applicability = {entry.name: entry.applies(kind, db, query) for entry in entries}
@@ -848,6 +853,7 @@ __all__ = [
     "NoPolynomialAlgorithm",
     "PROBLEMS",
     "Plan",
+    "UnknownMethod",
     "check_weights",
     "method_names",
     "methods_for",

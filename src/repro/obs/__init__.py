@@ -8,8 +8,8 @@ harness.  Three cooperating pieces:
 
 * a :class:`~repro.obs.metrics.Metrics` **registry** — named counters,
   gauges and histograms (exact quantiles), with a process-wide default
-  (:func:`default_registry`) and snapshot/merge support for aggregating
-  worker-process measurements into the parent;
+  (:func:`default_registry`) and a compact :meth:`~Metrics.snapshot`;
+  worker processes ship each job's :meth:`capture.digest` instead;
 * a :func:`~repro.obs.spans.span` / :func:`~repro.obs.spans.capture`
   **tracing API** — monotonic-clock phase spans that nest into trees,
   feed their durations into the registry's histograms, and stream one

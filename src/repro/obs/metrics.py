@@ -14,11 +14,11 @@ code never declares anything up front.  Design constraints, in order:
   The workloads observed (per-job latencies, per-phase timings) are
   bounded by job counts, so exactness costs memory proportional to work
   already done;
-* **mergeable** — :meth:`Metrics.dump` emits a plain-data form carrying
-  raw histogram values and :meth:`Metrics.merge` folds one in, so a
-  parent process can aggregate worker measurements without losing
-  quantile exactness.  :meth:`Metrics.snapshot` is the compact JSON-ready
-  summary (counts, sums, p50/p90/p99) for reports and ``JobResult.meta``.
+* **compact** — :meth:`Metrics.snapshot` is the JSON-ready summary
+  (counts, sums, p50/p90/p99) for reports.  Worker processes do not ship
+  registries: each engine job returns its capture's
+  :meth:`~repro.obs.spans.capture.digest` (phase seconds and counters) in
+  ``JobResult.meta``.
 
 The process-wide default registry (:func:`default_registry`) is what the
 :func:`repro.obs.spans.span` API records into; tests that need isolation
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Any, Iterable, Mapping
+from typing import Any
 
 
 def quantile(values: "list | tuple", q: float) -> Any:
@@ -96,10 +96,6 @@ class Histogram:
     def observe(self, value: Any) -> None:
         with self._lock:
             self._values.append(value)
-
-    def observe_many(self, values: Iterable) -> None:
-        with self._lock:
-            self._values.extend(values)
 
     @property
     def count(self) -> int:
@@ -189,18 +185,6 @@ class Metrics:
                     instrument = self._histograms[name] = Histogram(name)
         return instrument
 
-    def inc_many(self, prefix: str, stats: Mapping[str, Any]) -> None:
-        """Bulk counter increments from a solver's ``stats()`` dict.
-
-        Non-numeric and ``None`` values are skipped, so the uniform
-        stats vocabulary (which carries labels like ``core``) can be
-        mirrored wholesale.
-        """
-        for key, value in stats.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            self.counter("%s.%s" % (prefix, key)).inc(value)
-
     # -- aggregation -------------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
@@ -219,34 +203,6 @@ class Metrics:
                 for name, histogram in sorted(self._histograms.items())
             },
         }
-
-    def dump(self) -> dict[str, Any]:
-        """Lossless plain-data form (histograms carry raw values) for
-        cross-process shipping; fold into another registry with
-        :meth:`merge`."""
-        return {
-            "counters": {
-                name: counter.value for name, counter in self._counters.items()
-            },
-            "gauges": {
-                name: gauge.value for name, gauge in self._gauges.items()
-            },
-            "histograms": {
-                name: histogram.values()
-                for name, histogram in self._histograms.items()
-            },
-        }
-
-    def merge(self, dumped: Mapping[str, Any]) -> None:
-        """Fold a :meth:`dump` (e.g. from a worker process) into this
-        registry: counters add, gauges take the incoming value, histogram
-        observations concatenate — quantiles stay exact."""
-        for name, value in dumped.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, value in dumped.get("gauges", {}).items():
-            self.gauge(name).set(value)
-        for name, values in dumped.get("histograms", {}).items():
-            self.histogram(name).observe_many(values)
 
     def clear(self) -> None:
         with self._lock:

@@ -114,9 +114,9 @@ _RESULTS: tuple[PaperResult, ...] = (
     PaperResult(
         "Corollary 5.3 (+ Prop. 5.2, Thm. 5.1)",
         "#Val(q) has an FPRAS for every union of BCQs",
-        ("repro.approx.events", "repro.approx.fpras",
-         "repro.approx.sampler"),
-        ("tests/test_approx.py", "benchmarks/bench_approximation.py"),
+        ("repro.approx.events", "repro.approx.fpras"),
+        ("tests/test_approx.py", "tests/test_approx_sampler.py",
+         "benchmarks/bench_approximation.py"),
         "Karp-Luby realization; uniform generation included",
     ),
     PaperResult(

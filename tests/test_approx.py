@@ -11,11 +11,16 @@ from repro.db.incomplete import IncompleteDatabase
 from repro.db.terms import Null
 from repro.db.valuation import iter_valuations
 from repro.exact.brute import count_valuations_brute
+from repro.exact.dispatch import solve
 from repro.approx.events import enumerate_events
 from repro.approx.fpras import KarpLubyEstimator, fpras_count_valuations
 from repro.approx.montecarlo import (
     naive_monte_carlo_valuations,
     sample_valuation,
+)
+from repro.workloads.generators import (
+    random_incomplete_db,
+    scaling_hard_val_instance,
 )
 
 from tests.conftest import small_incomplete_dbs
@@ -158,6 +163,50 @@ class TestKarpLuby:
             # Guaranteed within 0.15 w.p. 0.98; the slack to 0.30 makes the
             # test deterministic-in-practice across hypothesis seeds.
             assert abs(report.estimate - exact) <= 0.30 * exact
+
+
+def _band_instances():
+    """Seeded small instances for the ε-band test: chorded cycles
+    (Prop. 3.4 shape) and random ``R``/``S`` databases, each of the
+    latter asked one BCQ and one UCQ."""
+    instances = [
+        scaling_hard_val_instance(
+            n, num_colors=4, chord_probability=0.2, seed=n
+        )
+        for n in range(4, 8)
+    ]
+    bcq = BCQ([Atom("R", ["x", "y"]), Atom("S", ["y", "x"])])
+    ucq = UCQ([BCQ([Atom("R", ["x", "x"])]), BCQ([Atom("S", ["x", "x"])])])
+    for seed in (0, 4, 6):
+        db = random_incomplete_db(
+            {"R": 2, "S": 2}, seed=seed, num_nulls=4,
+            facts_per_relation=(2, 4), domain_size=3,
+        )
+        instances += [(db, bcq), (db, ucq)]
+    return instances
+
+
+class TestEpsilonBand:
+    EPSILON, DELTA = 0.5, 0.25
+    #: Allowance above δ for the share of seeded runs outside the band.
+    SLACK = 0.05
+
+    def test_estimates_leave_the_band_at_most_a_delta_share(self):
+        """The FPRAS guarantee, checked on exact counts: over 10 seeds per
+        instance, at most a δ share (plus the stated slack) of the
+        estimates lands outside ``(1 ± ε) · #Val``."""
+        outside = runs = 0
+        for db, query in _band_instances():
+            exact = solve("val", db, query).count
+            assert exact > 0
+            for seed in range(10):
+                report = KarpLubyEstimator(db, query, seed=seed).estimate(
+                    self.EPSILON, self.DELTA
+                )
+                runs += 1
+                outside += abs(report.estimate - exact) > self.EPSILON * exact
+        assert runs == 100
+        assert outside <= (self.DELTA + self.SLACK) * runs
 
 
 class TestMonteCarlo:

@@ -1,4 +1,5 @@
-"""Tests for uniform generation of satisfying valuations."""
+"""Tests for uniform generation of satisfying valuations
+(:meth:`KarpLubyEstimator.sample` / :meth:`KarpLubyEstimator.sample_many`)."""
 
 from collections import Counter
 
@@ -10,10 +11,7 @@ from repro.db.incomplete import IncompleteDatabase
 from repro.db.terms import Null
 from repro.db.valuation import apply_valuation, iter_valuations
 from repro.eval.evaluate import evaluate
-from repro.approx.sampler import (
-    NoSatisfyingValuation,
-    SatisfyingValuationSampler,
-)
+from repro.approx.fpras import KarpLubyEstimator, NoSatisfyingValuation
 
 
 def _satisfying_valuations(db, query):
@@ -34,14 +32,14 @@ class TestCorrectness:
 
     def test_samples_are_satisfying(self):
         db, query = self._instance()
-        sampler = SatisfyingValuationSampler(db, query, seed=5)
+        sampler = KarpLubyEstimator(db, query, seed=5)
         for valuation in sampler.sample_many(50):
             assert evaluate(query, apply_valuation(db, valuation))
 
     def test_every_satisfying_valuation_is_reachable(self):
         db, query = self._instance()
         satisfying = _satisfying_valuations(db, query)
-        sampler = SatisfyingValuationSampler(db, query, seed=9)
+        sampler = KarpLubyEstimator(db, query, seed=9)
         seen = {
             tuple(sorted((repr(k), repr(v)) for k, v in s.items()))
             for s in sampler.sample_many(300)
@@ -57,7 +55,7 @@ class TestCorrectness:
         db, query = self._instance()
         satisfying = _satisfying_valuations(db, query)
         support = len(satisfying)
-        sampler = SatisfyingValuationSampler(db, query, seed=123)
+        sampler = KarpLubyEstimator(db, query, seed=123)
         draws = 3000
         counts = Counter(
             tuple(sorted((repr(k), repr(v)) for k, v in s.items()))
@@ -69,20 +67,18 @@ class TestCorrectness:
 
     def test_unsatisfiable_raises(self):
         db = IncompleteDatabase.uniform([Fact("R", [Null(1)])], ["a"])
-        sampler = SatisfyingValuationSampler(
-            db, BCQ([Atom("S", ["x"])]), seed=0
-        )
+        sampler = KarpLubyEstimator(db, BCQ([Atom("S", ["x"])]), seed=0)
         with pytest.raises(NoSatisfyingValuation):
             sampler.sample()
 
     def test_max_rounds_guard(self):
         db, query = self._instance()
-        sampler = SatisfyingValuationSampler(db, query, seed=0)
+        sampler = KarpLubyEstimator(db, query, seed=0)
         # max_rounds=0 can never accept
         with pytest.raises(RuntimeError):
             sampler.sample(max_rounds=0)
 
     def test_num_events_exposed(self):
         db, query = self._instance()
-        sampler = SatisfyingValuationSampler(db, query, seed=0)
+        sampler = KarpLubyEstimator(db, query, seed=0)
         assert sampler.num_events == 2

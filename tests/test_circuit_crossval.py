@@ -24,10 +24,6 @@ from fractions import Fraction
 
 import pytest
 
-from repro.approx.sampler import (
-    CircuitValuationSampler,
-    NoSatisfyingValuation,
-)
 from repro.compile import (
     CompletionCircuit,
     ValuationCircuit,
@@ -347,48 +343,67 @@ class TestSamplerExactness:
 
     def test_circuit_sampler_front_door(self):
         db, query = scaling_hard_val_instance(5, num_colors=2)
-        sampler = CircuitValuationSampler(db, query, seed=11)
-        assert sampler.count == count_valuations_brute(db, query)
+        compiled = ValuationCircuit(db, query)
+        assert compiled.count() == count_valuations_brute(db, query)
         support = {
             tuple(sorted(v.items(), key=repr))
             for v in _satisfying(db, query)
         }
-        for valuation in sampler.sample_many(200):
+        rng = random.Random(11)
+        for _ in range(200):
+            valuation = compiled.sample_valuation(rng=rng)
             assert tuple(sorted(valuation.items(), key=repr)) in support
 
     def test_circuit_sampler_reproducible_by_seed(self):
         db, query = scaling_hard_val_instance(5, num_colors=2)
-        first = CircuitValuationSampler(db, query, seed=3).sample_many(20)
-        second = CircuitValuationSampler(db, query, seed=3).sample_many(20)
-        assert first == second
+        first, second = random.Random(3), random.Random(3)
+        assert [
+            ValuationCircuit(db, query).sample_valuation(rng=first)
+            for _ in range(20)
+        ] == [
+            ValuationCircuit(db, query).sample_valuation(rng=second)
+            for _ in range(20)
+        ]
 
     def test_circuit_sampler_unsatisfiable(self):
         db = _db(0, True, False)
         impossible = BCQ([Atom("T", ["x"])])
-        sampler = CircuitValuationSampler(db, impossible, seed=0)
-        with pytest.raises(NoSatisfyingValuation):
-            sampler.sample()
+        with pytest.raises(ValueError, match="nonzero weight"):
+            ValuationCircuit(db, impossible).sample_valuation(seed=0)
 
     def test_circuit_sampler_zero_weight_mass(self):
         # Satisfiable query, but the weights zero out every valuation:
-        # under the sampling distribution that is "nothing to sample",
-        # and the sampler's documented exception type must say so.
+        # under the sampling distribution that is "nothing to sample".
         db = _db(1, True, False)
         query = QUERIES[0]
         assert _satisfying(db, query)
         null = db.nulls[0]
         weights = {null: {value: 0 for value in db.domain_of(null)}}
-        sampler = CircuitValuationSampler(db, query, seed=0, weights=weights)
-        with pytest.raises(NoSatisfyingValuation):
-            sampler.sample()
+        with pytest.raises(ValueError, match="nonzero weight"):
+            ValuationCircuit(db, query).sample_valuation(
+                seed=0, weights=weights
+            )
 
-    def test_circuit_sampler_rejects_malformed_weights_eagerly(self):
+    def test_circuit_sampler_rejects_malformed_weights(self):
         db = _db(1, True, False)
         null = db.nulls[0]
+        compiled = ValuationCircuit(db, QUERIES[0])
         with pytest.raises(ValueError, match="domain"):
-            CircuitValuationSampler(
-                db, QUERIES[0], seed=0,
-                weights={null: {"not-a-domain-value": 1}},
+            compiled.sample_valuation(
+                seed=0, weights={null: {"not-a-domain-value": 1}}
+            )
+
+    def test_circuit_samplers_reject_seed_with_rng(self):
+        # One explicit generator, as everywhere else: seed and rng together
+        # are an error, not a silent preference for rng.
+        db = _db(4, False, False)
+        with pytest.raises(ValueError, match="not both"):
+            ValuationCircuit(db, QUERIES[0]).sample_valuation(
+                rng=random.Random(1), seed=2
+            )
+        with pytest.raises(ValueError, match="not both"):
+            CompletionCircuit(db, None).sample_completion(
+                rng=random.Random(1), seed=2
             )
 
     def test_completion_sampler_hits_only_completions(self):

@@ -242,6 +242,39 @@ class TestInputErrors:
                 ],
                 1,
             ),
+            (
+                [
+                    "count", "--mode", "val", "--db", "@db",
+                    "--query", "R(x)", "--method", "nope",
+                ],
+                2,
+            ),
+            (["count", "--mode", "comp", "--db", "@db", "--method", "codd"], 2),
+            (
+                [
+                    "update", "--db", "@db", "--query", "R(x)",
+                    "--resolve", "n1=a", "--method", "nope",
+                ],
+                2,
+            ),
+            (["stats", "--db", "@db", "--query", "R(x)", "--method", "nope"], 2),
+            (
+                [
+                    "sweep", "--db", "@db", "--query", "R(x)",
+                    "--weights", "[null]", "--method", "nope",
+                ],
+                2,
+            ),
+            (["approx", "--db", "@db", "--query", "R(x)", "--epsilon", "2"], 2),
+            (["approx", "--db", "@db", "--query", "R(x)", "--delta", "0"], 2),
+            (["approx", "--db", "@db", "--query", "!R(x,y)"], 2),
+            (
+                [
+                    "count", "--mode", "val", "--db", "@db", "--query", "R(x)",
+                    "--method", "brute", "--budget", "1",
+                ],
+                1,
+            ),
         ],
         ids=[
             "sweep-weights-json",
@@ -252,6 +285,15 @@ class TestInputErrors:
             "query-syntax",
             "batch-job-syntax",
             "poly-on-hard-cell",
+            "count-unknown-method",
+            "count-val-method-on-comp",
+            "update-unknown-method",
+            "stats-unknown-method",
+            "sweep-unknown-method",
+            "approx-epsilon-out-of-range",
+            "approx-delta-out-of-range",
+            "approx-negation",
+            "brute-over-budget",
         ],
     )
     def test_exits_with_one_stderr_line(self, tmp_path, db_file, capsys, argv, code):

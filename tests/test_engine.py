@@ -169,15 +169,6 @@ class TestPersistentPool:
 
 
 class TestCountCache:
-    def test_lru_eviction(self):
-        cache = CountCache(max_entries=2)
-        cache.put("a", 1, "brute")
-        cache.put("b", 2, "brute")
-        assert cache.get("a") == (1, "brute")  # refresh "a"
-        cache.put("c", 3, "brute")  # evicts "b"
-        assert "b" not in cache
-        assert "a" in cache and "c" in cache
-
     def test_hit_rate(self):
         cache = CountCache()
         assert cache.hit_rate == 0.0

@@ -36,6 +36,7 @@ from repro.engine import (
     instance_db,
     run_batch,
 )
+from repro.engine import cache as cache_module
 from repro.exact import planner
 
 N1 = Null("n1")
@@ -137,18 +138,16 @@ def test_bounded_cache_drops_children_with_parents():
         assert not cache.has_circuit(fp_child)
 
 
-def test_component_store_is_bounded_lru():
-    cache = CountCache(max_components=2)
+def test_component_store_is_bounded_lru(monkeypatch):
+    monkeypatch.setattr(cache_module, "DEFAULT_MAX_COMPONENTS", 2)
+    cache = CountCache()
     cache.put_component(("a",), {"count": 1})
     cache.put_component(("b",), {"count": 2})
     assert cache.get_component(("a",)) == {"count": 1}
     cache.put_component(("c",), {"count": 3})  # evicts ("b",), the LRU
     assert cache.get_component(("b",)) is None
     assert cache.get_component(("a",)) is not None
-    disabled = CountCache(max_components=0)
-    disabled.put_component(("a",), {"count": 1})
-    assert disabled.get_component(("a",)) is None
-    assert disabled.stats()["components"] == 0
+    assert cache.stats()["components"] == 2
 
 
 # -- update jobs ------------------------------------------------------------
