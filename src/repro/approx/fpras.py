@@ -40,6 +40,7 @@ from repro.core.query import BCQ, UCQ
 from repro.db.incomplete import IncompleteDatabase
 from repro.db.terms import Null, Term
 from repro.approx.events import EmbeddingEvent, enumerate_events
+from repro.obs import span as _span
 from repro.util.rng import resolve_rng
 
 
@@ -67,7 +68,9 @@ class KarpLubyEstimator:
         seed: int | None = None,
         rng: random.Random | None = None,
     ) -> None:
-        self._events: list[EmbeddingEvent] = enumerate_events(db, query)
+        with _span("approx.events") as live:
+            self._events: list[EmbeddingEvent] = enumerate_events(db, query)
+            live.fields["events"] = len(self._events)
         # cumulative weights for O(log m) event selection
         self._cumulative = list(
             itertools.accumulate(event.weight for event in self._events)
@@ -118,8 +121,9 @@ class KarpLubyEstimator:
             return EstimateReport(0.0, samples, 0, 0)
         draw = self._draw
         acc = 0.0
-        for _ in range(samples):
-            acc += 1.0 / draw()[1]
+        with _span("approx.estimate", samples=samples):
+            for _ in range(samples):
+                acc += 1.0 / draw()[1]
         return EstimateReport(
             estimate=acc / samples * self._total_weight,
             samples=samples,

@@ -423,7 +423,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     from repro.engine import BatchEngine
-    from repro.engine.jsonl import read_jobs
+    from repro.engine.jsonl import read_jobs, write_results
 
     base_dir = os.path.dirname(os.path.abspath(args.jobs))
     with open(args.jobs, "r", encoding="utf-8") as handle:
@@ -461,14 +461,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             sink.close()
     elapsed = time.perf_counter() - started
 
-    lines = "".join(
-        json.dumps(result.to_dict()) + "\n" for result in results
-    )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(lines)
+            write_results(handle, results)
     else:
-        sys.stdout.write(lines)
+        write_results(sys.stdout, results)
 
     errors = sum(1 for result in results if not result.ok)
     fallbacks = sum(1 for result in results if result.meta.get("fallback"))
@@ -502,7 +499,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     print(
-        format_latency_summary(summarize_latencies(), stats), file=sys.stderr
+        format_latency_summary(summarize_latencies(results), stats),
+        file=sys.stderr,
     )
     if sink is not None:
         print(
@@ -518,16 +516,16 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
     Two sources: ``--metrics-jsonl`` aggregates a span/event stream a
     previous run wrote (exact quantiles, recomputed from the raw records);
-    ``--db`` runs one instrumented solve right here and reports what the
-    registry saw.
+    ``--db`` runs one instrumented solve right here and reports its
+    capture: the solve's counters and a summary per span name.
     """
     from repro.obs import (
         aggregate_metrics_jsonl,
         capture,
-        default_registry,
         format_snapshot,
         render_span_tree,
         span,
+        summarize_capture,
     )
 
     if args.metrics_jsonl:
@@ -538,11 +536,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print("records: %d" % digest["records"])
         print(
             format_snapshot(
-                {
-                    "counters": digest["events"],
-                    "gauges": {},
-                    "histograms": digest["spans"],
-                }
+                {"counters": digest["events"], "spans": digest["spans"]}
             )
         )
         return 0
@@ -555,7 +549,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     with capture() as captured:
         with span("cli.stats", mode=args.mode):
             count, _method = _count(args, db, query, DEFAULT_BUDGET)
-    snapshot = default_registry().snapshot()
+    snapshot = summarize_capture(captured)
     if args.json:
         print(
             json.dumps(
@@ -834,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats = sub.add_parser(
         "stats",
         help="observability snapshot: aggregate a --metrics-jsonl stream, "
-        "or run one instrumented solve and report what the registry saw",
+        "or run one instrumented solve and report its counters and spans",
     )
     p_stats.add_argument(
         "--metrics-jsonl", default=None,

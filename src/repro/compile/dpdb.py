@@ -84,12 +84,7 @@ from repro.compile.ordering import primal_masks, refined_elimination_masks
 from repro.complexity.cnf import CNF
 from repro.core.query import BooleanQuery
 from repro.db.incomplete import IncompleteDatabase
-from repro.obs import (
-    event as _obs_event,
-    incr as _incr,
-    observe as _observe,
-    span as _span,
-)
+from repro.obs import event as _obs_event, incr as _incr, span as _span
 
 #: Planner preference threshold: at or below this width the DP is treated
 #: as the cheap method for a hard cell (tables of at most
@@ -162,18 +157,17 @@ def count_models_dpdb(
     positive, negative, all_int = _weight_columns(cnf.num_variables, weights)
 
     _incr("dpdb.runs")
-    _observe("dpdb.width", decomposition.width)
     with _span(
         "dpdb.tables",
         nodes=len(decomposition),
         width=decomposition.width,
         max_bag=decomposition.max_bag,
         projected=projected,
-    ):
+    ) as live:
         path, factors, rows = _solve(
             decomposition, positive, negative, all_int, projected
         )
-    _observe("dpdb.rows", rows)
+        live.fields["rows"] = rows
 
     result: Any = 1
     for factor in factors:

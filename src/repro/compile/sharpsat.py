@@ -55,7 +55,7 @@ from repro.complexity.cnf import CNF
 from repro.compile.ordering import branching_order
 from repro.compile.preprocess import PreprocessResult, preprocess_store
 from repro.compile.trail import ClauseStore
-from repro.obs import incr as _incr, observe as _observe, span as _span
+from repro.obs import incr as _incr, span as _span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compile.ddnnf_trace import TraceBuilder
@@ -207,8 +207,9 @@ class ModelCounter:
         try:
             if needed > limit:
                 sys.setrecursionlimit(needed)
-            with _span("compile.search", core="trail"):
+            with _span("compile.search", core="trail") as live:
                 self._result = self._count_root()
+                live.fields["max_trail_depth"] = self._store.max_trail_depth
         finally:
             sys.setrecursionlimit(limit)
         self._flush_stats()
@@ -251,7 +252,8 @@ class ModelCounter:
     def _flush_stats(self) -> None:
         """Mirror one finished search into the observability layer: the
         stats vocabulary becomes ``sharpsat.*`` counters (visible to any
-        active capture), trail depth an observation.  Runs once."""
+        active capture); trail depth rides the ``compile.search`` span.
+        Runs once."""
         if self._stats_flushed:
             return
         self._stats_flushed = True
@@ -266,9 +268,6 @@ class ModelCounter:
             value = stats.get(key)
             if value:
                 _incr("sharpsat.%s" % key, value)
-        depth = stats.get("max_trail_depth")
-        if depth:
-            _observe("sharpsat.max_trail_depth", depth)
         pre = stats.get("preprocessing")
         if pre:
             for key, value in pre.items():

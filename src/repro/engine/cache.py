@@ -277,14 +277,6 @@ class CountCache:
             "max_circuit_bytes": self._max_circuit_bytes,
         }
 
-    def publish(self, registry: Any) -> None:
-        """Mirror :meth:`stats` into an observability registry
-        (:class:`repro.obs.Metrics`) as ``engine.cache.*`` gauges —
-        lifetime totals, so gauges (last value wins) are the right
-        instrument; the engine republishes after every batch."""
-        for key, value in self.stats().items():
-            registry.gauge("engine.cache.%s" % key).set(value)
-
     def clear(self) -> None:
         self._entries.clear()
         self._circuits.clear()

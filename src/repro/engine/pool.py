@@ -67,11 +67,9 @@ from repro.engine.jobs import (
     instance_fingerprint_of,
 )
 from repro.obs import (
-    default_registry,
     emit_record as _emit_record,
     enabled as _obs_enabled,
     incr as _incr,
-    observe as _observe,
     span as _span,
 )
 
@@ -103,14 +101,7 @@ class BatchEngine:
         No-op unless ``persistent_pool=True`` and ``workers > 1``.
         """
         if self._persistent and self.workers > 1 and self._pool is None:
-            started = time.perf_counter()
             self._pool = multiprocessing.get_context().Pool(self.workers)
-            if _obs_enabled():
-                registry = default_registry()
-                registry.gauge("engine.pool.warm_seconds").set(
-                    time.perf_counter() - started
-                )
-                registry.gauge("engine.pool.workers").set(self.workers)
 
     def close(self) -> None:
         """Release the persistent pool (idempotent)."""
@@ -129,22 +120,15 @@ class BatchEngine:
         """Solve every job, in order; errors are per-job, never raised."""
         with _span("engine.batch", jobs=len(jobs)):
             results = self._run(jobs)
-        if _obs_enabled():
-            for result in results:
-                queue = (result.meta.get("metrics") or {}).get(
-                    "queue_seconds", 0.0
-                )
-                _observe("engine.job.queue_seconds", queue)
-                _observe("engine.job.execute_seconds", result.seconds)
-                _observe("engine.job.total_seconds", queue + result.seconds)
-                if result.cache_hit:
-                    _incr("engine.memo_hits")
-            _incr("engine.jobs", len(jobs))
-            self.cache.publish(default_registry())
+        hits = sum(result.cache_hit for result in results)
+        if hits:
+            _incr("engine.memo_hits", hits)
+        _incr("engine.jobs", len(jobs))
         return results
 
     def _run(self, jobs: Sequence[CountJob]) -> list[JobResult]:
-        fingerprints = [fingerprint_job(job) for job in jobs]
+        with _span("engine.fingerprint", jobs=len(jobs)):
+            fingerprints = [fingerprint_job(job) for job in jobs]
         results: list[JobResult | None] = [None] * len(jobs)
 
         representative: dict[str, int] = {}
@@ -358,8 +342,8 @@ class BatchEngine:
         behind earlier results of the ordered stream.  The queue share is
         recorded into the job's ``meta['metrics']`` (it rides the same
         payload workers already ship) and each worker's captured metrics
-        are folded into the parent registry here, at the only point that
-        knows the result crossed a process boundary.
+        are absorbed here, at the only point that knows the result
+        crossed a process boundary.
         """
         solved = []
         dispatched = time.perf_counter()
@@ -376,16 +360,13 @@ class BatchEngine:
 
     def _absorb_worker_metrics(self, result: JobResult) -> None:
         """Fold a worker-process result's shipped metrics into the parent:
-        counters add (visible to any active capture), each phase total
-        lands as one observation in the phase's histogram, and each phase
-        is re-emitted to the attached sinks (the sinks never saw the
+        counters add to every active capture, and each phase total is
+        re-emitted to the attached sinks (the sinks never saw the
         worker's own spans)."""
         metrics = result.meta.get("metrics")
         if not metrics:
             return
-        registry = default_registry()
         for name, seconds in (metrics.get("phases") or {}).items():
-            registry.histogram(name).observe(seconds)
             _emit_record(
                 {
                     "type": "span",

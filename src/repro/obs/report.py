@@ -1,24 +1,58 @@
-"""Text reports over spans and registries: the human side of `repro.obs`.
+"""Text reports over captures, results and streams: the human side of
+`repro.obs`.
 
-Everything here is pure formatting/aggregation over data the other two
-modules produce — span trees from :func:`repro.obs.spans.capture`,
-snapshots from :meth:`repro.obs.metrics.Metrics.snapshot`, and JSONL
-event streams written by :class:`repro.obs.spans.JsonlSink`.  The CLI
-(``repro stats``, ``count --trace``, ``batch``) and the benchmark
-harness render through these helpers so the vocabulary stays in one
-place.
+Everything here is pure aggregation and formatting over data the caller
+already holds: span trees and counters from :func:`repro.obs.spans.capture`,
+the results a batch just returned, and JSONL streams written by
+:class:`repro.obs.spans.JsonlSink`.  One exact statistic,
+:func:`summarize` (count, sum, min/max and nearest-rank p50/p90/p99),
+serves all three.  The CLI (``repro stats``, ``count --trace``,
+``batch``) and the benchmark harness render through these helpers so the
+vocabulary stays in one place.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Iterable, Mapping
 
-from repro.obs.metrics import Metrics, default_registry, quantile
-from repro.obs.spans import Span
+from repro.obs.spans import Span, capture
 
-#: Histogram names behind the per-job latency summary, in display order.
+#: The stages of the per-job latency summary, in display order.
 JOB_LATENCY_STAGES = ("queue", "execute", "total")
+
+
+def quantile(values: "list | tuple", q: float) -> Any:
+    """Exact nearest-rank quantile of ``values`` (which must be sorted).
+
+    ``q`` in ``[0, 1]``; ``q=0`` is the minimum, ``q=1`` the maximum, and
+    generally the smallest element whose rank covers a ``q`` fraction of
+    the data — the classic nearest-rank definition, exact by construction.
+    """
+    if not values:
+        raise ValueError("quantile of no observations")
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("quantile fraction must be in [0, 1]")
+    rank = max(1, math.ceil(q * len(values)))
+    return values[rank - 1]
+
+
+def summarize(values: Iterable[Any]) -> dict[str, Any]:
+    """Exact digest of ``values``: count, sum, min/max, p50/p90/p99
+    (``{"count": 0, "sum": 0}`` when there are none)."""
+    ordered = sorted(values)
+    if not ordered:
+        return {"count": 0, "sum": 0}
+    return {
+        "count": len(ordered),
+        "sum": sum(ordered),
+        "min": ordered[0],
+        "max": ordered[-1],
+        "p50": quantile(ordered, 0.50),
+        "p90": quantile(ordered, 0.90),
+        "p99": quantile(ordered, 0.99),
+    }
 
 
 def _fmt_seconds(seconds: float) -> str:
@@ -67,18 +101,42 @@ def render_span_tree(
     return "\n".join(lines)
 
 
-def summarize_latencies(registry: Metrics | None = None) -> dict[str, Any]:
-    """Digest the engine's per-job latency histograms.
+def summarize_latencies(results: Iterable[Any]) -> dict[str, Any]:
+    """Per-job latency of one batch's results, per stage.
 
     Returns ``{"queue": summary, "execute": summary, "total": summary}``
-    where each summary is :meth:`Histogram.summary` output (empty-count
-    summaries when the engine has not run).
+    of :func:`summarize` digests over every result: *execute* is the
+    job's own ``seconds``, *queue* its ``meta['metrics']['queue_seconds']``
+    (0 for a job the parent solved or served from the memo), *total*
+    their sum.
     """
-    if registry is None:
-        registry = default_registry()
+    execute, queue = [], []
+    for result in results:
+        execute.append(result.seconds)
+        queue.append(
+            (result.meta.get("metrics") or {}).get("queue_seconds", 0.0)
+        )
     return {
-        stage: registry.histogram("engine.job.%s_seconds" % stage).summary()
-        for stage in JOB_LATENCY_STAGES
+        "queue": summarize(queue),
+        "execute": summarize(execute),
+        "total": summarize(q + e for q, e in zip(queue, execute)),
+    }
+
+
+def summarize_capture(captured: capture) -> dict[str, Any]:
+    """A capture as ``{"counters": {name: n}, "spans": {name: summary}}``:
+    its counters, and a :func:`summarize` of each span name's durations
+    across every captured tree (the ``repro stats --db`` report)."""
+    durations: dict[str, list[float]] = {}
+    for root in captured.roots:
+        for node, _depth in root.walk():
+            durations.setdefault(node.name, []).append(node.seconds)
+    return {
+        "counters": dict(sorted(captured.counters.items())),
+        "spans": {
+            name: summarize(values)
+            for name, values in sorted(durations.items())
+        },
     }
 
 
@@ -128,7 +186,9 @@ def format_latency_summary(
 
 
 def format_snapshot(snapshot: Mapping[str, Any]) -> str:
-    """Render a :meth:`Metrics.snapshot` as a sectioned text report."""
+    """Render ``{"counters": {name: n}, "spans": {name: summary}}`` (a
+    :func:`summarize_capture`, or an aggregated stream's events and
+    spans) as a sectioned text report."""
     lines: list[str] = []
     counters = snapshot.get("counters") or {}
     if counters:
@@ -136,41 +196,24 @@ def format_snapshot(snapshot: Mapping[str, Any]) -> str:
         width = max(len(name) for name in counters)
         for name, value in counters.items():
             lines.append("  %-*s %s" % (width, name, value))
-    gauges = {
-        name: value
-        for name, value in (snapshot.get("gauges") or {}).items()
-        if value is not None
-    }
-    if gauges:
-        lines.append("gauges:")
-        width = max(len(name) for name in gauges)
-        for name, value in gauges.items():
-            shown = _fmt_seconds(value) if name.endswith("_seconds") else value
-            lines.append("  %-*s %s" % (width, name, shown))
-    histograms = {
+    spans = {
         name: summary
-        for name, summary in (snapshot.get("histograms") or {}).items()
+        for name, summary in (snapshot.get("spans") or {}).items()
         if summary.get("count")
     }
-    if histograms:
-        lines.append("histograms:")
-        width = max(len(name) for name in histograms)
-        for name, summary in histograms.items():
-            if name.endswith("_seconds") or "." in name and isinstance(
-                summary.get("sum"), float
-            ):
-                fmt = _fmt_seconds
-            else:
-                fmt = lambda v: str(v)  # noqa: E731 - tiny local formatter
+    if spans:
+        lines.append("spans:")
+        width = max(len(name) for name in spans)
+        for name, summary in spans.items():
             lines.append(
                 "  %-*s n=%-6d sum=%-9s p50=%-9s p99=%s"
                 % (
                     width,
                     name,
                     summary["count"],
-                    fmt(summary["sum"]),
-                    fmt(summary["p50"]),
-                    fmt(summary["p99"]),
+                    _fmt_seconds(summary["sum"]),
+                    _fmt_seconds(summary["p50"]),
+                    _fmt_seconds(summary["p99"]),
                 )
             )
     return "\n".join(lines) if lines else "(no metrics recorded)"
@@ -185,8 +228,8 @@ def aggregate_metrics_jsonl(path: str) -> dict[str, Any]:
          "spans": {name: {count, sum, min, max, p50, p90, p99}},
          "events": {name: count}}
 
-    Span quantiles are exact — computed over every record's seconds, the
-    same nearest-rank statistic the live histograms use.
+    Span summaries are exact: :func:`summarize` over every record's
+    seconds.
     """
     span_values: dict[str, list[float]] = {}
     events: dict[str, int] = {}
@@ -206,20 +249,11 @@ def aggregate_metrics_jsonl(path: str) -> dict[str, Any]:
                 )
             elif kind == "event":
                 events[name] = events.get(name, 0) + 1
-    spans: dict[str, Any] = {}
-    for name, values in sorted(span_values.items()):
-        ordered = sorted(values)
-        spans[name] = {
-            "count": len(ordered),
-            "sum": sum(ordered),
-            "min": ordered[0],
-            "max": ordered[-1],
-            "p50": quantile(ordered, 0.50),
-            "p90": quantile(ordered, 0.90),
-            "p99": quantile(ordered, 0.99),
-        }
     return {
         "records": records,
-        "spans": spans,
+        "spans": {
+            name: summarize(values)
+            for name, values in sorted(span_values.items())
+        },
         "events": dict(sorted(events.items())),
     }

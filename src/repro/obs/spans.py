@@ -5,19 +5,20 @@ The one instrumentation verb the rest of the stack uses::
     with span("compile.search", variables=cnf.num_variables):
         ...
 
-A finished span does three things, each only when someone is listening:
+A finished span does two things, each only when someone is listening:
 
-* **observes** its duration into the default registry's histogram of the
-  same name (always, while the layer is enabled) — this is what makes
-  ``repro stats`` and the harness phase breakdowns possible without any
-  caller bookkeeping;
-* **attaches** itself to the enclosing span, building a tree; a
-  :func:`capture` context collects the finished root trees (and every
-  counter bumped meanwhile), which is how ``repro count --trace`` prints
-  a nested phase tree and how the engine builds per-job metrics;
-* **streams** one event to every attached sink (``batch
-  --metrics-jsonl``, the harness's CI artifact) — a JSON record per span,
+* **attaches** itself to the enclosing span, building a tree, or, as a
+  root, to every active :func:`capture`; a capture collects the finished
+  root trees (and every counter bumped meanwhile), which is how ``repro
+  count --trace`` prints a nested phase tree, how ``repro stats --db``
+  summarizes one solve, and how the engine builds per-job metrics;
+* **streams** one record to every attached sink (``batch
+  --metrics-jsonl``, the harness's CI artifact): a JSON record per span,
   with its path in the tree, its wall seconds, and the caller's fields.
+
+:func:`incr` and :func:`event` feed the active captures' counters the
+same way (events also stream).  Nothing is kept process-wide: a capture
+is the one record of what ran in its scope.
 
 Span state is thread-local, so concurrent threads trace independently;
 worker *processes* start fresh and ship their capture home in
@@ -34,8 +35,6 @@ import json
 import threading
 import time
 from typing import Any, Callable, Iterator, Mapping
-
-from repro.obs.metrics import Metrics, default_registry
 
 _perf_counter = time.perf_counter
 
@@ -157,13 +156,10 @@ class _SpanContext:
     generator, and exception-safe by construction — ``__exit__`` always
     pops what ``__enter__`` pushed)."""
 
-    __slots__ = ("_span", "_registry", "_started")
+    __slots__ = ("_span", "_started")
 
-    def __init__(
-        self, name: str, registry: Metrics | None, fields: dict[str, Any]
-    ) -> None:
+    def __init__(self, name: str, fields: dict[str, Any]) -> None:
         self._span = Span(name, fields)
-        self._registry = registry
 
     def __enter__(self) -> Span:
         _stack().append(self._span)
@@ -183,10 +179,6 @@ class _SpanContext:
         else:
             for active in _captures():
                 active.roots.append(span_record)
-        registry = self._registry
-        if registry is None:
-            registry = default_registry()
-        registry.histogram(span_record.name).observe(seconds)
         if _SINKS:
             record = {
                 "type": "span",
@@ -203,16 +195,16 @@ class _SpanContext:
         return False
 
 
-def span(name: str, registry: Metrics | None = None, **fields: Any):
+def span(name: str, **fields: Any):
     """Time a phase: a context manager yielding the live :class:`Span`.
 
-    ``fields`` annotate the span (and its sink event); ``registry``
-    overrides the default registry the duration is observed into.  When
-    the layer is disabled this returns a shared no-op.
+    ``fields`` annotate the span (and its sink record); the caller may add
+    more through the live span's ``fields`` before it closes.  When the
+    layer is disabled this returns a shared no-op.
     """
     if not _ENABLED:
         return _NULL_SPAN
-    return _SpanContext(name, registry, fields)
+    return _SpanContext(name, fields)
 
 
 # ---------------------------------------------------------------------------
@@ -221,27 +213,18 @@ def span(name: str, registry: Metrics | None = None, **fields: Any):
 
 
 def incr(name: str, amount: int | float = 1) -> None:
-    """Bump a counter on the default registry and every active capture."""
+    """Bump a counter on every active capture."""
     if not _ENABLED:
         return
-    default_registry().counter(name).inc(amount)
     for active in _captures():
         active.counters[name] = active.counters.get(name, 0) + amount
 
 
-def observe(name: str, value: Any) -> None:
-    """Observe a value into the default registry's histogram ``name``."""
-    if not _ENABLED:
-        return
-    default_registry().histogram(name).observe(value)
-
-
 def event(name: str, **fields: Any) -> None:
     """A structured, non-timing occurrence (e.g. one planner decision):
-    counted on the default registry, streamed to sinks with its fields."""
+    counted on every active capture, streamed to sinks with its fields."""
     if not _ENABLED:
         return
-    default_registry().counter(name).inc()
     for active in _captures():
         active.counters[name] = active.counters.get(name, 0) + 1
     if _SINKS:

@@ -58,9 +58,11 @@ def random_incomplete_db(
 
     if uniform:
         return IncompleteDatabase.uniform(facts, domain)
+    # Draw in a fixed order: iterating the set itself would tie the
+    # instance to the process's string hash seed.
     non_uniform = {
         null: rng.sample(domain, rng.randint(1, len(domain)))
-        for null in used_nulls
+        for null in sorted(used_nulls, key=repr)
     }
     return IncompleteDatabase(facts, dom=non_uniform)
 

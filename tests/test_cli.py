@@ -94,6 +94,29 @@ class TestCount:
             assert chosen == {"planner.chosen.%s" % record["method"]: 1}
 
 
+class TestStats:
+    def test_db_report_covers_this_solve_only(self, db_file, capsys):
+        import json
+
+        for _ in range(2):
+            assert main([
+                "stats", "--db", db_file, "--query", "R(x), S(x)", "--json",
+            ]) == 0
+            record = json.loads(capsys.readouterr().out)
+            assert record["count"] == 2
+            snapshot = record["snapshot"]
+            assert snapshot["counters"]["planner.decision"] == 1
+            assert snapshot["spans"]["cli.stats"]["count"] == 1
+            assert snapshot["spans"]["planner.run"]["count"] == 1
+
+    def test_text_report_lists_counters_and_spans(self, db_file, capsys):
+        assert main(["stats", "--db", db_file, "--query", "R(x), S(x)"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("count: 2\n")
+        assert "counters:" in out and "planner.decision" in out
+        assert "spans:" in out and "cli.stats" in out
+
+
 class TestPlan:
     def test_val_auto_explains_choice_and_rejections(self, db_file, capsys):
         assert main(

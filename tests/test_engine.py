@@ -9,7 +9,7 @@ from repro.db.fact import Fact
 from repro.db.incomplete import IncompleteDatabase
 from repro.db.terms import Null
 from repro.engine import BatchEngine, CountCache, CountJob, execute_job, run_batch
-from repro.engine.jsonl import JobSyntaxError, read_jobs
+from repro.engine.jsonl import JobSyntaxError, read_jobs, read_results
 from repro.exact.dispatch import count_completions, count_valuations
 from repro.workloads.generators import (
     scaling_codd_instance,
@@ -260,6 +260,79 @@ class TestBatchCli:
         assert [record["problem"] for record in records] == [
             "val", "val", "comp",
         ]
+
+    def test_out_file_reads_back_as_results(self, tmp_path, capsys):
+        from repro.cli import main
+
+        jobs_file = self._write_inputs(tmp_path)
+        out_file = tmp_path / "results.jsonl"
+        assert main(
+            [
+                "batch", "--jobs", str(jobs_file), "--workers", "0",
+                "--out", str(out_file),
+            ]
+        ) == 0
+        assert capsys.readouterr().out == ""
+        records = [
+            json.loads(line) for line in out_file.read_text().splitlines()
+        ]
+        with open(out_file, encoding="utf-8") as handle:
+            recovered = list(read_results(handle))
+        assert [r.label for r in recovered] == ["job-1", "dup", "job-3"]
+        assert [r.count for r in recovered] == [rec["count"] for rec in records]
+        assert [r.cache_hit for r in recovered] == [False, True, False]
+        for result, record in zip(recovered, records):
+            assert result.meta.get("metrics") == record.get("meta", {}).get(
+                "metrics"
+            )
+        assert "planner.decision" in recovered[0].meta["metrics"]["counters"]
+
+    def test_latency_summary_covers_this_batch_only(self, tmp_path, capsys):
+        from repro.cli import main
+
+        jobs_file = self._write_inputs(tmp_path)
+        for _ in range(2):
+            assert main(
+                ["batch", "--jobs", str(jobs_file), "--workers", "0"]
+            ) == 0
+            rows = {
+                line.split()[0]: int(line.split()[1])
+                for line in capsys.readouterr().err.splitlines()
+                if line.split()[:1] in (["queue"], ["execute"], ["total"])
+            }
+            assert rows == {"queue": 3, "execute": 3, "total": 3}
+
+    def test_metrics_stream_aggregates_back(self, tmp_path, capsys):
+        from repro.cli import main
+
+        (tmp_path / "d.idb").write_text(
+            "domain a b c\nR(?n1, ?n2)\nR(?n2, ?n1)\n"
+        )
+        jobs_file = tmp_path / "jobs.jsonl"
+        jobs_file.write_text(
+            '{"problem": "val", "db": "d.idb", "query": "R(x,x)"}\n'
+            '{"problem": "comp", "db": "d.idb"}\n'
+        )
+        stream = tmp_path / "m.jsonl"
+        assert main(
+            [
+                "batch", "--jobs", str(jobs_file), "--workers", "2",
+                "--metrics-jsonl", str(stream),
+            ]
+        ) == 0
+        capsys.readouterr()
+        records = [json.loads(line) for line in stream.read_text().splitlines()]
+        assert any(record.get("worker") for record in records)
+        assert main(["stats", "--metrics-jsonl", str(stream), "--json"]) == 0
+        digest = json.loads(capsys.readouterr().out)
+        assert digest["records"] == len(records)
+        span_counts: dict[str, int] = {}
+        for record in records:
+            if record["type"] == "span":
+                span_counts[record["name"]] = span_counts.get(record["name"], 0) + 1
+        assert {
+            name: summary["count"] for name, summary in digest["spans"].items()
+        } == span_counts
 
     def test_batch_reports_errors_in_exit_code(self, tmp_path, capsys):
         from repro.cli import main

@@ -1,10 +1,8 @@
-"""The metrics registry: exact quantiles, instruments, snapshots."""
-
-import threading
+"""Exact statistics: nearest-rank quantiles and the one summary digest."""
 
 import pytest
 
-from repro.obs import Counter, Gauge, Histogram, Metrics, quantile
+from repro.obs import quantile, summarize
 
 
 class TestQuantile:
@@ -37,84 +35,15 @@ class TestQuantile:
             quantile([1], -0.1)
 
 
-class TestInstruments:
-    def test_counter_accumulates(self):
-        counter = Counter("c")
-        counter.inc()
-        counter.inc(41)
-        assert counter.value == 42
-
-    def test_gauge_keeps_last_value(self):
-        gauge = Gauge("g")
-        assert gauge.value is None
-        gauge.set(3)
-        gauge.set(1.5)
-        assert gauge.value == 1.5
-
-    def test_histogram_summary_and_quantiles_are_exact(self):
-        histogram = Histogram("h")
-        for value in (5, 1, 3, 2, 4):
-            histogram.observe(value)
-        assert histogram.count == 5
-        assert histogram.sum == 15
-        assert histogram.quantile(0.5) == 3
-        summary = histogram.summary()
-        assert summary == {
+class TestSummarize:
+    def test_summary_and_quantiles_are_exact(self):
+        assert summarize([5, 1, 3, 2, 4]) == {
             "count": 5, "sum": 15, "min": 1, "max": 5,
             "p50": 3, "p90": 5, "p99": 5,
         }
 
-    def test_empty_histogram_summary(self):
-        assert Histogram("h").summary() == {"count": 0, "sum": 0}
+    def test_empty_summary(self):
+        assert summarize([]) == {"count": 0, "sum": 0}
 
-    def test_histogram_values_returns_copy_in_arrival_order(self):
-        histogram = Histogram("h")
-        histogram.observe(2)
-        histogram.observe(1)
-        values = histogram.values()
-        values.append(99)
-        assert histogram.values() == [2, 1]
-
-
-class TestRegistry:
-    def test_get_or_create_returns_same_instrument(self):
-        registry = Metrics()
-        assert registry.counter("a") is registry.counter("a")
-        assert registry.histogram("b") is registry.histogram("b")
-
-    def test_name_cannot_change_kind(self):
-        registry = Metrics()
-        registry.counter("x")
-        with pytest.raises(ValueError):
-            registry.histogram("x")
-        with pytest.raises(ValueError):
-            registry.gauge("x")
-
-    def test_snapshot_shape(self):
-        registry = Metrics()
-        registry.counter("c").inc(2)
-        registry.gauge("g").set(9)
-        registry.histogram("h").observe(1.0)
-        snapshot = registry.snapshot()
-        assert snapshot["counters"] == {"c": 2}
-        assert snapshot["gauges"] == {"g": 9}
-        assert snapshot["histograms"]["h"]["count"] == 1
-
-    def test_thread_aggregation(self):
-        # Counters and histograms are shared across threads; totals add up.
-        registry = Metrics()
-        counter = registry.counter("n")
-        histogram = registry.histogram("h")
-
-        def work():
-            for i in range(500):
-                counter.inc()
-                histogram.observe(i)
-
-        threads = [threading.Thread(target=work) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert counter.value == 2000
-        assert histogram.count == 2000
+    def test_accepts_any_iterable(self):
+        assert summarize(value for value in (0.5, 0.25))["p50"] == 0.25

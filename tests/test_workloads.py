@@ -1,7 +1,13 @@
 """Tests for the workload/instance generators."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.exact.val_codd import applies_to as codd_applies
 from repro.exact.val_nonuniform import applies_to as single_applies
 from repro.exact.val_uniform import applies_to as uniform_applies
@@ -32,6 +38,29 @@ class TestRandomIncompleteDb:
         first = random_incomplete_db(schema, seed=5)
         second = random_incomplete_db(schema, seed=5)
         assert first.facts == second.facts
+
+    def test_non_uniform_instance_ignores_hash_seed(self):
+        # The per-null domains are drawn in a fixed order, so one seed is
+        # one instance in every process, whatever its string hash seed.
+        script = (
+            "from repro.workloads.generators import random_incomplete_db\n"
+            "db = random_incomplete_db({'R': 2, 'S': 1}, seed=7, num_nulls=4,"
+            " uniform=False)\n"
+            "print(sorted(map(repr, db.facts)))\n"
+            "print(sorted((repr(n), sorted(map(repr, db.domain_of(n))))"
+            " for n in db.nulls))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        outputs = []
+        for hash_seed in ("0", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            outputs.append(
+                subprocess.run(
+                    [sys.executable, "-c", script], env=env, check=True,
+                    capture_output=True, text=True,
+                ).stdout
+            )
+        assert outputs[0] == outputs[1]
 
     def test_schema_respected(self):
         db = random_incomplete_db(
