@@ -349,8 +349,7 @@ class ValuationCircuit(_CircuitArtifact):
 
     @classmethod
     def _compile(cls, db, query, compile_cnf) -> tuple:
-        with _span("compile.encode", mode="val"):
-            encoding = compile_valuation_cnf(db, query)
+        encoding = compile_valuation_cnf(db, query)
         circuit, falsifying, stats = compile_cnf(encoding.cnf, None)
         return (
             db,
@@ -654,8 +653,7 @@ class CompletionCircuit(_CircuitArtifact):
 
     @classmethod
     def _compile(cls, db, query, compile_cnf) -> tuple:
-        with _span("compile.encode", mode="comp"):
-            encoding = compile_completion_cnf(db, query)
+        encoding = compile_completion_cnf(db, query)
         circuit, count, stats = compile_cnf(encoding.cnf, encoding.projection)
         return (
             db, encoding.facts, (), circuit, count,

@@ -30,6 +30,9 @@ via one commander variable per multi-condition producer) give
 same completion arises from many valuations, the count of interest is the
 **projected** model count onto the fact variables — distinct fact-variable
 assignments extendable to a model — which is exactly ``#Comp``.
+
+Each encoder runs as one ``compile.encode`` span (fields ``mode``,
+``variables``, ``clauses``), whichever caller asked for it.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from repro.compile.variables import ChoiceVariables, FactVariables
 from repro.core.query import BooleanQuery
 from repro.db.incomplete import IncompleteDatabase
 from repro.db.valuation import count_total_valuations
+from repro.obs import span
 
 
 @dataclass
@@ -71,14 +75,16 @@ def compile_valuation_cnf(
     unsatisfiable query contributes no clauses (every valuation falsifies
     it) and a trivially-true one contributes the empty clause (none does).
     """
-    cnf = CNF()
-    choices = ChoiceVariables(cnf, db)
-    matches = enumerate_valuation_matches(db, query)
-    trivially_true = bool(matches) and not matches[0]
-    for conditions in matches:
-        cnf.add_clause(
-            -choices.var(null, value) for null, value in conditions
-        )
+    with span("compile.encode", mode="val") as encoded:
+        cnf = CNF()
+        choices = ChoiceVariables(cnf, db)
+        matches = enumerate_valuation_matches(db, query)
+        trivially_true = bool(matches) and not matches[0]
+        for conditions in matches:
+            cnf.add_clause(
+                -choices.var(null, value) for null, value in conditions
+            )
+        encoded.fields.update(variables=cnf.num_variables, clauses=len(cnf))
     return ValuationEncoding(
         cnf=cnf,
         choices=choices,
@@ -108,52 +114,53 @@ def compile_completion_cnf(
     equals the number of distinct completions of ``D`` (satisfying ``q``
     when one is given).
     """
-    cnf = CNF()
-    choices = ChoiceVariables(cnf, db)
-    facts = FactVariables(cnf, db)
+    with span("compile.encode", mode="comp") as encoded:
+        cnf = CNF()
+        choices = ChoiceVariables(cnf, db)
+        facts = FactVariables(cnf, db)
 
-    for ground in facts.facts():
-        fact_var = facts.var(ground)
-        producers = facts.producers[ground]
-        forced = any(not conditions for conditions in producers)
-        for conditions in producers:
-            if conditions:
-                cnf.add_clause(
-                    [-choices.var(null, value) for null, value in conditions]
-                    + [fact_var]
-                )
-        if forced:
-            # A ground input fact: present in every completion.
-            cnf.add_clause([fact_var])
-            continue
-        supports = [-fact_var]
-        for conditions in producers:
-            if len(conditions) == 1:
-                ((null, value),) = conditions
-                supports.append(choices.var(null, value))
-            else:
-                commander = cnf.new_variable()
-                for null, value in conditions:
-                    cnf.add_clause((-commander, choices.var(null, value)))
-                supports.append(commander)
-        cnf.add_clause(supports)
+        for ground in facts.facts():
+            fact_var = facts.var(ground)
+            producers = facts.producers[ground]
+            forced = any(not conditions for conditions in producers)
+            for conditions in producers:
+                if conditions:
+                    cnf.add_clause(
+                        [-choices.var(null, value) for null, value in conditions]
+                        + [fact_var]
+                    )
+            if forced:
+                # A ground input fact: present in every completion.
+                cnf.add_clause([fact_var])
+                continue
+            supports = [-fact_var]
+            for conditions in producers:
+                if len(conditions) == 1:
+                    ((null, value),) = conditions
+                    supports.append(choices.var(null, value))
+                else:
+                    commander = cnf.new_variable()
+                    for null, value in conditions:
+                        cnf.add_clause((-commander, choices.var(null, value)))
+                    supports.append(commander)
+            cnf.add_clause(supports)
 
-    num_matches: int | None = None
-    if query is not None:
-        matches = enumerate_completion_matches(facts.facts(), query)
-        num_matches = len(matches)
-        witnesses = []
-        for used in matches:
-            if len(used) == 1:
-                witnesses.append(facts.var(next(iter(used))))
-            else:
-                witness = cnf.new_variable()
-                for fact in used:
-                    cnf.add_clause((-witness, facts.var(fact)))
-                witnesses.append(witness)
-        # Empty DNF compiles to the empty clause: no completion satisfies q.
-        cnf.add_clause(witnesses)
-
+        num_matches: int | None = None
+        if query is not None:
+            matches = enumerate_completion_matches(facts.facts(), query)
+            num_matches = len(matches)
+            witnesses = []
+            for used in matches:
+                if len(used) == 1:
+                    witnesses.append(facts.var(next(iter(used))))
+                else:
+                    witness = cnf.new_variable()
+                    for fact in used:
+                        cnf.add_clause((-witness, facts.var(fact)))
+                    witnesses.append(witness)
+            # Empty DNF compiles to the empty clause: no completion satisfies q.
+            cnf.add_clause(witnesses)
+        encoded.fields.update(variables=cnf.num_variables, clauses=len(cnf))
     return CompletionEncoding(
         cnf=cnf,
         choices=choices,

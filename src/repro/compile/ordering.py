@@ -23,6 +23,12 @@ the formulas the lineage compiler emits this is the difference between the
 ordering dominating a count and the ordering being noise next to the
 search.
 
+The loop is also **incremental**: scores sit in a heap, and an elimination
+rescores only its neighbors and, for min-fill, the vertices with two or
+more of them as neighbors, the only scores it can change.  The result is
+exactly a full rescan's, tie-break and delay included; the rescan loop
+lives on in ``tests/test_compile_sharpsat.py`` as the oracle.
+
 The module has one primal-graph build and one elimination.
 :func:`primal_masks` memoizes the bitset graph per CNF object, so the
 planner's width probe, the decomposer and the model counter share one
@@ -33,13 +39,15 @@ for the search.
 
 from __future__ import annotations
 
+import heapq
 import weakref
 from typing import Mapping
 
 from repro.complexity.cnf import CNF
 
-#: Above this many vertices min-fill's quadratic inner loop starts to hurt;
-#: greedy min-degree is a standard cheaper surrogate.
+#: Above this many vertices only the min-degree pass runs: min-fill also
+#: rescores the neighbors' neighbors, and each fill count walks a whole
+#: neighborhood where a degree is one popcount.
 MIN_FILL_VERTEX_LIMIT = 2_000
 
 #: The two-phase orderings run cheap min-degree first and refine with
@@ -102,6 +110,18 @@ def _primal_masks_uncached(cnf: CNF) -> dict[int, int]:
     return masks
 
 
+def _fill_count(neighbors: int, adjacency: Mapping[int, int]) -> int:
+    """The min-fill score: pairs of ``neighbors`` not yet adjacent, each
+    counted once (from its lower end, against the bits above it)."""
+    score = 0
+    remaining = neighbors
+    while remaining:
+        low = remaining & -remaining
+        remaining ^= low
+        score += (remaining & ~adjacency[low.bit_length() - 1]).bit_count()
+    return score
+
+
 def _greedy_eliminate(
     masks: Mapping[int, int], use_min_fill: bool, delay: int
 ) -> tuple[list[int], int, list[int]]:
@@ -116,49 +136,60 @@ def _greedy_eliminate(
     vertex remains, which forces them into the *late* (root-side) bags;
     the projected DP uses this to keep the projection variables above
     every auxiliary variable.
+
+    ``masks`` is an undirected graph (``u`` in ``v``'s mask iff ``v`` in
+    ``u``'s), as :func:`primal_masks` builds it.  The live scores sit in
+    a heap keyed ``(delayed, score, vertex)``, so each step pops the
+    vertex a full rescan would pick; an entry whose score has changed
+    since it was pushed is skipped when it surfaces.  The adjacency masks
+    hold live vertices only.  Eliminating ``v`` changes the graph only
+    inside ``v``'s neighborhood ``N``: each member loses ``v`` and gains
+    the rest of ``N``.  So a degree can change only in ``N``.  A fill
+    count can change only in ``N`` or at a vertex with two or more
+    neighbors in ``N``, since every fill edge joins two members of ``N``.
+    Only those vertices are rescored; every other score is still exact.
     """
     adjacency = dict(masks)
-
-    alive = 0
-    for vertex in adjacency:
-        alive |= 1 << vertex
+    scores = {
+        vertex: _fill_count(mask, adjacency) if use_min_fill else mask.bit_count()
+        for vertex, mask in adjacency.items()
+    }
+    heap = [((delay >> vertex) & 1, score, vertex) for vertex, score in scores.items()]
+    heapq.heapify(heap)
 
     order: list[int] = []
     bags: list[int] = []
     width = 0
-    while adjacency:
-        eager_only = bool(alive & ~delay)
-        best_vertex = -1
-        best_score = None
-        for vertex in adjacency:
-            if eager_only and (delay >> vertex) & 1:
-                continue
-            neighbors = adjacency[vertex] & alive
-            if use_min_fill:
-                score = 0
-                remaining = neighbors
-                while remaining:
-                    low = remaining & -remaining
-                    u = low.bit_length() - 1
-                    remaining ^= low
-                    # neighbors of `vertex` that u is not adjacent to
-                    # (counted once per unordered pair: only bits above u)
-                    score += (remaining & ~adjacency[u]).bit_count()
-            else:
-                score = neighbors.bit_count()
-            if best_score is None or (score, vertex) < (best_score, best_vertex):
-                best_score, best_vertex = score, vertex
-        neighbors = adjacency.pop(best_vertex) & alive
-        alive &= ~(1 << best_vertex)
-        order.append(best_vertex)
-        bags.append(neighbors | (1 << best_vertex))
+    while heap:
+        _delayed, score, vertex = heapq.heappop(heap)
+        if scores.get(vertex) != score:
+            continue  # eliminated, or rescored since this entry was pushed
+        del scores[vertex]
+        neighbors = adjacency.pop(vertex)
+        bit = 1 << vertex
+        order.append(vertex)
+        bags.append(neighbors | bit)
         width = max(width, neighbors.bit_count())
+        rescore = neighbors
         remaining = neighbors
         while remaining:
             low = remaining & -remaining
             u = low.bit_length() - 1
             remaining ^= low
-            adjacency[u] = (adjacency[u] | neighbors) & ~low
+            adjacency[u] = (adjacency[u] | neighbors) & ~(low | bit)
+            if use_min_fill:
+                rescore |= adjacency[u]
+        while rescore:
+            low = rescore & -rescore
+            u = low.bit_length() - 1
+            rescore ^= low
+            mask = adjacency[u]
+            if not low & neighbors and (mask & neighbors).bit_count() < 2:
+                continue  # no fill edge joined two of its neighbors
+            new = _fill_count(mask, adjacency) if use_min_fill else mask.bit_count()
+            if new != scores[u]:
+                scores[u] = new
+                heapq.heappush(heap, ((delay >> u) & 1, new, u))
     return order, width, bags
 
 

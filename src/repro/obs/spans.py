@@ -7,11 +7,12 @@ The one instrumentation verb the rest of the stack uses::
 
 A finished span does two things, each only when someone is listening:
 
-* **attaches** itself to the enclosing span, building a tree, or, as a
-  root, to every active :func:`capture`; a capture collects the finished
-  root trees (and every counter bumped meanwhile), which is how ``repro
-  count --trace`` prints a nested phase tree, how ``repro stats --db``
-  summarizes one solve, and how the engine builds per-job metrics;
+* **attaches** itself to the enclosing span, building a tree, and, as a
+  root, to every active :func:`capture` opened at the depth it closes
+  at; a capture collects the finished root trees (and every counter
+  bumped meanwhile), which is how ``repro count --trace`` prints a
+  nested phase tree, how ``repro stats --db`` summarizes one solve, and
+  how the engine builds per-job metrics;
 * **streams** one record to every attached sink (``batch
   --metrics-jsonl``, the harness's CI artifact): a JSON record per span,
   with its path in the tree, its wall seconds, and the caller's fields.
@@ -174,10 +175,11 @@ class _SpanContext:
             span_record.fields["error"] = exc_type.__name__
         stack = _stack()
         stack.pop()
+        depth = len(stack)
         if stack:
             stack[-1].children.append(span_record)
-        else:
-            for active in _captures():
+        for active in _captures():
+            if active.depth == depth:
                 active.roots.append(span_record)
         if _SINKS:
             record = {
@@ -186,7 +188,7 @@ class _SpanContext:
                 "path": "/".join(
                     [frame.name for frame in stack] + [span_record.name]
                 ),
-                "depth": len(stack),
+                "depth": depth,
                 "seconds": round(seconds, 9),
             }
             if span_record.fields:
@@ -245,14 +247,19 @@ class capture:
     ``meta['metrics']``; the CLI wraps a whole solve to print ``--trace``
     trees; the harness wraps each tracked path for its phase breakdown.
     Captures nest (each sees everything inside its own scope) and are
-    thread-local.
+    thread-local.  A capture's roots are the spans that close at the span
+    depth it was opened at, so one opened inside a span (an engine job
+    inside ``engine.batch``, a ``solve()`` inside a caller's span) gets
+    its own roots while those spans still attach to the enclosing span.
     """
 
     def __init__(self) -> None:
         self.roots: list[Span] = []
         self.counters: dict[str, int | float] = {}
+        self.depth = 0
 
     def __enter__(self) -> "capture":
+        self.depth = len(_stack())
         _captures().append(self)
         return self
 

@@ -5,12 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.complexity.cnf import CNF, CNF3, count_models_brute, count_sat
 from repro.compile import ordering
+from repro.compile.encode import compile_completion_cnf
 from repro.compile.ordering import (
     branching_order,
     primal_masks,
     refined_elimination_masks,
 )
 from repro.compile.sharpsat import ModelCounter, count_models
+from repro.workloads.generators import scaling_hard_comp_instance
 
 
 @st.composite
@@ -171,3 +173,116 @@ class TestOrdering:
         assert [counter._rank[variable] for variable in order] == list(
             range(len(order))
         )
+
+
+def _rescan_eliminate(masks, use_min_fill, delay):
+    """The elimination oracle: ``ordering._greedy_eliminate``'s contract
+    computed the plain way, rescanning every live vertex at every step
+    (min-fill or min-degree score, ties broken by vertex index, ``delay``
+    vertices only once no other vertex is left)."""
+    adjacency = dict(masks)
+
+    alive = 0
+    for vertex in adjacency:
+        alive |= 1 << vertex
+
+    order = []
+    bags = []
+    width = 0
+    while adjacency:
+        eager_only = bool(alive & ~delay)
+        best_vertex = -1
+        best_score = None
+        for vertex in adjacency:
+            if eager_only and (delay >> vertex) & 1:
+                continue
+            neighbors = adjacency[vertex] & alive
+            if use_min_fill:
+                score = 0
+                remaining = neighbors
+                while remaining:
+                    low = remaining & -remaining
+                    u = low.bit_length() - 1
+                    remaining ^= low
+                    score += (remaining & ~adjacency[u]).bit_count()
+            else:
+                score = neighbors.bit_count()
+            if best_score is None or (score, vertex) < (best_score, best_vertex):
+                best_score, best_vertex = score, vertex
+        neighbors = adjacency.pop(best_vertex) & alive
+        alive &= ~(1 << best_vertex)
+        order.append(best_vertex)
+        bags.append(neighbors | (1 << best_vertex))
+        width = max(width, neighbors.bit_count())
+        remaining = neighbors
+        while remaining:
+            low = remaining & -remaining
+            u = low.bit_length() - 1
+            remaining ^= low
+            adjacency[u] = (adjacency[u] | neighbors) & ~low
+    return order, width, bags
+
+
+@st.composite
+def graphs(draw, max_vertices: int = 30) -> tuple[dict[int, int], int]:
+    """An undirected graph as ``{vertex: neighbor mask}`` over vertices
+    ``1..n``, some of them isolated, and a random ``delay`` mask."""
+    n = draw(st.integers(min_value=0, max_value=max_vertices))
+    isolated = draw(st.sets(st.integers(min_value=1, max_value=max(n, 1))))
+    percent = draw(st.integers(min_value=0, max_value=100))
+    rng = draw(st.randoms(use_true_random=False))
+    masks = {vertex: 0 for vertex in range(1, n + 1)}
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            if u in isolated or v in isolated or rng.randrange(100) >= percent:
+                continue
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    delay = draw(st.integers(min_value=0, max_value=(1 << n) - 1)) << 1
+    return masks, delay
+
+
+def _grid_masks(rows: int, cols: int) -> dict[int, int]:
+    masks = {}
+    for r in range(rows):
+        for c in range(cols):
+            vertex = 1 + r * cols + c
+            masks[vertex] = 0
+            for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+                if 0 <= r + dr < rows and 0 <= c + dc < cols:
+                    masks[vertex] |= 1 << (1 + (r + dr) * cols + c + dc)
+    return masks
+
+
+class TestIncrementalElimination:
+    """The heap loop returns the rescan loop's ``(order, width, bags)``."""
+
+    @staticmethod
+    def _assert_same_as_rescan(masks, delay):
+        for use_min_fill in (False, True):
+            assert ordering._greedy_eliminate(
+                masks, use_min_fill, delay
+            ) == _rescan_eliminate(masks, use_min_fill, delay), use_min_fill
+
+    @given(graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_random_graphs_match_rescan(self, graph):
+        masks, delay = graph
+        self._assert_same_as_rescan(masks, delay)
+
+    def test_projected_comp_probe_matches_rescan(self):
+        # The dpdb probe on #Comp delays the projection (fact) variables.
+        encoding = compile_completion_cnf(*scaling_hard_comp_instance(10))
+        delay = 0
+        for variable in encoding.projection:
+            delay |= 1 << variable
+        masks = primal_masks(encoding.cnf)
+        self._assert_same_as_rescan(masks, delay)
+        order, _width, _bags = ordering._greedy_eliminate(masks, True, delay)
+        delayed = [(delay >> vertex) & 1 for vertex in order]
+        assert delayed == sorted(delayed) and any(delayed)
+
+    def test_grid_matches_rescan(self):
+        masks = _grid_masks(3, 8)
+        self._assert_same_as_rescan(masks, 0)
+        assert refined_elimination_masks(masks)[1] == 3

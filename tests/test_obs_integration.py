@@ -101,6 +101,55 @@ class TestJobMetrics:
             result.meta["metrics"]["counters"]
         )
 
+    def test_job_solved_in_the_parent_keeps_its_phases(self):
+        # The job runs inside the engine.batch span; its capture still
+        # takes the spans closing at its own depth as roots.
+        from repro.compile.dpdb import probe_cache_clear
+
+        job = CountJob("val", *scaling_hard_val_instance(8, seed=3))
+        probe_cache_clear()
+        with capture() as outer:
+            (result,) = BatchEngine(workers=0).run([job])
+        phases = result.meta["metrics"]["phases"]
+        assert {"planner.run", "dpdb.probe"} <= set(phases)
+        assert [root.name for root in outer.roots] == ["engine.batch"]
+        assert round(outer.phase_totals()["planner.run"], 6) == phases["planner.run"]
+
+    def test_solve_spans_its_encoding(self):
+        from repro.compile.dpdb import probe_cache_clear
+        from repro.exact.dispatch import solve
+
+        db, query = scaling_hard_val_instance(
+            10, chord_probability=0.3, seed=4
+        )
+        probe_cache_clear()
+        with capture() as captured:
+            answer = solve("val", db, query)
+        assert "compile.encode" in answer.stats["phases"]
+        encodes = [
+            node for root in captured.roots for node, _depth in root.walk()
+            if node.name == "compile.encode"
+        ]
+        assert encodes
+        for encode in encodes:
+            assert encode.fields["mode"] == "val"
+            assert encode.fields["variables"] == 30  # 10 nulls x 3 colors
+            assert encode.fields["clauses"] > 0
+
+    def test_solve_inside_a_callers_span_keeps_its_phases(self):
+        from repro.compile.dpdb import probe_cache_clear
+        from repro.exact.dispatch import solve
+        from repro.obs import span
+
+        db, query = scaling_hard_val_instance(8, seed=3)
+        probe_cache_clear()
+        bare = solve("val", db, query)
+        probe_cache_clear()
+        with span("caller"):
+            nested = solve("val", db, query)
+        assert "planner.run" in nested.stats["phases"]
+        assert set(nested.stats["phases"]) == set(bare.stats["phases"])
+
     def test_approx_job_reports_its_estimate_span(self):
         db, query = scaling_hard_val_instance(5, seed=5)
         result = execute_job(

@@ -84,6 +84,21 @@ class TestCaptures:
         assert outer.counters["planner.decision"] == 1
         assert inner.counters == {"hits": 1, "planner.decision": 1}
 
+    def test_capture_inside_a_span_takes_the_spans_closing_at_its_depth(self):
+        with capture() as outer:
+            with span("caller"):
+                with capture() as inner:
+                    with span("a"):
+                        with span("b"):
+                            pass
+                    with span("c"):
+                        pass
+        assert [root.name for root in inner.roots] == ["a", "c"]
+        assert [child.name for child in inner.roots[0].children] == ["b"]
+        # The same spans still attach to the enclosing span.
+        assert [root.name for root in outer.roots] == ["caller"]
+        assert outer.roots[0].children == inner.roots
+
     def test_phase_totals_sum_repeated_names(self):
         with capture() as captured:
             for _ in range(3):
