@@ -12,15 +12,16 @@ a product set:
 * all remaining nulls are free.
 
 So event weights are products of set sizes, uniform sampling inside an
-event is positionwise, and membership of a valuation in an event is a scan —
-the three ingredients the Karp-Luby estimator needs.  The number of events
-is at most ``|D|^{|atoms|}``, polynomial for a fixed query, and
+event is positionwise (one draw per class, one per free null), and a
+valuation lies in an event iff each class's nulls share one allowed
+value — the three ingredients the Karp-Luby estimator needs, which it
+runs on arrays (:mod:`repro.approx.fpras`).  The number of events is at
+most ``|D|^{|atoms|}``, polynomial for a fixed query, and
 ``#Val(q)(D) = |union of all events|``.
 """
 
 from __future__ import annotations
 
-import random
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -34,8 +35,9 @@ from repro.util.unionfind import UnionFind
 class EmbeddingEvent:
     """One consistent embedding of the query's atoms into facts of ``D``.
 
-    Exposes exactly what Karp-Luby needs: ``weight`` (= ``|E|``),
-    ``sample`` (uniform member), and ``contains``.
+    Exposes exactly what Karp-Luby needs: ``weight`` (= ``|E|``) and
+    ``classes``, from which :class:`~repro.approx.fpras.KarpLubyEstimator`
+    builds its array encoding for sampling and membership.
     """
 
     def __init__(
@@ -45,66 +47,21 @@ class EmbeddingEvent:
     ) -> None:
         self._db = db
         #: (nulls of the class, allowed values) — pairwise disjoint classes.
-        self._classes = classes
+        self.classes = classes
         constrained: set[Null] = set()
         for nulls, _allowed in classes:
             constrained |= nulls
         self._free = [null for null in db.nulls if null not in constrained]
-        # Sorted choice lists, built on first sample: estimators draw from
-        # each event thousands of times, so sorting per draw is a hot path.
-        self._choices: tuple[
-            list[tuple[tuple[Null, ...], list[Term]]],
-            list[tuple[Null, list[Term]]],
-        ] | None = None
 
     @property
     def weight(self) -> int:
         """``|E|``: number of valuations in the event."""
         total = 1
-        for _nulls, allowed in self._classes:
+        for _nulls, allowed in self.classes:
             total *= len(allowed)
         for null in self._free:
             total *= len(self._db.domain_of(null))
         return total
-
-    def _materialize(
-        self,
-    ) -> tuple[
-        list[tuple[tuple[Null, ...], list[Term]]],
-        list[tuple[Null, list[Term]]],
-    ]:
-        if self._choices is None:
-            self._choices = (
-                [
-                    (tuple(nulls), sorted(allowed, key=repr))
-                    for nulls, allowed in self._classes
-                ],
-                [
-                    (null, sorted(self._db.domain_of(null), key=repr))
-                    for null in self._free
-                ],
-            )
-        return self._choices
-
-    def sample(self, rng: random.Random) -> dict[Null, Term]:
-        """A uniform valuation from the event (weight must be positive)."""
-        class_choices, free_choices = self._materialize()
-        valuation: dict[Null, Term] = {}
-        for nulls, allowed in class_choices:
-            value = rng.choice(allowed)
-            for null in nulls:
-                valuation[null] = value
-        for null, domain in free_choices:
-            valuation[null] = rng.choice(domain)
-        return valuation
-
-    def contains(self, valuation: dict[Null, Term]) -> bool:
-        """Does this event contain the valuation?"""
-        for nulls, allowed in self._classes:
-            values = {valuation[null] for null in nulls}
-            if len(values) != 1 or next(iter(values)) not in allowed:
-                return False
-        return True
 
 
 def _node(kind: str, payload: object) -> tuple[str, object]:

@@ -311,6 +311,8 @@ def _cmd_update(args: argparse.Namespace) -> int:
 
 
 def _cmd_approx(args: argparse.Namespace) -> int:
+    from decimal import Decimal
+
     from repro.approx.fpras import KarpLubyEstimator
 
     if not (0 < args.epsilon < 1 and 0 < args.delta < 1):
@@ -340,10 +342,12 @@ def _cmd_approx(args: argparse.Namespace) -> int:
             )
         )
         return 0
+    estimate = report.estimate  # an int past the float range
+    shown = "%.6g" % estimate if isinstance(estimate, float) else format(Decimal(estimate), ".6g")
     print(
-        "%.6g  (events=%d, samples=%d, weight-bound=%d)"
+        "%s  (events=%d, samples=%d, weight-bound=%d)"
         % (
-            report.estimate,
+            shown,
             report.num_events,
             report.samples,
             report.total_event_weight,

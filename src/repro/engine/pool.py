@@ -38,12 +38,18 @@ a server draining batch after batch — passes ``persistent_pool=True`` to
 pay process startup once: the pool is created lazily, reused across
 ``run`` calls, optionally pre-forked with :meth:`BatchEngine.warm`, and
 released by :meth:`BatchEngine.close` (the engine is a context manager).
-Small tasks are dispatched in chunks so a big batch of cheap jobs does
-not pay one IPC round trip each.
+
+Dispatch: plain jobs go to the pool in chunks of
+``len(plain) // (processes * 4)``, so cheap jobs do not pay one IPC round
+trip each while enough chunks stay in flight to balance uneven sizes.
+Each worker compile is its own task, queued after them (a second
+``imap`` with ``chunksize=1``), so no worker runs two compiles back to
+back while another idles.  Results come home in task order.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import multiprocessing.pool
 import os
@@ -280,27 +286,17 @@ class BatchEngine:
             return results_serial
 
         results: list[JobResult | None] = [None] * len(jobs)
-        tasks = [(jobs[index], False) for index in parallel]
-        tasks += [(jobs[index], True) for index in compile_remote]
+        plain = [(jobs[index], False) for index in parallel]
+        compiles = [(jobs[index], True) for index in compile_remote]
         try:
             if self._persistent:
                 self.warm()
                 assert self._pool is not None
-                chunk = max(1, len(tasks) // (self.workers * 4))
-                solved = self._consume(
-                    self._pool.imap(_pool_solve, tasks, chunksize=chunk)
-                )
+                solved = self._dispatch(self._pool, self.workers, plain, compiles)
             else:
-                processes = min(self.workers, len(tasks))
-                # Chunked dispatch: small jobs ride together so a batch of
-                # cheap tasks does not pay one IPC round trip each, while
-                # the divisor keeps enough chunks in flight to balance
-                # heterogeneous job sizes across the pool.
-                chunk = max(1, len(tasks) // (processes * 4))
+                processes = min(self.workers, len(pool_indices))
                 with multiprocessing.get_context().Pool(processes) as pool:
-                    solved = self._consume(
-                        pool.imap(_pool_solve, tasks, chunksize=chunk)
-                    )
+                    solved = self._dispatch(pool, processes, plain, compiles)
         except Exception as exc:
             # A persistent pool that failed mid-dispatch cannot be trusted
             # with the next batch; drop it (a fresh one builds on demand).
@@ -332,19 +328,30 @@ class BatchEngine:
         assert all(result is not None for result in results)
         return results  # type: ignore[return-value]
 
-    def _consume(self, arrivals: "Iterable[JobResult]") -> list[JobResult]:
-        """Drain a pool's ordered result stream, timestamping each arrival.
+    def _dispatch(
+        self,
+        pool: "multiprocessing.pool.Pool",
+        processes: int,
+        plain: list[tuple[CountJob, bool]],
+        compiles: list[tuple[CountJob, bool]],
+    ) -> list[JobResult]:
+        """Send one slice to ``pool`` by the chunking rule of the module
+        docstring and drain its ordered results, timestamping each arrival.
 
-        Ordered ``imap`` (same chunking as the old ``map``) lets the
-        parent decompose per-job latency: *total* is dispatch-to-arrival
-        wall time, *execute* the worker's own solve time, *queue* the
-        difference — time spent waiting for a worker slot, in IPC, or
-        behind earlier results of the ordered stream.  The queue share is
-        recorded into the job's ``meta['metrics']`` (it rides the same
-        payload workers already ship) and each worker's captured metrics
-        are absorbed here, at the only point that knows the result
-        crossed a process boundary.
+        Ordered arrivals let the parent decompose per-job latency: *total*
+        is dispatch-to-arrival wall time, *execute* the worker's own solve
+        time, *queue* the difference — time spent waiting for a worker
+        slot, in IPC, or behind earlier results of the ordered stream.
+        The queue share is recorded into the job's ``meta['metrics']`` (it
+        rides the same payload workers already ship) and each worker's
+        captured metrics are absorbed here, at the only point that knows
+        the result crossed a process boundary.
         """
+        chunk = max(1, len(plain) // (processes * 4))
+        arrivals = itertools.chain(
+            pool.imap(_pool_solve, plain, chunksize=chunk),
+            pool.imap(_pool_solve, compiles, chunksize=1),
+        )
         solved = []
         dispatched = time.perf_counter()
         for result in arrivals:

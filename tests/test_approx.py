@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,8 @@ from repro.db.fact import Fact
 from repro.db.incomplete import IncompleteDatabase
 from repro.db.terms import Null
 from repro.db.valuation import iter_valuations
+from repro.engine import CountJob
+from repro.engine.jobs import execute_job
 from repro.exact.brute import count_valuations_brute
 from repro.exact.dispatch import solve
 from repro.approx.events import enumerate_events
@@ -24,6 +27,16 @@ from repro.workloads.generators import (
 )
 
 from tests.conftest import small_incomplete_dbs
+
+
+def contains(event, valuation):
+    """The scalar membership oracle: ``valuation`` lies in ``event`` iff
+    each class's nulls share one value, and that value is allowed."""
+    for nulls, allowed in event.classes:
+        values = {valuation[null] for null in nulls}
+        if len(values) != 1 or next(iter(values)) not in allowed:
+            return False
+    return True
 
 
 def _default_query(db):
@@ -46,7 +59,7 @@ class TestEvents:
         events = enumerate_events(db, query)
         union = 0
         for valuation in iter_valuations(db):
-            if any(event.contains(valuation) for event in events):
+            if any(contains(event, valuation) for event in events):
                 union += 1
         assert union == count_valuations_brute(db, query)
 
@@ -59,7 +72,7 @@ class TestEvents:
             members = sum(
                 1
                 for valuation in iter_valuations(db)
-                if event.contains(valuation)
+                if contains(event, valuation)
             )
             assert members == event.weight
 
@@ -69,10 +82,12 @@ class TestEvents:
             ["a", "b"],
         )
         query = BCQ([Atom("R", ["x", "x"])])
-        rng = random.Random(7)
-        for event in enumerate_events(db, query):
-            for _ in range(20):
-                assert event.contains(event.sample(rng))
+        events = enumerate_events(db, query)
+        estimator = KarpLubyEstimator(db, query, seed=7)
+        block, picks, _coverage = estimator._draw(200)
+        assert set(picks.tolist()) == set(range(len(events)))
+        for codes, pick in zip(block.tolist(), picks.tolist()):
+            assert contains(events[pick], estimator._valuation(codes))
 
     def test_self_join_supported(self):
         """Events (unlike the dichotomies) handle self-joins: Cor. 5.3
@@ -86,7 +101,7 @@ class TestEvents:
         union = sum(
             1
             for valuation in iter_valuations(db)
-            if any(e.contains(valuation) for e in events)
+            if any(contains(e, valuation) for e in events)
         )
         assert union == count_valuations_brute(db, query)
 
@@ -163,6 +178,98 @@ class TestKarpLuby:
             # Guaranteed within 0.15 w.p. 0.98; the slack to 0.30 makes the
             # test deterministic-in-practice across hypothesis seeds.
             assert abs(report.estimate - exact) <= 0.30 * exact
+
+
+class TestArrayDraw:
+    """The block draw against the scalar oracle :func:`contains`."""
+
+    @given(small_incomplete_dbs(), st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_lie_in_their_event_with_oracle_coverage(self, db, seed):
+        query = _default_query(db)
+        events = enumerate_events(db, query)
+        if not events:
+            return
+        estimator = KarpLubyEstimator(db, query, seed=seed)
+        block, picks, coverage = estimator._draw(64)
+        assert block.shape == (64, len(db.nulls))
+        for codes, pick, covered in zip(
+            block.tolist(), picks.tolist(), coverage.tolist()
+        ):
+            valuation = estimator._valuation(codes)
+            assert all(valuation[null] in db.domain_of(null) for null in db.nulls)
+            assert contains(events[pick], valuation)
+            assert covered == sum(contains(event, valuation) for event in events)
+
+
+class TestExactPicks:
+    """Events are picked exactly: int64 targets while ``W < 2^63``,
+    Python integers past it."""
+
+    EPSILON = 0.2
+
+    @pytest.mark.parametrize(
+        "nodes, instance_seed, seeds, past_int64",
+        [(9, 100, range(5), False), (44, 1, range(3), True)],
+    )
+    def test_estimates_on_both_sides_of_two_to_the_63(
+        self, nodes, instance_seed, seeds, past_int64
+    ):
+        db, query = scaling_hard_val_instance(nodes, seed=instance_seed)
+        exact = solve("val", db, query).count
+        for seed in seeds:
+            estimator = KarpLubyEstimator(db, query, seed=seed)
+            assert (estimator.total_event_weight >= 2**63) == past_int64
+            report = estimator.estimate(self.EPSILON, delta=0.05)
+            assert abs(report.estimate - exact) <= self.EPSILON * exact
+
+    @pytest.mark.parametrize("padding, past_int64", [(0, False), (7, True)])
+    def test_pick_frequencies_match_weights(self, padding, past_int64):
+        # Three R events of weights 3:2:1 (W = 36), times 1000^padding
+        # free valuations of a T fact.
+        free = [Null("p%d" % i) for i in range(padding)]
+        facts = [Fact("R", [Null(i), "a"]) for i in (1, 2, 3)]
+        facts += [Fact("T", free)] if free else []
+        dom = {Null(1): ["a", "b"], Null(2): ["a", "b", "c"], Null(3): list("abcdef")}
+        dom.update({null: ["v%d" % i for i in range(1000)] for null in free})
+        db = IncompleteDatabase(facts, dom=dom)
+        query = BCQ([Atom("R", ["x", "x"])])
+        estimator = KarpLubyEstimator(db, query, seed=3)
+        total = estimator.total_event_weight
+        assert (total >= 2**63) == past_int64
+        expected = [event.weight / total for event in enumerate_events(db, query)]
+        assert sorted(expected) == pytest.approx([1 / 6, 1 / 3, 1 / 2])
+        draws = 30_000
+        _block, picks, _coverage = estimator._draw(draws)
+        observed = np.bincount(picks, minlength=3) / draws
+        # Five standard deviations of a share near 1/2 over 30,000 draws.
+        assert np.abs(observed - expected).max() <= 0.015
+
+
+class TestPastTheFloatRange:
+    """``W`` of 330 digits: the estimate is formed exactly and comes back
+    as the rounded ``int``, not an ``OverflowError``."""
+
+    EXACT = 1000**110 - 999**110
+
+    @staticmethod
+    def _instance():
+        domain = ["a"] + ["v%d" % i for i in range(999)]
+        facts = [Fact("R", [Null(i), "a"]) for i in range(110)]
+        return IncompleteDatabase.uniform(facts, domain), BCQ([Atom("R", ["x", "x"])])
+
+    def test_estimates_within_epsilon(self):
+        db, query = self._instance()
+        for seed in range(3):
+            estimate = KarpLubyEstimator(db, query, seed=seed).estimate(0.2).estimate
+            assert isinstance(estimate, int)
+            assert abs(estimate - self.EXACT) * 5 <= self.EXACT  # ε = 0.2
+
+    def test_engine_job_answers(self):
+        db, query = self._instance()
+        result = execute_job(CountJob("approx-val", db, query, epsilon=0.2, seed=0))
+        assert result.ok, result.error
+        assert abs(result.count - self.EXACT) * 5 <= self.EXACT
 
 
 def _band_instances():

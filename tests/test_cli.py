@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
+from decimal import Decimal
+
 import pytest
 
 from repro.cli import main
@@ -225,6 +228,29 @@ class TestApproxAndShow:
         assert "events=" in out
         estimate = float(out.split()[0])
         assert abs(estimate - 2.0) <= 0.5
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_approx_past_the_float_range(self, tmp_path, capsys, as_json):
+        """An estimate of 330 digits prints as one line in both modes."""
+        path = tmp_path / "wide.idb"
+        path.write_text(
+            "domain a %s\n" % " ".join("v%d" % i for i in range(999))
+            + "".join("R(?n%d, a)\n" % i for i in range(110)),
+            encoding="utf-8",
+        )
+        argv = [
+            "approx", "--db", str(path), "--query", "R(x,x)",
+            "--epsilon", "0.3", "--seed", "1",
+        ]
+        assert main(argv + (["--json"] if as_json else [])) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        if as_json:
+            estimate = Decimal(json.loads(lines[0])["estimate"])
+        else:
+            estimate = Decimal(lines[0].split()[0])
+        exact = 1000**110 - 999**110
+        assert abs(estimate - exact) <= Decimal("0.3") * exact
 
     def test_show(self, db_file, capsys):
         assert main(["show", "--db", db_file]) == 0

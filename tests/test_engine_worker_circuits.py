@@ -11,7 +11,13 @@ memo entries.
 
 from __future__ import annotations
 
+import threading
+
 from repro.compile.backend import ValuationCircuit
+from repro.core.query import Atom, BCQ
+from repro.db.fact import Fact
+from repro.db.incomplete import IncompleteDatabase
+from repro.db.terms import Null
 from repro.engine import BatchEngine, CountCache, CountJob
 from repro.engine.jobs import instance_fingerprint_of
 from repro.workloads.generators import scaling_hard_val_instance
@@ -165,6 +171,73 @@ class TestWorkerCompiledCircuits:
         assert read.count == ValuationCircuit(child, query).weighted_count(
             _weights_for(child)
         )
+
+
+class _RecordingPool:
+    """Stands in for the engine's pool: logs each ``imap`` call's task
+    kinds (``True`` for a compile) and chunk size, and solves the tasks
+    in a thread of this process (a thread, so the task body's reset of
+    the span stack leaves the caller's open spans alone)."""
+
+    def __init__(self) -> None:
+        self.calls: list[tuple[list[bool], int]] = []
+
+    def imap(self, func, tasks, chunksize=1):
+        tasks = list(tasks)
+        self.calls.append(([capture for _job, capture in tasks], chunksize))
+        results: list = []
+        worker = threading.Thread(target=lambda: results.extend(map(func, tasks)))
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive()
+        return iter(results)
+
+    def terminate(self) -> None:
+        pass
+
+    def join(self) -> None:
+        pass
+
+
+class TestDispatch:
+    def test_no_pool_task_holds_two_compiles(self):
+        """40 plain jobs chunk by 40 // (2 * 4) = 5; each of the 3 compiles
+        travels alone, so no worker compiles two circuits back to back."""
+        # Distinct domain sizes: 40 distinct fingerprints, 40 pool tasks.
+        plain = [
+            CountJob(
+                "val",
+                IncompleteDatabase.uniform(
+                    [Fact("R", [Null(1), Null(2)])],
+                    ["c%d" % value for value in range(size)],
+                ),
+                BCQ([Atom("R", ["x", "x"])]),
+                label="plain-%d" % size,
+            )
+            for size in range(2, 42)
+        ]
+        jobs = plain + _distinct_circuit_jobs(sizes=(8, 9, 10))
+        engine = BatchEngine(workers=2, persistent_pool=True)
+        engine._pool = recorder = _RecordingPool()
+        results = engine.run(jobs)
+
+        chunks = [
+            kinds[start:start + chunksize]
+            for kinds, chunksize in recorder.calls
+            for start in range(0, len(kinds), chunksize)
+        ]
+        assert sum(chunk.count(False) for chunk in chunks) == 40
+        assert [chunk for chunk in chunks if True in chunk] == [[True]] * 3
+        assert [result.label for result in results] == [job.label for job in jobs]
+        expected = BatchEngine(workers=0).run(jobs)
+        assert [result.count for result in results] == [
+            result.count for result in expected
+        ]
+        compiled = [
+            result.label for result in results
+            if result.meta.get("compiled_in_worker")
+        ]
+        assert compiled == ["val-8", "val-9", "val-10"]
 
 
 class TestSerialFallbackMetadata:

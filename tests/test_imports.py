@@ -13,6 +13,9 @@ of them.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,3 +76,29 @@ def test_every_repro_import_resolves():
         if message is not None
     ]
     assert not failures, "\n".join(failures)
+
+
+def _loads_numpy_random(modules: str) -> bool:
+    """Whether importing ``modules`` in a fresh interpreter loads
+    ``numpy.random``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    probe = "import sys, %s; print('numpy.random' in sys.modules)" % modules
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True,
+        text=True, check=True, timeout=120,
+    )
+    return out.stdout.strip() == "True"
+
+
+def test_importing_repro_leaves_numpy_random_as_numpy_left_it():
+    """The Karp-Luby generator imports ``numpy.random`` on its first draw,
+    so paths that never draw do not pay for it; comparing against a bare
+    ``import numpy`` keeps the test true on numpy versions that load
+    ``numpy.random`` eagerly."""
+    baseline = _loads_numpy_random("numpy")
+    assert _loads_numpy_random(
+        "repro, repro.approx, repro.cli, repro.engine"
+    ) == baseline
