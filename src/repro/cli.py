@@ -491,14 +491,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     print(
-        "cache: %d memo hits, %d circuit hits, %d parent-chain "
-        "derivations, %d/%d component splices"
+        "cache: %d memo hits, %d circuit hits, %d parent-chain derivations"
         % (
             stats["hits"],
             stats["circuit_hits"],
             stats["parent_chain_hits"],
-            stats["component_hits"],
-            stats["component_hits"] + stats["component_misses"],
         ),
         file=sys.stderr,
     )
@@ -869,7 +866,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # Flushed here, so a reader that left early fails inside the try.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout (``... | head -1``).  Point stdout at
+        # devnull so the interpreter's final flush stays quiet, and exit
+        # 128 + SIGPIPE, as a shell reports for ``yes | head``.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except _UNANSWERED as exc:
         # Fails like a plan that cannot choose.
         print("repro-count %s: %s" % (args.command, exc), file=sys.stderr)

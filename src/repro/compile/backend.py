@@ -13,7 +13,10 @@ Two families of entry points live here:
   null distributions, per-null marginals, exact valuation samples — by
   linear passes over the circuit.  :class:`ValuationCircuit` and
   :class:`CompletionCircuit` are the compiled artifacts the batch engine
-  caches by instance fingerprint.
+  caches by instance fingerprint.  A resolve or restrict update of the
+  instance conditions its ``#Val`` circuit
+  (:meth:`ValuationCircuit.condition`); any other update compiles the
+  updated instance.
 
 Either way the cost of the hard part is exponential only in the
 (heuristic) treewidth of the lineage, not in the number of nulls.
@@ -24,29 +27,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.complexity.cnf import CNF
-from repro.compile.circuit import (
-    KIND_DECISION,
-    KIND_FALSE,
-    KIND_PRODUCT,
-    KIND_TRUE,
-    CircuitSampler,
-    DDNNF,
-    draw_index,
-)
+from repro.compile.circuit import CircuitSampler, DDNNF, draw_index
 from repro.compile.ddnnf_trace import TraceBuilder
 from repro.compile.encode import (
     compile_completion_cnf,
     compile_valuation_cnf,
 )
-from repro.compile.lineage import (
-    clause_components,
-    component_key,
-    lineage_supports,
-)
+from repro.compile.lineage import lineage_supports
 from repro.compile.serialize import (
     CircuitFormatError,
     Reader,
@@ -105,8 +96,7 @@ def _trace_compile(
     The count is the model count, projected onto ``projection`` when one
     is given, and the circuit counts over the same variables.  ``stats``
     is ``(heuristic width, cache entries, components split)``.  Both
-    artifact constructors and every component the splice recompiles run
-    through here.
+    artifact constructors run through here.
     """
     trace = TraceBuilder()
     counter = ModelCounter(
@@ -128,8 +118,7 @@ class _CircuitArtifact:
     """What both compiled artifacts share: construction, statistics, codec.
 
     Every construction path ends in one initializer, :meth:`_init`: the
-    traced compile (the constructor), the componentwise splice
-    (:meth:`compile_componentwise`), delta conditioning
+    traced compile (the constructor), delta conditioning
     (:meth:`ValuationCircuit.condition`) and rehydration
     (:meth:`from_bytes`).  A subclass supplies its encoding
     (``_compile``), the rebuild of its variable map from an instance
@@ -137,8 +126,7 @@ class _CircuitArtifact:
     :attr:`header` attributes travel in the frame right after the count.
     """
 
-    #: ``'val'`` or ``'comp'``: the :data:`ARTIFACTS` key, and the kind
-    #: the splice keys its components by.
+    #: ``'val'`` or ``'comp'``: the :data:`ARTIFACTS` key.
     kind: str
     #: Frame magic of :meth:`to_bytes`.
     magic: bytes
@@ -151,41 +139,12 @@ class _CircuitArtifact:
         query: BooleanQuery | None = None,
         reference: bool = False,
     ) -> None:
-        self._init(*self._compile(
-            db, query, partial(_trace_compile, reference=reference)
-        ))
+        self._init(*self._compile(db, query, reference))
 
     @classmethod
-    def compile_componentwise(
-        cls,
-        db: IncompleteDatabase,
-        query: BooleanQuery | None = None,
-        components=None,
-    ):
-        """Compile by independent lineage components, reusing cached ones.
-
-        Model counts (projected ones too) multiply across
-        variable-disjoint CNF components, so each component compiles on
-        its own and the sub-circuits splice under one product root — same
-        answers as the monolithic constructor, bit for bit.
-        ``components`` is an optional component store
-        (``get_component`` / ``put_component``; the engine passes its
-        :class:`~repro.engine.cache.CountCache`): an insert/delete delta
-        invalidates only the components whose clauses changed, every
-        other sub-DAG is a cache hit.
-        """
-        return cls._build(*cls._compile(
-            db, query,
-            partial(
-                _compile_cnf_components, kind=cls.kind, components=components
-            ),
-        ))
-
-    @classmethod
-    def _compile(cls, db, query, compile_cnf) -> tuple:
-        """Encode ``(db, query)``, compile the CNF with ``compile_cnf``
-        (``(cnf, projection) -> (circuit, models, stats)``) and return
-        the :meth:`_init` arguments."""
+    def _compile(cls, db, query, reference: bool) -> tuple:
+        """Encode ``(db, query)``, compile the CNF with
+        :func:`_trace_compile` and return the :meth:`_init` arguments."""
         raise NotImplementedError
 
     @staticmethod
@@ -348,9 +307,11 @@ class ValuationCircuit(_CircuitArtifact):
     _variables: list[tuple[tuple[Null, Term], int]]
 
     @classmethod
-    def _compile(cls, db, query, compile_cnf) -> tuple:
+    def _compile(cls, db, query, reference: bool) -> tuple:
         encoding = compile_valuation_cnf(db, query)
-        circuit, falsifying, stats = compile_cnf(encoding.cnf, None)
+        circuit, falsifying, stats = _trace_compile(
+            encoding.cnf, None, reference
+        )
         return (
             db,
             encoding.choices.items(),
@@ -409,10 +370,10 @@ class ValuationCircuit(_CircuitArtifact):
         (count, weighted counts, marginals, samples) is bit-identical to
         compiling the updated instance from scratch.
 
-        Insert/delete deltas change the clause set itself; use
-        :meth:`compile_componentwise` for those.  Raises
-        :class:`ValueError` on a non-resolution delta or an invalid one
-        (unknown null, value outside the domain).
+        Insert/delete deltas change the clause set itself: compile the
+        updated instance instead.  Raises :class:`ValueError` on a
+        non-resolution delta or an invalid one (unknown null, value
+        outside the domain).
         """
         from repro.db.deltas import ResolveNull, RestrictDomain
 
@@ -429,7 +390,7 @@ class ValuationCircuit(_CircuitArtifact):
         else:
             raise ValueError(
                 "condition() handles resolution-only deltas; %s changes "
-                "the clause set — recompile via compile_componentwise()"
+                "the clause set — compile the updated instance instead"
                 % type(delta).__name__
             )
         with _span(
@@ -652,9 +613,11 @@ class CompletionCircuit(_CircuitArtifact):
     _variables: FactVariables
 
     @classmethod
-    def _compile(cls, db, query, compile_cnf) -> tuple:
+    def _compile(cls, db, query, reference: bool) -> tuple:
         encoding = compile_completion_cnf(db, query)
-        circuit, count, stats = compile_cnf(encoding.cnf, encoding.projection)
+        circuit, count, stats = _trace_compile(
+            encoding.cnf, encoding.projection, reference
+        )
         return (
             db, encoding.facts, (), circuit, count,
             (len(encoding.cnf), *stats),
@@ -761,200 +724,6 @@ ARTIFACTS: dict[str, type[_CircuitArtifact]] = {
     "val": ValuationCircuit,
     "comp": CompletionCircuit,
 }
-
-
-# ---------------------------------------------------------------------------
-# componentwise compilation (the insert/delete delta path)
-# ---------------------------------------------------------------------------
-
-
-def _remap_component_program(
-    code: Sequence[int],
-    offsets: Sequence[int],
-    variables: Sequence[int],
-    node_base: int,
-    out_code: list[int],
-    out_offsets: list[int],
-) -> None:
-    """Append a component-local program to the global one.
-
-    Local variable ``i + 1`` becomes ``variables[i]``; node ids shift by
-    ``node_base``.  Children stay before parents, so the spliced program
-    remains a valid topological flat circuit.
-    """
-    for offset in offsets:
-        out_offsets.append(len(out_code))
-        kind = code[offset]
-        if kind == KIND_FALSE or kind == KIND_TRUE:
-            out_code.append(kind)
-        elif kind == KIND_PRODUCT:
-            length = code[offset + 1]
-            out_code.append(KIND_PRODUCT)
-            out_code.append(length)
-            out_code.extend(
-                node_base + child
-                for child in code[offset + 2:offset + 2 + length]
-            )
-        else:
-            nbranches = code[offset + 1]
-            out_code.append(KIND_DECISION)
-            out_code.append(nbranches)
-            cursor = offset + 2
-            for _ in range(nbranches):
-                nlits = code[cursor]
-                cursor += 1
-                out_code.append(nlits)
-                for literal in code[cursor:cursor + nlits]:
-                    variable = variables[abs(literal) - 1]
-                    out_code.append(variable if literal > 0 else -variable)
-                cursor += nlits
-                nfree = code[cursor]
-                cursor += 1
-                out_code.append(nfree)
-                for freed in code[cursor:cursor + nfree]:
-                    out_code.append(variables[freed - 1])
-                cursor += nfree
-                out_code.append(node_base + code[cursor])
-                cursor += 1
-
-
-def _compile_cnf_components(
-    cnf: CNF,
-    projection,
-    kind: str,
-    components,
-) -> tuple[DDNNF, int, tuple]:
-    """Compile a CNF one clause-component at a time and splice the parts.
-
-    Returns ``(circuit, model_count, stats)`` like :func:`_trace_compile`;
-    the count is the (projected when ``projection`` is given) model count
-    of the whole CNF, exact, and ``stats`` is ``(widest component's
-    heuristic width, summed cache entries, number of components)``.
-    ``components`` is an optional store with ``get_component`` /
-    ``put_component`` keyed by :func:`~repro.compile.lineage.component_key`
-    — components unchanged across database versions are reused without
-    recompilation (counted on ``delta.components.reused``).
-    """
-    projection_set = None if projection is None else frozenset(projection)
-    all_clauses = list(cnf.clauses)
-    num_variables = cnf.num_variables
-    if any(not clause for clause in all_clauses):
-        # An empty clause makes the CNF unsatisfiable outright (the
-        # trivially-true valuation encoding emits one); no component
-        # structure survives it.
-        circuit = DDNNF.from_program(
-            [KIND_FALSE], [0], 0, num_variables,
-            range(1, num_variables + 1)
-            if projection_set is None else projection_set,
-        )
-        return circuit, 0, (None, 0, 0)
-    with _span("delta.splice", mode=kind, clauses=len(all_clauses)):
-        parts = clause_components(num_variables, all_clauses)
-        code: list[int] = []
-        offsets: list[int] = []
-        roots: list[int] = []
-        covered: set[int] = set()
-        total = 1
-        width: int | None = None
-        cache_entries = 0
-        reused = recompiled = 0
-        get_component = getattr(components, "get_component", None)
-        put_component = getattr(components, "put_component", None)
-        for variables, clause_indices in parts:
-            covered.update(variables)
-            clauses = [all_clauses[index] for index in clause_indices]
-            countable_globals = (
-                () if projection_set is None
-                else [v for v in variables if v in projection_set]
-            )
-            key = component_key(kind, variables, clauses, countable_globals)
-            entry = get_component(key) if get_component is not None else None
-            if entry is None:
-                recompiled += 1
-                local = {
-                    variable: i + 1 for i, variable in enumerate(variables)
-                }
-                local_clauses = [
-                    tuple(
-                        (1 if literal > 0 else -1) * local[abs(literal)]
-                        for literal in clause
-                    )
-                    for clause in clauses
-                ]
-                local_circuit, local_count, (local_width, local_cache, _) = (
-                    _trace_compile(
-                        CNF(len(variables), local_clauses),
-                        None if projection_set is None
-                        else frozenset(local[v] for v in countable_globals),
-                    )
-                )
-                entry = {
-                    "code": local_circuit._code,
-                    "offsets": local_circuit._offsets,
-                    "root": local_circuit.root,
-                    "count": local_count,
-                    "width": local_width,
-                    "cache_entries": local_cache,
-                }
-                if put_component is not None:
-                    put_component(key, entry)
-            else:
-                reused += 1
-            node_base = len(offsets)
-            _remap_component_program(
-                entry["code"], entry["offsets"], variables,
-                node_base, code, offsets,
-            )
-            roots.append(node_base + entry["root"])
-            total *= entry["count"]
-            if entry["width"] is not None:
-                width = (
-                    entry["width"] if width is None
-                    else max(width, entry["width"])
-                )
-            cache_entries += entry["cache_entries"]
-        # Countable variables in no clause at all are unconstrained: each
-        # doubles the count.  (Neither encoding produces them — choice
-        # variables sit in exactly-one blocks, fact variables in image
-        # clauses — but the splice stays correct if one ever appears.)
-        uncovered = [
-            variable
-            for variable in range(1, num_variables + 1)
-            if variable not in covered
-            and (projection_set is None or variable in projection_set)
-        ]
-        if uncovered:
-            offsets.append(len(code))
-            code.append(KIND_TRUE)
-            true_node = len(offsets) - 1
-            offsets.append(len(code))
-            code.extend(
-                [KIND_DECISION, 1, 0, len(uncovered)]
-                + uncovered + [true_node]
-            )
-            roots.append(len(offsets) - 1)
-            total <<= len(uncovered)
-        if not roots:
-            offsets.append(len(code))
-            code.append(KIND_TRUE)
-            root = len(offsets) - 1
-        elif len(roots) == 1:
-            root = roots[0]
-        else:
-            offsets.append(len(code))
-            code.append(KIND_PRODUCT)
-            code.append(len(roots))
-            code.extend(roots)
-            root = len(offsets) - 1
-        circuit = DDNNF.from_program(
-            code, offsets, root, num_variables,
-            range(1, num_variables + 1)
-            if projection_set is None else projection_set,
-        )
-        circuit._count = total
-    _incr("delta.components.reused", reused)
-    _incr("delta.components.recompiled", recompiled)
-    return circuit, total, (width, cache_entries, len(parts))
 
 
 def artifact_from_bytes(

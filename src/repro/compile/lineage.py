@@ -252,85 +252,6 @@ def _match_ground(
     return extended
 
 
-def clause_components(
-    num_variables: int, clauses: Sequence[Sequence[int]]
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Partition CNF clauses into variable-connected components.
-
-    Returns ``(variables, clause indices)`` pairs, each sorted, ordered
-    by smallest member variable.  Model counts — projected counts
-    included — multiply across components, which is what lets the
-    incremental layer recompile only the components an insert/delete
-    delta touched and splice the rest from cache.  Variables occurring
-    in no clause form no component (callers account for them).
-    """
-    parent = list(range(num_variables + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for clause in clauses:
-        if not clause:
-            continue
-        head = find(abs(clause[0]))
-        for literal in clause[1:]:
-            root = find(abs(literal))
-            if root != head:
-                parent[root] = head
-    variables_of: dict[int, set[int]] = {}
-    clauses_of: dict[int, list[int]] = {}
-    for index, clause in enumerate(clauses):
-        if not clause:
-            continue
-        root = find(abs(clause[0]))
-        bucket = variables_of.setdefault(root, set())
-        bucket.update(abs(literal) for literal in clause)
-        clauses_of.setdefault(root, []).append(index)
-    return sorted(
-        (
-            (tuple(sorted(variables)), tuple(clauses_of[root]))
-            for root, variables in variables_of.items()
-        ),
-        key=lambda item: item[0][0],
-    )
-
-
-def component_key(
-    kind: str,
-    variables: Sequence[int],
-    clauses: Sequence[Sequence[int]],
-    countable: Sequence[int] = (),
-) -> tuple:
-    """Version-stable cache key for one clause component.
-
-    Variables are renumbered positionally within the component (global
-    variable ``variables[i]`` becomes local ``i + 1``), so a component
-    keeps its key across database versions that merely shifted the
-    global variable numbering — the reuse the delta splicer depends on.
-    ``countable`` (global ids) selects the projection for ``#Comp``
-    components.
-    """
-    local = {variable: i + 1 for i, variable in enumerate(variables)}
-    clause_forms = tuple(
-        sorted(
-            tuple(
-                sorted(
-                    (1 if literal > 0 else -1) * local[abs(literal)]
-                    for literal in clause
-                )
-            )
-            for clause in clauses
-        )
-    )
-    countable_form = tuple(
-        sorted(local[variable] for variable in countable if variable in local)
-    )
-    return ("component", kind, len(variables), countable_form, clause_forms)
-
-
 def _absorb(matches: set) -> list:
     """Minimize a monotone DNF by absorption: drop supersets of kept sets.
 

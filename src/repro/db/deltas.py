@@ -7,8 +7,8 @@ immutable record of one such move; ``db.apply(delta)`` (in
 :mod:`repro.db.incomplete`) produces the new instance and records the
 provenance link that the incremental counting machinery exploits —
 resolution-only deltas are answered from the parent circuit by
-*conditioning*, insert/delete deltas by recompiling only the lineage
-components whose clauses changed.
+*conditioning*; an insert or delete changes the clause set, so the
+updated instance compiles afresh.
 
 Deltas are value objects: hashable, comparable, picklable, with a
 canonical form (:func:`delta_form`) stable under null/constant labels so

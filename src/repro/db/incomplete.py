@@ -235,10 +235,10 @@ class IncompleteDatabase:
 
         The result is an ordinary immutable instance whose :attr:`parent`
         and :attr:`delta` record where it came from, which lets the
-        incremental counting layer answer it from an ancestor circuit
-        (conditioning for resolution-only deltas, component-level
-        recompilation otherwise).  Provenance never affects equality,
-        hashing, or fingerprints of the database *content*.
+        incremental counting layer answer it by conditioning an ancestor
+        circuit when the deltas since only resolve or restrict nulls.
+        Provenance never affects equality, hashing, or fingerprints of
+        the database *content*.
         """
         from repro.db.deltas import (
             DeleteFacts,

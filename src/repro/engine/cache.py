@@ -1,6 +1,6 @@
 """Cross-job memoization keyed on canonical instance fingerprints.
 
-Three stores live side by side:
+Two stores live side by side:
 
 * the **answer memo** — ``fingerprint -> (count, resolved method)`` pairs,
   one per distinct *question*.  Answers are tiny, so the memo is
@@ -20,24 +20,16 @@ Three stores live side by side:
   conditioned circuit shares structure and provenance with its parent),
   and :meth:`CountCache.get_ancestor_circuit` walks a child's ancestor
   chain so a fingerprint miss can still be answered by conditioning a
-  cached ancestor (tallied as ``parent_chain_hits``);
-* the **component store** — an LRU of at most
-  :data:`DEFAULT_MAX_COMPONENTS` compiled clause-component programs keyed
-  by :func:`~repro.compile.lineage.component_key`.
-  Insert/delete deltas recompile only the components their clauses
-  touched; everything else splices from here.
+  cached ancestor (tallied as ``parent_chain_hits``).
 
-``stats()`` reports all three; ``repro-count batch --cache-mb`` is the
-CLI surface of the byte bound.
+``stats()`` reports both; ``repro-count batch --cache-mb`` is the CLI
+surface of the byte bound.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from typing import Any, Sequence
-
-#: Bound of the clause-component program store (entries).
-DEFAULT_MAX_COMPONENTS = 512
 
 
 class CountCache:
@@ -56,8 +48,6 @@ class CountCache:
         # delta provenance links: child instance <-> parent instance.
         self._circuit_parent: dict[str, str] = {}
         self._circuit_children: dict[str, set[str]] = {}
-        # clause-component programs: component key -> program entry.
-        self._components: OrderedDict[tuple, dict] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.circuit_hits = 0
@@ -66,8 +56,6 @@ class CountCache:
         self.circuit_bytes = 0
         self.worker_circuits = 0
         self.parent_chain_hits = 0
-        self.component_hits = 0
-        self.component_misses = 0
 
     # -- answer memo -------------------------------------------------------
 
@@ -137,8 +125,8 @@ class CountCache:
 
         ``ancestry`` lists instance fingerprints nearest-ancestor first
         (parent, grandparent, ...).  A hit counts as a ``parent_chain``
-        hit — the incremental layer then applies the missing delta
-        suffix to the returned circuit instead of recompiling.
+        hit — the incremental layer then conditions the returned
+        circuit along the missing delta suffix instead of recompiling.
         """
         for fingerprint in ancestry:
             cached = self._circuits.get(fingerprint)
@@ -162,7 +150,7 @@ class CountCache:
         evict everything else and then itself).  Evicting a circuit also
         drops the memo entries linked to its instance — and, recursively,
         every circuit derived from it (``parent`` records that link when
-        the incremental layer installs a conditioned/respliced child).
+        the incremental layer installs a conditioned child).
         ``from_worker`` marks an artifact compiled in a worker process
         and installed by the parent (tallied separately in :meth:`stats`).
         """
@@ -230,25 +218,6 @@ class CountCache:
                 self._entries.pop(linked, None)
                 self._entry_instance.pop(linked, None)
 
-    # -- component store ---------------------------------------------------
-
-    def get_component(self, key: tuple) -> dict | None:
-        """A cached clause-component program, LRU-touched on hit."""
-        entry = self._components.get(key)
-        if entry is None:
-            self.component_misses += 1
-            return None
-        self._components.move_to_end(key)
-        self.component_hits += 1
-        return entry
-
-    def put_component(self, key: tuple, entry: dict) -> None:
-        """Store one compiled clause-component program (bounded LRU)."""
-        self._components[key] = entry
-        self._components.move_to_end(key)
-        if len(self._components) > DEFAULT_MAX_COMPONENTS:
-            self._components.popitem(last=False)
-
     # -- statistics --------------------------------------------------------
 
     @property
@@ -258,7 +227,7 @@ class CountCache:
         return self.hits / total if total else 0.0
 
     def stats(self) -> dict[str, Any]:
-        """One JSON-ready snapshot of all three stores."""
+        """One JSON-ready snapshot of both stores."""
         return {
             "entries": len(self._entries),
             "hits": self.hits,
@@ -271,9 +240,6 @@ class CountCache:
             "circuit_evictions": self.circuit_evictions,
             "worker_circuits": self.worker_circuits,
             "parent_chain_hits": self.parent_chain_hits,
-            "components": len(self._components),
-            "component_hits": self.component_hits,
-            "component_misses": self.component_misses,
             "max_circuit_bytes": self._max_circuit_bytes,
         }
 
@@ -284,7 +250,6 @@ class CountCache:
         self._instance_entries.clear()
         self._circuit_parent.clear()
         self._circuit_children.clear()
-        self._components.clear()
         self.hits = 0
         self.misses = 0
         self.circuit_hits = 0
@@ -293,8 +258,6 @@ class CountCache:
         self.circuit_bytes = 0
         self.worker_circuits = 0
         self.parent_chain_hits = 0
-        self.component_hits = 0
-        self.component_misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)

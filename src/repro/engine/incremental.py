@@ -1,4 +1,4 @@
-"""Circuit-store access: get, derive from a delta ancestor, or compile.
+"""Circuit-store access: get, derive by conditioning, or compile.
 
 Every circuit-backed registry method (``circuit`` for all five planner
 problems, ``delta`` for ``val``/``comp``) fetches its compiled circuit
@@ -6,21 +6,14 @@ through :func:`instance_circuit`.  With a circuit store (the engine's
 :class:`~repro.engine.cache.CountCache`) the fetch is, in order:
 
 1. a store hit on the instance fingerprint;
-2. a derivation from the nearest cached delta ancestor — an instance
-   built via ``db.apply(delta)`` carries provenance, so on a miss this
-   module walks the ancestor chain (:func:`repro.db.deltas.delta_chain`),
-   asks the store for the nearest compiled ancestor
-   (:meth:`~repro.engine.cache.CountCache.get_ancestor_circuit`), and
-   derives the child circuit from it:
-
-   * a **resolution-only** delta suffix (resolve-null, restrict-domain)
-     is applied by *conditioning* — one linear program rewrite per
-     delta, no recompilation (``#Val`` circuits only; projected ``#Comp``
-     circuits sum choice variables out, so conditioning them is unsound
-     by construction);
-   * any suffix containing an **insert/delete** recompiles the child
-     componentwise, splicing every clause component unchanged since the
-     ancestor from the store's component store;
+2. a derivation from the nearest cached ancestor whose delta suffix
+   conditions (:func:`conditioning_ancestors`).  An instance built via
+   ``db.apply(delta)`` carries provenance; a resolve or restrict delta
+   only narrows the valuations, so the ancestor's ``#Val`` circuit is
+   *conditioned* — one linear program rewrite per delta, no
+   recompilation, every answer bit-identical to a fresh compile.  An
+   insert or delete changes the clause set, and a projected ``#Comp``
+   circuit sums choice variables out, so neither conditions;
 3. a fresh compile, installed into the store.
 
 A derived circuit is installed with a parent link, so ``--cache-mb``
@@ -30,6 +23,7 @@ compiles a throwaway circuit.  Answers are bit-identical either way.
 
 from __future__ import annotations
 
+from itertools import takewhile
 from typing import Any
 
 from repro.compile.backend import ARTIFACTS
@@ -48,9 +42,9 @@ def instance_circuit(
 ) -> Any:
     """The compiled ``kind`` (``'val'``/``'comp'``) circuit of ``(db, query)``.
 
-    Fetched from ``store`` when it holds the instance, derived from a
-    cached delta ancestor when one is there, compiled (and installed)
-    otherwise.  ``store`` is anything with the
+    Fetched from ``store`` when it holds the instance, derived by
+    conditioning a cached ancestor when one is there, compiled (and
+    installed) otherwise.  ``store`` is anything with the
     :class:`~repro.engine.cache.CountCache` circuit calls; ``None``
     compiles a throwaway circuit.
     """
@@ -71,6 +65,24 @@ def instance_circuit(
     return compiled
 
 
+def conditioning_ancestors(
+    db: IncompleteDatabase, kind: str
+) -> list[tuple[IncompleteDatabase, list]]:
+    """The ancestors of ``db`` whose delta suffix conditions, nearest first.
+
+    ``(ancestor, deltas)`` pairs as :func:`~repro.db.deltas.delta_chain`
+    lists them.  Each suffix is the previous one with one more delta in
+    front, so the list stops before the first suffix that starts with an
+    insert or delete.  Empty for a ``comp`` circuit and for an instance
+    without provenance.
+    """
+    if kind != "val":
+        return []
+    return list(
+        takewhile(lambda link: resolution_only(link[1][0]), delta_chain(db))
+    )
+
+
 def derive_instance_circuit(
     db: IncompleteDatabase,
     query: BooleanQuery | None,
@@ -78,21 +90,17 @@ def derive_instance_circuit(
     circuits: Any,
     fingerprint: str | None = None,
 ) -> Any | None:
-    """Derive the circuit of a delta-derived instance from a cached ancestor.
+    """Derive the circuit of ``db`` by conditioning a cached ancestor.
 
-    Call on a circuit-store miss for ``db``.  Walks the provenance chain,
-    takes the nearest cached ancestor, and either conditions it (val,
-    resolution-only suffix) or recompiles the child componentwise against
-    the store's component store.  The result is installed into
+    Call on a circuit-store miss for ``db``.  Takes the nearest cached
+    ancestor among :func:`conditioning_ancestors` and conditions its
+    circuit along the delta suffix.  The result is installed into
     ``circuits`` under ``fingerprint`` with its parent link and returned;
-    ``None`` when ``db`` has no provenance or no ancestor is cached.
+    ``None`` when no such ancestor is cached.
     """
-    chain = delta_chain(db)
-    if not chain:
-        return None
     ancestry = []
     deltas_of: dict[str, list] = {}
-    for ancestor, deltas in chain:
+    for ancestor, deltas in conditioning_ancestors(db, kind):
         ancestor_fingerprint = fingerprint_instance(ancestor, query, kind)
         if ancestor_fingerprint is None:
             return None
@@ -103,24 +111,13 @@ def derive_instance_circuit(
         return None
     ancestor_fingerprint, circuit = found
     deltas = deltas_of[ancestor_fingerprint]
-    mode = (
-        "condition"
-        if kind == "val" and all(map(resolution_only, deltas))
-        else "splice"
-    )
-    with _span("delta.derive", kind=kind, mode=mode, chain=len(deltas)):
-        if mode == "condition":
-            for delta in deltas:
-                circuit = circuit.condition(delta)
-        else:
-            circuit = ARTIFACTS[kind].compile_componentwise(
-                db, query, components=circuits
-            )
+    with _span("delta.derive", kind=kind, chain=len(deltas)):
+        for delta in deltas:
+            circuit = circuit.condition(delta)
     _incr("delta.derivations")
     _event(
         "delta.derived",
         kind=kind,
-        mode=mode,
         chain=len(deltas),
         ancestor=ancestor_fingerprint[:12],
     )
@@ -132,6 +129,7 @@ def derive_instance_circuit(
 
 
 __all__ = [
+    "conditioning_ancestors",
     "derive_instance_circuit",
     "instance_circuit",
 ]

@@ -57,7 +57,8 @@ class CountJob:
     of ``db`` after applying the ``deltas`` chain, answered from a cached
     ancestor circuit when possible).  ``method`` and ``budget`` are
     forwarded to :func:`repro.exact.dispatch.solve` for the exact
-    problems (``'update'`` always runs the ``delta`` method).
+    problems (``'update'`` always requests the ``delta`` method, which
+    degrades to ``circuit`` off a resolve/restrict-only chain).
     """
 
     problem: str
@@ -75,8 +76,9 @@ class CountJob:
     ) = None
     label: str | None = None
     #: ``'update'`` only: the delta chain to apply to ``db`` — the job
-    #: answers ``#Val`` of the *updated* instance, preferring a cached
-    #: ancestor circuit (conditioning / component splice) over recompiling.
+    #: answers ``#Val`` of the *updated* instance, conditioning a cached
+    #: ancestor circuit along a resolve/restrict suffix and compiling the
+    #: updated instance otherwise.
     deltas: Sequence[Any] = ()
 
     def __post_init__(self) -> None:

@@ -60,9 +60,9 @@ from typing import Iterable, Sequence
 from repro.compile.backend import artifact_from_bytes
 from repro.compile.serialize import CircuitFormatError
 from repro.core.query import BCQ, Negation, UCQ
-from repro.db.deltas import delta_chain
 from repro.engine.cache import CountCache
 from repro.engine.fingerprint import fingerprint_instance, fingerprint_job
+from repro.engine.incremental import conditioning_ancestors
 from repro.engine.jobs import (
     CIRCUIT_METHODS,
     CountJob,
@@ -218,19 +218,20 @@ class BatchEngine:
     # -- execution ---------------------------------------------------------
 
     def _derivable(self, job: CountJob, claimed: set[str]) -> bool:
-        """Whether the job's instance derives from an ancestor circuit.
+        """Whether the job's instance derives by conditioning an ancestor
+        circuit (:func:`~repro.engine.incremental.conditioning_ancestors`).
 
-        True when an ancestor is cached already *or* claimed by a compile
-        worker earlier in the same batch — the serial pass runs after
-        worker artifacts are installed, so the ancestor is in the store
-        by the time this job executes in the parent.
+        True when such an ancestor is cached already *or* claimed by a
+        compile worker earlier in the same batch — the serial pass runs
+        after worker artifacts are installed, so the ancestor is in the
+        store by the time this job executes in the parent.
         """
         try:
             db = instance_db(job)
         except (ValueError, KeyError, TypeError):
             return False
         kind = "comp" if job.problem == "comp" else "val"
-        for ancestor, _deltas in delta_chain(db):
+        for ancestor, _deltas in conditioning_ancestors(db, kind):
             fingerprint = fingerprint_instance(ancestor, job.query, kind)
             if fingerprint is not None and (
                 fingerprint in claimed or self.cache.has_circuit(fingerprint)
@@ -263,10 +264,10 @@ class BatchEngine:
                 self.cache.has_circuit(instance)
                 or instance in claimed
                 # Delta-derived instance with a cached (or claimed)
-                # ancestor: the parent conditions/resplices the ancestor
-                # circuit in a linear pass — cheaper than a worker
-                # recompile, and the derived circuit lands in the store
-                # with its provenance link intact.
+                # ancestor it conditions: the parent conditions the
+                # ancestor circuit in a linear pass — cheaper than a
+                # worker recompile, and the derived circuit lands in the
+                # store with its provenance link intact.
                 or self._derivable(job, claimed)
             ):
                 serial.append(index)

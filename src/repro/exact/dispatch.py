@@ -37,9 +37,9 @@ Method vocabulary (see the registry for the authoritative table):
 ``circuit``         the same search recorded once as a d-DNNF circuit
                     (weighted counts, marginals and exact samples become
                     linear passes); degrades to ``brute`` on non-(U)CQs
-``delta``           an updated instance's circuit, derived from a cached
-                    ancestor circuit; degrades to ``circuit``, then
-                    ``brute``
+``delta``           a resolve/restrict-updated instance's ``#Val``
+                    circuit, conditioned from a cached ancestor circuit;
+                    degrades to ``circuit``, then ``brute``
 ``brute``           enumerate all valuations (opt-in ``budget``)
 =================== ======================================================
 

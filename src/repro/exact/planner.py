@@ -15,7 +15,7 @@ a :class:`Method` with
   the kinds served (``sweep`` and ``marginals``),
 * an optional **preference gate** ``prefer(kind, D, q) -> (take it?,
   detail)`` that ``auto`` asks only when it reaches the row (the dpdb
-  width probe, the shape of a delta chain).
+  width probe).
 
 Registration order is preference order, one order for every kind: the
 Table 1 closed forms first (a purely syntactic check settles them), then
@@ -603,53 +603,29 @@ def _applies_circuit(
     return True, "(U)CQ lineage compiles to a reusable d-DNNF circuit"
 
 
-def _delta_provenance(db: IncompleteDatabase) -> tuple[int, bool]:
-    """``(chain depth, resolution-only?)`` of the delta provenance chain
-    (depth 0: the instance was built directly, not via
-    :meth:`~repro.db.incomplete.IncompleteDatabase.apply`)."""
-    chain = delta_chain(db)
-    if not chain:
-        return 0, True
-    return len(chain), all(map(resolution_only, chain[-1][1]))
-
-
 def _applies_delta(
     kind: str, db: IncompleteDatabase, query: BooleanQuery | None
 ) -> tuple[bool, str]:
-    """Applicability of the incremental delta method for ``val``/``comp``."""
+    """Applicability of the incremental delta method: ``#Val`` on an
+    instance whose whole delta chain resolves or restricts nulls, so a
+    parent circuit answers it by conditioning."""
     if not lineage_supports(query):
         return False, "lineage compilation handles (U)CQs only"
-    depth, pure = _delta_provenance(db)
-    if depth == 0:
+    chain = delta_chain(db)
+    if not chain:
         return False, (
             "instance has no delta provenance (no parent circuit to "
             "derive from)"
         )
-    if kind == "val" and pure:
-        return True, (
-            "answer from the parent circuit by conditioning "
-            "(no recompilation)"
+    if kind != "val" or not all(map(resolution_only, chain[-1][1])):
+        return False, (
+            "only #Val along resolve/restrict deltas conditions a parent "
+            "circuit; the updated instance compiles afresh"
         )
     return True, (
-        "recompile only the lineage components the delta touched; "
-        "splice the rest from cache"
+        "answer from the parent circuit by conditioning "
+        "(no recompilation)"
     )
-
-
-def _prefer_delta(
-    kind: str, db: IncompleteDatabase, query: BooleanQuery | None
-) -> tuple[bool, Mapping[str, Any] | None]:
-    """Take delta only for ``val`` on a resolution-only chain, answered by
-    conditioning the parent circuit.  A splice recompiles the touched
-    components, which pays off only when the component store is warm, so
-    the search rows go first."""
-    depth, pure = _delta_provenance(db)
-    condition = kind == "val" and pure
-    return condition, {
-        "chain": depth,
-        "resolution_only": pure,
-        "mode": "condition" if condition else "splice",
-    }
 
 
 def _applies_always(
@@ -701,8 +677,8 @@ def _run_on_circuit(
     kind: str, ask: Callable[[Any, Any], Any], derived: bool = False
 ) -> Run:
     """A circuit-backed solver: fetch the ``kind`` circuit of the instance
-    (from the store, derived from a cached delta ancestor, or compiled and
-    installed — :func:`repro.engine.incremental.instance_circuit`), then
+    (from the store, conditioned from a cached delta ancestor, or compiled
+    and installed — :func:`repro.engine.incremental.instance_circuit`), then
     answer ``ask(circuit, weights)``.  ``derived`` methods refuse
     instances without delta provenance."""
 
@@ -774,8 +750,8 @@ register(Method(
 
 register(Method(
     name="delta",
-    description="condition a cached ancestor's circuit, or recompile only "
-    "the delta-touched components and splice the rest (updates)",
+    description="condition a cached ancestor's circuit along resolve/"
+    "restrict updates",
     polynomial=False,
     runs={
         "val": _run_on_circuit("val", _count, derived=True),
@@ -783,7 +759,6 @@ register(Method(
     },
     applies=_applies_delta,
     fallback="circuit",
-    prefer=_prefer_delta,
 ))
 
 register(Method(

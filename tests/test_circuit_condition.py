@@ -1,11 +1,14 @@
-"""Differential tests: conditioning and componentwise compilation must be
-bit-identical to compiling the updated instance from scratch.
+"""Differential tests: conditioning must be bit-identical to compiling
+the updated instance from scratch.
 
-Every delta kind is exercised on randomized instances: counts, weighted
-counts (exact :class:`~fractions.Fraction` weights included), marginal
-tables, seeded sampling, chains of deltas, and the projected ``#Comp``
-splice path.  The only acceptable difference between ``condition`` and
-``recompile`` is wall time.
+Resolve and restrict deltas are exercised on randomized instances:
+counts, weighted counts (exact :class:`~fractions.Fraction` weights
+included), marginal tables, seeded sampling and chains of deltas.  An
+insert or delete is refused, and every construction path — compile,
+condition, derive through a circuit store, rehydrate, fetch from a
+store — answers like a fresh compile.  The only
+acceptable difference between ``condition`` and ``recompile`` is wall
+time.
 """
 
 import random
@@ -18,9 +21,7 @@ from repro.compile.backend import (
     ValuationCircuit,
     artifact_from_bytes,
 )
-from repro.compile.circuit import DDNNF
-from repro.compile.lineage import clause_components, component_key
-from repro.complexity.cnf import CNF, count_models_brute
+from repro.complexity.cnf import CNF
 from repro.compile.ddnnf_trace import TraceBuilder
 from repro.compile.encode import compile_completion_cnf, compile_valuation_cnf
 from repro.compile.sharpsat import ModelCounter
@@ -32,9 +33,8 @@ from repro.db.deltas import (
     RestrictDomain,
 )
 from repro.db.fact import Fact
-from repro.db.incomplete import IncompleteDatabase
-from repro.db.terms import Null
 from repro.db.valuation import count_total_valuations
+from repro.engine import CountCache, fingerprint_instance, instance_circuit
 from repro.exact import planner
 from repro.workloads.generators import (
     random_incomplete_db,
@@ -287,49 +287,8 @@ def test_condition_chain_matches_recompile():
 def test_condition_rejects_insert_delete():
     db = random_update_db(1)
     circuit = ValuationCircuit(db, QUERY)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="compile the updated instance"):
         circuit.condition(InsertFacts(frozenset({Fact("S", ("v0",))})))
-
-
-# -- componentwise compilation (the insert/delete splice path) ---------------
-
-
-def test_componentwise_val_matches_plain_compile():
-    rng = random.Random(424242)
-    checked = 0
-    for seed in range(30):
-        db = random_update_db(seed)
-        delta = random_delta(rng, db)
-        if delta is None:
-            continue
-        try:
-            child = db.apply(delta)
-        except (ValueError, KeyError):
-            continue
-        split = ValuationCircuit.compile_componentwise(child, QUERY)
-        plain = ValuationCircuit(child, QUERY)
-        assert split.count() == plain.count()
-        assert split.total_valuations == plain.total_valuations
-        checked += 1
-    assert checked >= 10
-
-
-def test_componentwise_comp_matches_plain_compile():
-    for seed in range(8):
-        db = random_incomplete_db(
-            {"R": 1, "S": 1}, seed=seed, num_nulls=2,
-            facts_per_relation=(1, 3), domain_size=3,
-        )
-        split = CompletionCircuit.compile_componentwise(db, None)
-        plain = CompletionCircuit(db, None)
-        assert split.count() == plain.count()
-        split_q = CompletionCircuit.compile_componentwise(
-            db, BCQ([Atom("R", ["x"]), Atom("S", ["x"])])
-        )
-        plain_q = CompletionCircuit(
-            db, BCQ([Atom("R", ["x"]), Atom("S", ["x"])])
-        )
-        assert split_q.count() == plain_q.count()
 
 
 def test_count_delta_helpers_require_and_use_provenance():
@@ -354,17 +313,9 @@ def test_count_delta_helpers_require_and_use_provenance():
 
 # -- every construction path answers like a fresh compile -------------------
 
-PATHS = (
-    "compile", "componentwise", "conditioned",
-    "rehydrated", "rehydrated-componentwise",
-)
-
-
-class Components(dict):
-    """A bare component store (the engine passes its ``CountCache``)."""
-
-    get_component = dict.get
-    put_component = dict.__setitem__
+PATHS = ("compile", "conditioned", "derived", "rehydrated", "stored")
+# paths that condition a parent circuit: #Val only
+CONDITIONING = ("conditioned", "derived")
 
 
 def stats_of(artifact):
@@ -403,35 +354,34 @@ def compile_stats(kind, db, query):
 
 def built_along(path, kind, db, query, delta=None):
     """The artifact of ``db.apply(delta)`` built along ``path``, and the
-    stats it must report: a compile's, the parent compile's for a
-    conditioned artifact (with the child's valuation total), the
-    splice's for a componentwise one, and unchanged after a round trip
-    through bytes."""
+    stats it must report: a compile's, the parent compile's for an
+    artifact conditioned directly or derived through a circuit store
+    that holds the parent (with the child's valuation total), and
+    unchanged after a round trip through bytes or through a store."""
     instance = db if delta is None else db.apply(delta)
-    if path == "conditioned":
-        return kind(db, query).condition(delta), dict(
+    store = CountCache()
+    if path in CONDITIONING:
+        if path == "conditioned":
+            built = kind(db, query).condition(delta)
+        else:
+            store.put_circuit(
+                fingerprint_instance(db, query, kind.kind), kind(db, query)
+            )
+            built = instance_circuit(kind.kind, instance, query, store)
+            assert store.parent_chain_hits == 1
+        return built, dict(
             compile_stats(kind, db, query),
             total_valuations=count_total_valuations(instance),
         )
-    expected = compile_stats(kind, instance, query)
-    if path.endswith("componentwise"):
-        store = Components()
-        built = kind.compile_componentwise(instance, query, components=store)
-        # A warm store reuses every component with its recorded stats.
-        warm = kind.compile_componentwise(instance, query, components=store)
-        cnf = encoded(kind, instance, query)[0]
-        expected.update(
-            heuristic_width=warm.heuristic_width,
-            cache_entries=warm.cache_entries,
-            components_split=len(
-                clause_components(cnf.num_variables, list(cnf.clauses))
-            ),
-        )
+    if path == "stored":
+        instance_circuit(kind.kind, instance, query, store)
+        built = instance_circuit(kind.kind, instance, query, store)
+        assert store.circuit_hits == 1
     else:
         built = kind(instance, query)
-    if path.startswith("rehydrated"):
+    if path == "rehydrated":
         built = artifact_from_bytes(built.to_bytes(), instance)
-    return built, expected
+    return built, compile_stats(kind, instance, query)
 
 
 def val_cases():
@@ -488,7 +438,7 @@ def comp_cases():
 
 
 @pytest.mark.parametrize(
-    "path", [path for path in PATHS if path != "conditioned"]
+    "path", [path for path in PATHS if path not in CONDITIONING]
 )
 @pytest.mark.parametrize("case", range(3))
 def test_completion_paths_answer_like_a_fresh_compile(path, case):
@@ -511,39 +461,3 @@ def test_completion_paths_answer_like_a_fresh_compile(path, case):
             assert built.sample_completion(
                 seed=seed
             ) == fresh.sample_completion(seed=seed)
-
-
-# -- component keys ----------------------------------------------------------
-
-
-def test_component_key_is_position_stable():
-    # the same local structure under shifted global numbering shares a key
-    clauses_a = [[1, -2], [2, 3]]
-    clauses_b = [[4, -5], [5, 6]]
-    key_a = component_key("val", [1, 2, 3], clauses_a)
-    key_b = component_key("val", [4, 5, 6], clauses_b)
-    assert key_a == key_b
-    assert key_a != component_key("comp", [1, 2, 3], clauses_a)
-    assert key_a != component_key(
-        "val", [1, 2, 3], clauses_a, countable=[2]
-    )
-
-
-def test_clause_components_partition():
-    parts = clause_components(6, [[1, -2], [2, 3], [5, 6], []])
-    assert parts == [((1, 2, 3), (0, 1)), ((5, 6), (2,))]
-    counts = []
-    for variables, indices in parts:
-        local = {v: i + 1 for i, v in enumerate(variables)}
-        cnf = CNF(len(variables))
-        for index in indices:
-            cnf.add_clause(
-                (1 if l > 0 else -1) * local[abs(l)]
-                for l in [[1, -2], [2, 3], [5, 6], []][index]
-            )
-        counts.append(count_models_brute(cnf))
-    # model counts multiply across components (free var 4 doubles)
-    full = CNF(6)
-    for clause in [[1, -2], [2, 3], [5, 6]]:
-        full.add_clause(clause)
-    assert counts[0] * counts[1] * 2 == count_models_brute(full)

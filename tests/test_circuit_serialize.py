@@ -280,8 +280,7 @@ class TestArtifactDispatch:
         with pytest.raises(CircuitFormatError, match="magic"):
             artifact_from_bytes(b"JUNKJUNKJUNKJUNK", db)
 
-    @pytest.mark.parametrize("componentwise", [False, True])
-    def test_both_kinds_round_trip_byte_for_byte(self, componentwise):
+    def test_both_kinds_round_trip_byte_for_byte(self):
         db, query = scaling_hard_val_instance(8, seed=1)
         cdb, cquery = scaling_hard_comp_instance(6, seed=2)
         for kind, instance, q in (
@@ -289,10 +288,7 @@ class TestArtifactDispatch:
             (CompletionCircuit, cdb, cquery),
             (CompletionCircuit, cdb, None),
         ):
-            compiled = (
-                kind.compile_componentwise(instance, q)
-                if componentwise else kind(instance, q)
-            )
+            compiled = kind(instance, q)
             data = compiled.to_bytes()
             restored = artifact_from_bytes(data, instance)
             assert type(restored) is kind

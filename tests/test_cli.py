@@ -1,11 +1,17 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -374,3 +380,35 @@ class TestInputErrors:
             "--weights-jsonl", str(rows),
         ]) == 2
         assert "%s line 2" % rows in capsys.readouterr().err
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_closed_stdout_exits_quietly_as_sigpipe(self, tmp_path, unbuffered):
+        """A reader that left early (``... | head -1``) is not bad input:
+        nothing on stderr and status 141 (128 + SIGPIPE), whether the
+        write fails inside the command or at the final flush."""
+        path = tmp_path / "db.idb"
+        path.write_text(
+            "domain a b c\nR(a, ?n1)\nR(?n2, b)\nS(a, b)\n", encoding="utf-8"
+        )
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [
+                    sys.executable, "-m", "repro", "plan", "--db", str(path),
+                    "--query", "R(x,y), S(x,y)",
+                ],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.stderr == b""
+        assert done.returncode == 141

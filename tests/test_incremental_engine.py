@@ -2,10 +2,11 @@
 delta method, and the CLI/JSONL update surfaces.
 
 The contract under test: an ``update`` job answers bit-identically to
-compiling the updated instance from scratch, while the cache serves the
-answer from an ancestor circuit (conditioning) or the component store
-(splicing) whenever it can — and ``--cache-mb`` eviction never leaves a
-derived child outliving its parent.
+compiling the updated instance from scratch.  The cache conditions a
+cached ancestor circuit along a resolve/restrict suffix, any other
+update compiles the updated instance like an uncached one, and
+``--cache-mb`` eviction never leaves a derived child outliving its
+parent.
 """
 
 import json
@@ -13,7 +14,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.compile.backend import ValuationCircuit
+from repro.compile.backend import ARTIFACTS, ValuationCircuit
 from repro.core.query import Atom, BCQ, Negation, Var
 from repro.db.deltas import (
     DeleteFacts,
@@ -33,11 +34,13 @@ from repro.engine import (
     execute_job,
     fingerprint_instance,
     fingerprint_job,
+    instance_circuit,
     instance_db,
     run_batch,
 )
-from repro.engine import cache as cache_module
+from repro.engine.incremental import conditioning_ancestors
 from repro.exact import planner
+from repro.exact.dispatch import solve
 
 N1 = Null("n1")
 N2 = Null("n2")
@@ -112,6 +115,128 @@ def test_derive_without_provenance_or_ancestor_returns_none():
     assert derive_instance_circuit(child, QUERY, "val", cache) is None
 
 
+# -- one derivation rule ----------------------------------------------------
+
+RESOLVE = ResolveNull(N1, "b")
+RESTRICT = RestrictDomain(N2, frozenset({"a", "b"}))
+INSERT = InsertFacts(frozenset({Fact("S", ("b", "b"))}))
+DELETE = DeleteFacts(frozenset({Fact("S", ("a", "b"))}))
+
+# delta chain from base_db() -> how many of its nearest ancestors condition
+CHAINS = {
+    "root": ([], 0),
+    "resolve": ([RESOLVE], 1),
+    "resolve-restrict": ([RESOLVE, RESTRICT], 2),
+    "insert": ([INSERT], 0),
+    "delete": ([DELETE], 0),
+    "insert-resolve": ([INSERT, RESOLVE], 1),
+    "resolve-delete": ([RESOLVE, DELETE], 0),
+    "restrict-insert-resolve": ([RESTRICT, INSERT, RESOLVE], 1),
+}
+
+
+def chain_nodes(deltas):
+    """``base_db()`` and every instance along ``deltas``, root first."""
+    nodes = [base_db()]
+    for delta in deltas:
+        nodes.append(nodes[-1].apply(delta))
+    return nodes
+
+
+@pytest.mark.parametrize("name", list(CHAINS))
+def test_one_rule_for_which_ancestors_condition(name):
+    """``conditioning_ancestors`` stops before the first suffix that
+    starts with an insert or delete; the engine's scheduling and the
+    planner's ``delta`` row read the same rule."""
+    deltas, reach = CHAINS[name]
+    nodes = chain_nodes(deltas)
+    db = nodes[-1]
+    assert conditioning_ancestors(db, "val") == [
+        (nodes[-2 - back], deltas[len(deltas) - 1 - back:])
+        for back in range(reach)
+    ]
+    assert conditioning_ancestors(db, "comp") == []
+    # delta applies exactly where conditioning reaches the root
+    entry = next(
+        c for c in planner.plan("val", db, QUERY).considered
+        if c.method == "delta"
+    )
+    assert entry.applicable == (0 < reach == len(deltas))
+    # the engine derives in the parent only from a conditioning ancestor
+    job = CountJob(problem="val", db=db, query=QUERY)
+    claimed = {fingerprint_instance(node, QUERY, "val") for node in nodes[:-1]}
+    with BatchEngine(workers=0) as engine:
+        assert engine._derivable(job, claimed) == (reach > 0)
+        assert not engine._derivable(job, set())
+        engine.cache.put_circuit(
+            fingerprint_instance(nodes[0], QUERY, "val"),
+            ValuationCircuit(nodes[0], QUERY),
+        )
+        assert engine._derivable(job, set()) == (0 < reach == len(deltas))
+
+
+@pytest.mark.parametrize(
+    "kind, delta",
+    [("val", INSERT), ("val", DELETE), ("comp", RESOLVE), ("comp", RESTRICT)],
+    ids=["val-insert", "val-delete", "comp-resolve", "comp-restrict"],
+)
+def test_children_that_do_not_condition_compile_fresh(kind, delta):
+    """A child whose circuit does not condition from its cached parent
+    compiles like an uncached instance: no parent-chain hit and no parent
+    link, so it outlives the parent's eviction."""
+    db = base_db()
+    child = db.apply(delta)
+    cache = CountCache()
+    fp_db = fingerprint_instance(db, QUERY, kind)
+    cache.put_circuit(fp_db, ARTIFACTS[kind](db, QUERY))
+    assert derive_instance_circuit(child, QUERY, kind, cache) is None
+    circuit = instance_circuit(kind, child, QUERY, cache)
+    assert circuit.count() == ARTIFACTS[kind](child, QUERY).count()
+    assert cache.parent_chain_hits == 0
+    cache._drop_circuit_tree(fp_db)
+    assert cache.has_circuit(fingerprint_instance(child, QUERY, kind))
+
+
+def test_conditioning_never_crosses_an_insert():
+    """Below an insert only the inserted instance's circuit conditions:
+    the cached root is passed over until that instance is cached."""
+    db = base_db()
+    grown = db.apply(INSERT)
+    cache = CountCache()
+    cache.put_circuit(
+        fingerprint_instance(db, QUERY, "val"), ValuationCircuit(db, QUERY)
+    )
+    resolved = grown.apply(RESOLVE)
+    circuit = instance_circuit("val", resolved, QUERY, cache)
+    assert circuit.count() == ValuationCircuit(resolved, QUERY).count()
+    assert cache.parent_chain_hits == 0
+    cache.put_circuit(
+        fingerprint_instance(grown, QUERY, "val"),
+        ValuationCircuit(grown, QUERY),
+    )
+    restricted = grown.apply(RESTRICT)
+    circuit = instance_circuit("val", restricted, QUERY, cache)
+    assert circuit.count() == ValuationCircuit(restricted, QUERY).count()
+    assert cache.parent_chain_hits == 1
+
+
+def test_cache_stats_report_the_memo_and_the_circuit_store():
+    db = base_db()
+    cache = CountCache()
+    jobs = [
+        CountJob(problem="val", db=db, query=QUERY, method="circuit"),
+        CountJob(problem="update", db=db, query=QUERY, deltas=[RESOLVE]),
+        CountJob(problem="val", db=db, query=QUERY, method="circuit"),
+    ]
+    results = run_batch(jobs, cache=cache, workers=0)
+    assert all(result.ok for result in results)
+    stats = cache.stats()
+    assert stats["entries"] == 2 and stats["hits"] == 1
+    assert stats["circuits"] == 2 and stats["parent_chain_hits"] == 1
+    assert not [key for key in stats if "component" in key]
+    assert json.loads(json.dumps(stats)) == stats
+
+
 # -- eviction coherence -----------------------------------------------------
 
 
@@ -136,18 +261,6 @@ def test_bounded_cache_drops_children_with_parents():
     cache.put_circuit(fp_other, ValuationCircuit(other, QUERY))
     if not cache.has_circuit(fp_parent):
         assert not cache.has_circuit(fp_child)
-
-
-def test_component_store_is_bounded_lru(monkeypatch):
-    monkeypatch.setattr(cache_module, "DEFAULT_MAX_COMPONENTS", 2)
-    cache = CountCache()
-    cache.put_component(("a",), {"count": 1})
-    cache.put_component(("b",), {"count": 2})
-    assert cache.get_component(("a",)) == {"count": 1}
-    cache.put_component(("c",), {"count": 3})  # evicts ("b",), the LRU
-    assert cache.get_component(("b",)) is None
-    assert cache.get_component(("a",)) is not None
-    assert cache.stats()["components"] == 2
 
 
 # -- update jobs ------------------------------------------------------------
@@ -217,11 +330,8 @@ def test_update_batch_derives_from_cached_parent():
     assert cache.stats()["parent_chain_hits"] >= 2
 
 
-def test_update_batch_splices_insert_delete():
-    db = base_db()
-    cache = CountCache()
-    jobs = [
-        CountJob(problem="val", db=db, query=QUERY, method="circuit"),
+def insert_delete_updates(db):
+    return [
         CountJob(
             problem="update", db=db, query=QUERY,
             deltas=[InsertFacts(frozenset({Fact("S", ("b", "b"))}))],
@@ -231,10 +341,50 @@ def test_update_batch_splices_insert_delete():
             deltas=[DeleteFacts(frozenset({Fact("S", ("a", "b"))}))],
         ),
     ]
+
+
+def test_update_batch_compiles_insert_delete():
+    db = base_db()
+    cache = CountCache()
+    jobs = [
+        CountJob(problem="val", db=db, query=QUERY, method="circuit"),
+        *insert_delete_updates(db),
+    ]
     results = run_batch(jobs, cache=cache, workers=1)
     for job, result in zip(jobs, results):
         assert result.ok, result.error
         assert result.count == ValuationCircuit(instance_db(job), QUERY).count()
+        assert result.method == "circuit"
+    assert cache.parent_chain_hits == 0
+
+
+def test_engine_derives_only_by_conditioning():
+    """One derivation rule: with the base circuit cached, an insert or
+    delete child compiles in a worker like any uncached instance, and
+    only the resolve child derives in the parent, by conditioning."""
+    db = base_db()
+    with BatchEngine(workers=2) as engine:
+        (base,) = engine.run([
+            CountJob(problem="val", db=db, query=QUERY, method="circuit")
+        ])
+        assert base.ok, base.error
+        hits = engine.cache.parent_chain_hits
+        jobs = [
+            *insert_delete_updates(db),
+            CountJob(
+                problem="update", db=db, query=QUERY,
+                deltas=[ResolveNull(N1, "b")],
+            ),
+        ]
+        results = engine.run(jobs)
+    for job, result in zip(jobs, results):
+        assert result.ok, result.error
+        assert result.count == ValuationCircuit(instance_db(job), QUERY).count()
+    for result in results[:2]:
+        assert result.meta.get("compiled_in_worker"), result.meta
+        assert result.method == "circuit"
+    assert results[2].method == "delta"
+    assert engine.cache.parent_chain_hits == hits + 1
 
 
 def test_update_job_on_a_non_ucq_falls_back_to_brute():
@@ -294,19 +444,25 @@ def test_planner_prefers_delta_on_conditionable_chains():
     built = planner.plan("val", child, QUERY)
     assert built.chosen == "delta"
     entry = next(c for c in built.considered if c.method == "delta")
-    assert entry.detail["mode"] == "condition"
     assert "conditioning" in entry.reason
 
 
-def test_planner_passes_over_delta_splices():
+def test_planner_degrades_delta_off_conditionable_chains():
     db = base_db()
     child = db.apply(InsertFacts(frozenset({Fact("S", ("b", "b"))})))
     built = planner.plan("val", child, QUERY)
     entry = next(c for c in built.considered if c.method == "delta")
-    assert entry.applicable
-    assert entry.verdict == "passed over"
-    assert entry.detail["mode"] == "splice"
+    assert not entry.applicable
+    assert entry.verdict == "n/a"
+    assert "resolve/restrict" in entry.reason
     assert built.chosen != "delta"
+    forced = planner.plan("val", child, QUERY, method="delta")
+    assert forced.chosen == "circuit"
+    (note,) = forced.notes
+    assert "degrading to 'circuit'" in note
+    answer = solve("val", child, QUERY, method="delta")
+    assert answer.method == "circuit"
+    assert answer.count == ValuationCircuit(child, QUERY).count()
 
 
 def test_planner_delta_falls_back_without_provenance():
