@@ -11,8 +11,9 @@ in-place state** instead of immutable formula copies:
   exact reverse replay — the formula is never rebuilt;
 * **connected components** of the residual formula are computed over live
   (unassigned-variable) **bitsets**: each live clause contributes one int
-  mask, masks that intersect merge, and variable-disjoint parts are
-  counted independently and multiplied;
+  mask, a flood fill grows each component from its highest clause by
+  downward sweeps that absorb every clause meeting the union, and
+  variable-disjoint parts are counted independently and multiplied;
 * **component caching** — residual components are memoised under compact
   integer content signatures (each reduced clause packs into one int, a
   component keys on the sorted int tuple), so shared substructure is
@@ -164,7 +165,7 @@ class ModelCounter:
         self._result: int | None = None
 
     def _index_store(self, store: ClauseStore) -> None:
-        """Per-clause derived tables the split fast path reads:
+        """Per-clause derived tables the split reads:
         lengths (to recognize untouched clauses) and the full-clause
         content signatures (so untouched clauses never rescan literals)."""
         base = self._key_base
@@ -354,18 +355,23 @@ class ModelCounter:
         ``(clause indices, unassigned-variable bitset, cache key)``.
 
         Each clause contributes its unassigned-variable bitset and its
-        packed content signature; bitsets that intersect merge into one
-        component (existing groups are pairwise variable-disjoint, so a
-        clause is the only thing that can bridge them).  The hot case
-        costs no literal work at all: a clause propagation never touched
-        (``free == len``) reuses the store's static bitset and the
-        precomputed full-clause signature, so only clauses a decision
-        actually reduced are rescanned.  Signatures pack literals as
-        base-``2n+2`` digits in stored (canonical) clause order — two
-        clauses sign equally exactly when their reduced contents are
-        equal, so the cache keeps the reference counter's equivalence
-        classes at integer-hash prices.  Deterministic: components come
-        out ordered by their smallest clause index.
+        packed content signature.  The hot case costs no literal work at
+        all: a clause propagation never touched (``free == len``) reuses
+        the store's static bitset and the precomputed full-clause
+        signature, so only clauses a decision actually reduced are
+        rescanned.  Signatures pack literals as base-``2n+2`` digits in
+        stored (canonical) clause order — two clauses sign equally exactly
+        when their reduced contents are equal, so the cache keeps the
+        reference counter's equivalence classes at integer-hash prices.
+
+        Components come from a flood fill over the bitsets: seed one at
+        the highest unplaced clause and sweep the unplaced clauses
+        downward, absorbing every clause whose bitset meets the growing
+        union, until a sweep absorbs nothing.  Downward, because the
+        encoder emits the disjoint exactly-one blocks first and the match
+        clauses that bridge them last: the sweep meets the connectors
+        first, so one sweep usually places every clause.  Deterministic:
+        members ascending, components ordered by smallest clause index.
         """
         store = self._store
         value = store.value
@@ -398,65 +404,32 @@ class ModelCounter:
                 masks[position] = mask
                 packs[position] = packed
 
-        # Fast path: accumulate highest-index first; if every clause meets
-        # the union of its successors the whole list is one component (the
-        # overwhelmingly common verdict).  Backwards, because the encoder
-        # emits the mutually disjoint exactly-one blocks first and the
-        # match clauses that bridge them last — scanned in reverse the
-        # connectors come first and the union grows without gaps.
-        accumulated = masks[count - 1]
-        connected = True
-        for position in range(count - 2, -1, -1):
-            mask = masks[position]
-            if mask & accumulated:
-                accumulated |= mask
-            else:
-                connected = False
-                break
-        if connected:
-            packs.sort()
-            return [(indices, accumulated, tuple(packs))]
-
-        # General case: disjoint group masks, clauses bridge and merge
-        # them (reversed for the same connectors-first reason: it keeps
-        # the live group count small).
-        group_masks: list[int] = []
-        group_members: list[list[int]] = []
-        group_packed: list[list[int]] = []
-        for position in range(count - 1, -1, -1):
-            ci = indices[position]
-            mask = masks[position]
-            packed = packs[position]
-            hit = -1
-            for gi in range(len(group_masks)):
-                gm = group_masks[gi]
-                if gm and gm & mask:
-                    if hit < 0:
-                        hit = gi
-                        group_masks[gi] = gm | mask
-                        group_members[gi].append(ci)
-                        group_packed[gi].append(packed)
-                    else:
-                        group_masks[hit] |= gm
-                        group_masks[gi] = 0
-                        group_members[hit].extend(group_members[gi])
-                        group_members[gi] = []
-                        group_packed[hit].extend(group_packed[gi])
-                        group_packed[gi] = []
-            if hit < 0:
-                group_masks.append(mask)
-                group_members.append([ci])
-                group_packed.append([packed])
-
         components = []
-        for gi, group_mask in enumerate(group_masks):
-            if not group_mask:
-                continue  # tombstone of a merged group
-            members = group_members[gi]
-            members.sort()
-            signature = group_packed[gi]
-            signature.sort()
-            components.append((members, group_mask, tuple(signature)))
+        unplaced: Sequence[int] = range(count - 1, -1, -1)
+        while unplaced:
+            union = masks[unplaced[0]]
+            taken = [unplaced[0]]
+            rest = unplaced[1:]
+            while rest:
+                left = []
+                for position in rest:
+                    mask = masks[position]
+                    if mask & union:
+                        union |= mask
+                        taken.append(position)
+                    else:
+                        left.append(position)
+                if len(left) == len(rest):
+                    break  # the sweep absorbed nothing
+                rest = left
+            if len(taken) == count:
+                packs.sort()
+                return [(indices, union, tuple(packs))]
+            taken.sort()
+            signature = sorted([packs[position] for position in taken])
+            members = [indices[position] for position in taken]
+            components.append((members, union, tuple(signature)))
+            unplaced = rest
         components.sort(key=lambda component: component[0][0])
         return components
 

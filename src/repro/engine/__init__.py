@@ -16,6 +16,7 @@ from repro.engine.fingerprint import (
     fingerprint_derivation,
     fingerprint_instance,
     fingerprint_job,
+    fingerprint_jobs,
     fingerprint_query,
 )
 from repro.engine.incremental import (
@@ -45,6 +46,7 @@ __all__ = [
     "fingerprint_derivation",
     "fingerprint_instance",
     "fingerprint_job",
+    "fingerprint_jobs",
     "fingerprint_query",
     "instance_circuit",
     "instance_db",

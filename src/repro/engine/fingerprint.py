@@ -16,6 +16,10 @@ labeling: the canonical form *is* a faithful description of the instance up
 to renaming, so equal forms always describe isomorphic instances.  A
 missed isomorphism merely costs a cache miss.
 
+A batch is fingerprinted with :func:`fingerprint_jobs`, which computes one
+canonical form per database object and builds every job's payload from it,
+so the jobs that ask about one database pay for its refinement once.
+
 Queries carrying opaque decision procedures (:class:`CustomQuery`) have no
 syntactic canonical form; :func:`fingerprint_job` returns ``None`` for them
 and the engine solves such jobs without caching.
@@ -24,7 +28,7 @@ and the engine solves such jobs without caching.
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.core.query import BCQ, BooleanQuery, Const, Negation, UCQ
 from repro.db.incomplete import IncompleteDatabase
@@ -278,35 +282,23 @@ def fingerprint_job(job: "CountJob") -> str | None:
     ``seed``) are part of the key; an unseeded approximate job is not
     reproducible and therefore not cacheable.
     """
+    return fingerprint_jobs([job])[0]
+
+
+def fingerprint_jobs(jobs: Iterable["CountJob"]) -> list[str | None]:
+    """:func:`fingerprint_job` of every job, in order, canonicalizing each
+    distinct database object once: the memo keeps the ``repr`` of its form
+    and its null index, keyed by ``id`` and holding the object, so no id
+    is reused while the call runs."""
+    forms: dict[int, tuple[IncompleteDatabase, str, dict[Null, int]]] = {}
+    return [_fingerprint(job, forms) for job in jobs]
+
+
+def _fingerprint(job: "CountJob", forms: dict) -> str | None:
     query_form = fingerprint_query(job.query)
-    if query_form is None:
+    if query_form is None or (job.problem == "approx-val" and job.seed is None):
         return None
-    if job.problem == "approx-val":
-        if job.seed is None:
-            return None
-        extras: tuple = (job.epsilon, job.delta, job.seed)
-        db_form: Canonical = fingerprint_db(job.db)
-    elif job.problem == "val-weighted":
-        # Scalar answer: canonical coordinates keep the fingerprint
-        # invariant under null renamings that carry the weights along.
-        db_form, index = _canonical_db(job.db)
-        extras = (_weights_form(job.weights, index),)
-    elif job.problem == "sweep":
-        # An ordered list of scalar answers, one per weight table: each
-        # entry is renaming-invariant like 'val-weighted', and the table
-        # order is part of the key.
-        db_form, index = _canonical_db(job.db)
-        extras = (
-            tuple(
-                _weights_form(row, index) for row in (job.weights or ())
-            ),
-        )
-    elif job.problem == "marginals":
-        # The answer is keyed by null labels, so the fingerprint must be
-        # label-exact — a renamed twin has a differently-keyed answer.
-        db_form = _exact_db_form(job.db)
-        extras = (_weights_form(job.weights, None),)
-    elif job.problem == "update":
+    if job.problem == "update":
         # An update job answers #Val of the *updated* instance, so it is
         # fingerprinted as the plain 'val' job on the delta-chain result —
         # memo entries are shared with equivalent from-scratch val jobs.
@@ -318,8 +310,30 @@ def fingerprint_job(job: "CountJob") -> str | None:
             return None  # invalid chain: solve reports the real error
         payload = repr(("val", (), query_form, fingerprint_db(child)))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    if job.problem == "marginals":
+        # The answer is keyed by null labels, so the fingerprint must be
+        # label-exact — a renamed twin has a differently-keyed answer.
+        db_form = repr(_exact_db_form(job.db))
+        extras: tuple = (_weights_form(job.weights, None),)
     else:
-        extras = ()
-        db_form = fingerprint_db(job.db)
-    payload = repr((job.problem, extras, query_form, db_form))
+        if id(job.db) not in forms:
+            form, index = _canonical_db(job.db)
+            forms[id(job.db)] = (job.db, repr(form), index)
+        _db, db_form, index = forms[id(job.db)]
+        if job.problem == "approx-val":
+            extras = (job.epsilon, job.delta, job.seed)
+        elif job.problem == "val-weighted":
+            # Scalar answer: canonical coordinates keep the fingerprint
+            # invariant under null renamings that carry the weights along.
+            extras = (_weights_form(job.weights, index),)
+        elif job.problem == "sweep":
+            # An ordered list of scalar answers, one per weight table: each
+            # entry is renaming-invariant like 'val-weighted', and the
+            # table order is part of the key.
+            extras = (tuple(_weights_form(row, index) for row in job.weights or ()),)
+        else:
+            extras = ()
+    # Exactly repr((problem, extras, query_form, form)); the memo keeps the
+    # form's repr, not the form.
+    payload = "(%r, %r, %r, %s)" % (job.problem, extras, query_form, db_form)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

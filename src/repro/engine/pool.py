@@ -4,7 +4,8 @@
 and returns one :class:`~repro.engine.jobs.JobResult` per job, in order.
 The pipeline is:
 
-1. **fingerprint** every job (:mod:`repro.engine.fingerprint`);
+1. **fingerprint** every job (:func:`~repro.engine.fingerprint.fingerprint_jobs`),
+   canonicalizing each distinct database object once per batch;
 2. **memoize** — jobs whose fingerprint is already cached (from a previous
    batch or from an earlier duplicate in this one) never reach a solver;
 3. **fan out** the unique cache misses to a ``multiprocessing`` pool.
@@ -61,7 +62,7 @@ from repro.compile.backend import artifact_from_bytes
 from repro.compile.serialize import CircuitFormatError
 from repro.core.query import BCQ, Negation, UCQ
 from repro.engine.cache import CountCache
-from repro.engine.fingerprint import fingerprint_instance, fingerprint_job
+from repro.engine.fingerprint import fingerprint_instance, fingerprint_jobs
 from repro.engine.incremental import conditioning_ancestors
 from repro.engine.jobs import (
     CIRCUIT_METHODS,
@@ -134,7 +135,7 @@ class BatchEngine:
 
     def _run(self, jobs: Sequence[CountJob]) -> list[JobResult]:
         with _span("engine.fingerprint", jobs=len(jobs)):
-            fingerprints = [fingerprint_job(job) for job in jobs]
+            fingerprints = fingerprint_jobs(jobs)
         results: list[JobResult | None] = [None] * len(jobs)
 
         representative: dict[str, int] = {}
@@ -182,8 +183,10 @@ class BatchEngine:
             assert source is not None
             for index in duplicate_indices:
                 if source.ok:
-                    # Served by the memo layer: record the hit.
-                    self.cache.get(fingerprints[index])  # type: ignore[arg-type]
+                    # Served from the representative's result, not by a
+                    # lookup (a bounded cache may have refused to keep
+                    # it): count the hit directly.
+                    self.cache.hits += 1
                     results[index] = JobResult(
                         problem=source.problem,
                         count=source.count,

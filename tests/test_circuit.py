@@ -293,9 +293,15 @@ class TestEngineCircuitStore:
     def test_oversized_circuit_is_not_stored(self):
         cache = CountCache(max_circuit_bytes=1)
         engine = BatchEngine(workers=0, cache=cache)
-        results = engine.run(self.modes())
+        # A duplicate of each mode: served from its representative's
+        # result, it is a memo hit even though the bounded cache refused
+        # to keep an answer whose circuit it did not store.
+        results = engine.run(self.modes() + self.modes())
         assert all(result.ok for result in results)
         assert cache.stats()["circuits"] == 0
+        assert [result.cache_hit for result in results] == [False] * 3 + [True] * 3
+        assert sum(result.cache_hit for result in results) == cache.hits
+        assert cache.misses == len(self.modes())
 
     def test_weights_rejected_on_plain_problems(self):
         with pytest.raises(ValueError):

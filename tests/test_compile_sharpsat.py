@@ -5,14 +5,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.complexity.cnf import CNF, CNF3, count_models_brute, count_sat
 from repro.compile import ordering
-from repro.compile.encode import compile_completion_cnf
+from repro.compile.encode import compile_completion_cnf, compile_valuation_cnf
 from repro.compile.ordering import (
     branching_order,
     primal_masks,
     refined_elimination_masks,
 )
 from repro.compile.sharpsat import ModelCounter, count_models
-from repro.workloads.generators import scaling_hard_comp_instance
+from repro.workloads.generators import (
+    scaling_hard_comp_instance,
+    scaling_hard_val_instance,
+)
 
 
 @st.composite
@@ -286,3 +289,180 @@ class TestIncrementalElimination:
         masks = _grid_masks(3, 8)
         self._assert_same_as_rescan(masks, 0)
         assert refined_elimination_masks(masks)[1] == 3
+
+
+def _merge_split(counter, indices):
+    """The split oracle: ``ModelCounter._split``'s contract computed by a
+    merge loop.  Clauses are taken highest index first; a clause joins the
+    group its bitset meets, merging every other group it also meets, and
+    opens a group of its own when it meets none."""
+    store = counter._store
+    value = store.value
+    base = counter._key_base
+    group_masks = []
+    group_members = []
+    group_packed = []
+    for ci in reversed(indices):
+        mask = 0
+        packed = 0
+        for literal in store.clauses[ci]:
+            variable = abs(literal)
+            if not value[variable]:
+                mask |= 1 << variable
+                packed = packed * base + (
+                    2 * literal if literal > 0 else 1 - 2 * literal
+                )
+        hit = -1
+        for gi, gm in enumerate(group_masks):
+            if gm and gm & mask:
+                if hit < 0:
+                    hit = gi
+                    group_masks[gi] = gm | mask
+                    group_members[gi].append(ci)
+                    group_packed[gi].append(packed)
+                else:
+                    group_masks[hit] |= gm
+                    group_masks[gi] = 0
+                    group_members[hit].extend(group_members[gi])
+                    group_members[gi] = []
+                    group_packed[hit].extend(group_packed[gi])
+                    group_packed[gi] = []
+        if hit < 0:
+            group_masks.append(mask)
+            group_members.append([ci])
+            group_packed.append([packed])
+    components = [
+        (sorted(members), mask, tuple(sorted(packed)))
+        for mask, members, packed in zip(
+            group_masks, group_members, group_packed
+        )
+        if mask  # a merged group's tombstone
+    ]
+    components.sort(key=lambda component: component[0][0])
+    return components
+
+
+def _chorded_cycle_val_cnf():
+    db, query = scaling_hard_val_instance(14, chord_probability=0.1, seed=1)
+    return compile_valuation_cnf(db, query).cnf, None
+
+
+def _projected_comp_cnf():
+    encoding = compile_completion_cnf(*scaling_hard_comp_instance(10, seed=1))
+    return encoding.cnf, encoding.projection
+
+
+def _checked_counter(cnf, projection=None):
+    """A counter whose every split is checked against the oracle."""
+    counter = ModelCounter(cnf, projection=projection)
+    split = counter._split
+    calls = []
+
+    def checked(indices):
+        components = split(indices)
+        assert components == _merge_split(counter, indices)
+        calls.append(len(components))
+        return components
+
+    counter._split = checked
+    return counter, calls
+
+
+class TestFloodFillSplit:
+    """The flood fill returns the merge loop's components, in order."""
+
+    @staticmethod
+    def _assert_same_as_merge(counter):
+        live = counter._store.live_indices()
+        assert counter._split(live) == _merge_split(counter, live)
+
+    def _walk(self, cnf, projection, data):
+        counter = ModelCounter(cnf, projection=projection)
+        store = counter._store
+        self._assert_same_as_merge(counter)
+        marks = []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
+            unassigned = [
+                variable
+                for variable in range(1, cnf.num_variables + 1)
+                if not store.value[variable]
+            ]
+            if marks and (not unassigned or data.draw(st.booleans())):
+                store.backtrack(marks.pop())
+            elif unassigned:
+                variable = data.draw(st.sampled_from(unassigned))
+                mark = store.mark()
+                if store.propagate((variable * data.draw(st.sampled_from((1, -1))),)):
+                    marks.append(mark)
+                else:
+                    store.backtrack(mark)
+            self._assert_same_as_merge(counter)
+
+    @given(small_cnfs(max_variables=8, max_clauses=12), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_small_cnf_walks_match_merge_loop(self, cnf, data):
+        self._walk(cnf, None, data)
+
+    @given(
+        st.sampled_from((_chorded_cycle_val_cnf, _projected_comp_cnf)),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_encoder_cnf_walks_match_merge_loop(self, build, data):
+        cnf, projection = build()
+        self._walk(cnf, projection, data)
+
+    def test_chorded_cycle_count_checks_every_split(self):
+        cnf, _projection = _chorded_cycle_val_cnf()
+        counter, calls = _checked_counter(cnf)
+        assert counter.count() == count_models(cnf)
+        assert calls and max(calls) > 1
+
+    def test_projected_comp_count_checks_satisfiability_splits(self):
+        # Once a component holds no projection variable, the search asks
+        # _satisfiable, which splits the residual formula too.
+        cnf, projection = _projected_comp_cnf()
+        counter, calls = _checked_counter(cnf, projection)
+        assert counter.count() == count_models(cnf, projection=projection)
+        assert counter.stats()["sat_cache_entries"] > 0
+        assert calls and max(calls) > 1
+
+    @staticmethod
+    def _root_split(clauses, num_variables):
+        counter = ModelCounter(CNF(num_variables, clauses))
+        live = counter._store.live_indices()
+        components = counter._split(live)
+        assert components == _merge_split(counter, live)
+        return components
+
+    def test_path_links_in_ascending_order(self):
+        links = [(v, v + 1) for v in range(1, 12)]
+        [(members, mask, _key)] = self._root_split(links, 12)
+        assert members == list(range(11))
+        assert mask == (1 << 13) - 2
+
+    def test_path_links_in_descending_order(self):
+        links = [(v, v + 1) for v in range(11, 0, -1)]
+        [(members, _mask, _key)] = self._root_split(links, 12)
+        assert members == list(range(11))
+
+    def test_path_that_grows_one_link_per_sweep(self):
+        # The seed (the last clause) is the path's end link and every
+        # other link sits below its neighbour toward the seed, so each
+        # downward sweep absorbs exactly one clause.
+        links = [(v, v + 1) for v in range(2, 12)] + [(1, 2)]
+        [(members, _mask, _key)] = self._root_split(links, 12)
+        assert members == list(range(11))
+
+    def test_interleaved_components_come_out_by_smallest_clause(self):
+        # Three paths over variables 1-4, 5-8 and 9-12, their links
+        # interleaved in store order.
+        paths = [[(v, v + 1) for v in range(start, start + 3)] for start in (1, 5, 9)]
+        links = [link for triple in zip(*paths) for link in triple]
+        components = self._root_split(links, 12)
+        assert [members for members, _mask, _key in components] == [
+            [0, 3, 6], [1, 4, 7], [2, 5, 8],
+        ]
+        assert [mask for _members, mask, _key in components] == [
+            0b11110, 0b111100000, 0b1111000000000,
+        ]

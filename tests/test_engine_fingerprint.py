@@ -6,7 +6,14 @@ from repro.core.query import Atom, BCQ, Const, CustomQuery, Negation, UCQ
 from repro.db.fact import Fact
 from repro.db.incomplete import IncompleteDatabase
 from repro.db.terms import Null
-from repro.engine import CountJob, fingerprint_db, fingerprint_job, fingerprint_query
+from repro.engine import (
+    BatchEngine,
+    CountJob,
+    fingerprint_db,
+    fingerprint_job,
+    fingerprint_jobs,
+    fingerprint_query,
+)
 
 
 def _db(null_a="n1", null_b="n2"):
@@ -134,3 +141,64 @@ class TestValidation:
     def test_val_requires_query(self):
         with pytest.raises(ValueError):
             CountJob("val", _db(), None)
+
+
+class TestBatchFingerprint:
+    """One canonical form per database object per ``fingerprint_jobs``."""
+
+    @staticmethod
+    def _every_kind():
+        from repro.db.deltas import ResolveNull
+
+        db, twin = _db("n1", "n2"), _db("a", "b")
+        query = BCQ([Atom("R", ["x", "y"])])
+        table = {Null("n1"): {"x": 2, "y": 1}}
+        return [
+            CountJob("val", db, query),
+            CountJob("comp", db, query),
+            CountJob("comp", db, None),
+            CountJob("approx-val", db, query, seed=3, epsilon=0.2),
+            CountJob("approx-val", db, query, seed=None),
+            CountJob("val-weighted", db, query, weights=table),
+            CountJob("val-weighted", twin, query, weights={Null("a"): {"x": 2, "y": 1}}),
+            CountJob("sweep", db, query, weights=[table, {Null("n2"): {"z": 5}}]),
+            CountJob("marginals", db, query, weights=table),
+            CountJob("update", db, query, deltas=[ResolveNull(Null("n1"), "x")]),
+            CountJob("val", db, CustomQuery("opaque", ["R"], lambda d: True)),
+            CountJob("val", twin, query),
+        ]
+
+    def test_batch_matches_one_job_at_a_time(self):
+        jobs = self._every_kind()
+        digests = fingerprint_jobs(jobs)
+        assert digests == [fingerprint_job(job) for job in jobs]
+        assert digests[4] is None and digests[10] is None
+        assert digests[5] == digests[6]  # the renamed twin, weights carried
+        assert digests[0] == digests[11]
+        assert len(set(digests) - {None}) == 8
+
+    def test_engine_canonicalizes_each_database_once(self, monkeypatch):
+        from repro.engine import fingerprint
+        from repro.workloads.generators import scaling_hard_val_instance
+
+        calls = []
+        canonical_db = fingerprint._canonical_db
+
+        def counted(db):
+            calls.append(id(db))
+            return canonical_db(db)
+
+        monkeypatch.setattr(fingerprint, "_canonical_db", counted)
+        jobs = []
+        for size in (5, 6):
+            db, query = scaling_hard_val_instance(size)
+            null = db.nulls[0]
+            weights = {null: {value: 2 for value in db.domain_of(null)}}
+            jobs += [
+                CountJob("val", db, query),
+                CountJob("comp", db, query),
+                CountJob("val-weighted", db, query, weights=weights),
+            ]
+        results = BatchEngine(workers=0).run(jobs)
+        assert all(result.ok for result in results)
+        assert sorted(calls) == sorted({id(job.db) for job in jobs})
