@@ -1,8 +1,5 @@
-"""Ablations for three design choices of the implementation.
+"""Ablations for two design choices of the implementation.
 
-* ILP backend (Theorem 4.6 feasibility): pure-Python branch-and-prune vs.
-  scipy MILP — the dispatcher's auto threshold is justified by the
-  crossover.
 * #Val estimation: Karp-Luby coverage estimator vs. naive Monte-Carlo at
   equal sample budgets — equal work, very different error on skewed
   instances.
@@ -23,38 +20,7 @@ from repro.exact.brute import count_completions_brute, count_valuations_brute
 from repro.exact.comp_uniform import count_completions_uniform_unary
 from repro.approx.fpras import KarpLubyEstimator
 from repro.approx.montecarlo import naive_monte_carlo_valuations
-from repro.util.ilp import IntegerFeasibilityProblem, is_feasible
 from repro.workloads.generators import scaling_uniform_unary_comp_instance
-
-
-def _cover_style_problem(classes: int, budget: int) -> IntegerFeasibilityProblem:
-    """A transportation-style feasibility instance shaped like the
-    Lemma B.19 systems: per-class equality + shared block budgets."""
-    problem = IntegerFeasibilityProblem()
-    variables = []
-    for _ in range(classes * 2):
-        variables.append(problem.add_variable(0, budget))
-    n = problem.num_variables
-    for index in range(classes):
-        coeffs = [0] * n
-        coeffs[2 * index] = 1
-        coeffs[2 * index + 1] = 1
-        problem.add_constraint(coeffs, "==", budget // 2 + index % 2)
-    shared = [1 if i % 2 == 0 else 0 for i in range(n)]
-    problem.add_constraint(shared, "<=", budget * classes // 2)
-    return problem
-
-
-@pytest.mark.parametrize("backend", ["python", "scipy"])
-@pytest.mark.parametrize("classes", [3, 6])
-def test_ablation_ilp_backend(benchmark, emit, backend, classes):
-    problem = _cover_style_problem(classes, budget=8)
-    result = benchmark(is_feasible, problem, backend)
-    emit(
-        "ablation ILP backend=%s classes=%d" % (backend, classes),
-        feasible=result,
-    )
-    assert result == is_feasible(problem, "python")
 
 
 @pytest.mark.parametrize("estimator_name", ["karp-luby", "naive-mc"])

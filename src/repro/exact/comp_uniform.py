@@ -20,13 +20,16 @@ so we enumerate composition shapes:
 * ``fresh[t]`` — values outside all constants whose final type is ``t``.
 
 Each shape is weighted by exact multinomials (values within a class are
-interchangeable) and kept iff a valuation realizes it, decided by a small
-integer program: every value with a *deficit* ``t \\ s`` must receive nulls
-whose occurrence-sets (blocks) lie inside ``t`` and jointly cover the
-deficit, within the per-block null budgets; blocks with no landing type are
-fatal.  Finally ``q`` (a conjunction of basic singletons over unary
-relations) holds iff every component has some value whose final type
-contains it.
+interchangeable) and kept iff a valuation realizes it.  Every value with a
+*deficit* ``t \\ s`` must receive nulls whose occurrence-sets (blocks) lie
+inside ``t`` and jointly cover the deficit, and no block can serve more
+values than it has nulls; blocks with no landing type are fatal.  The
+inclusion-minimal covers of each ``(s, t)`` pair are found once per
+instance, and a budgeted-cover search decides each shape: it hands every
+deficit class's values to its covers, spending block budgets, and backs out
+when a budget runs dry.  Finally ``q`` (a conjunction of basic singletons
+over unary relations) holds iff every component has some value whose final
+type contains it.
 
 Exponential in the (fixed) schema, polynomial in ``d`` and the table size.
 """
@@ -44,7 +47,9 @@ from repro.core.query import BCQ
 from repro.db.incomplete import IncompleteDatabase
 from repro.db.terms import Term, is_null
 from repro.util.combinatorics import binomial
-from repro.util.ilp import IntegerFeasibilityProblem, is_feasible
+
+#: A set of null blocks whose occurrence-sets jointly cover a deficit.
+_Cover = tuple[frozenset[str], ...]
 
 
 def applies_to(query: BCQ) -> bool:
@@ -117,6 +122,19 @@ class _Instance:
             for chosen in combinations(self.relations, size)
         ]
 
+        # The minimal covers of every (source type, target type) pair a
+        # shape can name: a value moving from ``s`` to ``t`` needs blocks
+        # inside ``t`` that cover ``t - s``.
+        self.covers = {
+            (source, target): _minimal_covers(
+                target - source,
+                [block for block in self.blocks if block <= target],
+            )
+            for source in {frozenset(), *self.constant_classes}
+            for target in self.nonempty_types
+            if source < target
+        }
+
 
 def _iter_class_assignments(
     capacity: int, targets: Sequence[frozenset[str]]
@@ -144,17 +162,19 @@ def _shape_weight(
     upgrades: dict[frozenset[str], dict[frozenset[str], int]],
     fresh: dict[frozenset[str], int],
 ) -> int:
-    """Number of membership maps with this composition shape."""
+    """Number of membership maps with this composition shape.
+
+    Successive binomials multiply to a multinomial coefficient, so the
+    order in which the target types are taken does not matter.
+    """
     weight = 1
     for source, moves in upgrades.items():
         available = instance.constant_classes.get(source, 0)
-        for target in sorted(moves, key=repr):
-            count = moves[target]
+        for count in moves.values():
             weight *= binomial(available, count)
             available -= count
     available = instance.free_pool
-    for target in sorted(fresh, key=repr):
-        count = fresh[target]
+    for count in fresh.values():
         weight *= binomial(available, count)
         available -= count
     return weight
@@ -191,9 +211,13 @@ def _present_types(
 
 def _minimal_covers(
     deficit: frozenset[str], usable_blocks: list[frozenset[str]]
-) -> list[tuple[frozenset[str], ...]]:
-    """Inclusion-minimal sets of blocks jointly covering ``deficit``."""
-    covers: list[tuple[frozenset[str], ...]] = []
+) -> tuple[_Cover, ...]:
+    """Inclusion-minimal sets of blocks jointly covering ``deficit``.
+
+    Covers are found in increasing size, so one that holds no smaller
+    cover found before it is minimal.
+    """
+    covers: list[_Cover] = []
     for size in range(1, len(usable_blocks) + 1):
         for chosen in combinations(usable_blocks, size):
             union: frozenset[str] = frozenset().union(*chosen)
@@ -201,13 +225,49 @@ def _minimal_covers(
                 chosen_set = set(chosen)
                 if not any(set(c) < chosen_set for c in covers):
                     covers.append(chosen)
-    # Drop non-minimal covers found at larger sizes.
-    minimal = [
-        cover
-        for cover in covers
-        if not any(set(other) < set(cover) for other in covers)
-    ]
-    return minimal
+    return tuple(covers)
+
+
+def _covers_fit(
+    demands: Sequence[tuple[int, Sequence[_Cover]]],
+    budgets: dict[frozenset[str], int],
+) -> bool:
+    """Can every class's values be handed to its covers within the budgets?
+
+    ``demands`` lists ``(count, covers)``: each of a class's ``count``
+    values goes to one of its covers and takes one null from every block in
+    it, and a block has ``budgets[block]`` nulls to give.  A depth-first
+    search gives each cover as many of the class's remaining values as its
+    blocks allow, then fewer, and the last cover the rest.  Classes with
+    fewer covers go first, so a class with none fails at once.  ``budgets``
+    is spent on the way down and restored on the way back, so it is
+    unchanged on return.
+    """
+    ordered = sorted(demands, key=lambda demand: len(demand[1]))
+
+    def place(index: int, start: int, left: int) -> bool:
+        """Place class ``index``'s ``left`` values from cover ``start`` on,
+        then every later class."""
+        if not left:
+            index += 1
+            return index == len(ordered) or place(index, 0, ordered[index][0])
+        covers = ordered[index][1]
+        if start == len(covers):
+            return False
+        cover = covers[start]
+        room = min(left, min(budgets[block] for block in cover))
+        lowest = left if start + 1 == len(covers) else 0
+        for take in range(room, lowest - 1, -1):
+            for block in cover:
+                budgets[block] -= take
+            found = place(index, start + 1, left - take)
+            for block in cover:
+                budgets[block] += take
+            if found:
+                return True
+        return False
+
+    return not ordered or place(0, 0, ordered[0][0])
 
 
 def _shape_feasible(
@@ -218,67 +278,30 @@ def _shape_feasible(
 ) -> bool:
     """Lemma B.19 realizability: can some valuation produce this shape?
 
+    Every block must land inside some present type, and the values with a
+    deficit must fit their covers within the blocks' null budgets, as the
+    budgeted-cover search decides.  Deficit classes with the same covers
+    merge, summing their values: a way to place the merged class splits
+    back into ways to place its parts.
+
     ``present`` must be the in-domain present types (fixed out-of-domain
     types never absorb nulls: nulls map into the domain).
     """
-    for block, count in instance.blocks.items():
-        if count and not any(block <= final_type for final_type in present):
+    for block in instance.blocks:
+        if not any(block <= final_type for final_type in present):
             return False
 
-    # Deficit classes: (deficit, #values, usable blocks).
-    demands: list[tuple[frozenset[str], int, list[frozenset[str]]]] = []
-
-    def add_demand(source: frozenset[str], target: frozenset[str], k: int):
-        if k == 0:
-            return
-        deficit = target - source
-        usable = [
-            block
-            for block, available in instance.blocks.items()
-            if available and block <= target
-        ]
-        demands.append((deficit, k, usable))
-
+    demands: dict[tuple[_Cover, ...], int] = {}
     for source, moves in upgrades.items():
         for target, count in moves.items():
-            add_demand(source, target, count)
+            covers = instance.covers[source, target]
+            demands[covers] = demands.get(covers, 0) + count
     for target, count in fresh.items():
-        add_demand(frozenset(), target, count)
-
-    if not demands:
-        return True
-
-    problem = IntegerFeasibilityProblem()
-    block_usage: dict[frozenset[str], list[int]] = {
-        block: [] for block in instance.blocks
-    }
-    class_vars: list[tuple[int, list[int]]] = []
-    for deficit, k, usable in demands:
-        covers = _minimal_covers(deficit, usable)
-        if not covers:
-            return False
-        variables = []
-        for cover in covers:
-            var = problem.add_variable(0, k)
-            variables.append(var)
-            for block in cover:
-                block_usage[block].append(var)
-        class_vars.append((k, variables))
-
-    num_vars = problem.num_variables
-    for k, variables in class_vars:
-        coeffs = [0] * num_vars
-        for var in variables:
-            coeffs[var] = 1
-        problem.add_constraint(coeffs, "==", k)
-    for block, variables in block_usage.items():
-        if not variables:
-            continue
-        coeffs = [0] * num_vars
-        for var in variables:
-            coeffs[var] += 1
-        problem.add_constraint(coeffs, "<=", instance.blocks[block])
-    return is_feasible(problem)
+        covers = instance.covers[frozenset(), target]
+        demands[covers] = demands.get(covers, 0) + count
+    return _covers_fit(
+        [(count, covers) for covers, count in demands.items()], instance.blocks
+    )
 
 
 def count_completions_uniform_unary(

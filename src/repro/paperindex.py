@@ -107,9 +107,10 @@ _RESULTS: tuple[PaperResult, ...] = (
     PaperResult(
         "Theorems 4.6 / 4.7 (+ App. B.6)",
         "#Compu dichotomy: FP for unary schemas",
-        ("repro.exact.comp_uniform", "repro.util.ilp"),
-        ("tests/test_exact_completions.py", "tests/test_util_ilp.py"),
-        "composition-shape refinement of the Eq. (7) profile enumeration",
+        ("repro.exact.comp_uniform",),
+        ("tests/test_exact_completions.py",),
+        "composition-shape refinement of the Eq. (7) profile enumeration;"
+        " Lemma B.19 decided by a budgeted-cover search",
     ),
     PaperResult(
         "Corollary 5.3 (+ Prop. 5.2, Thm. 5.1)",

@@ -14,7 +14,6 @@ from repro.util.combinatorics import (
     stirling2,
     surjections,
 )
-from repro.util.ilp import IntegerFeasibilityProblem, is_feasible
 from repro.util.linear import invert_rational_matrix, solve_rational_system
 from repro.util.unionfind import UnionFind
 
@@ -26,8 +25,6 @@ __all__ = [
     "multinomial",
     "stirling2",
     "surjections",
-    "IntegerFeasibilityProblem",
-    "is_feasible",
     "invert_rational_matrix",
     "solve_rational_system",
     "UnionFind",
