@@ -31,8 +31,8 @@ Runs one fixed workload per tracked hot path —
   bit-identical and the DP-over-search speedup recorded;
 * ``circuit_batch`` a batch of *distinct* circuit-backed jobs
   (``val-weighted``, ``marginals``, ``method='circuit'``): the engine —
-  persistent warmed pool, worker-compiled artifacts installed into the
-  parent's circuit store — measured against the path it replaced, the
+  persistent warmed pool, each circuit compiled and answered in one
+  worker, only answers sent home — measured against the path it replaced, the
   serial-in-parent compile loop over the retained reference search core
   (what every such job ran through before the artifact engine and the
   trail rewrite).  Answers are asserted bit-identical.  The tracked
@@ -706,20 +706,19 @@ def path_circuit_batch(quick: bool, workers: int | None) -> dict:
     measured path is the production engine — a persistent pool, warmed
     before timing (a batch engine is a long-lived component; process
     startup amortizes across batches, so it does not belong to any one
-    batch's bill), worker compiles shipped home as serialized artifacts.
-    Answers are asserted identical.  On a machine whose pool sizes to a
-    single worker the timed engine runs in-parent; the worker-compile +
-    artifact-install path is then still driven (untimed, 2 workers) so
-    its bit-identical assertion never goes dark.  ``serial_same_core_seconds``
+    batch's bill), each circuit compiled and answered in a worker, only
+    answers sent home.  Answers are asserted identical.  On a machine
+    whose pool sizes to a single worker the timed engine runs in-parent;
+    the worker path is then still driven (untimed, 2 workers) so its
+    bit-identical assertion never goes dark.  ``serial_same_core_seconds``
     additionally records a same-core serial engine run, so the speedup
     decomposes into its parallelism and core-rewrite parts.
     """
     jobs = circuit_workload(quick)
     # One worker per CPU: the engine's own sizing rule.  Forcing a pool
-    # wider than the machine (the old fixed 4) is how the pre-PR-5
+    # wider than the machine (the old fixed 4) is how an earlier
     # measurement ended up *slower* than serial on one-core runners —
-    # four processes time-slicing one core plus artifact codec traffic
-    # is pure overhead.  At workers=1 the engine solves in-parent, which
+    # four processes time-slicing one core is pure overhead.  At workers=1 the engine solves in-parent, which
     # is the optimal strategy on that hardware and still measures the
     # same code path the batch front door runs.
     from repro.engine.pool import default_workers
@@ -749,18 +748,22 @@ def path_circuit_batch(quick: bool, workers: int | None) -> dict:
     engine_results, engine_seconds = _best_of(run_engine, repeats=2)
     engine.close()
 
+    def worker_answers(results):
+        # Only answers that came back from a pool worker carry a queue time.
+        return sum(
+            "queue_seconds" in result.meta.get("metrics", {})
+            for result in results
+        )
+
     worker_path_results = engine_results
-    worker_circuits_covered = None
+    worker_answers_covered = None
     if pool_workers <= 1:
         # The timed engine ran serially (right for this machine), but the
-        # worker-compile + artifact-install path must stay covered by the
-        # bit-identical assertion everywhere — run it untimed with a
-        # 2-worker pool.
+        # worker path must stay covered by the bit-identical assertion
+        # everywhere — run it untimed with a 2-worker pool.
         with BatchEngine(workers=2, persistent_pool=True) as worker_engine:
             worker_path_results = worker_engine.run(jobs)
-            worker_circuits_covered = (
-                worker_engine.cache.stats()["worker_circuits"]
-            )
+            worker_answers_covered = worker_answers(worker_path_results)
 
     mismatches = sum(
         1
@@ -793,11 +796,11 @@ def path_circuit_batch(quick: bool, workers: int | None) -> dict:
             "speedup": serial_seconds / max(engine_seconds, 1e-9),
             "serial_same_core_seconds": same_core_seconds,
             "same_core_speedup": same_core_seconds / max(engine_seconds, 1e-9),
-            "worker_circuits": stats["worker_circuits"],
+            "worker_answers": worker_answers(engine_results),
             # None when the timed run itself fanned out to workers;
-            # otherwise how many worker compiles the untimed coverage
-            # pass installed and asserted bit-identical.
-            "worker_circuits_coverage": worker_circuits_covered,
+            # otherwise how many answers the untimed coverage pass got
+            # from workers and asserted bit-identical.
+            "worker_answers_coverage": worker_answers_covered,
             "circuit_bytes": stats["circuit_bytes"],
         },
     }
@@ -1066,12 +1069,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     circuit_detail = paths["circuit_batch"]["detail"]
     print(
-        "circuit batch: %d distinct jobs on %d workers, %d circuits "
-        "compiled in workers, %.2fx over serial-in-parent"
+        "circuit batch: %d distinct jobs on %d workers, %d answered "
+        "in workers, %.2fx over serial-in-parent"
         % (
             circuit_detail["jobs"],
             circuit_detail["workers"],
-            circuit_detail["worker_circuits"],
+            circuit_detail["worker_answers"],
             circuit_detail["speedup"],
         )
     )

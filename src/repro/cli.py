@@ -477,14 +477,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     print(
         "batch: %d jobs, %d errors, %d serial fallbacks, "
         "cache hit rate %.1f%%, %d circuits "
-        "(%d worker-compiled, %.2f MiB held), %.3fs wall"
+        "(%.2f MiB held), %.3fs wall"
         % (
             len(results),
             errors,
             fallbacks,
             100.0 * engine.cache.hit_rate,
             stats["circuits"],
-            stats["worker_circuits"],
             stats["circuit_bytes"] / (1024.0 * 1024.0),
             elapsed,
         ),
@@ -816,8 +815,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument(
         "--cache-mb", type=float, default=None,
         help="bound on memory held by cached circuits, in MiB "
-        "(default: unbounded; eviction drops a circuit together with "
-        "the answers derived from it)",
+        "(default: unbounded; bounds circuits only: cached answers "
+        "stay when their circuit is evicted)",
     )
     p_batch.add_argument(
         "--metrics-jsonl", default=None,

@@ -731,8 +731,7 @@ def artifact_from_bytes(
 ) -> "ValuationCircuit | CompletionCircuit":
     """Rehydrate a wrapper artifact of either kind, dispatched on magic.
 
-    The engine uses this to install worker-compiled circuits without
-    caring which problem family produced them.  Raises
+    For a caller that holds payloads of both problem families.  Raises
     :class:`~repro.compile.serialize.CircuitFormatError` on anything that
     is not a trustworthy wrapper payload for ``db``.
     """

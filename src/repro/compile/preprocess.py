@@ -1,35 +1,40 @@
 """Count-preserving formula preprocessing for the exact counter.
 
 One pass, run once before the search on the root :class:`ClauseStore`
-(:mod:`repro.compile.trail`), with three classic simplifications — each
-applied only where it provably preserves the (projected) model count:
+(:mod:`repro.compile.trail`).  Root unit propagation always runs; every
+other stage runs in projected mode only, and each preserves the
+projected model count:
 
-* **pure-literal elimination** — *projected mode only, non-projection
-  variables only.*  Fixing a pure literal is the textbook SAT rule but is
-  **unsound for model counting** (it discards the models on the other
-  polarity), so the full-count path never uses it.  In projected mode a
-  non-projection variable only matters through extendability, and flipping
-  a pure variable to its pure polarity can only keep clauses satisfied —
-  every projected assignment stays extendable, so the projected count is
+* **pure-literal elimination** — *non-projection variables only.*  Fixing
+  a pure literal is the textbook SAT rule but is **unsound for model
+  counting** (it discards the models on the other polarity), so the
+  full-count path never uses it.  In projected mode a non-projection
+  variable only matters through extendability, and flipping a pure
+  variable to its pure polarity can only keep clauses satisfied — every
+  projected assignment stays extendable, so the projected count is
   unchanged.
 * **failed-literal / backbone probing** — both polarities of each
   candidate variable are propagated on the trail and undone.  A polarity
   that conflicts makes its negation a backbone literal (true in every
   model): it is asserted permanently.  A literal forced by *both* probes
   is likewise a backbone (every model sets the probe variable one way or
-  the other).  Sound for full and projected counting alike; when the
-  search records a d-DNNF trace the forced literals surface in the root
-  decision node exactly like root unit propagations always did.
+  the other).  When the search records a d-DNNF trace the forced literals
+  surface in the root decision node exactly like root unit propagations.
+  Projected encodings (the completion side) define auxiliary variables
+  in terms of others, which is exactly the structure probing monetizes;
+  the full-count complement encoding mentions choice variables only, its
+  probes provably derive nothing permanent (every consequence is a
+  pairwise at-most-one), so full-count mode does not probe.
 * **equivalent-literal substitution** — a probe pair forcing ``w`` under
   ``v`` and ``-w`` under ``-v`` proves ``w ≡ v`` in every model.
-  Substituting ``w`` away is a bijection on models, so it preserves the
-  full count, and determines ``w`` pointwise, so it preserves projected
-  counts of non-projection variables.  It is **disabled** for variables a
-  recorded circuit must mention (the countable set): a substituted
-  variable would vanish from the trace and break weighted evaluation,
-  marginals and smoothness.  Equivalence classes are canonicalized
-  through a sign-tracking union-find; substituted variables are reported
-  as *determined* so the counter excludes them from free-variable factors.
+  Substituting ``w`` away determines it pointwise, so it preserves
+  projected counts when ``w`` is outside the projection.  Projection
+  variables are never substituted: a recorded circuit must mention them,
+  and a substituted variable would vanish from the trace and break
+  weighted evaluation, marginals and smoothness.  Equivalence classes are
+  canonicalized through a sign-tracking union-find; substituted variables
+  are reported as *determined* so the counter excludes them from
+  free-variable factors.
 
 The module mutates the store's root trail (permanent assignments) and, if
 substitutions fired, returns a rewritten clause list for the counter to
@@ -128,25 +133,14 @@ class _SignedUnionFind:
 def preprocess_store(
     store: ClauseStore,
     projection: frozenset[int] | None = None,
-    traced: bool = False,
-    probe: "bool | str" = "auto",
-    probe_limit: int = PROBE_VARIABLE_LIMIT,
 ) -> PreprocessResult:
-    """Run the full preprocessing pass on ``store`` (mutating its trail).
+    """Run the preprocessing pass on ``store`` (mutating its trail).
 
     The caller is expected to have already propagated the input's unit
     clauses; this function tolerates either way (propagation is
     idempotent).  On ``conflict=True`` the formula has no models and the
-    store's state is meaningless to the search.
-
-    ``probe='auto'`` probes in projected mode only.  Projected encodings
-    (the completion side) define auxiliary variables in terms of others,
-    which is exactly the structure probing monetizes — equivalences to
-    substitute, pure definitions to fix.  The full-count complement
-    encoding mentions choice variables only, its probes provably derive
-    nothing permanent (every consequence is a pairwise at-most-one), and
-    with substitution also gated off the pass would be pure overhead.
-    Pass ``probe=True``/``False`` to override either way.
+    store's state is meaningless to the search.  Without a
+    ``projection`` (full-count mode) only that propagation runs.
     """
     result = PreprocessResult()
     if store.has_empty:
@@ -155,22 +149,18 @@ def preprocess_store(
     if not store.propagate(store.units):
         result.conflict = True
         return result
+    if projection is None:
+        return result
 
-    if projection is not None:
-        if not _fix_pure_literals(store, projection, result):
-            result.conflict = True
-            return result
-
-    if probe == "auto":
-        probe = projection is not None
-    if probe and _probe_candidates(store) <= probe_limit:
+    if not _fix_pure_literals(store, projection, result):
+        result.conflict = True
+        return result
+    if _probe_candidates(store) <= PROBE_VARIABLE_LIMIT:
         equivalences = _SignedUnionFind()
         if not _probe(store, result, equivalences):
             result.conflict = True
             return result
-        if not _derive_substitutions(
-            store, projection, traced, equivalences, result
-        ):
+        if not _derive_substitutions(store, projection, equivalences, result):
             result.conflict = True
             return result
         if result.substitutions:
@@ -271,31 +261,17 @@ def _probe(
 
 def _derive_substitutions(
     store: ClauseStore,
-    projection: frozenset[int] | None,
-    traced: bool,
+    projection: frozenset[int],
     equivalences: _SignedUnionFind,
     result: PreprocessResult,
 ) -> bool:
     """Turn equivalence classes into a substitution map, where allowed.
 
     A variable may be substituted away only when no downstream consumer
-    needs it by name: in full-count mode that means no trace is being
-    recorded (the circuit must mention every countable variable); in
-    projected mode, that the variable is outside the projection.
+    needs it by name, that is, when it is outside the projection.
     Returns ``False`` when asserting a forced equivalent hits a conflict
     (only possible on an unsatisfiable formula).
     """
-    if projection is None:
-        if traced:
-            return True
-
-        def allowed(variable: int) -> bool:
-            return True
-    else:
-
-        def allowed(variable: int) -> bool:
-            return variable not in projection
-
     value = store.value
     substitutions: dict[int, int] = {}
     for _root, members in sorted(equivalences.classes().items()):
@@ -304,7 +280,7 @@ def _derive_substitutions(
         members.sort()
         # The representative must survive: prefer a member substitution
         # may not touch, else the smallest variable of the class.
-        keep = [m for m in members if not allowed(m[0]) or value[m[0]]]
+        keep = [m for m in members if m[0] in projection or value[m[0]]]
         representative, rep_sign = keep[0] if keep else members[0]
         for variable, sign in members:
             if variable == representative:
@@ -320,7 +296,7 @@ def _derive_substitutions(
                 if not value[abs(literal)] and not store.propagate((literal,)):
                     return False
                 continue
-            if not allowed(variable):
+            if variable in projection:
                 continue
             substitutions[variable] = relative * representative
     result.substitutions = substitutions

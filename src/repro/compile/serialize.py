@@ -1,10 +1,12 @@
 """Versioned binary serialization of d-DNNF circuit artifacts.
 
-A circuit compiled in one process is only useful to another process if it
-can travel: the batch engine compiles circuits in worker processes and
-installs the artifacts into the parent's circuit store
-(:mod:`repro.engine.cache`), and an artifact on the wire must be compact,
-self-describing and tamper-evident.  This module is the codec layer:
+A compiled circuit can be written to bytes and rebuilt from them
+(``to_bytes``/``from_bytes`` on the artifacts,
+:func:`repro.compile.backend.artifact_from_bytes`).  The batch engine does
+not ship circuits — each stays in the process that compiled it — so the
+codec serves callers that store or move an artifact themselves, and a
+payload must be compact, self-describing and tamper-evident.  This module
+is the codec layer:
 
 * **framing** — every payload is ``magic (4 bytes) | version (u16 LE) |
   crc32 of the body (u32 LE) | body``.  :func:`unframe` rejects wrong

@@ -20,9 +20,9 @@ in-place state** instead of immutable formula copies:
   counted once.  Signatures depend only on clause *content*, matching the
   reference counter's cache equivalence exactly;
 * a **preprocessing pass** (:mod:`repro.compile.preprocess`) runs once
-  before the search: failed-literal/backbone probing, equivalent-literal
-  substitution and (projected mode) pure-literal elimination, each applied
-  only where it provably preserves the count;
+  before the search: root unit propagation and, in projected mode,
+  pure-literal elimination, failed-literal/backbone probing and
+  equivalent-literal substitution, each preserving the count;
 * a **static branching order** from a treewidth heuristic
   (:func:`repro.compile.ordering.branching_order`) — the primal graph is
   memoized per CNF, so a formula the planner's width probe already saw
@@ -83,10 +83,6 @@ class ModelCounter:
     ``trace`` — optional :class:`TraceBuilder`; when given, :meth:`count`
     additionally records the search as a d-DNNF circuit rooted at
     :attr:`trace_root`.
-    ``preprocess`` — run the preprocessing pass before the search (root
-    unit propagation always runs); ``probe`` forwards to
-    :func:`~repro.compile.preprocess.preprocess_store` (``'auto'`` probes
-    in projected mode only — see there for why).
     ``reference`` — delegate to the retained tuple-based implementation
     (:mod:`repro.compile.sharpsat_reference`); the slow differential oracle.
     """
@@ -97,8 +93,6 @@ class ModelCounter:
         projection: Iterable[int] | None = None,
         order: Sequence[int] | None = None,
         trace: "TraceBuilder | None" = None,
-        preprocess: bool = True,
-        probe: "bool | str" = "auto",
         reference: bool = False,
     ) -> None:
         self._cnf = cnf
@@ -135,8 +129,6 @@ class ModelCounter:
             self._cache = self._impl._cache
             return
 
-        self._preprocess_enabled = preprocess
-        self._probe = probe
         self._proj_mask: int | None = None
         if self._projection is not None:
             mask = 0
@@ -312,33 +304,23 @@ class ModelCounter:
             return True, 0
         if not store.propagate(store.units):
             return True, 0
-        determined_mask = 0
-        if self._preprocess_enabled:
-            with _span("compile.preprocess"):
-                report = preprocess_store(
-                    store,
-                    projection=self._projection,
-                    traced=self._trace is not None,
-                    probe=self._probe,
-                )
-            self.preprocessing = report
-            if report.conflict:
+        with _span("compile.preprocess"):
+            report = preprocess_store(store, projection=self._projection)
+        self.preprocessing = report
+        if report.conflict:
+            return True, 0
+        self._root_assigned = list(store.trail)
+        if report.rewritten is not None:
+            rebuilt = ClauseStore(store.num_variables, report.rewritten)
+            if rebuilt.has_empty or not rebuilt.propagate(rebuilt.units):
                 return True, 0
-            determined_mask = report.determined_mask
-            self._root_assigned = list(store.trail)
-            if report.rewritten is not None:
-                rebuilt = ClauseStore(store.num_variables, report.rewritten)
-                if rebuilt.has_empty or not rebuilt.propagate(rebuilt.units):
-                    return True, 0
-                # Substituted variables vanish from the clauses; literals
-                # the rebuilt store derives are genuinely new (their
-                # variables were unassigned in the old store).
-                self._root_assigned.extend(rebuilt.trail)
-                self._store = rebuilt
-                self._index_store(rebuilt)
-        else:
-            self._root_assigned = list(store.trail)
-        return False, determined_mask
+            # Substituted variables vanish from the clauses; literals
+            # the rebuilt store derives are genuinely new (their
+            # variables were unassigned in the old store).
+            self._root_assigned.extend(rebuilt.trail)
+            self._store = rebuilt
+            self._index_store(rebuilt)
+        return False, report.determined_mask
 
     # -- search ------------------------------------------------------------
 
@@ -590,16 +572,9 @@ def count_models(
     cnf: CNF,
     projection: Iterable[int] | None = None,
     order: Sequence[int] | None = None,
-    preprocess: bool = True,
-    probe: "bool | str" = "auto",
     reference: bool = False,
 ) -> int:
     """Convenience wrapper: exact (projected) model count of ``cnf``."""
     return ModelCounter(
-        cnf,
-        projection=projection,
-        order=order,
-        preprocess=preprocess,
-        probe=probe,
-        reference=reference,
+        cnf, projection=projection, order=order, reference=reference
     ).count()

@@ -79,69 +79,10 @@ def _check_sjf_variable_only(query: BCQ, role: str) -> None:
 def is_pattern_of(pattern: BCQ, query: BCQ) -> bool:
     """Decide whether ``pattern`` is a pattern of ``query`` (Def. 3.1).
 
-    Exact backtracking search for compatible atom/variable injections.
-    Both inputs must be variable-only sjfBCQs (the paper's setting).
+    Exact: whether :func:`find_pattern_embedding` finds a witness.  Both
+    inputs must be variable-only sjfBCQs (the paper's setting).
     """
-    _check_sjf_variable_only(pattern, "pattern")
-    _check_sjf_variable_only(query, "query")
-
-    pattern_atoms = list(pattern.atoms)
-    query_atoms = list(query.atoms)
-    if len(pattern_atoms) > len(query_atoms):
-        return False
-
-    def extendable(
-        index: int,
-        variable_map: dict[Var, Var],
-        used_variables: frozenset[Var],
-        used_atoms: frozenset[int],
-    ) -> bool:
-        if index == len(pattern_atoms):
-            return True
-        pattern_atom = pattern_atoms[index]
-        pattern_vars = pattern_atom.variables()
-        for query_position, query_atom in enumerate(query_atoms):
-            if query_position in used_atoms:
-                continue
-            if query_atom.arity < pattern_atom.arity:
-                continue
-            # Pattern variables mapped by earlier atoms must already have
-            # enough occurrences in this query atom.
-            mapped_ok = all(
-                query_atom.occurrence_count(variable_map[v])
-                >= pattern_atom.occurrence_count(v)
-                for v in pattern_vars
-                if v in variable_map
-            )
-            if not mapped_ok:
-                continue
-            unmapped = [v for v in pattern_vars if v not in variable_map]
-            candidates = [
-                v for v in query_atom.variables() if v not in used_variables
-            ]
-            if len(candidates) < len(unmapped):
-                continue
-            # permutations(..., 0) yields one empty assignment, so the
-            # fully-mapped case is handled by the same loop.
-            for assignment in permutations(candidates, len(unmapped)):
-                if any(
-                    query_atom.occurrence_count(target)
-                    < pattern_atom.occurrence_count(variable)
-                    for variable, target in zip(unmapped, assignment)
-                ):
-                    continue
-                extended_map = dict(variable_map)
-                extended_map.update(zip(unmapped, assignment))
-                if extendable(
-                    index + 1,
-                    extended_map,
-                    used_variables | set(assignment),
-                    used_atoms | {query_position},
-                ):
-                    return True
-        return False
-
-    return extendable(0, {}, frozenset(), frozenset())
+    return find_pattern_embedding(pattern, query) is not None
 
 
 @dataclass(frozen=True)
@@ -170,8 +111,9 @@ def find_pattern_embedding(
 ) -> PatternEmbedding | None:
     """Return one pattern embedding, or ``None`` when not a pattern.
 
-    Same search as :func:`is_pattern_of`, additionally recording which
-    query-atom positions carry each kept pattern occurrence.
+    Exact backtracking search for compatible atom/variable injections;
+    a complete injection also records which query-atom positions carry
+    each kept pattern occurrence.
     """
     _check_sjf_variable_only(pattern, "pattern")
     _check_sjf_variable_only(query, "query")
@@ -215,6 +157,8 @@ def find_pattern_embedding(
                 continue
             if query_atom.arity < pattern_atom.arity:
                 continue
+            # Pattern variables mapped by earlier atoms must already have
+            # enough occurrences in this query atom.
             if not all(
                 query_atom.occurrence_count(variable_map[v])
                 >= pattern_atom.occurrence_count(v)
@@ -228,6 +172,8 @@ def find_pattern_embedding(
             ]
             if len(candidates) < len(unmapped):
                 continue
+            # permutations(..., 0) yields one empty assignment, so the
+            # fully-mapped case is handled by the same loop.
             for assignment in permutations(candidates, len(unmapped)):
                 if any(
                     query_atom.occurrence_count(target)

@@ -2,11 +2,13 @@
 
 The engine turns the per-instance counting API of :mod:`repro.exact` and
 :mod:`repro.approx` into a *service*: a stream of ``(database, query,
-problem)`` jobs is deduplicated through a canonical-fingerprint cache
-(:mod:`repro.engine.fingerprint`, :mod:`repro.engine.cache`) and the cache
+problem)`` jobs is deduplicated through a canonical-fingerprint answer
+memo (:mod:`repro.engine.fingerprint`, :mod:`repro.engine.cache`) and the
 misses are fanned out to a shared-nothing multiprocessing pool
-(:mod:`repro.engine.pool`).  ``repro-count batch`` (the CLI) and
-``benchmarks/harness.py`` are the two front doors.
+(:mod:`repro.engine.pool`), where the questions about one circuit travel
+together and the circuit stays in the worker that compiled it.
+``repro-count batch`` (the CLI) and ``benchmarks/harness.py`` are the two
+front doors.
 """
 
 from repro.engine.cache import CountCache
@@ -27,7 +29,6 @@ from repro.engine.jobs import (
     CountJob,
     JobResult,
     execute_job,
-    execute_job_capturing,
     instance_db,
     instance_fingerprint_of,
 )
@@ -40,7 +41,6 @@ __all__ = [
     "JobResult",
     "derive_instance_circuit",
     "execute_job",
-    "execute_job_capturing",
     "fingerprint_db",
     "fingerprint_delta",
     "fingerprint_derivation",

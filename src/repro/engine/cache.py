@@ -3,22 +3,20 @@
 Two stores live side by side:
 
 * the **answer memo** — ``fingerprint -> (count, resolved method)`` pairs,
-  one per distinct *question*.  Answers are tiny, so the memo is
-  unbounded except through the circuits its entries link to;
+  one per distinct *question*.  Answers are exact and content-addressed,
+  and tiny, so the memo is unbounded and an answer stays when the circuit
+  that produced it is evicted;
 * the **circuit slot** — ``instance fingerprint -> compiled circuit``
   (:class:`~repro.compile.backend.ValuationCircuit` /
   :class:`~repro.compile.backend.CompletionCircuit`), one per distinct
-  *instance*.  Circuits are the expensive artifacts the batch engine
-  reuses across question modes (count, weighted count, marginals,
-  samples), and the only part of the cache whose memory matters: every
-  stored circuit is accounted at its estimated byte size, and an optional
-  ``max_circuit_bytes`` bound evicts least-recently-used circuits —
-  **together with every memo entry derived from them**, so a bounded
-  cache never serves an answer whose provenance it already dropped.
-  Circuits derived from a cached parent by delta conditioning record the
-  parent link: evicting a parent drops its derived children too (a
-  conditioned circuit shares structure and provenance with its parent),
-  and :meth:`CountCache.get_ancestor_circuit` walks a child's ancestor
+  *instance*.  Circuits are the expensive artifacts a process reuses
+  across question modes (count, weighted count, marginals, samples), and
+  the only part of the cache whose memory matters: every stored circuit
+  is accounted at its estimated byte size, and an optional
+  ``max_circuit_bytes`` bound evicts least-recently-used circuits.  A
+  circuit conditioned from a cached ancestor is an ordinary entry (its
+  program shares nothing with the ancestor's), so it is evicted on its
+  own; :meth:`CountCache.get_ancestor_circuit` walks a child's ancestor
   chain so a fingerprint miss can still be answered by conditioning a
   cached ancestor (tallied as ``parent_chain_hits``).
 
@@ -42,19 +40,12 @@ class CountCache:
         self._max_circuit_bytes = max_circuit_bytes
         # instance fingerprint -> (circuit, bytes); LRU order.
         self._circuits: OrderedDict[str, tuple[Any, int]] = OrderedDict()
-        # links for joint eviction: memo entry <-> owning instance.
-        self._entry_instance: dict[str, str] = {}
-        self._instance_entries: dict[str, set[str]] = {}
-        # delta provenance links: child instance <-> parent instance.
-        self._circuit_parent: dict[str, str] = {}
-        self._circuit_children: dict[str, set[str]] = {}
         self.hits = 0
         self.misses = 0
         self.circuit_hits = 0
         self.circuit_misses = 0
         self.circuit_evictions = 0
         self.circuit_bytes = 0
-        self.worker_circuits = 0
         self.parent_chain_hits = 0
 
     # -- answer memo -------------------------------------------------------
@@ -67,39 +58,9 @@ class CountCache:
         self.hits += 1
         return entry
 
-    def put(
-        self,
-        fingerprint: str,
-        count: Any,
-        method: str,
-        instance: str | None = None,
-    ) -> None:
-        """Memoize one answer; ``instance`` ties it to a cached circuit.
-
-        Linked answers are dropped when their circuit is evicted, and an
-        answer whose circuit is already gone (evicted mid-batch, or too
-        large for the bound in the first place) is not memoized at all —
-        the bound on circuit memory is also a bound on how much derived
-        state the cache may serve, and the two stores move together.
-        """
-        if instance is not None and instance not in self._circuits:
-            self._entries.pop(fingerprint, None)
-            self._unlink_entry(fingerprint)
-            return
+    def put(self, fingerprint: str, count: Any, method: str) -> None:
+        """Memoize one answer."""
         self._entries[fingerprint] = (count, method)
-        self._unlink_entry(fingerprint)
-        if instance is not None:
-            self._entry_instance[fingerprint] = instance
-            self._instance_entries.setdefault(instance, set()).add(fingerprint)
-
-    def _unlink_entry(self, fingerprint: str) -> None:
-        instance = self._entry_instance.pop(fingerprint, None)
-        if instance is not None:
-            siblings = self._instance_entries.get(instance)
-            if siblings is not None:
-                siblings.discard(fingerprint)
-                if not siblings:
-                    del self._instance_entries[instance]
 
     # -- circuit slot ------------------------------------------------------
 
@@ -136,87 +97,27 @@ class CountCache:
                 return fingerprint, cached[0]
         return None
 
-    def put_circuit(
-        self,
-        instance: str,
-        circuit: Any,
-        from_worker: bool = False,
-        parent: str | None = None,
-    ) -> None:
+    def put_circuit(self, instance: str, circuit: Any) -> None:
         """Store a compiled circuit, evicting LRU circuits past the bound.
 
         The circuit must expose ``memory_bytes()``.  A circuit alone
         larger than the bound is not stored at all (storing it would only
-        evict everything else and then itself).  Evicting a circuit also
-        drops the memo entries linked to its instance — and, recursively,
-        every circuit derived from it (``parent`` records that link when
-        the incremental layer installs a conditioned child).
-        ``from_worker`` marks an artifact compiled in a worker process
-        and installed by the parent (tallied separately in :meth:`stats`).
+        evict everything else and then itself).
         """
         size = int(circuit.memory_bytes())
-        if (
-            self._max_circuit_bytes is not None
-            and size > self._max_circuit_bytes
-        ):
+        bound = self._max_circuit_bytes
+        if bound is not None and size > bound:
             return
         previous = self._circuits.pop(instance, None)
         if previous is not None:
             self.circuit_bytes -= previous[1]
         self._circuits[instance] = (circuit, size)
-        if parent is not None and parent in self._circuits:
-            self._circuit_parent[instance] = parent
-            self._circuit_children.setdefault(parent, set()).add(instance)
-        if from_worker:
-            self.worker_circuits += 1
         self.circuit_bytes += size
-        if self._max_circuit_bytes is not None:
-            while (
-                self.circuit_bytes > self._max_circuit_bytes
-                and len(self._circuits) > 1
-            ):
-                if not self._evict_oldest_circuit(keep=instance):
-                    break
-
-    def _evict_oldest_circuit(self, keep: str | None = None) -> bool:
-        """Evict the oldest circuit tree not protecting ``keep``.
-
-        ``keep`` and its ancestors are protected — evicting an ancestor
-        would take the just-inserted child down with it.  Returns whether
-        anything was evicted.
-        """
-        protected = set()
-        node = keep
-        while node is not None and node not in protected:
-            protected.add(node)
-            node = self._circuit_parent.get(node)
-        for candidate in self._circuits:
-            if candidate not in protected:
-                self._drop_circuit_tree(candidate)
-                return True
-        return False
-
-    def _drop_circuit_tree(self, instance: str) -> None:
-        """Drop a circuit, its derived descendants, and linked answers."""
-        stack = [instance]
-        while stack:
-            fingerprint = stack.pop()
-            entry = self._circuits.pop(fingerprint, None)
-            if entry is None:
-                continue
-            self.circuit_bytes -= entry[1]
+        # The new circuit is last and fits alone, so it is never evicted.
+        while bound is not None and self.circuit_bytes > bound:
+            _oldest, (_circuit, evicted) = self._circuits.popitem(last=False)
+            self.circuit_bytes -= evicted
             self.circuit_evictions += 1
-            stack.extend(self._circuit_children.pop(fingerprint, ()))
-            parent = self._circuit_parent.pop(fingerprint, None)
-            if parent is not None:
-                siblings = self._circuit_children.get(parent)
-                if siblings is not None:
-                    siblings.discard(fingerprint)
-                    if not siblings:
-                        del self._circuit_children[parent]
-            for linked in self._instance_entries.pop(fingerprint, set()):
-                self._entries.pop(linked, None)
-                self._entry_instance.pop(linked, None)
 
     # -- statistics --------------------------------------------------------
 
@@ -238,7 +139,6 @@ class CountCache:
             "circuit_hits": self.circuit_hits,
             "circuit_misses": self.circuit_misses,
             "circuit_evictions": self.circuit_evictions,
-            "worker_circuits": self.worker_circuits,
             "parent_chain_hits": self.parent_chain_hits,
             "max_circuit_bytes": self._max_circuit_bytes,
         }
@@ -246,17 +146,12 @@ class CountCache:
     def clear(self) -> None:
         self._entries.clear()
         self._circuits.clear()
-        self._entry_instance.clear()
-        self._instance_entries.clear()
-        self._circuit_parent.clear()
-        self._circuit_children.clear()
         self.hits = 0
         self.misses = 0
         self.circuit_hits = 0
         self.circuit_misses = 0
         self.circuit_evictions = 0
         self.circuit_bytes = 0
-        self.worker_circuits = 0
         self.parent_chain_hits = 0
 
     def __len__(self) -> int:

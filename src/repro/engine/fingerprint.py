@@ -16,9 +16,9 @@ labeling: the canonical form *is* a faithful description of the instance up
 to renaming, so equal forms always describe isomorphic instances.  A
 missed isomorphism merely costs a cache miss.
 
-A batch is fingerprinted with :func:`fingerprint_jobs`, which computes one
-canonical form per database object and builds every job's payload from it,
-so the jobs that ask about one database pay for its refinement once.
+Canonical forms are memoized by database content (:func:`_canonical_text`),
+so the jobs that ask about one database — in one batch or across batches,
+through one object or through equal copies — pay for its refinement once.
 
 Queries carrying opaque decision procedures (:class:`CustomQuery`) have no
 syntactic canonical form; :func:`fingerprint_job` returns ``None`` for them
@@ -28,6 +28,7 @@ and the engine solves such jobs without caching.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.core.query import BCQ, BooleanQuery, Const, Negation, UCQ
@@ -153,6 +154,21 @@ def _canonical_db(
         tuple(sorted(repr(v) for v in db.domain_of(null))) for null in ordered
     )
     return ("db", db.is_uniform, facts, domains), index
+
+
+@lru_cache(maxsize=256)
+def _canonical_text(db: IncompleteDatabase) -> tuple[str, dict[Null, int]]:
+    """``repr`` of :func:`_canonical_db`'s form, with its null relabeling.
+
+    Memoized by database equality (facts and domains), for the 256 most
+    recently used databases; the memo keeps the text, not the larger form.
+    The result is shared, so callers must not mutate the relabeling.
+    Databases that are equal but spell a constant with different types
+    (``1``, ``1.0``, ``True``) share the text computed first, which is
+    sound: equal databases have equal counts.
+    """
+    form, index = _canonical_db(db)
+    return repr(form), index
 
 
 def _exact_db_form(db: IncompleteDatabase) -> Canonical:
@@ -286,54 +302,46 @@ def fingerprint_job(job: "CountJob") -> str | None:
 
 
 def fingerprint_jobs(jobs: Iterable["CountJob"]) -> list[str | None]:
-    """:func:`fingerprint_job` of every job, in order, canonicalizing each
-    distinct database object once: the memo keeps the ``repr`` of its form
-    and its null index, keyed by ``id`` and holding the object, so no id
-    is reused while the call runs."""
-    forms: dict[int, tuple[IncompleteDatabase, str, dict[Null, int]]] = {}
-    return [_fingerprint(job, forms) for job in jobs]
+    """:func:`fingerprint_job` of every job, in order."""
+    return [_fingerprint(job) for job in jobs]
 
 
-def _fingerprint(job: "CountJob", forms: dict) -> str | None:
+def _fingerprint(job: "CountJob") -> str | None:
     query_form = fingerprint_query(job.query)
     if query_form is None or (job.problem == "approx-val" and job.seed is None):
         return None
-    if job.problem == "update":
+    problem, db = job.problem, job.db
+    extras: tuple = ()
+    if problem == "update":
         # An update job answers #Val of the *updated* instance, so it is
         # fingerprinted as the plain 'val' job on the delta-chain result —
         # memo entries are shared with equivalent from-scratch val jobs.
         from repro.engine.jobs import instance_db
 
         try:
-            child = instance_db(job)
+            db = instance_db(job)
         except (ValueError, KeyError, TypeError):
             return None  # invalid chain: solve reports the real error
-        payload = repr(("val", (), query_form, fingerprint_db(child)))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    if job.problem == "marginals":
+        problem = "val"
+    if problem == "marginals":
         # The answer is keyed by null labels, so the fingerprint must be
         # label-exact — a renamed twin has a differently-keyed answer.
-        db_form = repr(_exact_db_form(job.db))
-        extras: tuple = (_weights_form(job.weights, None),)
+        db_form = repr(_exact_db_form(db))
+        extras = (_weights_form(job.weights, None),)
     else:
-        if id(job.db) not in forms:
-            form, index = _canonical_db(job.db)
-            forms[id(job.db)] = (job.db, repr(form), index)
-        _db, db_form, index = forms[id(job.db)]
-        if job.problem == "approx-val":
+        db_form, index = _canonical_text(db)
+        if problem == "approx-val":
             extras = (job.epsilon, job.delta, job.seed)
-        elif job.problem == "val-weighted":
+        elif problem == "val-weighted":
             # Scalar answer: canonical coordinates keep the fingerprint
             # invariant under null renamings that carry the weights along.
             extras = (_weights_form(job.weights, index),)
-        elif job.problem == "sweep":
+        elif problem == "sweep":
             # An ordered list of scalar answers, one per weight table: each
             # entry is renaming-invariant like 'val-weighted', and the
             # table order is part of the key.
             extras = (tuple(_weights_form(row, index) for row in job.weights or ()),)
-        else:
-            extras = ()
-    # Exactly repr((problem, extras, query_form, form)); the memo keeps the
-    # form's repr, not the form.
-    payload = "(%r, %r, %r, %s)" % (job.problem, extras, query_form, db_form)
+    # Exactly repr((problem, extras, query_form, form)), from the memoized
+    # repr of the form.
+    payload = "(%r, %r, %r, %s)" % (problem, extras, query_form, db_form)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -16,8 +16,9 @@ through :func:`instance_circuit`.  With a circuit store (the engine's
    circuit sums choice variables out, so neither conditions;
 3. a fresh compile, installed into the store.
 
-A derived circuit is installed with a parent link, so ``--cache-mb``
-eviction drops children with their parents.  Without a store every fetch
+A derived circuit is an ordinary store entry: conditioning writes a
+fresh program that shares nothing with the ancestor's, so ``--cache-mb``
+eviction drops each circuit on its own.  Without a store every fetch
 compiles a throwaway circuit.  Answers are bit-identical either way.
 """
 
@@ -95,8 +96,8 @@ def derive_instance_circuit(
     Call on a circuit-store miss for ``db``.  Takes the nearest cached
     ancestor among :func:`conditioning_ancestors` and conditions its
     circuit along the delta suffix.  The result is installed into
-    ``circuits`` under ``fingerprint`` with its parent link and returned;
-    ``None`` when no such ancestor is cached.
+    ``circuits`` under ``fingerprint`` and returned; ``None`` when no such
+    ancestor is cached.
     """
     ancestry = []
     deltas_of: dict[str, list] = {}
@@ -124,7 +125,7 @@ def derive_instance_circuit(
     if fingerprint is None:
         fingerprint = fingerprint_instance(db, query, kind)
     if fingerprint is not None:
-        circuits.put_circuit(fingerprint, circuit, parent=ancestor_fingerprint)
+        circuits.put_circuit(fingerprint, circuit)
     return circuit
 
 

@@ -25,7 +25,6 @@ from typing import Any, Mapping, Sequence
 
 from repro.core.query import BooleanQuery
 from repro.db.incomplete import IncompleteDatabase
-from repro.engine.cache import CountCache
 from repro.exact.brute import DEFAULT_BUDGET
 from repro.exact.dispatch import solve
 from repro.exact.planner import check_weights
@@ -134,12 +133,9 @@ class JobResult:
     fingerprint: str | None = field(default=None, repr=False)
     #: Engine provenance: ``fallback`` records why a job left the pool
     #: path (unpicklable query, mid-dispatch pickle failure), and
-    #: ``compiled_in_worker`` marks answers whose circuit artifact was
-    #: compiled in a worker and installed into the parent's store.
+    #: ``metrics`` is the digest of what ran (with ``queue_seconds`` for
+    #: a job answered in a pool worker).
     meta: dict[str, Any] = field(default_factory=dict, repr=False)
-    #: Serialized circuit artifact a worker shipped back to the parent;
-    #: cleared once the parent installs it into the circuit store.
-    artifact: bytes | None = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -229,30 +225,6 @@ def _answer(job: CountJob, circuits: Any) -> tuple[Any, str]:
     if job.problem == "marginals":
         return marginals_record(answer.count), answer.method
     return answer.count, answer.method
-
-
-def execute_job_capturing(job: CountJob) -> JobResult:
-    """Worker entry point for circuit-backed jobs: solve *and* ship the
-    compiled artifact back as bytes (see
-    :meth:`repro.compile.backend.ValuationCircuit.to_bytes`).
-
-    The worker has no access to the parent's store, so it solves against
-    a private :class:`~repro.engine.cache.CountCache` and ships the
-    circuit keyed by the job's own instance (an ``'update'`` job's child,
-    not any ancestor it touched).  A serialization failure never fails
-    the job — the answer is already computed; the parent merely loses the
-    chance to cache the circuit.
-    """
-    store = CountCache()
-    result = execute_job(job, store)
-    instance = instance_fingerprint_of(job) if result.ok else None
-    circuit = None if instance is None else store.get_circuit(instance)
-    if circuit is not None:
-        try:
-            result.artifact = circuit.to_bytes()
-        except Exception:  # noqa: BLE001 - artifact loss must not poison the answer
-            result.artifact = None
-    return result
 
 
 def instance_db(job: CountJob) -> IncompleteDatabase:

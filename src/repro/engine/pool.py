@@ -4,34 +4,35 @@
 and returns one :class:`~repro.engine.jobs.JobResult` per job, in order.
 The pipeline is:
 
-1. **fingerprint** every job (:func:`~repro.engine.fingerprint.fingerprint_jobs`),
-   canonicalizing each distinct database object once per batch;
+1. **fingerprint** every job (:func:`~repro.engine.fingerprint.fingerprint_jobs`);
 2. **memoize** — jobs whose fingerprint is already cached (from a previous
    batch or from an earlier duplicate in this one) never reach a solver;
 3. **fan out** the unique cache misses to a ``multiprocessing`` pool.
-   Workers are shared-nothing: each receives a pickled job and returns a
-   result record, no state is shared beyond the task queue.  Jobs that
+   Workers are shared-nothing: each receives pickled jobs and returns
+   result records, no state is shared beyond the task queue.  Jobs that
    cannot be pickled (e.g. a :class:`CustomQuery` closing over a lambda)
    are solved serially in the parent instead of failing, with the reason
    recorded in the result's ``meta['fallback']``.
 
-Jobs that may be answered from a circuit (``val-weighted``, ``marginals``,
-``sweep``, ``update``, ``method='circuit'``/``'delta'``, and ``auto``
-exact jobs on delta-derived instances — read off the job, never by
-planning it) are scheduled around the parent's circuit store: the
-**first** job of each not-yet-cached instance goes to a worker, which
-compiles the circuit, answers, and ships the serialized artifact home
-(:func:`~repro.engine.jobs.execute_job_capturing`); the parent rehydrates
-and installs it (:func:`repro.compile.backend.artifact_from_bytes`), and
-every *further* question about that instance — in this batch or the next —
-runs in the parent as a linear pass over the installed circuit.  Distinct
-circuit instances therefore compile in parallel while the amortization
-across question modes is preserved, and the eviction invariant is
-untouched: a worker-compiled circuit is a first-class store entry whose
-memo links drop with it.
+A circuit stays in the process that compiled it.  Jobs that may be
+answered from a circuit (``val-weighted``, ``marginals``, ``sweep``,
+``update``, ``method='circuit'``/``'delta'``, and ``auto`` exact jobs on
+delta-derived instances — read off the job, never by planning it) are
+scheduled by their circuit-store keys (:func:`_circuit_keys`): the job's
+own instance, then the ancestors its circuit conditions from.  A job
+with a key in the parent's store runs in the parent, as a pass over that
+circuit or a conditioning of it.  Every other question about one circuit,
+and about the children that condition from it, travels to one worker as
+one task: a job's family is the farthest ancestor among its keys that
+the batch asks about.  The worker answers ancestors before their
+children against a private store (:func:`_pool_solve`), so each circuit
+compiles once, and sends back only answers, which the parent memoizes.
+Distinct circuits therefore compile in parallel and no circuit crosses a
+process boundary.
 
-``workers=0``/``1`` (or a single-miss batch) skips process creation
-entirely, which keeps tests and tiny batches free of pool overhead.
+``workers=0``/``1`` (or a batch with a single pool task) skips process
+creation entirely, which keeps tests and tiny batches free of pool
+overhead.
 
 Pool lifecycle: by default every ``run`` call builds and tears down its
 own pool (nothing to leak, nothing to close).  A long-lived engine —
@@ -43,9 +44,10 @@ released by :meth:`BatchEngine.close` (the engine is a context manager).
 Dispatch: plain jobs go to the pool in chunks of
 ``len(plain) // (processes * 4)``, so cheap jobs do not pay one IPC round
 trip each while enough chunks stay in flight to balance uneven sizes.
-Each worker compile is its own task, queued after them (a second
-``imap`` with ``chunksize=1``), so no worker runs two compiles back to
-back while another idles.  Results come home in task order.
+Each circuit task is its own pool task, queued after them (a second
+``imap`` with ``chunksize=1``), so no worker compiles two circuit
+families back to back while another idles.  Results come home in task
+order.
 """
 
 from __future__ import annotations
@@ -58,8 +60,6 @@ import pickle
 import time
 from typing import Iterable, Sequence
 
-from repro.compile.backend import artifact_from_bytes
-from repro.compile.serialize import CircuitFormatError
 from repro.core.query import BCQ, Negation, UCQ
 from repro.engine.cache import CountCache
 from repro.engine.fingerprint import fingerprint_instance, fingerprint_jobs
@@ -69,9 +69,7 @@ from repro.engine.jobs import (
     CountJob,
     JobResult,
     execute_job,
-    execute_job_capturing,
     instance_db,
-    instance_fingerprint_of,
 )
 from repro.obs import (
     emit_record as _emit_record,
@@ -171,12 +169,7 @@ class BatchEngine:
             results[index] = result
             if result.ok and fingerprints[index] is not None:
                 assert result.count is not None and result.method is not None
-                self.cache.put(
-                    fingerprints[index],
-                    result.count,
-                    result.method,
-                    instance=_instance_of(jobs[index], result),
-                )
+                self.cache.put(fingerprints[index], result.count, result.method)
 
         for first, duplicate_indices in followers.items():
             source = results[first]
@@ -184,8 +177,7 @@ class BatchEngine:
             for index in duplicate_indices:
                 if source.ok:
                     # Served from the representative's result, not by a
-                    # lookup (a bounded cache may have refused to keep
-                    # it): count the hit directly.
+                    # lookup: count the hit directly.
                     self.cache.hits += 1
                     results[index] = JobResult(
                         problem=source.problem,
@@ -207,10 +199,7 @@ class BatchEngine:
                     assert result.count is not None
                     assert result.method is not None
                     self.cache.put(
-                        fingerprints[index],
-                        result.count,
-                        result.method,
-                        instance=_instance_of(jobs[index], result),
+                        fingerprints[index], result.count, result.method
                     )
                     # Remaining duplicates are served from this success.
                     source = result
@@ -220,37 +209,14 @@ class BatchEngine:
 
     # -- execution ---------------------------------------------------------
 
-    def _derivable(self, job: CountJob, claimed: set[str]) -> bool:
-        """Whether the job's instance derives by conditioning an ancestor
-        circuit (:func:`~repro.engine.incremental.conditioning_ancestors`).
-
-        True when such an ancestor is cached already *or* claimed by a
-        compile worker earlier in the same batch — the serial pass runs
-        after worker artifacts are installed, so the ancestor is in the
-        store by the time this job executes in the parent.
-        """
-        try:
-            db = instance_db(job)
-        except (ValueError, KeyError, TypeError):
-            return False
-        kind = "comp" if job.problem == "comp" else "val"
-        for ancestor, _deltas in conditioning_ancestors(db, kind):
-            fingerprint = fingerprint_instance(ancestor, job.query, kind)
-            if fingerprint is not None and (
-                fingerprint in claimed or self.cache.has_circuit(fingerprint)
-            ):
-                return True
-        return False
-
     def _execute(self, jobs: Sequence[CountJob]) -> list[JobResult]:
         if self.workers <= 1 or len(jobs) <= 1:
             return [execute_job(job, self.cache) for job in jobs]
 
-        parallel: list[int] = []        # plain jobs, pool-dispatched
-        compile_remote: list[int] = []  # circuit jobs compiled in a worker
-        serial: list[int] = []          # in-parent: store hits and stragglers
+        plain: list[int] = []                   # chunked pool jobs
+        circuit: dict[int, list[str]] = {}      # circuit-task jobs' keys
+        serial: list[int] = []                  # in the parent
         fallback: dict[int, str] = {}
-        claimed: set[str] = set()
         for index, job in enumerate(jobs):
             if not _picklable(job):
                 fallback[index] = (
@@ -258,49 +224,56 @@ class BatchEngine:
                 )
                 serial.append(index)
                 continue
-            instance = (
-                instance_fingerprint_of(job) if _may_use_circuit(job) else None
-            )
-            if instance is None:
-                parallel.append(index)
-            elif (
-                self.cache.has_circuit(instance)
-                or instance in claimed
-                # Delta-derived instance with a cached (or claimed)
-                # ancestor it conditions: the parent conditions the
-                # ancestor circuit in a linear pass — cheaper than a
-                # worker recompile, and the derived circuit lands in the
-                # store with its provenance link intact.
-                or self._derivable(job, claimed)
-            ):
+            keys = _circuit_keys(job) if _may_use_circuit(job) else []
+            if not keys:
+                plain.append(index)
+            elif any(self.cache.has_circuit(key) for key in keys):
+                # The parent holds the circuit or an ancestor it
+                # conditions from: a linear pass here beats a recompile.
                 serial.append(index)
             else:
-                # One worker compile per unique instance: the first job of
-                # a not-yet-cached instance ships its circuit home, every
-                # other question about it runs in the parent as a linear
-                # pass over the installed artifact.
-                claimed.add(instance)
-                compile_remote.append(index)
+                circuit[index] = keys
 
-        pool_indices = parallel + compile_remote
-        if len(pool_indices) <= 1:
+        # A job joins the family of the farthest ancestor it conditions
+        # from that this batch asks about, since that circuit is compiled
+        # in the task; children of an ancestor nobody asks about compile
+        # apart, in parallel.  Ancestors answer before their children, so
+        # each circuit compiles once and its children condition from it.
+        asked = {keys[0] for keys in circuit.values()}
+        families: dict[str, list[int]] = {}     # one pool task per family
+        for index, keys in circuit.items():
+            family = next(key for key in reversed(keys) if key in asked)
+            families.setdefault(family, []).append(index)
+        for members in families.values():
+            members.sort(key=lambda index: len(circuit[index]))
+
+        if len(plain) + len(families) <= 1:
             results_serial = [execute_job(job, self.cache) for job in jobs]
             for index, reason in fallback.items():
                 results_serial[index].meta.setdefault("fallback", reason)
             return results_serial
 
         results: list[JobResult | None] = [None] * len(jobs)
-        plain = [(jobs[index], False) for index in parallel]
-        compiles = [(jobs[index], True) for index in compile_remote]
+        pool_indices = plain + [
+            index for family in families.values() for index in family
+        ]
+        plain_tasks = [[jobs[index]] for index in plain]
+        circuit_tasks = [
+            [jobs[index] for index in family] for family in families.values()
+        ]
         try:
             if self._persistent:
                 self.warm()
                 assert self._pool is not None
-                solved = self._dispatch(self._pool, self.workers, plain, compiles)
+                solved = self._dispatch(
+                    self._pool, self.workers, plain_tasks, circuit_tasks
+                )
             else:
-                processes = min(self.workers, len(pool_indices))
+                processes = min(self.workers, len(plain) + len(families))
                 with multiprocessing.get_context().Pool(processes) as pool:
-                    solved = self._dispatch(pool, processes, plain, compiles)
+                    solved = self._dispatch(
+                        pool, processes, plain_tasks, circuit_tasks
+                    )
         except Exception as exc:
             # A persistent pool that failed mid-dispatch cannot be trusted
             # with the next batch; drop it (a fresh one builds on demand).
@@ -322,8 +295,6 @@ class BatchEngine:
                 solved.append(result)
         for index, result in zip(pool_indices, solved):
             results[index] = result
-        for index in compile_remote:
-            self._install_artifact(jobs[index], results[index])
         for index in serial:
             result = execute_job(jobs[index], self.cache)
             if index in fallback:
@@ -336,8 +307,8 @@ class BatchEngine:
         self,
         pool: "multiprocessing.pool.Pool",
         processes: int,
-        plain: list[tuple[CountJob, bool]],
-        compiles: list[tuple[CountJob, bool]],
+        plain: list[list[CountJob]],
+        circuits: list[list[CountJob]],
     ) -> list[JobResult]:
         """Send one slice to ``pool`` by the chunking rule of the module
         docstring and drain its ordered results, timestamping each arrival.
@@ -345,28 +316,30 @@ class BatchEngine:
         Ordered arrivals let the parent decompose per-job latency: *total*
         is dispatch-to-arrival wall time, *execute* the worker's own solve
         time, *queue* the difference — time spent waiting for a worker
-        slot, in IPC, or behind earlier results of the ordered stream.
-        The queue share is recorded into the job's ``meta['metrics']`` (it
-        rides the same payload workers already ship) and each worker's
-        captured metrics are absorbed here, at the only point that knows
-        the result crossed a process boundary.
+        slot, in IPC, or behind earlier results of the ordered stream or
+        of the job's own task.  The queue share is recorded into the
+        job's ``meta['metrics']`` (it rides the same payload workers
+        already ship) and each worker's captured metrics are absorbed
+        here, at the only point that knows the result crossed a process
+        boundary.
         """
         chunk = max(1, len(plain) // (processes * 4))
         arrivals = itertools.chain(
             pool.imap(_pool_solve, plain, chunksize=chunk),
-            pool.imap(_pool_solve, compiles, chunksize=1),
+            pool.imap(_pool_solve, circuits, chunksize=1),
         )
         solved = []
         dispatched = time.perf_counter()
-        for result in arrivals:
-            if _obs_enabled():
-                total = time.perf_counter() - dispatched
-                queue = max(0.0, total - result.seconds)
-                result.meta.setdefault("metrics", {})["queue_seconds"] = round(
-                    queue, 6
-                )
-                self._absorb_worker_metrics(result)
-            solved.append(result)
+        for task_results in arrivals:
+            total = time.perf_counter() - dispatched
+            for result in task_results:
+                if _obs_enabled():
+                    queue = max(0.0, total - result.seconds)
+                    result.meta.setdefault("metrics", {})["queue_seconds"] = (
+                        round(queue, 6)
+                    )
+                    self._absorb_worker_metrics(result)
+                solved.append(result)
         return solved
 
     def _absorb_worker_metrics(self, result: JobResult) -> None:
@@ -392,38 +365,6 @@ class BatchEngine:
         for name, value in (metrics.get("counters") or {}).items():
             _incr(name, value)
 
-    def _install_artifact(self, job: CountJob, result: JobResult | None) -> None:
-        """Rehydrate a worker-shipped circuit into the parent's store.
-
-        Installation happens *before* the memo layer records the answer,
-        so the answer links to its circuit exactly as if the parent had
-        compiled it — ``--cache-mb`` eviction keeps dropping circuit and
-        derived memo entries together.  A payload the codec rejects is
-        discarded: the answer (already computed in the worker) survives,
-        it just is not memoized against a circuit the store never held.
-        """
-        if result is None or not result.ok or result.artifact is None:
-            return
-        payload, result.artifact = result.artifact, None
-        instance = instance_fingerprint_of(job)
-        if instance is None:
-            return
-        try:
-            # Update jobs ship the *child* instance's circuit; rehydrate
-            # against the database the chain produces, not the base one.
-            compiled = artifact_from_bytes(payload, instance_db(job))
-        except CircuitFormatError as exc:
-            result.meta["artifact_rejected"] = str(exc)
-            return
-        self.cache.put_circuit(instance, compiled, from_worker=True)
-        # put_circuit silently refuses circuits larger than the cache
-        # bound; only claim the install when the store actually holds it.
-        if self.cache.has_circuit(instance):
-            result.meta["compiled_in_worker"] = True
-            _incr("engine.worker_circuit_installs")
-        else:
-            result.meta["artifact_rejected"] = "circuit exceeds the cache bound"
-
 
 def _may_use_circuit(job: CountJob) -> bool:
     """Whether ``job`` may be answered from a compiled circuit — read off
@@ -441,25 +382,36 @@ def _may_use_circuit(job: CountJob) -> bool:
     return job.problem not in ("val", "comp") or job.db.parent is not None
 
 
-def _instance_of(job: CountJob, result: JobResult) -> str | None:
-    """Circuit-store key linking a memo entry to its instance: set only
-    when the answering method read a circuit (a closed form or a brute
-    fallback never compiles one, and a link to an absent circuit would
-    make the cache refuse to store the answer)."""
-    if result.method not in CIRCUIT_METHODS:
-        return None
-    return instance_fingerprint_of(job)
+def _circuit_keys(job: CountJob) -> list[str]:
+    """The circuit-store keys of ``job``: its own instance first, then the
+    ancestors its circuit conditions from, nearest first
+    (:func:`~repro.engine.incremental.conditioning_ancestors`).  Empty when
+    the instance has no key (an opaque query or an invalid delta chain).
+    """
+    kind = "comp" if job.problem == "comp" else "val"
+    try:
+        db = instance_db(job)
+    except (ValueError, KeyError, TypeError):
+        return []  # an invalid delta chain: the solve reports the error
+    nodes = [db] + [
+        ancestor for ancestor, _deltas in conditioning_ancestors(db, kind)
+    ]
+    keys = [fingerprint_instance(node, job.query, kind) for node in nodes]
+    # An opaque query keys neither the instance nor any ancestor.
+    return [key for key in keys if key is not None]
 
 
-def _pool_solve(task: tuple[CountJob, bool]) -> JobResult:
-    """Worker task body: solve, optionally capturing the circuit artifact."""
+def _pool_solve(jobs: list[CountJob]) -> list[JobResult]:
+    """Worker task body: solve ``jobs`` in order against one private
+    :class:`CountCache`, so the questions of one task compile each of
+    their circuits once; only the answers travel back."""
     # A forked worker inherits the parent's active span stack (the engine
     # forks mid-span); drop it so this job's spans land in its own capture.
     from repro.obs import reset_thread_state
 
     reset_thread_state()
-    job, capture = task
-    return execute_job_capturing(job) if capture else execute_job(job)
+    store = CountCache()
+    return [execute_job(job, store) for job in jobs]
 
 
 def _query_is_value_type(query: object) -> bool:

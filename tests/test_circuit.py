@@ -262,7 +262,7 @@ class TestEngineCircuitStore:
             float(exact[null][value])
         )
 
-    def test_eviction_drops_circuit_and_memo_together(self):
+    def test_answers_outlive_their_evicted_circuit(self):
         other_db, other_query = scaling_hard_val_instance(
             7, seed=4, chord_probability=0.2
         )
@@ -282,13 +282,20 @@ class TestEngineCircuitStore:
         stats = cache.stats()
         assert stats["circuits"] == 1
         assert stats["circuit_evictions"] == 1
-        # instance a's memo entry went down with its circuit...
-        assert len(cache) == 1
-        # ...so only instance b is served from cache afterwards.
-        [again] = engine.run(
-            [CountJob("marginals", other_db, other_query, label="b2")]
+        # The bound covers circuits only: both answers stay memoized,
+        # instance a's too, though its circuit is gone.
+        assert len(cache) == 2
+        again = engine.run(
+            [
+                CountJob("marginals", self.db, self.query, label="a2"),
+                CountJob("marginals", other_db, other_query, label="b2"),
+            ]
         )
-        assert again.cache_hit
+        assert [result.cache_hit for result in again] == [True, True]
+        assert [result.count for result in again] == [
+            result.count for result in results
+        ]
+        assert cache.stats()["circuit_evictions"] == 1
 
     def test_oversized_circuit_is_not_stored(self):
         cache = CountCache(max_circuit_bytes=1)

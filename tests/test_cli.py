@@ -206,7 +206,7 @@ class TestPlan:
 
 
 class TestBatchSummary:
-    def test_summary_counts_fallbacks_and_worker_circuits(
+    def test_summary_counts_fallbacks_and_circuits(
         self, tmp_path, db_file, capsys
     ):
         jobs = tmp_path / "jobs.jsonl"
@@ -218,8 +218,9 @@ class TestBatchSummary:
         )
         assert main(["batch", "--jobs", str(jobs), "--workers", "0"]) == 0
         err = capsys.readouterr().err
-        assert "serial fallbacks" in err
-        assert "worker-compiled" in err
+        assert "0 serial fallbacks" in err
+        # The marginals job compiled the one circuit the parent holds.
+        assert "1 circuits (" in err
 
 
 class TestApproxAndShow:

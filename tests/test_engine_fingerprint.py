@@ -177,28 +177,30 @@ class TestBatchFingerprint:
         assert digests[0] == digests[11]
         assert len(set(digests) - {None}) == 8
 
-    def test_engine_canonicalizes_each_database_once(self, monkeypatch):
+    def test_engine_canonicalizes_each_database_once(self):
+        """One canonical form per database content: across the jobs of a
+        batch, across batches, and across equal copies of a database."""
         from repro.engine import fingerprint
         from repro.workloads.generators import scaling_hard_val_instance
 
-        calls = []
-        canonical_db = fingerprint._canonical_db
+        def batch():
+            jobs = []
+            for size in (5, 6):
+                db, query = scaling_hard_val_instance(size)
+                null = db.nulls[0]
+                weights = {null: {value: 2 for value in db.domain_of(null)}}
+                jobs += [
+                    CountJob("val", db, query),
+                    CountJob("comp", db, query),
+                    CountJob("val-weighted", db, query, weights=weights),
+                ]
+            return jobs
 
-        def counted(db):
-            calls.append(id(db))
-            return canonical_db(db)
-
-        monkeypatch.setattr(fingerprint, "_canonical_db", counted)
-        jobs = []
-        for size in (5, 6):
-            db, query = scaling_hard_val_instance(size)
-            null = db.nulls[0]
-            weights = {null: {value: 2 for value in db.domain_of(null)}}
-            jobs += [
-                CountJob("val", db, query),
-                CountJob("comp", db, query),
-                CountJob("val-weighted", db, query, weights=weights),
-            ]
-        results = BatchEngine(workers=0).run(jobs)
+        fingerprint._canonical_text.cache_clear()
+        engine = BatchEngine(workers=0)
+        results = engine.run(batch())
         assert all(result.ok for result in results)
-        assert sorted(calls) == sorted({id(job.db) for job in jobs})
+        assert fingerprint._canonical_text.cache_info().misses == 2
+        again = engine.run(batch())
+        assert all(result.cache_hit for result in again)
+        assert fingerprint._canonical_text.cache_info().misses == 2

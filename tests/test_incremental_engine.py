@@ -4,9 +4,9 @@ delta method, and the CLI/JSONL update surfaces.
 The contract under test: an ``update`` job answers bit-identically to
 compiling the updated instance from scratch.  The cache conditions a
 cached ancestor circuit along a resolve/restrict suffix, any other
-update compiles the updated instance like an uncached one, and
-``--cache-mb`` eviction never leaves a derived child outliving its
-parent.
+update compiles the updated instance like an uncached one, and a
+derived child is an ordinary store entry that ``--cache-mb`` eviction
+drops on its own.
 """
 
 import json
@@ -39,6 +39,7 @@ from repro.engine import (
     run_batch,
 )
 from repro.engine.incremental import conditioning_ancestors
+from repro.engine.pool import _circuit_keys
 from repro.exact import planner
 from repro.exact.dispatch import solve
 
@@ -89,7 +90,7 @@ def test_ancestor_lookup_finds_nearest():
     assert cache.parent_chain_hits == 2
 
 
-def test_derive_installs_with_parent_link():
+def test_derive_installs_the_child():
     db = base_db()
     child = db.apply(ResolveNull(N1, "b"))
     cache = CountCache()
@@ -99,12 +100,9 @@ def test_derive_installs_with_parent_link():
     derived = derive_instance_circuit(child, QUERY, "val", cache)
     assert derived is not None
     assert derived.count() == ValuationCircuit(child, QUERY).count()
-    assert cache.has_circuit(fp_child)
+    assert cache.get_circuit(fp_child) is derived
     assert cache.parent_chain_hits == 1
-    # evicting the parent takes the derived child with it
-    cache._drop_circuit_tree(fp_db)
-    assert not cache.has_circuit(fp_child)
-    assert cache.circuit_evictions == 2
+    assert cache.stats()["circuits"] == 2
 
 
 def test_derive_without_provenance_or_ancestor_returns_none():
@@ -146,8 +144,8 @@ def chain_nodes(deltas):
 @pytest.mark.parametrize("name", list(CHAINS))
 def test_one_rule_for_which_ancestors_condition(name):
     """``conditioning_ancestors`` stops before the first suffix that
-    starts with an insert or delete; the engine's scheduling and the
-    planner's ``delta`` row read the same rule."""
+    starts with an insert or delete; the engine's circuit-store keys and
+    the planner's ``delta`` row read the same rule."""
     deltas, reach = CHAINS[name]
     nodes = chain_nodes(deltas)
     db = nodes[-1]
@@ -162,17 +160,19 @@ def test_one_rule_for_which_ancestors_condition(name):
         if c.method == "delta"
     )
     assert entry.applicable == (0 < reach == len(deltas))
-    # the engine derives in the parent only from a conditioning ancestor
-    job = CountJob(problem="val", db=db, query=QUERY)
-    claimed = {fingerprint_instance(node, QUERY, "val") for node in nodes[:-1]}
-    with BatchEngine(workers=0) as engine:
-        assert engine._derivable(job, claimed) == (reach > 0)
-        assert not engine._derivable(job, set())
-        engine.cache.put_circuit(
-            fingerprint_instance(nodes[0], QUERY, "val"),
-            ValuationCircuit(nodes[0], QUERY),
-        )
-        assert engine._derivable(job, set()) == (0 < reach == len(deltas))
+    # the engine keys a job by its own instance, then by the ancestors it
+    # conditions from, nearest first: a cached root serves it exactly
+    # where conditioning reaches the root
+    keys = _circuit_keys(CountJob(problem="val", db=db, query=QUERY))
+    assert keys == [
+        fingerprint_instance(node, QUERY, "val")
+        for node in reversed(nodes[len(nodes) - 1 - reach:])
+    ]
+    root = fingerprint_instance(nodes[0], QUERY, "val")
+    assert (root in keys[1:]) == (0 < reach == len(deltas))
+    assert _circuit_keys(CountJob(problem="comp", db=db, query=QUERY)) == [
+        fingerprint_instance(db, QUERY, "comp")
+    ]
 
 
 @pytest.mark.parametrize(
@@ -182,8 +182,8 @@ def test_one_rule_for_which_ancestors_condition(name):
 )
 def test_children_that_do_not_condition_compile_fresh(kind, delta):
     """A child whose circuit does not condition from its cached parent
-    compiles like an uncached instance: no parent-chain hit and no parent
-    link, so it outlives the parent's eviction."""
+    compiles like an uncached instance: no parent-chain hit, and the
+    compiled child is installed beside the parent."""
     db = base_db()
     child = db.apply(delta)
     cache = CountCache()
@@ -193,8 +193,8 @@ def test_children_that_do_not_condition_compile_fresh(kind, delta):
     circuit = instance_circuit(kind, child, QUERY, cache)
     assert circuit.count() == ARTIFACTS[kind](child, QUERY).count()
     assert cache.parent_chain_hits == 0
-    cache._drop_circuit_tree(fp_db)
-    assert cache.has_circuit(fingerprint_instance(child, QUERY, kind))
+    assert cache.has_circuit(fp_db)
+    assert cache.get_circuit(fingerprint_instance(child, QUERY, kind)) is circuit
 
 
 def test_conditioning_never_crosses_an_insert():
@@ -240,27 +240,34 @@ def test_cache_stats_report_the_memo_and_the_circuit_store():
 # -- eviction coherence -----------------------------------------------------
 
 
-def test_bounded_cache_drops_children_with_parents():
+def test_bounded_cache_keeps_children_past_their_parents():
+    """A conditioned child shares nothing with its parent, so evicting
+    the parent leaves the child in the store, still answering."""
     db = base_db()
     parent_circuit = ValuationCircuit(db, QUERY)
-    size = parent_circuit.memory_bytes()
-    cache = CountCache(max_circuit_bytes=size * 3)
-    fp_parent = fingerprint_instance(db, QUERY, "val")
-    cache.put_circuit(fp_parent, parent_circuit)
     child = db.apply(ResolveNull(N1, "b"))
-    fp_child = fingerprint_instance(child, QUERY, "val")
-    derive_instance_circuit(child, QUERY, "val", cache, fingerprint=fp_child)
-    assert cache.has_circuit(fp_parent) and cache.has_circuit(fp_child)
-    # an unrelated circuit large enough to force eviction of the oldest
-    # tree (the parent) must drop the derived child too
+    child_size = parent_circuit.condition(ResolveNull(N1, "b")).memory_bytes()
     other = IncompleteDatabase(
-        [Fact("R", (N1, N2)), Fact("S", ("c", "c"))],
+        [Fact("R", ("a", N1)), Fact("S", ("c", "c"))],
         uniform_domain=["a", "b", "c"],
     )
-    fp_other = fingerprint_instance(other, QUERY, "val")
-    cache.put_circuit(fp_other, ValuationCircuit(other, QUERY))
-    if not cache.has_circuit(fp_parent):
-        assert not cache.has_circuit(fp_child)
+    other_circuit = ValuationCircuit(other, QUERY)
+    assert other_circuit.memory_bytes() <= parent_circuit.memory_bytes()
+    cache = CountCache(
+        max_circuit_bytes=parent_circuit.memory_bytes() + child_size
+    )
+    fp_parent = fingerprint_instance(db, QUERY, "val")
+    fp_child = fingerprint_instance(child, QUERY, "val")
+    cache.put_circuit(fp_parent, parent_circuit)
+    derive_instance_circuit(child, QUERY, "val", cache, fingerprint=fp_child)
+    assert cache.has_circuit(fp_parent) and cache.has_circuit(fp_child)
+    # the parent is the least recently used circuit, so an unrelated
+    # one evicts it and only it
+    cache.put_circuit(fingerprint_instance(other, QUERY, "val"), other_circuit)
+    assert not cache.has_circuit(fp_parent)
+    assert cache.circuit_evictions == 1
+    kept = cache.get_circuit(fp_child)
+    assert kept.count() == ValuationCircuit(child, QUERY).count()
 
 
 # -- update jobs ------------------------------------------------------------
@@ -381,7 +388,7 @@ def test_engine_derives_only_by_conditioning():
         assert result.ok, result.error
         assert result.count == ValuationCircuit(instance_db(job), QUERY).count()
     for result in results[:2]:
-        assert result.meta.get("compiled_in_worker"), result.meta
+        assert "queue_seconds" in result.meta["metrics"], result.meta
         assert result.method == "circuit"
     assert results[2].method == "delta"
     assert engine.cache.parent_chain_hits == hits + 1

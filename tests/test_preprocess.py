@@ -1,14 +1,16 @@
 """Preprocessing soundness: probing, substitution and pure literals never
 change a count.
 
-The load-bearing suite is randomized and differential: hundreds of CNFs
-counted by the trail core with every preprocessing stage forced on must
-agree bit for bit with the retained tuple-based reference counter (which
-preprocesses nothing), in full and projected mode alike.  The directed
-tests then pin each stage individually — backbones found by failed
-probes, equivalences substituted away, pure non-projection literals
-fixed — and the policy boundaries (no substitution under a full-count
-trace, no pure elimination outside projected mode).
+Every stage but root unit propagation runs in projected mode only.  The
+load-bearing suite is randomized and differential: hundreds of CNFs
+counted by the trail core, full and projected, must agree bit for bit
+with the retained tuple-based reference counter (which preprocesses
+nothing), and so must the circuits it records.  The directed tests then
+pin each stage individually — backbones found by failed probes,
+equivalences substituted away, pure non-projection literals fixed — and
+the policy boundaries (no probing or substitution in full-count mode,
+projection variables never substituted, no pure elimination outside
+projected mode).
 """
 
 import random
@@ -33,15 +35,20 @@ def random_cnf(rng, max_variables=8, max_clauses=14):
 
 
 class TestRandomizedSoundness:
-    def test_full_counts_unchanged_probing_forced(self):
+    def test_full_counts_unchanged(self):
+        # Full-count mode runs root unit propagation only; the count and
+        # the circuit the search records must still match the reference.
         rng = random.Random(20250730)
         for _ in range(120):
             cnf = random_cnf(rng)
             reference = count_models(cnf, reference=True)
-            assert count_models(cnf, probe=True) == reference
-            assert count_models(cnf, preprocess=False) == reference
+            trace = TraceBuilder()
+            counter = ModelCounter(cnf, trace=trace)
+            assert counter.count() == reference
+            circuit = trace.build(counter.trace_root, cnf.num_variables)
+            assert circuit.count() == reference
 
-    def test_projected_counts_unchanged_probing_forced(self):
+    def test_projected_counts_unchanged(self):
         rng = random.Random(73)
         for _ in range(120):
             cnf = random_cnf(rng)
@@ -50,16 +57,9 @@ class TestRandomizedSoundness:
                 rng.randint(0, cnf.num_variables),
             )
             reference = count_models(cnf, projection=projection, reference=True)
-            assert (
-                count_models(cnf, projection=projection, probe=True)
-                == reference
-            )
-            assert (
-                count_models(cnf, projection=projection, preprocess=False)
-                == reference
-            )
+            assert count_models(cnf, projection=projection) == reference
 
-    def test_traced_projected_counts_unchanged_probing_forced(self):
+    def test_traced_projected_counts_unchanged(self):
         rng = random.Random(97)
         for _ in range(60):
             cnf = random_cnf(rng, max_variables=6)
@@ -69,9 +69,7 @@ class TestRandomizedSoundness:
             )
             reference = count_models(cnf, projection=projection, reference=True)
             trace = TraceBuilder()
-            counter = ModelCounter(
-                cnf, projection=projection, trace=trace, probe=True
-            )
+            counter = ModelCounter(cnf, projection=projection, trace=trace)
             assert counter.count() == reference
             circuit = trace.build(
                 counter.trace_root, cnf.num_variables, countable=projection
@@ -84,48 +82,47 @@ class TestStages:
         # x1 -> x2 and x1 -> -x2: probing x1=True conflicts, so -x1 is
         # a backbone and lands on the root trail.
         store = ClauseStore(3, [(-1, 2), (-1, -2), (1, 3)])
-        report = preprocess_store(store, probe=True)
+        report = preprocess_store(store, projection=frozenset({1, 2, 3}))
         assert not report.conflict
         assert -1 in report.forced
         assert store.value[1] == -1
         assert report.failed_literals >= 1
+        # Without a projection (full-count mode) no probe runs.
+        store_full = ClauseStore(3, [(-1, 2), (-1, -2), (1, 3)])
+        report_full = preprocess_store(store_full)
+        assert report_full.probes == 0 and report_full.forced == ()
+        assert store_full.value[1] == 0
 
     def test_both_polarities_failing_is_a_conflict(self):
         store = ClauseStore(2, [(1, 2), (1, -2), (-1, 2), (-1, -2)])
-        report = preprocess_store(store, probe=True)
+        report = preprocess_store(store, projection=frozenset({1, 2}))
         assert report.conflict
 
-    def test_equivalence_substitution_in_full_untraced_mode(self):
-        # x1 <-> x2 through binary clauses; probing discovers it and one
-        # variable is substituted away.
-        cnf = CNF(3, [(-1, 2), (1, -2), (2, 3)])
+    def test_projected_substitution_spares_projection_variables(self):
+        # x1 <-> x2 <-> x3 with x1, x2 countable: neither may be
+        # substituted; the equivalent non-projection x3 is.
+        cnf = CNF(3, [(-1, 2), (1, -2), (-1, 3), (1, -3)])
         store = ClauseStore(3, cnf.clauses)
-        report = preprocess_store(store, probe=True)
-        assert not report.conflict
+        report = preprocess_store(store, projection=frozenset({1, 2}))
         assert report.equivalences >= 1
-        assert len(report.substitutions) == 1
+        assert report.substitutions == {3: 1}
         assert report.rewritten is not None
         # The count is preserved through the counter's end-to-end path.
-        assert count_models(cnf, probe=True) == count_models(
-            cnf, reference=True
+        assert count_models(cnf, projection=[1, 2]) == count_models(
+            cnf, projection=[1, 2], reference=True
         )
 
-    def test_no_substitution_under_full_count_trace(self):
+    def test_no_substitution_in_full_count_mode(self):
+        # x1 <-> x2 through binary clauses: without a projection the pass
+        # neither probes out the equivalence nor substitutes, so every
+        # variable stays in the clauses a recorded circuit is built from.
         store = ClauseStore(3, [(-1, 2), (1, -2), (2, 3)])
-        report = preprocess_store(store, probe=True, traced=True)
+        report = preprocess_store(store)
+        assert not report.conflict
+        assert report.equivalences == 0
         assert report.substitutions == {}
         assert report.rewritten is None
-
-    def test_projected_substitution_spares_projection_variables(self):
-        # x1 <-> x2, both countable: neither may be substituted; an
-        # equivalent non-projection x3 <-> x1 may.
-        store = ClauseStore(
-            3, [(-1, 2), (1, -2), (-1, 3), (1, -3)]
-        )
-        report = preprocess_store(
-            store, projection=frozenset({1, 2}), probe=True, traced=True
-        )
-        assert set(report.substitutions) <= {3}
+        assert report.determined_mask == 0
 
     def test_pure_literal_projected_only(self):
         # x3 occurs only positively and is outside the projection: fixed.
@@ -136,7 +133,7 @@ class TestStages:
         # In full mode the same formula keeps x3 untouched (fixing it
         # would drop the models with x3 false).
         store_full = ClauseStore(3, cnf.clauses)
-        report_full = preprocess_store(store_full, probe=True)
+        report_full = preprocess_store(store_full)
         assert report_full.pure_fixed == ()
         # And the projected count survives the fix, end to end.
         assert count_models(cnf, projection=[1, 2]) == count_models(
@@ -149,7 +146,9 @@ class TestStages:
         assert report.conflict
 
     def test_determined_mask_names_substituted_variables(self):
+        # x1 <-> x2 with x2 outside the projection: x2 is substituted.
         store = ClauseStore(3, [(-1, 2), (1, -2), (2, 3)])
-        report = preprocess_store(store, probe=True)
+        report = preprocess_store(store, projection=frozenset({1, 3}))
         (substituted,) = report.substitutions
+        assert substituted == 2
         assert report.determined_mask == 1 << substituted
