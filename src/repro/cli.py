@@ -28,7 +28,7 @@ import sys
 import time
 
 from repro import __version__
-from repro.core.classify import classify
+from repro.core.classify import classify, outside_table1
 from repro.core.query import BCQ, UCQ
 from repro.db.valuation import count_total_valuations
 from repro.engine.jsonl import JobSyntaxError
@@ -50,7 +50,8 @@ _INPUT_ERRORS = (
 )
 
 #: A well-formed question the requested method cannot answer: ``poly`` on
-#: a hard cell, or brute force past its budget.  One stderr line, exit 1.
+#: an instance no closed form covers, or brute force past its budget.
+#: One stderr line, exit 1.
 _UNANSWERED = (planner.NoPolynomialAlgorithm, BruteForceBudgetExceeded)
 
 
@@ -78,9 +79,11 @@ def _print_trace(captured) -> None:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     query = parse_query(args.query)
-    if not isinstance(query, BCQ):
-        print("classification applies to (self-join-free) BCQs", file=sys.stderr)
+    outside = outside_table1(query)
+    if outside is not None:
+        print("repro-count classify: %s" % outside, file=sys.stderr)
         return 2
+    assert isinstance(query, BCQ)  # outside_table1 admits only BCQs
     print(classify(query).to_table())
     return 0
 
@@ -220,7 +223,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         print(json.dumps(built.to_dict()))
     else:
         print(built.explain())
-    # A plan that could not choose (poly on a hard cell, no applicable
+    # A plan that could not choose (poly with no closed form, no applicable
     # method) still prints its full analysis but signals failure.
     return 0 if built.chosen is not None else 1
 
@@ -490,17 +493,20 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     print(
-        "cache: %d memo hits, %d circuit hits, %d parent-chain derivations"
+        "cache: %d memo hits / %d misses, %d circuit hits / %d misses, "
+        "%d circuits evicted, %d parent-chain derivations"
         % (
             stats["hits"],
+            stats["misses"],
             stats["circuit_hits"],
+            stats["circuit_misses"],
+            stats["circuit_evictions"],
             stats["parent_chain_hits"],
         ),
         file=sys.stderr,
     )
     print(
-        format_latency_summary(summarize_latencies(results), stats),
-        file=sys.stderr,
+        format_latency_summary(summarize_latencies(results)), file=sys.stderr
     )
     if sink is not None:
         print(

@@ -3,12 +3,16 @@
 * :mod:`repro.core.query` — atoms, Boolean conjunctive queries (BCQs),
   self-join-free BCQs, unions of BCQs, negations, and arbitrary Boolean
   queries with user-supplied model checkers (for Section 6).
-* :mod:`repro.core.patterns` — the *pattern* preorder of Definition 3.1 and
+* :mod:`repro.core.patterns` — the *pattern* preorder of Definition 3.1
+  (the general search, used by the Lemma 3.3/4.1 reductions) and
   closed-form detectors for the six patterns of Table 1.
 * :mod:`repro.core.problems` — the eight problem variants
   (``#Val``/``#Comp`` x naive/Codd x uniform/non-uniform).
-* :mod:`repro.core.classify` — the dichotomy classifier reproducing Table 1
-  plus the approximability (Section 5) and beyond-#P (Section 6) results.
+* :mod:`repro.core.classify` — Table 1 kept once, one rule row per
+  variant, with the approximability (Section 5) and beyond-#P (Section 6)
+  results.  ``classify(q)`` reports every cell; ``tractable(q, variant)``
+  decides one cell from that row's detectors, which is how the closed
+  forms of :mod:`repro.exact` (and so the planner) know where they apply.
 """
 
 from repro.core.query import (

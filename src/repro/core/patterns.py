@@ -20,14 +20,17 @@ and ``g`` (variables) such that for every atom ``A'`` of ``q'`` and variable
 occurrence count of ``g(v)`` in ``f(A')``.  This is what
 :func:`is_pattern_of` decides (exactly; both queries are fixed and small).
 
-The six concrete patterns of Table 1 also get direct detectors, which the
-test suite cross-validates against the general procedure.
+The six concrete patterns of Table 1 also get direct detectors, which
+:func:`find_table1_patterns` and the Table 1 rules of
+:mod:`repro.core.classify` read; the test suite cross-validates them
+against the general procedure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from typing import Callable
 
 from repro.core.query import Atom, BCQ, Var
 
@@ -57,15 +60,6 @@ PATTERN_PATH = BCQ(
 PATTERN_DOUBLE_EDGE = BCQ(
     [Atom("R", ["x", "y"]), Atom("S", ["x", "y"])]
 )
-
-_TABLE1_PATTERNS: dict[str, BCQ] = {
-    "R(x)": PATTERN_UNARY,
-    "R(x,x)": PATTERN_REPEAT,
-    "R(x,y)": PATTERN_BINARY,
-    "R(x)∧S(x)": PATTERN_SHARED,
-    "R(x)∧S(x,y)∧T(y)": PATTERN_PATH,
-    "R(x,y)∧S(x,y)": PATTERN_DOUBLE_EDGE,
-}
 
 
 def _check_sjf_variable_only(query: BCQ, role: str) -> None:
@@ -200,6 +194,12 @@ def find_pattern_embedding(
 # -- Closed-form detectors for the six Table-1 patterns ---------------------
 
 
+def has_atom(query: BCQ) -> bool:
+    """``R(x)`` is a pattern of every sjfBCQ: it has an atom, and atoms
+    have arity at least 1."""
+    return bool(query.atoms)
+
+
 def has_repeated_variable_atom(query: BCQ) -> bool:
     """``R(x,x)`` is a pattern of ``q`` iff some atom repeats a variable."""
     return any(atom.has_repeated_variable() for atom in query.atoms)
@@ -260,13 +260,26 @@ def has_double_edge_pattern(query: BCQ) -> bool:
     return False
 
 
-def find_table1_patterns(query: BCQ) -> dict[str, bool]:
-    """Which of the six Table-1 patterns ``q`` contains, by display name.
+#: The six Table-1 patterns by display name: the detector deciding each,
+#: and what its presence means in plain words.
+TABLE1_DETECTORS: dict[str, tuple[Callable[[BCQ], bool], str]] = {
+    "R(x)": (has_atom, "the query has an atom"),
+    "R(x,x)": (has_repeated_variable_atom, "an atom repeats a variable"),
+    "R(x,y)": (has_atom_with_two_variables, "an atom has two variables"),
+    "R(x)∧S(x)": (has_shared_variable, "two atoms share a variable"),
+    "R(x)∧S(x,y)∧T(y)": (
+        has_path_pattern,
+        "an atom shares one variable with a second atom and another "
+        "with a third",
+    ),
+    "R(x,y)∧S(x,y)": (has_double_edge_pattern, "two atoms share two variables"),
+}
 
-    Decided with the general Definition-3.1 procedure; the detectors above
-    are the fast paths and are cross-checked in the tests.
-    """
+
+def find_table1_patterns(query: BCQ) -> dict[str, bool]:
+    """Which of the six Table-1 patterns ``q`` contains, by display name,
+    as the detectors decide it (the tests check each against
+    :func:`is_pattern_of`)."""
     return {
-        name: is_pattern_of(pattern, query)
-        for name, pattern in _TABLE1_PATTERNS.items()
+        name: detect(query) for name, (detect, _words) in TABLE1_DETECTORS.items()
     }

@@ -30,7 +30,6 @@ from repro.engine.jobs import (
     JobResult,
     execute_job,
     instance_db,
-    instance_fingerprint_of,
 )
 from repro.engine.pool import BatchEngine, run_batch
 
@@ -50,6 +49,5 @@ __all__ = [
     "fingerprint_query",
     "instance_circuit",
     "instance_db",
-    "instance_fingerprint_of",
     "run_batch",
 ]

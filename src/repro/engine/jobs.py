@@ -240,20 +240,6 @@ def instance_db(job: CountJob) -> IncompleteDatabase:
     return db
 
 
-def instance_fingerprint_of(job: CountJob) -> str | None:
-    """The circuit-store key for ``job``'s instance, or ``None``."""
-    from repro.engine.fingerprint import fingerprint_instance
-
-    kind = "comp" if job.problem == "comp" else "val"
-    try:
-        db = instance_db(job)
-    except (ValueError, KeyError, TypeError):
-        # An invalid delta chain: the solve will report the real error;
-        # scheduling just treats the job as uncacheable.
-        return None
-    return fingerprint_instance(db, job.query, kind)
-
-
 def marginals_record(marginals: dict) -> dict[str, dict[str, float]]:
     """Marginal tables keyed by reprs, JSON- and comparison-friendly."""
     return {

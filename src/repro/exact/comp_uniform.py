@@ -39,11 +39,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from repro.core.patterns import (
-    has_atom_with_two_variables,
-    has_repeated_variable_atom,
-)
-from repro.core.query import BCQ
+from repro.core.classify import tractable
+from repro.core.problems import COMP_UNIFORM
+from repro.core.query import BCQ, BooleanQuery
 from repro.db.incomplete import IncompleteDatabase
 from repro.db.terms import Term, is_null
 from repro.util.combinatorics import binomial
@@ -52,14 +50,20 @@ from repro.util.combinatorics import binomial
 _Cover = tuple[frozenset[str], ...]
 
 
-def applies_to(query: BCQ) -> bool:
-    """True when the Theorem 4.6 tractable case covers ``query``."""
-    return (
-        query.is_self_join_free
-        and query.is_variable_only
-        and not has_repeated_variable_atom(query)
-        and not has_atom_with_two_variables(query)
-    )
+def applies(
+    db: IncompleteDatabase, query: BooleanQuery | None
+) -> tuple[bool, str]:
+    """Whether Theorem 4.6 counts ``#Comp(q)(D)``, and why: ``q`` in the FP
+    cell of ``#Compu`` (or no query: all completions), and ``D`` uniform
+    with a unary schema."""
+    ok, reason = True, "uniform unary instance: Theorem 4.6 closed form"
+    if query is not None:
+        ok, reason = tractable(query, COMP_UNIFORM)
+    if ok and not db.is_uniform:
+        return False, "database is not uniform (per-null domains differ)"
+    if ok and any(fact.arity != 1 for fact in db.facts):
+        return False, "schema is not unary (some fact has arity > 1)"
+    return ok, reason
 
 
 def _query_components(query: BCQ) -> list[frozenset[str]]:
@@ -72,17 +76,9 @@ def _query_components(query: BCQ) -> list[frozenset[str]]:
 
 
 class _Instance:
-    """Preprocessed unary uniform instance."""
+    """Preprocessed unary uniform instance (one :func:`applies` admits)."""
 
     def __init__(self, db: IncompleteDatabase, relations: Sequence[str]):
-        if not db.is_uniform:
-            raise ValueError("the Theorem 4.6 algorithm needs a uniform domain")
-        for fact in db.facts:
-            if fact.arity != 1:
-                raise ValueError(
-                    "the Theorem 4.6 algorithm needs a unary schema; got %r"
-                    % (fact,)
-                )
         self.relations = sorted(set(relations) | db.relations)
         self.domain = db.uniform_domain
         self.d = len(self.domain)
@@ -307,21 +303,21 @@ def _shape_feasible(
 def count_completions_uniform_unary(
     db: IncompleteDatabase, query: BCQ | None = None
 ) -> int:
-    """``#Compu(q)(D)`` for unary schemas (Theorem 4.6); ``query=None``
-    counts *all* completions of ``D``.
+    """``#Compu(q)(D)`` for unary schemas (Theorem 4.6), where
+    :func:`applies`; ``query=None`` counts *all* completions of ``D``.
 
     Polynomial in ``|dom|`` and the table for a fixed schema.
     """
-    if query is not None and not applies_to(query):
-        raise ValueError(
-            "Theorem 4.6 requires an sjfBCQ whose relations are all unary; "
-            "got %r" % (query,)
-        )
     relations = sorted(query.relations) if query is not None else []
-    # A query relation with no facts stays empty in every completion
-    # (closed-world: valuations never invent facts), so q is never satisfied.
-    if any(not db.relation(r) for r in relations):
-        return 0
+    if query is not None and tractable(query, COMP_UNIFORM)[0]:
+        # A query relation with no facts stays empty in every completion
+        # (closed-world: valuations never invent facts), so q is never
+        # satisfied, whatever the table's shape.
+        if any(not db.relation(r) for r in relations):
+            return 0
+    ok, reason = applies(db, query)
+    if not ok:
+        raise ValueError("Theorem 4.6 does not apply: %s" % reason)
     instance = _Instance(db, relations)
     components = _query_components(query) if query is not None else []
     upgrade_sources = [
@@ -377,13 +373,13 @@ def count_completions_single_unary(db: IncompleteDatabase) -> int:
     with ``i >= 1`` forced when ``c = 0 < n`` — i.e.
     ``sum_i C(d - c, i)`` over the valid range.
     """
-    if not db.is_uniform:
-        raise ValueError("single-unary closed form needs a uniform domain")
-    relations = db.relations
-    if len(relations) > 1:
+    ok, reason = applies(db, None)
+    if not ok:
+        raise ValueError(
+            "the single-unary closed form does not apply: %s" % reason
+        )
+    if len(db.relations) > 1:
         raise ValueError("closed form applies to a single unary relation")
-    if any(fact.arity != 1 for fact in db.facts):
-        raise ValueError("closed form applies to a unary relation")
     domain = db.uniform_domain
     d = len(domain)
     constants = {f.terms[0] for f in db.facts if not is_null(f.terms[0])}

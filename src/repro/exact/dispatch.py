@@ -166,7 +166,8 @@ def count_valuations(
     """``#Val(q)(D)`` with planner-backed algorithm selection.
 
     ``method='poly'`` refuses to fall back to an exponential-worst-case
-    algorithm (raises :class:`NoPolynomialAlgorithm` on hard cells);
+    algorithm (raises :class:`NoPolynomialAlgorithm` where no closed form
+    applies);
     explicit method names force one algorithm.  ``budget`` only limits
     ``brute``.
     """

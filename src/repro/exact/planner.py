@@ -9,8 +9,9 @@ a :class:`Method` with
   ``marginals``, ``sweep``); ``val-weighted`` is the one-row ``sweep``,
   planned on the ``sweep`` rows and answered as ``sweep([weights])[0]``,
 * an **applicability predicate** ``applies(kind, D, q)`` returning a
-  human-readable reason either way (the dichotomy conditions, database
-  shape, query class),
+  human-readable reason either way; a closed-form row registers its
+  module's own ``applies(D, q)``, its Table 1 cell (decided by
+  :func:`repro.core.classify.tractable`) plus the table shape it needs,
 * a **polynomial** flag; the weights and marginals flags are read off
   the kinds served (``sweep`` and ``marginals``),
 * an optional **preference gate** ``prefer(kind, D, q) -> (take it?,
@@ -27,10 +28,10 @@ rows are that order filtered by kind.
 method, and the rows passed over on the way.  ``method='auto'`` takes the
 first applicable row whose gate passes (or that has none), so a
 closed-form cell never pays for the width probe; ``method='poly'`` takes
-the first applicable polynomial row (and the plan carries the hardness
-verdict when none applies); a concrete method name is honored verbatim,
-following the registered fallbacks (``delta`` -> ``circuit`` -> ``brute``
-on a non-(U)CQ) until a method applies.
+the first applicable polynomial row (when none applies, the plan's error
+gathers the closed forms' own refusals); a concrete method name is
+honored verbatim, following the registered fallbacks (``delta`` ->
+``circuit`` -> ``brute`` on a non-(U)CQ) until a method applies.
 
 :func:`run` executes one chosen method.  Circuit-backed methods take an
 optional circuit ``store`` (the engine's
@@ -58,14 +59,7 @@ from repro.compile.dpdb import (
     count_valuations_dpdb,
     dpdb_probe,
 )
-from repro.core.patterns import (
-    has_atom_with_two_variables,
-    has_double_edge_pattern,
-    has_path_pattern,
-    has_repeated_variable_atom,
-    has_shared_variable,
-)
-from repro.core.query import BCQ, BooleanQuery
+from repro.core.query import BooleanQuery
 from repro.db.deltas import delta_chain, resolution_only
 from repro.db.incomplete import IncompleteDatabase
 from repro.exact import brute
@@ -77,8 +71,9 @@ from repro.obs import event as _obs_event, incr as _incr, span as _span
 
 
 class NoPolynomialAlgorithm(ValueError):
-    """Raised by ``method='poly'`` when no tractable algorithm applies —
-    i.e. the instance sits in a #P-hard cell of Table 1."""
+    """Raised by ``method='poly'`` when no closed form applies; the message
+    gives each one's reason (a hard or open cell of Table 1, a table shape
+    it lacks, or a query outside Table 1)."""
 
 
 class UnknownMethod(ValueError):
@@ -305,7 +300,7 @@ def plan(
 
     Raises :class:`ValueError` for an unknown problem and
     :class:`UnknownMethod` for a method name outside the problem's
-    vocabulary; every *semantic* failure (``poly`` on a hard cell, no
+    vocabulary; every *semantic* failure (``poly`` with no closed form, no
     applicable method) is reported in :attr:`Plan.error` so the CLI can
     still print the full analysis.
 
@@ -350,10 +345,7 @@ def plan(
         entry = _REGISTRY[chosen]
         if applicability[chosen][0] and entry.prefer is not None:
             details[chosen] = entry.prefer(kind, db, query)[1]
-    error = None
-    if chosen is None:
-        error = _no_method_error(problem, query, method)
-    else:
+    if chosen is not None:
         verdicts[chosen] = "chosen"
     considered = tuple(
         Considered(
@@ -368,6 +360,9 @@ def plan(
         )
         for entry in entries
     )
+    error = None
+    if chosen is None:
+        error = _no_method_error(problem, method, considered)
     _obs_event(
         "planner.decision",
         problem=problem,
@@ -423,17 +418,21 @@ def _follow_fallbacks(
 
 
 def _no_method_error(
-    problem: str, query: BooleanQuery | None, method: str
+    problem: str, method: str, considered: tuple[Considered, ...]
 ) -> str:
     if method == "poly":
-        if problem == "comp":
-            return (
-                "no polynomial-time algorithm for counting completions on "
-                "this instance; the dichotomies place it in a #P-hard cell"
-            )
-        return (
-            "no polynomial-time algorithm for %r on this instance; "
-            "the dichotomies place it in a #P-hard cell" % (query,)
+        # Every polynomial row is a closed form; their own refusals say
+        # why (a hard or open cell, a table shape, a query outside Table 1).
+        refusals: dict[str, list[str]] = {}
+        for item in considered:
+            if item.polynomial:
+                refusals.setdefault(item.reason, []).append(item.method)
+        return "no polynomial-time algorithm for %r on this instance: %s" % (
+            problem,
+            "; ".join(
+                "%s: %s" % (", ".join(names), reason)
+                for reason, names in refusals.items()
+            ),
         )
     return "no registered method can solve problem %r on this instance" % problem
 
@@ -472,85 +471,12 @@ def run(
 # ---------------------------------------------------------------------------
 
 
-def _sjf_bcq_gate(query: BooleanQuery | None) -> str | None:
-    """The shared precondition of every Table 1 closed form, or ``None``."""
-    if query is None:
-        return "closed forms need a query"
-    if not isinstance(query, BCQ):
-        return "query is not a BCQ (the Table 1 dichotomies cover sjfBCQs)"
-    if not query.is_self_join_free:
-        return "query has self-joins (outside the sjfBCQ dichotomies)"
-    if not query.is_variable_only:
-        return "query atoms carry constants (outside the sjfBCQ dichotomies)"
-    return None
-
-
-def _applies_single_occurrence(
-    kind: str, db: IncompleteDatabase, query: BooleanQuery | None
-) -> tuple[bool, str]:
-    gate = _sjf_bcq_gate(query)
-    if gate is not None:
-        return False, gate
-    assert isinstance(query, BCQ)
-    if has_repeated_variable_atom(query):
-        return False, "an atom repeats a variable (R(x,x)-style pattern)"
-    if has_shared_variable(query):
-        return False, "two atoms share a variable (join pattern)"
-    return True, "pattern-free sjfBCQ: Theorem 3.6 closed form"
-
-
-def _applies_codd(
-    kind: str, db: IncompleteDatabase, query: BooleanQuery | None
-) -> tuple[bool, str]:
-    gate = _sjf_bcq_gate(query)
-    if gate is not None:
-        return False, gate
-    assert isinstance(query, BCQ)
-    if not db.is_codd:
-        return False, "database is not a Codd table (some null occurs twice)"
-    if has_shared_variable(query):
-        return False, "two atoms share a variable (join pattern)"
-    return True, "Codd table, join-free query: Theorem 3.7 per-null independence"
-
-
-def _applies_uniform_val(
-    kind: str, db: IncompleteDatabase, query: BooleanQuery | None
-) -> tuple[bool, str]:
-    gate = _sjf_bcq_gate(query)
-    if gate is not None:
-        return False, gate
-    assert isinstance(query, BCQ)
-    if not db.is_uniform:
-        return False, "database is not uniform (per-null domains differ)"
-    if has_repeated_variable_atom(query):
-        return False, "an atom repeats a variable (R(x,x)-style pattern)"
-    if has_path_pattern(query):
-        return False, "query contains the path pattern (hard under Theorem 3.9)"
-    if has_double_edge_pattern(query):
-        return (
-            False,
-            "query contains the double-edge pattern (hard under Theorem 3.9)",
-        )
-    return True, "uniform table, pattern-free query: Theorem 3.9 algorithm"
-
-
-def _applies_uniform_unary(
-    kind: str, db: IncompleteDatabase, query: BooleanQuery | None
-) -> tuple[bool, str]:
-    if query is not None:
-        gate = _sjf_bcq_gate(query)
-        if gate is not None:
-            return False, gate
-        assert isinstance(query, BCQ)
-        if has_repeated_variable_atom(query):
-            return False, "an atom repeats a variable (R(x,x)-style pattern)"
-        if has_atom_with_two_variables(query):
-            return False, "an atom uses two variables (non-unary join shape)"
-    if not db.is_uniform:
-        return False, "database is not uniform (per-null domains differ)"
-    if any(fact.arity != 1 for fact in db.facts):
-        return False, "schema is not unary (some fact has arity > 1)"
-    return True, "uniform unary instance: Theorem 4.6 closed form"
+def _any_kind(
+    applies: Callable[[IncompleteDatabase, BooleanQuery | None], tuple[bool, str]],
+) -> Applies:
+    """A closed form's own ``applies(D, q)`` — its Table 1 cell and the
+    table shape it needs — as its row's applicability for every kind."""
+    return lambda kind, db, query: applies(db, query)
 
 
 def _applies_lineage(
@@ -719,7 +645,7 @@ register(Method(
             _val_nonuniform.count_valuations_weighted_single_occurrence
         ),
     },
-    applies=_applies_single_occurrence,
+    applies=_any_kind(_val_nonuniform.applies),
 ))
 
 register(Method(
@@ -727,7 +653,7 @@ register(Method(
     description="Theorem 3.7 per-null independence (Codd tables)",
     polynomial=True,
     runs={"val": _run_ignoring(_val_codd.count_valuations_codd)},
-    applies=_applies_codd,
+    applies=_any_kind(_val_codd.applies),
 ))
 
 register(Method(
@@ -735,7 +661,7 @@ register(Method(
     description="Theorem 3.9 algorithm (uniform naive tables)",
     polynomial=True,
     runs={"val": _run_ignoring(_val_uniform.count_valuations_uniform)},
-    applies=_applies_uniform_val,
+    applies=_any_kind(_val_uniform.applies),
 ))
 
 register(Method(
@@ -745,7 +671,7 @@ register(Method(
     runs={
         "comp": _run_ignoring(_comp_uniform.count_completions_uniform_unary)
     },
-    applies=_applies_uniform_unary,
+    applies=_any_kind(_comp_uniform.applies),
 ))
 
 register(Method(

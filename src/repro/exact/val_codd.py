@@ -22,20 +22,23 @@ from __future__ import annotations
 
 from math import prod
 
-from repro.core.patterns import has_shared_variable
-from repro.core.query import Atom, BCQ
+from repro.core.classify import tractable
+from repro.core.problems import VAL_CODD
+from repro.core.query import Atom, BCQ, BooleanQuery
 from repro.db.fact import Fact
 from repro.db.incomplete import IncompleteDatabase
 from repro.db.terms import Term, is_null
 
 
-def applies_to(query: BCQ) -> bool:
-    """True when the Theorem 3.7 tractable case covers ``query``."""
-    return (
-        query.is_self_join_free
-        and query.is_variable_only
-        and not has_shared_variable(query)
-    )
+def applies(
+    db: IncompleteDatabase, query: BooleanQuery | None
+) -> tuple[bool, str]:
+    """Whether Theorem 3.7 counts ``#ValCd(q)(D)``, and why: ``q`` in the FP
+    cell of ``#ValCd`` and ``D`` a Codd table (domains may differ)."""
+    ok, reason = tractable(query, VAL_CODD)
+    if ok and not db.is_codd:
+        return False, "database is not a Codd table (some null occurs twice)"
+    return ok, reason
 
 
 def _domain_of_term(db: IncompleteDatabase, term: Term) -> frozenset[Term]:
@@ -96,14 +99,10 @@ def _count_atom(db: IncompleteDatabase, atom: Atom) -> int:
 
 def count_valuations_codd(db: IncompleteDatabase, query: BCQ) -> int:
     """``#ValCd(q)(D)`` for ``q`` without the ``R(x)∧S(x)`` pattern
-    (Theorem 3.7).  Requires a Codd table; domains may be non-uniform."""
-    if not applies_to(query):
-        raise ValueError(
-            "Theorem 3.7 requires an sjfBCQ without the pattern R(x)∧S(x); "
-            "got %r" % (query,)
-        )
-    if not db.is_codd:
-        raise ValueError("count_valuations_codd requires a Codd table")
+    (Theorem 3.7), where :func:`applies`."""
+    ok, reason = applies(db, query)
+    if not ok:
+        raise ValueError("Theorem 3.7 does not apply: %s" % reason)
 
     result = 1
     query_relations = query.relations

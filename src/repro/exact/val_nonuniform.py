@@ -9,8 +9,9 @@ total number of valuations — computable as the product of the domain sizes.
 
 from __future__ import annotations
 
-from repro.core.patterns import has_repeated_variable_atom, has_shared_variable
-from repro.core.query import BCQ
+from repro.core.classify import tractable
+from repro.core.problems import VAL
+from repro.core.query import BCQ, BooleanQuery
 from repro.db.incomplete import IncompleteDatabase
 from repro.db.valuation import (
     NullWeights,
@@ -19,14 +20,12 @@ from repro.db.valuation import (
 )
 
 
-def applies_to(query: BCQ) -> bool:
-    """True when the Theorem 3.6 tractable case covers ``query``."""
-    return (
-        query.is_self_join_free
-        and query.is_variable_only
-        and not has_repeated_variable_atom(query)
-        and not has_shared_variable(query)
-    )
+def applies(
+    db: IncompleteDatabase, query: BooleanQuery | None
+) -> tuple[bool, str]:
+    """Whether Theorem 3.6 counts ``#Val(q)(D)``, and why: ``q`` in the FP
+    cell of ``#Val``, on a table of any kind."""
+    return tractable(query, VAL)
 
 
 def count_valuations_single_occurrence(
@@ -37,11 +36,9 @@ def count_valuations_single_occurrence(
     Works on naive and Codd tables, uniform or not — the argument never uses
     those restrictions.
     """
-    if not applies_to(query):
-        raise ValueError(
-            "Theorem 3.6 requires an sjfBCQ without the patterns R(x,x) "
-            "and R(x)∧S(x); got %r" % (query,)
-        )
+    ok, reason = applies(db, query)
+    if not ok:
+        raise ValueError("Theorem 3.6 does not apply: %s" % reason)
     for relation in query.relations:
         if not db.relation(relation):
             return 0
@@ -63,11 +60,9 @@ def count_valuations_weighted_single_occurrence(
     polynomial, for *any* per-null weight tables — the generalized
     (Kenig–Suciu-style) counting problem stays tractable on this cell.
     """
-    if not applies_to(query):
-        raise ValueError(
-            "Theorem 3.6 requires an sjfBCQ without the patterns R(x,x) "
-            "and R(x)∧S(x); got %r" % (query,)
-        )
+    ok, reason = applies(db, query)
+    if not ok:
+        raise ValueError("Theorem 3.6 does not apply: %s" % reason)
     for relation in query.relations:
         if not db.relation(relation):
             return 0

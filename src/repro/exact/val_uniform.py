@@ -31,25 +31,22 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from repro.core.patterns import (
-    has_double_edge_pattern,
-    has_path_pattern,
-    has_repeated_variable_atom,
-)
-from repro.core.query import BCQ, Var
+from repro.core.classify import tractable
+from repro.core.problems import VAL_UNIFORM
+from repro.core.query import BCQ, BooleanQuery, Var
 from repro.db.incomplete import IncompleteDatabase
 from repro.db.terms import Null, Term, is_null
 
 
-def applies_to(query: BCQ) -> bool:
-    """True when the Theorem 3.9 tractable case covers ``query``."""
-    return (
-        query.is_self_join_free
-        and query.is_variable_only
-        and not has_repeated_variable_atom(query)
-        and not has_path_pattern(query)
-        and not has_double_edge_pattern(query)
-    )
+def applies(
+    db: IncompleteDatabase, query: BooleanQuery | None
+) -> tuple[bool, str]:
+    """Whether Theorem 3.9 counts ``#Valu(q)(D)``, and why: ``q`` in the FP
+    cell of ``#Valu`` and ``D`` uniform (naive tables welcome)."""
+    ok, reason = tractable(query, VAL_UNIFORM)
+    if ok and not db.is_uniform:
+        return False, "database is not uniform (per-null domains differ)"
+    return ok, reason
 
 
 def shared_variables(query: BCQ) -> list[Var]:
@@ -98,17 +95,11 @@ def _projection(
 
 
 def count_valuations_uniform(db: IncompleteDatabase, query: BCQ) -> int:
-    """``#Valu(q)(D)`` for pattern-free ``q`` (Theorem 3.9).
-
-    Requires a uniform incomplete database; naive tables welcome.
-    """
-    if not applies_to(query):
-        raise ValueError(
-            "Theorem 3.9 requires an sjfBCQ without the patterns R(x,x), "
-            "R(x)∧S(x,y)∧T(y) and R(x,y)∧S(x,y); got %r" % (query,)
-        )
-    if not db.is_uniform:
-        raise ValueError("count_valuations_uniform requires a uniform domain")
+    """``#Valu(q)(D)`` for pattern-free ``q`` (Theorem 3.9), where
+    :func:`applies`."""
+    ok, reason = applies(db, query)
+    if not ok:
+        raise ValueError("Theorem 3.9 does not apply: %s" % reason)
 
     for relation in query.relations:
         if not db.relation(relation):

@@ -43,7 +43,6 @@ from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
     path_graph,
-    random_bipartite_graph,
     random_graph,
     star_graph,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "complete_graph",
     "cycle_graph",
     "path_graph",
-    "random_bipartite_graph",
     "random_graph",
     "star_graph",
 ]

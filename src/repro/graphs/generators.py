@@ -65,22 +65,3 @@ def random_graph(n: int, edge_probability: float, seed: int) -> Graph:
             if rng.random() < edge_probability:
                 graph.add_edge(i, j)
     return graph
-
-
-def random_bipartite_graph(
-    m: int, n: int, edge_probability: float, seed: int
-) -> Graph:
-    """Random bipartite graph over parts ``('a', i)`` / ``('b', j)``."""
-    if not 0.0 <= edge_probability <= 1.0:
-        raise ValueError("edge probability must lie in [0, 1]")
-    rng = random.Random(seed)
-    graph = Graph()
-    left = [("a", i) for i in range(m)]
-    right = [("b", j) for j in range(n)]
-    for node in left + right:
-        graph.add_node(node)
-    for u in left:
-        for v in right:
-            if rng.random() < edge_probability:
-                graph.add_edge(u, v)
-    return graph

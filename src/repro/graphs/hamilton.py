@@ -11,7 +11,6 @@ a subset enumeration.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable
 
 from repro.graphs.graph import Graph, Node
 
@@ -84,8 +83,3 @@ def hamiltonian_subsets(graph: Graph, k: int) -> list[frozenset[Node]]:
         if is_hamiltonian(graph.induced_subgraph(subset)):
             found.append(frozenset(subset))
     return found
-
-
-def subsets_extendable_check(graph: Graph, subsets: Iterable[frozenset[Node]]) -> bool:
-    """Sanity helper: each listed subset really induces a Hamiltonian graph."""
-    return all(is_hamiltonian(graph.induced_subgraph(s)) for s in subsets)

@@ -52,12 +52,6 @@ def _parse_fact_term(token: str) -> Term:
     return _parse_value(token)
 
 
-def parse_term(text: str) -> Term:
-    """Parse one term: ``?name`` is a null, otherwise a constant
-    (``'quoted'`` string, bare integer, or bare string token)."""
-    return _parse_fact_term(text)
-
-
 def parse_fact(text: str) -> Fact:
     """Parse one ``R(t1, ..., tn)`` fact line (the file format's syntax)."""
     match = _FACT_RE.match(text)

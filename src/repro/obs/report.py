@@ -63,17 +63,12 @@ def _fmt_seconds(seconds: float) -> str:
     return "%.0fus" % (seconds * 1e6)
 
 
-def render_span_tree(
-    roots: "Span | Iterable[Span]",
-    min_fraction: float = 0.0,
-) -> str:
+def render_span_tree(roots: "Span | Iterable[Span]") -> str:
     """Render span trees as an indented phase tree with timings.
 
     Each line shows the span name, its wall seconds, and its share of the
     root's wall time; ``fields`` the instrumentation attached (decision
-    counts, node counts, ...) trail the line.  Spans below
-    ``min_fraction`` of the root are elided (their time still shows in
-    the parent).
+    counts, node counts, ...) trail the line.
     """
     if isinstance(roots, Span):
         roots = [roots]
@@ -81,8 +76,6 @@ def render_span_tree(
     for root in roots:
         total = root.seconds or 1e-12
         for node, depth in root.walk():
-            if node.seconds < min_fraction * total and depth > 0:
-                continue
             share = 100.0 * node.seconds / total
             extras = " ".join(
                 "%s=%s" % (key, value) for key, value in node.fields.items()
@@ -140,12 +133,9 @@ def summarize_capture(captured: capture) -> dict[str, Any]:
     }
 
 
-def format_latency_summary(
-    latencies: Mapping[str, Mapping[str, Any]],
-    cache_stats: Mapping[str, Any] | None = None,
-) -> str:
+def format_latency_summary(latencies: Mapping[str, Mapping[str, Any]]) -> str:
     """The ``repro batch`` closing table: per-job latency percentiles per
-    stage plus cache hit rates, as aligned plain text."""
+    stage, as aligned plain text."""
     lines = [
         "%-8s %6s %9s %9s %9s %9s"
         % ("stage", "jobs", "p50", "p90", "p99", "total")
@@ -165,21 +155,6 @@ def format_latency_summary(
                 _fmt_seconds(summary["p90"]),
                 _fmt_seconds(summary["p99"]),
                 _fmt_seconds(summary["sum"]),
-            )
-        )
-    if cache_stats:
-        lines.append(
-            "cache: memo %d hit / %d miss (rate %.2f), "
-            "circuits %d stored / %d B, %d hit / %d miss, %d evicted"
-            % (
-                cache_stats.get("hits", 0),
-                cache_stats.get("misses", 0),
-                cache_stats.get("hit_rate", 0.0),
-                cache_stats.get("circuits", 0),
-                cache_stats.get("circuit_bytes", 0),
-                cache_stats.get("circuit_hits", 0),
-                cache_stats.get("circuit_misses", 0),
-                cache_stats.get("circuit_evictions", 0),
             )
         )
     return "\n".join(lines)

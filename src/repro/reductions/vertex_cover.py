@@ -56,10 +56,3 @@ def count_vertex_covers_via_completions(
     """``#VC(G) = #CompCd(R(x))(D_G)`` — the reduction is parsimonious."""
     db = build_vertex_cover_db(graph)
     return oracle(db, QUERY)
-
-
-def count_independent_sets_via_completions_nonuniform(
-    graph: Graph, oracle: Oracle = count_completions_brute
-) -> int:
-    """``#IS(G) = #VC(G)`` under complementation; used by Theorem 5.5."""
-    return count_vertex_covers_via_completions(graph, oracle)

@@ -135,6 +135,20 @@ def pattern_free_uniform_queries(draw) -> BCQ:
     return draw(st.sampled_from(queries))
 
 
+@st.composite
+def random_sjf_queries(draw, max_arity: int = 3) -> BCQ:
+    """Small random variable-only sjfBCQs: one to three atoms over the
+    variables x, y, z, w."""
+    num_atoms = draw(st.integers(1, 3))
+    variables = ["x", "y", "z", "w"]
+    atoms = []
+    for index in range(num_atoms):
+        arity = draw(st.integers(1, max_arity))
+        terms = [draw(st.sampled_from(variables)) for _ in range(arity)]
+        atoms.append(Atom("R%d" % index, terms))
+    return BCQ(atoms)
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)

@@ -221,6 +221,14 @@ class TestBatchSummary:
         assert "0 serial fallbacks" in err
         # The marginals job compiled the one circuit the parent holds.
         assert "1 circuits (" in err
+        # Each cache figure is printed once, on one cache line.
+        cache_lines = [
+            line for line in err.splitlines() if line.startswith("cache:")
+        ]
+        assert cache_lines == [
+            "cache: 0 memo hits / 2 misses, 0 circuit hits / 1 misses, "
+            "0 circuits evicted, 0 parent-chain derivations"
+        ]
 
 
 class TestApproxAndShow:
@@ -331,6 +339,8 @@ class TestInputErrors:
                 ],
                 1,
             ),
+            (["classify", "R(x), R(y)"], 2),
+            (["classify", "R(x, 'a')"], 2),
         ],
         ids=[
             "sweep-weights-json",
@@ -350,6 +360,8 @@ class TestInputErrors:
             "approx-delta-out-of-range",
             "approx-negation",
             "brute-over-budget",
+            "classify-self-join",
+            "classify-constant",
         ],
     )
     def test_exits_with_one_stderr_line(self, tmp_path, db_file, capsys, argv, code):

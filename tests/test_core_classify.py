@@ -1,8 +1,15 @@
 """Tests that the classifier reproduces Table 1 cell by cell."""
 
 import pytest
+from hypothesis import given, settings
 
-from repro.core.classify import Approximability, Tractability, classify
+from repro.core.classify import (
+    Approximability,
+    Tractability,
+    classify,
+    outside_table1,
+    tractable,
+)
 from repro.core.patterns import (
     PATTERN_BINARY,
     PATTERN_DOUBLE_EDGE,
@@ -24,7 +31,9 @@ from repro.core.problems import (
     Mode,
     ProblemVariant,
 )
-from repro.core.query import Atom, BCQ
+from repro.core.query import Atom, BCQ, Const, UCQ
+
+from tests.conftest import random_sjf_queries
 
 
 def q(*atoms):
@@ -153,6 +162,55 @@ class TestReportRendering:
     def test_rejects_self_joins(self):
         with pytest.raises(ValueError):
             classify(BCQ([Atom("R", ["x"]), Atom("R", ["y"])]))
+
+
+class TestTractable:
+    """``tractable`` reads the rows ``classify`` reads, one row at a time."""
+
+    @given(random_sjf_queries())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_classify_on_every_variant(self, query):
+        report = classify(query)
+        for variant in ALL_VARIANTS:
+            entry = report.entry(variant)
+            ok, reason = tractable(query, variant)
+            assert ok == (entry.tractability is FP)
+            if entry.witnesses:
+                # The refusal names the first witness and the deciding result.
+                assert entry.witnesses[0] in reason
+                assert entry.citations[0] in reason
+            elif entry.tractability is OPEN:
+                assert "open cell" in reason
+
+    def test_reasons_in_plain_words(self):
+        ok, reason = tractable(PATTERN_SHARED, VAL)
+        assert not ok
+        assert reason == (
+            "two atoms share a variable "
+            "(R(x)∧S(x) is a pattern: #P-hard by Theorem 3.6)"
+        )
+        assert tractable(PATTERN_SHARED, VAL_UNIFORM) == (
+            True,
+            "none of R(x,x), R(x)∧S(x,y)∧T(y), R(x,y)∧S(x,y) is a pattern: "
+            "FP by Theorem 3.9",
+        )
+        assert tractable(PATTERN_REPEAT, VAL_UNIFORM_CODD)[1].endswith(
+            "FP by Theorem 3.7"
+        )
+
+    @pytest.mark.parametrize(
+        "query, reason",
+        [
+            (BCQ([Atom("R", ["x"]), Atom("R", ["y"])]), "self-joins"),
+            (BCQ([Atom("R", ["x", Const("a")])]), "constants"),
+            (UCQ([PATTERN_UNARY, PATTERN_SHARED]), "not a BCQ"),
+            (None, "not a BCQ"),
+        ],
+    )
+    def test_refuses_queries_outside_table1(self, query, reason):
+        assert reason in outside_table1(query)
+        for variant in ALL_VARIANTS:
+            assert tractable(query, variant) == (False, outside_table1(query))
 
 
 class TestProblemVariantParsing:

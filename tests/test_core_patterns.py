@@ -1,6 +1,6 @@
 """Tests for the pattern preorder (Definition 3.1) and its detectors."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from repro.core.patterns import (
     PATTERN_BINARY,
@@ -19,6 +19,8 @@ from repro.core.patterns import (
     is_pattern_of,
 )
 from repro.core.query import Atom, BCQ
+
+from tests.conftest import random_sjf_queries
 
 
 def q(*atoms):
@@ -92,19 +94,6 @@ class TestPreorderBasics:
         assert is_pattern_of(PATTERN_UNARY, PATTERN_PATH)
 
 
-@st.composite
-def random_sjf_queries(draw):
-    """Small random variable-only sjfBCQs."""
-    num_atoms = draw(st.integers(1, 3))
-    variables = ["x", "y", "z", "w"]
-    atoms = []
-    for index in range(num_atoms):
-        arity = draw(st.integers(1, 3))
-        terms = [draw(st.sampled_from(variables)) for _ in range(arity)]
-        atoms.append(Atom("R%d" % index, terms))
-    return BCQ(atoms)
-
-
 class TestDetectorsAgainstGeneralProcedure:
     """The closed-form detectors must agree with the Definition-3.1 search
     — two independent implementations of each Table-1 membership test."""
@@ -129,10 +118,19 @@ class TestDetectorsAgainstGeneralProcedure:
     @given(random_sjf_queries())
     @settings(max_examples=60, deadline=None)
     def test_find_table1_patterns_consistency(self, query):
-        found = find_table1_patterns(query)
-        assert found["R(x)"] is True  # always a pattern
-        assert found["R(x,x)"] == has_repeated_variable_atom(query)
-        assert found["R(x,y)∧S(x,y)"] == has_double_edge_pattern(query)
+        """All six Table-1 names, each decided by the general search."""
+        patterns = {
+            "R(x)": PATTERN_UNARY,
+            "R(x,x)": PATTERN_REPEAT,
+            "R(x,y)": PATTERN_BINARY,
+            "R(x)∧S(x)": PATTERN_SHARED,
+            "R(x)∧S(x,y)∧T(y)": PATTERN_PATH,
+            "R(x,y)∧S(x,y)": PATTERN_DOUBLE_EDGE,
+        }
+        assert find_table1_patterns(query) == {
+            name: is_pattern_of(pattern, query)
+            for name, pattern in patterns.items()
+        }
 
 
 class TestEmbeddings:

@@ -18,7 +18,8 @@ from repro.db.fact import Fact
 from repro.db.incomplete import IncompleteDatabase
 from repro.db.terms import Null
 from repro.engine import BatchEngine, CountCache, CountJob
-from repro.engine.jobs import instance_fingerprint_of, marginals_record
+from repro.engine.jobs import marginals_record
+from repro.engine.pool import _circuit_keys
 from repro.workloads.generators import scaling_hard_val_instance
 
 
@@ -296,7 +297,7 @@ class TestDispatch:
             for size in (8, 9, 10)
         ]
         for task in circuit_tasks:
-            assert len({instance_fingerprint_of(job) for job in task}) == 1
+            assert len({_circuit_keys(job)[0] for job in task}) == 1
         assert [result.label for result in results] == [job.label for job in jobs]
         expected = BatchEngine(workers=0).run(jobs)
         assert [result.count for result in results] == [

@@ -7,6 +7,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.classify import tractable
+from repro.core.problems import COMP_UNIFORM
 from repro.core.query import Atom, BCQ
 from repro.db.database import Database
 from repro.db.fact import Fact
@@ -16,7 +18,6 @@ from repro.db.valuation import iter_completions
 from repro.exact.brute import count_completions_brute
 from repro.exact import comp_uniform
 from repro.exact.comp_uniform import (
-    applies_to,
     count_completions_single_unary,
     count_completions_uniform_unary,
 )
@@ -28,9 +29,9 @@ from tests.conftest import small_incomplete_dbs
 
 class TestApplicability:
     def test_unary_only(self):
-        assert applies_to(BCQ([Atom("R", ["x"]), Atom("S", ["x"])]))
-        assert not applies_to(BCQ([Atom("R", ["x", "y"])]))
-        assert not applies_to(BCQ([Atom("R", ["x", "x"])]))
+        assert tractable(BCQ([Atom("R", ["x"]), Atom("S", ["x"])]), COMP_UNIFORM)[0]
+        assert not tractable(BCQ([Atom("R", ["x", "y"])]), COMP_UNIFORM)[0]
+        assert not tractable(BCQ([Atom("R", ["x", "x"])]), COMP_UNIFORM)[0]
 
 
 class TestWarmUps:

@@ -3,19 +3,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.classify import tractable
+from repro.core.problems import VAL, VAL_CODD, VAL_UNIFORM
 from repro.core.query import Atom, BCQ
 from repro.db.fact import Fact
 from repro.db.incomplete import IncompleteDatabase
 from repro.db.terms import Null
 from repro.exact.brute import count_valuations_brute
 from repro.exact.val_codd import count_valuations_codd
-from repro.exact.val_codd import applies_to as codd_applies
-from repro.exact.val_nonuniform import (
-    applies_to as single_applies,
-    count_valuations_single_occurrence,
-)
+from repro.exact.val_nonuniform import count_valuations_single_occurrence
 from repro.exact.val_uniform import (
-    applies_to as uniform_applies,
     basic_singleton_components,
     count_valuations_uniform,
     shared_variables,
@@ -33,9 +30,9 @@ class TestSingleOccurrence:
     QUERY = BCQ([Atom("R", ["x", "y"]), Atom("S", ["z"])])
 
     def test_applicability(self):
-        assert single_applies(self.QUERY)
-        assert not single_applies(BCQ([Atom("R", ["x", "x"])]))
-        assert not single_applies(BCQ([Atom("R", ["x"]), Atom("S", ["x"])]))
+        assert tractable(self.QUERY, VAL)[0]
+        assert not tractable(BCQ([Atom("R", ["x", "x"])]), VAL)[0]
+        assert not tractable(BCQ([Atom("R", ["x"]), Atom("S", ["x"])]), VAL)[0]
 
     def test_empty_relation_gives_zero(self):
         db = IncompleteDatabase.uniform([Fact("R", [Null(1), "a"])], ["a"])
@@ -70,8 +67,8 @@ class TestCodd:
 
     def test_applicability(self):
         for query in self.QUERIES:
-            assert codd_applies(query)
-        assert not codd_applies(BCQ([Atom("R", ["x"]), Atom("S", ["x"])]))
+            assert tractable(query, VAL_CODD)[0]
+        assert not tractable(BCQ([Atom("R", ["x"]), Atom("S", ["x"])]), VAL_CODD)[0]
 
     def test_requires_codd_table(self):
         shared = Null(1)
@@ -118,14 +115,15 @@ class TestUniform:
     """Theorem 3.9: inclusion-exclusion over basic singletons."""
 
     def test_applicability(self):
-        assert uniform_applies(BCQ([Atom("R", ["x"]), Atom("S", ["x"])]))
-        assert not uniform_applies(BCQ([Atom("R", ["x", "x"])]))
-        assert not uniform_applies(
-            BCQ([Atom("R", ["x"]), Atom("S", ["x", "y"]), Atom("T", ["y"])])
-        )
-        assert not uniform_applies(
-            BCQ([Atom("R", ["x", "y"]), Atom("S", ["x", "y"])])
-        )
+        assert tractable(BCQ([Atom("R", ["x"]), Atom("S", ["x"])]), VAL_UNIFORM)[0]
+        assert not tractable(BCQ([Atom("R", ["x", "x"])]), VAL_UNIFORM)[0]
+        assert not tractable(
+            BCQ([Atom("R", ["x"]), Atom("S", ["x", "y"]), Atom("T", ["y"])]),
+            VAL_UNIFORM,
+        )[0]
+        assert not tractable(
+            BCQ([Atom("R", ["x", "y"]), Atom("S", ["x", "y"])]), VAL_UNIFORM
+        )[0]
 
     def test_requires_uniform(self):
         db = IncompleteDatabase(

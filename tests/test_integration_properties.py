@@ -3,12 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.core.classify import Tractability, classify
-from repro.core.problems import (
-    COMP_UNIFORM,
-    VAL,
-    VAL_CODD,
-    VAL_UNIFORM,
-)
+from repro.core.problems import Mode, ProblemVariant
 from repro.core.query import Atom, BCQ
 from repro.db.fact import Fact
 from repro.db.incomplete import IncompleteDatabase
@@ -18,7 +13,7 @@ from repro.exact import planner
 from repro.exact.dispatch import count_completions, count_valuations
 from repro.workloads.generators import random_incomplete_db
 
-from tests.conftest import small_incomplete_dbs
+from tests.conftest import random_sjf_queries, small_incomplete_dbs
 
 
 QUERIES = [
@@ -61,30 +56,32 @@ class TestUniformIsSpecialCaseOfNonUniform:
 
 
 class TestClassifierConsistentWithDispatcher:
-    """If the classifier says FP for the variant matching the instance, the
-    dispatcher must actually have a polynomial algorithm (and vice versa
-    the poly methods never disagree with brute force)."""
+    """``poly`` finds a polynomial algorithm exactly where the classifier
+    puts the instance's variant in an FP cell (an open cell is not FP), and
+    the dispatcher never disagrees with brute force."""
 
-    @given(st.sampled_from(QUERIES + UNARY_QUERIES), st.integers(0, 50))
-    @settings(max_examples=60, deadline=None)
+    @given(random_sjf_queries(max_arity=2), st.integers(0, 50))
+    @settings(max_examples=150, deadline=None)
     def test_fp_cells_have_algorithms(self, query, seed):
         schema = {a.relation: a.arity for a in query.atoms}
-        db = random_incomplete_db(schema, seed=seed, domain_size=2)
         report = classify(query)
-        if db.is_uniform and not db.is_codd:
-            val_variant, comp_variant = VAL_UNIFORM, COMP_UNIFORM
-        elif not db.is_uniform and db.is_codd:
-            val_variant, comp_variant = VAL_CODD, None
-        else:
-            val_variant, comp_variant = VAL, None
-        if report.entry(val_variant).tractability is Tractability.FP:
-            assert planner.plan("val", db, query, "poly").chosen is not None
-        if (
-            comp_variant is not None
-            and report.entry(comp_variant).tractability is Tractability.FP
-            and all(f.arity == 1 for f in db.facts)
-        ):
-            assert planner.plan("comp", db, query, "poly").chosen is not None
+        for uniform in (True, False):
+            for codd in (True, False):
+                db = random_incomplete_db(
+                    schema, seed=seed, uniform=uniform, codd=codd, domain_size=2
+                )
+                for mode, problem in (
+                    (Mode.VALUATIONS, "val"),
+                    (Mode.COMPLETIONS, "comp"),
+                ):
+                    if mode is Mode.COMPLETIONS and any(
+                        fact.arity != 1 for fact in db.facts
+                    ):
+                        continue  # the #Comp FP cells need a unary schema
+                    variant = ProblemVariant(mode, db.is_codd, db.is_uniform)
+                    fp = report.entry(variant).tractability is Tractability.FP
+                    plan = planner.plan(problem, db, query, "poly")
+                    assert (plan.chosen is not None) == fp, (variant, plan.error)
 
     @given(st.sampled_from(QUERIES + UNARY_QUERIES), st.integers(0, 30))
     @settings(max_examples=40, deadline=None)

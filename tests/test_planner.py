@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.compile.dpdb import DPDB_WIDTH_LIMIT, dpdb_probe, probe_cache_clear
-from repro.core.query import Atom, BCQ, CustomQuery, Negation
+from repro.core.query import Atom, BCQ, UCQ, CustomQuery, Negation
 from repro.db.deltas import InsertFacts, ResolveNull, RestrictDomain
 from repro.db.incomplete import IncompleteDatabase
 from repro.db.fact import Fact
@@ -184,6 +184,39 @@ class TestPlans:
         plan = planner.plan("val", db, query, "poly")
         assert plan.chosen is None
         assert "#P-hard" in plan.error
+
+    @pytest.mark.parametrize(
+        "problem, query, reason",
+        [
+            (
+                "val",
+                BCQ([Atom("R", ["x"]), Atom("R", ["y"])]),
+                "query has self-joins",
+            ),
+            (
+                "val",
+                UCQ([BCQ([Atom("R", ["x"])]), BCQ([Atom("S", ["x"])])]),
+                "query is not a BCQ",
+            ),
+            ("comp", BCQ([Atom("R", ["x"])]), "schema is not unary"),
+        ],
+        ids=["self-join", "ucq", "comp-on-non-unary-table"],
+    )
+    def test_poly_error_gives_the_closed_forms_reasons(
+        self, problem, query, reason
+    ):
+        """Outside Table 1, or in an FP cell whose closed form lacks its
+        table shape, ``poly`` says why rather than claim a hard cell."""
+        db = IncompleteDatabase.uniform(
+            [Fact("R", [Null(1)]), Fact("S", ["a"]), Fact("T", [Null(1), "a"])],
+            ["a", "b"],
+        )
+        plan = planner.plan(problem, db, query, "poly")
+        assert plan.chosen is None
+        assert reason in plan.error
+        assert "#P-hard" not in plan.error
+        with pytest.raises(NoPolynomialAlgorithm, match=reason):
+            solve(problem, db, query, method="poly")
 
     def test_forced_fallback_is_noted(self):
         db, _ = scaling_hard_val_instance(6, seed=1)

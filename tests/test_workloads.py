@@ -8,10 +8,8 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 import repro
-from repro.exact.val_codd import applies_to as codd_applies
-from repro.exact.val_nonuniform import applies_to as single_applies
-from repro.exact.val_uniform import applies_to as uniform_applies
-from repro.exact.comp_uniform import applies_to as comp_applies
+from repro.core.classify import tractable
+from repro.core.problems import COMP_UNIFORM, VAL, VAL_CODD, VAL_UNIFORM
 from repro.workloads.generators import (
     random_incomplete_db,
     scaling_codd_instance,
@@ -76,26 +74,26 @@ class TestScalingFamilies:
 
     def test_single_occurrence_family(self):
         db, query = scaling_single_occurrence_instance(5)
-        assert single_applies(query)
+        assert tractable(query, VAL)[0]
         assert not db.is_uniform
         bigger, _ = scaling_single_occurrence_instance(10)
         assert len(bigger.nulls) > len(db.nulls)
 
     def test_codd_family(self):
         db, query = scaling_codd_instance(5)
-        assert codd_applies(query)
+        assert tractable(query, VAL_CODD)[0]
         assert db.is_codd
         assert not db.is_uniform
 
     def test_uniform_val_family(self):
         db, query = scaling_uniform_val_instance(5)
-        assert uniform_applies(query)
+        assert tractable(query, VAL_UNIFORM)[0]
         assert db.is_uniform
         assert not db.is_codd  # shared nulls exercise the naive case
 
     def test_uniform_comp_family(self):
         db, query = scaling_uniform_unary_comp_instance(6)
-        assert comp_applies(query)
+        assert tractable(query, COMP_UNIFORM)[0]
         assert db.is_uniform
         assert all(f.arity == 1 for f in db.facts)
 
