@@ -486,11 +486,14 @@ def path_dpdb(quick: bool) -> dict:
     ``min(rows, cols)``) and a long-cycle coloring lineage (constant
     width at any length) — *wide but width-bounded*, so the DP's
     ``O(nodes * 2^width)`` tables stay small while the trail search keeps
-    paying for the cycles.  Both sides run their full front doors
-    (encoding compile included); answers are asserted bit-identical — the
-    DP is a drop-in for the search on these cells, not an approximation.
-    The dpdb side's width probe is memoized exactly as the planner's is,
-    so best-of timing reflects the steady state the engine sees.
+    paying for the cycles.  Both sides run their full front doors;
+    answers are asserted bit-identical — the DP is a drop-in for the
+    search on these cells, not an approximation.  The width probe is
+    memoized exactly as the planner's is, and the trail side reuses the
+    memoized probe's encoding and elimination order as a lineage run
+    after the planner's probe does, so the first dpdb repeat pays for
+    the encoding and best-of timing on both sides reflects the steady
+    state the engine sees.
     """
     if quick:
         grid = scaling_grid_val_instance(3, 16, num_colors=3)

@@ -123,7 +123,10 @@ def _bcq_events(
     db: IncompleteDatabase, query: BCQ
 ) -> Iterator[EmbeddingEvent]:
     atom_list = list(query.atoms)
-    fact_choices = [sorted(db.relation(atom.relation)) for atom in atom_list]
+    fact_choices = [
+        sorted(db.relation(atom.relation), key=Fact.sort_key)
+        for atom in atom_list
+    ]
     if any(not choices for choices in fact_choices):
         return
     for facts in product(*fact_choices):

@@ -33,6 +33,7 @@ from typing import Any, Iterable, Mapping, Sequence
 from repro.complexity.cnf import CNF
 from repro.compile.circuit import CircuitSampler, DDNNF, draw_index
 from repro.compile.ddnnf_trace import TraceBuilder
+from repro.compile.dpdb import memoized_probe
 from repro.compile.encode import (
     compile_completion_cnf,
     compile_valuation_cnf,
@@ -66,10 +67,14 @@ def count_valuations_lineage(
     db: IncompleteDatabase, query: BooleanQuery
 ) -> int:
     """``#Val(q)(D)`` via lineage compilation and exact model counting."""
-    encoding = compile_valuation_cnf(db, query)
+    probe = memoized_probe("val", db, query)
+    if probe is not None:  # reuse its encoding and, reversed, its order
+        encoding, order = probe.encoding, probe.order[::-1]
+    else:
+        encoding, order = compile_valuation_cnf(db, query), None
     if encoding.total_valuations == 0:
         return 0
-    return encoding.count_from_models(count_models(encoding.cnf))
+    return encoding.count_from_models(count_models(encoding.cnf, order=order))
 
 
 def count_completions_lineage(
@@ -77,7 +82,9 @@ def count_completions_lineage(
 ) -> int:
     """``#Comp(q)(D)`` via the canonical-fact encoding and projected
     exact model counting (``query=None`` counts all completions)."""
-    encoding = compile_completion_cnf(db, query)
+    # A probe's encoding only: its elimination delays the projection.
+    probe = memoized_probe("comp", db, query)
+    encoding = probe.encoding if probe else compile_completion_cnf(db, query)
     return count_models(encoding.cnf, projection=encoding.projection)
 
 

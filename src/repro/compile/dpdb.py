@@ -10,14 +10,15 @@ entirely immune to bad branching orders — the exact opposite cost profile
 of DPLL-style search, which is why the planner keeps both.
 
 **The DP.**  Processing elimination positions in ascending order (parents
-always come later) each node holds a dense table of ``2^|bag|`` cells,
-one per assignment of its bag:
+always come later) each node holds a ``(2,)*|bag|`` table, one axis per
+bag variable from the highest down (so its C-order cells are the flat
+``2^|bag|`` index, lowest variable at bit 0):
 
-* *join* — multiply in each child's message, aligned on the child's
-  separator (a subset of this bag by construction);
-* *introduce* — the table starts as ones over the whole bag, and the
-  clauses attached to this bag zero out the violating cells;
-* *project* (forget) — sum out the node's eliminated variable, weighting
+* *join* — multiply in each child's message, reshaped to broadcast over
+  the child's separator (a subset of this bag by construction);
+* *introduce* — the table starts as ones over the whole bag, and each
+  clause attached to this bag zeroes its one falsifying corner;
+* *project* (forget) — sum out the node's eliminated axis, weighting
   the two polarities by the variable's ``(w⁺, w⁻)`` pair, and pass the
   result up as this node's message.
 
@@ -42,9 +43,9 @@ trail core's.  (Projected counting is unweighted; mixing ``weights`` and
 ``projection`` is rejected.)
 
 **Table lanes.**  The DP makes one pass, and each node picks its own
-lane before it builds its table: numpy int64 columns when
+lane before it builds its table: numpy int64 arrays when
 ``max(|w⁺|+|w⁻|, 1) × ∏ max(peak, 1)`` over its children stays below
-``2^62``, exact Python-int/Fraction object columns otherwise.  A child's
+``2^62``, exact Python-int/Fraction object arrays otherwise.  A child's
 *peak* is the exact ``max |cell|`` of its finished message, and the
 product bounds every cell the node computes, so an int64 table cannot
 overflow; a message that crosses lanes is cast at the join.  Large
@@ -58,13 +59,15 @@ width probe that compiles the encoding once, reads the two-phase greedy
 elimination width off the (cached) primal masks, and hands the order to
 the runner so probing and solving share one elimination — and falls back
 to the trail core when the width exceeds :data:`DPDB_HARD_WIDTH_CAP` or
-the probe blows its budget.
+the probe blows its budget.  The trail core, there or when ``auto``
+passes ``dpdb`` over, takes the memoized probe's encoding
+(:func:`memoized_probe`), so a question is encoded once.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as _np
@@ -82,7 +85,7 @@ from repro.compile.encode import (
 from repro.compile.lineage import lineage_supports
 from repro.compile.ordering import primal_masks, refined_elimination_masks
 from repro.complexity.cnf import CNF
-from repro.core.query import BooleanQuery
+from repro.core.query import BooleanQuery, require_query
 from repro.db.incomplete import IncompleteDatabase
 from repro.obs import event as _obs_event, incr as _incr, span as _span
 
@@ -250,54 +253,47 @@ def _solve(
         if dtype is object:
             exact_nodes += 1
 
-        bag_vars = list(_bits(decomposition.bags[node]))
-        width = len(bag_vars)
-        at = {variable: bit for bit, variable in enumerate(bag_vars)}
-        size = 1 << width
-        table = np.ones(size, dtype=dtype)
-        index = None
+        axes = list(_bits(decomposition.bags[node]))[::-1]
+        axis = {variable: position for position, variable in enumerate(axes)}
+        size = 1 << len(axes)
+        table = np.ones((2,) * len(axes), dtype=dtype)
 
         for child in decomposition.children[node]:
             message = messages[child]
             messages[child] = None
             if message.dtype != dtype:
                 message = message.astype(dtype)
-            if index is None:
-                index = np.arange(size, dtype=np.int64)
-            selector = np.zeros(size, dtype=np.int64)
-            for bit, variable in enumerate(
-                _bits(decomposition.separator(child))
-            ):
-                selector |= ((index >> at[variable]) & 1) << bit
-            table = table * message[selector]
+            separator = decomposition.separator(child)
+            table *= message.reshape(
+                [2 if (separator >> variable) & 1 else 1 for variable in axes]
+            )
             rows += size
 
         for clause in decomposition.node_clauses[node]:
-            pos_mask = 0
-            neg_mask = 0
+            # A CNF clause never holds a variable twice, so the cells it
+            # falsifies are one corner: each literal false, the rest free.
+            corner: list[Any] = [slice(None)] * len(axes)
             for literal in clause:
                 if literal > 0:
-                    pos_mask |= 1 << at[literal]
+                    corner[axis[literal]] = 0
                 else:
-                    neg_mask |= 1 << at[-literal]
-            if index is None:
-                index = np.arange(size, dtype=np.int64)
-            violated = ((index & pos_mask) == 0) & (
-                (index & neg_mask) == neg_mask
-            )
-            table = np.where(violated, _zero_of(dtype), table)
+                    corner[axis[-literal]] = 1
+            table[tuple(corner)] = 0
             rows += size
 
-        bit = at[eliminated]
-        split = table.reshape(1 << (width - 1 - bit), 2, 1 << bit)
-        message = (w_neg * split[:, 0, :] + w_pos * split[:, 1, :]).reshape(-1)
-        if _clamp_message(decomposition, node, projected):
-            message = _indicator(message, dtype)
-        if decomposition.parent[node] < 0:
-            factors.append(message[0] if dtype is object else int(message[0]))
+        at = axis[eliminated]
+        if w_pos == 1 and w_neg == 1:
+            message = table.sum(axis=at)
         else:
-            messages[node] = message
-            peaks[node] = int(abs(message).max())
+            message = w_neg * table.take(0, at) + w_pos * table.take(1, at)
+        clamp = _clamp_message(decomposition, node, projected)
+        if decomposition.parent[node] < 0:
+            # A root's bag is its eliminated variable alone: a scalar.
+            factor = message if dtype is object else int(message)
+            factors.append(int(factor > 0) if clamp else factor)
+        else:
+            messages[node] = _indicator(message, dtype) if clamp else message
+            peaks[node] = int(abs(messages[node]).max())
 
     if not exact_nodes:
         return "int64", factors, rows
@@ -326,10 +322,6 @@ def _clamp_message(
     return bool(
         (decomposition.projection_mask >> decomposition.order[parent]) & 1
     )
-
-
-def _zero_of(dtype: Any) -> Any:
-    return 0 if dtype is object else dtype(0)
 
 
 def _indicator(message: Any, dtype: Any) -> Any:
@@ -383,7 +375,10 @@ class DpdbProbe:
         return payload
 
 
-@lru_cache(maxsize=128)
+#: ``(kind, D, q) -> DpdbProbe``, least recently used first, 128 at most.
+_PROBES: "OrderedDict[tuple[Any, ...], DpdbProbe]" = OrderedDict()
+
+
 def dpdb_probe(
     kind: str, db: IncompleteDatabase, query: BooleanQuery | None
 ) -> DpdbProbe:
@@ -391,12 +386,32 @@ def dpdb_probe(
 
     Compiles the matching encoding once, reads the two-phase greedy
     elimination width off the cached primal masks, and reports budget
-    overruns instead of paying for huge instances.  The runner reuses the
-    probe's encoding and elimination, so planning never duplicates work
-    the solve would redo.
+    overruns instead of paying for huge instances.  The runners reuse the
+    probe's encoding and elimination (:func:`memoized_probe`), so planning
+    never duplicates work the solve would redo.
     """
+    key = (kind, db, query)
+    _PROBES[key] = probe = _PROBES.pop(key, None) or _probe(kind, db, query)
+    if len(_PROBES) > 128:
+        _PROBES.popitem(last=False)
+    return probe
+
+
+def memoized_probe(
+    kind: str, db: IncompleteDatabase, query: BooleanQuery | None
+) -> DpdbProbe | None:
+    """The memo's probe for ``(kind, D, q)`` if it holds an encoding, else
+    ``None``; never probes (a lineage runner must not pay for one)."""
+    probe = _PROBES.get((kind, db, query))
+    return probe if probe is not None and probe.ok else None
+
+
+def _probe(
+    kind: str, db: IncompleteDatabase, query: BooleanQuery | None
+) -> DpdbProbe:
     if kind not in ("val", "comp"):
         raise ValueError("dpdb probes cover 'val' and 'comp'; got %r" % (kind,))
+    require_query(kind, query)
     if not lineage_supports(query):
         return DpdbProbe(
             ok=False,
@@ -410,8 +425,7 @@ def dpdb_probe(
         return DpdbProbe(
             ok=False, reason=budget, width=None, variables=0, clauses=0
         )
-    if kind == "val":
-        assert query is not None
+    if kind == "val" and query is not None:  # a None was refused above
         valuation = compile_valuation_cnf(db, query)
         return _probe_cnf(valuation, valuation.cnf, projection_mask=0)
     completion = compile_completion_cnf(db, query)
@@ -472,7 +486,7 @@ def _probe_cnf(encoding: Any, cnf: CNF, projection_mask: int) -> DpdbProbe:
 
 def probe_cache_clear() -> None:
     """Drop the memoized probes (tests and long-running services)."""
-    dpdb_probe.cache_clear()
+    _PROBES.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +500,10 @@ def count_valuations_dpdb(db: IncompleteDatabase, query: BooleanQuery) -> int:
     trail core when the width makes tables unaffordable."""
     probe = dpdb_probe("val", db, query)
     if not probe.ok or probe.width is None or probe.width > DPDB_HARD_WIDTH_CAP:
-        return _fallback("val", probe, db, query)
+        from repro.compile.backend import count_valuations_lineage
+
+        _note_fallback("val", probe)
+        return count_valuations_lineage(db, query)
     encoding = probe.encoding
     if encoding.total_valuations == 0:
         return 0
@@ -506,7 +523,10 @@ def count_completions_dpdb(
     makes tables unaffordable."""
     probe = dpdb_probe("comp", db, query)
     if not probe.ok or probe.width is None or probe.width > DPDB_HARD_WIDTH_CAP:
-        return _fallback("comp", probe, db, query)
+        from repro.compile.backend import count_completions_lineage
+
+        _note_fallback("comp", probe)
+        return count_completions_lineage(db, query)
     encoding = probe.encoding
     decomposition = decompose_from_elimination(
         encoding.cnf,
@@ -524,18 +544,10 @@ def count_completions_dpdb(
     )
 
 
-def _fallback(
-    kind: str,
-    probe: DpdbProbe,
-    db: IncompleteDatabase,
-    query: BooleanQuery | None,
-) -> int:
-    from repro.compile.backend import (
-        count_completions_lineage,
-        count_valuations_lineage,
-    )
-
-    _incr("dpdb.fallback")
+def _note_fallback(kind: str, probe: DpdbProbe) -> None:
+    """Record a delegation to the trail core as one ``dpdb.fallback``
+    event (which also counts it); the trail core reuses the probe's
+    encoding (see :func:`memoized_probe`)."""
     _obs_event(
         "dpdb.fallback",
         problem=kind,
@@ -548,10 +560,6 @@ def _fallback(
             % (probe.width, DPDB_HARD_WIDTH_CAP)
         ),
     )
-    if kind == "val":
-        assert query is not None
-        return count_valuations_lineage(db, query)
-    return count_completions_lineage(db, query)
 
 
 __all__ = [
@@ -564,5 +572,6 @@ __all__ = [
     "count_models_dpdb",
     "count_valuations_dpdb",
     "dpdb_probe",
+    "memoized_probe",
     "probe_cache_clear",
 ]

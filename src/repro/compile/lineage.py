@@ -76,7 +76,7 @@ def enumerate_valuation_matches(
     # The relation index is shared across disjuncts — a UCQ's BCQs all
     # walk the same naive table, so it is built once, not per disjunct.
     facts_by_relation: dict[str, list[Fact]] = {}
-    for fact in sorted(db.facts):
+    for fact in sorted(db.facts, key=Fact.sort_key):
         facts_by_relation.setdefault(fact.relation, []).append(fact)
     for disjunct in _disjuncts(query):
         for conditions in _bcq_matches(db, disjunct, facts_by_relation):

@@ -100,7 +100,7 @@ class FactVariables:
     def __init__(self, cnf: CNF, db: IncompleteDatabase) -> None:
         self._var: dict[Fact, int] = {}
         self.producers: dict[Fact, list[frozenset[tuple[Null, Term]]]] = {}
-        for template in sorted(db.facts):
+        for template in sorted(db.facts, key=Fact.sort_key):
             for ground, conditions in instantiations(template, db):
                 if ground not in self._var:
                     self._var[ground] = cnf.new_variable()
@@ -114,7 +114,7 @@ class FactVariables:
         return self._var[fact]
 
     def facts(self) -> list[Fact]:
-        return sorted(self._var)
+        return sorted(self._var, key=Fact.sort_key)
 
     def variables(self) -> list[int]:
         return sorted(self._var.values())

@@ -364,3 +364,12 @@ class CustomQuery(BooleanQuery):
 
     def __repr__(self) -> str:
         return "CustomQuery(%s)" % (self._name,)
+
+
+def require_query(problem: str, query: BooleanQuery | None) -> None:
+    """Refuse a missing query: every counting problem but ``'comp'`` asks
+    about one (``#Comp`` with ``query=None`` counts all completions)."""
+    if query is None and problem != "comp":
+        raise ValueError(
+            "problem %r needs a query (only 'comp' allows query=None)" % problem
+        )

@@ -66,7 +66,7 @@ class Database:
         return len(self._facts)
 
     def __iter__(self) -> Iterator[Fact]:
-        return iter(sorted(self._facts))
+        return iter(sorted(self._facts, key=Fact.sort_key))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Database) and other._facts == self._facts
@@ -83,7 +83,9 @@ class Database:
 
     def __repr__(self) -> str:
         if len(self._facts) <= 6:
-            return "Database{%s}" % ", ".join(repr(f) for f in sorted(self._facts))
+            return "Database{%s}" % ", ".join(
+                repr(f) for f in sorted(self._facts, key=Fact.sort_key)
+            )
         return "Database(%d facts over %s)" % (
             len(self._facts),
             sorted(self.relations),

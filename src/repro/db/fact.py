@@ -84,10 +84,11 @@ class Fact:
             ", ".join(repr(term) for term in self._terms),
         )
 
+    def sort_key(self) -> tuple[str, tuple[str, ...]]:
+        """The order facts sort in (``sorted(facts, key=Fact.sort_key)``)."""
+        return (self._relation, tuple(map(repr, self._terms)))
+
     def __lt__(self, other: "Fact") -> bool:
         if not isinstance(other, Fact):
             return NotImplemented
-        return (self._relation, tuple(map(repr, self._terms))) < (
-            other._relation,
-            tuple(map(repr, other._terms)),
-        )
+        return self.sort_key() < other.sort_key()

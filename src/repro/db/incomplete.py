@@ -159,7 +159,8 @@ class IncompleteDatabase:
     def schema(self) -> dict[str, int]:
         """Relation name -> arity for relations with at least one fact."""
         return {
-            fact.relation: fact.arity for fact in sorted(self._facts)
+            fact.relation: fact.arity
+            for fact in sorted(self._facts, key=Fact.sort_key)
         }
 
     # -- structural properties ---------------------------------------------
@@ -334,7 +335,7 @@ class IncompleteDatabase:
         return len(self._facts)
 
     def __iter__(self) -> Iterator[Fact]:
-        return iter(sorted(self._facts))
+        return iter(sorted(self._facts, key=Fact.sort_key))
 
     def __repr__(self) -> str:
         kind = "uniform" if self.is_uniform else "non-uniform"

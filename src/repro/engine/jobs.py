@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
-from repro.core.query import BooleanQuery
+from repro.core.query import BooleanQuery, require_query
 from repro.db.incomplete import IncompleteDatabase
 from repro.exact.brute import DEFAULT_BUDGET
 from repro.exact.dispatch import solve
@@ -85,11 +85,7 @@ class CountJob:
             raise ValueError(
                 "unknown problem %r (one of %s)" % (self.problem, PROBLEMS)
             )
-        if self.problem != "comp" and self.query is None:
-            raise ValueError(
-                "problem %r needs a query (only 'comp' allows query=None)"
-                % self.problem
-            )
+        require_query(self.problem, self.query)
         if self.problem == "update":
             from repro.db.deltas import is_delta
 

@@ -14,6 +14,7 @@ from typing import Iterable
 
 from repro.core.query import BooleanQuery
 from repro.db.database import Database
+from repro.db.fact import Fact
 from repro.eval.evaluate import evaluate
 
 
@@ -25,7 +26,7 @@ def minimal_models(
     Exhaustive over subsets in increasing size; a found model excludes its
     supersets.  Exponential — intended for small test databases.
     """
-    facts = sorted(database.facts)
+    facts = sorted(database.facts, key=Fact.sort_key)
     found: list[frozenset] = []
     for size in range(len(facts) + 1):
         for subset in combinations(facts, size):

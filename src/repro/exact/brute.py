@@ -49,7 +49,7 @@ def _iter_substituted_fact_sets(db: IncompleteDatabase):
     :func:`apply_valuation` (the enumerator only produces valid valuations)
     and avoids constructing :class:`Database` objects until needed.
     """
-    facts = sorted(db.facts)
+    facts = sorted(db.facts, key=Fact.sort_key)
     for valuation in iter_valuations(db):
         yield frozenset(fact.substitute(valuation) for fact in facts)
 
@@ -94,7 +94,7 @@ def count_valuations_weighted_brute(
     _check_budget(db, budget)
     resolved = resolve_null_weights(db, weights)
     nulls = db.nulls
-    facts = sorted(db.facts)
+    facts = sorted(db.facts, key=Fact.sort_key)
     verdicts: dict[frozenset[Fact], bool] = {}
     total: object = 0
     for valuation in iter_valuations(db):

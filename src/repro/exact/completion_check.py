@@ -49,8 +49,8 @@ def is_completion_of_codd(db: IncompleteDatabase, candidate: Database) -> bool:
     if not db.is_codd:
         raise ValueError("Lemma B.2 applies to Codd tables")
 
-    db_facts = sorted(db.facts)
-    candidate_facts = sorted(candidate.facts)
+    db_facts = sorted(db.facts, key=Fact.sort_key)
+    candidate_facts = sorted(candidate.facts, key=Fact.sort_key)
     compatibility: dict[int, list[int]] = {}
     for i, template in enumerate(db_facts):
         compatible = [

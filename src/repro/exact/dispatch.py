@@ -125,9 +125,10 @@ def solve(
     the instance's circuit from it, derive it from a cached delta
     ancestor, or compile and install it.
 
-    Raises :class:`ValueError` for an unknown problem or method, or
-    for ``weights`` the problem cannot use (the check an engine job
-    makes, :func:`repro.exact.planner.check_weights`), and
+    Raises :class:`ValueError` for an unknown problem or method, for
+    ``weights`` the problem cannot use (the check an engine job makes,
+    :func:`repro.exact.planner.check_weights`), or for a missing query
+    where the problem needs one (every problem but ``'comp'``), and
     :class:`NoPolynomialAlgorithm` when ``method='poly'`` hits a #P-hard
     cell.
     """

@@ -59,7 +59,7 @@ from repro.compile.dpdb import (
     count_valuations_dpdb,
     dpdb_probe,
 )
-from repro.core.query import BooleanQuery
+from repro.core.query import BooleanQuery, require_query
 from repro.db.deltas import delta_chain, resolution_only
 from repro.db.incomplete import IncompleteDatabase
 from repro.exact import brute
@@ -298,11 +298,12 @@ def plan(
 ) -> Plan:
     """Build the explainable plan for one instance.
 
-    Raises :class:`ValueError` for an unknown problem and
-    :class:`UnknownMethod` for a method name outside the problem's
-    vocabulary; every *semantic* failure (``poly`` with no closed form, no
-    applicable method) is reported in :attr:`Plan.error` so the CLI can
-    still print the full analysis.
+    Raises :class:`ValueError` for an unknown problem or a missing query
+    (only ``comp`` counts without one) and :class:`UnknownMethod` for a
+    method name outside the problem's vocabulary; every *semantic*
+    failure (``poly`` with no closed form, no applicable method) is
+    reported in :attr:`Plan.error` so the CLI can still print the full
+    analysis.
 
     Every row's applicability is checked (a cheap syntactic test).
     ``auto`` then walks the rows in registration order and stops at the
@@ -313,6 +314,7 @@ def plan(
     rows.
     """
     entries = methods_for(problem)
+    require_query(problem, query)
     valid = _vocabulary(problem, entries)
     if method not in valid:
         raise UnknownMethod("unknown method %r (one of %s)" % (method, valid))

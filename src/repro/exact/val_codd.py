@@ -79,7 +79,7 @@ def _matching_valuations(
 def _count_atom(db: IncompleteDatabase, atom: Atom) -> int:
     """``#ValCd(R(x̄))(D(R))``: valuations of the nulls of ``D(R)`` under
     which some tuple matches the atom."""
-    facts = sorted(db.relation(atom.relation))
+    facts = sorted(db.relation(atom.relation), key=Fact.sort_key)
     if not facts:
         return 0
     for fact in facts:

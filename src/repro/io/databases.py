@@ -219,7 +219,7 @@ def format_database(db: IncompleteDatabase) -> str:
                     ),
                 )
             )
-    for fact in sorted(db.facts):
+    for fact in sorted(db.facts, key=Fact.sort_key):
         lines.append(
             "%s(%s)"
             % (

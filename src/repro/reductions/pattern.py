@@ -86,7 +86,9 @@ def transfer_database(
         wildcard_positions = [
             i for i in range(query_atom.arity) if i not in copy_source
         ]
-        for fact in sorted(db.relation(pattern_atom.relation)):
+        for fact in sorted(
+            db.relation(pattern_atom.relation), key=Fact.sort_key
+        ):
             if fact.arity != pattern_atom.arity:
                 raise ValueError(
                     "fact %r does not match pattern atom %r"

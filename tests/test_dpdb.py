@@ -28,6 +28,7 @@ from repro.compile.dpdb import (
     count_models_dpdb,
     count_valuations_dpdb,
     dpdb_probe,
+    memoized_probe,
     probe_cache_clear,
 )
 from repro.compile.ordering import primal_masks, refined_elimination_masks
@@ -37,6 +38,7 @@ from repro.core.query import Atom, BCQ
 from repro.db.fact import Fact
 from repro.db.incomplete import IncompleteDatabase
 from repro.db.terms import Null
+from repro.exact.dispatch import solve
 from repro.exact.planner import plan
 from repro.obs import capture
 from repro.workloads.generators import (
@@ -459,3 +461,91 @@ class TestWidthThresholdFallback:
             item for item in record["considered"] if item["method"] == "dpdb"
         )
         assert row["detail"]["width"] <= row["detail"]["width_limit"]
+
+
+def _spans(captured):
+    """How many spans of each name a capture holds, at any depth."""
+    names = {}
+    for root in captured.roots:
+        for node, _depth in root.walk():
+            names[node.name] = names.get(node.name, 0) + 1
+    return names
+
+
+class TestOneEncoding:
+    """A question the probe already encoded is not encoded again."""
+
+    def test_lineage_routed_val_encodes_and_eliminates_once(self):
+        # A perfbench chorded cycle whose width (13) sends auto past dpdb.
+        db, query = scaling_hard_val_instance(
+            16, chord_probability=0.1, seed=1
+        )
+        probe_cache_clear()
+        with capture() as routed:
+            answer = solve("val", db, query)
+        assert answer.method == "lineage"
+        assert _spans(routed).get("compile.encode") == 1
+        assert "compile.ordering" not in _spans(routed)
+
+        probe_cache_clear()
+        with capture() as forced:
+            fresh = solve("val", db, query, method="lineage")
+        assert _spans(forced)["compile.encode"] == 1
+        assert _spans(forced)["compile.ordering"] == 1
+        assert "dpdb.probe" not in _spans(forced)
+        assert fresh.count == answer.count
+        assert (
+            routed.counters["sharpsat.decisions"]
+            == forced.counters["sharpsat.decisions"]
+        )
+
+    def test_the_memoized_order_is_not_reversed(self):
+        db, query = scaling_hard_val_instance(
+            16, chord_probability=0.1, seed=1
+        )
+        probe_cache_clear()
+        probe = dpdb_probe("val", db, query)
+        order = list(probe.order)
+        count_valuations_lineage(db, query)
+        assert probe.order == order
+        assert order == refined_elimination_masks(
+            primal_masks(probe.encoding.cnf)
+        )[0]
+
+    def test_lineage_routed_comp_reuses_the_encoding_only(self):
+        # Width 13 > 12: auto passes dpdb over.  The search still runs the
+        # undelayed elimination, since the probe's delays the projection.
+        db, query = scaling_hard_comp_instance(12, seed=1)
+        probe_cache_clear()
+        with capture() as routed:
+            answer = solve("comp", db, query)
+        assert answer.method == "lineage"
+        assert _spans(routed).get("compile.encode") == 1
+        assert _spans(routed).get("compile.ordering") == 1
+
+        probe_cache_clear()
+        with capture() as forced:
+            fresh = solve("comp", db, query, method="lineage")
+        assert _spans(forced)["compile.encode"] == 1
+        assert "dpdb.probe" not in _spans(forced)
+        assert fresh.count == answer.count
+        assert (
+            routed.counters["sharpsat.decisions"]
+            == forced.counters["sharpsat.decisions"]
+        )
+
+    def test_forced_lineage_makes_no_probe(self):
+        db, query = scaling_hard_comp_instance(12, seed=1)
+        probe_cache_clear()
+        solve("comp", db, query, method="lineage")
+        assert memoized_probe("comp", db, query) is None
+
+    def test_fallback_above_the_cap_encodes_once(self):
+        db, query = scaling_hard_comp_instance(20)
+        probe_cache_clear()
+        with capture() as captured:
+            result = count_completions_dpdb(db, query)
+        assert captured.counters["dpdb.fallback"] == 1
+        assert _spans(captured)["compile.encode"] == 1
+        probe_cache_clear()
+        assert result == count_completions_lineage(db, query)

@@ -9,10 +9,12 @@ from repro.db.incomplete import IncompleteDatabase
 from repro.db.terms import Null
 from repro.exact.brute import count_completions_brute, count_valuations_brute
 from repro.exact import planner
+from repro.compile.dpdb import dpdb_probe
 from repro.exact.dispatch import (
     NoPolynomialAlgorithm,
     count_completions,
     count_valuations,
+    solve,
 )
 
 from tests.conftest import small_incomplete_dbs
@@ -123,3 +125,28 @@ class TestCountCompletions:
     def test_method_validation(self):
         with pytest.raises(ValueError):
             count_completions(_uniform_db(), None, method="nope")
+
+
+class TestMissingQuery:
+    """Every problem but ``comp`` refuses ``query=None`` up front, with one
+    error naming the problem, whatever method was asked for."""
+
+    @pytest.mark.parametrize("method", ["auto", "brute", "lineage", "circuit"])
+    @pytest.mark.parametrize(
+        "problem", ["val", "val-weighted", "sweep", "marginals"]
+    )
+    def test_solve_refuses_a_missing_query(self, problem, method):
+        weights = [{}] if problem == "sweep" else None
+        with pytest.raises(
+            ValueError, match="problem '%s' needs a query" % problem
+        ):
+            solve(problem, _uniform_db(), None, method=method, weights=weights)
+
+    def test_the_probe_raises_the_same_error(self):
+        with pytest.raises(ValueError, match="problem 'val' needs a query"):
+            dpdb_probe("val", _uniform_db(), None)
+
+    def test_comp_counts_every_completion(self):
+        assert solve("comp", _uniform_db(), None).count == (
+            count_completions_brute(_uniform_db(), None)
+        )
