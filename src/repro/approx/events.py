@@ -3,12 +3,13 @@
 A valuation ``ν`` satisfies a BCQ ``q`` on ``D`` iff some *embedding* — an
 assignment of each atom of ``q`` to a fact of ``D`` over the same relation —
 becomes a homomorphic image under ``ν``.  Each embedding therefore defines
-an **event**: the set of valuations consistent with it.  Unifying the fact
-terms sitting at equal-variable positions (union–find) turns the event into
-a product set:
+an **event**: the set of valuations consistent with it.  The embeddings
+are those of :func:`repro.eval.homomorphism.embeddings`, whose null classes
+make the event a product set:
 
-* each equivalence class of nulls must take a single value from the
-  intersection of its members' domains (and equal any constant unified in);
+* each class of nulls the embedding forces equal must take a single value
+  from the intersection of its members' domains (narrowed to any constant
+  it meets);
 * all remaining nulls are free.
 
 So event weights are products of set sizes, uniform sampling inside an
@@ -22,14 +23,11 @@ most ``|D|^{|atoms|}``, polynomial for a fixed query, and
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Iterator, Sequence
-
-from repro.core.query import Atom, BCQ, Const, UCQ, Var
+from repro.core.query import BCQ, UCQ
 from repro.db.fact import Fact
 from repro.db.incomplete import IncompleteDatabase
-from repro.db.terms import Null, Term, is_null
-from repro.util.unionfind import UnionFind
+from repro.db.terms import Null, Term
+from repro.eval.homomorphism import FactIndex, NullClass, embeddings
 
 
 class EmbeddingEvent:
@@ -64,77 +62,6 @@ class EmbeddingEvent:
         return total
 
 
-def _node(kind: str, payload: object) -> tuple[str, object]:
-    """Tagged union-find node; tags keep variables, db terms and query
-    constants in disjoint namespaces (a db constant may itself be any
-    hashable value, including tuples)."""
-    return (kind, payload)
-
-
-def _unify_embedding(
-    db: IncompleteDatabase, atoms: Sequence[Atom], facts: Sequence[Fact]
-) -> EmbeddingEvent | None:
-    """Build the event for one atom->fact assignment, or ``None`` if the
-    required equalities are unsatisfiable."""
-    union_find: UnionFind[tuple[str, object]] = UnionFind()
-    # Map each variable to a canonical node; unify with the terms below it.
-    for atom, fact in zip(atoms, facts):
-        if atom.relation != fact.relation or atom.arity != fact.arity:
-            return None
-        for query_term, db_term in zip(atom.terms, fact.terms):
-            db_node = (
-                _node("null", db_term)
-                if is_null(db_term)
-                else _node("const", db_term)
-            )
-            if isinstance(query_term, Const):
-                if is_null(db_term):
-                    union_find.union(_node("const", query_term.value), db_node)
-                elif query_term.value != db_term:
-                    return None
-            else:
-                assert isinstance(query_term, Var)
-                union_find.union(_node("var", query_term.name), db_node)
-
-    classes: list[tuple[frozenset[Null], frozenset[Term]]] = []
-    for _root, members in union_find.classes().items():
-        nulls = frozenset(
-            payload for kind, payload in members if kind == "null"
-        )
-        constants = {payload for kind, payload in members if kind == "const"}
-        if len(constants) > 1:
-            return None
-        if not nulls:
-            continue  # a variable resting on constants only: no constraint
-        allowed: frozenset[Term] | None = None
-        for null in nulls:
-            domain = db.domain_of(null)
-            allowed = domain if allowed is None else allowed & domain
-        assert allowed is not None
-        if constants:
-            allowed &= frozenset(constants)
-        if not allowed:
-            return None
-        classes.append((frozenset(nulls), allowed))
-    return EmbeddingEvent(db, classes)
-
-
-def _bcq_events(
-    db: IncompleteDatabase, query: BCQ
-) -> Iterator[EmbeddingEvent]:
-    atom_list = list(query.atoms)
-    fact_choices = [
-        sorted(db.relation(atom.relation), key=Fact.sort_key)
-        for atom in atom_list
-    ]
-    if any(not choices for choices in fact_choices):
-        return
-    for facts in product(*fact_choices):
-        event = _unify_embedding(db, atom_list, facts)
-        if event is not None and event.weight > 0:
-            yield event
-
-
 def enumerate_events(
     db: IncompleteDatabase, query: BCQ | UCQ
 ) -> list[EmbeddingEvent]:
@@ -142,15 +69,27 @@ def enumerate_events(
 
     ``#Val(q)(D)`` equals the size of the union of the returned events; for
     a UCQ the events of all disjuncts are pooled (the union semantics of
-    disjunction is union of events).
+    disjunction is union of events).  Events come in the lexicographic
+    order of their fact tuples (atoms in query order, facts by
+    :meth:`~repro.db.fact.Fact.sort_key`), disjunct by disjunct, and an
+    event's classes in the order the search first met their nulls.
     """
     if isinstance(query, BCQ):
-        return list(_bcq_events(db, query))
-    if isinstance(query, UCQ):
-        events: list[EmbeddingEvent] = []
-        for disjunct in query.disjuncts:
-            events.extend(_bcq_events(db, disjunct))
-        return events
-    raise TypeError(
-        "events are defined for BCQs and UCQs; got %s" % type(query).__name__
-    )
+        disjuncts: tuple[BCQ, ...] = (query,)
+    elif isinstance(query, UCQ):
+        disjuncts = query.disjuncts
+    else:
+        raise TypeError(
+            "events are defined for BCQs and UCQs; got %s" % type(query).__name__
+        )
+    index = FactIndex(sorted(db.facts, key=Fact.sort_key))
+    events: list[EmbeddingEvent] = []
+
+    def collect(_binding, classes: dict[Null, NullClass], _facts) -> None:
+        event = EmbeddingEvent(db, list(dict.fromkeys(classes.values())))
+        if event.weight > 0:
+            events.append(event)
+
+    for disjunct in disjuncts:
+        embeddings(disjunct.atoms, index, collect, db.domain_of)
+    return events

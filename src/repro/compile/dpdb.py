@@ -133,11 +133,6 @@ def count_models_dpdb(
     if weights and projection is not None:
         raise ValueError("projected counting is unweighted; pass one of the two")
 
-    if any(not clause for clause in cnf.clauses):
-        if stats is not None:
-            stats["path"] = "empty-clause"
-        return 0
-
     projection_mask = 0
     projected = projection is not None
     if projected:
@@ -156,6 +151,11 @@ def count_models_dpdb(
             "decomposition was built for a different projection; "
             "rebuild it with decompose(cnf, projection=...)"
         )
+
+    if any(not clause for clause in cnf.clauses):
+        if stats is not None:
+            stats.update(decomposition.stats(), path="empty-clause", rows=0)
+        return 0
 
     positive, negative, all_int = _weight_columns(cnf.num_variables, weights)
 

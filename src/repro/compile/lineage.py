@@ -10,25 +10,28 @@ weighted/model counting used throughout the probabilistic-database
 literature (cf. the Kenig–Suciu dichotomy for UCQ model counting): once
 the lineage is explicit, ``#Val`` is a model-counting problem.
 
-Matches are enumerated by backtracking over atoms (most-constrained atom
-first, mirroring :mod:`repro.eval.homomorphism`), branching over a null's
-domain only when an unbound variable meets a null position.  The resulting
-DNF is minimized by absorption (a match whose conditions contain another
-match's is redundant).
+Matches are read off the embeddings of :func:`repro.eval.homomorphism.
+embeddings` (most-constrained atom first): each embedding's null classes
+are expanded over their allowed values, one match per choice.  The
+resulting DNF is minimized by absorption (a match whose conditions contain
+another match's is redundant).
 
 :func:`enumerate_completion_matches` is the completion-side analogue: the
 lineage of ``q`` over the *potential facts* of ``D``, a monotone DNF over
-fact variables ``y[g]`` used by the ``#Comp`` encoding.
+fact variables ``y[g]`` used by the ``#Comp`` encoding.  Its matches are
+the facts each embedding into the potential facts lands on.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from itertools import chain, product
+from typing import Sequence
 
-from repro.core.query import Atom, BCQ, BooleanQuery, Const, UCQ, Var
+from repro.core.query import BCQ, BooleanQuery, UCQ
 from repro.db.fact import Fact
 from repro.db.incomplete import IncompleteDatabase
-from repro.db.terms import Null, Term, is_null
+from repro.db.terms import Null, Term
+from repro.eval.homomorphism import FactIndex, embeddings
 
 #: Conditions of one match: a consistent set of ``(null, value)`` choices.
 ValuationMatch = frozenset[tuple[Null, Term]]
@@ -72,119 +75,27 @@ def enumerate_valuation_matches(
     constantly true (every completion satisfies it — e.g. the query is
     already witnessed by the ground facts).
     """
+    disjuncts = _disjuncts(query)
+    # One index for all disjuncts: a UCQ's BCQs walk the same naive table.
+    index = FactIndex(sorted(db.facts, key=Fact.sort_key))
     matches: set[ValuationMatch] = set()
-    # The relation index is shared across disjuncts — a UCQ's BCQs all
-    # walk the same naive table, so it is built once, not per disjunct.
-    facts_by_relation: dict[str, list[Fact]] = {}
-    for fact in sorted(db.facts, key=Fact.sort_key):
-        facts_by_relation.setdefault(fact.relation, []).append(fact)
-    for disjunct in _disjuncts(query):
-        for conditions in _bcq_matches(db, disjunct, facts_by_relation):
-            if not conditions:
-                return [frozenset()]
-            matches.add(conditions)
+
+    def expand(_binding, classes: dict, _facts) -> bool:
+        if not classes:
+            return True  # a match without conditions: constantly true
+        choices = [
+            [[(null, value) for null in members] for value in allowed]
+            for members, allowed in dict.fromkeys(classes.values())
+        ]
+        for pick in product(*choices):
+            matches.add(frozenset(chain.from_iterable(pick)))
+        return False
+
+    for disjunct in disjuncts:
+        atoms = index.smallest_first(disjunct.atoms)
+        if embeddings(atoms, index, expand, db.domain_of):
+            return [frozenset()]
     return _absorb(matches)
-
-
-def _bcq_matches(
-    db: IncompleteDatabase,
-    query: BCQ,
-    facts_by_relation: dict[str, list[Fact]],
-) -> Iterator[ValuationMatch]:
-    atoms = sorted(
-        query.atoms,
-        key=lambda atom: len(facts_by_relation.get(atom.relation, ())),
-    )
-    if any(atom.relation not in facts_by_relation for atom in atoms):
-        return
-
-    def match_atoms(
-        index: int,
-        assignment: dict[Var, Term],
-        conditions: dict[Null, Term],
-    ) -> Iterator[ValuationMatch]:
-        if index == len(atoms):
-            yield frozenset(conditions.items())
-            return
-        atom = atoms[index]
-        for fact in facts_by_relation[atom.relation]:
-            if fact.arity != atom.arity:
-                continue
-            for extended_assignment, extended_conditions in _unify(
-                atom.terms, fact.terms, assignment, conditions, db
-            ):
-                yield from match_atoms(
-                    index + 1, extended_assignment, extended_conditions
-                )
-
-    yield from match_atoms(0, {}, {})
-
-
-def _unify(
-    atom_terms: Sequence,
-    fact_terms: Sequence[Term],
-    assignment: dict[Var, Term],
-    conditions: dict[Null, Term],
-    db: IncompleteDatabase,
-    position: int = 0,
-) -> Iterator[tuple[dict[Var, Term], dict[Null, Term]]]:
-    """Unify one atom against one naive-table fact, position by position.
-
-    Yields every ``(variable assignment, null conditions)`` extension; an
-    unbound query variable meeting a null position branches over the
-    null's domain.
-    """
-    if position == len(atom_terms):
-        yield assignment, conditions
-        return
-    term = atom_terms[position]
-    value = fact_terms[position]
-
-    if isinstance(term, Var) and term not in assignment:
-        if is_null(value):
-            pinned = conditions.get(value)
-            choices = (
-                (pinned,) if pinned is not None
-                else sorted(db.domain_of(value), key=repr)
-            )
-            for choice in choices:
-                yield from _unify(
-                    atom_terms,
-                    fact_terms,
-                    {**assignment, term: choice},
-                    {**conditions, value: choice},
-                    db,
-                    position + 1,
-                )
-        else:
-            yield from _unify(
-                atom_terms,
-                fact_terms,
-                {**assignment, term: value},
-                conditions,
-                db,
-                position + 1,
-            )
-        return
-
-    target = term.value if isinstance(term, Const) else assignment[term]
-    if is_null(value):
-        if conditions.get(value, target) != target:
-            return
-        if target not in db.domain_of(value):
-            return
-        yield from _unify(
-            atom_terms,
-            fact_terms,
-            assignment,
-            {**conditions, value: target},
-            db,
-            position + 1,
-        )
-    elif value == target:
-        yield from _unify(
-            atom_terms, fact_terms, assignment, conditions, db, position + 1
-        )
 
 
 def enumerate_completion_matches(
@@ -196,60 +107,22 @@ def enumerate_completion_matches(
     completion (a subset of the potential facts) satisfies ``query`` iff
     it contains all facts of some match.
     """
+    disjuncts = _disjuncts(query)
+    index = FactIndex(potential_facts)
     matches: set[CompletionMatch] = set()
-    facts_by_relation: dict[str, list[Fact]] = {}
-    for fact in potential_facts:
-        facts_by_relation.setdefault(fact.relation, []).append(fact)
-    for disjunct in _disjuncts(query):
-        for used in _ground_matches(disjunct, facts_by_relation):
-            matches.add(used)
+
+    def collect(_binding, _classes, facts: list[Fact]) -> None:
+        # Grown one fact at a time, in atom order: a set's iteration order
+        # depends on how it was built, and the #Comp encoding writes one
+        # clause per fact of a match in that order.
+        used: CompletionMatch = frozenset()
+        for fact in facts:
+            used = used | {fact}
+        matches.add(used)
+
+    for disjunct in disjuncts:
+        embeddings(index.smallest_first(disjunct.atoms), index, collect)
     return _absorb(matches)
-
-
-def _ground_matches(
-    query: BCQ,
-    facts_by_relation: dict[str, list[Fact]],
-) -> Iterator[CompletionMatch]:
-    atoms = sorted(
-        query.atoms,
-        key=lambda atom: len(facts_by_relation.get(atom.relation, ())),
-    )
-    if any(atom.relation not in facts_by_relation for atom in atoms):
-        return
-
-    def match_atoms(
-        index: int, assignment: dict[Var, Term], used: frozenset[Fact]
-    ) -> Iterator[CompletionMatch]:
-        if index == len(atoms):
-            yield used
-            return
-        atom = atoms[index]
-        for fact in facts_by_relation[atom.relation]:
-            if fact.arity != atom.arity:
-                continue
-            extended = _match_ground(atom, fact, assignment)
-            if extended is not None:
-                yield from match_atoms(index + 1, extended, used | {fact})
-
-    yield from match_atoms(0, {}, frozenset())
-
-
-def _match_ground(
-    atom: Atom, fact: Fact, assignment: dict[Var, Term]
-) -> dict[Var, Term] | None:
-    """Extend ``assignment`` so ``atom`` lands on the ground ``fact``."""
-    extended = dict(assignment)
-    for term, value in zip(atom.terms, fact.terms):
-        if isinstance(term, Const):
-            if term.value != value:
-                return None
-        else:
-            bound = extended.get(term)
-            if bound is None:
-                extended[term] = value
-            elif bound != value:
-                return None
-    return extended
 
 
 def _absorb(matches: set) -> list:

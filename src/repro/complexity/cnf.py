@@ -55,10 +55,6 @@ class CNF:
         self._num_variables += 1
         return self._num_variables
 
-    def new_variables(self, count: int) -> list[int]:
-        """Allocate ``count`` fresh variable indices."""
-        return [self.new_variable() for _ in range(count)]
-
     def add_clause(self, literals: Iterable[int]) -> None:
         """Append a clause (any iterable of nonzero literals).
 
@@ -78,10 +74,6 @@ class CNF:
         if any(-literal in seen for literal in seen):
             return  # tautology
         self._clauses.append(tuple(sorted(seen, key=abs)))
-
-    def add_clauses(self, clauses: Iterable[Sequence[int]]) -> None:
-        for clause in clauses:
-            self.add_clause(clause)
 
     def add_exactly_one(self, variables: Sequence[int]) -> None:
         """Exactly one of ``variables`` is true: one at-least-one clause

@@ -55,17 +55,6 @@ class Tractability(Enum):
     SHARP_P_HARD = "#P-hard"
     OPEN = "open"
 
-    @property
-    def is_tractable(self) -> bool:
-        return self is Tractability.FP
-
-    @property
-    def is_hard(self) -> bool:
-        return self in (
-            Tractability.SHARP_P_COMPLETE,
-            Tractability.SHARP_P_HARD,
-        )
-
 
 class Approximability(Enum):
     """Approximate-counting verdicts of Section 5."""

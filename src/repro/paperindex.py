@@ -115,10 +115,11 @@ _RESULTS: tuple[PaperResult, ...] = (
     PaperResult(
         "Corollary 5.3 (+ Prop. 5.2, Thm. 5.1)",
         "#Val(q) has an FPRAS for every union of BCQs",
-        ("repro.approx.events", "repro.approx.fpras"),
+        ("repro.approx.events", "repro.approx.fpras", "repro.eval.homomorphism"),
         ("tests/test_approx.py", "tests/test_approx_sampler.py",
-         "benchmarks/bench_approximation.py"),
-        "Karp-Luby realization; uniform generation included",
+         "tests/test_embeddings.py", "benchmarks/bench_approximation.py"),
+        "Karp-Luby realization; uniform generation included; the events are"
+        " the embeddings of the one search in repro.eval.homomorphism",
     ),
     PaperResult(
         "Theorem 5.5",

@@ -1,8 +1,9 @@
-"""Shared numeric and data-structure utilities.
+"""Shared numeric utilities: combinatorics, rational linear algebra, and
+the explicit random generators of :mod:`repro.util.rng`.
 
-Everything in this package is exact (integer / rational) arithmetic: the
-counting problems reproduced from the paper demand exact results, so no
-floating point is used outside of the approximation subpackage.
+The arithmetic here is exact (integer / rational): the counting problems
+reproduced from the paper demand exact results, so no floating point is
+used outside of the approximation subpackage.
 """
 
 from repro.util.combinatorics import (
@@ -15,7 +16,6 @@ from repro.util.combinatorics import (
     surjections,
 )
 from repro.util.linear import invert_rational_matrix, solve_rational_system
-from repro.util.unionfind import UnionFind
 
 __all__ = [
     "binomial",
@@ -27,5 +27,4 @@ __all__ = [
     "surjections",
     "invert_rational_matrix",
     "solve_rational_system",
-    "UnionFind",
 ]

@@ -136,6 +136,19 @@ class TestDifferentialSolver:
         assert count_models_dpdb(cnf, stats=stats) == 0
         assert stats["path"] == "empty-clause"
 
+    def test_empty_clause_fills_every_stats_key(self):
+        """The short circuit reports the decomposition's numbers and zero
+        rows, under the same keys as a run that fills tables."""
+        cnf = CNF(3, [(1, 2), (), (-3,)])
+        stats, normal = {}, {}
+        assert count_models_dpdb(cnf, stats=stats) == 0
+        count_models_dpdb(CNF(3, [(1, 2), (-3,)]), stats=normal)
+        assert set(stats) == set(normal)
+        assert stats["rows"] == 0
+        assert {key: stats[key] for key in ("nodes", "width")} == (
+            {"nodes": 3, "width": 1}
+        )
+
     def test_weights_and_projection_are_mutually_exclusive(self):
         cnf = CNF(2, [(1, 2)])
         with pytest.raises(ValueError):

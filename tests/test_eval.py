@@ -1,5 +1,6 @@
 """Tests for query evaluation, certainty and the Prop. 5.2 hypotheses."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -32,24 +33,20 @@ from repro.eval.minimal_models import (
 from tests.conftest import small_incomplete_dbs
 
 
-def _brute_force_satisfies(query: BCQ, database: Database) -> bool:
+def _brute_force_count(query: BCQ, database: Database) -> int:
     """Independent evaluator: try every variable assignment."""
     domain = sorted(database.active_domain(), key=repr)
     variables = query.variables()
+    count = 0
     for values in product(domain, repeat=len(variables)):
         assignment = dict(zip(variables, values))
-        good = True
-        for atom in query.atoms:
-            image = tuple(
-                assignment[t] if t in assignment else t.value
-                for t in atom.terms
-            )
-            if Fact(atom.relation, image) not in database:
-                good = False
-                break
-        if good:
-            return True
-    return False
+        count += all(
+            Fact(atom.relation, [
+                assignment[t] if t in assignment else t.value for t in atom.terms
+            ]) in database
+            for atom in query.atoms
+        )
+    return count
 
 
 class TestHomomorphism:
@@ -108,9 +105,41 @@ class TestHomomorphism:
             for valuation in iter_valuations(db):
                 complete = apply_valuation(db, valuation)
                 assert satisfies_bcq(complete, query) == (
-                    _brute_force_satisfies(query, complete)
+                    _brute_force_count(query, complete) > 0
                 )
                 break  # one valuation per db keeps the test fast
+
+    def test_random_queries_match_assignment_enumeration(self):
+        """Counts, existence and the found homomorphism on random complete
+        databases, with query constants and self-joins."""
+        rng = random.Random(21)
+        for _ in range(300):
+            schema = {"R": rng.randint(1, 3), "S": rng.randint(1, 3)}
+            database = Database(
+                Fact(relation, [rng.choice("abc") for _ in range(arity)])
+                for relation, arity in schema.items()
+                for _ in range(rng.randint(0, 5))
+            )
+            atoms = []
+            for _ in range(rng.randint(1, 3)):
+                relation = rng.choice("RS")
+                atoms.append(Atom(relation, [
+                    Const(rng.choice("abd")) if rng.random() < 0.15 else rng.choice("xyz")
+                    for _ in range(schema[relation])
+                ]))
+            query = BCQ(atoms)
+            expected = _brute_force_count(query, database)
+            assert count_homomorphisms(query, database) == expected
+            assert satisfies_bcq(database, query) == (expected > 0)
+            found = find_homomorphism(query, database)
+            assert (found is not None) == (expected > 0)
+            for atom in query.atoms if found is not None else ():
+                image = [found[t] if t in found else t.value for t in atom.terms]
+                assert Fact(atom.relation, image) in database
+
+    def test_arity_mismatch_has_no_homomorphism(self):
+        database = Database([Fact("R", ["a", "b"])])
+        assert count_homomorphisms(BCQ([Atom("R", ["x"])]), database) == 0
 
 
 class TestEvaluateDispatch:
