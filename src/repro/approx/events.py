@@ -23,6 +23,8 @@ most ``|D|^{|atoms|}``, polynomial for a fixed query, and
 
 from __future__ import annotations
 
+from math import prod
+
 from repro.core.query import BCQ, UCQ
 from repro.db.fact import Fact
 from repro.db.incomplete import IncompleteDatabase
@@ -38,34 +40,23 @@ class EmbeddingEvent:
     builds its array encoding for sampling and membership.
     """
 
+    __slots__ = ("classes", "weight")
+
     def __init__(
         self,
-        db: IncompleteDatabase,
         classes: list[tuple[frozenset[Null], frozenset[Term]]],
+        weight: int,
     ) -> None:
-        self._db = db
         #: (nulls of the class, allowed values) — pairwise disjoint classes.
         self.classes = classes
-        constrained: set[Null] = set()
-        for nulls, _allowed in classes:
-            constrained |= nulls
-        self._free = [null for null in db.nulls if null not in constrained]
-
-    @property
-    def weight(self) -> int:
-        """``|E|``: number of valuations in the event."""
-        total = 1
-        for _nulls, allowed in self.classes:
-            total *= len(allowed)
-        for null in self._free:
-            total *= len(self._db.domain_of(null))
-        return total
+        #: ``|E|``: the number of valuations in the event.
+        self.weight = weight
 
 
 def enumerate_events(
     db: IncompleteDatabase, query: BCQ | UCQ
 ) -> list[EmbeddingEvent]:
-    """All embedding events of ``query`` on ``db``.
+    """All embedding events of ``query`` on ``db`` with a valuation in them.
 
     ``#Val(q)(D)`` equals the size of the union of the returned events; for
     a UCQ the events of all disjuncts are pooled (the union semantics of
@@ -73,6 +64,11 @@ def enumerate_events(
     order of their fact tuples (atoms in query order, facts by
     :meth:`~repro.db.fact.Fact.sort_key`), disjunct by disjunct, and an
     event's classes in the order the search first met their nulls.
+
+    A weight is the classes' sizes times the free nulls' domain sizes,
+    the latter the product over all nulls with the classes' members
+    divided out, so no event scans the table's nulls.  A table with an
+    empty domain has no valuation, so it has no event.
     """
     if isinstance(query, BCQ):
         disjuncts: tuple[BCQ, ...] = (query,)
@@ -83,12 +79,21 @@ def enumerate_events(
             "events are defined for BCQs and UCQs; got %s" % type(query).__name__
         )
     index = FactIndex(sorted(db.facts, key=Fact.sort_key))
+    sizes = {null: len(db.domain_of(null)) for null in db.nulls}
+    if not all(sizes.values()):
+        return []
+    everything = prod(sizes.values())
     events: list[EmbeddingEvent] = []
 
     def collect(_binding, classes: dict[Null, NullClass], _facts) -> None:
-        event = EmbeddingEvent(db, list(dict.fromkeys(classes.values())))
-        if event.weight > 0:
-            events.append(event)
+        distinct = list(dict.fromkeys(classes.values()))
+        free = everything
+        chosen = 1
+        for nulls, allowed in distinct:
+            chosen *= len(allowed)
+            for null in nulls:
+                free //= sizes[null]
+        events.append(EmbeddingEvent(distinct, chosen * free))
 
     for disjunct in disjuncts:
         embeddings(disjunct.atoms, index, collect, db.domain_of)

@@ -46,6 +46,7 @@ from repro.compile.lineage import (
 )
 from repro.compile.variables import ChoiceVariables, FactVariables
 from repro.core.query import BooleanQuery
+from repro.db.fact import Fact
 from repro.db.incomplete import IncompleteDatabase
 from repro.db.valuation import count_total_valuations
 from repro.obs import span
@@ -140,8 +141,10 @@ def compile_completion_cnf(
                     supports.append(choices.var(null, value))
                 else:
                     commander = cnf.new_variable()
-                    for null, value in conditions:
-                        cnf.add_clause((-commander, choices.var(null, value)))
+                    for choice in sorted(
+                        choices.var(null, value) for null, value in conditions
+                    ):
+                        cnf.add_clause((-commander, choice))
                     supports.append(commander)
             cnf.add_clause(supports)
 
@@ -155,7 +158,7 @@ def compile_completion_cnf(
                     witnesses.append(facts.var(next(iter(used))))
                 else:
                     witness = cnf.new_variable()
-                    for fact in used:
+                    for fact in sorted(used, key=Fact.sort_key):
                         cnf.add_clause((-witness, facts.var(fact)))
                     witnesses.append(witness)
             # Empty DNF compiles to the empty clause: no completion satisfies q.

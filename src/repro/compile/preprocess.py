@@ -38,9 +38,13 @@ projected model count:
 
 The module mutates the store's root trail (permanent assignments) and, if
 substitutions fired, returns a rewritten clause list for the counter to
-rebuild its store from.  :data:`PROBE_VARIABLE_LIMIT` bounds the probing
-pass — each probe costs two propagations, which is only worth paying on
-formulas small enough for the search to dominate anyway.
+rebuild its store from (a clause the rewrite leaves with two literals is
+binary there).  Binary clauses keep no counters in the store, so liveness
+is asked of it: :meth:`ClauseStore.live` for a clause, and
+:meth:`ClauseStore.occurs` for a literal.  :data:`PROBE_VARIABLE_LIMIT`
+bounds the probing pass — each probe costs two propagations, which is
+only worth paying on formulas small enough for the search to dominate
+anyway.
 """
 
 from __future__ import annotations
@@ -171,11 +175,12 @@ def preprocess_store(
 def _probe_candidates(store: ClauseStore) -> int:
     """Unassigned variables with at least one occurrence (probe targets)."""
     value = store.value
-    occ_pos, occ_neg = store.occ_pos, store.occ_neg
     return sum(
         1
         for v in range(1, store.num_variables + 1)
-        if not value[v] and (occ_pos[v] or occ_neg[v])
+        if not value[v]
+        and (store.occ_pos[v] or store.occ_neg[v]
+             or store.implied_pos[v] or store.implied_neg[v])
     )
 
 
@@ -184,7 +189,6 @@ def _fix_pure_literals(
 ) -> bool:
     """Fix pure non-projection literals to fixpoint.  False on conflict."""
     value = store.value
-    sat = store.sat
     fixed: list[int] = list(result.pure_fixed)
     changed = True
     while changed:
@@ -192,8 +196,8 @@ def _fix_pure_literals(
         for variable in range(1, store.num_variables + 1):
             if value[variable] or variable in projection:
                 continue
-            positive = any(not sat[ci] for ci in store.occ_pos[variable])
-            negative = any(not sat[ci] for ci in store.occ_neg[variable])
+            positive = store.occurs(variable)
+            negative = store.occurs(-variable)
             if positive == negative:  # both polarities live, or neither
                 continue
             literal = variable if positive else -variable
@@ -212,14 +216,11 @@ def _probe(
 ) -> bool:
     """Failed-literal probing over every live variable.  False = conflict."""
     value = store.value
-    sat = store.sat
     forced: list[int] = []
     for variable in range(1, store.num_variables + 1):
         if value[variable]:
             continue
-        if not any(
-            not sat[ci] for ci in store.occ_pos[variable]
-        ) and not any(not sat[ci] for ci in store.occ_neg[variable]):
+        if not store.occurs(variable) and not store.occurs(-variable):
             continue
         mark = store.mark()
         ok_true = store.propagate((variable,))
@@ -315,7 +316,7 @@ def _rewrite(
     value = store.value
     rewritten: list[tuple[int, ...]] = []
     for index, clause in enumerate(store.clauses):
-        if store.sat[index]:
+        if not store.live(index):
             continue
         literals: list[int] = []
         tautology = False

@@ -1,24 +1,26 @@
-"""Exact model counting (#SAT) on a trail: in-place state, bitset components.
+"""Exact model counting (#SAT) on a trail: in-place state, variable components.
 
 A pure-Python counter in the sharpSAT family, specialised for the CNFs the
 lineage compiler emits.  The search machinery is built around **persistent
 in-place state** instead of immutable formula copies:
 
-* one occurrence-indexed :class:`~repro.compile.trail.ClauseStore` holds
-  the formula for the whole search; a decision assigns literals on a
-  **trail** and unit-propagates by bumping per-clause satisfied/free
-  counters, so a branch costs touched-clause work and backtracking is the
-  exact reverse replay — the formula is never rebuilt;
-* **connected components** of the residual formula are computed over live
-  (unassigned-variable) **bitsets**: each live clause contributes one int
-  mask, a flood fill grows each component from its highest clause by
-  downward sweeps that absorb every clause meeting the union, and
-  variable-disjoint parts are counted independently and multiplied;
-* **component caching** — residual components are memoised under compact
-  integer content signatures (each reduced clause packs into one int, a
-  component keys on the sorted int tuple), so shared substructure is
-  counted once.  Signatures depend only on clause *content*, matching the
-  reference counter's cache equivalence exactly;
+* one :class:`~repro.compile.trail.ClauseStore` holds the formula for the
+  whole search — binary clauses (most of what the encoders emit) as
+  implication lists, longer ones occurrence-indexed with satisfied/free
+  counters; a decision assigns literals on a **trail** and propagates in
+  place, so a branch costs work in the variables it assigns and
+  backtracking is the exact reverse replay — the formula is never rebuilt;
+* **connected components** of the residual formula are found over its
+  unassigned **variables**, numbered by branching rank so a component's
+  branching variable is its lowest bit: a breadth-first closure over
+  binary adjacency, then the live long clauses, which merge the groups
+  they bridge; variable-disjoint parts are counted independently and
+  multiplied;
+* **component caching** — a component is memoised under its variable
+  bitset and the sorted packed contents of its live long clauses (each
+  reduced clause packs into one int).  Its live binary clauses are the
+  stored ones inside its variables, so two components share a key exactly
+  when their clauses are equal, the reference counter's cache equivalence;
 * a **preprocessing pass** (:mod:`repro.compile.preprocess`) runs once
   before the search: root unit propagation and, in projected mode,
   pure-literal elimination, failed-literal/backbone probing and
@@ -50,6 +52,9 @@ CNFs with bounded-treewidth structure count in polynomial time.
 from __future__ import annotations
 
 import sys
+from functools import reduce
+from itertools import accumulate
+from operator import or_
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.complexity.cnf import CNF
@@ -129,13 +134,6 @@ class ModelCounter:
             self._cache = self._impl._cache
             return
 
-        self._proj_mask: int | None = None
-        if self._projection is not None:
-            mask = 0
-            for variable in self._projection:
-                mask |= 1 << variable
-            self._proj_mask = mask
-
         self._store = ClauseStore(cnf.num_variables, cnf.clauses)
         if order is None:
             with _span("compile.ordering", variables=cnf.num_variables):
@@ -144,35 +142,70 @@ class ModelCounter:
         else:
             order = list(order)
             self.width = None
-        # Rank as a flat positional table: one list index per variable
-        # beats a dict probe in the innermost branching loop.
-        rank = [len(order)] * (cnf.num_variables + 1)
-        for position, variable in enumerate(order):
-            rank[variable] = position
-        self._rank = rank
+        # Variable bits are numbered by branching rank (ties, and variables
+        # the order omits, by index), so a pick is a component's lowest bit.
+        rank = {variable: position for position, variable in enumerate(order)}
+        #: The variable at each rank bit.
+        self._variables = sorted(
+            range(1, cnf.num_variables + 1),
+            key=lambda variable: (rank.get(variable, len(order)), variable),
+        )
+        #: ``_bits[literal]``: the rank bit of its variable (a negative
+        #: literal indexes from the end).
+        bits = [0] * (2 * cnf.num_variables + 1)
+        for position, variable in enumerate(self._variables):
+            bits[variable] = bits[-variable] = 1 << position
+        self._bits = bits
+        self._proj_mask: int | None = None
+        if self._projection is not None:
+            self._proj_mask = sum(bits[v] for v in self._projection)
         self._key_base = 2 * cnf.num_variables + 2
         self._index_store(self._store)
         self._cache = {}
-        self._sat_cache: dict[tuple[int, ...], bool] = {}
+        self._sat_cache: dict[tuple, bool] = {}
         self._result: int | None = None
 
     def _index_store(self, store: ClauseStore) -> None:
-        """Per-clause derived tables the split reads:
-        lengths (to recognize untouched clauses) and the full-clause
-        content signatures (so untouched clauses never rescan literals)."""
+        """The split's static tables: per clause its length, rank bits and
+        packed content; per rank bit its binary neighbours, and the binary
+        clauses whose lower bit it is, as ``(index, other variable)``."""
         base = self._key_base
+        bits = self._bits
         lengths = []
+        masks = []
         full_pack = []
         for clause in store.clauses:
             lengths.append(len(clause))
+            mask = 0
             packed = 0
             for literal in clause:
+                mask |= bits[literal]
                 packed = packed * base + (
                     2 * literal if literal > 0 else 1 - 2 * literal
                 )
+            masks.append(mask)
             full_pack.append(packed)
         self._lengths = lengths
+        self._clause_masks = masks
         self._full_pack = full_pack
+        size = store.num_variables
+        adjacent = [0] * size
+        binaries: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+        lower = [0] * len(store.clauses)
+        for ci in store.binary:
+            left, right = store.clauses[ci]
+            left_bit, right_bit = bits[left], bits[right]
+            adjacent[left_bit.bit_length() - 1] |= right_bit
+            adjacent[right_bit.bit_length() - 1] |= left_bit
+            if left_bit > right_bit:
+                left_bit, right = right_bit, left
+            binaries[left_bit.bit_length() - 1].append((ci, abs(right)))
+            lower[ci] = left_bit
+        self._adjacent = adjacent
+        self._binaries = binaries
+        #: ``_binary_below[ci]``: the lower bits of the binary clauses
+        #: with an index below ``ci``.
+        self._binary_below = [0, *accumulate(lower, or_)]
 
     # -- public API --------------------------------------------------------
 
@@ -271,56 +304,52 @@ class ModelCounter:
 
     def _count_root(self) -> int:
         trace = self._trace
-        conflict, determined_mask = self._prepare()
+        conflict, determined = self._prepare()
         if conflict:
             if trace is not None:
                 self.trace_root = trace.false
             return 0
-        store = self._store
-        live = store.live_indices()
-        count, node, live_mask = self._count(live)
         assigned = self._root_assigned
-        assigned_mask = 0
-        for literal in assigned:
-            assigned_mask |= 1 << (literal if literal > 0 else -literal)
-        all_mask = (1 << (self._cnf.num_variables + 1)) - 2
-        free_mask = all_mask & ~live_mask & ~assigned_mask & ~determined_mask
+        settled = reduce(or_, map(self._bits.__getitem__, [*assigned, *determined]), 0)
+        variables = (1 << self._cnf.num_variables) - 1 & ~settled
+        count, node, live_mask = self._count(self._store.long, variables)
+        free_mask = variables & ~live_mask
         if trace is not None:
             assert node is not None
             self.trace_root = trace.decision(
                 [(
                     tuple(sorted(assigned, key=abs)),
-                    tuple(_mask_bits(free_mask)),
+                    self._mask_variables(free_mask),
                     node,
                 )]
             )
         return (1 << self._count_bits(free_mask)) * count
 
-    def _prepare(self) -> tuple[bool, int]:
+    def _prepare(self) -> tuple[bool, list[int]]:
         """Root unit propagation plus preprocessing; swaps in the rewritten
-        store when substitution fired.  Returns ``(conflict, determined)``."""
+        store when substitution fired.  Returns ``(conflict, substituted)``."""
         store = self._store
         if store.has_empty:
-            return True, 0
+            return True, []
         if not store.propagate(store.units):
-            return True, 0
+            return True, []
         with _span("compile.preprocess"):
             report = preprocess_store(store, projection=self._projection)
         self.preprocessing = report
         if report.conflict:
-            return True, 0
+            return True, []
         self._root_assigned = list(store.trail)
         if report.rewritten is not None:
             rebuilt = ClauseStore(store.num_variables, report.rewritten)
             if rebuilt.has_empty or not rebuilt.propagate(rebuilt.units):
-                return True, 0
+                return True, []
             # Substituted variables vanish from the clauses; literals
             # the rebuilt store derives are genuinely new (their
             # variables were unassigned in the old store).
             self._root_assigned.extend(rebuilt.trail)
             self._store = rebuilt
             self._index_store(rebuilt)
-        return False, report.determined_mask
+        return False, list(report.substitutions)
 
     # -- search ------------------------------------------------------------
 
@@ -330,102 +359,148 @@ class ModelCounter:
             mask &= self._proj_mask
         return mask.bit_count()
 
+    def _mask_variables(self, mask: int) -> tuple[int, ...]:
+        """The variables of a rank-bit ``mask``, ascending."""
+        variables = self._variables
+        return tuple(sorted(variables[bit] for bit in _mask_bits(mask)))
+
     def _split(
-        self, indices: list[int]
-    ) -> list[tuple[list[int], int, tuple[int, ...]]]:
-        """Variable-connected components of live clauses, as
-        ``(clause indices, unassigned-variable bitset, cache key)``.
+        self, indices: list[int], variables: int
+    ) -> list[tuple[list[int], int, tuple]]:
+        """Components of the residual formula over ``variables`` (the
+        unassigned rank bits of the component being split, whose long
+        clauses, live or not, are ``indices``), as ``(live long clause
+        indices, variable bitset, cache key)``.
 
-        Each clause contributes its unassigned-variable bitset and its
-        packed content signature.  The hot case costs no literal work at
-        all: a clause propagation never touched (``free == len``) reuses
-        the store's static bitset and the precomputed full-clause
-        signature, so only clauses a decision actually reduced are
-        rescanned.  Signatures pack literals as base-``2n+2`` digits in
-        stored (canonical) clause order — two clauses sign equally exactly
-        when their reduced contents are equal, so the cache keeps the
-        reference counter's equivalence classes at integer-hash prices.
-
-        Components come from a flood fill over the bitsets: seed one at
-        the highest unplaced clause and sweep the unplaced clauses
-        downward, absorbing every clause whose bitset meets the growing
-        union, until a sweep absorbs nothing.  Downward, because the
-        encoder emits the disjoint exactly-one blocks first and the match
-        clauses that bridge them last: the sweep meets the connectors
-        first, so one sweep usually places every clause.  Deterministic:
-        members ascending, components ordered by smallest clause index.
+        A group grows from its lowest variable by a breadth-first closure
+        over binary adjacency inside ``variables``: after propagation a
+        binary clause is satisfied or has both variables unassigned, so
+        that adjacency is the live binary clauses.  The live long clauses
+        then attach to the groups they meet, merging those they bridge; a
+        variable no live clause holds joins no component.  A long clause
+        propagation never touched (``free == len``) reuses its static
+        bitset and packed content (base-``2n+2`` digits in stored order).
+        Components come ordered by smallest live clause index, binary
+        clauses included: the order the circuit's nodes follow.
         """
         store = self._store
         value = store.value
         clauses = store.clauses
+        sat = store.sat
         free = store.free
-        var_masks = store.var_masks
         lengths = self._lengths
+        clause_masks = self._clause_masks
         full_pack = self._full_pack
+        bits = self._bits
         base = self._key_base
+        adjacent = self._adjacent
 
-        count = len(indices)
-        if not count:
-            return []
-        masks = [0] * count
-        packs = [0] * count
-        for position, ci in enumerate(indices):
+        # Each group: [variable bitset, positions of its long clauses].
+        groups: list[list] = []
+        lonely = 0  # variables without a live binary clause
+        remaining = variables
+        while remaining:
+            low = remaining & -remaining
+            remaining ^= low
+            frontier = adjacent[low.bit_length() - 1] & remaining
+            if not frontier:
+                lonely |= low
+                continue
+            group = low
+            while frontier:
+                group |= frontier
+                remaining ^= frontier
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    reach |= adjacent[low.bit_length() - 1]
+                frontier = reach & remaining
+            groups.append([group, []])
+
+        live = []
+        masks = []
+        packs = []
+        for ci in indices:
+            if sat[ci]:
+                continue
+            live.append(ci)
             if free[ci] == lengths[ci]:
-                masks[position] = var_masks[ci]
-                packs[position] = full_pack[ci]
+                masks.append(clause_masks[ci])
+                packs.append(full_pack[ci])
             else:
                 mask = 0
                 packed = 0
                 for literal in clauses[ci]:
                     variable = literal if literal > 0 else -literal
                     if not value[variable]:
-                        mask |= 1 << variable
+                        mask |= bits[variable]
                         packed = packed * base + (
                             2 * literal if literal > 0 else 1 - 2 * literal
                         )
-                masks[position] = mask
-                packs[position] = packed
+                masks.append(mask)
+                packs.append(packed)
+        # With one group and no lonely variable, every live long clause
+        # lies inside the group.
+        if lonely or len(groups) != 1:
+            for position, mask in enumerate(masks):
+                hit = None
+                for entry in groups:
+                    if entry[0] & mask:
+                        if hit is None:
+                            hit = entry
+                            entry[0] |= mask
+                            entry[1].append(position)
+                        else:
+                            hit[0] |= entry[0]
+                            hit[1] += entry[1]
+                            entry[0] = 0
+                if hit is None:
+                    groups.append([mask, [position]])
+        if len(groups) == 1:
+            group = groups[0][0]
+            packs.sort()
+            return [(live, group, (group, tuple(packs)))]
 
+        binaries = self._binaries
+        binary_below = self._binary_below
         components = []
-        unplaced: Sequence[int] = range(count - 1, -1, -1)
-        while unplaced:
-            union = masks[unplaced[0]]
-            taken = [unplaced[0]]
-            rest = unplaced[1:]
+        for mask, positions in groups:
+            if not mask:
+                continue  # merged into another group
+            positions.sort()
+            members = [live[p] for p in positions]
+            # The smallest clause index: its first long clause (members
+            # ascend) or a live binary clause below it, looked up only
+            # under the variables that have a binary clause that low.
+            first = members[0] if members else len(sat)
+            rest = mask & binary_below[first]
             while rest:
-                left = []
-                for position in rest:
-                    mask = masks[position]
-                    if mask & union:
-                        union |= mask
-                        taken.append(position)
-                    else:
-                        left.append(position)
-                if len(left) == len(rest):
-                    break  # the sweep absorbed nothing
-                rest = left
-            if len(taken) == count:
-                packs.sort()
-                return [(indices, union, tuple(packs))]
-            taken.sort()
-            signature = sorted([packs[position] for position in taken])
-            members = [indices[position] for position in taken]
-            components.append((members, union, tuple(signature)))
-            unplaced = rest
-        components.sort(key=lambda component: component[0][0])
-        return components
+                low = rest & -rest
+                rest ^= low
+                for ci, other in binaries[low.bit_length() - 1]:
+                    if ci >= first:
+                        break
+                    if not value[other]:
+                        first = ci
+                        break
+            key = (mask, tuple(sorted([packs[p] for p in positions])))
+            components.append((first, members, mask, key))
+        components.sort()
+        return [component[1:] for component in components]
 
     def _count(
-        self, indices: list[int]
+        self, indices: list[int], variables: int
     ) -> tuple[int, int | None, int]:
-        """Count live clauses ``indices``: split, conquer, multiply.
+        """Count the residual formula over ``variables`` (rank bits), whose
+        long clauses are among ``indices``: split, conquer, multiply.
 
         Returns ``(count, circuit node or None, live-variable bitset)``.
         """
         trace = self._trace
-        if not indices:
+        components = self._split(indices, variables)
+        if not components:
             return 1, (None if trace is None else trace.true), 0
-        components = self._split(indices)
         live_mask = 0
         for _members, mask, _key in components:
             live_mask |= mask
@@ -447,7 +522,7 @@ class ModelCounter:
         return result, trace.product(nodes), live_mask
 
     def _count_component(
-        self, indices: list[int], comp_mask: int, key: tuple[int, ...]
+        self, indices: list[int], comp_mask: int, key: tuple
     ) -> tuple[int, int | None]:
         cached = self._cache.get(key)
         if cached is not None:
@@ -455,16 +530,19 @@ class ModelCounter:
             return cached
         trace = self._trace
         node: int | None = None
-        variable = self._pick_variable(comp_mask)
-        if variable is None:
-            # Projected mode, no projection variable left: the component
-            # contributes one projected model iff it is satisfiable.
+        # Projected mode branches on projection variables only.
+        pick = comp_mask if self._proj_mask is None else comp_mask & self._proj_mask
+        if not pick:
+            # No projection variable left: the component contributes one
+            # projected model iff it is satisfiable.
             satisfiable = self._satisfiable(indices, comp_mask, key)
             result = 1 if satisfiable else 0
             if trace is not None:
                 node = trace.constant(satisfiable)
         else:
+            variable = self._variables[(pick & -pick).bit_length() - 1]
             store = self._store
+            bits = self._bits
             result = 0
             branches = []
             for literal in (variable, -variable):
@@ -474,25 +552,17 @@ class ModelCounter:
                     store.backtrack(mark)
                     continue
                 assigned = store.trail[mark:]
-                sat = store.sat
-                live = [ci for ci in indices if not sat[ci]]
-                count, child, live_mask = self._count(live)
+                rest = comp_mask & ~sum(map(bits.__getitem__, assigned))
+                count, child, live_mask = self._count(indices, rest)
                 if count or trace is not None:
-                    assigned_mask = 0
-                    for assigned_literal in assigned:
-                        assigned_mask |= 1 << (
-                            assigned_literal
-                            if assigned_literal > 0
-                            else -assigned_literal
-                        )
-                    freed_mask = comp_mask & ~assigned_mask & ~live_mask
+                    freed_mask = rest & ~live_mask
                     result += (1 << self._count_bits(freed_mask)) * count
                     if trace is not None:
                         assert child is not None
                         branches.append(
                             (
                                 tuple(sorted(assigned, key=abs)),
-                                tuple(_mask_bits(freed_mask)),
+                                self._mask_variables(freed_mask),
                                 child,
                             )
                         )
@@ -503,36 +573,22 @@ class ModelCounter:
         self._cache[key] = entry
         return entry
 
-    def _pick_variable(self, comp_mask: int) -> int | None:
-        """Earliest variable of the branching order in the component.
-
-        In projected mode only projection variables qualify; ``None`` means
-        the component has none left.
-        """
-        if self._proj_mask is not None:
-            comp_mask &= self._proj_mask
-            if not comp_mask:
-                return None
-        return self._pick_any_variable(comp_mask)
-
     def _satisfiable(
-        self,
-        indices: list[int],
-        comp_mask: int,
-        key: tuple[int, ...],
+        self, indices: list[int], comp_mask: int, key: tuple
     ) -> bool:
         """Satisfiability of a residual component.
 
         This *is* the counting branch loop with an early exit — same
         trail, same propagation, same component split — it just stops at
         the first branch whose components are all satisfiable instead of
-        summing.  Verdicts memoise under the same content signatures.
+        summing.  Verdicts memoise under the same keys.
         """
         cached = self._sat_cache.get(key)
         if cached is not None:
             return cached
         store = self._store
-        variable = self._pick_any_variable(comp_mask)
+        bits = self._bits
+        variable = self._variables[(comp_mask & -comp_mask).bit_length() - 1]
         result = False
         for literal in (variable, -variable):
             self.decisions += 1
@@ -540,11 +596,10 @@ class ModelCounter:
             if not store.propagate((literal,)):
                 store.backtrack(mark)
                 continue
-            sat = store.sat
-            live = [ci for ci in indices if not sat[ci]]
+            rest = comp_mask & ~sum(map(bits.__getitem__, store.trail[mark:]))
             satisfied = all(
                 self._satisfiable(members, mask, sub_key)
-                for members, mask, sub_key in self._split(live)
+                for members, mask, sub_key in self._split(indices, rest)
             )
             store.backtrack(mark)
             if satisfied:
@@ -552,20 +607,6 @@ class ModelCounter:
                 break
         self._sat_cache[key] = result
         return result
-
-    def _pick_any_variable(self, comp_mask: int) -> int:
-        """Min-rank variable of the component, projection ignored."""
-        rank = self._rank
-        best = -1
-        best_rank = sys.maxsize
-        while comp_mask:
-            low = comp_mask & -comp_mask
-            variable = low.bit_length() - 1
-            comp_mask ^= low
-            if rank[variable] < best_rank:
-                best_rank = rank[variable]
-                best = variable
-        return best
 
 
 def count_models(

@@ -1,28 +1,37 @@
-"""The trail: an occurrence-indexed clause store with in-place propagation.
+"""The trail: a clause store with implicit binaries and in-place propagation.
 
 :class:`ClauseStore` is the mutable heart of the trail-based model counter
 (:mod:`repro.compile.sharpsat`).  Where the retained reference counter
 (:mod:`repro.compile.sharpsat_reference`) rebuilds the whole residual
 formula as fresh clause tuples on every decision, the store keeps **one**
-copy of every clause and two integers of live state per clause:
+copy of every clause, in two kinds:
 
-* ``sat[ci]`` — how many of the clause's literals are currently true
-  (``0`` means the clause is still live);
-* ``free[ci]`` — how many of its literals are still unassigned.
+* a **binary** clause — two literals over two distinct variables — is
+  implicit: it is two entries in per-literal implication lists
+  (``a ∨ b`` puts ``b`` under ``¬a`` and ``a`` under ``¬b``) and has no
+  live state at all.  Assigning a literal queues what it implies;
+* every other clause is **long** and keeps two integers of live state:
+  ``sat[ci]``, how many of its literals are true (``0`` means live), and
+  ``free[ci]``, how many are unassigned.  Assigning a literal walks only
+  the long clauses its variable occurs in (the occurrence index, built
+  once), bumping those counters in place: a clause turns **unit** when
+  ``sat == 0 and free == 1`` (the survivor is queued) and **conflicting**
+  at ``sat == 0 and free == 0``.
 
-Assigning a literal walks only the clauses its variable occurs in (the
-occurrence index, built once), bumping those counters in place: a clause
-turns **unit** when ``sat == 0 and free == 1`` (the survivor is queued for
-propagation) and **conflicting** at ``sat == 0 and free == 0``.  All
+A queued literal that contradicts the assignment is a conflict.  All
 assignments land on a single :attr:`trail`; :meth:`backtrack` pops it and
-replays the counter updates in reverse, so undoing a decision costs
-exactly what making it cost — touched clauses, not formula size.
+replays the long clauses' counter updates in reverse, so undoing a
+decision costs what making it cost, and a binary clause costs nothing.
+After propagation reaches a fixpoint without conflict, a binary clause is
+either satisfied or has both variables unassigned, which the counter's
+component split relies on.
 
-The store deliberately knows nothing about counting, components, caching
-or traces — those live in the counter.  It exposes the pieces they need:
-per-clause static variable bitsets (:attr:`var_masks`), the trail mark /
-backtrack pair, and :meth:`snapshot` for the invariant tests (a
-propagate/backtrack round trip must restore the snapshot bit for bit).
+The store knows nothing about counting, components, caching or traces —
+those live in the counter.  It exposes the pieces they need: the two
+clause kinds (:attr:`binary`, :attr:`long`), the trail mark / backtrack
+pair, :meth:`live` and :meth:`occurs` for preprocessing, and
+:meth:`snapshot` for the invariant tests (a propagate/backtrack round
+trip must restore the snapshot bit for bit).
 """
 
 from __future__ import annotations
@@ -31,13 +40,12 @@ from typing import Iterable, Sequence
 
 
 class ClauseStore:
-    """One formula, occurrence-indexed, with trail-based in-place state."""
+    """One formula, implication- and occurrence-indexed, with trail state."""
 
     __slots__ = (
-        "num_variables", "clauses", "occ_pos", "occ_neg",
-        "free", "sat", "value", "trail", "var_masks",
-        "has_empty", "units",
-        "propagations", "conflicts", "max_trail_depth",
+        "num_variables", "clauses", "binary", "long", "occ_pos", "occ_neg",
+        "implied_pos", "implied_neg", "free", "sat", "value", "trail",
+        "has_empty", "units", "propagations", "conflicts", "max_trail_depth",
     )
 
     def __init__(
@@ -49,14 +57,20 @@ class ClauseStore:
             tuple(clause) for clause in clauses
         ]
         size = num_variables + 1
-        #: ``occ_pos[v]`` / ``occ_neg[v]`` — indices of clauses containing
-        #: the literal ``v`` / ``-v``.  Built once; never mutated.
+        #: Indices of the binary / long clauses, ascending.
+        self.binary: list[int] = []
+        self.long: list[int] = []
+        #: ``occ_pos[v]`` / ``occ_neg[v]`` — indices of long clauses
+        #: containing the literal ``v`` / ``-v``.  Built once.
         self.occ_pos: list[list[int]] = [[] for _ in range(size)]
         self.occ_neg: list[list[int]] = [[] for _ in range(size)]
+        #: ``implied_pos[v]`` / ``implied_neg[v]`` — literals the binary
+        #: clauses force once ``v`` is true / false.  Built once.
+        self.implied_pos: list[list[int]] = [[] for _ in range(size)]
+        self.implied_neg: list[list[int]] = [[] for _ in range(size)]
+        #: Long-clause counters (a binary clause's entries stay 0 / 2).
         self.free: list[int] = []
         self.sat: list[int] = []
-        #: Static bitset of each clause's variables (bit ``v`` set).
-        self.var_masks: list[int] = []
         #: ``value[v]``: 0 unassigned, 1 true, -1 false.
         self.value: list[int] = [0] * size
         #: Assigned literals in assignment order.
@@ -70,17 +84,23 @@ class ClauseStore:
         self.conflicts = 0
         self.max_trail_depth = 0
         for index, clause in enumerate(self.clauses):
-            mask = 0
+            self.free.append(len(clause))
+            self.sat.append(0)
+            if len(clause) == 2 and clause[0] != clause[1] != -clause[0]:
+                self.binary.append(index)
+                for literal, other in (clause, clause[::-1]):
+                    # ¬literal forces other.
+                    if literal > 0:
+                        self.implied_neg[literal].append(other)
+                    else:
+                        self.implied_pos[-literal].append(other)
+                continue
+            self.long.append(index)
             for literal in clause:
                 if literal > 0:
                     self.occ_pos[literal].append(index)
-                    mask |= 1 << literal
                 else:
                     self.occ_neg[-literal].append(index)
-                    mask |= 1 << -literal
-            self.free.append(len(clause))
-            self.sat.append(0)
-            self.var_masks.append(mask)
             if not clause:
                 self.has_empty = True
             elif len(clause) == 1:
@@ -95,9 +115,9 @@ class ClauseStore:
     def propagate(self, literals: Iterable[int]) -> bool:
         """Assign ``literals`` and run unit propagation to fixpoint.
 
-        Returns ``False`` on conflict (a clause ran out of literals, or a
-        queued literal contradicts the current assignment).  Either way
-        every counter update is matched by the trail, so the caller
+        Returns ``False`` on conflict (a long clause ran out of literals,
+        or a queued literal contradicts the current assignment).  Either
+        way every counter update is matched by the trail, so the caller
         unwinds with ``backtrack(mark)`` — there is no torn state.
         """
         value = self.value
@@ -105,15 +125,14 @@ class ClauseStore:
         sat = self.sat
         occ_pos = self.occ_pos
         occ_neg = self.occ_neg
+        implied_pos = self.implied_pos
+        implied_neg = self.implied_neg
         clauses = self.clauses
         trail = self.trail
         queue = list(literals)
-        cursor = 0
         conflict = False
         height = len(trail)
-        while cursor < len(queue):
-            literal = queue[cursor]
-            cursor += 1
+        for literal in queue:  # the queue grows while it is read
             variable = literal if literal > 0 else -literal
             current = value[variable]
             if current:
@@ -122,11 +141,14 @@ class ClauseStore:
                     self.conflicts += 1
                     return False
                 continue
-            value[variable] = 1 if literal > 0 else -1
             trail.append(literal)
             if literal > 0:
+                value[variable] = 1
+                queue += implied_pos[variable]
                 satisfied, touched = occ_pos[variable], occ_neg[variable]
             else:
+                value[variable] = -1
+                queue += implied_neg[variable]
                 satisfied, touched = occ_neg[variable], occ_pos[variable]
             for ci in satisfied:
                 sat[ci] += 1
@@ -181,18 +203,26 @@ class ClauseStore:
 
     # -- inspection --------------------------------------------------------
 
-    def live_indices(self) -> list[int]:
-        """Indices of clauses no current assignment satisfies."""
-        sat = self.sat
-        return [ci for ci in range(len(self.clauses)) if not sat[ci]]
-
-    def reduced_clause(self, index: int) -> tuple[int, ...]:
-        """The clause's unassigned literals, in stored (canonical) order."""
+    def live(self, index: int) -> bool:
+        """Whether no current assignment satisfies clause ``index``."""
         value = self.value
-        return tuple(
-            literal
+        return not any(
+            value[literal if literal > 0 else -literal] * literal > 0
             for literal in self.clauses[index]
-            if not value[literal if literal > 0 else -literal]
+        )
+
+    def occurs(self, literal: int) -> bool:
+        """Whether ``literal``, unassigned at a propagation fixpoint, occurs
+        in a live clause (a binary one is live when its partner is
+        unassigned too)."""
+        variable = literal if literal > 0 else -literal
+        if literal > 0:
+            long, partners = self.occ_pos[variable], self.implied_neg[variable]
+        else:
+            long, partners = self.occ_neg[variable], self.implied_pos[variable]
+        sat, value = self.sat, self.value
+        return any(not sat[ci] for ci in long) or any(
+            not value[partner if partner > 0 else -partner] for partner in partners
         )
 
     def snapshot(self) -> tuple:

@@ -308,16 +308,14 @@ def count_completions_uniform_unary(
 
     Polynomial in ``|dom|`` and the table for a fixed schema.
     """
-    relations = sorted(query.relations) if query is not None else []
-    if query is not None and tractable(query, COMP_UNIFORM)[0]:
-        # A query relation with no facts stays empty in every completion
-        # (closed-world: valuations never invent facts), so q is never
-        # satisfied, whatever the table's shape.
-        if any(not db.relation(r) for r in relations):
-            return 0
     ok, reason = applies(db, query)
     if not ok:
         raise ValueError("Theorem 4.6 does not apply: %s" % reason)
+    relations = sorted(query.relations) if query is not None else []
+    # A query relation with no facts stays empty in every completion
+    # (closed-world: valuations never invent facts), so q is never satisfied.
+    if any(not db.relation(r) for r in relations):
+        return 0
     instance = _Instance(db, relations)
     components = _query_components(query) if query is not None else []
     upgrade_sources = [

@@ -1,5 +1,10 @@
 """Tests for lineage compilation and the CNF encodings of #Val / #Comp."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.compile import (
@@ -17,6 +22,8 @@ from repro.db.fact import Fact
 from repro.db.incomplete import IncompleteDatabase
 from repro.db.terms import Null
 from repro.exact.brute import count_completions_brute, count_valuations_brute
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _figure1_db():
@@ -196,6 +203,36 @@ class TestCompletionEncoding:
         encoding = compile_completion_cnf(db, None)
         assert encoding.projection == frozenset(encoding.facts.variables())
         assert len(encoding.facts) > 0
+
+    def test_clause_order_does_not_follow_the_hash_seed(self):
+        # Each match of R(x) ∧ S(x) uses two facts, and a fact with two
+        # nulls has two-null producers; witness and commander clauses
+        # come in key order, not in a frozenset's hash order.
+        probe = (
+            "from repro.compile.encode import compile_completion_cnf\n"
+            "from repro.db.fact import Fact\n"
+            "from repro.db.incomplete import IncompleteDatabase\n"
+            "from repro.db.terms import Null\n"
+            "from repro.workloads.generators import scaling_hard_comp_instance\n"
+            "db, query = scaling_hard_comp_instance(8, seed=6)\n"
+            "print(compile_completion_cnf(db, query).cnf.clauses)\n"
+            "nulls = [Null(i) for i in range(4)]\n"
+            "facts = [Fact('R', nulls[:2]), Fact('R', nulls[2:]), Fact('R', ['a', 'b'])]\n"
+            "db = IncompleteDatabase.uniform(facts, ['a', 'b', 'c'])\n"
+            "print(compile_completion_cnf(db, None).cnf.clauses)\n"
+        )
+        outputs = []
+        for seed in ("0", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+            )
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", probe], env=env, capture_output=True,
+                text=True, check=True, timeout=120,
+            ).stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("(") > 20
 
     def test_explain_reports_projected_mode(self):
         db = _figure1_db()

@@ -173,8 +173,10 @@ class TestOrdering:
         order, width = branching_order(cnf)
         counter = ModelCounter(cnf)
         assert counter.width == width
-        assert [counter._rank[variable] for variable in order] == list(
-            range(len(order))
+        # Rank bits: the order first, then the variables it omits.
+        assert counter._variables[:len(order)] == order
+        assert counter._variables[len(order):] == sorted(
+            set(range(1, cnf.num_variables + 1)) - set(order)
         )
 
 
@@ -352,15 +354,70 @@ def _projected_comp_cnf():
     return encoding.cnf, encoding.projection
 
 
+def _variables_of(counter, mask):
+    """The variables of a rank-bit ``mask`` as an ordinary bitset."""
+    return sum(1 << variable for variable in counter._mask_variables(mask))
+
+
+def _binary_inside(counter, variables):
+    """The stored binary clauses over two variables of ``variables``."""
+    store = counter._store
+    inside = set(counter._mask_variables(variables))
+    return [
+        ci for ci in store.binary
+        if all(abs(literal) in inside for literal in store.clauses[ci])
+    ]
+
+
+def _all_live(counter, indices, variables):
+    """Every live clause of the residual formula the split sees: the live
+    long clauses among ``indices`` and the binary clauses inside
+    ``variables`` (rank bits), ascending; the oracle's input."""
+    live = [ci for ci in indices if counter._store.live(ci)]
+    return sorted(live + _binary_inside(counter, variables))
+
+
+def _assert_split_matches_merge(counter, indices, variables, keys=None):
+    """``counter._split(indices, variables)`` against the merge loop: each
+    component's long members plus the binary clauses inside its
+    variables are the oracle's clauses, its variables are the oracle's,
+    and the order is the oracle's.  With ``keys``, also record which
+    split key went with which all-clause key."""
+    components = counter._split(indices, variables)
+    _assert_matches_merge(counter, indices, variables, components, keys)
+    return components
+
+
+def _assert_matches_merge(counter, indices, variables, components, keys=None):
+    store = counter._store
+    oracle = _merge_split(counter, _all_live(counter, indices, variables))
+    assert len(components) == len(oracle)
+    for (members, mask, key), (clauses, union, packed) in zip(components, oracle):
+        assert sorted(members + _binary_inside(counter, mask)) == clauses
+        assert set(members) <= set(store.long)
+        assert _variables_of(counter, mask) == union
+        if keys is not None:
+            keys.append((key, packed))
+
+
+def _unassigned(counter):
+    store = counter._store
+    return sum(
+        counter._bits[variable]
+        for variable in range(1, store.num_variables + 1)
+        if not store.value[variable]
+    )
+
+
 def _checked_counter(cnf, projection=None):
     """A counter whose every split is checked against the oracle."""
     counter = ModelCounter(cnf, projection=projection)
     split = counter._split
     calls = []
 
-    def checked(indices):
-        components = split(indices)
-        assert components == _merge_split(counter, indices)
+    def checked(indices, variables):
+        components = split(indices, variables)
+        _assert_matches_merge(counter, indices, variables, components)
         calls.append(len(components))
         return components
 
@@ -368,18 +425,31 @@ def _checked_counter(cnf, projection=None):
     return counter, calls
 
 
-class TestFloodFillSplit:
-    """The flood fill returns the merge loop's components, in order."""
+def _assert_keys_exact(keys):
+    """Two components share a split key exactly when they share an
+    all-clause packed key."""
+    by_key: dict = {}
+    by_packed: dict = {}
+    for key, packed in keys:
+        assert by_key.setdefault(key, packed) == packed
+        assert by_packed.setdefault(packed, key) == key
+
+
+class TestVariableSplit:
+    """The variable split returns the merge loop's components, in order,
+    under keys that are equal exactly when the all-clause keys are."""
 
     @staticmethod
-    def _assert_same_as_merge(counter):
-        live = counter._store.live_indices()
-        assert counter._split(live) == _merge_split(counter, live)
+    def _assert_same_as_merge(counter, keys):
+        _assert_split_matches_merge(
+            counter, counter._store.long, _unassigned(counter), keys
+        )
 
     def _walk(self, cnf, projection, data):
         counter = ModelCounter(cnf, projection=projection)
         store = counter._store
-        self._assert_same_as_merge(counter)
+        keys = []
+        self._assert_same_as_merge(counter, keys)
         marks = []
         for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
             unassigned = [
@@ -396,7 +466,8 @@ class TestFloodFillSplit:
                     marks.append(mark)
                 else:
                     store.backtrack(mark)
-            self._assert_same_as_merge(counter)
+            self._assert_same_as_merge(counter, keys)
+        _assert_keys_exact(keys)
 
     @given(small_cnfs(max_variables=8, max_clauses=12), st.data())
     @settings(max_examples=150, deadline=None)
@@ -428,31 +499,38 @@ class TestFloodFillSplit:
         assert calls and max(calls) > 1
 
     @staticmethod
-    def _root_split(clauses, num_variables):
-        counter = ModelCounter(CNF(num_variables, clauses))
-        live = counter._store.live_indices()
-        components = counter._split(live)
-        assert components == _merge_split(counter, live)
-        return components
+    def _root_split(clauses, num_variables, order=None):
+        """The root split of a fresh counter, as ``(clauses, variables)``
+        pairs in the oracle's terms."""
+        counter = ModelCounter(CNF(num_variables, clauses), order=order)
+        store = counter._store
+        components = _assert_split_matches_merge(
+            counter, store.long, _unassigned(counter)
+        )
+        return [
+            (_all_live(counter, members, mask), _variables_of(counter, mask))
+            for members, mask, _key in components
+        ]
 
     def test_path_links_in_ascending_order(self):
         links = [(v, v + 1) for v in range(1, 12)]
-        [(members, mask, _key)] = self._root_split(links, 12)
+        [(members, mask)] = self._root_split(links, 12)
         assert members == list(range(11))
         assert mask == (1 << 13) - 2
 
     def test_path_links_in_descending_order(self):
         links = [(v, v + 1) for v in range(11, 0, -1)]
-        [(members, _mask, _key)] = self._root_split(links, 12)
+        [(members, _mask)] = self._root_split(links, 12)
         assert members == list(range(11))
 
-    def test_path_that_grows_one_link_per_sweep(self):
-        # The seed (the last clause) is the path's end link and every
-        # other link sits below its neighbour toward the seed, so each
-        # downward sweep absorbs exactly one clause.
-        links = [(v, v + 1) for v in range(2, 12)] + [(1, 2)]
-        [(members, _mask, _key)] = self._root_split(links, 12)
+    def test_path_grown_from_its_middle(self):
+        # The lowest rank bit sits mid-path, so the closure grows the
+        # component outward in both directions, one link per level.
+        links = [(v, v + 1) for v in range(1, 12)]
+        order = [6, 1, 12, 2, 11, 3, 10, 4, 9, 5, 8, 7]
+        [(members, mask)] = self._root_split(links, 12, order=order)
         assert members == list(range(11))
+        assert mask == (1 << 13) - 2
 
     def test_interleaved_components_come_out_by_smallest_clause(self):
         # Three paths over variables 1-4, 5-8 and 9-12, their links
@@ -460,9 +538,26 @@ class TestFloodFillSplit:
         paths = [[(v, v + 1) for v in range(start, start + 3)] for start in (1, 5, 9)]
         links = [link for triple in zip(*paths) for link in triple]
         components = self._root_split(links, 12)
-        assert [members for members, _mask, _key in components] == [
+        assert [members for members, _mask in components] == [
             [0, 3, 6], [1, 4, 7], [2, 5, 8],
         ]
-        assert [mask for _members, mask, _key in components] == [
+        assert [mask for _members, mask in components] == [
             0b11110, 0b111100000, 0b1111000000000,
         ]
+
+    def test_long_clauses_bridge_binary_groups(self):
+        # Two binary paths (1-2-3, 4-5-6) joined only by a ternary clause,
+        # a ternary clause over variables no binary clause holds (7-9),
+        # and a ternary clause that reaches one of those into a path.
+        clauses = [(1, 2), (2, 3), (4, 5), (5, 6), (3, 4, 7), (8, 9, 10)]
+        [(members, mask)] = self._root_split(clauses[:5], 7)
+        assert members == [0, 1, 2, 3, 4] and mask == 0b11111110
+        components = self._root_split(clauses, 10)
+        assert [members for members, _mask in components] == [
+            [0, 1, 2, 3, 4], [5],
+        ]
+        assert components[1][1] == 0b11100000000
+        # A component's smallest clause can be a binary clause below its
+        # long ones: 1-2-3-4 comes first by (1, 2), not by (2, 3, 4).
+        components = self._root_split([(1, 2), (5, 6, 7), (2, 3, 4)], 7)
+        assert [members for members, _mask in components] == [[0, 2], [1]]

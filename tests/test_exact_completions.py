@@ -109,6 +109,17 @@ class TestUniformUnary:
         db = IncompleteDatabase.uniform([Fact("R", ["a"])], ["a"])
         assert count_completions_uniform_unary(db, self.QUERY) == 0
 
+    def test_refuses_a_non_uniform_table_whatever_its_relations(self):
+        # S has no facts, yet the table is outside Theorem 4.6: the
+        # refusal depends on the table, not on which relations are empty.
+        null = Null("n")
+        db = IncompleteDatabase([Fact("R", [null])], dom={null: ["a", "b"]})
+        assert not comp_uniform.applies(db, self.QUERY)[0]
+        with pytest.raises(ValueError, match="not uniform"):
+            count_completions_uniform_unary(db, self.QUERY)
+        with pytest.raises(ValueError, match="not uniform"):
+            count_completions_uniform_unary(db, BCQ([Atom("R", ["x"])]))
+
     @given(
         st.one_of(
             st.tuples(
