@@ -57,6 +57,7 @@ from repro.db.terms import Null, Term
 from repro.db.valuation import (
     NullWeights,
     count_total_valuations,
+    named_null_weights,
     resolve_null_weights,
 )
 from repro.obs import incr as _incr, span as _span
@@ -371,11 +372,12 @@ class ValuationCircuit(_CircuitArtifact):
         Resolving a null pins its choice-variable block (the chosen
         value's variable true, its siblings false); restricting a domain
         pins the removed values' variables false.  Either way the child
-        circuit is one linear rewrite of the parent program
-        (:meth:`DDNNF.condition <repro.compile.circuit.DDNNF.condition>`)
-        — no lineage enumeration, no CNF, no search — and every answer
-        (count, weighted counts, marginals, samples) is bit-identical to
-        compiling the updated instance from scratch.
+        circuit shares the parent's program and level plan and carries the
+        pins (:meth:`DDNNF.condition
+        <repro.compile.circuit.DDNNF.condition>`): a pin vector plus one count
+        — no lineage enumeration, no CNF, no search, no rewrite — and
+        every answer (count, weighted counts, marginals, samples) is
+        bit-identical to compiling the updated instance from scratch.
 
         Insert/delete deltas change the clause set itself: compile the
         updated instance instead.  Raises :class:`ValueError` on a
@@ -444,20 +446,47 @@ class ValuationCircuit(_CircuitArtifact):
     ) -> list:
         """:meth:`weighted_count` for N weight tables in one batched pass:
         the circuit's upward pass runs once with length-N columns
-        (:meth:`~repro.compile.circuit.DDNNF.evaluate_many`) instead of
-        once per table."""
-        resolved_rows = [
-            resolve_null_weights(self._db, row) for row in weight_rows
+        (:meth:`~repro.compile.circuit.DDNNF.evaluate_columns`) instead of
+        once per table.
+
+        The columns come straight from the rows: each row is checked as
+        :func:`~repro.db.valuation.resolve_null_weights` checks it, but
+        only the nulls a row names are materialized, and the nulls it
+        leaves out contribute one constant factor to its weighted total.
+        """
+        named_rows = [
+            named_null_weights(self._db, row) for row in weight_rows
         ]
         if self.total_valuations == 0:
-            return [0] * len(resolved_rows)
-        falsifying = self.circuit.evaluate_many(
-            [self._variable_weights(resolved) for resolved in resolved_rows]
-        )
-        return [
-            self._weighted_total(resolved) - mass
-            for resolved, mass in zip(resolved_rows, falsifying)
-        ]
+            return [0] * len(named_rows)
+        count = len(named_rows)
+        ones = [1] * count
+        columns = {}
+        for null in dict.fromkeys(
+            null for named in named_rows for null in named
+        ):
+            tables = [named.get(null) for named in named_rows]
+            for value, variable in self._choices.get(null, ()):
+                columns[variable] = ([
+                    1 if table is None else table.get(value, 0)
+                    for table in tables
+                ], ones)
+        falsifying = self.circuit.evaluate_columns(count, columns)
+        unnamed: dict = {}  # the nulls a row names -> the rest's factor
+        answers = []
+        for named, mass in zip(named_rows, falsifying):
+            key = frozenset(named)
+            if key not in unnamed:
+                factor = 1
+                for null in self._db.nulls:
+                    if null not in key:
+                        factor *= len(self._db.domain_of(null))
+                unnamed[key] = factor
+            total = unnamed[key]
+            for table in named.values():
+                total = total * sum(table.values())
+            answers.append(total - mass)
+        return answers
 
     def marginals(
         self, weights: NullWeights | None = None
@@ -547,6 +576,14 @@ class ValuationCircuit(_CircuitArtifact):
         return pinned
 
     # -- complement arithmetic ---------------------------------------------
+
+    @cached_property
+    def _choices(self) -> dict[Null, list[tuple[Term, int]]]:
+        """``null -> [(value, choice variable), ...]`` over the live pairs."""
+        choices: dict[Null, list[tuple[Term, int]]] = {}
+        for (null, value), variable in self._variables:
+            choices.setdefault(null, []).append((value, variable))
+        return choices
 
     def _variable_weights(self, resolved: dict) -> dict:
         """Per-variable ``(true, false)`` weights from per-null tables.

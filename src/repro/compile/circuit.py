@@ -39,28 +39,48 @@ passes below correct:
 ====================== ==================================================
 
 **Representation.**  The circuit is stored as one flat, topologically
-ordered **array of ints** (:attr:`DDNNF._code`) plus a per-node offset
-table: each node is ``[kind, …]`` with kind codes ``0``/``1`` for the
-false/true constants, ``2`` for decisions (branch count, then per branch
-``nlits, lits…, nfree, freed…, child``) and ``3`` for products
-(child count, children…).  Children precede parents by construction, so
-every pass is a single non-recursive sweep over the array with direct
-list indexing — no per-node tuples to unpack, no dict probes for weights
-(weights resolve to flat per-variable arrays first), and no recursion
-limit to hit.  :class:`~repro.compile.ddnnf_trace.TraceBuilder` emits
+ordered **array of ints** plus a per-node offset table (a
+:class:`_Program`): each node is ``[kind, …]`` with kind codes
+``0``/``1`` for the false/true constants, ``2`` for decisions (branch
+count, then per branch ``nlits, lits…, nfree, freed…, child``) and ``3``
+for products (child count, children…).  Children precede parents by
+construction.  :class:`~repro.compile.ddnnf_trace.TraceBuilder` emits
 this layout directly while the search runs, and the binary codec
 (:mod:`repro.compile.serialize`) parses straight into it, so rehydrated
 artifacts never materialize an intermediate node-tuple forest.
 
-**Lanes.**  Every pass is one of two walkers over that program:
-:meth:`DDNNF._upward` computes node values children-first and
-:meth:`DDNNF._downward` derivatives and literal counts parents-first.
-Both touch node values only through ``*`` and ``+``, so one body runs on
-whatever the weight tables hold, and the row count picks the *lane*: one
-weight row runs on Python scalars (``scalar``); N > 1 rows run on
-length-N numpy columns, ``int64`` when a magnitude bound proves no
-intermediate can overflow and exact ``object`` columns otherwise.  All
-arithmetic is exact for int/Fraction weights.
+**Levels.**  The passes do not walk that program node by node.  The first
+pass builds a compact int32 :class:`_Plan` of it, once per program: the
+nodes grouped by height (children before parents), and every decision
+branch's countable literals as one flat index array into a per-pass
+weight vector ``[1, w⁺(1..n), w⁻(1..n)]``.  A countable variable a branch
+*frees* becomes a shared *free leaf* of value ``w⁺ + w⁻``, multiplied into
+the branch's child by a virtual product node, so no pass special-cases
+freed variables; a non-countable literal or freed variable weighs 1 and
+drops out.  :meth:`_Plan.upward` then computes every branch weight with
+one ``multiply.reduceat``, and each level with a gather and a
+``multiply.reduceat`` (products) and a gather, a multiply by the branch
+weights and an ``add.reduceat`` (decisions): O(depth) vector operations
+per pass, not one interpreter step per literal.  :meth:`_Plan.downward`
+walks the same levels parents-first with segmented sibling products (no
+division, so a zero child stays exact) and sorted scatter-adds, and
+writes all literal counts with one scatter-add of per-branch masses.
+
+**Pins.**  :meth:`DDNNF.condition` rewrites nothing: the conditioned
+circuit shares its parent's program and plan and carries *pins*, which
+enter the weight vector — a literal contradicting a pin weighs 0, so a
+pinned freed variable contributes only its pinned weight.  Conditioning
+touches no node: it copies the parent's pin vector (one bool per weight
+slot) and sets the new pins.  A pinned circuit cannot be serialized or
+read as a node list (it holds its parent's program, unpinned).
+
+**Lanes.**  Both passes touch node values only through ``*`` and ``+``,
+so one body runs on whatever the weight vector holds, and the row count
+picks the *lane*: one weight row runs exact Python numbers in an
+``object`` column (``scalar``); N > 1 rows run on N-wide numpy columns,
+``int64`` when a magnitude bound proves no intermediate can overflow and
+exact ``object`` columns otherwise.  Weights no row varies are multiplied
+once, not per row.  All arithmetic is exact for int/Fraction weights.
 """
 
 from __future__ import annotations
@@ -96,6 +116,520 @@ _KIND_NAMES = {
 #: ``variable -> (weight of v true, weight of v false)``.
 WeightMap = Mapping[int, tuple]
 
+#: ``variable -> (w⁺ column, w⁻ column)``, one entry per weight row.
+Columns = Mapping[int, tuple[Sequence, Sequence]]
+
+
+class _Program:
+    """The flat node program: shared by a circuit and every circuit
+    conditioned from it, with its level plan built on first use."""
+
+    __slots__ = (
+        "code", "offsets", "root", "num_variables", "countable",
+        "is_countable", "memory", "plan",
+    )
+
+    def __init__(
+        self,
+        code: list[int],
+        offsets: list[int],
+        root: int,
+        num_variables: int,
+        countable: Iterable[int],
+    ) -> None:
+        if not 0 <= root < len(offsets):
+            raise ValueError("root %d outside the node array" % root)
+        self.code = code
+        self.offsets = offsets
+        self.root = root
+        self.num_variables = num_variables
+        self.countable = frozenset(countable)
+        flags = bytearray(num_variables + 1)
+        for variable in self.countable:
+            flags[variable] = 1
+        self.is_countable = flags
+        self.memory: int | None = None
+        self.plan: _Plan | None = None
+
+
+def _ids(values) -> _np.ndarray:
+    return _np.asarray(values, dtype=_np.int32)
+
+
+def _heads(keys: _np.ndarray) -> _np.ndarray:
+    """Start of every run of equal entries in the sorted ``keys``."""
+    if not keys.size:
+        return _ids([])
+    return _ids(_np.flatnonzero(
+        _np.concatenate(([True], keys[1:] != keys[:-1]))
+    ))
+
+
+class _Tables:
+    """One pass's weights over the slots ``[1, w⁺(1..n), w⁻(1..n)]``.
+
+    ``base`` holds each slot's value shared by every row (1 on a slot that
+    varies); ``row_of[slot]`` indexes the slot's per-row values in
+    ``vary`` when it varies, else is -1.  ``width`` is the node-value
+    column width: the row count when any slot varies, otherwise 1.
+    """
+
+    __slots__ = ("base", "row_of", "vary", "width")
+
+    def __init__(self, base, row_of=None, vary=None) -> None:
+        self.base = base
+        self.row_of = row_of
+        self.vary = vary
+        self.width = 1 if vary is None else vary.shape[1]
+
+    def values(self, slots: _np.ndarray) -> _np.ndarray:
+        """The ``(len(slots), width)`` weights of ``slots``."""
+        out = _np.repeat(self.base[slots][:, None], self.width, axis=1)
+        if self.vary is not None:
+            rows = self.row_of[slots]
+            varying = rows >= 0
+            out[varying] = self.vary[rows[varying]]
+        return out
+
+
+def _within(lengths: _np.ndarray) -> _np.ndarray:
+    """Each item's index inside its run, for runs of ``lengths``."""
+    return _np.arange(lengths.sum(), dtype=lengths.dtype) - _np.repeat(
+        _np.cumsum(lengths) - lengths, lengths
+    )
+
+
+class _Runs:
+    """Runs of a flat array, grouped into consecutive blocks (the levels),
+    each run reduced to one item by :meth:`reduce` on one block's items.
+
+    A one-wide column reduces with ``reduceat``; a wider one by pairwise
+    halving, since a 2-D ``reduceat`` pays per run and row.  The halving
+    steps of every block are laid out together, on the first wide
+    reduction.
+    """
+
+    __slots__ = ("starts", "total", "blocks", "local", "steps")
+
+    def __init__(self, starts: _np.ndarray, total: int, blocks=None) -> None:
+        self.starts = _np.asarray(starts, dtype=_np.int64)
+        self.total = total
+        #: Run bounds of each block (one block unless given).
+        self.blocks = (
+            _np.array([0, self.starts.size]) if blocks is None
+            else _np.asarray(blocks, dtype=_np.int64)
+        )
+        bounds = _np.append(self.starts, total)[self.blocks]
+        local = self.starts - _np.repeat(bounds[:-1], _np.diff(self.blocks))
+        #: Each block's run starts, relative to its first item.
+        self.local = [
+            _ids(local[lo:hi])
+            for lo, hi in zip(self.blocks[:-1], self.blocks[1:])
+        ]
+        self.steps: list | None = None
+
+    def _halvings(self) -> list:
+        """Per block, per step: the items kept (each run's even
+        positions), which of them have a partner (``None``: all), and the
+        partners — all relative to the block."""
+        lengths = _np.diff(_np.append(self.starts, self.total))
+        counts = _np.diff(self.blocks)
+        steps: list = [[] for _ in counts]
+        while lengths.size and lengths.max() > 1:
+            kept = (lengths + 1) // 2
+            item = _within(kept)
+            run_first = _np.cumsum(lengths) - lengths
+            take = _np.repeat(run_first, kept) + 2 * item
+            paired = 2 * item + 1 < _np.repeat(lengths, kept)
+            into = _np.append(run_first, lengths.sum())[self.blocks]
+            out = _np.append(_np.cumsum(kept) - kept, kept.sum())[self.blocks]
+            take -= _np.repeat(into[:-1], _np.diff(out))
+            pairs = _np.flatnonzero(paired)
+            pair_bounds = _np.searchsorted(pairs, out)
+            for block in _np.flatnonzero(_np.diff(pair_bounds)):
+                p0, p1 = pair_bounds[block], pair_bounds[block + 1]
+                o0, o1 = out[block], out[block + 1]
+                chosen = take[o0:o1]
+                partners = pairs[p0:p1] - o0
+                steps[block].append((
+                    _ids(chosen),
+                    None if p1 - p0 == o1 - o0 else _ids(partners),
+                    _ids(chosen[partners] + 1),
+                ))
+            lengths = kept
+        return steps
+
+    def reduce(
+        self, op: _np.ufunc, items: _np.ndarray, block: int = 0
+    ) -> _np.ndarray:
+        if items.shape[1] == 1:
+            return op.reduceat(items, self.local[block], axis=0)
+        if self.steps is None:
+            self.steps = self._halvings()
+        for take, paired, partner in self.steps[block]:
+            head = items[take]
+            if paired is None:
+                op(head, items[partner], out=head)
+            else:
+                head[paired] = op(head[paired], items[partner])
+            items = head
+        return items
+
+
+class _Plan:
+    """The level schedule of one program (see the module docstring).
+
+    Plan node ids are the program's, followed by one free leaf per
+    countable freed variable and one virtual product per branch freeing
+    any.  Branches are numbered by level, then node, so each level's
+    decisions own one contiguous branch range; every branch's factor run
+    in ``factor_slot`` is non-empty (a branch with no countable literal
+    holds the constant slot 0), because ``reduceat`` answers an empty run
+    with its first element rather than the identity.
+    """
+
+    __slots__ = (
+        "size", "num_variables", "false_nodes", "true_nodes", "free_vars",
+        "free_nodes", "factor_slot", "factor_start", "factor_branch",
+        "branch_node", "branch_child", "loose", "loose_factor", "levels",
+        "product_runs", "branch_runs", "product_child", "prefix_ranks",
+        "suffix_ranks", "down_levels", "edge_runs", "count_slot",
+        "count_branch", "count_runs",
+    )
+
+    def __init__(self, program: _Program) -> None:
+        self.num_variables = program.num_variables
+        code = _np.fromiter(
+            program.code, dtype=_np.int32, count=len(program.code)
+        )
+        offsets = _ids(program.offsets)
+        num_nodes = offsets.size
+        kind = code[offsets]
+        width = _np.where(
+            kind >= KIND_DECISION,
+            code[_np.minimum(offsets + 1, code.size - 1)], 0,
+        )
+        # An empty product is the true constant, a branchless decision
+        # the false one.
+        self.false_nodes = _ids(_np.flatnonzero(
+            (kind == KIND_FALSE) | ((kind == KIND_DECISION) & (width == 0))
+        ))
+        self.true_nodes = _ids(_np.flatnonzero(
+            (kind == KIND_TRUE) | ((kind == KIND_PRODUCT) & (width == 0))
+        ))
+        products = _np.flatnonzero((kind == KIND_PRODUCT) & (width > 0))
+        arity = width[products]
+        kids = code[_np.repeat(offsets[products] + 2, arity) + _within(arity)]
+        # Walk every decision's branches in step: the k-th at once.
+        deciders = _np.flatnonzero((kind == KIND_DECISION) & (width > 0))
+        runs = width[deciders]
+        first = _np.cumsum(runs) - runs
+        at = _np.empty(runs.sum(), dtype=_np.int32)
+        cursor = offsets[deciders] + 2
+        live = _np.arange(deciders.size)
+        step = 0
+        while live.size:
+            here = cursor[live]
+            at[first[live] + step] = here
+            after = here + 1 + code[here]
+            cursor[live] = after + 2 + code[after]
+            step += 1
+            live = live[runs[live] > step]
+        nlits = code[at]
+        owners = _ids(_np.arange(at.size))
+        lit_owner = _np.repeat(owners, nlits)
+        lits = code[_np.repeat(at + 1, nlits) + _within(nlits)]
+        free_at = at + 1 + nlits
+        nfree = code[free_at]
+        freed = code[_np.repeat(free_at + 1, nfree) + _within(nfree)]
+        child = code[free_at + 1 + nfree]
+        # Countable freed variables become free leaves, multiplied into
+        # their branch's child by a virtual product.
+        countable = _np.frombuffer(bytes(program.is_countable), dtype=bool)
+        kept = countable[freed]
+        free_owner = _np.repeat(owners, nfree)[kept]
+        freed = freed[kept]
+        freeing_count = _np.bincount(free_owner, minlength=at.size)
+        loose = nfree - freeing_count
+        free_vars = _np.flatnonzero(_np.bincount(freed))
+        freeing = _np.flatnonzero(freeing_count)
+        virtual = num_nodes + free_vars.size + _np.arange(freeing.size)
+        self.size = int(num_nodes + free_vars.size + freeing.size)
+        self.free_vars = _ids(free_vars)
+        self.free_nodes = _ids(num_nodes + _np.arange(free_vars.size))
+        virtual_of = _np.full(at.size, -1, dtype=_np.int32)
+        virtual_of[freeing] = virtual
+        entries = _np.concatenate((
+            virtual, virtual_of[free_owner],
+        ))
+        members = _np.concatenate((
+            child[freeing],
+            num_nodes + _np.searchsorted(free_vars, freed),
+        ))
+        by_virtual = _np.argsort(entries, kind="stable")
+        product_node = _np.concatenate((products, virtual))
+        product_arity = _np.concatenate((arity, freeing_count[freeing] + 1))
+        product_kids = _np.concatenate((kids, members[by_virtual]))
+        branch_child = _np.where(virtual_of >= 0, virtual_of, child)
+        branch_node = _np.repeat(deciders, runs)
+        height = self._heights(
+            self.size,
+            _np.concatenate((
+                _np.repeat(product_node, product_arity), branch_node,
+            )),
+            _np.concatenate((product_kids, branch_child)),
+        )
+        # Products and decisions by (height, node); branches follow.
+        by_product = _np.lexsort((product_node, height[product_node]))
+        starts = _np.cumsum(product_arity) - product_arity
+        picks = (
+            _np.repeat(starts[by_product], product_arity[by_product])
+            + _within(product_arity[by_product])
+        )
+        by_decision = _np.lexsort((deciders, height[deciders]))
+        order = (
+            _np.repeat(first[by_decision], runs[by_decision])
+            + _within(runs[by_decision])
+        )
+        self._branches(
+            order, branch_node, branch_child, loose, lits, lit_owner,
+            countable,
+        )
+        self._levels(
+            product_node[by_product], product_arity[by_product],
+            product_kids[picks], height[product_node[by_product]],
+            deciders[by_decision], runs[by_decision],
+            height[deciders[by_decision]],
+        )
+
+    @staticmethod
+    def _heights(
+        size: int, parents: _np.ndarray, children: _np.ndarray
+    ) -> _np.ndarray:
+        """Each node's height over the ``parents[i] -> children[i]`` edges:
+        0 at a leaf, else one more than its highest child (relaxed once
+        per level)."""
+        height = _np.zeros(size, dtype=_np.int32)
+        if not parents.size:
+            return height
+        by_parent = _np.argsort(parents, kind="stable")
+        children = children[by_parent]
+        heads = _heads(parents[by_parent])
+        tops = parents[by_parent][heads]
+        while True:
+            raised = _np.maximum.reduceat(height[children], heads) + 1
+            if _np.array_equal(raised, height[tops]):
+                return height
+            height[tops] = raised
+
+    def _branches(
+        self, order, branch_node, branch_child, loose, lits, lit_owner,
+        countable,
+    ) -> None:
+        """Number the branches by level (``order`` lists them) and lay out
+        their factors and the literal counts' scatter."""
+        total = order.size
+        n = self.num_variables
+        rank = _np.empty(total, dtype=_np.int32)
+        rank[order] = _np.arange(total)
+        self.branch_node = _ids(branch_node[order])
+        self.branch_child = _ids(branch_child[order])
+        spare = loose[order]
+        self.loose = _ids(_np.flatnonzero(spare))
+        self.loose_factor = _np.array(
+            [1 << int(k) for k in spare[self.loose]], dtype=object
+        ).reshape(-1, 1)
+        keep = countable[_np.abs(lits)]
+        slots = _np.where(lits > 0, lits, n - lits)[keep]
+        owner = rank[lit_owner[keep]]
+        bare = _np.flatnonzero(_np.bincount(owner, minlength=total) == 0)
+        slots = _np.concatenate((slots, _np.zeros(bare.size, dtype=slots.dtype)))
+        owner = _np.concatenate((owner, bare))
+        by_branch = _np.argsort(owner, kind="stable")
+        self.factor_slot = _ids(slots[by_branch])
+        self.factor_branch = _ids(owner[by_branch])
+        self.factor_start = _ids(
+            _np.searchsorted(self.factor_branch, _np.arange(total))
+        )
+        real = _np.flatnonzero(self.factor_slot)
+        real = real[_np.argsort(self.factor_slot[real], kind="stable")]
+        heads = _heads(self.factor_slot[real])
+        self.count_slot = self.factor_slot[real][heads]
+        self.count_branch = self.factor_branch[real]
+        self.count_runs = _Runs(heads, real.size)
+
+    def _levels(
+        self, p_node, arity, product_child, p_height, d_node, runs, d_height,
+    ) -> None:
+        """Per height: the upward steps and the downward edges."""
+        occurrences = product_child.size
+        first = _np.cumsum(arity) - arity
+        start = _np.cumsum(runs) - runs
+        self.product_child = _ids(product_child)
+        owner = _np.repeat(p_node, arity)
+        rank = _within(arity)
+        back = _np.repeat(arity - 1, arity) - rank
+        self.prefix_ranks = [
+            _ids(_np.flatnonzero(rank == r))
+            for r in range(1, int(arity.max(initial=0)))
+        ]
+        self.suffix_ranks = [_ids(_np.flatnonzero(back == r)) for r in
+                             range(1, len(self.prefix_ranks) + 1)]
+        top = int(max(p_height.max(initial=0), d_height.max(initial=0)))
+        heights = _np.arange(1, top + 2)
+        p_bounds = _np.searchsorted(p_height, heights)
+        d_bounds = _np.searchsorted(d_height, heights)
+        occurrence_bounds = _np.append(first, occurrences)[p_bounds]
+        branch_bounds = _np.append(start, self.branch_child.size)[d_bounds]
+        self.product_runs = _Runs(first, occurrences, p_bounds)
+        self.branch_runs = _Runs(start, self.branch_child.size, d_bounds)
+        p_node, d_node = _ids(p_node), _ids(d_node)
+        self.levels = [
+            (
+                p_node[p_bounds[level]:p_bounds[level + 1]]
+                if p_bounds[level + 1] > p_bounds[level] else None,
+                self.product_child[
+                    occurrence_bounds[level]:occurrence_bounds[level + 1]
+                ],
+                d_node[d_bounds[level]:d_bounds[level + 1]]
+                if d_bounds[level + 1] > d_bounds[level] else None,
+                int(branch_bounds[level]),
+                int(branch_bounds[level + 1]),
+            )
+            for level in range(top)
+        ]
+        # The downward edges of every level, grouped by child.
+        edge_level = _np.concatenate((
+            _np.repeat(_np.arange(top), _np.diff(occurrence_bounds)),
+            _np.repeat(_np.arange(top), _np.diff(branch_bounds)),
+        ))
+        child = _np.concatenate((product_child, self.branch_child))
+        order = _np.lexsort((child, edge_level))
+        parent = _ids(_np.concatenate((owner, self.branch_node))[order])
+        coef = _ids(order)  # the coefficients: occurrences, then branches
+        child = child[order]
+        edge_level = edge_level[order]
+        heads = _np.flatnonzero(_np.concatenate((
+            [True], (child[1:] != child[:-1])
+            | (edge_level[1:] != edge_level[:-1]),
+        ))) if child.size else _np.zeros(0, dtype=_np.int64)
+        edge_bounds = _np.searchsorted(edge_level, heights - 1)
+        run_bounds = _np.searchsorted(heads, edge_bounds)
+        tops = _ids(child[heads])
+        self.edge_runs = _Runs(heads, child.size, run_bounds)
+        self.down_levels = [
+            (
+                level,
+                parent[edge_bounds[level]:edge_bounds[level + 1]],
+                coef[edge_bounds[level]:edge_bounds[level + 1]],
+                tops[run_bounds[level]:run_bounds[level + 1]],
+            )
+            for level in range(top - 1, -1, -1)  # parents first
+        ]
+
+    # -- passes --------------------------------------------------------------
+
+    def branch_weights(self, tables: _Tables) -> _np.ndarray:
+        """``(branches, width)``: each branch's product of literal weights.
+
+        Slots no row varies multiply once for all rows; only the factors
+        on varying slots are gathered row by row.
+        """
+        if not self.factor_start.size:
+            return _np.ones((0, tables.width), dtype=tables.base.dtype)
+        weights = _np.multiply.reduceat(
+            tables.base[self.factor_slot], self.factor_start
+        )[:, None]
+        if tables.vary is None:
+            return weights
+        weights = _np.repeat(weights, tables.width, axis=1)
+        rows = tables.row_of[self.factor_slot]
+        hits = _np.flatnonzero(rows >= 0)
+        if hits.size:
+            owners = self.factor_branch[hits]
+            heads = _heads(owners)
+            weights[owners[heads]] *= _Runs(heads, hits.size).reduce(
+                _np.multiply, tables.vary[rows[hits]]
+            )
+        return weights
+
+    def upward(
+        self, tables: _Tables, weights, leaves=(0, 1), clamp: bool = False
+    ) -> _np.ndarray:
+        """Every plan node's value, one level at a time: ``(size, width)``.
+
+        ``leaves`` are the false/true constants' values; ``clamp`` raises
+        each decision's value to at least 1 (the magnitude bound's rule
+        for a decision whose every branch a pin killed).
+        """
+        values = _np.empty((self.size, tables.width), dtype=tables.base.dtype)
+        values[self.false_nodes] = leaves[0]
+        values[self.true_nodes] = leaves[1]
+        if self.free_vars.size:
+            values[self.free_nodes] = tables.values(self.free_vars) + (
+                tables.values(self.free_vars + self.num_variables)
+            )
+        branch_child = self.branch_child
+        with _span("circuit.upward", nodes=self.size):
+            for level, (nodes, kids, deciders, lo, hi) in enumerate(self.levels):
+                if nodes is not None:
+                    values[nodes] = self.product_runs.reduce(
+                        _np.multiply, values[kids], level
+                    )
+                if deciders is not None:
+                    sums = self.branch_runs.reduce(
+                        _np.add,
+                        values[branch_child[lo:hi]] * weights[lo:hi],
+                        level,
+                    )
+                    values[deciders] = _np.maximum(sums, 1) if clamp else sums
+        return values
+
+    def downward(
+        self, tables: _Tables, weights, values: _np.ndarray, root: int
+    ) -> _np.ndarray:
+        """``(slots, width)`` weighted literal counts from :meth:`upward`.
+
+        ``derivative[node]`` accumulates the partial derivative of the
+        root's value in the node's value, parents first; a product passes
+        each child the product of its siblings (prefix times suffix, no
+        division), a decision each branch its weight.  The mass through a
+        branch credits each of its literals, a free leaf's derivative its
+        variable's two polarities.
+        """
+        with _span("circuit.literal_counts", nodes=self.size):
+            siblings = values[self.product_child]
+            prefix = _np.ones_like(siblings)
+            suffix = _np.ones_like(siblings)
+            for at in self.prefix_ranks:
+                prefix[at] = prefix[at - 1] * siblings[at - 1]
+            for at in self.suffix_ranks:
+                suffix[at] = suffix[at + 1] * siblings[at + 1]
+            coefficients = _np.concatenate((prefix * suffix, weights))
+            derivative = _np.zeros_like(values)
+            derivative[root] = 1
+            for level, parents, coefs, children in self.down_levels:
+                derivative[children] += self.edge_runs.reduce(
+                    _np.add, derivative[parents] * coefficients[coefs], level
+                )
+            through = (
+                derivative[self.branch_node] * weights
+                * values[self.branch_child]
+            )
+            counts = _np.zeros(
+                (2 * self.num_variables + 1, tables.width), dtype=values.dtype
+            )
+            if self.count_slot.size:
+                counts[self.count_slot] = self.count_runs.reduce(
+                    _np.add, through[self.count_branch]
+                )
+            if self.free_vars.size:
+                mass = derivative[self.free_nodes]
+                counts[self.free_vars] += mass * tables.values(self.free_vars)
+                negative = self.free_vars + self.num_variables
+                counts[negative] += mass * tables.values(negative)
+        return counts
+
 
 class DDNNF:
     """A smooth deterministic d-DNNF circuit over CNF variables.
@@ -108,10 +642,7 @@ class DDNNF:
     (the projection set, or all variables).
     """
 
-    __slots__ = (
-        "_code", "_offsets", "_root", "_num_variables",
-        "_countable", "_is_countable", "_count", "_memory",
-    )
+    __slots__ = ("_program", "_pins", "_count")
 
     def __init__(
         self,
@@ -146,7 +677,7 @@ class DDNNF:
                     code.append(child)
             else:
                 raise ValueError("unknown node kind %r" % (kind,))
-        self._init_program(code, offsets, root, num_variables, countable)
+        self._bind(_Program(code, offsets, root, num_variables, countable))
 
     @classmethod
     def from_program(
@@ -159,57 +690,60 @@ class DDNNF:
     ) -> "DDNNF":
         """Wrap an already-flat node program (no per-node tuples built)."""
         circuit = cls.__new__(cls)
-        circuit._init_program(
+        circuit._bind(_Program(
             list(code), list(offsets), root, num_variables, countable
-        )
+        ))
         return circuit
 
-    def _init_program(
-        self,
-        code: list[int],
-        offsets: list[int],
-        root: int,
-        num_variables: int,
-        countable: Iterable[int],
-    ) -> None:
-        self._code = code
-        self._offsets = offsets
-        if not 0 <= root < len(offsets):
-            raise ValueError("root %d outside the node array" % root)
-        self._root = root
-        self._num_variables = num_variables
-        self._countable = frozenset(countable)
-        flags = bytearray(num_variables + 1)
-        for variable in self._countable:
-            flags[variable] = 1
-        self._is_countable = flags
+    def _bind(self, program: _Program, pins=None) -> None:
+        self._program = program
+        #: None, or one bool per weight slot: True where a pin zeroes
+        #: that literal's weight.
+        self._pins = pins
         self._count: int | None = None
-        self._memory: int | None = None
+
+    def _plan(self) -> _Plan:
+        program = self._program
+        if program.plan is None:
+            with _span("circuit.plan", nodes=len(program.offsets)):
+                program.plan = _Plan(program)
+        return program.plan
+
+    def _own_program(self, reading: str) -> _Program:
+        """The node program, for a reader that takes it as this circuit's
+        own; ``ValueError`` on a pinned circuit, whose program is its
+        parent's, unpinned."""
+        if self._pins is not None:
+            raise ValueError(
+                "cannot %s a pinned circuit: it holds its parent's program, "
+                "unpinned" % reading
+            )
+        return self._program
 
     # -- inspection --------------------------------------------------------
 
     @property
     def root(self) -> int:
-        return self._root
+        return self._program.root
 
     @property
     def num_variables(self) -> int:
-        return self._num_variables
+        return self._program.num_variables
 
     @property
     def countable(self) -> frozenset[int]:
         """Variables the counting passes range over (projection or all)."""
-        return self._countable
+        return self._program.countable
 
     @property
     def num_nodes(self) -> int:
-        return len(self._offsets)
+        return len(self._program.offsets)
 
     @property
     def num_edges(self) -> int:
-        code = self._code
+        code = self._program.code
         edges = 0
-        for offset in self._offsets:
+        for offset in self._program.offsets:
             kind = code[offset]
             if kind >= KIND_DECISION:  # decision or product
                 edges += code[offset + 1]
@@ -219,10 +753,11 @@ class DDNNF:
         """The node array as the classic tuple view, children-first.
 
         Materialized on demand (tests, debugging); the passes never use
-        it — they walk the flat program directly.
+        it.  ``ValueError`` on a pinned circuit.
         """
-        code = self._code
-        for offset in self._offsets:
+        program = self._own_program("list the nodes of")
+        code = program.code
+        for offset in program.offsets:
             kind = code[offset]
             if kind == KIND_FALSE or kind == KIND_TRUE:
                 yield (_KIND_NAMES[kind],)
@@ -255,12 +790,15 @@ class DDNNF:
         branch records and literal/free slots at CPython container rates
         rather than chasing ``sys.getsizeof`` through the DAG.  (The
         figures intentionally match the historical tuple representation,
-        so cache bounds calibrated against it keep their meaning.)
+        so cache bounds calibrated against it keep their meaning.)  A
+        pinned circuit reports its shared program's figure, computed
+        once: it keeps that program alive.
         """
-        if self._memory is None:
-            code = self._code
-            total = 64 * len(self._offsets)
-            for offset in self._offsets:
+        program = self._program
+        if program.memory is None:
+            code = program.code
+            total = 64 * len(program.offsets)
+            for offset in program.offsets:
                 kind = code[offset]
                 if kind == KIND_PRODUCT:
                     total += 8 * code[offset + 1]
@@ -272,12 +810,13 @@ class DDNNF:
                         nfree = code[cursor]
                         cursor += 1 + nfree + 1
                         total += 64 + 8 * (nlits + nfree)
-            self._memory = total
-        return self._memory
+            program.memory = total
+        return program.memory
 
     def __repr__(self) -> str:
-        return "DDNNF(%d nodes, %d edges, %d countable vars)" % (
-            self.num_nodes, self.num_edges, len(self._countable),
+        return "DDNNF(%d nodes, %d edges, %d countable vars%s)" % (
+            self.num_nodes, self.num_edges, len(self.countable),
+            "" if self._pins is None else ", pinned",
         )
 
     # -- serialization -----------------------------------------------------
@@ -287,7 +826,8 @@ class DDNNF:
 
         The node table is written in its native topological order, so
         ``from_bytes`` rehydrates an identical circuit in any process —
-        see :mod:`repro.compile.serialize` for the format.
+        see :mod:`repro.compile.serialize` for the format.  ``ValueError``
+        on a pinned circuit.
         """
         from repro.compile.serialize import dumps_circuit
 
@@ -307,22 +847,17 @@ class DDNNF:
     # -- conditioning ------------------------------------------------------
 
     def condition(self, assignments: Mapping[int, bool]) -> "DDNNF":
-        """Pin variables to fixed values: one linear rewrite, no research.
+        """Pin variables to fixed values: no rewrite, no search.
 
-        ``assignments`` maps variables to polarities.  The result is a
-        smooth d-DNNF over the *same* variable universe whose models are
-        exactly this circuit's models consistent with the pins, with each
-        pinned variable appearing as a forced literal on every surviving
-        path — so every downstream pass (count, weighted evaluate,
-        literal counts, sampling) stays a plain linear sweep and agrees
-        bit for bit with recompiling the restricted formula.
-
-        Per decision branch: a kept literal contradicting a pin drops the
-        branch; a pinned variable listed as *freed* moves into the branch
-        literals with the pinned polarity (preserving smoothness).  A
-        decision node losing every branch becomes the false constant.
-        Product nodes and node ids are untouched, so shared sub-DAGs stay
-        shared.
+        ``assignments`` maps variables to polarities.  The result shares
+        this circuit's program and plan; its models are exactly this
+        circuit's models consistent with the pins (and its earlier pins,
+        along a chain), because each pin zeroes the weight of the literal
+        it contradicts.  A branch forcing such a literal weighs 0, and a
+        pinned freed variable contributes only its pinned weight — so
+        every downstream pass (count, weighted evaluate, literal counts,
+        sampling) agrees bit for bit with recompiling the restricted
+        formula.
 
         Only countable variables may be pinned: non-countable (projected
         or auxiliary) variables are summed out by the compiler and may no
@@ -331,319 +866,139 @@ class DDNNF:
         """
         if not assignments:
             return self
-        polarity = bytearray(self._num_variables + 1)  # 0 / +1 / 2 (= -1)
+        program = self._program
+        n = program.num_variables
+        pins = (
+            _np.zeros(2 * n + 1, dtype=bool)
+            if self._pins is None else self._pins.copy()
+        )
         for variable, value in assignments.items():
-            if not 1 <= variable <= self._num_variables:
+            if not 1 <= variable <= n:
                 raise ValueError(
                     "cannot condition on unknown variable %d" % variable
                 )
-            if not self._is_countable[variable]:
+            if not program.is_countable[variable]:
                 raise ValueError(
                     "cannot condition on non-countable variable %d "
                     "(projected/auxiliary variables are summed out)"
                     % variable
                 )
-            polarity[variable] = 1 if value else 2
-        code = self._code
-        new_code: list[int] = []
-        new_offsets: list[int] = []
+            pins[n + variable if value else variable] = True
         with _span("circuit.condition", pinned=len(assignments),
                    nodes=self.num_nodes):
-            for offset in self._offsets:
-                new_offsets.append(len(new_code))
-                kind = code[offset]
-                if kind == KIND_FALSE or kind == KIND_TRUE:
-                    new_code.append(kind)
-                    continue
-                if kind == KIND_PRODUCT:
-                    length = 2 + code[offset + 1]
-                    new_code.extend(code[offset:offset + length])
-                    continue
-                branches: list[tuple[list[int], list[int], int]] = []
-                cursor = offset + 2
-                for _ in range(code[offset + 1]):
-                    nlits = code[cursor]
-                    cursor += 1
-                    literals_end = cursor + nlits
-                    literals = code[cursor:literals_end]
-                    nfree = code[literals_end]
-                    free_end = literals_end + 1 + nfree
-                    freed = code[literals_end + 1:free_end]
-                    child = code[free_end]
-                    cursor = free_end + 1
-                    alive = True
-                    for literal in literals:
-                        pin = polarity[abs(literal)]
-                        if pin and (pin == 1) != (literal > 0):
-                            alive = False
-                            break
-                    if not alive:
-                        continue
-                    kept_free: list[int] = []
-                    forced = list(literals)
-                    for variable in freed:
-                        pin = polarity[variable]
-                        if pin:
-                            forced.append(
-                                variable if pin == 1 else -variable
-                            )
-                        else:
-                            kept_free.append(variable)
-                    branches.append((forced, kept_free, child))
-                if not branches:
-                    new_code.append(KIND_FALSE)
-                    continue
-                new_code.append(KIND_DECISION)
-                new_code.append(len(branches))
-                for forced, kept_free, child in branches:
-                    new_code.append(len(forced))
-                    new_code.extend(forced)
-                    new_code.append(len(kept_free))
-                    new_code.extend(kept_free)
-                    new_code.append(child)
-        return DDNNF.from_program(
-            new_code, new_offsets, self._root,
-            self._num_variables, self._countable,
-        )
+            child = DDNNF.__new__(DDNNF)
+            child._bind(program, pins)
+        return child
 
     # -- weight tables -----------------------------------------------------
 
-    def _weight_tables(self, rows: list) -> tuple:
-        """The weight tables of ``rows`` and the lane they run on.
-
-        Returns ``(lane, (positive, negative, free_sum), (zero, one))``.
-        ``positive[v]``/``negative[v]`` weigh the two literal polarities
-        (``1`` for unweighted and non-countable variables alike — a
-        non-countable literal must act as a unit factor).
-        ``free_sum[v]`` is the both-values-extend factor of a freed
-        variable: ``w⁺ + w⁻`` for countable variables (``2`` unweighted)
-        and ``1`` for non-countable ones, which in a projected circuit are
-        collapsed and must not contribute.  Variables outside the
-        countable set must not carry weights.
-
-        One row gives tables of Python scalars, the ``scalar`` lane.  For
-        N > 1 rows every entry is a length-N numpy column: ``int64`` when
-        every weight is a machine int and :meth:`_magnitude_bound` proves
-        no intermediate can overflow, exact ``object`` columns otherwise.
-        ``zero``/``one`` are the lane's constants.
-        """
-        size = self._num_variables + 1
-        default_free = [2 if flag else 1 for flag in self._is_countable]
-        tables = []
-        all_int = True
+    def _columns(self, rows: list) -> dict:
+        """The weight columns of ``rows`` (per-variable ``(w⁺, w⁻)`` maps):
+        one ``(w⁺ column, w⁻ column)`` per variable any row weighs, 1 in
+        the rows that do not.  Variables outside the countable set must
+        not carry weights."""
+        countable = self._program.countable
+        rows = [row or {} for row in rows]
+        named: dict = {}
         for row in rows:
-            table = ([1] * size, [1] * size, list(default_free))
-            positive, negative, free_sum = table
-            for variable, pair in (row or {}).items():
-                if variable not in self._countable:
-                    raise ValueError(
-                        "variable %r is not countable in this circuit"
-                        % (variable,)
-                    )
-                w_pos, w_neg = pair[0], pair[1]
-                positive[variable] = w_pos
-                negative[variable] = w_neg
-                free_sum[variable] = w_pos + w_neg
-                if all_int and not (
-                    isinstance(w_pos, int) and isinstance(w_neg, int)
-                ):
-                    all_int = False
-            tables.append(table)
-        if len(tables) == 1:
-            return "scalar", tables[0], (0, 1)
-        # One column per variable out of the per-row tables.
-        columns = [list(zip(*per_row)) for per_row in zip(*tables)]
-        lane = "object"
-        if all_int and self._magnitude_bound(columns[0], columns[1]) < _INT64_SAFE:
-            lane = "int64"
-        dtype = _np.int64 if lane == "int64" else object
-        zero = _np.zeros(len(tables), dtype=dtype)
-        arrays = tuple(_np.array(column, dtype=dtype) for column in columns)
-        return lane, arrays, (zero, zero + 1)
+            for variable in row:
+                if variable not in named:
+                    if variable not in countable:
+                        raise ValueError(
+                            "variable %r is not countable in this circuit"
+                            % (variable,)
+                        )
+                    named[variable] = None
+        unit = (1, 1)
+        columns = {}
+        for variable in named:
+            pairs = [row.get(variable, unit) for row in rows]
+            columns[variable] = (
+                [pair[0] for pair in pairs], [pair[1] for pair in pairs]
+            )
+        return columns
 
-    def _magnitude_bound(self, positive: list, negative: list) -> int:
+    def _tables(self, count: int, columns: Columns) -> tuple[str, _Tables]:
+        """The lane and weight vector of ``count`` rows given as columns.
+
+        Slot ``v`` weighs literal ``v`` and slot ``n + v`` literal ``-v``
+        (1 for a variable no column names); the pins zero their slots.  One
+        row is the ``scalar`` lane; N > 1 rows run ``int64`` when every
+        weight is a machine int and :meth:`_magnitude_bound` proves no
+        intermediate can overflow, exact ``object`` columns otherwise.
+        """
+        n = self._program.num_variables
+        if count == 1:
+            lane = "scalar"
+        elif all(
+            issubclass(kind, int)
+            for pair in columns.values() for column in pair
+            for kind in set(map(type, column))
+        ) and self._magnitude_bound(columns) < _INT64_SAFE:
+            lane = "int64"
+        else:
+            lane = "object"
+        dtype = _np.int64 if lane == "int64" else object
+        base = _np.ones(2 * n + 1, dtype=dtype)
+        slots: list[int] = []
+        rows: list = []
+        for variable, pair in columns.items():
+            for slot, column in ((variable, pair[0]), (n + variable, pair[1])):
+                if count == 1 or _uniform(column):
+                    base[slot] = column[0]
+                else:
+                    slots.append(slot)
+                    rows.append(column)
+        pins = self._pins
+        if pins is not None:
+            base[pins] = 0
+        if not slots:
+            return lane, _Tables(base)
+        vary = _np.array(rows, dtype=dtype)
+        if pins is not None:
+            vary[pins[slots]] = 0
+        row_of = _np.full(2 * n + 1, -1, dtype=_np.int64)
+        row_of[slots] = _np.arange(len(slots))
+        return lane, _Tables(base, row_of, vary)
+
+    def _magnitude_bound(self, columns: Columns) -> int:
         """Upper bound on |any intermediate| of the batched int passes.
 
-        ``positive``/``negative`` hold one weight column per variable.
-        The bound is :meth:`_upward` run on clamped magnitude tables —
-        each weight replaced by its per-variable magnitude
-        ``max(max_rows |w|, 1)``, each free factor by the *sum* of the two
-        polarity bounds — with both leaf constants set to 1.  Every factor
-        is then ``>= 1``, so each partial product and sum of a pass stays
-        below its node's value here; determinism bounds each
-        downward-pass derivative and count contribution by the root's
-        value.  If the returned bound fits int64, so does every number the
-        batched passes touch.
+        The bound is the upward pass run on clamped magnitude tables —
+        each literal weight replaced by its per-variable magnitude
+        ``max(max_rows |w|, 1)``, so each free leaf weighs the *sum* of
+        the two polarity bounds and each non-countable freed variable 2 —
+        with both leaf constants set to 1.  Every factor is then ``>= 1``,
+        so each partial product and sum of a pass stays below its node's
+        value here; determinism bounds each downward-pass derivative and
+        count contribution by the root's value.  If the returned bound
+        fits int64, so does every number the batched passes touch.  A
+        pin zeroes its slot here too, and a decision whose every branch
+        it kills counts 1, as the false constant it stands for.  The
+        maximum skips the virtual products: one in a live branch stays
+        below its decision's value, and one in a branch a pin killed may
+        wrap in int64 but only ever meets that branch's weight, an exact
+        0.
         """
-        bound_pos = [max(1, max(map(abs, column))) for column in positive]
-        bound_neg = [max(1, max(map(abs, column))) for column in negative]
-        bound_free = [p + q for p, q in zip(bound_pos, bound_neg)]
-        values = self._upward(bound_pos, bound_neg, bound_free, 1, 1)
-        return max(max(values), max(bound_free))
-
-    # -- the two walkers ---------------------------------------------------
-
-    def _upward(self, positive, negative, free_sum, false, true) -> list:
-        """Value of every node, children first: one sweep over the program.
-
-        Node values meet only ``*`` and ``+``, so this one body serves
-        every lane — Python scalars, numpy columns, and the clamped
-        magnitudes of :meth:`_magnitude_bound` — with ``false``/``true``
-        the values of the two leaf constants.
-        """
-        code = self._code
-        leaves = (false, true)
-        zero = false * 0  # the lane's zero, whatever the leaf values are
-        values: list = [None] * len(self._offsets)
-        with _span("circuit.upward", nodes=len(self._offsets)):
-            for index, offset in enumerate(self._offsets):
-                kind = code[offset]
-                if kind == KIND_PRODUCT:
-                    # Start from the first child: on the column lanes a
-                    # product costs one vector op per child after it.
-                    start = offset + 2
-                    end = start + code[offset + 1]
-                    value = values[code[start]] if end > start else true
-                    for cursor in range(start + 1, end):
-                        value = value * values[code[cursor]]
-                elif kind == KIND_DECISION:
-                    value = zero
-                    cursor = offset + 2
-                    for _ in range(code[offset + 1]):
-                        nlits = code[cursor]
-                        cursor += 1
-                        literals_end = cursor + nlits
-                        nfree = code[literals_end]
-                        free_end = literals_end + 1 + nfree
-                        term = values[code[free_end]]
-                        for position in range(cursor, literals_end):
-                            literal = code[position]
-                            term = term * (
-                                positive[literal]
-                                if literal > 0
-                                else negative[-literal]
-                            )
-                        for position in range(literals_end + 1, free_end):
-                            term = term * free_sum[code[position]]
-                        value = value + term
-                        cursor = free_end + 1
-                else:
-                    value = leaves[kind]  # the kind codes 0/1 index them
-                values[index] = value
-        return values
-
-    def _downward(
-        self, positive, negative, free_sum, values: list, zero, one
-    ) -> tuple[list, list]:
-        """Per-variable weighted literal counts ``(count_positive,
-        count_negative)`` from the node ``values`` of :meth:`_upward`: one
-        sweep over the program, parents first.
-
-        ``derivative[node]`` accumulates the partial derivative of the
-        root's value in the node's value — the derivative trick of
-        arithmetic-circuit inference — and every decision branch credits
-        its derivative-weighted value to the countable literals it forces
-        or frees.  Like :meth:`_upward` it meets node values only through
-        ``*`` and ``+``, so it serves every lane (``zero``/``one`` are the
-        lane's constants).
-        """
-        code = self._code
-        offsets = self._offsets
-        is_countable = self._is_countable
-        derivative: list = [zero] * len(offsets)
-        derivative[self._root] = one
-        size = self._num_variables + 1
-        count_positive: list = [zero] * size
-        count_negative: list = [zero] * size
-        with _span("circuit.literal_counts", nodes=len(offsets)):
-            for index in range(len(offsets) - 1, -1, -1):
-                outer = derivative[index]
-                offset = offsets[index]
-                kind = code[offset]
-                if kind == KIND_PRODUCT:
-                    length = code[offset + 1]
-                    start = offset + 2
-                    # prefix/suffix products avoid dividing by a zero child
-                    suffixes: list = [1] * (length + 1)
-                    for position in range(length - 1, -1, -1):
-                        suffixes[position] = (
-                            suffixes[position + 1]
-                            * values[code[start + position]]
-                        )
-                    prefix = 1
-                    for position in range(length):
-                        child = code[start + position]
-                        derivative[child] = (
-                            derivative[child]
-                            + outer * prefix * suffixes[position + 1]
-                        )
-                        prefix = prefix * values[child]
-                elif kind == KIND_DECISION:
-                    cursor = offset + 2
-                    for _ in range(code[offset + 1]):
-                        nlits = code[cursor]
-                        cursor += 1
-                        literals_end = cursor + nlits
-                        nfree = code[literals_end]
-                        free_start = literals_end + 1
-                        free_end = free_start + nfree
-                        child = code[free_end]
-                        literal_weight = 1
-                        for position in range(cursor, literals_end):
-                            literal = code[position]
-                            literal_weight = literal_weight * (
-                                positive[literal]
-                                if literal > 0
-                                else negative[-literal]
-                            )
-                        literals_start = cursor
-                        cursor = free_end + 1
-                        free_factor = 1
-                        any_countable_free = False
-                        for position in range(free_start, free_end):
-                            variable = code[position]
-                            free_factor = free_factor * free_sum[variable]
-                            if is_countable[variable]:
-                                any_countable_free = True
-                        down = outer * literal_weight * free_factor
-                        derivative[child] = derivative[child] + down
-                        contribution = down * values[child]
-                        for position in range(literals_start, literals_end):
-                            literal = code[position]
-                            if literal > 0:
-                                if is_countable[literal]:
-                                    count_positive[literal] = (
-                                        count_positive[literal] + contribution
-                                    )
-                            elif is_countable[-literal]:
-                                count_negative[-literal] = (
-                                    count_negative[-literal] + contribution
-                                )
-                        if any_countable_free:
-                            base = outer * literal_weight * values[child]
-                            suffixes = [1] * (nfree + 1)
-                            for position in range(nfree - 1, -1, -1):
-                                suffixes[position] = (
-                                    suffixes[position + 1]
-                                    * free_sum[code[free_start + position]]
-                                )
-                            prefix = 1
-                            for position in range(nfree):
-                                variable = code[free_start + position]
-                                if is_countable[variable]:
-                                    others = (
-                                        base * prefix * suffixes[position + 1]
-                                    )
-                                    count_positive[variable] = (
-                                        count_positive[variable]
-                                        + others * positive[variable]
-                                    )
-                                    count_negative[variable] = (
-                                        count_negative[variable]
-                                        + others * negative[variable]
-                                    )
-                                prefix = prefix * free_sum[variable]
-        return count_positive, count_negative
+        n = self._program.num_variables
+        bound = [1] * (2 * n + 1)
+        widest = 2  # the free factor of a variable no row weighs
+        for variable, (positive, negative) in columns.items():
+            high = max(1, max(map(abs, positive)))
+            low = max(1, max(map(abs, negative)))
+            bound[variable] = high
+            bound[n + variable] = low
+            widest = max(widest, high + low)
+        base = _np.array(bound, dtype=object)
+        if self._pins is not None:
+            base[self._pins] = 0
+        tables = _Tables(base)
+        plan = self._plan()
+        weights = plan.branch_weights(tables)
+        if plan.loose.size:
+            weights[plan.loose] *= plan.loose_factor
+        values = plan.upward(tables, weights, leaves=(1, 1), clamp=True)
+        return max(widest, values[:self.num_nodes].max())
 
     # -- the passes --------------------------------------------------------
 
@@ -669,22 +1024,31 @@ class DDNNF:
 
         Exactly ``[self.evaluate(row) for row in weight_rows]`` — bit
         identical for int weights, exactly rational for Fractions — from
-        one upward sweep over the program.  The row count picks the lane,
-        recorded on the span: Python scalars for one row; for N > 1 rows
-        numpy columns, int64 when the rows are machine ints whose
-        intermediates provably fit, exact object columns otherwise.
+        one upward pass (:meth:`evaluate_columns`).
         """
         rows = list(weight_rows)
         if not rows:
             return []
+        return self.evaluate_columns(len(rows), self._columns(rows))
+
+    def evaluate_columns(self, count: int, columns: Columns) -> list:
+        """:meth:`evaluate_many` for ``count`` rows given as weight columns.
+
+        ``columns`` maps a countable variable to its ``(w⁺, w⁻)`` columns
+        of ``count`` entries each; an unnamed variable weighs ``(1, 1)``
+        in every row.  The row count picks the lane, recorded on the
+        span: Python numbers for one row; for N > 1 rows numpy columns,
+        int64 when the rows are machine ints whose intermediates provably
+        fit, exact object columns otherwise.
+        """
         with _span(
-            "circuit.evaluate_many",
-            nodes=len(self._offsets),
-            rows=len(rows),
+            "circuit.evaluate_many", nodes=self.num_nodes, rows=count,
         ) as span:
-            lane, tables, leaves = self._weight_tables(rows)
+            lane, tables = self._tables(count, columns)
             span.fields["lane"] = lane
-            return _rows_of(lane, self._upward(*tables, *leaves)[self._root])
+            plan = self._plan()
+            values = plan.upward(tables, plan.branch_weights(tables))
+            return _rows_of(values[self._program.root], count)
 
     def literal_counts(self, weights: WeightMap | None = None) -> dict:
         """``literal -> (weighted) count of models containing it``.
@@ -704,34 +1068,39 @@ class DDNNF:
         """:meth:`literal_counts` for N weight rows in one batched pass.
 
         Returns one ``literal -> weighted count`` dict per row, exactly
-        equal to the looped results; the upward and downward sweeps each
-        run once over the program, on the lane :meth:`evaluate_many`
-        would pick.
+        equal to the looped results; the upward and downward passes each
+        run once, on the lane :meth:`evaluate_many` would pick.
         """
         rows = list(weight_rows)
         if not rows:
             return []
         with _span(
             "circuit.literal_counts_many",
-            nodes=len(self._offsets),
+            nodes=self.num_nodes,
             rows=len(rows),
         ) as span:
-            lane, tables, leaves = self._weight_tables(rows)
+            lane, tables = self._tables(len(rows), self._columns(rows))
             span.fields["lane"] = lane
-            values = self._upward(*tables, *leaves)
-            count_positive, count_negative = self._downward(
-                *tables, values, *leaves
+            plan = self._plan()
+            weights = plan.branch_weights(tables)
+            values = plan.upward(tables, weights)
+            counts = plan.downward(
+                tables, weights, values, self._program.root
             )
-            counts_rows: list[dict] = [{} for _ in rows]
-            for variable in self._countable:
-                for counts, positive, negative in zip(
-                    counts_rows,
-                    _rows_of(lane, count_positive[variable]),
-                    _rows_of(lane, count_negative[variable]),
-                ):
-                    counts[variable] = positive
-                    counts[-variable] = negative
-            return counts_rows
+            n = self._program.num_variables
+            countable = self._program.countable
+            per_row = counts.T.tolist()
+            if len(per_row) < len(rows):  # no weight varies across rows
+                per_row = per_row * len(rows)
+            return [
+                {
+                    key: row[slot]
+                    for variable in countable
+                    for key, slot in ((variable, variable),
+                                      (-variable, n + variable))
+                }
+                for row in per_row
+            ]
 
     # -- exact sampling ----------------------------------------------------
 
@@ -747,13 +1116,29 @@ class CircuitSampler:
     Node values under the sampling weights are computed once at
     construction; each :meth:`sample` is then linear in the depth of the
     visited sub-DAG.  Draws are exact (integer arithmetic) for int and
-    Fraction weights.
+    Fraction weights.  On a pinned circuit a decision with one branch no
+    pin kills, and a pinned freed variable, take no draw — where the
+    restricted formula's circuit has one branch or a forced literal — so
+    seeded draws equal a fresh compile's.
     """
 
     def __init__(self, circuit: DDNNF, weights: WeightMap | None = None) -> None:
         self._circuit = circuit
-        _lane, self._weights, leaves = circuit._weight_tables([weights])
-        self._values = circuit._upward(*self._weights, *leaves)
+        _lane, tables = circuit._tables(1, circuit._columns([weights]))
+        plan = circuit._plan()
+        values = plan.upward(tables, plan.branch_weights(tables))
+        self._values = values[:circuit.num_nodes, 0].tolist()
+        n = circuit.num_variables
+        slots = tables.base.tolist()
+        positive = slots[:n + 1]
+        negative = [1] + slots[n + 1:]
+        is_countable = circuit._program.is_countable
+        free_sum = [
+            positive[v] + negative[v] if is_countable[v] else 1
+            for v in range(n + 1)
+        ]
+        self._weights = (positive, negative, free_sum)
+        self._pins = None if circuit._pins is None else circuit._pins.tolist()
         if not self._values[circuit.root]:
             raise ValueError(
                 "circuit has no (weighted) models; nothing to sample"
@@ -764,16 +1149,35 @@ class CircuitSampler:
         """The (weighted) model count the draws are normalized by."""
         return self._values[self._circuit.root]
 
+    def _live(self, branch: tuple) -> bool:
+        """Whether a pinned circuit's branch survives its pins: no literal
+        contradicts one and no freed variable is pinned both ways."""
+        code = self._circuit._program.code
+        pins = self._pins
+        n = self._circuit.num_variables
+        literals_start, literals_end, free_start, free_end, _child = branch
+        for position in range(literals_start, literals_end):
+            literal = code[position]
+            if pins[literal if literal > 0 else n - literal]:
+                return False
+        return not any(
+            pins[code[position]] and pins[n + code[position]]
+            for position in range(free_start, free_end)
+        )
+
     def sample(self, rng: random.Random) -> dict[int, bool]:
         """One assignment of every countable variable, drawn exactly."""
         circuit = self._circuit
-        code = circuit._code
-        offsets = circuit._offsets
-        is_countable = circuit._is_countable
+        program = circuit._program
+        code = program.code
+        offsets = program.offsets
+        is_countable = program.is_countable
+        n = program.num_variables
+        pins = self._pins
         positive, negative, free_sum = self._weights
         values = self._values
         assignment: dict[int, bool] = {}
-        stack = [circuit.root]
+        stack = [program.root]
         while stack:
             offset = offsets[stack.pop()]
             kind = code[offset]
@@ -782,25 +1186,31 @@ class CircuitSampler:
                     code[offset + 2:offset + 2 + code[offset + 1]]
                 )
             elif kind == KIND_DECISION:
-                nbranches = code[offset + 1]
                 spans = []  # (literals start/end, free start/end, child)
-                branch_weights = []
                 cursor = offset + 2
-                for _ in range(nbranches):
+                for _ in range(code[offset + 1]):
                     nlits = code[cursor]
                     cursor += 1
                     literals_end = cursor + nlits
-                    nfree = code[literals_end]
                     free_start = literals_end + 1
-                    free_end = free_start + nfree
-                    child = code[free_end]
+                    free_end = free_start + code[literals_end]
                     spans.append(
-                        (cursor, literals_end, free_start, free_end, child)
+                        (cursor, literals_end, free_start, free_end,
+                         code[free_end])
                     )
-                    if nbranches > 1:
+                    cursor = free_end + 1
+                live = (
+                    spans if pins is None
+                    else [branch for branch in spans if self._live(branch)]
+                )
+                if len(live) == 1:
+                    chosen = live[0]
+                else:
+                    branch_weights = []
+                    for start, end, free_start, free_end, child in spans:
                         term = values[child]
                         if term:
-                            for position in range(cursor, literals_end):
+                            for position in range(start, end):
                                 literal = code[position]
                                 term *= (
                                     positive[literal]
@@ -810,12 +1220,7 @@ class CircuitSampler:
                             for position in range(free_start, free_end):
                                 term *= free_sum[code[position]]
                         branch_weights.append(term)
-                    cursor = free_end + 1
-                chosen = (
-                    spans[0]
-                    if nbranches == 1
-                    else spans[draw_index(rng, branch_weights)]
-                )
+                    chosen = spans[draw_index(rng, branch_weights)]
                 literals_start, literals_end, free_start, free_end, child = chosen
                 for position in range(literals_start, literals_end):
                     literal = code[position]
@@ -824,7 +1229,11 @@ class CircuitSampler:
                         assignment[variable] = literal > 0
                 for position in range(free_start, free_end):
                     variable = code[position]
-                    if is_countable[variable]:
+                    if not is_countable[variable]:
+                        continue
+                    if pins is not None and (pins[variable] or pins[n + variable]):
+                        assignment[variable] = pins[n + variable]
+                    else:
                         pair = (positive[variable], negative[variable])
                         assignment[variable] = draw_index(rng, pair) == 0
                 stack.append(child)
@@ -832,10 +1241,19 @@ class CircuitSampler:
         return assignment
 
 
-def _rows_of(lane: str, value) -> list:
-    """A pass result as one entry per weight row: the scalar itself on the
-    ``scalar`` lane, the numpy column's Python values otherwise."""
-    return [value] if lane == "scalar" else value.tolist()
+def _uniform(column: Sequence) -> bool:
+    """Whether every row holds the same weight (equal value, same type)."""
+    return (
+        column.count(column[0]) == len(column)
+        and len(set(map(type, column))) == 1
+    )
+
+
+def _rows_of(column: _np.ndarray, count: int) -> list:
+    """A node's values as one Python number per row (a width-1 column
+    serves every row)."""
+    values = column.tolist()
+    return values * count if len(values) < count else values
 
 
 def draw_index(rng: random.Random, weights_seq: Sequence) -> int:

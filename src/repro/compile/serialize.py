@@ -201,8 +201,9 @@ def write_circuit_body(writer: Writer, circuit: DDNNF) -> None:
 
     The circuit's flat int program is walked in place — its kind codes
     are the wire's kind codes, so serialization is one sequential pass
-    with no per-node tuple views.
+    with no per-node tuple views.  ``ValueError`` on a pinned circuit.
     """
+    program = circuit._own_program("serialize")
     writer.uint(circuit.num_variables)
     writer.uint(circuit.root)
     countable = sorted(circuit.countable)
@@ -211,8 +212,8 @@ def write_circuit_body(writer: Writer, circuit: DDNNF) -> None:
     for variable in countable:
         writer.uint(variable - previous)  # delta-coded ascending list
         previous = variable
-    code = circuit._code
-    offsets = circuit._offsets
+    code = program.code
+    offsets = program.offsets
     writer.uint(len(offsets))
     for offset in offsets:
         kind = code[offset]

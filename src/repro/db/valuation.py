@@ -46,20 +46,52 @@ def resolve_null_weights(
     outside it — partial tables are rejected rather than silently
     defaulted, since a forgotten value would skew every downstream count.
     """
+    named = named_null_weights(db, weights)
+    return {
+        null: named[null] if null in named
+        else {value: 1 for value in db.domain_of(null)}
+        for null in db.nulls
+    }
+
+
+def named_null_weights(
+    db: IncompleteDatabase, weights: NullWeights | None
+) -> dict[Null, dict[Term, object]]:
+    """The tables ``weights`` gives, checked as
+    :func:`resolve_null_weights` checks them, with the same errors; the
+    nulls it omits, or maps to ``None``, are left out.  Costs O(named
+    nulls), not O(nulls)."""
     provided = dict(weights) if weights else {}
+    named: dict[Null, dict[Term, object]] = {}
+    for null, given in provided.items():
+        try:
+            domain = db.domain_of(null)
+        except KeyError:
+            break
+        if given is not None:
+            named[null] = dict(given)
+            if named[null].keys() != domain:
+                break
+    else:
+        return named
+    _check_tables(db, provided)  # raises: some table is faulty
+    return named
+
+
+def _check_tables(db: IncompleteDatabase, provided: dict) -> None:
+    """Raise for the first faulty table of ``provided``: any unknown null
+    first, then the nulls in database order."""
     unknown = set(provided) - set(db.nulls)
     if unknown:
         raise ValueError(
             "weights given for nulls not in the database: %s"
             % ", ".join(sorted(map(repr, unknown)))
         )
-    resolved: dict[Null, dict[Term, object]] = {}
     for null in db.nulls:
-        domain = db.domain_of(null)
         given = provided.get(null)
         if given is None:
-            resolved[null] = {value: 1 for value in domain}
             continue
+        domain = db.domain_of(null)
         table = dict(given)
         extra = set(table) - set(domain)
         if extra:
@@ -73,8 +105,6 @@ def resolve_null_weights(
                 "weights for %r must cover its whole domain; missing: %s"
                 % (null, ", ".join(sorted(map(repr, missing))))
             )
-        resolved[null] = table
-    return resolved
 
 
 def weighted_total_valuations(

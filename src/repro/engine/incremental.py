@@ -10,16 +10,18 @@ through :func:`instance_circuit`.  With a circuit store (the engine's
    conditions (:func:`conditioning_ancestors`).  An instance built via
    ``db.apply(delta)`` carries provenance; a resolve or restrict delta
    only narrows the valuations, so the ancestor's ``#Val`` circuit is
-   *conditioned* — one linear program rewrite per delta, no
-   recompilation, every answer bit-identical to a fresh compile.  An
-   insert or delete changes the clause set, and a projected ``#Comp``
-   circuit sums choice variables out, so neither conditions;
+   *conditioned* — pins on the ancestor's shared program, no node
+   rewritten, no recompilation, every answer bit-identical to a fresh
+   compile.  An insert or delete changes the clause set, and a projected
+   ``#Comp`` circuit sums choice variables out, so neither conditions;
 3. a fresh compile, installed into the store.
 
-A derived circuit is an ordinary store entry: conditioning writes a
-fresh program that shares nothing with the ancestor's, so ``--cache-mb``
-eviction drops each circuit on its own.  Without a store every fetch
-compiles a throwaway circuit.  Answers are bit-identical either way.
+A derived circuit is an ordinary store entry: it holds its own
+reference to the program and level plan it shares with the ancestor, so
+``--cache-mb`` eviction drops each circuit on its own, and each entry is
+charged the whole shared program (a conservative bound).  Without a
+store every fetch compiles a throwaway circuit.  Answers are
+bit-identical either way.
 """
 
 from __future__ import annotations

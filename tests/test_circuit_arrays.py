@@ -1,14 +1,18 @@
-"""Array-compiled circuit passes vs a direct dict-recursion evaluator.
+"""Level-by-level circuit passes vs the node-at-a-time walkers they replaced.
 
-:class:`DDNNF` executes every pass over a flat int program.  These tests
-re-implement the passes the *old* way — recursive descent over the
-per-node tuple view with dict-based weights — and assert the array
-sweeps reproduce them exactly: ``count``, ``evaluate`` under int and
-Fraction weights, ``literal_counts`` for both polarities, and sampler
-determinism (same circuit, same seed, same draws — through a serialize
-round trip too).  Every parity case runs on all three lanes (one row,
-int64 columns, object columns), and again with negative weights and on a
-conditioned circuit whose products may keep a false child.
+:class:`DDNNF` evaluates a compiled level plan, and conditioning pins
+weights on the parent's shared program.  These tests hold both to the
+old way: the walkers, weight tables and program rewrite kept in
+:mod:`tests.circuit_oracles`, and recursive descent over the per-node
+tuple view with dict-based weights.  ``count``, ``evaluate`` under int,
+negative and Fraction weights, ``literal_counts`` for both polarities
+and the lane each pass picks must agree on all three lanes (one row,
+int64 columns, object columns), on projected circuits with freed and
+non-countable variables, rehydrated circuits and pinned ones (a chain of
+pins, a product left with a false child); seeded draws must agree too,
+through a serialize round trip and on pinned circuits, with the
+rewritten circuit's.  A pinned circuit shares its parent's plan, and
+cannot be serialized or listed as if the program were its own.
 """
 
 import random
@@ -18,9 +22,13 @@ import pytest
 
 from repro.compile.circuit import DDNNF, DECISION, FALSE, PRODUCT, TRUE
 from repro.compile.ddnnf_trace import TraceBuilder
+from repro.compile.backend import ValuationCircuit
 from repro.compile.sharpsat import ModelCounter
 from repro.complexity.cnf import CNF
+from repro.db.deltas import ResolveNull, RestrictDomain
 from repro.obs import capture
+from repro.workloads.generators import scaling_hard_val_instance
+from tests import circuit_oracles as oracles
 
 LANES = ("scalar", "int64", "object")
 
@@ -38,21 +46,23 @@ def random_cnf(rng, max_variables=8, max_clauses=12):
 
 
 def traced_circuit(cnf, projection=None, seed=None, pins=None):
-    """``(count, circuit)``; with ``pins`` the circuit is conditioned on
-    them and the count is that of ``cnf`` plus the matching unit clauses."""
+    """``(count, circuit, view)``; with ``pins`` the circuit is conditioned
+    on them, the count is that of ``cnf`` plus the matching unit clauses,
+    and ``view`` is the rewritten circuit (whose node list the pinned one
+    does not expose); otherwise ``view`` is the circuit itself."""
     trace = TraceBuilder()
     counter = ModelCounter(cnf, projection=projection, trace=trace)
     count = counter.count()
     circuit = trace.build(
         counter.trace_root, cnf.num_variables, countable=projection
     )
-    if pins:
-        restricted = CNF(cnf.num_variables, list(cnf.clauses))
-        for variable, value in pins.items():
-            restricted.add_clause([variable if value else -variable])
-        count = ModelCounter(restricted, projection=projection).count()
-        circuit = circuit.condition(pins)
-    return count, circuit
+    if not pins:
+        return count, circuit, circuit
+    restricted = CNF(cnf.num_variables, list(cnf.clauses))
+    for variable, value in pins.items():
+        restricted.add_clause([variable if value else -variable])
+    count = ModelCounter(restricted, projection=projection).count()
+    return count, circuit.condition(pins), oracles.rewrite(circuit, pins)
 
 
 def with_variants(seeds, extra=()):
@@ -183,13 +193,13 @@ class TestUpwardParity:
     def test_count_and_weighted_evaluate(self, seed, variant):
         rng = random.Random(1000 + seed)
         cnf = draw_cnf(rng, variant)
-        count, circuit = traced_circuit(
+        count, circuit, view = traced_circuit(
             cnf, pins=draw_pins(rng, cnf, variant)
         )
-        recursive, _table, _nodes = recursive_values(circuit, None)
+        recursive, _table, _nodes = recursive_values(view, None)
         assert circuit.count() == count == recursive
         weights = random_weights(rng, circuit, low=lowest_weight(variant))
-        recursive_weighted, _t, _n = recursive_values(circuit, weights)
+        recursive_weighted, _t, _n = recursive_values(view, weights)
         assert circuit.evaluate(weights) == recursive_weighted
         assert lane_answers(
             circuit.evaluate_many, circuit, weights
@@ -199,13 +209,13 @@ class TestUpwardParity:
     def test_fraction_weights(self, seed, variant):
         rng = random.Random(1000 + seed)
         cnf = draw_cnf(rng, variant)
-        _count, circuit = traced_circuit(
+        _count, circuit, view = traced_circuit(
             cnf, pins=draw_pins(rng, cnf, variant)
         )
         weights = random_weights(
             rng, circuit, fractions=True, low=lowest_weight(variant)
         )
-        recursive, _t, _n = recursive_values(circuit, weights)
+        recursive, _t, _n = recursive_values(view, weights)
         result = circuit.evaluate(weights)
         assert result == recursive
         assert isinstance(result, (int, Fraction))
@@ -223,14 +233,14 @@ class TestUpwardParity:
             range(1, cnf.num_variables + 1),
             rng.randint(1, cnf.num_variables),
         )
-        count, circuit = traced_circuit(
+        count, circuit, view = traced_circuit(
             cnf, projection=projection,
             pins=draw_pins(rng, cnf, variant, projection),
         )
-        recursive, _t, _n = recursive_values(circuit, None)
+        recursive, _t, _n = recursive_values(view, None)
         assert circuit.count() == count == recursive
         weights = random_weights(rng, circuit, low=lowest_weight(variant))
-        recursive_weighted, _t, _n = recursive_values(circuit, weights)
+        recursive_weighted, _t, _n = recursive_values(view, weights)
         assert lane_answers(
             circuit.evaluate_many, circuit, weights
         ) == dict.fromkeys(LANES, recursive_weighted)
@@ -249,7 +259,7 @@ class TestLiteralCountParity:
                 range(1, cnf.num_variables + 1),
                 rng.randint(1, cnf.num_variables),
             )
-        _count, circuit = traced_circuit(
+        _count, circuit, view = traced_circuit(
             cnf, projection=projection,
             pins=draw_pins(rng, cnf, variant),
         )
@@ -268,9 +278,9 @@ class TestLiteralCountParity:
             true_weight, false_weight = base[variable]
             conditioned = dict(base)
             conditioned[variable] = (true_weight, 0)
-            expected_true, _t, _n = recursive_values(circuit, conditioned)
+            expected_true, _t, _n = recursive_values(view, conditioned)
             conditioned[variable] = (0, false_weight)
-            expected_false, _t, _n = recursive_values(circuit, conditioned)
+            expected_false, _t, _n = recursive_values(view, conditioned)
             assert counts[variable] == expected_true
             assert counts[-variable] == expected_false
             expected[variable] = expected_true
@@ -313,10 +323,10 @@ class TestSamplerDeterminism:
     def test_same_seed_same_draws_across_rebuilds(self, seed):
         rng = random.Random(3000 + seed)
         cnf = random_cnf(rng)
-        count, first = traced_circuit(cnf)
+        count, first, _view = traced_circuit(cnf)
         if not count:
             return
-        _count, second = traced_circuit(cnf)
+        _count, second, _view = traced_circuit(cnf)
         draws_first = [
             first.sampler().sample(random.Random(seed * 7 + i))
             for i in range(20)
@@ -331,7 +341,7 @@ class TestSamplerDeterminism:
     def test_serialize_round_trip_preserves_draws(self, seed):
         rng = random.Random(3000 + seed)
         cnf = random_cnf(rng)
-        count, circuit = traced_circuit(cnf)
+        count, circuit, _view = traced_circuit(cnf)
         if not count:
             return
         restored = DDNNF.from_bytes(circuit.to_bytes())
@@ -348,7 +358,7 @@ class TestSamplerDeterminism:
     def test_samples_are_models(self):
         rng = random.Random(4)
         cnf = random_cnf(rng, max_variables=6)
-        count, circuit = traced_circuit(cnf)
+        count, circuit, _view = traced_circuit(cnf)
         if not count:
             return
         sampler = circuit.sampler()
@@ -361,3 +371,186 @@ class TestSamplerDeterminism:
                 for v in range(1, cnf.num_variables + 1)
             ]
             assert cnf.satisfied_by(bits)
+
+
+# -- the level passes against the walkers they replaced ---------------------
+
+#: Circuit variants of the walker parity: ``projected`` circuits carry
+#: freed and non-countable variables, ``pinned`` ones conditioning (of
+#: three-component circuits, whose products pins can leave with a false
+#: child) and ``chained`` two rounds of it on a projected circuit.
+VARIANTS = (
+    "plain", "negative", "fraction", "projected", "rehydrated", "pinned",
+    "chained",
+)
+
+
+def variant_circuit(seed, variant):
+    """``(rng, circuit, oracle)``: the circuit under test and the unpinned
+    circuit the walkers run on (the rewrite, for a pinned one)."""
+    rng = random.Random(5000 + seed)
+    pinned = variant in ("pinned", "chained")
+    cnf = draw_cnf(rng, "conditioned" if variant == "pinned" else None)
+    projection = None
+    if variant in ("projected", "chained") and cnf.num_variables > 1:
+        projection = rng.sample(
+            range(1, cnf.num_variables + 1),
+            rng.randint(1, cnf.num_variables - 1),
+        )
+    _count, circuit, oracle = traced_circuit(cnf, projection=projection)
+    if variant == "rehydrated":
+        circuit = DDNNF.from_bytes(circuit.to_bytes())
+    for _round in range(2 if variant == "chained" else int(pinned)):
+        pins = draw_pins(rng, cnf, "conditioned", projection)
+        circuit = circuit.condition(pins)
+        oracle = oracles.rewrite(oracle, pins)
+    return rng, circuit, oracle
+
+
+def variant_rows(rng, circuit, variant):
+    """A weight row for the variant, then paddings onto every lane."""
+    fractions = variant == "fraction"
+    low = -4 if variant in ("negative", "chained") else 0
+    first = random_weights(rng, circuit, fractions=fractions, low=low)
+    variable = min(circuit.countable)
+    return [
+        [first],
+        [first, None],
+        [first, {variable: (1 << 62, 1)}],
+        [first] + [
+            random_weights(rng, circuit, fractions=fractions, low=low)
+            for _ in range(4)
+        ],
+    ]
+
+
+def lane_and(many, rows):
+    with capture() as captured:
+        answer = many(rows)
+    return captured.roots[0].fields["lane"], answer
+
+
+class TestLevelPassesMatchWalkers:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("seed", range(15))
+    def test_every_lane_answers_like_the_walkers(self, seed, variant):
+        rng, circuit, oracle = variant_circuit(seed, variant)
+        lanes = set()
+        for rows in variant_rows(rng, circuit, variant):
+            lane, counts = lane_and(circuit.evaluate_many, rows)
+            assert (lane, counts) == oracles.evaluate_many(oracle, rows)
+            assert lane_and(circuit.literal_counts_many, rows) == (
+                oracles.literal_counts_many(oracle, rows)
+            )
+            lanes.add(lane)
+        assert {"scalar", "object"} <= lanes
+        assert variant == "fraction" or "int64" in lanes
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_magnitude_bound_is_the_walkers(self, variant):
+        # The lane rule reads the bound against 2^62, so it must be the
+        # old figure exactly, not just an upper bound of it.
+        for seed in range(60):
+            rng, circuit, oracle = variant_circuit(seed, variant)
+            rows = [random_weights(rng, circuit, low=-6) for _ in range(3)]
+            size = circuit.num_variables + 1
+            columns = [
+                [[(row.get(v) or (1, 1))[side] for row in rows] for v in range(size)]
+                for side in (0, 1)
+            ]
+            assert circuit._magnitude_bound(circuit._columns(rows)) == (
+                oracles.magnitude_bound(oracle, *columns)
+            )
+
+    def test_projected_variants_cover_freed_and_uncountable_variables(self):
+        freed = uncountable = 0
+        for seed in range(15):
+            _rng, circuit, _oracle = variant_circuit(seed, "projected")
+            plan = circuit._plan()
+            freed += plan.free_vars.size
+            uncountable += plan.loose.size
+        assert freed and uncountable
+
+    def test_a_pin_can_leave_a_product_with_a_false_child(self):
+        # The product's right child decides variable 2 and frees 3; the
+        # pin 2 = false kills its one branch.
+        circuit = DDNNF(
+            [
+                (FALSE,), (TRUE,),
+                (DECISION, (((1,), (), 1), ((-1,), (), 1))),
+                (DECISION, (((2,), (3,), 1),)),
+                (PRODUCT, (2, 3)),
+            ],
+            root=4, num_variables=3, countable=[1, 2, 3],
+        )
+        pinned = circuit.condition({2: False})
+        oracle = oracles.rewrite(circuit, {2: False})
+        assert list(oracle.nodes())[3] == (FALSE,)
+        assert pinned.count() == 0 and circuit.count() == 4
+        rows = [{1: (2, 3), 3: (5, 7)}, {1: (1, 1)}, None]
+        for batch in (rows[:1], rows, [rows[0], {3: (1 << 62, 1)}]):
+            assert lane_and(pinned.evaluate_many, batch) == (
+                oracles.evaluate_many(oracle, batch)
+            )
+            assert lane_and(pinned.literal_counts_many, batch) == (
+                oracles.literal_counts_many(oracle, batch)
+            )
+
+
+class TestPinnedCircuits:
+    def test_a_pinned_child_reuses_the_parent_plan(self):
+        db, query = scaling_hard_val_instance(8, seed=1)
+        null = db.nulls[0]
+        parent = ValuationCircuit(db, query)
+        parent.weighted_count()
+        plan = parent.circuit._plan()
+        child = parent.condition(ResolveNull(null, sorted(db.domain_of(null))[0]))
+        grandchild = child.condition(
+            RestrictDomain(db.nulls[1], frozenset(sorted(db.domain_of(db.nulls[1]))[:2]))
+        )
+        for derived in (child, grandchild):
+            assert derived.circuit._program is parent.circuit._program
+            derived.weighted_count()
+            assert derived.circuit._plan() is plan
+
+    def test_a_pinned_circuit_cannot_be_read_as_its_parent(self):
+        rng = random.Random(17)
+        _count, circuit, _view = traced_circuit(draw_cnf(rng, "conditioned"))
+        figure = circuit.memory_bytes()
+        pinned = circuit.condition({1: True})
+        with pytest.raises(ValueError, match="pinned"):
+            pinned.to_bytes()
+        with pytest.raises(ValueError, match="pinned"):
+            list(pinned.nodes())
+        # The figure is the shared program's, cached there: the child
+        # returns that very object rather than walking the program again.
+        assert pinned.memory_bytes() is figure
+        assert circuit.to_bytes() == DDNNF.from_bytes(circuit.to_bytes()).to_bytes()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_seeded_draws_equal_the_rewritten_circuits(self, seed):
+        rng = random.Random(6000 + seed)
+        cnf = draw_cnf(rng, "conditioned" if seed % 2 else None)
+        projection = None
+        if seed % 3 == 0 and cnf.num_variables > 1:
+            projection = rng.sample(
+                range(1, cnf.num_variables + 1), cnf.num_variables - 1
+            )
+        _count, circuit, rewritten = traced_circuit(cnf, projection=projection)
+        for _round in range(1 + seed % 2):
+            pins = draw_pins(rng, cnf, "conditioned", projection)
+            circuit = circuit.condition(pins)
+            rewritten = oracles.rewrite(rewritten, pins)
+        if not rewritten.count():
+            with pytest.raises(ValueError):
+                circuit.sampler()
+            return
+        weights = random_weights(rng, circuit) if seed % 4 else None
+        if weights is not None and not rewritten.evaluate(weights):
+            return
+        pinned_draws = circuit.sampler(weights)
+        rewritten_draws = rewritten.sampler(weights)
+        for index in range(25):
+            assert pinned_draws.sample(random.Random(index)) == (
+                rewritten_draws.sample(random.Random(index))
+            )

@@ -13,6 +13,8 @@ from repro.db.valuation import (
     count_total_valuations,
     iter_completions,
     iter_valuations,
+    named_null_weights,
+    resolve_null_weights,
 )
 
 from tests.conftest import small_incomplete_dbs
@@ -100,3 +102,45 @@ class TestGeneralProperties:
         """Set semantics can only shrink the fact count."""
         for completion in iter_completions(db):
             assert len(completion) <= len(db.facts)
+
+
+class TestNamedWeights:
+    """``named_null_weights`` keeps only the tables a row names, and
+    rejects a faulty row with exactly the error ``resolve_null_weights``
+    raises: an unknown null first, then the first faulty table in
+    database order, whatever order the row lists them in."""
+
+    @pytest.fixture
+    def db(self):
+        nulls = [Null(i) for i in range(3)]
+        return IncompleteDatabase(
+            [Fact("R", [null, "a"]) for null in nulls],
+            dom={null: ["a", "b"] for null in nulls},
+        )
+
+    def test_only_named_tables_are_kept(self, db):
+        first, _second, third = db.nulls
+        row = {third: {"a": 2, "b": 3}, first: None}
+        assert named_null_weights(db, row) == {third: {"a": 2, "b": 3}}
+        assert resolve_null_weights(db, row) == {
+            null: {"a": 2, "b": 3} if null == third else {"a": 1, "b": 1}
+            for null in db.nulls
+        }
+        assert named_null_weights(db, None) == {}
+
+    @pytest.mark.parametrize("case", ["unknown", "order", "extra", "missing"])
+    def test_faulty_rows_raise_the_resolved_error(self, db, case):
+        first, second, third = db.nulls
+        row = {
+            "unknown": {third: {"a": 1}, Null(9): {"a": 1}},
+            "order": {third: {"a": 1}, second: {"a": 1, "c": 1}},
+            "extra": {first: {"a": 1, "b": 1, "c": 2}},
+            "missing": {second: {"b": 1}},
+        }[case]
+        with pytest.raises(ValueError) as resolved:
+            resolve_null_weights(db, row)
+        with pytest.raises(ValueError) as named:
+            named_null_weights(db, row)
+        assert str(named.value) == str(resolved.value)
+        if case == "order":
+            assert repr(second) in str(named.value)

@@ -241,8 +241,10 @@ def test_cache_stats_report_the_memo_and_the_circuit_store():
 
 
 def test_bounded_cache_keeps_children_past_their_parents():
-    """A conditioned child shares nothing with its parent, so evicting
-    the parent leaves the child in the store, still answering."""
+    """A conditioned child holds its own reference to the program it
+    shares with its parent, so evicting the parent leaves the child in
+    the store, still answering (each entry is charged the whole shared
+    program, which keeps the bound conservative)."""
     db = base_db()
     parent_circuit = ValuationCircuit(db, QUERY)
     child = db.apply(ResolveNull(N1, "b"))

@@ -74,6 +74,31 @@ def _int_rows(db, rng, count, low=-3, high=6):
 
 class TestBatchedValuationPasses:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_rows_naming_some_nulls_match_brute_force(self, seed):
+        # Each row names its own subset of nulls (int or Fraction
+        # weights); the nulls a row leaves out weigh 1 per value and fold
+        # into one constant factor of its total.
+        from repro.exact.brute import count_valuations_weighted_brute
+
+        db, query = _random_instance(seed)
+        compiled = ValuationCircuit(db, query)
+        rng = random.Random(seed)
+        rows = []
+        for position in range(8):
+            named = [null for null in db.nulls if rng.random() < 0.5]
+            rows.append({
+                null: {
+                    value: Fraction(rng.randrange(0, 5), rng.randrange(1, 4))
+                    if position % 2 else rng.randrange(0, 5)
+                    for value in db.domain_of(null)
+                }
+                for null in named
+            })
+        assert compiled.weighted_count_many(rows) == [
+            count_valuations_weighted_brute(db, query, row) for row in rows
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_int_weights_bit_identical(self, seed):
         db, query = _random_instance(seed)
         compiled = ValuationCircuit(db, query)
