@@ -5,7 +5,7 @@ Runs one fixed workload per tracked hot path —
 
 * ``hom``          indexed homomorphism search (:mod:`repro.eval`);
 * ``sharpsat``     the exact model counter end to end — ordering heuristic,
-  preprocessing and search (:mod:`repro.compile.sharpsat`);
+  root unit propagation and search (:mod:`repro.compile.sharpsat`);
 * ``sharpsat_core`` the trail-based search core head-to-head against the
   retained tuple-based reference counter
   (:mod:`repro.compile.sharpsat_reference`) on search-heavy instances,
@@ -222,7 +222,7 @@ def path_sharpsat_core(quick: bool) -> dict:
 
     The instances are sparse hard-cell encodings whose searches branch
     hundreds of times (propagation-heavy dense instances would measure
-    the preprocessor, not the core).  Orders are precomputed and shared,
+    root unit propagation, not the search).  Orders are precomputed and shared,
     so the ratio isolates in-place propagation + bitset components
     against the tuple-rebuild machinery they replaced.  Counts are
     asserted identical — this is the differential pair the randomized

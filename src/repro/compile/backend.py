@@ -28,6 +28,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
+from operator import mul
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.complexity.cnf import CNF
@@ -176,7 +178,6 @@ class _CircuitArtifact:
         circuit: DDNNF,
         count: int,
         stats: tuple,
-        wire_bytes: int | None = None,
     ) -> None:
         self._db = db
         self._variables = variables
@@ -190,7 +191,6 @@ class _CircuitArtifact:
             self.cache_entries,
             self.components_split,
         ) = stats
-        self._wire_bytes = wire_bytes
 
     # -- serialization -----------------------------------------------------
 
@@ -240,9 +240,7 @@ class _CircuitArtifact:
         circuit = loads_circuit(reader.blob())
         reader.expect_end()
         variables = cls._rebind(db, circuit, header)
-        return cls._build(
-            db, variables, header, circuit, count, stats, len(data)
-        )
+        return cls._build(db, variables, header, circuit, count, stats)
 
     # -- accounting --------------------------------------------------------
 
@@ -250,23 +248,14 @@ class _CircuitArtifact:
         """The exact, big-int count (``#Val`` resp. ``#Comp``)."""
         return self._count
 
-    @property
-    def wire_bytes(self) -> int | None:
-        """Exact serialized size when the artifact crossed the wire."""
-        return self._wire_bytes
-
     def memory_bytes(self) -> int:
         """Resident size for cache accounting (circuit dominates).
 
         The structural estimate is used for every circuit — a rehydrated
         artifact occupies the same Python object graph as a local compile,
-        so accounting stays symmetric; the (smaller) wire size only ever
-        raises the figure, never lowers it.
+        so accounting stays symmetric.
         """
-        estimate = self.circuit.memory_bytes() + 512
-        if self._wire_bytes is not None and self._wire_bytes > estimate:
-            return self._wire_bytes
-        return estimate
+        return self.circuit.memory_bytes() + 512
 
     def __repr__(self) -> str:
         return "%s(count=%d, %r)" % (
@@ -598,12 +587,6 @@ class ValuationCircuit(_CircuitArtifact):
             table[variable] = (resolved[null].get(value, 0), 1)
         return table
 
-    def _weighted_total(self, resolved: dict):
-        total: object = 1
-        for null in self._db.nulls:
-            total = total * sum(resolved[null].values())  # type: ignore[operator]
-        return total
-
     def _pair_masses(self, resolved: dict, counts: dict) -> tuple:
         """``(satisfying total, (null, value) -> weighted mass of
         satisfying valuations with ν(null) = value)`` from the literal
@@ -614,12 +597,18 @@ class ValuationCircuit(_CircuitArtifact):
         choice variable.  The satisfying total rides the same pass:
         smoothness gives the falsifying total as ``counts[v] +
         counts[-v]`` of any choice variable, so no separate upward
-        evaluation is needed.
+        evaluation is needed.  Each null's product over the others comes
+        from prefix and suffix products in null order, never by dividing
+        the grand total: signed weights can make one null's total 0.
         """
-        totals = {
-            null: sum(resolved[null].values()) for null in self._db.nulls
+        nulls = self._db.nulls
+        totals = [sum(resolved[null].values()) for null in nulls]
+        before = list(accumulate(totals, mul, initial=1))
+        after = list(accumulate(reversed(totals), mul, initial=1))[::-1]
+        others = {
+            null: before[i] * after[i + 1] for i, null in enumerate(nulls)
         }
-        grand = self._weighted_total(resolved)
+        grand = before[-1]
         pairs = self._variables
         if pairs:
             _pair, any_variable = pairs[0]
@@ -632,12 +621,7 @@ class ValuationCircuit(_CircuitArtifact):
             if not weight:
                 masses[(null, value)] = 0
                 continue
-            if isinstance(grand, int) and isinstance(totals[null], int):
-                # grand is the product of the totals, so this is exact.
-                pinned_total = grand // totals[null] * weight
-            else:
-                pinned_total = grand * weight / totals[null]
-            masses[(null, value)] = pinned_total - counts[variable]
+            masses[(null, value)] = others[null] * weight - counts[variable]
         return grand - falsifying, masses
 
 

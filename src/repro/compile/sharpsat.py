@@ -21,10 +21,9 @@ in-place state** instead of immutable formula copies:
   reduced clause packs into one int).  Its live binary clauses are the
   stored ones inside its variables, so two components share a key exactly
   when their clauses are equal, the reference counter's cache equivalence;
-* a **preprocessing pass** (:mod:`repro.compile.preprocess`) runs once
-  before the search: root unit propagation and, in projected mode,
-  pure-literal elimination, failed-literal/backbone probing and
-  equivalent-literal substitution, each preserving the count;
+* **root unit propagation** runs once before the search: the input's
+  unit clauses and what they force land on the root trail, and the
+  recorded circuit's root decision node carries them;
 * a **static branching order** from a treewidth heuristic
   (:func:`repro.compile.ordering.branching_order`) — the primal graph is
   memoized per CNF, so a formula the planner's width probe already saw
@@ -52,14 +51,12 @@ CNFs with bounded-treewidth structure count in polynomial time.
 from __future__ import annotations
 
 import sys
-from functools import reduce
 from itertools import accumulate
 from operator import or_
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.complexity.cnf import CNF
 from repro.compile.ordering import branching_order
-from repro.compile.preprocess import PreprocessResult, preprocess_store
 from repro.compile.trail import ClauseStore
 from repro.obs import incr as _incr, span as _span
 
@@ -116,8 +113,6 @@ class ModelCounter:
         self.components_split = 0
         #: Branch literals tried by the search.
         self.decisions = 0
-        #: What the preprocessing pass did (set by :meth:`count`).
-        self.preprocessing: PreprocessResult | None = None
         self.width: int | None
         self._cache: dict
         self._stats_flushed = False
@@ -134,7 +129,7 @@ class ModelCounter:
             self._cache = self._impl._cache
             return
 
-        self._store = ClauseStore(cnf.num_variables, cnf.clauses)
+        self._store = store = ClauseStore(cnf.num_variables, cnf.clauses)
         if order is None:
             with _span("compile.ordering", variables=cnf.num_variables):
                 order, width = branching_order(cnf)
@@ -159,18 +154,15 @@ class ModelCounter:
         self._proj_mask: int | None = None
         if self._projection is not None:
             self._proj_mask = sum(bits[v] for v in self._projection)
-        self._key_base = 2 * cnf.num_variables + 2
-        self._index_store(self._store)
+        self._key_base = base = 2 * cnf.num_variables + 2
         self._cache = {}
         self._sat_cache: dict[tuple, bool] = {}
         self._result: int | None = None
 
-    def _index_store(self, store: ClauseStore) -> None:
-        """The split's static tables: per clause its length, rank bits and
-        packed content; per rank bit its binary neighbours, and the binary
-        clauses whose lower bit it is, as ``(index, other variable)``."""
-        base = self._key_base
-        bits = self._bits
+        # The split's static tables: per clause its length, rank bits and
+        # packed content; per rank bit its binary neighbours, and the
+        # binary clauses whose lower bit it is, as ``(index, other
+        # variable)``.
         lengths = []
         masks = []
         full_pack = []
@@ -245,13 +237,12 @@ class ModelCounter:
         """The uniform search-statistics vocabulary, both cores.
 
         Keys are stable across cores; values the trail core tracks but the
-        reference core does not (propagations, conflicts, trail depth,
-        preprocessing) come back ``None`` there.  Meaningful after
-        :meth:`count`; consumers read this instead of the raw attributes.
+        reference core does not (propagations, conflicts, trail depth)
+        come back ``None`` there.  Meaningful after :meth:`count`;
+        consumers read this instead of the raw attributes.
         """
         if self._impl is not None:
             return self._impl.stats()
-        pre = self.preprocessing
         store = self._store
         return {
             "core": "trail",
@@ -264,15 +255,6 @@ class ModelCounter:
             "sat_cache_entries": len(self._sat_cache),
             "components_split": self.components_split,
             "width": self.width,
-            "preprocessing": None
-            if pre is None
-            else {
-                "probes": pre.probes,
-                "failed_literals": pre.failed_literals,
-                "equivalences": pre.equivalences,
-                "forced": len(pre.forced),
-                "pure_fixed": len(pre.pure_fixed),
-            },
         }
 
     def _flush_stats(self) -> None:
@@ -294,62 +276,27 @@ class ModelCounter:
             value = stats.get(key)
             if value:
                 _incr("sharpsat.%s" % key, value)
-        pre = stats.get("preprocessing")
-        if pre:
-            for key, value in pre.items():
-                if value:
-                    _incr("sharpsat.preprocess.%s" % key, value)
 
     # -- root --------------------------------------------------------------
 
     def _count_root(self) -> int:
         trace = self._trace
-        conflict, determined = self._prepare()
-        if conflict:
+        store = self._store
+        if store.has_empty or not store.propagate(store.units):
             if trace is not None:
                 self.trace_root = trace.false
             return 0
-        assigned = self._root_assigned
-        settled = reduce(or_, map(self._bits.__getitem__, [*assigned, *determined]), 0)
+        assigned = tuple(sorted(store.trail, key=abs))
+        settled = sum(map(self._bits.__getitem__, assigned))
         variables = (1 << self._cnf.num_variables) - 1 & ~settled
-        count, node, live_mask = self._count(self._store.long, variables)
+        count, node, live_mask = self._count(store.long, variables)
         free_mask = variables & ~live_mask
         if trace is not None:
             assert node is not None
             self.trace_root = trace.decision(
-                [(
-                    tuple(sorted(assigned, key=abs)),
-                    self._mask_variables(free_mask),
-                    node,
-                )]
+                [(assigned, self._mask_variables(free_mask), node)]
             )
         return (1 << self._count_bits(free_mask)) * count
-
-    def _prepare(self) -> tuple[bool, list[int]]:
-        """Root unit propagation plus preprocessing; swaps in the rewritten
-        store when substitution fired.  Returns ``(conflict, substituted)``."""
-        store = self._store
-        if store.has_empty:
-            return True, []
-        if not store.propagate(store.units):
-            return True, []
-        with _span("compile.preprocess"):
-            report = preprocess_store(store, projection=self._projection)
-        self.preprocessing = report
-        if report.conflict:
-            return True, []
-        self._root_assigned = list(store.trail)
-        if report.rewritten is not None:
-            rebuilt = ClauseStore(store.num_variables, report.rewritten)
-            if rebuilt.has_empty or not rebuilt.propagate(rebuilt.units):
-                return True, []
-            # Substituted variables vanish from the clauses; literals
-            # the rebuilt store derives are genuinely new (their
-            # variables were unassigned in the old store).
-            self._root_assigned.extend(rebuilt.trail)
-            self._store = rebuilt
-            self._index_store(rebuilt)
-        return False, list(report.substitutions)
 
     # -- search ------------------------------------------------------------
 

@@ -110,8 +110,8 @@ class ReferenceModelCounter:
         """The uniform stats vocabulary (see ``ModelCounter.stats``).
 
         Keys the reference algorithm does not track — propagations,
-        conflicts, trail depth, preprocessing — are ``None``; the
-        algorithm itself stays untouched.
+        conflicts, trail depth — are ``None``; the algorithm itself stays
+        untouched.
         """
         return {
             "core": "reference",
@@ -124,7 +124,6 @@ class ReferenceModelCounter:
             "sat_cache_entries": len(self._sat_cache),
             "components_split": self.components_split,
             "width": self.width,
-            "preprocessing": None,
         }
 
     def _count_root(self) -> int:

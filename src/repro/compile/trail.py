@@ -29,9 +29,8 @@ component split relies on.
 The store knows nothing about counting, components, caching or traces —
 those live in the counter.  It exposes the pieces they need: the two
 clause kinds (:attr:`binary`, :attr:`long`), the trail mark / backtrack
-pair, :meth:`live` and :meth:`occurs` for preprocessing, and
-:meth:`snapshot` for the invariant tests (a propagate/backtrack round
-trip must restore the snapshot bit for bit).
+pair, and :meth:`snapshot` for the invariant tests (a propagate/backtrack
+round trip must restore the snapshot bit for bit).
 """
 
 from __future__ import annotations
@@ -202,28 +201,6 @@ class ClauseStore:
                 free[ci] += 1
 
     # -- inspection --------------------------------------------------------
-
-    def live(self, index: int) -> bool:
-        """Whether no current assignment satisfies clause ``index``."""
-        value = self.value
-        return not any(
-            value[literal if literal > 0 else -literal] * literal > 0
-            for literal in self.clauses[index]
-        )
-
-    def occurs(self, literal: int) -> bool:
-        """Whether ``literal``, unassigned at a propagation fixpoint, occurs
-        in a live clause (a binary one is live when its partner is
-        unassigned too)."""
-        variable = literal if literal > 0 else -literal
-        if literal > 0:
-            long, partners = self.occ_pos[variable], self.implied_neg[variable]
-        else:
-            long, partners = self.occ_neg[variable], self.implied_pos[variable]
-        sat, value = self.sat, self.value
-        return any(not sat[ci] for ci in long) or any(
-            not value[partner if partner > 0 else -partner] for partner in partners
-        )
 
     def snapshot(self) -> tuple:
         """Full live-state fingerprint, for trail round-trip tests."""

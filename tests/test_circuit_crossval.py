@@ -34,12 +34,16 @@ from repro.compile.lineage import enumerate_valuation_matches
 from repro.compile.variables import ChoiceVariables
 from repro.complexity.cnf import CNF
 from repro.core.query import Atom, BCQ, Const, CustomQuery, UCQ
+from repro.db.fact import Fact
+from repro.db.incomplete import IncompleteDatabase
+from repro.db.terms import Null
 from repro.db.valuation import (
     apply_valuation,
     iter_valuations,
     resolve_null_weights,
     weighted_total_valuations,
 )
+from repro.engine import BatchEngine, CountJob
 from repro.eval.evaluate import evaluate
 from repro.exact.brute import (
     count_completions_brute,
@@ -47,7 +51,11 @@ from repro.exact.brute import (
     count_valuations_weighted_brute,
 )
 from repro.exact import planner
-from repro.exact.dispatch import count_valuations, count_valuations_weighted
+from repro.exact.dispatch import (
+    count_valuations,
+    count_valuations_weighted,
+    solve,
+)
 from repro.workloads.generators import (
     random_incomplete_db,
     scaling_hard_val_instance,
@@ -191,6 +199,52 @@ def test_completion_circuit_matches_brute(seed, flavor, uniform, codd):
         assert CompletionCircuit(db, query).count() == expected
 
 
+@pytest.mark.parametrize("flavor,uniform,codd", FLAVORS)
+@pytest.mark.parametrize("seed", range(6))
+def test_completion_circuit_weights_match_enumeration(
+    seed, flavor, uniform, codd
+):
+    """Projected #Comp: the circuit's per-fact weighted counts (int and
+    Fraction weights) and fact marginals equal enumeration of the
+    distinct completions, with and without a query."""
+    db = _db(seed, uniform, codd)
+    rng = random.Random(2000 + seed)
+    for query in (None, QUERIES[2], QUERIES[6]):
+        completions = {
+            frozenset(completed.facts)
+            for completed in (
+                apply_valuation(db, valuation)
+                for valuation in iter_valuations(db)
+            )
+            if query is None or evaluate(query, completed)
+        }
+        compiled = CompletionCircuit(db, query)
+        assert compiled.count() == len(completions)
+        facts = compiled._variables.facts()
+        rows = [
+            {fact: rng.randint(0, 4) for fact in facts},
+            {fact: Fraction(rng.randint(1, 5), rng.randint(1, 5)) for fact in facts},
+        ]
+        assert compiled.weighted_count_many(rows) == [
+            sum(
+                math.prod(row[fact] for fact in completion)
+                for completion in completions
+            )
+            for row in rows
+        ]
+        if not completions:
+            with pytest.raises(ValueError):
+                compiled.fact_marginals()
+            continue
+        assert compiled.fact_marginals() == {
+            fact: Fraction(
+                sum(fact in completion for completion in completions),
+                len(completions),
+            )
+            for fact in facts
+        }
+
+
 @pytest.mark.parametrize("flavor,uniform,codd", FLAVORS[:2] + FLAVORS[2:3])
 @pytest.mark.parametrize("seed", range(5))
 def test_weighted_counts_match_brute_enumerator(seed, flavor, uniform, codd):
@@ -282,6 +336,58 @@ def test_weighted_marginals_match_brute():
                 total,
             )
             assert marginals[null][value] == expected
+
+
+def test_signed_weights_summing_to_zero():
+    # n0's weights sum to 0, so the product of every null's total is 0
+    # while the pinned weighted counts are not: the marginals, a seeded
+    # sample and an engine job still answer, matching brute enumeration.
+    n0, n1 = Null("n0"), Null("n1")
+    db = IncompleteDatabase.uniform(
+        [Fact("R", [n0, "a"]), Fact("S", [n1])], ["a", "b"]
+    )
+    query = BCQ([Atom("R", ["x", "x"])])
+    weights = {n0: {"a": 1, "b": -1}}
+    total = count_valuations_weighted_brute(db, query, weights, budget=None)
+    assert total == 2
+    resolved = resolve_null_weights(db, weights)
+    expected = {
+        null: {
+            value: Fraction(
+                count_valuations_weighted_brute(
+                    db, query,
+                    {**resolved, null: {
+                        other: weight if other == value else 0
+                        for other, weight in resolved[null].items()
+                    }},
+                    budget=None,
+                ),
+                total,
+            )
+            for value in db.domain_of(null)
+        }
+        for null in db.nulls
+    }
+    assert expected == {
+        n0: {"a": 1, "b": 0}, n1: {"a": Fraction(1, 2), "b": Fraction(1, 2)},
+    }
+    compiled = ValuationCircuit(db, query)
+    assert compiled.marginals(weights) == expected
+    assert solve("marginals", db, query, weights=weights).count == expected
+    samples = [
+        compiled.sample_valuation(seed=seed, weights=weights)
+        for seed in range(20)
+    ]
+    assert {sample[n0] for sample in samples} == {"a"}
+    assert {sample[n1] for sample in samples} == {"a", "b"}
+    [result] = BatchEngine(workers=0).run(
+        [CountJob("marginals", db, query, weights=weights)]
+    )
+    assert result.ok, result.error
+    assert result.count == {
+        repr(null): {repr(value): float(p) for value, p in table.items()}
+        for null, table in expected.items()
+    }
 
 
 def test_marginals_undefined_when_unsatisfiable():

@@ -214,13 +214,11 @@ class TestValuationCircuitRoundtrip:
         assert restored.cache_entries == compiled.cache_entries
         assert restored.components_split == compiled.components_split
 
-    def test_wire_bytes_recorded_and_accounting_symmetric(self):
+    def test_accounting_symmetric(self):
         db, query = scaling_hard_val_instance(9, seed=3)
         compiled = ValuationCircuit(db, query)
         data = compiled.to_bytes()
         restored = ValuationCircuit.from_bytes(data, db)
-        assert restored.wire_bytes == len(data)
-        assert compiled.wire_bytes is None
         # Resident accounting is identical for a local compile and its
         # rehydrated twin (the wire form is compact, the object is not).
         assert restored.memory_bytes() == compiled.memory_bytes()

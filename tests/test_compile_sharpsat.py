@@ -1,10 +1,13 @@
 """Tests for the exact model counter and its ordering heuristic."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.complexity.cnf import CNF, CNF3, count_models_brute, count_sat
 from repro.compile import ordering
+from repro.compile.ddnnf_trace import TraceBuilder
 from repro.compile.encode import compile_completion_cnf, compile_valuation_cnf
 from repro.compile.ordering import (
     branching_order,
@@ -138,6 +141,95 @@ class TestReferenceParity:
         assert counter.count() == 9
         assert counter.components_split >= 1
         assert counter.width is not None
+
+
+def random_cnf(rng, max_variables=8, max_clauses=14):
+    n = rng.randint(1, max_variables)
+    cnf = CNF(n)
+    for _ in range(rng.randint(0, max_clauses)):
+        width = rng.randint(1, min(3, n))
+        variables = rng.sample(range(1, n + 1), width)
+        cnf.add_clause(
+            v if rng.random() < 0.5 else -v for v in variables
+        )
+    return cnf
+
+
+class TestRandomizedSoundness:
+    def test_full_counts_unchanged(self):
+        # Full-count mode runs root unit propagation only; the count and
+        # the circuit the search records must still match the reference.
+        rng = random.Random(20250730)
+        for _ in range(120):
+            cnf = random_cnf(rng)
+            reference = count_models(cnf, reference=True)
+            trace = TraceBuilder()
+            counter = ModelCounter(cnf, trace=trace)
+            assert counter.count() == reference
+            circuit = trace.build(counter.trace_root, cnf.num_variables)
+            assert circuit.count() == reference
+
+    def test_projected_counts_unchanged(self):
+        rng = random.Random(73)
+        for _ in range(120):
+            cnf = random_cnf(rng)
+            projection = rng.sample(
+                range(1, cnf.num_variables + 1),
+                rng.randint(0, cnf.num_variables),
+            )
+            reference = count_models(cnf, projection=projection, reference=True)
+            assert count_models(cnf, projection=projection) == reference
+
+    def test_traced_projected_counts_unchanged(self):
+        rng = random.Random(97)
+        for _ in range(60):
+            cnf = random_cnf(rng, max_variables=6)
+            projection = rng.sample(
+                range(1, cnf.num_variables + 1),
+                rng.randint(1, cnf.num_variables),
+            )
+            reference = count_models(cnf, projection=projection, reference=True)
+            trace = TraceBuilder()
+            counter = ModelCounter(cnf, projection=projection, trace=trace)
+            assert counter.count() == reference
+            circuit = trace.build(
+                counter.trace_root, cnf.num_variables, countable=projection
+            )
+            assert circuit.count() == reference
+
+
+@pytest.mark.parametrize(
+    "num_variables,clauses,projection,expected",
+    [
+        # x1 <-> x2 <-> x3: the chain's non-projection end follows x1.
+        pytest.param(3, [(-1, 2), (1, -2), (-1, 3), (1, -3)], [1, 2], 2,
+                     id="equivalence-chain"),
+        # x1 <-> x2 with x2 outside the projection: (x1, x3) != (F, F).
+        pytest.param(3, [(-1, 2), (1, -2), (2, 3)], [1, 3], 3,
+                     id="equivalence-outside-projection"),
+        # x3 occurs only positively and is outside the projection.
+        pytest.param(3, [(1, 3), (2, 3)], [1, 2], 4,
+                     id="pure-non-projection-literal"),
+        # x1 forces x2 and -x2, so x1 is false and x3 true.
+        pytest.param(3, [(-1, 2), (-1, -2), (1, 3)], [1, 2, 3], 2,
+                     id="failed-literal"),
+        pytest.param(2, [(1, 2), (1, -2), (-1, 2), (-1, -2)], [1, 2], 0,
+                     id="unsatisfiable-pair"),
+        pytest.param(1, [(1,), (-1,)], [1], 0, id="contradicting-units"),
+    ],
+)
+def test_directed_projected_counts(num_variables, clauses, projection, expected):
+    """Counted, traced, against the reference core and the circuit."""
+    cnf = CNF(num_variables, clauses)
+    assert count_models(cnf, projection=projection, reference=True) == expected
+    assert count_models(cnf, projection=projection) == expected
+    trace = TraceBuilder()
+    counter = ModelCounter(cnf, projection=projection, trace=trace)
+    assert counter.count() == expected
+    circuit = trace.build(
+        counter.trace_root, num_variables, countable=projection
+    )
+    assert circuit.count() == expected
 
 
 class TestOrdering:
@@ -373,7 +465,7 @@ def _all_live(counter, indices, variables):
     """Every live clause of the residual formula the split sees: the live
     long clauses among ``indices`` and the binary clauses inside
     ``variables`` (rank bits), ascending; the oracle's input."""
-    live = [ci for ci in indices if counter._store.live(ci)]
+    live = [ci for ci in indices if not counter._store.sat[ci]]
     return sorted(live + _binary_inside(counter, variables))
 
 

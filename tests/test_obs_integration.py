@@ -14,7 +14,7 @@ from repro.workloads.generators import scaling_hard_val_instance
 STATS_KEYS = {
     "core", "decisions", "propagations", "conflicts", "max_trail_depth",
     "cache_hits", "cache_entries", "sat_cache_entries", "components_split",
-    "width", "preprocessing",
+    "width",
 }
 
 
@@ -59,7 +59,6 @@ class TestCounterStats:
         assert stats["propagations"] is None
         assert stats["conflicts"] is None
         assert stats["max_trail_depth"] is None
-        assert stats["preprocessing"] is None
 
     def test_search_counters_reach_an_active_capture(self):
         with capture() as captured:

@@ -250,7 +250,10 @@ class TestPropagation:
         store = ClauseStore(4, [(1,), (-1, 2), (-2, 3), (-3, 4)])
         assert store.propagate(store.units)
         assert store.trail == [1, 2, 3, 4]
-        assert not any(store.live(index) for index in range(4))
+        assert all(
+            any(store.value[abs(literal)] * literal > 0 for literal in clause)
+            for clause in store.clauses
+        )
 
     def test_contradicting_inputs_conflict(self):
         store = ClauseStore(1, [])
@@ -263,11 +266,3 @@ class TestPropagation:
         store = ClauseStore(2, [(), (1, 2)])
         assert store.has_empty
 
-    def test_live_and_occurs(self):
-        store = ClauseStore(3, [(1, 2, 3), (2, 3)])
-        store.propagate([-1])  # ternary clause shortens, nothing is unit
-        assert [store.live(index) for index in range(2)] == [True, True]
-        assert store.occurs(2) and store.occurs(3) and not store.occurs(-2)
-        store.propagate([2])
-        assert [store.live(index) for index in range(2)] == [False, False]
-        assert not store.occurs(3)
