@@ -39,7 +39,8 @@ ValuationMatch = frozenset[tuple[Null, Term]]
 #: One completion-side match: the set of potential facts it uses.
 CompletionMatch = frozenset[Fact]
 
-#: Beyond this many matches the quadratic absorption pass is skipped.
+#: Beyond this many matches absorption is skipped (when the matches share
+#: a member, each test still scans every kept match filed under it).
 ABSORPTION_LIMIT = 5_000
 
 
@@ -128,14 +129,23 @@ def enumerate_completion_matches(
 def _absorb(matches: set) -> list:
     """Minimize a monotone DNF by absorption: drop supersets of kept sets.
 
-    Skipped beyond :data:`ABSORPTION_LIMIT` matches (quadratic pass); the
+    Matches are taken smallest first, and each kept match is filed under
+    one of its members; a match is tested only against the kept matches
+    filed under its own members, since a kept subset's filing member is
+    one of them.  Skipped beyond :data:`ABSORPTION_LIMIT` matches; the
     encoding stays correct either way, only less compact.
     """
     ordered = sorted(matches, key=lambda match: (len(match), sorted(map(repr, match))))
     if len(ordered) > ABSORPTION_LIMIT:
         return ordered
+    if ordered and not ordered[0]:
+        return ordered[:1]  # the empty match absorbs every other
     kept: list = []
+    filed: dict = {}
     for match in ordered:
-        if not any(other <= match for other in kept):
+        if not any(
+            other <= match for member in match for other in filed.get(member, ())
+        ):
             kept.append(match)
+            filed.setdefault(next(iter(match)), []).append(match)
     return kept

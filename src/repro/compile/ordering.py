@@ -16,16 +16,18 @@ on top of the greedy eliminations computed here:
   rooted tree decomposition and runs the join/project/sum DP over it.
 
 Internally the greedy loop runs over **integer bitsets**: each vertex's
-neighborhood is one Python int with bit ``v`` set for neighbor ``v``, so a
-fill count is a handful of word-wide ``&``/``~`` operations plus
-``int.bit_count`` instead of a quadratic pair loop over Python sets.  On
+neighborhood is one Python int with bit ``v`` set for neighbor ``v``, so
+intersecting two neighborhoods and counting the result is one word-wide
+``&`` plus ``int.bit_count`` instead of a loop over Python sets.  On
 the formulas the lineage compiler emits this is the difference between the
 ordering dominating a count and the ordering being noise next to the
 search.
 
 The loop is also **incremental**: scores sit in a heap, and an elimination
-rescores only its neighbors and, for min-fill, the vertices with two or
-more of them as neighbors, the only scores it can change.  The result is
+rescores only the vertices whose score it changed.  A min-degree score is
+a popcount.  A min-fill score is ``C(d, 2) - t``, where ``t`` counts the
+edges among the vertex's neighbors and is maintained edge by edge as the
+graph changes, so no neighborhood is ever rescanned.  The result is
 exactly a full rescan's, tie-break and delay included; the rescan loop
 lives on in ``tests/test_compile_sharpsat.py`` as the oracle.
 
@@ -45,9 +47,9 @@ from typing import Mapping
 
 from repro.complexity.cnf import CNF
 
-#: Above this many vertices only the min-degree pass runs: min-fill also
-#: rescores the neighbors' neighbors, and each fill count walks a whole
-#: neighborhood where a degree is one popcount.
+#: Above this many vertices only the min-degree pass runs: a min-fill
+#: score needs every vertex's triangle count up front and an update at
+#: each common neighbor of every fill edge, where a degree is one popcount.
 MIN_FILL_VERTEX_LIMIT = 2_000
 
 #: The two-phase orderings run cheap min-degree first and refine with
@@ -110,20 +112,11 @@ def _primal_masks_uncached(cnf: CNF) -> dict[int, int]:
     return masks
 
 
-def _fill_count(neighbors: int, adjacency: Mapping[int, int]) -> int:
-    """The min-fill score: pairs of ``neighbors`` not yet adjacent, each
-    counted once (from its lower end, against the bits above it)."""
-    score = 0
-    remaining = neighbors
-    while remaining:
-        low = remaining & -remaining
-        remaining ^= low
-        score += (remaining & ~adjacency[low.bit_length() - 1]).bit_count()
-    return score
-
-
 def _greedy_eliminate(
-    masks: Mapping[int, int], use_min_fill: bool, delay: int
+    masks: Mapping[int, int],
+    use_min_fill: bool,
+    delay: int,
+    stop_width: int | None = None,
 ) -> tuple[list[int], int, list[int]]:
     """One greedy elimination pass: min-fill or min-degree score, ties
     broken by vertex index, neighborhoods turned into cliques on
@@ -135,7 +128,8 @@ def _greedy_eliminate(
     Vertices whose bit is set in ``delay`` are only eligible once no other
     vertex remains, which forces them into the *late* (root-side) bags;
     the projected DP uses this to keep the projection variables above
-    every auxiliary variable.
+    every auxiliary variable.  With ``stop_width``, the pass ends as soon
+    as the width reaches it and returns what it has so far.
 
     ``masks`` is an undirected graph (``u`` in ``v``'s mask iff ``v`` in
     ``u``'s), as :func:`primal_masks` builds it.  The live scores sit in
@@ -144,16 +138,28 @@ def _greedy_eliminate(
     since it was pushed is skipped when it surfaces.  The adjacency masks
     hold live vertices only.  Eliminating ``v`` changes the graph only
     inside ``v``'s neighborhood ``N``: each member loses ``v`` and gains
-    the rest of ``N``.  So a degree can change only in ``N``.  A fill
-    count can change only in ``N`` or at a vertex with two or more
-    neighbors in ``N``, since every fill edge joins two members of ``N``.
-    Only those vertices are rescored; every other score is still exact.
+    the rest of ``N``.  So a degree can change only in ``N``.  Min-fill
+    scores ``C(d, 2) - triangles[u]``, where ``triangles[u]`` counts the
+    edges among ``u``'s neighbors; :func:`_fill_in` keeps those counts
+    exact, and they can change only in ``N`` and at the common neighbors
+    of a fill edge's two ends.  Only those vertices are rescored; every
+    other score is still exact.
     """
     adjacency = dict(masks)
-    scores = {
-        vertex: _fill_count(mask, adjacency) if use_min_fill else mask.bit_count()
-        for vertex, mask in adjacency.items()
-    }
+    triangles: dict[int, int] = {}
+    scores: dict[int, int] = {}
+    for vertex, mask in adjacency.items():
+        score = mask.bit_count()
+        if use_min_fill:
+            count = 0
+            remaining = mask
+            while remaining:  # each edge among the neighbors from its lower end
+                low = remaining & -remaining
+                remaining ^= low
+                count += (remaining & adjacency[low.bit_length() - 1]).bit_count()
+            triangles[vertex] = count
+            score = score * (score - 1) // 2 - count
+        scores[vertex] = score
     heap = [((delay >> vertex) & 1, score, vertex) for vertex, score in scores.items()]
     heapq.heapify(heap)
 
@@ -169,28 +175,74 @@ def _greedy_eliminate(
         bit = 1 << vertex
         order.append(vertex)
         bags.append(neighbors | bit)
-        width = max(width, neighbors.bit_count())
-        rescore = neighbors
-        remaining = neighbors
-        while remaining:
-            low = remaining & -remaining
-            u = low.bit_length() - 1
-            remaining ^= low
-            adjacency[u] = (adjacency[u] | neighbors) & ~(low | bit)
-            if use_min_fill:
-                rescore |= adjacency[u]
+        degree = neighbors.bit_count()
+        if degree > width:
+            width = degree
+            if stop_width is not None and width >= stop_width:
+                break
+        if use_min_fill:
+            rescore = neighbors | _fill_in(vertex, neighbors, adjacency, triangles)
+        else:
+            rescore = neighbors
+            remaining = neighbors
+            while remaining:
+                low = remaining & -remaining
+                u = low.bit_length() - 1
+                remaining ^= low
+                adjacency[u] = (adjacency[u] | neighbors) & ~(low | bit)
         while rescore:
             low = rescore & -rescore
             u = low.bit_length() - 1
             rescore ^= low
-            mask = adjacency[u]
-            if not low & neighbors and (mask & neighbors).bit_count() < 2:
-                continue  # no fill edge joined two of its neighbors
-            new = _fill_count(mask, adjacency) if use_min_fill else mask.bit_count()
+            new = adjacency[u].bit_count()
+            if use_min_fill:
+                new = new * (new - 1) // 2 - triangles[u]
             if new != scores[u]:
                 scores[u] = new
                 heapq.heappush(heap, ((delay >> u) & 1, new, u))
     return order, width, bags
+
+
+def _fill_in(
+    vertex: int, neighbors: int, adjacency: dict[int, int], triangles: dict[int, int]
+) -> int:
+    """Eliminate ``vertex`` for min-fill, keeping ``triangles`` exact: join
+    every non-adjacent pair of its ``neighbors`` ``N``, one edge at a
+    time, then drop ``vertex``.  A new edge ``(a, b)`` adds
+    ``|N(a) ∩ N(b)|`` at ``a`` and at ``b`` and one at each common
+    neighbor.  Once a member's own fill edges are in, ``vertex`` leaves it
+    and takes the ``|N| - 1`` edges it had to the rest of ``N``.  Returns
+    the bitset of the common neighbors met, ``vertex`` aside."""
+    bit = 1 << vertex
+    clique = neighbors.bit_count() - 1
+    touched = 0
+    remaining = neighbors
+    while remaining:
+        low = remaining & -remaining
+        remaining ^= low
+        a = low.bit_length() - 1
+        mask_a = adjacency[a]
+        missing = remaining & ~mask_a
+        while missing:
+            low_b = missing & -missing
+            missing ^= low_b
+            b = low_b.bit_length() - 1
+            mask_b = adjacency[b]
+            common = mask_a & mask_b
+            count = common.bit_count()
+            triangles[a] += count
+            triangles[b] += count
+            common ^= bit  # still a common neighbor of every pair
+            touched |= common
+            while common:
+                low_c = common & -common
+                common ^= low_c
+                triangles[low_c.bit_length() - 1] += 1
+            mask_a |= low_b
+            adjacency[b] = mask_b | low
+        adjacency[a] = mask_a ^ bit
+        triangles[a] -= clique
+    return touched
 
 
 def refined_elimination_masks(
@@ -201,8 +253,9 @@ def refined_elimination_masks(
     Min-degree first (linear-ish, and its width is a usable difficulty
     estimate), then a min-fill refinement only where the width is small
     enough for the refinement to matter (:data:`MIN_FILL_REFINE_WIDTH`)
-    and the graph small enough for its quadratic loop
-    (:data:`MIN_FILL_VERTEX_LIMIT`); the better of the two widths wins.
+    and the graph small enough for its bookkeeping
+    (:data:`MIN_FILL_VERTEX_LIMIT`); min-fill wins only when strictly
+    narrower, so its pass stops as soon as its width reaches min-degree's.
     Returns ``(order, width, bags)``; ``width`` — the largest neighborhood
     at elimination time — is the width of the tree decomposition the
     order induces, an upper bound on the treewidth.  The dpdb width probe,
@@ -212,7 +265,7 @@ def refined_elimination_masks(
     order, width, bags = _greedy_eliminate(masks, use_min_fill=False, delay=delay)
     if width <= MIN_FILL_REFINE_WIDTH and len(masks) <= MIN_FILL_VERTEX_LIMIT:
         fill_order, fill_width, fill_bags = _greedy_eliminate(
-            masks, use_min_fill=True, delay=delay
+            masks, use_min_fill=True, delay=delay, stop_width=width
         )
         if fill_width < width:
             order, width, bags = fill_order, fill_width, fill_bags

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.compile import (
     LineageUnsupportedQuery,
@@ -16,6 +17,7 @@ from repro.compile import (
     enumerate_valuation_matches,
     explain,
 )
+from repro.compile.lineage import _absorb
 from repro.compile.variables import instantiations
 from repro.core.query import Atom, BCQ, Const, CustomQuery, Negation, UCQ
 from repro.db.fact import Fact
@@ -96,6 +98,48 @@ class TestValuationMatches:
             count_valuations_lineage(
                 db, CustomQuery("always", ["S"], lambda _db: True)
             )
+
+
+def _quadratic_absorb(matches):
+    """The absorption oracle: each match, smallest first, against every
+    kept match."""
+    ordered = sorted(matches, key=lambda match: (len(match), sorted(map(repr, match))))
+    kept = []
+    for match in ordered:
+        if not any(other <= match for other in kept):
+            kept.append(match)
+    return kept
+
+
+@st.composite
+def set_families(draw):
+    """Sets over a small universe (so equal and nested sets recur), with
+    some drawn sets repeated, some widened into supersets, and maybe the
+    empty set, shuffled."""
+    members = st.one_of(st.integers(0, 6), st.tuples(st.integers(0, 2), st.sampled_from("ab")))
+    family = draw(st.lists(st.frozensets(members, max_size=4), max_size=30))
+    rng = draw(st.randoms(use_true_random=False))
+    for base in list(family):
+        if rng.random() < 0.3:
+            family.append(base)
+        if rng.random() < 0.3:
+            family.append(base | {rng.randrange(7), (rng.randrange(3), "a")})
+    if rng.random() < 0.5:
+        family.append(frozenset())
+    rng.shuffle(family)
+    return family
+
+
+class TestAbsorption:
+    @given(set_families())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_quadratic_oracle(self, family):
+        assert _absorb(family) == _quadratic_absorb(family)
+        assert _absorb(set(family)) == _quadratic_absorb(set(family))
+
+    def test_empty_match_absorbs_everything(self):
+        family = [frozenset({1, 2}), frozenset(), frozenset({3}), frozenset()]
+        assert _absorb(family) == [frozenset()]
 
 
 class TestValuationEncoding:

@@ -1,6 +1,10 @@
 """Tests for the exact model counter and its ordering heuristic."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -321,12 +325,16 @@ def _rescan_eliminate(masks, use_min_fill, delay):
 
 
 @st.composite
-def graphs(draw, max_vertices: int = 30) -> tuple[dict[int, int], int]:
+def graphs(
+    draw, min_vertices: int = 0, max_vertices: int = 30, min_percent: int = 0,
+    max_percent: int = 100,
+) -> tuple[dict[int, int], int]:
     """An undirected graph as ``{vertex: neighbor mask}`` over vertices
-    ``1..n``, some of them isolated, and a random ``delay`` mask."""
-    n = draw(st.integers(min_value=0, max_value=max_vertices))
+    ``1..n``, some of them isolated, each other pair joined with a drawn
+    ``percent`` chance, and a random ``delay`` mask."""
+    n = draw(st.integers(min_value=min_vertices, max_value=max_vertices))
     isolated = draw(st.sets(st.integers(min_value=1, max_value=max(n, 1))))
-    percent = draw(st.integers(min_value=0, max_value=100))
+    percent = draw(st.integers(min_value=min_percent, max_value=max_percent))
     rng = draw(st.randoms(use_true_random=False))
     masks = {vertex: 0 for vertex in range(1, n + 1)}
     for u in range(1, n + 1):
@@ -367,6 +375,14 @@ class TestIncrementalElimination:
         masks, delay = graph
         self._assert_same_as_rescan(masks, delay)
 
+    @given(graphs(min_vertices=40, max_vertices=60, min_percent=10, max_percent=40))
+    @settings(max_examples=15, deadline=None)
+    def test_dense_graphs_match_rescan(self, graph):
+        # An elimination here adds several fill edges on average, so the
+        # triangle counts take long runs of updates between two pops.
+        masks, delay = graph
+        self._assert_same_as_rescan(masks, delay)
+
     def test_projected_comp_probe_matches_rescan(self):
         # The dpdb probe on #Comp delays the projection (fact) variables.
         encoding = compile_completion_cnf(*scaling_hard_comp_instance(10))
@@ -383,6 +399,140 @@ class TestIncrementalElimination:
         masks = _grid_masks(3, 8)
         self._assert_same_as_rescan(masks, 0)
         assert refined_elimination_masks(masks)[1] == 3
+
+
+def _unbounded_refined(masks, delay):
+    """The two-phase rule with both passes run in full: min-fill only under
+    the width and size limits, and kept only when strictly narrower."""
+    degree = _rescan_eliminate(masks, False, delay)
+    if (
+        degree[1] <= ordering.MIN_FILL_REFINE_WIDTH
+        and len(masks) <= ordering.MIN_FILL_VERTEX_LIMIT
+    ):
+        fill = _rescan_eliminate(masks, True, delay)
+        if fill[1] < degree[1]:
+            return fill
+    return degree
+
+
+def _masks_of(edges):
+    masks = {vertex: 0 for edge in edges for vertex in edge}
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
+#: Min-degree width 4, min-fill width 3.
+_FILL_WINS = _masks_of(
+    [(1, 2), (1, 4), (1, 5), (1, 6), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6)]
+)
+#: A triangle with a pendant: both widths 2, different orders.
+_TIE = _masks_of([(1, 2), (1, 3), (2, 3), (2, 4)])
+
+
+class TestRefinedElimination:
+    """``refined_elimination_masks`` stops its min-fill pass once it cannot
+    win; the triple is still the one the unbounded rule picks."""
+
+    @given(graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_random_graphs_match_unbounded_rule(self, graph):
+        masks, delay = graph
+        assert refined_elimination_masks(masks, delay) == _unbounded_refined(
+            masks, delay
+        )
+
+    def test_fill_wins_when_narrower(self):
+        fill = _rescan_eliminate(_FILL_WINS, True, 0)
+        assert _rescan_eliminate(_FILL_WINS, False, 0)[1] == 4 and fill[1] == 3
+        assert refined_elimination_masks(_FILL_WINS) == fill
+
+    def test_tie_keeps_min_degree(self):
+        degree = _rescan_eliminate(_TIE, False, 0)
+        fill = _rescan_eliminate(_TIE, True, 0)
+        assert degree[1] == fill[1] == 2 and degree != fill
+        assert refined_elimination_masks(_TIE) == degree
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("MIN_FILL_REFINE_WIDTH", 3), ("MIN_FILL_VERTEX_LIMIT", 5)],
+    )
+    def test_limits_keep_min_degree(self, monkeypatch, name, value):
+        monkeypatch.setattr(ordering, name, value)
+        degree = _rescan_eliminate(_FILL_WINS, False, 0)
+        assert refined_elimination_masks(_FILL_WINS) == degree
+        assert _unbounded_refined(_FILL_WINS, 0) == degree
+
+    @given(graphs(max_vertices=12))
+    @settings(max_examples=100, deadline=None)
+    def test_low_limits_match_unbounded_rule(self, graph):
+        masks, delay = graph
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ordering, "MIN_FILL_REFINE_WIDTH", 3)
+            patch.setattr(ordering, "MIN_FILL_VERTEX_LIMIT", 8)
+            assert refined_elimination_masks(masks, delay) == _unbounded_refined(
+                masks, delay
+            )
+
+
+#: Each instance's dpdb probe: ``(kind, generator call, min-fill wins,
+#: digest)``, the digest being the first 16 hex digits of the SHA-256 of
+#: ``repr((order, width, bags))``.  No answer shows a changed triple (every
+#: decomposition gives the same DP count); plans, widths and speed do.
+PINNED_PROBES = (
+    ("val", "scaling_hard_val_instance(16, chord_probability=0.1, seed=3)",
+     False, "63196b2fc45700bf"),
+    ("val", "scaling_hard_val_instance(20, chord_probability=0.1, seed=5)",
+     True, "030072751eb95c02"),
+    ("val", "scaling_grid_val_instance(3, 8, num_colors=3)",
+     True, "0ea1a677cfec59f8"),
+    ("val", "scaling_long_cycle_val_instance(40, 1, num_colors=3)",
+     False, "575e7159f8014956"),
+    ("comp", "scaling_hard_comp_instance(8, seed=2)",
+     False, "f640d0e8ff0a18aa"),
+    ("comp", "scaling_block_comp_instance(5, seed=2)",
+     False, "12a5fc87fb541e26"),
+)
+
+_PINNED_PROBE_SCRIPT = """
+import hashlib
+from repro.compile import ordering
+from repro.compile.dpdb import dpdb_probe
+from repro.workloads import generators
+for kind, call in %r:
+    probe = dpdb_probe(kind, *eval(call, vars(generators)))
+    triple = (probe.order, probe.width, probe.bags)
+    degree = ordering._greedy_eliminate(
+        ordering.primal_masks(probe.encoding.cnf), False, probe.projection_mask
+    )
+    wins = probe.width < degree[1]
+    assert wins or triple == degree
+    print(hashlib.sha256(repr(triple).encode()).hexdigest()[:16], wins)
+"""
+
+
+class TestPinnedProbeEliminations:
+    """The probe's elimination triples on a fixed instance list match their
+    pinned digests under two hash seeds, and min-fill wins exactly where
+    the list says (elsewhere the probe returns the min-degree triple)."""
+
+    def test_digests_and_outcomes_hold(self):
+        script = _PINNED_PROBE_SCRIPT % ([entry[:2] for entry in PINNED_PROBES],)
+        root = Path(__file__).resolve().parent.parent
+        expected = "".join(
+            "%s %s\n" % (digest, wins) for _kind, _call, wins, digest in PINNED_PROBES
+        )
+        for seed in ("0", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+            )
+            output = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True,
+                text=True, check=True, timeout=120,
+            ).stdout
+            assert output == expected, seed
 
 
 def _merge_split(counter, indices):
