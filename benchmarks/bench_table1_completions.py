@@ -2,15 +2,22 @@
 
 * non-uniform: hard for *every* sjfBCQ, already for R(x) on Codd tables
   (Prop. 4.2) — the vertex-cover reduction is executed and timed;
-* uniform: FP for unary schemas (Theorem 4.6, shape-enumeration algorithm
-  timed on a scaling family) and hard for R(x,x)/R(x,y) (Prop. 4.5, both
-  the naive-table #IS reduction and the Codd-table #PF reduction).
+* uniform: FP for unary schemas (Theorem 4.6, the closed form timed on a
+  two-relation scaling family and, against brute force, on three- and
+  four-relation schemas) and hard for R(x,x)/R(x,y) (Prop. 4.5, both the
+  naive-table #IS reduction and the Codd-table #PF reduction).
 """
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
+from repro.core.query import Atom, BCQ
+from repro.db.fact import Fact
+from repro.db.incomplete import IncompleteDatabase
+from repro.db.terms import Null
 from repro.exact.brute import count_completions_brute
 from repro.exact.comp_uniform import (
     count_completions_single_unary,
@@ -69,14 +76,66 @@ def test_comp_uniform_unary_tractable(benchmark, emit, nulls):
         assert result == count_completions_brute(db, query)
 
 
+def _wide_schema_instance(nulls_in, constants, domain, query):
+    """A uniform unary table and a query: ``nulls_in`` lists each null's
+    relations, ``constants`` each constant's, and ``query`` each variable
+    with the relations of its atoms."""
+    facts = [
+        Fact(relation, [constant])
+        for constant, relations in constants.items()
+        for relation in relations
+    ]
+    for index, relations in enumerate(nulls_in, start=1):
+        facts += [Fact(relation, [Null(index)]) for relation in relations]
+    atoms = [Atom(relation, [variable]) for variable, group in query for relation in group]
+    return IncompleteDatabase.uniform(facts, list(domain)), BCQ(atoms)
+
+
+WIDE_SCHEMAS = {
+    # R, S, T: a constant in R, one outside the domain in S and T, and six
+    # nulls, three of them in two relations (5^6 valuations).
+    "RST d=5 R(x),S(x),T(y)": (
+        ["RS", "S", "T", "TR", "R", "ST"], {"a": "R", "out": "ST"}, "abcde",
+        [("x", "RS"), ("y", "T")],
+    ),
+    # The four-relation file of the planner's wide-schema case (6^5).
+    "RSTU file R(x),S(x)": (
+        ["RS", "S", "TR", "UT", "SU"], {"a": "R"}, "abcdef", [("x", "RS")],
+    ),
+    # No null lies in both R and U, so this query can fail.
+    "RSTU file R(x),U(x)": (
+        ["RS", "S", "TR", "UT", "SU"], {"a": "R"}, "abcdef", [("x", "RU")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(WIDE_SCHEMAS))
+def test_comp_uniform_unary_wide_schema(benchmark, emit, name):
+    """Theorem 4.6 on three and four unary relations, where a deficit can
+    need a cover of two or three blocks and the types number 7 or 15:
+    the closed form's count is brute force's, and both times are
+    printed."""
+    db, query = _wide_schema_instance(*WIDE_SCHEMAS[name])
+    result = benchmark(count_completions_uniform_unary, db, query)
+    started = time.perf_counter()
+    count_completions_uniform_unary(db, query)
+    closed_s = time.perf_counter() - started
+    started = time.perf_counter()
+    expected = count_completions_brute(db, query)
+    brute_s = time.perf_counter() - started
+    emit(
+        "Table 1 #Compu wide schema (Thm 4.6), %s" % name,
+        count=result,
+        closed_form_s="%.3f" % closed_s,
+        brute_s="%.3f" % brute_s,
+    )
+    assert result == expected
+
+
 @pytest.mark.parametrize("nulls", [20, 60, 120])
 def test_comp_uniform_single_unary_closed_form(benchmark, emit, nulls):
     """Warm-up B.6.1/B.6.2 closed form: far larger instances than the
     shape-enumeration algorithm (and both stay polynomial)."""
-    from repro.db.fact import Fact
-    from repro.db.incomplete import IncompleteDatabase
-    from repro.db.terms import Null
-
     facts = [Fact("R", [Null(i)]) for i in range(nulls)]
     facts.append(Fact("R", ["k"]))
     db = IncompleteDatabase.uniform(

@@ -132,10 +132,24 @@ def _absorb(matches: set) -> list:
     Matches are taken smallest first, and each kept match is filed under
     one of its members; a match is tested only against the kept matches
     filed under its own members, since a kept subset's filing member is
-    one of them.  Skipped beyond :data:`ABSORPTION_LIMIT` matches; the
-    encoding stays correct either way, only less compact.
+    one of them.  Ties in size go by the sorted ``repr`` of the members,
+    each member's taken once per call.  Skipped beyond
+    :data:`ABSORPTION_LIMIT` matches; the encoding stays correct either
+    way, only less compact.
     """
-    ordered = sorted(matches, key=lambda match: (len(match), sorted(map(repr, match))))
+    names: dict = {}
+
+    def key(match) -> tuple[int, list[str]]:
+        keys = []
+        for member in match:
+            name = names.get(member)
+            if name is None:
+                name = names[member] = repr(member)
+            keys.append(name)
+        keys.sort()
+        return len(match), keys
+
+    ordered = sorted(matches, key=key)
     if len(ordered) > ABSORPTION_LIMIT:
         return ordered
     if ordered and not ordered[0]:

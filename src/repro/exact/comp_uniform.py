@@ -25,11 +25,34 @@ interchangeable) and kept iff a valuation realizes it.  Every value with a
 inside ``t`` and jointly cover the deficit, and no block can serve more
 values than it has nulls; blocks with no landing type are fatal.  The
 inclusion-minimal covers of each ``(s, t)`` pair are found once per
-instance, and a budgeted-cover search decides each shape: it hands every
-deficit class's values to its covers, spending block budgets, and backs out
-when a budget runs dry.  Finally ``q`` (a conjunction of basic singletons
-over unary relations) holds iff every component has some value whose final
-type contains it.
+instance, and a budgeted-cover search hands every deficit class's values
+to its covers, spending block budgets, and backs out when a budget runs
+dry.  Finally ``q`` (a conjunction of basic singletons over unary
+relations) holds iff every component has some value whose final type
+contains it.
+
+The shapes are not listed one by one.  Each *value group* — the fresh
+pool, or the in-domain constants of one initial type — has an option
+table that lists its assignments once, each as a triple: its multinomial
+weight, the bitmask of the types it leaves present, and its demand vector,
+which counts its values per distinct tuple of minimal covers (values with
+the same covers merge: a placement of the merged class splits back into
+placements of its parts).  A shape takes one option per group, and nothing
+above reads more of it than the product of the weights, the union of the
+masks and the sum of the demand vectors.  So the tables fold into one
+dict keyed by (present mask, demand vector) that sums the weights, and
+each distinct state is judged once: the query and block-landing checks
+per mask, the cover search per demand vector.  Two cuts keep this exact:
+
+* an option that sends values to a type that no cover reaches from the
+  group's type is dropped when its table is built: such a value can never
+  receive its deficit, so every shape with it is unrealizable;
+* the search is skipped when no block can bind, that is, when every block
+  has at least as many nulls as there are values whose class has a cover
+  using it: then every value can take its class's first cover.
+
+Otherwise the classes with one cover take it, and the search places the
+rest in what their blocks have left.
 
 Exponential in the (fixed) schema, polynomial in ``d`` and the table size.
 """
@@ -37,14 +60,15 @@ Exponential in the (fixed) schema, polynomial in ``d`` and the table size.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, Sequence
+from operator import add
+from typing import Sequence
 
 from repro.core.classify import tractable
 from repro.core.problems import COMP_UNIFORM
 from repro.core.query import BCQ, BooleanQuery
 from repro.db.incomplete import IncompleteDatabase
 from repro.db.terms import Term, is_null
-from repro.util.combinatorics import binomial
+from repro.util.combinatorics import binomial, compositions, multinomial
 
 #: A set of null blocks whose occurrence-sets jointly cover a deficit.
 _Cover = tuple[frozenset[str], ...]
@@ -132,79 +156,6 @@ class _Instance:
         }
 
 
-def _iter_class_assignments(
-    capacity: int, targets: Sequence[frozenset[str]]
-) -> Iterator[dict[frozenset[str], int]]:
-    """All ways to send ``0..capacity`` items into the target types."""
-
-    def recurse(
-        index: int, remaining: int
-    ) -> Iterator[dict[frozenset[str], int]]:
-        if index == len(targets):
-            yield {}
-            return
-        for count in range(remaining + 1):
-            for tail in recurse(index + 1, remaining - count):
-                if count:
-                    tail = dict(tail)
-                    tail[targets[index]] = count
-                yield tail
-
-    yield from recurse(0, capacity)
-
-
-def _shape_weight(
-    instance: _Instance,
-    upgrades: dict[frozenset[str], dict[frozenset[str], int]],
-    fresh: dict[frozenset[str], int],
-) -> int:
-    """Number of membership maps with this composition shape.
-
-    Successive binomials multiply to a multinomial coefficient, so the
-    order in which the target types are taken does not matter.
-    """
-    weight = 1
-    for source, moves in upgrades.items():
-        available = instance.constant_classes.get(source, 0)
-        for count in moves.values():
-            weight *= binomial(available, count)
-            available -= count
-    available = instance.free_pool
-    for count in fresh.values():
-        weight *= binomial(available, count)
-        available -= count
-    return weight
-
-
-def _present_types(
-    instance: _Instance,
-    upgrades: dict[frozenset[str], dict[frozenset[str], int]],
-    fresh: dict[frozenset[str], int],
-) -> set[frozenset[str]]:
-    """Final types carried by at least one *in-domain* value.
-
-    Out-of-domain constants are excluded: their (fixed) types count for
-    query satisfaction but cannot absorb nulls — callers add
-    ``instance.fixed_types`` where appropriate.
-    """
-    present: set[frozenset[str]] = set()
-    for target, count in fresh.items():
-        if count:
-            present.add(target)
-    for source, moves in upgrades.items():
-        moved = 0
-        for target, count in moves.items():
-            if count:
-                present.add(target)
-            moved += count
-        if instance.constant_classes.get(source, 0) - moved > 0:
-            present.add(source)
-    for source, size in instance.constant_classes.items():
-        if source not in upgrades and size > 0:
-            present.add(source)
-    return present
-
-
 def _minimal_covers(
     deficit: frozenset[str], usable_blocks: list[frozenset[str]]
 ) -> tuple[_Cover, ...]:
@@ -225,19 +176,19 @@ def _minimal_covers(
 
 
 def _covers_fit(
-    demands: Sequence[tuple[int, Sequence[_Cover]]],
-    budgets: dict[frozenset[str], int],
+    demands: Sequence[tuple[int, Sequence[tuple[int, ...]]]],
+    budgets: list[int],
 ) -> bool:
     """Can every class's values be handed to its covers within the budgets?
 
     ``demands`` lists ``(count, covers)``: each of a class's ``count``
-    values goes to one of its covers and takes one null from every block in
-    it, and a block has ``budgets[block]`` nulls to give.  A depth-first
-    search gives each cover as many of the class's remaining values as its
-    blocks allow, then fewer, and the last cover the rest.  Classes with
-    fewer covers go first, so a class with none fails at once.  ``budgets``
-    is spent on the way down and restored on the way back, so it is
-    unchanged on return.
+    values goes to one of its covers, a tuple of block slots, and takes one
+    null from every block in it; block ``b`` has ``budgets[b]`` nulls to
+    give.  A depth-first search gives each cover as many of the class's
+    remaining values as its blocks allow, then fewer, and the last cover
+    the rest.  Classes with fewer covers go first, so a class with none
+    fails at once.  ``budgets`` is spent on the way down and restored on
+    the way back, so it is unchanged on return.
     """
     ordered = sorted(demands, key=lambda demand: len(demand[1]))
 
@@ -266,38 +217,133 @@ def _covers_fit(
     return not ordered or place(0, 0, ordered[0][0])
 
 
-def _shape_feasible(
-    instance: _Instance,
-    upgrades: dict[frozenset[str], dict[frozenset[str], int]],
-    fresh: dict[frozenset[str], int],
-    present: set[frozenset[str]],
-) -> bool:
-    """Lemma B.19 realizability: can some valuation produce this shape?
+class _States:
+    """An instance's composition shapes folded into states, and the verdict
+    on each state.
 
-    Every block must land inside some present type, and the values with a
-    deficit must fit their covers within the blocks' null budgets, as the
-    budgeted-cover search decides.  Deficit classes with the same covers
-    merge, summing their values: a way to place the merged class splits
-    back into ways to place its parts.
-
-    ``present`` must be the in-domain present types (fixed out-of-domain
-    types never absorb nulls: nulls map into the domain).
+    A type is a bit of a present mask, a block a slot of ``budgets``, and a
+    class (a distinct tuple of minimal covers, as ``_Instance.covers``
+    gives them) a slot of a demand vector.  ``groups`` lists each value
+    group's ``(source type, size, targets)``: the fresh pool has the empty
+    source, and a target is a type above the source that some cover
+    reaches.  ``tables[i]`` holds group ``i``'s options, one per way to
+    send its values into its targets, in ``compositions`` order:
+    ``(weight, present mask, demand vector)``.
     """
-    for block in instance.blocks:
-        if not any(block <= final_type for final_type in present):
-            return False
 
-    demands: dict[tuple[_Cover, ...], int] = {}
-    for source, moves in upgrades.items():
-        for target, count in moves.items():
-            covers = instance.covers[source, target]
-            demands[covers] = demands.get(covers, 0) + count
-    for target, count in fresh.items():
-        covers = instance.covers[frozenset(), target]
-        demands[covers] = demands.get(covers, 0) + count
-    return _covers_fit(
-        [(count, covers) for covers, count in demands.items()], instance.blocks
-    )
+    def __init__(self, instance: _Instance, components: list[frozenset[str]]):
+        types = instance.nonempty_types
+        covers = instance.covers
+        self.bits = {final: 1 << index for index, final in enumerate(types)}
+
+        def meeting(part: frozenset[str]) -> int:
+            return sum(self.bits[final] for final in types if part <= final)
+
+        # A present mask must meet each of these: a type holding each
+        # block, and one holding each component no fixed type satisfies.
+        self.needs = [meeting(block) for block in instance.blocks] + [
+            meeting(component)
+            for component in components
+            if not any(component <= fixed for fixed in instance.fixed_types)
+        ]
+        self.groups = [
+            (source, size, [t for t in types if source < t and covers[source, t]])
+            for source, size in [
+                (frozenset(), instance.free_pool),
+                *instance.constant_classes.items(),
+            ]
+        ]
+        self.classes: dict[tuple[_Cover, ...], int] = {}
+        for source, _, targets in self.groups:
+            for target in targets:
+                self.classes.setdefault(covers[source, target], len(self.classes))
+        slot = {block: index for index, block in enumerate(instance.blocks)}
+        self.budgets = list(instance.blocks.values())
+        #: Each class's covers as tuples of block slots.
+        self.covers = [
+            [tuple(slot[block] for block in cover) for cover in class_covers]
+            for class_covers in self.classes
+        ]
+        #: Per block: the classes with a cover using it, and its budget.
+        self.users = [
+            ([k for k, ways in enumerate(self.covers) if any(b in way for way in ways)], budget)
+            for b, budget in enumerate(self.budgets)
+        ]
+        self.tables = [
+            self._table(
+                size,
+                self.bits[source] if source else 0,
+                [(self.bits[t], self.classes[covers[source, t]]) for t in targets],
+            )
+            for source, size, targets in self.groups
+        ]
+        self._mask_verdicts: dict[int, bool] = {}
+        self._demand_verdicts: dict[tuple[int, ...], bool] = {}
+
+    def _table(
+        self, size: int, stay: int, moves: list[tuple[int, int]]
+    ) -> list[tuple[int, int, tuple[int, ...]]]:
+        """The options of ``size`` values sent by ``moves`` (a target's bit
+        and class slot each), one per composition of ``size`` whose last
+        part is the values not sent, which keep the ``stay`` bit."""
+        options = []
+        for counts in compositions(size, len(moves) + 1):
+            mask = stay if counts[-1] else 0
+            demand = [0] * len(self.classes)
+            for (bit, slot), count in zip(moves, counts):
+                if count:
+                    mask |= bit
+                    demand[slot] += count
+            options.append((multinomial(counts), mask, tuple(demand)))
+        return options
+
+    def fold(self) -> dict[tuple[int, tuple[int, ...]], int]:
+        """The summed weights of the shapes, keyed by (present mask,
+        demand vector): one option from every table."""
+        states = {(0, (0,) * len(self.classes)): 1}
+        for table in self.tables:
+            folded: dict[tuple[int, tuple[int, ...]], int] = {}
+            for (mask, demand), weight in states.items():
+                for option_weight, option_mask, option_demand in table:
+                    key = (mask | option_mask, tuple(map(add, demand, option_demand)))
+                    folded[key] = folded.get(key, 0) + weight * option_weight
+            states = folded
+        return states
+
+    def feasible(self, mask: int, demand: tuple[int, ...]) -> bool:
+        """Whether the shapes of a state count: ``q`` holds and every block
+        lands (judged once per mask), and Lemma B.19's demands fit (judged
+        once per demand vector)."""
+        verdict = self._mask_verdicts.get(mask)
+        if verdict is None:
+            verdict = all(mask & need for need in self.needs)
+            self._mask_verdicts[mask] = verdict
+        if verdict:
+            verdict = self._demand_verdicts.get(demand)
+            if verdict is None:
+                verdict = self._demand_verdicts[demand] = self._fits(demand)
+        return verdict
+
+    def _fits(self, demand: tuple[int, ...]) -> bool:
+        """Lemma B.19 for one demand vector.  Unless no block can bind, the
+        single-cover classes take their cover and :func:`_covers_fit`
+        places the rest."""
+        for users, budget in self.users:
+            if sum(map(demand.__getitem__, users)) > budget:
+                break
+        else:
+            return True
+        budgets = list(self.budgets)
+        rest = []
+        for count, class_covers in zip(demand, self.covers):
+            if count and len(class_covers) == 1:
+                for block in class_covers[0]:
+                    budgets[block] -= count
+            elif count:
+                rest.append((count, class_covers))
+        if any(budget < 0 for budget in budgets):
+            return False
+        return not rest or _covers_fit(rest, budgets)
 
 
 def count_completions_uniform_unary(
@@ -316,51 +362,13 @@ def count_completions_uniform_unary(
     # (closed-world: valuations never invent facts), so q is never satisfied.
     if any(not db.relation(r) for r in relations):
         return 0
-    instance = _Instance(db, relations)
     components = _query_components(query) if query is not None else []
-    upgrade_sources = [
-        source
-        for source in instance.constant_classes
-        if any(source < t for t in instance.nonempty_types)
-    ]
-
-    total = 0
-    fresh_targets = instance.nonempty_types
-
-    def iter_upgrades(
-        index: int,
-    ) -> Iterator[dict[frozenset[str], dict[frozenset[str], int]]]:
-        if index == len(upgrade_sources):
-            yield {}
-            return
-        source = upgrade_sources[index]
-        capacity = instance.constant_classes[source]
-        targets = [t for t in instance.nonempty_types if source < t]
-        for assignment in _iter_class_assignments(capacity, targets):
-            for tail in iter_upgrades(index + 1):
-                result = dict(tail)
-                if assignment:
-                    result[source] = assignment
-                yield result
-
-    for upgrades in iter_upgrades(0):
-        for fresh in _iter_class_assignments(
-            instance.free_pool, fresh_targets
-        ):
-            weight = _shape_weight(instance, upgrades, fresh)
-            if weight == 0:
-                continue
-            present = _present_types(instance, upgrades, fresh)
-            satisfaction_types = present | instance.fixed_types
-            if components and not all(
-                any(component <= final for final in satisfaction_types)
-                for component in components
-            ):
-                continue
-            if not _shape_feasible(instance, upgrades, fresh, present):
-                continue
-            total += weight
-    return total
+    states = _States(_Instance(db, relations), components)
+    return sum(
+        weight
+        for (mask, demand), weight in states.fold().items()
+        if states.feasible(mask, demand)
+    )
 
 
 def count_completions_single_unary(db: IncompleteDatabase) -> int:

@@ -109,8 +109,8 @@ _RESULTS: tuple[PaperResult, ...] = (
         "#Compu dichotomy: FP for unary schemas",
         ("repro.exact.comp_uniform",),
         ("tests/test_exact_completions.py",),
-        "composition-shape refinement of the Eq. (7) profile enumeration;"
-        " Lemma B.19 decided by a budgeted-cover search",
+        "composition-shape refinement of the Eq. (7) profile enumeration,"
+        " folded from per-group option tables; Lemma B.19 decided per state",
     ),
     PaperResult(
         "Corollary 5.3 (+ Prop. 5.2, Thm. 5.1)",

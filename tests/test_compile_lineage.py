@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from repro.compile import (
     enumerate_valuation_matches,
     explain,
 )
+from repro.compile import lineage
 from repro.compile.lineage import _absorb
 from repro.compile.variables import instantiations
 from repro.core.query import Atom, BCQ, Const, CustomQuery, Negation, UCQ
@@ -100,10 +102,16 @@ class TestValuationMatches:
             )
 
 
+def _repr_key(match):
+    """The order absorption takes matches in: by size, then by the sorted
+    ``repr`` of the members, each taken afresh."""
+    return len(match), sorted(map(repr, match))
+
+
 def _quadratic_absorb(matches):
     """The absorption oracle: each match, smallest first, against every
     kept match."""
-    ordered = sorted(matches, key=lambda match: (len(match), sorted(map(repr, match))))
+    ordered = sorted(matches, key=_repr_key)
     kept = []
     for match in ordered:
         if not any(other <= match for other in kept):
@@ -136,6 +144,17 @@ class TestAbsorption:
     def test_matches_quadratic_oracle(self, family):
         assert _absorb(family) == _quadratic_absorb(family)
         assert _absorb(set(family)) == _quadratic_absorb(set(family))
+
+    @given(set_families())
+    @settings(max_examples=100, deadline=None)
+    def test_order_is_the_repr_key(self, family):
+        """With absorption off (a limit below any family's size) the
+        matches come back in their order, which must be the one the
+        per-match ``repr`` key gives, although each member's ``repr`` is
+        taken once per call."""
+        with mock.patch.object(lineage, "ABSORPTION_LIMIT", -1):
+            assert _absorb(family) == sorted(family, key=_repr_key)
+            assert _absorb(set(family)) == sorted(set(family), key=_repr_key)
 
     def test_empty_match_absorbs_everything(self):
         family = [frozenset({1, 2}), frozenset(), frozenset({3}), frozenset()]

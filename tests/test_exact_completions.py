@@ -1,5 +1,6 @@
 """Theorem 4.6 completion counting + Lemma B.2 certificates + warm-ups."""
 
+import random
 from itertools import combinations, product
 from math import factorial
 from unittest import mock
@@ -22,8 +23,9 @@ from repro.exact.comp_uniform import (
     count_completions_uniform_unary,
 )
 from repro.exact.completion_check import is_completion_of_codd
-from repro.util.combinatorics import binomial
+from repro.util.combinatorics import binomial, compositions
 
+from tests import comp_uniform_oracle as oracle
 from tests.conftest import small_incomplete_dbs
 
 
@@ -188,6 +190,67 @@ class TestUniformUnary:
         assert counts == [count_completions_brute(db, q) for q in queries]
         assert counts == [244, 180, 119, 94]
 
+    def test_four_relation_file(self):
+        """Domain a-f, one constant and five nulls shared by pairs of R, S,
+        T, U: 7,776 valuations, and far more composition shapes than the
+        two-relation streams have (brute force agrees, in the paper-row
+        suite)."""
+        assert count_completions_uniform_unary(*_four_relation_file()) == 6441
+
+
+def _four_relation_file():
+    facts = [Fact("R", ["a"])]
+    for index, relations in enumerate(["RS", "S", "TR", "UT", "SU"], start=1):
+        facts += [Fact(relation, [Null(index)]) for relation in relations]
+    db = IncompleteDatabase.uniform(facts, list("abcdef"))
+    return db, BCQ([Atom("R", ["x"]), Atom("S", ["x"])])
+
+
+def _draw_uniform_unary(rng, relations, max_domain):
+    """A uniform table over ``relations`` unary relations: a domain of 1 to
+    ``max_domain`` values, 0-4 constants (in or out of the domain) and 1-8
+    nulls, each in a drawn set of relations, and half the time a query."""
+    schema = list("RSTU"[:relations])
+    domain = ["v%d" % index for index in range(rng.randint(1, max_domain))]
+    facts = []
+    for constant in rng.sample(domain + ["out0", "out1", "out2"], rng.randint(0, 4)):
+        for relation in rng.sample(schema, rng.randint(1, relations)):
+            facts.append(Fact(relation, [constant]))
+    for index in range(rng.randint(1, 8)):
+        for relation in rng.sample(schema, rng.randint(1, relations)):
+            facts.append(Fact(relation, [Null(index)]))
+    query = None
+    if rng.random() < 0.5:
+        chosen = rng.sample(schema, rng.randint(1, relations))
+        query = BCQ([Atom(relation, [rng.choice("xy")]) for relation in chosen])
+    return IncompleteDatabase.uniform(facts, domain), query
+
+
+class TestAgainstShapeEnumeration:
+    """The folded closed form against the shape-at-a-time enumeration it
+    replaced (:mod:`tests.comp_uniform_oracle`)."""
+
+    def test_drawn_instances_in_both_regimes(self):
+        """1-4 relations, with and without a query.  The oracle lists every
+        shape, so four-relation draws keep to domains of at most 4.  Both
+        regimes occur: on some instances the cover search runs, on others
+        every demand vector is decided without it."""
+        rng = random.Random(46)
+        searched = skipped = 0
+        for index in range(240):
+            relations = 1 + index % 4
+            db, query = _draw_uniform_unary(rng, relations, 4 if relations == 4 else 6)
+            with mock.patch.object(
+                comp_uniform, "_covers_fit", wraps=comp_uniform._covers_fit
+            ) as search:
+                count = count_completions_uniform_unary(db, query)
+            assert count == oracle.count_completions(db, query), (db, query)
+            if search.call_count:
+                searched += 1
+            elif count:
+                skipped += 1
+        assert searched >= 20 and skipped >= 20
+
 
 def _feasible_by_enumeration(bounds, constraints) -> bool:
     """Does some integer point within ``bounds`` (inclusive ``(low, high)``
@@ -268,15 +331,12 @@ def _shape_feasible_by_enumeration(instance, upgrades, fresh, present):
     return _feasible_by_enumeration(*_lemma_b19_program(demands, instance.blocks))
 
 
-_BLOCKS = [frozenset({"B%d" % i}) for i in range(4)]
-
-
 @st.composite
 def demand_systems(draw):
     """1-4 classes of 1-4 values, each with 1-3 distinct covers drawn from
-    the non-empty sets of at most 4 blocks (6 covers in all, so enumeration
-    stays small), and block budgets of 0-5."""
-    blocks = _BLOCKS[: draw(st.integers(1, 4))]
+    the non-empty sets of at most 4 block slots (6 covers in all, so
+    enumeration stays small), and block budgets of 0-5."""
+    blocks = range(draw(st.integers(1, 4)))
     subsets = [
         chosen
         for size in range(1, len(blocks) + 1)
@@ -295,70 +355,60 @@ def demand_systems(draw):
         )
         variables += len(covers)
         demands.append((draw(st.integers(1, 4)), covers))
-    budgets = {block: draw(st.integers(0, 5)) for block in blocks}
+    budgets = [draw(st.integers(0, 5)) for _ in blocks]
     return demands, budgets
 
 
 class TestBudgetedCovers:
-    """The Lemma B.19 search against exhaustive enumeration of the integer
-    program it replaces."""
+    """The Lemma B.19 search, over block slots, against exhaustive
+    enumeration of the integer program it replaces."""
 
     @given(demand_systems())
     @settings(max_examples=200, deadline=None)
     def test_search_matches_enumeration(self, system):
         demands, budgets = system
-        before = dict(budgets)
-        expected = _feasible_by_enumeration(*_lemma_b19_program(demands, before))
+        before = list(budgets)
+        expected = _feasible_by_enumeration(
+            *_lemma_b19_program(demands, dict(enumerate(before)))
+        )
         assert comp_uniform._covers_fit(demands, budgets) == expected
         assert budgets == before
 
     def test_class_without_cover_fails(self):
-        block = _BLOCKS[0]
-        assert not comp_uniform._covers_fit(
-            [(2, [(block,)]), (1, [])], {block: 5}
-        )
+        assert not comp_uniform._covers_fit([(2, [(0,)]), (1, [])], [5])
 
     def test_no_demand_fits(self):
-        b0 = _BLOCKS[0]
-        assert comp_uniform._covers_fit([], {})
-        assert comp_uniform._covers_fit([], {b0: 0})
+        assert comp_uniform._covers_fit([], [])
+        assert comp_uniform._covers_fit([], [0])
         # A class with no values needs no cover.
-        assert comp_uniform._covers_fit([(0, [])], {b0: 0})
+        assert comp_uniform._covers_fit([(0, [])], [0])
 
     def test_budget_caps_a_single_cover(self):
-        b0 = _BLOCKS[0]
-        assert comp_uniform._covers_fit([(3, [(b0,)])], {b0: 3})
-        assert not comp_uniform._covers_fit([(3, [(b0,)])], {b0: 2})
+        assert comp_uniform._covers_fit([(3, [(0,)])], [3])
+        assert not comp_uniform._covers_fit([(3, [(0,)])], [2])
 
     def test_cover_spends_every_block(self):
         """A value placed on a cover takes one null from each of its
         blocks, so the scarcest block bounds the cover."""
-        b0, b1 = _BLOCKS[:2]
-        pair = [(b0, b1)]
-        assert comp_uniform._covers_fit([(1, pair)], {b0: 2, b1: 1})
-        assert not comp_uniform._covers_fit([(2, pair)], {b0: 2, b1: 1})
-        assert comp_uniform._covers_fit([(2, pair)], {b0: 2, b1: 2})
+        pair = [(0, 1)]
+        assert comp_uniform._covers_fit([(1, pair)], [2, 1])
+        assert not comp_uniform._covers_fit([(2, pair)], [2, 1])
+        assert comp_uniform._covers_fit([(2, pair)], [2, 2])
         # A second cover absorbs what the pair cannot.
-        assert comp_uniform._covers_fit(
-            [(2, pair + [(b0,)])], {b0: 2, b1: 1}
-        )
+        assert comp_uniform._covers_fit([(2, pair + [(0,)])], [2, 1])
 
     def test_classes_share_block_budgets(self):
-        b0, b1 = _BLOCKS[:2]
-        alone = [(b0,)]
-        assert not comp_uniform._covers_fit(
-            [(1, alone), (1, alone)], {b0: 1, b1: 1}
-        )
-        assert comp_uniform._covers_fit([(1, alone), (1, alone)], {b0: 2})
-        assert comp_uniform._covers_fit(
-            [(1, alone), (1, alone + [(b1,)])], {b0: 1, b1: 1}
-        )
+        alone = [(0,)]
+        assert not comp_uniform._covers_fit([(1, alone), (1, alone)], [1, 1])
+        assert comp_uniform._covers_fit([(1, alone), (1, alone)], [2])
+        assert comp_uniform._covers_fit([(1, alone), (1, alone + [(1,)])], [1, 1])
 
     @given(demand_systems(), st.data())
     @settings(max_examples=100, deadline=None)
     def test_splitting_a_class_keeps_the_verdict(self, system, data):
-        """``_shape_feasible`` merges classes with the same covers; that is
-        exact only if splitting a class never changes the verdict."""
+        """A demand vector merges the values of classes with the same
+        covers; that is exact only if splitting a class never changes the
+        verdict."""
         demands, budgets = system
         split = []
         for count, covers in demands:
@@ -371,16 +421,10 @@ class TestBudgetedCovers:
     def test_backs_out_of_a_greedy_choice(self):
         """Each system fits only if a cover takes fewer values than its
         blocks allow."""
-        b0, b1, b2, b3 = _BLOCKS
-        # The first class must leave b1 to the second.
-        assert comp_uniform._covers_fit(
-            [(1, [(b1,), (b2,)]), (1, [(b1,), (b3,)])], {b1: 1, b2: 1, b3: 0}
-        )
-        # (b1, b2, b3) must take nothing, so that (b1, b3) takes one value.
-        assert comp_uniform._covers_fit(
-            [(4, [(b1, b2, b3), (b1, b3), (b0, b2)])],
-            {b0: 3, b1: 1, b2: 3, b3: 1},
-        )
+        # The first class must leave block 1 to the second.
+        assert comp_uniform._covers_fit([(1, [(1,), (2,)]), (1, [(1,), (3,)])], [0, 1, 1, 0])
+        # (1, 2, 3) must take nothing, so that (1, 3) takes one value.
+        assert comp_uniform._covers_fit([(4, [(1, 2, 3), (1, 3), (0, 2)])], [3, 1, 3, 1])
 
     @given(
         st.one_of(
@@ -393,22 +437,44 @@ class TestBudgetedCovers:
     )
     @settings(max_examples=60, deadline=None)
     def test_every_shape_verdict_matches_enumeration(self, db, with_query):
+        """Each shape the oracle lists maps to one state: the mask of its
+        present types and its demands per class.  The state's verdict is
+        the shape's (its query check, then enumeration of the Lemma B.19
+        program over its unmerged classes), and the shapes' weights sum to
+        the fold's.  A shape that sends a value where no cover reaches has
+        no state, and enumeration finds it unrealizable."""
         query = (
             BCQ([Atom(r, ["x"]) for r in sorted(db.relations)])
             if with_query and db.relations
             else None
         )
-        search = comp_uniform._shape_feasible
-
-        def compare(instance, upgrades, fresh, present):
-            verdict = search(instance, upgrades, fresh, present)
-            assert verdict == _shape_feasible_by_enumeration(
-                instance, upgrades, fresh, present
-            )
-            return verdict
-
-        with mock.patch.object(comp_uniform, "_shape_feasible", compare):
-            count_completions_uniform_unary(db, query)
+        relations = sorted(query.relations) if query is not None else []
+        instance = comp_uniform._Instance(db, relations)
+        components = comp_uniform._query_components(query) if query is not None else []
+        states = comp_uniform._States(instance, components)
+        folded = {}
+        for upgrades, fresh in oracle.iter_shapes(instance):
+            present = oracle.present_types(instance, upgrades, fresh)
+            verdict = oracle.query_holds(
+                instance, components, present
+            ) and _shape_feasible_by_enumeration(instance, upgrades, fresh, present)
+            moves = [(frozenset(), target, count) for target, count in fresh.items()]
+            moves += [
+                (source, target, count)
+                for source, targets in upgrades.items()
+                for target, count in targets.items()
+            ]
+            if not all(instance.covers[source, target] for source, target, _ in moves):
+                assert not verdict
+                continue
+            demand = [0] * len(states.classes)
+            for source, target, count in moves:
+                demand[states.classes[instance.covers[source, target]]] += count
+            state = (sum(states.bits[final] for final in present), tuple(demand))
+            assert states.feasible(*state) == verdict
+            weight = oracle.shape_weight(instance, upgrades, fresh)
+            folded[state] = folded.get(state, 0) + weight
+        assert folded == states.fold()
 
 
 _RELATION_SETS = [
@@ -438,7 +504,8 @@ class TestMinimalCovers:
     def test_found_once_per_call(self):
         """Covers are computed per (source type, target type) pair, not per
         shape: here once for each of {R}, {S}, {R, S} from nothing and
-        once for {R} -> {R, S}."""
+        once for {R} -> {R, S}.  Each distinct demand vector is judged
+        once, and runs the cover search at most once."""
         db = IncompleteDatabase.uniform(
             [
                 Fact("R", ["a"]),
@@ -448,19 +515,49 @@ class TestMinimalCovers:
             ],
             ["a", "b", "c"],
         )
+        judged, searches = [], []
+        fits, search = comp_uniform._States._fits, comp_uniform._covers_fit
+
+        def record_fits(self, demand):
+            before = len(searches)
+            verdict = fits(self, demand)
+            judged.append((demand, len(searches) - before))
+            return verdict
+
+        def record_search(demands, budgets):
+            searches.append(demands)
+            return search(demands, budgets)
+
         with mock.patch.object(
             comp_uniform,
             "_minimal_covers",
             wraps=comp_uniform._minimal_covers,
         ) as covers, mock.patch.object(
-            comp_uniform,
-            "_shape_feasible",
-            wraps=comp_uniform._shape_feasible,
-        ) as shapes:
+            comp_uniform._States, "_fits", record_fits
+        ), mock.patch.object(comp_uniform, "_covers_fit", record_search):
             count = count_completions_uniform_unary(db, None)
         assert count == count_completions_brute(db, None)
         assert covers.call_count == 4
-        assert shapes.call_count > covers.call_count
+        demands = [demand for demand, _ in judged]
+        assert len(demands) == len(set(demands))
+        assert all(runs <= 1 for _, runs in judged)
+        assert searches
+
+    def test_search_skipped_when_no_block_can_bind(self):
+        """Every block has as many nulls as the domain has values, so no
+        block can run out: every demand vector is decided without the
+        search."""
+        facts = [Fact("R", ["a"])]
+        for index, relations in enumerate(["R", "R", "S", "S", "RS", "RS"]):
+            facts += [Fact(relation, [Null(index)]) for relation in relations]
+        db = IncompleteDatabase.uniform(facts, ["a", "b"])
+        query = BCQ([Atom("R", ["x"]), Atom("S", ["x"])])
+        with mock.patch.object(
+            comp_uniform, "_covers_fit", wraps=comp_uniform._covers_fit
+        ) as search:
+            counts = [count_completions_uniform_unary(db, q) for q in (None, query)]
+        assert counts == [count_completions_brute(db, q) for q in (None, query)]
+        assert search.call_count == 0
 
 
 def _multinomial(available, counts):
@@ -475,21 +572,48 @@ def _multinomial(available, counts):
 
 
 class TestShapeWeight:
+    DB = IncompleteDatabase.uniform(
+        [
+            Fact("R", ["a"]),
+            Fact("R", ["b"]),
+            Fact("S", ["c"]),
+            Fact("R", [Null(1)]),
+            Fact("S", [Null(2)]),
+            Fact("T", [Null(3)]),
+        ],
+        ["a", "b", "c", "d", "e", "f"],
+    )
+
+    def test_option_weights_are_multinomials(self):
+        """Domain of 6 with constants of types {R} (two) and {S} (one), so
+        3 fresh values; a null in each of R, S and T, so every type above a
+        group's own is a target.  Each option's weight is the multinomial
+        of its counts, its mask holds the targets it fills (and the group's
+        own type while values stay), and its demand vector counts them by
+        class; a table's weights sum to (targets + 1) ** size."""
+        instance = comp_uniform._Instance(self.DB, [])
+        states = comp_uniform._States(instance, [])
+        for (source, size, targets), table in zip(states.groups, states.tables):
+            assert targets == [t for t in instance.nonempty_types if source < t]
+            options = list(compositions(size, len(targets) + 1))
+            assert len(table) == len(options)
+            for (*counts, left), (weight, mask, demand) in zip(options, table):
+                assert weight == _multinomial(size, counts)
+                present = {t for t, count in zip(targets, counts) if count}
+                if source and left:
+                    present.add(source)
+                assert mask == sum(states.bits[t] for t in present)
+                expected = [0] * len(states.classes)
+                for target, count in zip(targets, counts):
+                    expected[states.classes[instance.covers[source, target]]] += count
+                assert demand == tuple(expected)
+            assert sum(weight for weight, _, _ in table) == (len(targets) + 1) ** size
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_is_a_multinomial_in_any_order(self, data):
-        """Domain of 6 with constants of types {R} (two) and {S} (one), so
-        3 fresh values; target types are taken in a drawn order."""
-        db = IncompleteDatabase.uniform(
-            [
-                Fact("R", ["a"]),
-                Fact("R", ["b"]),
-                Fact("S", ["c"]),
-                Fact("T", [Null(1)]),
-            ],
-            ["a", "b", "c", "d", "e", "f"],
-        )
-        instance = comp_uniform._Instance(db, [])
+        """The oracle's shape weight, target types taken in a drawn order."""
+        instance = comp_uniform._Instance(self.DB, [])
 
         def draw_moves(source, capacity):
             targets = data.draw(
@@ -515,7 +639,7 @@ class TestShapeWeight:
             expected *= _multinomial(
                 instance.constant_classes[source], list(moves.values())
             )
-        assert comp_uniform._shape_weight(instance, upgrades, fresh) == expected
+        assert oracle.shape_weight(instance, upgrades, fresh) == expected
 
 
 class TestLemmaB2:
