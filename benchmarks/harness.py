@@ -234,6 +234,7 @@ def path_sharpsat_core(quick: bool) -> dict:
         else [(18, 0.05, 7), (20, 0.05, 7), (24, 0.03, 11)]
     )
     from repro.compile.ordering import branching_order
+    from repro.compile.sharpsat_reference import ReferenceModelCounter
 
     prepared = []
     for size, chord, seed in specs:
@@ -256,7 +257,7 @@ def path_sharpsat_core(quick: bool) -> dict:
     def run_reference():
         total = 0
         for cnf, order in prepared:
-            total += ModelCounter(cnf, order=order, reference=True).count()
+            total += ReferenceModelCounter(cnf, order=order).count()
         return total
 
     # Symmetric best-of-5 on both cores: an asymmetric measurement would

@@ -106,12 +106,20 @@ def _trace_compile(
     The count is the model count, projected onto ``projection`` when one
     is given, and the circuit counts over the same variables.  ``stats``
     is ``(heuristic width, cache entries, components split)``.  Both
-    artifact constructors run through here.
+    artifact constructors run through here; ``reference`` runs the
+    retained tuple-based core
+    (:class:`~repro.compile.sharpsat_reference.ReferenceModelCounter`)
+    instead of the trail core.
     """
     trace = TraceBuilder()
-    counter = ModelCounter(
-        cnf, projection=projection, trace=trace, reference=reference
-    )
+    if reference:
+        from repro.compile.sharpsat_reference import ReferenceModelCounter
+
+        counter: ModelCounter | ReferenceModelCounter = ReferenceModelCounter(
+            cnf, projection=projection, trace=trace
+        )
+    else:
+        counter = ModelCounter(cnf, projection=projection, trace=trace)
     count = counter.count()
     assert counter.trace_root is not None
     with _span("compile.trace_build"):
@@ -531,10 +539,15 @@ class ValuationCircuit(_CircuitArtifact):
         so far — ``k`` linear passes, never a rejection.  Raises
         :class:`ValueError` when no satisfying valuation has nonzero
         weight (the query is unsatisfiable, or ``weights`` zero it out),
-        when ``weights`` is malformed, and when both ``seed`` and ``rng``
-        are passed."""
+        when ``weights`` is malformed or holds a negative weight, and when
+        both ``seed`` and ``rng`` are passed."""
         rng = resolve_rng(seed, rng)
         resolved = resolve_null_weights(self._db, weights)
+        if any(
+            weight < 0 for table in resolved.values()
+            for weight in table.values()
+        ):
+            raise ValueError("cannot sample under a negative weight")
         if not self._db.nulls:
             if self._count == 0:
                 raise ValueError(
@@ -671,10 +684,17 @@ class CompletionCircuit(_CircuitArtifact):
         """Per-variable ``(present, absent)`` weights from a per-fact
         table: a listed fact weighs ``w`` when the completion contains it
         and ``1`` when it does not (unlisted facts always weigh 1)."""
-        table = {}
-        for fact, weight in (fact_weights or {}).items():
-            table[self._variables.var(fact)] = (weight, 1)
-        return table
+        fact_weights = fact_weights or {}
+        unknown = [fact for fact in fact_weights if fact not in self._variables]
+        if unknown:
+            raise ValueError(
+                "weights given for facts that are not potential facts of "
+                "the instance: %s" % ", ".join(sorted(map(repr, unknown)))
+            )
+        return {
+            self._variables.var(fact): (weight, 1)
+            for fact, weight in fact_weights.items()
+        }
 
     def weighted_count(
         self, fact_weights: "Mapping[Fact, object] | None" = None

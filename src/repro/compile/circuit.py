@@ -33,9 +33,8 @@ passes below correct:
                         each literal, for *all* literals at once — one
                         upward plus one downward pass, replacing the
                         condition-and-recount loop
-:meth:`~DDNNF.sampler`  exact model sampling by top-down descent —
-                        each sample costs one root-to-leaves walk, no
-                        rejection
+:meth:`~DDNNF.sampler`  exact model sampling, one descent of the level
+                        plan per sample, no rejection
 ====================== ==================================================
 
 **Representation.**  The circuit is stored as one flat, topologically
@@ -46,8 +45,7 @@ count, then per branch ``nlits, lits…, nfree, freed…, child``) and ``3``
 for products (child count, children…).  Children precede parents by
 construction.  :class:`~repro.compile.ddnnf_trace.TraceBuilder` emits
 this layout directly while the search runs, and the binary codec
-(:mod:`repro.compile.serialize`) parses straight into it, so rehydrated
-artifacts never materialize an intermediate node-tuple forest.
+(:mod:`repro.compile.serialize`) parses straight into it.
 
 **Levels.**  The passes do not walk that program node by node.  The first
 pass builds a compact int32 :class:`_Plan` of it, once per program: the
@@ -65,14 +63,16 @@ per pass, not one interpreter step per literal.  :meth:`_Plan.downward`
 walks the same levels parents-first with segmented sibling products (no
 division, so a zero child stays exact) and sorted scatter-adds, and
 writes all literal counts with one scatter-add of per-branch masses.
+:class:`CircuitSampler` descends the plan from the root, drawing each
+decision's branch by its mass from one upward pass.
 
 **Pins.**  :meth:`DDNNF.condition` rewrites nothing: the conditioned
 circuit shares its parent's program and plan and carries *pins*, which
 enter the weight vector — a literal contradicting a pin weighs 0, so a
 pinned freed variable contributes only its pinned weight.  Conditioning
 touches no node: it copies the parent's pin vector (one bool per weight
-slot) and sets the new pins.  A pinned circuit cannot be serialized or
-read as a node list (it holds its parent's program, unpinned).
+slot) and sets the new pins.  A pinned circuit cannot be serialized (it
+holds its parent's program, unpinned).
 
 **Lanes.**  Both passes touch node values only through ``*`` and ``+``,
 so one body runs on whatever the weight vector holds, and the row count
@@ -88,7 +88,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as _np
 
@@ -97,21 +97,8 @@ from repro.obs import span as _span
 #: Largest clamped-magnitude bound for which int64 columns cannot overflow.
 _INT64_SAFE = 1 << 62
 
-#: One decision branch: (forced literals, freed variables, child node id).
-Branch = tuple[tuple[int, ...], tuple[int, ...], int]
-
-#: Symbolic node kinds (first element of a node *tuple* view).
-FALSE, TRUE, DECISION, PRODUCT = "F", "T", "D", "P"
-
 #: Flat-array kind codes (first int of a node's code segment).
 KIND_FALSE, KIND_TRUE, KIND_DECISION, KIND_PRODUCT = 0, 1, 2, 3
-
-_KIND_NAMES = {
-    KIND_FALSE: FALSE,
-    KIND_TRUE: TRUE,
-    KIND_DECISION: DECISION,
-    KIND_PRODUCT: PRODUCT,
-}
 
 #: ``variable -> (weight of v true, weight of v false)``.
 WeightMap = Mapping[int, tuple]
@@ -292,9 +279,9 @@ class _Plan:
         "size", "num_variables", "false_nodes", "true_nodes", "free_vars",
         "free_nodes", "factor_slot", "factor_start", "factor_branch",
         "branch_node", "branch_child", "loose", "loose_factor", "levels",
-        "product_runs", "branch_runs", "product_child", "prefix_ranks",
-        "suffix_ranks", "down_levels", "edge_runs", "count_slot",
-        "count_branch", "count_runs",
+        "product_runs", "branch_runs", "product_node", "product_child",
+        "prefix_ranks", "suffix_ranks", "down_levels", "edge_runs",
+        "count_slot", "count_branch", "count_runs",
     )
 
     def __init__(self, program: _Program) -> None:
@@ -465,6 +452,7 @@ class _Plan:
         occurrences = product_child.size
         first = _np.cumsum(arity) - arity
         start = _np.cumsum(runs) - runs
+        self.product_node = _ids(p_node)
         self.product_child = _ids(product_child)
         owner = _np.repeat(p_node, arity)
         rank = _within(arity)
@@ -483,7 +471,7 @@ class _Plan:
         branch_bounds = _np.append(start, self.branch_child.size)[d_bounds]
         self.product_runs = _Runs(first, occurrences, p_bounds)
         self.branch_runs = _Runs(start, self.branch_child.size, d_bounds)
-        p_node, d_node = _ids(p_node), _ids(d_node)
+        p_node, d_node = self.product_node, _ids(d_node)
         self.levels = [
             (
                 p_node[p_bounds[level]:p_bounds[level + 1]]
@@ -634,66 +622,26 @@ class _Plan:
 class DDNNF:
     """A smooth deterministic d-DNNF circuit over CNF variables.
 
-    ``nodes`` is a node-tuple array in topological order (children before
-    parents) — it is compiled into the flat int program on construction;
-    :meth:`from_program` builds a circuit from an already-flat program
-    (the trace builder and the binary codec both do).  ``root`` is the
-    root node id; ``countable`` the variables the counting passes see
-    (the projection set, or all variables).
+    ``code`` and ``offsets`` are the flat node program (see the module
+    docstring), children before parents; the trace builder and the binary
+    codec both emit it.  ``root`` is the root node id; ``countable`` the
+    variables the counting passes see (the projection set, or all
+    variables).
     """
 
     __slots__ = ("_program", "_pins", "_count")
 
     def __init__(
         self,
-        nodes: Sequence[tuple],
-        root: int,
-        num_variables: int,
-        countable: Iterable[int],
-    ) -> None:
-        code: list[int] = []
-        offsets: list[int] = []
-        for node in nodes:
-            offsets.append(len(code))
-            kind = node[0]
-            if kind == FALSE:
-                code.append(KIND_FALSE)
-            elif kind == TRUE:
-                code.append(KIND_TRUE)
-            elif kind == PRODUCT:
-                children = node[1]
-                code.append(KIND_PRODUCT)
-                code.append(len(children))
-                code.extend(children)
-            elif kind == DECISION:
-                branches = node[1]
-                code.append(KIND_DECISION)
-                code.append(len(branches))
-                for literals, free, child in branches:
-                    code.append(len(literals))
-                    code.extend(literals)
-                    code.append(len(free))
-                    code.extend(free)
-                    code.append(child)
-            else:
-                raise ValueError("unknown node kind %r" % (kind,))
-        self._bind(_Program(code, offsets, root, num_variables, countable))
-
-    @classmethod
-    def from_program(
-        cls,
         code: Sequence[int],
         offsets: Sequence[int],
         root: int,
         num_variables: int,
         countable: Iterable[int],
-    ) -> "DDNNF":
-        """Wrap an already-flat node program (no per-node tuples built)."""
-        circuit = cls.__new__(cls)
-        circuit._bind(_Program(
+    ) -> None:
+        self._bind(_Program(
             list(code), list(offsets), root, num_variables, countable
         ))
-        return circuit
 
     def _bind(self, program: _Program, pins=None) -> None:
         self._program = program
@@ -708,17 +656,6 @@ class DDNNF:
             with _span("circuit.plan", nodes=len(program.offsets)):
                 program.plan = _Plan(program)
         return program.plan
-
-    def _own_program(self, reading: str) -> _Program:
-        """The node program, for a reader that takes it as this circuit's
-        own; ``ValueError`` on a pinned circuit, whose program is its
-        parent's, unpinned."""
-        if self._pins is not None:
-            raise ValueError(
-                "cannot %s a pinned circuit: it holds its parent's program, "
-                "unpinned" % reading
-            )
-        return self._program
 
     # -- inspection --------------------------------------------------------
 
@@ -748,40 +685,6 @@ class DDNNF:
             if kind >= KIND_DECISION:  # decision or product
                 edges += code[offset + 1]
         return edges
-
-    def nodes(self) -> Iterator[tuple]:
-        """The node array as the classic tuple view, children-first.
-
-        Materialized on demand (tests, debugging); the passes never use
-        it.  ``ValueError`` on a pinned circuit.
-        """
-        program = self._own_program("list the nodes of")
-        code = program.code
-        for offset in program.offsets:
-            kind = code[offset]
-            if kind == KIND_FALSE or kind == KIND_TRUE:
-                yield (_KIND_NAMES[kind],)
-            elif kind == KIND_PRODUCT:
-                length = code[offset + 1]
-                yield (
-                    PRODUCT,
-                    tuple(code[offset + 2:offset + 2 + length]),
-                )
-            else:
-                branches = []
-                cursor = offset + 2
-                for _ in range(code[offset + 1]):
-                    nlits = code[cursor]
-                    cursor += 1
-                    literals = tuple(code[cursor:cursor + nlits])
-                    cursor += nlits
-                    nfree = code[cursor]
-                    cursor += 1
-                    free = tuple(code[cursor:cursor + nfree])
-                    cursor += nfree
-                    branches.append((literals, free, code[cursor]))
-                    cursor += 1
-                yield (DECISION, tuple(branches))
 
     def memory_bytes(self) -> int:
         """Deterministic estimate of the circuit's resident size.
@@ -1111,133 +1014,134 @@ class DDNNF:
 
 class CircuitSampler:
     """Draws countable-variable assignments with probability proportional
-    to their weight, by one top-down descent per sample.
+    to their weight, by one descent of the circuit's plan per sample.
 
-    Node values under the sampling weights are computed once at
-    construction; each :meth:`sample` is then linear in the depth of the
-    visited sub-DAG.  Draws are exact (integer arithmetic) for int and
-    Fraction weights.  On a pinned circuit a decision with one branch no
-    pin kills, and a pinned freed variable, take no draw — where the
-    restricted formula's circuit has one branch or a forced literal — so
-    seeded draws equal a fresh compile's.
+    Construction runs one upward pass under the sampling weights and keeps
+    each branch's mass, its weight times its child's value.  A sample
+    starts at the root: a decision draws one of its branches by mass and
+    sets the branch's literals, a product descends into every child, and
+    a free leaf draws its variable by its two weights.  Draws are exact
+    for int and Fraction weights; a negative weight is refused, since no
+    probability law has it.
+
+    Pins enter as the zeroed slots of one unit weight vector: a branch
+    whose unit weight is 0, or that frees a variable pinned both ways, is
+    dead, and a freed variable pinned one way is forced.  A decision with
+    one live branch takes it without a draw, and a forced variable takes
+    its pin, where the restricted formula's circuit has one branch or a
+    forced literal, so seeded draws equal a fresh compile's.
     """
 
-    def __init__(self, circuit: DDNNF, weights: WeightMap | None = None) -> None:
-        self._circuit = circuit
-        _lane, tables = circuit._tables(1, circuit._columns([weights]))
+    def __init__(
+        self, circuit: DDNNF, weights: WeightMap | None = None
+    ) -> None:
+        columns = circuit._columns([weights])
+        if any(
+            weight < 0 for pair in columns.values() for column in pair
+            for weight in column
+        ):
+            raise ValueError("cannot sample under a negative weight")
+        _lane, tables = circuit._tables(1, columns)
         plan = circuit._plan()
-        values = plan.upward(tables, plan.branch_weights(tables))
-        self._values = values[:circuit.num_nodes, 0].tolist()
-        n = circuit.num_variables
-        slots = tables.base.tolist()
-        positive = slots[:n + 1]
-        negative = [1] + slots[n + 1:]
-        is_countable = circuit._program.is_countable
-        free_sum = [
-            positive[v] + negative[v] if is_countable[v] else 1
-            for v in range(n + 1)
-        ]
-        self._weights = (positive, negative, free_sum)
-        self._pins = None if circuit._pins is None else circuit._pins.tolist()
-        if not self._values[circuit.root]:
+        branch_weights = plan.branch_weights(tables)
+        values = plan.upward(tables, branch_weights)
+        #: The (weighted) model count the draws are normalized by.
+        self.total = values[circuit.root, 0]
+        if not self.total:
             raise ValueError(
                 "circuit has no (weighted) models; nothing to sample"
             )
-
-    @property
-    def total(self):
-        """The (weighted) model count the draws are normalized by."""
-        return self._values[self._circuit.root]
-
-    def _live(self, branch: tuple) -> bool:
-        """Whether a pinned circuit's branch survives its pins: no literal
-        contradicts one and no freed variable is pinned both ways."""
-        code = self._circuit._program.code
-        pins = self._pins
-        n = self._circuit.num_variables
-        literals_start, literals_end, free_start, free_end, _child = branch
-        for position in range(literals_start, literals_end):
-            literal = code[position]
-            if pins[literal if literal > 0 else n - literal]:
-                return False
-        return not any(
-            pins[code[position]] and pins[n + code[position]]
-            for position in range(free_start, free_end)
+        # Liveness: the same passes over the unit vector in booleans, every
+        # decision clamped true, so a branch is live unless a pin
+        # contradicts one of its literals or pins a freed variable both
+        # ways; a free leaf with one live slot is forced.
+        n = plan.num_variables
+        pins = circuit._pins
+        unit = _Tables(
+            _np.ones(2 * n + 1, dtype=bool) if pins is None else ~pins
         )
+        unit_weights = plan.branch_weights(unit)
+        reach = plan.upward(unit, unit_weights, (True, True), clamp=True)
+        live = (unit_weights & reach[plan.branch_child])[:, 0]
+        # Each decision's branch range, and its one live branch (-1 when
+        # it has more, and draws).
+        heads = _heads(plan.branch_node)
+        ends = _np.append(heads[1:], live.size)
+        last_live = _np.maximum.reduceat(
+            _np.where(live, _np.arange(live.size), -1), heads
+        )
+        only = _np.where(
+            _np.add.reduceat(live, heads, dtype=_np.int64) == 1, last_live, -1
+        )
+        self._decisions = dict(zip(
+            plan.branch_node[heads].tolist(),
+            zip(heads.tolist(), ends.tolist(), only.tolist()),
+        ))
+        # A product pushes its children; a branch's virtual product pushes
+        # the branch's child and draws its free leaves in order.
+        first_leaf = circuit.num_nodes
+        free_vars = plan.free_vars.tolist()
+        kids = plan.product_child.tolist()
+        bounds = _np.append(plan.product_runs.starts, len(kids)).tolist()
+        self._products = {
+            node: (kids[lo:hi], []) if node < first_leaf else (
+                kids[lo:lo + 1],
+                [free_vars[leaf - first_leaf] for leaf in kids[lo + 1:hi]],
+            )
+            for node, lo, hi in zip(
+                plan.product_node.tolist(), bounds, bounds[1:]
+            )
+        }
+        self._masses = (
+            branch_weights[:, 0] * values[plan.branch_child, 0]
+        ).tolist()
+        self._children = plan.branch_child.tolist()
+        slots = plan.factor_slot.tolist()
+        starts = plan.factor_start.tolist() + [len(slots)]
+        self._literals = [
+            [
+                (s, True) if s <= n else (s - n, False)
+                for s in slots[lo:hi] if s
+            ]
+            for lo, hi in zip(starts, starts[1:])
+        ]
+        # A freed variable's pinned value, or the two weights it draws by.
+        base, allowed = tables.base.tolist(), unit.base.tolist()
+        self._free: dict[int, bool | tuple] = {
+            v: allowed[v] if allowed[v] != allowed[n + v]
+            else (base[v], base[n + v])
+            for v in free_vars
+        }
+        self._root = circuit.root
 
     def sample(self, rng: random.Random) -> dict[int, bool]:
         """One assignment of every countable variable, drawn exactly."""
-        circuit = self._circuit
-        program = circuit._program
-        code = program.code
-        offsets = program.offsets
-        is_countable = program.is_countable
-        n = program.num_variables
-        pins = self._pins
-        positive, negative, free_sum = self._weights
-        values = self._values
+        decisions, products = self._decisions, self._products
+        masses, literals = self._masses, self._literals
+        children, free = self._children, self._free
         assignment: dict[int, bool] = {}
-        stack = [program.root]
+        stack = [self._root]
         while stack:
-            offset = offsets[stack.pop()]
-            kind = code[offset]
-            if kind == KIND_PRODUCT:
-                stack.extend(
-                    code[offset + 2:offset + 2 + code[offset + 1]]
+            node = stack.pop()
+            decision = decisions.get(node)
+            if decision is not None:
+                lo, hi, only = decision
+                branch = (
+                    only if only >= 0
+                    else lo + draw_index(rng, masses[lo:hi])
                 )
-            elif kind == KIND_DECISION:
-                spans = []  # (literals start/end, free start/end, child)
-                cursor = offset + 2
-                for _ in range(code[offset + 1]):
-                    nlits = code[cursor]
-                    cursor += 1
-                    literals_end = cursor + nlits
-                    free_start = literals_end + 1
-                    free_end = free_start + code[literals_end]
-                    spans.append(
-                        (cursor, literals_end, free_start, free_end,
-                         code[free_end])
+                assignment.update(literals[branch])
+                stack.append(children[branch])
+            elif node in products:
+                pushed, freed = products[node]
+                stack.extend(pushed)
+                for variable in freed:
+                    pick = free[variable]
+                    assignment[variable] = (
+                        pick if isinstance(pick, bool)
+                        else draw_index(rng, pick) == 0
                     )
-                    cursor = free_end + 1
-                live = (
-                    spans if pins is None
-                    else [branch for branch in spans if self._live(branch)]
-                )
-                if len(live) == 1:
-                    chosen = live[0]
-                else:
-                    branch_weights = []
-                    for start, end, free_start, free_end, child in spans:
-                        term = values[child]
-                        if term:
-                            for position in range(start, end):
-                                literal = code[position]
-                                term *= (
-                                    positive[literal]
-                                    if literal > 0
-                                    else negative[-literal]
-                                )
-                            for position in range(free_start, free_end):
-                                term *= free_sum[code[position]]
-                        branch_weights.append(term)
-                    chosen = spans[draw_index(rng, branch_weights)]
-                literals_start, literals_end, free_start, free_end, child = chosen
-                for position in range(literals_start, literals_end):
-                    literal = code[position]
-                    variable = literal if literal > 0 else -literal
-                    if is_countable[variable]:
-                        assignment[variable] = literal > 0
-                for position in range(free_start, free_end):
-                    variable = code[position]
-                    if not is_countable[variable]:
-                        continue
-                    if pins is not None and (pins[variable] or pins[n + variable]):
-                        assignment[variable] = pins[n + variable]
-                    else:
-                        pair = (positive[variable], negative[variable])
-                        assignment[variable] = draw_index(rng, pair) == 0
-                stack.append(child)
-            # TRUE leaves contribute nothing; FALSE is unreachable (value 0)
+            # A constant assigns nothing; the false one is never reached.
         return assignment
 
 
@@ -1261,7 +1165,8 @@ def draw_index(rng: random.Random, weights_seq: Sequence) -> int:
 
     Integer weights use ``randrange`` directly; Fractions (and floats,
     through their exact Fraction form) are scaled to a common denominator
-    first, so the draw stays a single exact ``randrange``.
+    first, so the draw stays a single exact ``randrange``.  ``ValueError``
+    on a negative weight or a zero total.
     """
     if not all(isinstance(weight, int) for weight in weights_seq):
         fractions = [Fraction(weight) for weight in weights_seq]
@@ -1273,9 +1178,11 @@ def draw_index(rng: random.Random, weights_seq: Sequence) -> int:
         weights_seq = [
             int(fraction * common) for fraction in fractions
         ]
+    if any(weight < 0 for weight in weights_seq):
+        raise ValueError("cannot draw under a negative weight")
     total = sum(weights_seq)
-    if total <= 0:
-        raise ValueError("cannot draw from nonpositive total weight")
+    if not total:
+        raise ValueError("cannot draw from zero total weight")
     target = rng.randrange(total)
     accumulated = 0
     for index, weight in enumerate(weights_seq):

@@ -20,7 +20,7 @@ the *useful* trace.  Nodes are emitted children-first **directly into the
 flat int program** the circuit passes execute (see
 :mod:`repro.compile.circuit`): the search's trail events stream into the
 array as they happen, and :meth:`build` hands the finished program to
-:class:`DDNNF` without ever materializing per-node tuples.
+:class:`DDNNF`.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ class TraceBuilder:
         """
         if countable is None:
             countable = range(1, num_variables + 1)
-        return DDNNF.from_program(
+        return DDNNF(
             self._code,
             self._offsets,
             root=root,

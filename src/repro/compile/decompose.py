@@ -24,9 +24,9 @@ already ran.  This module materializes the structure:
 
 In nice-decomposition vocabulary each node *forgets* its eliminated
 vertex (the projection step), *introduces* the bag variables no child
-separator covers, and *joins* when it has two or more children;
-:meth:`Decomposition.node_kinds` reports the census and
-:meth:`Decomposition.stats` the headline numbers the obs layer records.
+separator covers, and *joins* when it has two or more children.
+:meth:`Decomposition.stats` reports the headline numbers the obs layer
+records.
 
 ``projection`` support: eliminating every auxiliary (non-projected)
 variable *before* any projected one (the elimination's ``delay`` mask)
@@ -40,7 +40,7 @@ planner's probe quotes for projected (``#Comp``) instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.complexity.cnf import CNF
@@ -72,7 +72,6 @@ class Decomposition:
     free_variables: tuple[int, ...] = ()
     #: Bitset of projected variables when built for a projected count.
     projection_mask: int = 0
-    _kinds: dict[str, int] = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.order)
@@ -85,36 +84,8 @@ class Decomposition:
         """The bag minus the eliminated vertex: the parent-facing interface."""
         return self.bags[node] & ~(1 << self.order[node])
 
-    def node_kinds(self) -> dict[str, int]:
-        """Census of the join/introduce/forget structure.
-
-        Every node forgets its eliminated vertex; beyond that it is a
-        ``leaf`` (no children), a ``join`` (two or more children), or an
-        ``introduce`` node (exactly one child, and the bag strictly
-        extends the child's separator); a single-child node whose bag
-        equals the child separator is a pure ``forget`` step.
-        """
-        if self._kinds:
-            return dict(self._kinds)
-        kinds = {"leaf": 0, "join": 0, "introduce": 0, "forget": 0}
-        for node in range(len(self.order)):
-            kids = self.children[node]
-            if not kids:
-                kinds["leaf"] += 1
-            elif len(kids) >= 2:
-                kinds["join"] += 1
-            else:
-                covered = self.separator(kids[0])
-                if self.bags[node] & ~covered:
-                    kinds["introduce"] += 1
-                else:
-                    kinds["forget"] += 1
-        self._kinds.update(kinds)
-        return kinds
-
     def stats(self) -> dict[str, int]:
         """The headline numbers the obs spans record."""
-        kinds = self.node_kinds()
         return {
             "nodes": len(self.order),
             "width": self.width,
@@ -122,7 +93,6 @@ class Decomposition:
             "roots": len(self.roots),
             "clauses": sum(len(cs) for cs in self.node_clauses),
             "free_variables": len(self.free_variables),
-            **{"%s_nodes" % kind: count for kind, count in kinds.items()},
         }
 
 

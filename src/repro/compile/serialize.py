@@ -200,10 +200,15 @@ def write_circuit_body(writer: Writer, circuit: DDNNF) -> None:
     """Append a circuit's node table to an open body (no framing).
 
     The circuit's flat int program is walked in place — its kind codes
-    are the wire's kind codes, so serialization is one sequential pass
-    with no per-node tuple views.  ``ValueError`` on a pinned circuit.
+    are the wire's kind codes, so serialization is one sequential pass.
+    ``ValueError`` on a pinned circuit.
     """
-    program = circuit._own_program("serialize")
+    if circuit._pins is not None:
+        raise ValueError(
+            "cannot serialize a pinned circuit: it holds its parent's "
+            "program, unpinned"
+        )
+    program = circuit._program
     writer.uint(circuit.num_variables)
     writer.uint(circuit.root)
     countable = sorted(circuit.countable)
@@ -252,7 +257,7 @@ def read_circuit_body(reader: Reader) -> DDNNF:
     range.  A payload that passes the frame checksum but violates these
     (a bug, not line noise) still raises :class:`CircuitFormatError`.
     The parse writes straight into the flat int program the passes
-    execute — rehydration builds no intermediate node tuples.
+    execute.
     """
     num_variables = reader.uint()
     root = reader.uint()
@@ -329,7 +334,7 @@ def read_circuit_body(reader: Reader) -> DDNNF:
             code.append(child)
     if not 0 <= root < num_nodes:
         raise CircuitFormatError("root %d outside the %d-node table" % (root, num_nodes))
-    return DDNNF.from_program(
+    return DDNNF(
         code,
         offsets,
         root=root,

@@ -39,9 +39,9 @@ in-place state** instead of immutable formula copies:
   propagations, component splits and cache reuses as it counts.
 
 The previous tuple-based implementation is retained verbatim as
-:mod:`repro.compile.sharpsat_reference` and reachable through
-``reference=True`` — the differential-testing oracle every randomized
-suite cross-validates against, bit for bit.
+:class:`~repro.compile.sharpsat_reference.ReferenceModelCounter` — the
+differential-testing oracle every randomized suite cross-validates
+against, bit for bit.
 
 Counts are exact big integers.  The recursion is exponential in the width
 of the branching order, not in the number of variables — hard-cell lineage
@@ -62,7 +62,6 @@ from repro.obs import incr as _incr, span as _span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compile.ddnnf_trace import TraceBuilder
-    from repro.compile.sharpsat_reference import ReferenceModelCounter
 
 
 def _mask_bits(mask: int) -> list[int]:
@@ -85,8 +84,6 @@ class ModelCounter:
     ``trace`` — optional :class:`TraceBuilder`; when given, :meth:`count`
     additionally records the search as a d-DNNF circuit rooted at
     :attr:`trace_root`.
-    ``reference`` — delegate to the retained tuple-based implementation
-    (:mod:`repro.compile.sharpsat_reference`); the slow differential oracle.
     """
 
     def __init__(
@@ -95,7 +92,6 @@ class ModelCounter:
         projection: Iterable[int] | None = None,
         order: Sequence[int] | None = None,
         trace: "TraceBuilder | None" = None,
-        reference: bool = False,
     ) -> None:
         self._cnf = cnf
         self._projection: frozenset[int] | None = (
@@ -114,21 +110,7 @@ class ModelCounter:
         #: Branch literals tried by the search.
         self.decisions = 0
         self.width: int | None
-        self._cache: dict
         self._stats_flushed = False
-        self._impl: "ReferenceModelCounter | None" = None
-        if reference:
-            from repro.compile.sharpsat_reference import (
-                ReferenceModelCounter as _Reference,
-            )
-
-            self._impl = _Reference(
-                cnf, projection=projection, order=order, trace=trace
-            )
-            self.width = self._impl.width
-            self._cache = self._impl._cache
-            return
-
         self._store = store = ClauseStore(cnf.num_variables, cnf.clauses)
         if order is None:
             with _span("compile.ordering", variables=cnf.num_variables):
@@ -155,7 +137,7 @@ class ModelCounter:
         if self._projection is not None:
             self._proj_mask = sum(bits[v] for v in self._projection)
         self._key_base = base = 2 * cnf.num_variables + 2
-        self._cache = {}
+        self._cache: dict = {}
         self._sat_cache: dict[tuple, bool] = {}
         self._result: int | None = None
 
@@ -208,16 +190,6 @@ class ModelCounter:
         per decision level, and the default limit is too tight for
         formulas with a few hundred variables.
         """
-        if self._impl is not None:
-            with _span("compile.search", core="reference"):
-                result = self._impl.count()
-            self.trace_root = self._impl.trace_root
-            self.cache_hits = self._impl.cache_hits
-            self.components_split = self._impl.components_split
-            self.decisions = self._impl.decisions
-            self._cache = self._impl._cache
-            self._flush_stats()
-            return result
         if self._result is not None:
             return self._result
         limit = sys.getrecursionlimit()
@@ -234,15 +206,12 @@ class ModelCounter:
         return self._result
 
     def stats(self) -> dict[str, Any]:
-        """The uniform search-statistics vocabulary, both cores.
-
-        Keys are stable across cores; values the trail core tracks but the
-        reference core does not (propagations, conflicts, trail depth)
-        come back ``None`` there.  Meaningful after :meth:`count`;
+        """The search-statistics vocabulary, shared with the reference core:
+        ``ReferenceModelCounter.stats()`` returns the same keys, with
+        ``None`` for what only the trail core tracks (propagations,
+        conflicts, trail depth).  Meaningful after :meth:`count`;
         consumers read this instead of the raw attributes.
         """
-        if self._impl is not None:
-            return self._impl.stats()
         store = self._store
         return {
             "core": "trail",
@@ -560,9 +529,6 @@ def count_models(
     cnf: CNF,
     projection: Iterable[int] | None = None,
     order: Sequence[int] | None = None,
-    reference: bool = False,
 ) -> int:
     """Convenience wrapper: exact (projected) model count of ``cnf``."""
-    return ModelCounter(
-        cnf, projection=projection, order=order, reference=reference
-    ).count()
+    return ModelCounter(cnf, projection=projection, order=order).count()

@@ -11,15 +11,15 @@ module exists so that
 * randomized suites can assert the two cores agree **bit for bit** on
   every count (full and projected), which is the strongest cheap evidence
   the in-place propagation and its undo logic are sound;
-* ``ModelCounter(..., reference=True)`` / ``count_models(...,
-  reference=True)`` stay available as an escape hatch while the trail
-  core is young;
+* a compiled artifact built with ``reference=True``
+  (``ValuationCircuit``/``CompletionCircuit``) records its circuit over
+  this search, an independent route for checking weighted answers;
 * the benchmark harness has an honest "before" measurement for the
   before/after ratio it tracks.
 
-Nothing here is exported through :mod:`repro.compile`; reach it through
-the ``reference=True`` flag or import it explicitly in tests.  Do not
-"optimize" this module — its value is that it stays the old code.
+Nothing here is exported through :mod:`repro.compile`: construct
+:class:`ReferenceModelCounter` directly.  Do not "optimize" this module —
+its value is that it stays the old code.
 """
 
 from __future__ import annotations

@@ -1,15 +1,22 @@
 """Node-at-a-time reference passes for :class:`~repro.compile.circuit.DDNNF`.
 
-The circuit's passes run level by level over a compiled plan, and
-conditioning pins weights on a shared program.  This module keeps the
-straightforward versions they replaced, as oracles: one interpreter step
-per node and per literal over the flat program (:func:`upward`,
-:func:`downward`), the per-variable weight tables and lane choice they
-ran on (:func:`tables`), and conditioning as a rewrite of the program
-(:func:`rewrite`), whose result is an ordinary, unpinned circuit.
+The circuit's passes and its sampler run level by level over a compiled
+plan, and conditioning pins weights on a shared program.  This module
+keeps the straightforward versions they replaced, as oracles: one
+interpreter step per node and per literal over the flat program
+(:func:`upward`, :func:`downward`), the per-variable weight tables and
+lane choice they ran on (:func:`tables`), conditioning as a rewrite of
+the program (:func:`rewrite`), whose result is an ordinary, unpinned
+circuit, and the sampler that walked the program node by node
+(:class:`Sampler`).  :func:`encode` and :func:`decode` translate between
+a circuit and the node-tuple view: ``(FALSE,)``, ``(TRUE,)``,
+``(PRODUCT, children)`` and ``(DECISION, branches)``, a branch being
+``(literals, freed variables, child)``.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 
@@ -20,11 +27,67 @@ from repro.compile.circuit import (
     KIND_FALSE,
     KIND_PRODUCT,
     KIND_TRUE,
+    draw_index,
 )
+
+#: Node kinds of the tuple view.
+FALSE, TRUE, DECISION, PRODUCT = "F", "T", "D", "P"
 
 
 def _program(circuit):
-    return circuit._own_program("walk")
+    if circuit._pins is not None:
+        raise ValueError("cannot walk a pinned circuit as its own program")
+    return circuit._program
+
+
+def encode(nodes, root, num_variables, countable) -> DDNNF:
+    """The circuit of a node-tuple list (children before parents)."""
+    code: list[int] = []
+    offsets: list[int] = []
+    for node in nodes:
+        offsets.append(len(code))
+        kind = node[0]
+        if kind == FALSE:
+            code.append(KIND_FALSE)
+        elif kind == TRUE:
+            code.append(KIND_TRUE)
+        elif kind == PRODUCT:
+            code.extend((KIND_PRODUCT, len(node[1]), *node[1]))
+        elif kind == DECISION:
+            code.extend((KIND_DECISION, len(node[1])))
+            for literals, free, child in node[1]:
+                code.extend((len(literals), *literals, len(free), *free, child))
+        else:
+            raise ValueError("unknown node kind %r" % (kind,))
+    return DDNNF(code, offsets, root, num_variables, countable)
+
+
+def decode(circuit) -> list[tuple]:
+    """The node-tuple list of an unpinned circuit, children first."""
+    program = _program(circuit)
+    code = program.code
+    nodes: list[tuple] = []
+    for offset in program.offsets:
+        kind = code[offset]
+        if kind == KIND_FALSE or kind == KIND_TRUE:
+            nodes.append((FALSE if kind == KIND_FALSE else TRUE,))
+        elif kind == KIND_PRODUCT:
+            length = code[offset + 1]
+            nodes.append((PRODUCT, tuple(code[offset + 2:offset + 2 + length])))
+        else:
+            branches = []
+            cursor = offset + 2
+            for _ in range(code[offset + 1]):
+                nlits = code[cursor]
+                literals = tuple(code[cursor + 1:cursor + 1 + nlits])
+                cursor += 1 + nlits
+                nfree = code[cursor]
+                free = tuple(code[cursor + 1:cursor + 1 + nfree])
+                cursor += 1 + nfree
+                branches.append((literals, free, code[cursor]))
+                cursor += 1
+            nodes.append((DECISION, tuple(branches)))
+    return nodes
 
 
 def rewrite(circuit, assignments):
@@ -90,7 +153,7 @@ def rewrite(circuit, assignments):
             new_code.append(len(kept))
             new_code.extend(kept)
             new_code.append(child)
-    return DDNNF.from_program(
+    return DDNNF(
         new_code, new_offsets, program.root, program.num_variables,
         program.countable,
     )
@@ -274,8 +337,134 @@ def literal_counts_many(circuit, rows):
     return lane, counts
 
 
+class Sampler:
+    """The sampler that walked the flat program: node values from one
+    upward pass, then per sample a stack descent that parses each visited
+    decision's branches and multiplies their weights literal by literal.
+    On a pinned circuit a branch is live unless a literal contradicts a
+    pin or a freed variable is pinned both ways (:meth:`_live`); a
+    decision with one live branch, and a pinned freed variable, take no
+    draw."""
+
+    def __init__(self, circuit: DDNNF, weights=None) -> None:
+        self._circuit = circuit
+        _lane, tables = circuit._tables(1, circuit._columns([weights]))
+        plan = circuit._plan()
+        values = plan.upward(tables, plan.branch_weights(tables))
+        self._values = values[:circuit.num_nodes, 0].tolist()
+        n = circuit.num_variables
+        slots = tables.base.tolist()
+        positive = slots[:n + 1]
+        negative = [1] + slots[n + 1:]
+        is_countable = circuit._program.is_countable
+        free_sum = [
+            positive[v] + negative[v] if is_countable[v] else 1
+            for v in range(n + 1)
+        ]
+        self._weights = (positive, negative, free_sum)
+        self._pins = None if circuit._pins is None else circuit._pins.tolist()
+        if not self._values[circuit.root]:
+            raise ValueError(
+                "circuit has no (weighted) models; nothing to sample"
+            )
+
+    @property
+    def total(self):
+        return self._values[self._circuit.root]
+
+    def _live(self, branch: tuple) -> bool:
+        code = self._circuit._program.code
+        pins = self._pins
+        n = self._circuit.num_variables
+        literals_start, literals_end, free_start, free_end, _child = branch
+        for position in range(literals_start, literals_end):
+            literal = code[position]
+            if pins[literal if literal > 0 else n - literal]:
+                return False
+        return not any(
+            pins[code[position]] and pins[n + code[position]]
+            for position in range(free_start, free_end)
+        )
+
+    def sample(self, rng: random.Random) -> dict[int, bool]:
+        program = self._circuit._program
+        code = program.code
+        offsets = program.offsets
+        is_countable = program.is_countable
+        n = program.num_variables
+        pins = self._pins
+        positive, negative, free_sum = self._weights
+        values = self._values
+        assignment: dict[int, bool] = {}
+        stack = [program.root]
+        while stack:
+            offset = offsets[stack.pop()]
+            kind = code[offset]
+            if kind == KIND_PRODUCT:
+                stack.extend(code[offset + 2:offset + 2 + code[offset + 1]])
+            elif kind == KIND_DECISION:
+                spans = []  # (literals start/end, free start/end, child)
+                cursor = offset + 2
+                for _ in range(code[offset + 1]):
+                    nlits = code[cursor]
+                    cursor += 1
+                    literals_end = cursor + nlits
+                    free_start = literals_end + 1
+                    free_end = free_start + code[literals_end]
+                    spans.append(
+                        (cursor, literals_end, free_start, free_end,
+                         code[free_end])
+                    )
+                    cursor = free_end + 1
+                live = (
+                    spans if pins is None
+                    else [branch for branch in spans if self._live(branch)]
+                )
+                if len(live) == 1:
+                    chosen = live[0]
+                else:
+                    branch_weights = []
+                    for start, end, free_start, free_end, child in spans:
+                        term = values[child]
+                        if term:
+                            for position in range(start, end):
+                                literal = code[position]
+                                term *= (
+                                    positive[literal] if literal > 0
+                                    else negative[-literal]
+                                )
+                            for position in range(free_start, free_end):
+                                term *= free_sum[code[position]]
+                        branch_weights.append(term)
+                    chosen = spans[draw_index(rng, branch_weights)]
+                literals_start, literals_end, free_start, free_end, child = chosen
+                for position in range(literals_start, literals_end):
+                    literal = code[position]
+                    variable = literal if literal > 0 else -literal
+                    if is_countable[variable]:
+                        assignment[variable] = literal > 0
+                for position in range(free_start, free_end):
+                    variable = code[position]
+                    if not is_countable[variable]:
+                        continue
+                    if pins is not None and (pins[variable] or pins[n + variable]):
+                        assignment[variable] = pins[n + variable]
+                    else:
+                        pair = (positive[variable], negative[variable])
+                        assignment[variable] = draw_index(rng, pair) == 0
+                stack.append(child)
+        return assignment
+
+
 __all__ = [
+    "DECISION",
+    "FALSE",
+    "PRODUCT",
+    "Sampler",
+    "TRUE",
+    "decode",
     "downward",
+    "encode",
     "evaluate_many",
     "literal_counts_many",
     "magnitude_bound",

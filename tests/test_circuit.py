@@ -17,10 +17,13 @@ import pytest
 
 from repro.cli import main
 from repro.complexity.cnf import CNF, count_models_brute
-from repro.compile import ValuationCircuit
+from repro.compile import CompletionCircuit, ValuationCircuit
 from repro.compile.circuit import DDNNF, draw_index
 from repro.compile.ddnnf_trace import TraceBuilder
 from repro.compile.sharpsat import ModelCounter
+from repro.db.fact import Fact
+from repro.db.incomplete import IncompleteDatabase
+from repro.db.terms import Null
 from repro.engine import BatchEngine, CountCache, CountJob
 from repro.workloads.generators import scaling_hard_val_instance
 
@@ -196,6 +199,25 @@ class TestPasses:
         assert circuit.memory_bytes() > 0
         assert compiled.memory_bytes() > circuit.memory_bytes()
         assert repr(circuit).startswith("DDNNF(")
+
+
+class TestCompletionWeights:
+    def test_a_weight_on_an_impossible_fact_names_it(self):
+        n0 = Null("n0")
+        db = IncompleteDatabase.uniform([Fact("R", [n0])], ["a", "b"])
+        compiled = CompletionCircuit(db)
+        known = {Fact("R", ["a"]): 2}
+        assert compiled.weighted_count(known) == 3
+        impossible = {Fact("Z", ["q"]): 2, Fact("R", ["c"]): 3}
+        for ask in (
+            lambda: compiled.weighted_count(impossible),
+            lambda: compiled.weighted_count_many([known, impossible]),
+            lambda: compiled.fact_marginals_many([impossible]),
+        ):
+            with pytest.raises(ValueError, match="not potential facts") as raised:
+                ask()
+            assert "Z('q')" in str(raised.value)
+            assert "R('c')" in str(raised.value)
 
 
 class TestEngineCircuitStore:

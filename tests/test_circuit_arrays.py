@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.compile.circuit import DDNNF, DECISION, FALSE, PRODUCT, TRUE
+from repro.compile.circuit import DDNNF
 from repro.compile.ddnnf_trace import TraceBuilder
 from repro.compile.backend import ValuationCircuit
 from repro.compile.sharpsat import ModelCounter
@@ -29,6 +29,7 @@ from repro.db.deltas import ResolveNull, RestrictDomain
 from repro.obs import capture
 from repro.workloads.generators import scaling_hard_val_instance
 from tests import circuit_oracles as oracles
+from tests.circuit_oracles import DECISION, FALSE, PRODUCT, TRUE
 
 LANES = ("scalar", "int64", "object")
 
@@ -134,7 +135,7 @@ def lane_answers(many, circuit, weights):
 
 def recursive_values(circuit, weights):
     """The upward pass as plain recursion over the tuple node view."""
-    nodes = list(circuit.nodes())
+    nodes = oracles.decode(circuit)
     table = {variable: (1, 1) for variable in circuit.countable}
     for variable, pair in (weights or {}).items():
         table[variable] = tuple(pair)
@@ -295,7 +296,7 @@ class TestLaneChoice:
         # One decision on variable 1 over two true leaves: its magnitude
         # bound is max|w+| + max|w-| over the rows, so ``under`` sits one
         # below 2^62 and ``over`` exactly at it.
-        circuit = DDNNF(
+        circuit = oracles.encode(
             [(FALSE,), (TRUE,), (DECISION, (((1,), (), 1), ((-1,), (), 1)))],
             root=2, num_variables=1, countable=[1],
         )
@@ -474,7 +475,7 @@ class TestLevelPassesMatchWalkers:
     def test_a_pin_can_leave_a_product_with_a_false_child(self):
         # The product's right child decides variable 2 and frees 3; the
         # pin 2 = false kills its one branch.
-        circuit = DDNNF(
+        circuit = oracles.encode(
             [
                 (FALSE,), (TRUE,),
                 (DECISION, (((1,), (), 1), ((-1,), (), 1))),
@@ -485,7 +486,7 @@ class TestLevelPassesMatchWalkers:
         )
         pinned = circuit.condition({2: False})
         oracle = oracles.rewrite(circuit, {2: False})
-        assert list(oracle.nodes())[3] == (FALSE,)
+        assert oracles.decode(oracle)[3] == (FALSE,)
         assert pinned.count() == 0 and circuit.count() == 4
         rows = [{1: (2, 3), 3: (5, 7)}, {1: (1, 1)}, None]
         for batch in (rows[:1], rows, [rows[0], {3: (1 << 62, 1)}]):
@@ -521,7 +522,7 @@ class TestPinnedCircuits:
         with pytest.raises(ValueError, match="pinned"):
             pinned.to_bytes()
         with pytest.raises(ValueError, match="pinned"):
-            list(pinned.nodes())
+            oracles.decode(pinned)
         # The figure is the shared program's, cached there: the child
         # returns that very object rather than walking the program again.
         assert pinned.memory_bytes() is figure

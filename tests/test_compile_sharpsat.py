@@ -19,6 +19,7 @@ from repro.compile.ordering import (
     refined_elimination_masks,
 )
 from repro.compile.sharpsat import ModelCounter, count_models
+from repro.compile.sharpsat_reference import ReferenceModelCounter
 from repro.workloads.generators import (
     scaling_hard_comp_instance,
     scaling_hard_val_instance,
@@ -127,7 +128,7 @@ class TestReferenceParity:
     @given(small_cnfs())
     @settings(max_examples=120, deadline=None)
     def test_full_counts_match_reference(self, cnf):
-        assert count_models(cnf) == count_models(cnf, reference=True)
+        assert count_models(cnf) == ReferenceModelCounter(cnf).count()
 
     @given(small_cnfs(), st.data())
     @settings(max_examples=120, deadline=None)
@@ -135,13 +136,13 @@ class TestReferenceParity:
         projection = data.draw(
             st.sets(st.integers(min_value=1, max_value=cnf.num_variables))
         )
-        assert count_models(cnf, projection=projection) == count_models(
-            cnf, projection=projection, reference=True
+        assert count_models(cnf, projection=projection) == (
+            ReferenceModelCounter(cnf, projection=projection).count()
         )
 
-    def test_reference_flag_surfaces_statistics(self):
+    def test_reference_core_surfaces_statistics(self):
         cnf = CNF(4, [(1, 2), (3, 4)])
-        counter = ModelCounter(cnf, reference=True)
+        counter = ReferenceModelCounter(cnf)
         assert counter.count() == 9
         assert counter.components_split >= 1
         assert counter.width is not None
@@ -166,7 +167,7 @@ class TestRandomizedSoundness:
         rng = random.Random(20250730)
         for _ in range(120):
             cnf = random_cnf(rng)
-            reference = count_models(cnf, reference=True)
+            reference = ReferenceModelCounter(cnf).count()
             trace = TraceBuilder()
             counter = ModelCounter(cnf, trace=trace)
             assert counter.count() == reference
@@ -181,7 +182,7 @@ class TestRandomizedSoundness:
                 range(1, cnf.num_variables + 1),
                 rng.randint(0, cnf.num_variables),
             )
-            reference = count_models(cnf, projection=projection, reference=True)
+            reference = ReferenceModelCounter(cnf, projection=projection).count()
             assert count_models(cnf, projection=projection) == reference
 
     def test_traced_projected_counts_unchanged(self):
@@ -192,7 +193,7 @@ class TestRandomizedSoundness:
                 range(1, cnf.num_variables + 1),
                 rng.randint(1, cnf.num_variables),
             )
-            reference = count_models(cnf, projection=projection, reference=True)
+            reference = ReferenceModelCounter(cnf, projection=projection).count()
             trace = TraceBuilder()
             counter = ModelCounter(cnf, projection=projection, trace=trace)
             assert counter.count() == reference
@@ -225,7 +226,7 @@ class TestRandomizedSoundness:
 def test_directed_projected_counts(num_variables, clauses, projection, expected):
     """Counted, traced, against the reference core and the circuit."""
     cnf = CNF(num_variables, clauses)
-    assert count_models(cnf, projection=projection, reference=True) == expected
+    assert ReferenceModelCounter(cnf, projection=projection).count() == expected
     assert count_models(cnf, projection=projection) == expected
     trace = TraceBuilder()
     counter = ModelCounter(cnf, projection=projection, trace=trace)

@@ -33,6 +33,7 @@ from repro.compile.dpdb import (
 )
 from repro.compile.ordering import primal_masks, refined_elimination_masks
 from repro.compile.sharpsat import count_models
+from repro.compile.sharpsat_reference import ReferenceModelCounter
 from repro.complexity.cnf import CNF, count_models_brute
 from repro.core.query import Atom, BCQ
 from repro.db.fact import Fact
@@ -102,12 +103,12 @@ class TestDifferentialSolver:
             )
             full = count_models_dpdb(cnf)
             assert full == count_models(cnf)
-            assert full == count_models(cnf, reference=True)
+            assert full == ReferenceModelCounter(cnf).count()
             projected = count_models_dpdb(cnf, projection=projection)
             assert projected == count_models(cnf, projection=projection)
-            assert projected == count_models(
-                cnf, projection=projection, reference=True
-            )
+            assert projected == ReferenceModelCounter(
+                cnf, projection=projection
+            ).count()
 
     def test_weighted_counts_match_brute_enumeration(self):
         rng = random.Random(42)
@@ -314,24 +315,19 @@ class TestDecompositionStructure:
                     assert (decomposition.bags[node] >> abs(literal)) & 1
         assert homed == sum(1 for clause in cnf.clauses if clause)
 
-    def test_chain_is_width_one_all_forget_or_introduce(self):
+    def test_chain_is_a_width_one_path(self):
         cnf = CNF(6, [(-v, v + 1) for v in range(1, 6)])
         decomposition = decompose(cnf)
         assert decomposition.width == 1
         self._check_invariants(cnf, decomposition)
-        kinds = decomposition.node_kinds()
-        assert kinds["join"] == 0
-        assert kinds["leaf"] >= 1
-        assert kinds["introduce"] + kinds["forget"] == (
-            len(decomposition) - kinds["leaf"]
-        )
+        assert all(len(kids) <= 1 for kids in decomposition.children)
 
     def test_star_of_chains_has_a_join_node(self):
         # Three chains meeting at variable 1: the shared endpoint joins.
         cnf = CNF(7, [(1, 2), (2, 3), (1, 4), (4, 5), (1, 6), (6, 7)])
         decomposition = decompose(cnf)
         self._check_invariants(cnf, decomposition)
-        assert decomposition.node_kinds()["join"] >= 1
+        assert any(len(kids) >= 2 for kids in decomposition.children)
         assert count_models_dpdb(cnf) == count_models_brute(cnf)
 
     def test_disconnected_formula_yields_a_forest(self):

@@ -6,6 +6,7 @@ import time
 
 from repro.complexity.cnf import CNF
 from repro.compile.sharpsat import ModelCounter
+from repro.compile.sharpsat_reference import ReferenceModelCounter
 from repro.engine import BatchEngine, CountJob, execute_job
 from repro.engine.jsonl import RESULT_KEYS, read_results, write_results
 from repro.obs import capture, set_enabled
@@ -35,7 +36,7 @@ class TestCounterStats:
     def test_both_cores_expose_the_same_vocabulary(self):
         cnf = CNF(4, [(1, 2), (3, 4)])
         trail = ModelCounter(cnf)
-        reference = ModelCounter(cnf, reference=True)
+        reference = ReferenceModelCounter(cnf)
         assert trail.count() == reference.count() == 9
         trail_stats = trail.stats()
         reference_stats = reference.stats()
@@ -53,7 +54,7 @@ class TestCounterStats:
         assert stats["max_trail_depth"] > 0
 
     def test_reference_core_reports_untracked_as_none(self):
-        counter = ModelCounter(CNF(3, [(1, 2)]), reference=True)
+        counter = ReferenceModelCounter(CNF(3, [(1, 2)]))
         counter.count()
         stats = counter.stats()
         assert stats["propagations"] is None

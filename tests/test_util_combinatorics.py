@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.util.combinatorics import (
     binomial,
@@ -89,6 +89,7 @@ class TestSurjections:
         assert surjections(n, m) == math.factorial(m) * stirling2(n, m)
 
     @given(st.integers(0, 6), st.integers(0, 6))
+    @settings(deadline=None)
     def test_counts_actual_surjections(self, n, m):
         from itertools import product
 
