@@ -381,9 +381,18 @@ class ValuationCircuit(_CircuitArtifact):
         non-resolution delta or an invalid one (unknown null, value
         outside the domain).
         """
+        return self.condition_to(self._db.apply(delta))  # validates it
+
+    def condition_to(self, child: IncompleteDatabase) -> "ValuationCircuit":
+        """:meth:`condition` on ``child.delta``, answering for ``child``.
+
+        ``child`` must be ``db.apply(child.delta)`` for a database ``db``
+        equal to this circuit's: a node of a delta chain the caller holds
+        already, so conditioning along the chain builds no database.
+        """
         from repro.db.deltas import ResolveNull, RestrictDomain
 
-        child = self._db.apply(delta)  # validates the delta
+        delta = child.delta
         assignments: dict[int, bool] = {}
         if isinstance(delta, ResolveNull):
             for (null, value), variable in self._variables:

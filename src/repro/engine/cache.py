@@ -14,9 +14,12 @@ Two stores live side by side:
   the only part of the cache whose memory matters: every stored circuit
   is accounted at its estimated byte size, and an optional
   ``max_circuit_bytes`` bound evicts least-recently-used circuits.  A
-  circuit conditioned from a cached ancestor is an ordinary entry (its
-  program shares nothing with the ancestor's), so it is evicted on its
-  own; :meth:`CountCache.get_ancestor_circuit` walks a child's ancestor
+  circuit conditioned from a cached ancestor is an ordinary entry: it
+  shares the ancestor's program and level plan but holds its own
+  reference to them, so it is evicted on its own, and each entry is
+  charged the whole shared program (a conservative bound, as
+  :mod:`repro.engine.incremental` says);
+  :meth:`CountCache.get_ancestor_circuit` walks a child's ancestor
   chain so a fingerprint miss can still be answered by conditioning a
   cached ancestor (tallied as ``parent_chain_hits``).
 

@@ -19,6 +19,11 @@ missed isomorphism merely costs a cache miss.
 Canonical forms are memoized by database content (:func:`_canonical_text`),
 so the jobs that ask about one database — in one batch or across batches,
 through one object or through equal copies — pay for its refinement once.
+Label-exact forms (circuit keys, ``marginals`` jobs) are memoized per
+database *object* (:func:`_exact_text`), so every job and circuit fetch
+about one object writes its form once.  Weight tables are written
+straight as text (:func:`_weights_text`), each null's table from a memo
+of table texts, byte for byte the ``repr`` of the form they describe.
 
 Queries carrying opaque decision procedures (:class:`CustomQuery`) have no
 syntactic canonical form; :func:`fingerprint_job` returns ``None`` for them
@@ -28,7 +33,11 @@ and the engine solves such jobs without caching.
 from __future__ import annotations
 
 import hashlib
+import weakref
+from collections import OrderedDict
+from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.core.query import BCQ, BooleanQuery, Const, Negation, UCQ
@@ -203,36 +212,90 @@ def _exact_db_form(db: IncompleteDatabase) -> Canonical:
     return ("exact-db", db.is_uniform, facts, domains)
 
 
-def _weights_form(weights, index: Mapping[Null, int] | None) -> Canonical:
-    """Deterministic form of a per-null weight table.
+#: ``id(db) -> (weak reference to db, its exact text)`` for the 256 most
+#: recently used database objects (:func:`_exact_text`).
+_EXACT_TEXTS: "OrderedDict[int, tuple[weakref.ref, str]]" = OrderedDict()
+
+
+def _exact_text(db: IncompleteDatabase) -> str:
+    """``repr`` of :func:`_exact_db_form`, memoized per database object.
+
+    Keyed by identity, not equality: content-equal databases that spell a
+    constant ``1`` and ``1.0`` have different exact forms, and sharing one
+    would leak one spelling into the other's marginals and samples.  An
+    entry holds its database weakly, so the memo keeps no database alive,
+    and an entry whose database died (its ``id`` free for reuse) misses.
+    """
+    entry = _EXACT_TEXTS.pop(id(db), None)
+    if entry is None or entry[0]() is not db:
+        entry = (weakref.ref(db), repr(_exact_db_form(db)))
+    _EXACT_TEXTS[id(db)] = entry
+    if len(_EXACT_TEXTS) > 256:
+        _EXACT_TEXTS.popitem(last=False)
+    return entry[1]
+
+
+def _tuple_text(parts: list[str]) -> str:
+    """``repr`` of a tuple whose members' reprs are ``parts``."""
+    return "(%s,)" % parts[0] if len(parts) == 1 else "(%s)" % ", ".join(parts)
+
+
+#: Types whose equal values have equal reprs: a table of these alone may
+#: share its text with an equal table of the same types.
+_EXACT_TYPES = frozenset({bool, int, str, Fraction})
+
+
+@lru_cache(maxsize=1024)
+def _table_text(entries: tuple, types: tuple) -> str:
+    """Text of one null's ``(value, weight)`` entries, sorted by constant
+    key, then weight ``repr``.
+
+    ``types`` lists the entries' types in order.  The memo matches keys by
+    equality, which alone would let ``1``, ``1.0`` and ``True`` share a
+    text; with the types in the key, equal keys spell alike for
+    :data:`_EXACT_TYPES`, and other tables bypass the memo.
+    """
+    pairs = sorted((_constant_key(value), repr(weight)) for value, weight in entries)
+    return _tuple_text(["(%r, %r)" % pair for pair in pairs])
+
+
+def _weights_text(weights, index: Mapping[Null, int] | None) -> str:
+    """Deterministic text of a per-null weight table.
 
     With ``index`` the nulls are expressed in canonical coordinates (for
     renaming-invariant fingerprints); without it raw labels are used (for
     label-exact ones).  Weights are keyed by ``repr`` — exact for the
-    int/Fraction weights the engine deals in.
+    int/Fraction weights the engine deals in.  The text is the ``repr`` of
+    a tuple of ``(null key, sorted (constant key, weight repr) pairs)``
+    items in text order, a persisted format (the ``fingerprint_job``
+    digests key ``perfbench/reference.json``).
     """
     if not weights:
-        return ()
+        return "()"
     items = []
     for null, table in weights.items():
         if index is None:
-            key: object = repr(null.label)
-        elif null in index:
-            key = index[null]
+            key = repr(repr(null.label))
         else:
+            position = index.get(null)
             # A null the database does not have: the job will fail in
             # resolve_null_weights with a deterministic error, so a
             # deterministic label-exact key is sound (equal fingerprints
             # fail identically) — and the batch must not crash here.
-            key = ("unknown", repr(null.label))
-        inner = tuple(
-            sorted(
-                (_constant_key(value), repr(weight))
-                for value, weight in dict(table).items()
+            key = (
+                repr(("unknown", repr(null.label)))
+                if position is None
+                else repr(position)
             )
-        )
-        items.append((key, inner))
-    return tuple(sorted(items, key=repr))
+        entries = tuple(dict(table).items())
+        types = tuple(map(type, chain.from_iterable(entries)))
+        if _EXACT_TYPES.issuperset(types):
+            inner = _table_text(entries, types)
+        else:
+            inner = _table_text.__wrapped__(entries, types)
+        items.append("(%s, %s)" % (key, inner))
+    items.sort()
+    return _tuple_text(items)
 
 
 def fingerprint_instance(
@@ -250,7 +313,8 @@ def fingerprint_instance(
     query_form = fingerprint_query(query)
     if query_form is None:
         return None
-    payload = repr(("circuit", kind, query_form, _exact_db_form(db)))
+    # Exactly repr(("circuit", kind, query_form, _exact_db_form(db))).
+    payload = "(%r, %r, %r, %s)" % ("circuit", kind, query_form, _exact_text(db))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -303,45 +367,50 @@ def fingerprint_job(job: "CountJob") -> str | None:
 
 def fingerprint_jobs(jobs: Iterable["CountJob"]) -> list[str | None]:
     """:func:`fingerprint_job` of every job, in order."""
-    return [_fingerprint(job) for job in jobs]
+    from repro.engine.jobs import instance_or_none
+
+    return [fingerprint_on(job, instance_or_none(job)) for job in jobs]
 
 
-def _fingerprint(job: "CountJob") -> str | None:
+def fingerprint_on(
+    job: "CountJob", db: IncompleteDatabase | None
+) -> str | None:
+    """:func:`fingerprint_job` from the job's instance ``db``, built by the
+    caller (:func:`~repro.engine.jobs.instance_or_none`; ``None`` for an
+    invalid delta chain, which makes the job uncacheable and lets its
+    solve report the real error)."""
     query_form = fingerprint_query(job.query)
-    if query_form is None or (job.problem == "approx-val" and job.seed is None):
+    if (
+        query_form is None
+        or db is None
+        or (job.problem == "approx-val" and job.seed is None)
+    ):
         return None
-    problem, db = job.problem, job.db
-    extras: tuple = ()
-    if problem == "update":
-        # An update job answers #Val of the *updated* instance, so it is
-        # fingerprinted as the plain 'val' job on the delta-chain result —
-        # memo entries are shared with equivalent from-scratch val jobs.
-        from repro.engine.jobs import instance_db
-
-        try:
-            db = instance_db(job)
-        except (ValueError, KeyError, TypeError):
-            return None  # invalid chain: solve reports the real error
-        problem = "val"
+    # An update job answers #Val of the *updated* instance (``db``), so it
+    # is fingerprinted as the plain 'val' job on the delta-chain result —
+    # memo entries are shared with equivalent from-scratch val jobs.
+    problem = "val" if job.problem == "update" else job.problem
+    extras = "()"
     if problem == "marginals":
         # The answer is keyed by null labels, so the fingerprint must be
         # label-exact — a renamed twin has a differently-keyed answer.
-        db_form = repr(_exact_db_form(db))
-        extras = (_weights_form(job.weights, None),)
+        db_text = _exact_text(db)
+        extras = "(%s,)" % _weights_text(job.weights, None)
     else:
-        db_form, index = _canonical_text(db)
+        db_text, index = _canonical_text(db)
         if problem == "approx-val":
-            extras = (job.epsilon, job.delta, job.seed)
+            extras = repr((job.epsilon, job.delta, job.seed))
         elif problem == "val-weighted":
             # Scalar answer: canonical coordinates keep the fingerprint
             # invariant under null renamings that carry the weights along.
-            extras = (_weights_form(job.weights, index),)
+            extras = "(%s,)" % _weights_text(job.weights, index)
         elif problem == "sweep":
             # An ordered list of scalar answers, one per weight table: each
             # entry is renaming-invariant like 'val-weighted', and the
             # table order is part of the key.
-            extras = (tuple(_weights_form(row, index) for row in job.weights or ()),)
-    # Exactly repr((problem, extras, query_form, form)), from the memoized
-    # repr of the form.
-    payload = "(%r, %r, %r, %s)" % (problem, extras, query_form, db_form)
+            rows = [_weights_text(row, index) for row in job.weights or ()]
+            extras = "(%s,)" % _tuple_text(rows)
+    # Exactly repr((problem, extras, query_form, form)), from the texts of
+    # the extras and the form.
+    payload = "(%r, %s, %r, %s)" % (problem, extras, query_form, db_text)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -97,31 +97,35 @@ def derive_instance_circuit(
 
     Call on a circuit-store miss for ``db``.  Takes the nearest cached
     ancestor among :func:`conditioning_ancestors` and conditions its
-    circuit along the delta suffix.  The result is installed into
+    circuit along the chain's own nodes down to ``db``
+    (:meth:`~repro.compile.backend.ValuationCircuit.condition_to`), so no
+    database is rebuilt.  The result is installed into
     ``circuits`` under ``fingerprint`` and returned; ``None`` when no such
     ancestor is cached.
     """
+    links = conditioning_ancestors(db, kind)
     ancestry = []
-    deltas_of: dict[str, list] = {}
-    for ancestor, deltas in conditioning_ancestors(db, kind):
+    for ancestor, _deltas in links:
         ancestor_fingerprint = fingerprint_instance(ancestor, query, kind)
         if ancestor_fingerprint is None:
             return None
         ancestry.append(ancestor_fingerprint)
-        deltas_of[ancestor_fingerprint] = deltas
     found = circuits.get_ancestor_circuit(ancestry)
     if found is None:
         return None
     ancestor_fingerprint, circuit = found
-    deltas = deltas_of[ancestor_fingerprint]
-    with _span("delta.derive", kind=kind, chain=len(deltas)):
-        for delta in deltas:
-            circuit = circuit.condition(delta)
+    # The chain's nodes below that ancestor, down to ``db``: conditioning
+    # walks them as they stand instead of re-applying each delta.
+    depth = ancestry.index(ancestor_fingerprint)
+    nodes = [ancestor for ancestor, _deltas in links[:depth]][::-1] + [db]
+    with _span("delta.derive", kind=kind, chain=len(nodes)):
+        for node in nodes:
+            circuit = circuit.condition_to(node)
     _incr("delta.derivations")
     _event(
         "delta.derived",
         kind=kind,
-        chain=len(deltas),
+        chain=len(nodes),
         ancestor=ancestor_fingerprint[:12],
     )
     if fingerprint is None:

@@ -174,10 +174,22 @@ def execute_job(job: CountJob, circuits: Any = None) -> JobResult:
     circuit-backed methods compile a throwaway circuit per job).
     ``'approx-val'`` is the one problem outside the planner.
     """
+    return execute_on(job, None, circuits)
+
+
+def execute_on(
+    job: CountJob, db: IncompleteDatabase | None, circuits: Any
+) -> JobResult:
+    """:func:`execute_job` on the job's instance ``db`` when the caller
+    built it already (the engine builds an update job's child once per
+    run, for its fingerprint and its solve alike); ``None`` builds it
+    here, where an invalid delta chain reports its error."""
     started = time.perf_counter()
     with _capture() as captured:
         try:
-            count, method = _answer(job, circuits)
+            if db is None:
+                db = instance_db(job)
+            count, method = _answer(job, db, circuits)
             error = None
         except Exception as exc:  # noqa: BLE001 - batch isolation by design
             count, method = None, None
@@ -196,12 +208,14 @@ def execute_job(job: CountJob, circuits: Any = None) -> JobResult:
     return result
 
 
-def _answer(job: CountJob, circuits: Any) -> tuple[Any, str]:
+def _answer(
+    job: CountJob, db: IncompleteDatabase, circuits: Any
+) -> tuple[Any, str]:
     if job.problem == "approx-val":
         from repro.approx.fpras import fpras_count_valuations
 
         estimate = fpras_count_valuations(
-            job.db,
+            db,
             job.query,  # type: ignore[arg-type]  # __post_init__ guarantees it
             epsilon=job.epsilon,
             delta=job.delta,
@@ -211,7 +225,7 @@ def _answer(job: CountJob, circuits: Any) -> tuple[Any, str]:
     update = job.problem == "update"
     answer = solve(
         "val" if update else job.problem,
-        instance_db(job),
+        db,
         job.query,
         method="delta" if update else job.method,
         weights=job.weights,
@@ -234,6 +248,15 @@ def instance_db(job: CountJob) -> IncompleteDatabase:
     for delta in job.deltas:
         db = db.apply(delta)
     return db
+
+
+def instance_or_none(job: CountJob) -> IncompleteDatabase | None:
+    """:func:`instance_db`, or ``None`` when the job's delta chain is
+    invalid (its solve then reports the error)."""
+    try:
+        return instance_db(job)
+    except (ValueError, KeyError, TypeError):
+        return None
 
 
 def marginals_record(marginals: dict) -> dict[str, dict[str, float]]:

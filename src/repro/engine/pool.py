@@ -4,7 +4,9 @@
 and returns one :class:`~repro.engine.jobs.JobResult` per job, in order.
 The pipeline is:
 
-1. **fingerprint** every job (:func:`~repro.engine.fingerprint.fingerprint_jobs`);
+1. **fingerprint** every job (:func:`~repro.engine.fingerprint.fingerprint_on`),
+   building each job's instance once (an ``update`` job's child, which its
+   circuit keys and its solve then share);
 2. **memoize** — jobs whose fingerprint is already cached (from a previous
    batch or from an earlier duplicate in this one) never reach a solver;
 3. **fan out** the unique cache misses to a ``multiprocessing`` pool.
@@ -61,15 +63,17 @@ import time
 from typing import Iterable, Sequence
 
 from repro.core.query import BCQ, Negation, UCQ
+from repro.db.incomplete import IncompleteDatabase
 from repro.engine.cache import CountCache
-from repro.engine.fingerprint import fingerprint_instance, fingerprint_jobs
+from repro.engine.fingerprint import fingerprint_instance, fingerprint_on
 from repro.engine.incremental import conditioning_ancestors
 from repro.engine.jobs import (
     CIRCUIT_METHODS,
     CountJob,
     JobResult,
     execute_job,
-    instance_db,
+    execute_on,
+    instance_or_none,
 )
 from repro.obs import (
     emit_record as _emit_record,
@@ -133,7 +137,12 @@ class BatchEngine:
 
     def _run(self, jobs: Sequence[CountJob]) -> list[JobResult]:
         with _span("engine.fingerprint", jobs=len(jobs)):
-            fingerprints = fingerprint_jobs(jobs)
+            # Each job's instance is built here, once per run: an update
+            # job's child serves its fingerprint, circuit keys and solve.
+            instances = [instance_or_none(job) for job in jobs]
+            fingerprints = [
+                fingerprint_on(job, db) for job, db in zip(jobs, instances)
+            ]
         results: list[JobResult | None] = [None] * len(jobs)
 
         representative: dict[str, int] = {}
@@ -163,7 +172,10 @@ class BatchEngine:
                 representative[fingerprint] = index
             to_solve.append(index)
 
-        solved = self._execute([jobs[index] for index in to_solve])
+        solved = self._execute(
+            [jobs[index] for index in to_solve],
+            [instances[index] for index in to_solve],
+        )
         for index, result in zip(to_solve, solved):
             result.fingerprint = fingerprints[index]
             results[index] = result
@@ -192,7 +204,7 @@ class BatchEngine:
                 # The representative failed, but a duplicate instance may
                 # still succeed under its own method/budget (those knobs
                 # are not part of the fingerprint): solve it for real.
-                result = execute_job(jobs[index], self.cache)
+                result = execute_on(jobs[index], instances[index], self.cache)
                 result.fingerprint = fingerprints[index]
                 results[index] = result
                 if result.ok and fingerprints[index] is not None:
@@ -209,9 +221,18 @@ class BatchEngine:
 
     # -- execution ---------------------------------------------------------
 
-    def _execute(self, jobs: Sequence[CountJob]) -> list[JobResult]:
+    def _execute(
+        self,
+        jobs: Sequence[CountJob],
+        instances: Sequence[IncompleteDatabase | None],
+    ) -> list[JobResult]:
+        """Solve ``jobs`` (whose instances are ``instances``), in order."""
+
+        def solve(index: int) -> JobResult:
+            return execute_on(jobs[index], instances[index], self.cache)
+
         if self.workers <= 1 or len(jobs) <= 1:
-            return [execute_job(job, self.cache) for job in jobs]
+            return [solve(index) for index in range(len(jobs))]
 
         plain: list[int] = []                   # chunked pool jobs
         circuit: dict[int, list[str]] = {}      # circuit-task jobs' keys
@@ -224,7 +245,10 @@ class BatchEngine:
                 )
                 serial.append(index)
                 continue
-            keys = _circuit_keys(job) if _may_use_circuit(job) else []
+            keys = (
+                _circuit_keys(job, instances[index])
+                if _may_use_circuit(job) else []
+            )
             if not keys:
                 plain.append(index)
             elif any(self.cache.has_circuit(key) for key in keys):
@@ -248,7 +272,7 @@ class BatchEngine:
             members.sort(key=lambda index: len(circuit[index]))
 
         if len(plain) + len(families) <= 1:
-            results_serial = [execute_job(job, self.cache) for job in jobs]
+            results_serial = [solve(index) for index in range(len(jobs))]
             for index, reason in fallback.items():
                 results_serial[index].meta.setdefault("fallback", reason)
             return results_serial
@@ -290,13 +314,13 @@ class BatchEngine:
             )
             solved = []
             for index in pool_indices:
-                result = execute_job(jobs[index], self.cache)
+                result = solve(index)
                 result.meta.setdefault("fallback", reason)
                 solved.append(result)
         for index, result in zip(pool_indices, solved):
             results[index] = result
         for index in serial:
-            result = execute_job(jobs[index], self.cache)
+            result = solve(index)
             if index in fallback:
                 result.meta.setdefault("fallback", fallback[index])
             results[index] = result
@@ -382,17 +406,16 @@ def _may_use_circuit(job: CountJob) -> bool:
     return job.problem not in ("val", "comp") or job.db.parent is not None
 
 
-def _circuit_keys(job: CountJob) -> list[str]:
-    """The circuit-store keys of ``job``: its own instance first, then the
-    ancestors its circuit conditions from, nearest first
-    (:func:`~repro.engine.incremental.conditioning_ancestors`).  Empty when
-    the instance has no key (an opaque query or an invalid delta chain).
+def _circuit_keys(job: CountJob, db: IncompleteDatabase | None) -> list[str]:
+    """The circuit-store keys of ``job``, whose instance is ``db``: the
+    instance first, then the ancestors its circuit conditions from,
+    nearest first (:func:`~repro.engine.incremental.conditioning_ancestors`).
+    Empty when the instance has no key (an opaque query, or an invalid
+    delta chain: ``db`` is ``None``, and the solve reports the error).
     """
+    if db is None:
+        return []
     kind = "comp" if job.problem == "comp" else "val"
-    try:
-        db = instance_db(job)
-    except (ValueError, KeyError, TypeError):
-        return []  # an invalid delta chain: the solve reports the error
     nodes = [db] + [
         ancestor for ancestor, _deltas in conditioning_ancestors(db, kind)
     ]

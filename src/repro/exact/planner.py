@@ -452,7 +452,9 @@ def run(
 
     ``val-weighted`` runs the method's ``sweep`` runner on the one row
     ``[weights]`` and returns its one answer (``weights=None``: the plain
-    count).  ``store`` is an optional circuit store (the engine's
+    count).  A ``sweep`` of no rows is ``[]`` under every method, with
+    no runner called, so no circuit is fetched or compiled.  ``store`` is
+    an optional circuit store (the engine's
     :class:`~repro.engine.cache.CountCache`) that circuit-backed methods
     fetch from, derive into and install into.
     """
@@ -465,6 +467,8 @@ def run(
     with _span("planner.run", problem=problem, method=method):
         if problem == "val-weighted":
             return runner(db, query, budget, [weights], store)[0]
+        if problem == "sweep" and not weights:
+            return []  # no row to answer: fetch (or compile) nothing
         return runner(db, query, budget, weights, store)
 
 

@@ -1,5 +1,9 @@
 """Canonical-fingerprint soundness and invariance (repro.engine.fingerprint)."""
 
+import random
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
 from repro.core.query import Atom, BCQ, Const, CustomQuery, Negation, UCQ
@@ -9,7 +13,9 @@ from repro.db.terms import Null
 from repro.engine import (
     BatchEngine,
     CountJob,
+    fingerprint,
     fingerprint_db,
+    fingerprint_instance,
     fingerprint_job,
     fingerprint_jobs,
     fingerprint_query,
@@ -204,3 +210,178 @@ class TestBatchFingerprint:
         again = engine.run(batch())
         assert all(result.cache_hit for result in again)
         assert fingerprint._canonical_text.cache_info().misses == 2
+
+
+# ---------------------------------------------------------------------------
+# weight tables written as text, against the form-then-repr oracle
+# ---------------------------------------------------------------------------
+
+
+def _weights_form(weights, index):
+    """The weight-table form the fingerprints were first defined by (the
+    oracle): ``repr`` of it is the text ``fingerprint._weights_text``
+    writes directly."""
+    if not weights:
+        return ()
+    items = []
+    for null, table in weights.items():
+        if index is None:
+            key: object = repr(null.label)
+        elif null in index:
+            key = index[null]
+        else:
+            key = ("unknown", repr(null.label))
+        inner = tuple(
+            sorted(
+                (fingerprint._constant_key(value), repr(weight))
+                for value, weight in dict(table).items()
+            )
+        )
+        items.append((key, inner))
+    return tuple(sorted(items, key=repr))
+
+
+def _oracle_fingerprint(job):
+    """``fingerprint_job`` of a weighted job by the form-then-repr route."""
+    import hashlib
+
+    if job.problem == "marginals":
+        form = fingerprint._exact_db_form(job.db)
+        extras: tuple = (_weights_form(job.weights, None),)
+    else:
+        form, index = fingerprint._canonical_db(job.db)
+        if job.problem == "val-weighted":
+            extras = (_weights_form(job.weights, index),)
+        else:
+            extras = (tuple(_weights_form(row, index) for row in job.weights),)
+    payload = repr((job.problem, extras, fingerprint_query(job.query), form))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _weight(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.randint(0, 4)
+    if kind == 1:
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+    if kind == 2:
+        return round(rng.uniform(-3, 3), rng.randint(0, 4))
+    if kind == 3:
+        return -rng.randint(1, 9)
+    # Equal weights spelled differently must keep their own text.
+    return rng.choice([1, 1.0, True, Fraction(1), 0, 0.0, -0.0, False])
+
+
+def _table(rng, db):
+    """A partial table over ``db``'s nulls, sometimes naming a null the
+    database does not have."""
+    table = {}
+    for null in db.nulls:
+        if rng.random() < 0.3:
+            continue
+        values = sorted(db.domain_of(null), key=repr)
+        table[null] = {value: _weight(rng) for value in values if rng.random() < 0.8}
+    if rng.random() < 0.3:
+        table[Null("zz%d" % rng.randrange(3))] = {"a": rng.randint(1, 3)}
+    return table
+
+
+def _weighted_jobs(seed, count):
+    rng = random.Random(seed)
+    query = BCQ([Atom("R", ["x", "y"]), Atom("S", ["y"])])
+    jobs = []
+    while len(jobs) < count:
+        nulls = [Null("n%d" % i if rng.random() < 0.7 else i) for i in range(rng.randint(2, 5))]
+        terms = nulls + ["a", "b", 1, 2.5]
+        facts = [
+            Fact("R", [rng.choice(terms), rng.choice(terms)])
+            for _ in range(rng.randint(2, 6))
+        ] + [Fact("S", [rng.choice(nulls)])]
+        occurring = {t for fact in facts for t in fact.terms if isinstance(t, Null)}
+        dom = {
+            null: rng.sample(["a", "b", "c", 1, 2, 1.0, Fraction(1, 2)], rng.randint(1, 4))
+            for null in occurring
+        }
+        db = IncompleteDatabase(facts, dom=dom)
+        for problem in ("val-weighted", "marginals"):
+            weights = None if rng.random() < 0.1 else _table(rng, db)
+            jobs.append(CountJob(problem, db, query, weights=weights))
+        rows = [
+            None if rng.random() < 0.15 else _table(rng, db)
+            for _ in range(rng.choice([0, 1, 1, 2, 3, 5]))
+        ]
+        jobs.append(CountJob("sweep", db, query, weights=rows))
+    return jobs
+
+
+class TestWeightsText:
+    """The written text is byte for byte the ``repr`` of the form: int,
+    Fraction, float and negative weights, equal weights of other types,
+    partial tables, unknown nulls, ``None`` rows, one-row and empty
+    sweeps."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fingerprints_match_the_oracle(self, seed):
+        jobs = _weighted_jobs(seed, 300)
+        kinds = Counter(job.problem for job in jobs)
+        assert min(kinds.values()) >= 100
+        sizes = Counter(len(job.weights) for job in jobs if job.problem == "sweep")
+        assert sizes[0] and sizes[1]
+        for job in jobs:
+            assert fingerprint_job(job) == _oracle_fingerprint(job)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tables_match_the_oracle_in_both_coordinates(self, seed):
+        for job in _weighted_jobs(seed + 10, 150):
+            _form, index = fingerprint._canonical_db(job.db)
+            rows = job.weights if job.problem == "sweep" else [job.weights]
+            for row in rows:
+                for coordinates in (None, index):
+                    assert fingerprint._weights_text(row, coordinates) == repr(
+                        _weights_form(row, coordinates)
+                    )
+
+    def test_equal_tables_keep_their_spelling(self):
+        null = Null("n")
+        spellings = [{"a": 1}, {"a": 1.0}, {"a": True}, {"a": Fraction(1)},
+                     {"a": 0.0}, {"a": -0.0}, {1: 2}, {1.0: 2}, {True: 2}]
+        for _round in range(2):  # the second round reads the memo
+            texts = [fingerprint._weights_text({null: t}, None) for t in spellings]
+            assert texts == [repr(_weights_form({null: t}, None)) for t in spellings]
+            assert len(set(texts)) == len(spellings)
+
+
+class TestExactTextMemo:
+    """Label-exact texts are memoized per database object: never shared
+    between equal databases, never keeping one alive, bounded."""
+
+    def test_equal_databases_keep_their_own_spelling(self):
+        query = BCQ([Atom("R", ["x", "y"])])
+        a = Null("n")
+        ints = IncompleteDatabase([Fact("R", [a, 1])], dom={a: [1, 2]})
+        floats = IncompleteDatabase([Fact("R", [a, 1.0])], dom={a: [1.0, 2]})
+        assert ints == floats
+        for _round in range(2):
+            for db in (ints, floats, ints):
+                assert fingerprint._exact_text(db) == repr(fingerprint._exact_db_form(db))
+        assert fingerprint_instance(ints, query) != fingerprint_instance(floats, query)
+
+    def test_memo_keeps_no_database_alive(self):
+        import gc
+        import weakref
+
+        db = _db("gone1", "gone2")
+        fingerprint_instance(db, BCQ([Atom("R", ["x", "y"])]))
+        ref = weakref.ref(db)
+        del db
+        gc.collect()
+        assert ref() is None
+
+    def test_memo_is_bounded(self):
+        databases = [_db("b%d" % i, "c%d" % i) for i in range(300)]
+        for db in databases:
+            fingerprint._exact_text(db)
+        assert len(fingerprint._EXACT_TEXTS) == 256
+        # The most recent entries survive; the oldest were evicted.
+        assert id(databases[-1]) in fingerprint._EXACT_TEXTS
+        assert id(databases[0]) not in fingerprint._EXACT_TEXTS

@@ -297,7 +297,7 @@ class TestDispatch:
             for size in (8, 9, 10)
         ]
         for task in circuit_tasks:
-            assert len({_circuit_keys(job)[0] for job in task}) == 1
+            assert len({_circuit_keys(job, job.db)[0] for job in task}) == 1
         assert [result.label for result in results] == [job.label for job in jobs]
         expected = BatchEngine(workers=0).run(jobs)
         assert [result.count for result in results] == [

@@ -105,6 +105,35 @@ def test_derive_installs_the_child():
     assert cache.stats()["circuits"] == 2
 
 
+def test_derive_walks_the_chain_without_building_databases(monkeypatch):
+    """Conditioning from a cached grandparent walks the chain's own nodes:
+    no database is built, and the child answers as a fresh compile."""
+    db = base_db()
+    middle = db.apply(ResolveNull(N1, "b"))
+    child = middle.apply(RestrictDomain(N2, frozenset({"a", "c"})))
+    cache = CountCache()
+    cache.put_circuit(
+        fingerprint_instance(db, QUERY, "val"), ValuationCircuit(db, QUERY)
+    )
+    builds = []
+    original = IncompleteDatabase.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(IncompleteDatabase, "__init__", counting_init)
+    derived = derive_instance_circuit(child, QUERY, "val", cache)
+    monkeypatch.undo()
+    assert builds == []
+    fresh = ValuationCircuit(child, QUERY)
+    weights = {N2: {"a": 3, "c": 2}}
+    assert derived.count() == fresh.count()
+    assert derived.weighted_count(weights) == fresh.weighted_count(weights)
+    assert derived.marginals(weights) == fresh.marginals(weights)
+    assert cache.parent_chain_hits == 1
+
+
 def test_derive_without_provenance_or_ancestor_returns_none():
     db = base_db()
     cache = CountCache()
@@ -163,14 +192,14 @@ def test_one_rule_for_which_ancestors_condition(name):
     # the engine keys a job by its own instance, then by the ancestors it
     # conditions from, nearest first: a cached root serves it exactly
     # where conditioning reaches the root
-    keys = _circuit_keys(CountJob(problem="val", db=db, query=QUERY))
+    keys = _circuit_keys(CountJob(problem="val", db=db, query=QUERY), db)
     assert keys == [
         fingerprint_instance(node, QUERY, "val")
         for node in reversed(nodes[len(nodes) - 1 - reach:])
     ]
     root = fingerprint_instance(nodes[0], QUERY, "val")
     assert (root in keys[1:]) == (0 < reach == len(deltas))
-    assert _circuit_keys(CountJob(problem="comp", db=db, query=QUERY)) == [
+    assert _circuit_keys(CountJob(problem="comp", db=db, query=QUERY), db) == [
         fingerprint_instance(db, QUERY, "comp")
     ]
 

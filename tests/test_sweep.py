@@ -402,6 +402,25 @@ class TestEngineSweepJobs:
         assert results[0].count == results[1].count == result.count
         assert results[1].cache_hit
 
+    def test_empty_sweep_compiles_nothing(self):
+        """A sweep of no rows is ``[]`` without fetching or compiling the
+        circuit its plan names."""
+        from repro.engine import CountCache
+
+        db, query = scaling_hard_val_instance(10)
+        assert planner.plan("sweep", db, query).chosen == "circuit"
+        store = CountCache()
+        answer = solve("sweep", db, query, weights=[], store=store)
+        assert (answer.count, answer.method) == ([], "circuit")
+        engine = BatchEngine(workers=0)
+        result = engine.run([CountJob("sweep", db, query, weights=())])[0]
+        assert (result.count, result.method, result.error) == (
+            [], "circuit", None
+        )
+        for cache in (store, engine.cache):
+            stats = cache.stats()
+            assert (stats["circuits"], stats["circuit_misses"]) == (0, 0)
+
     def test_jsonl_round_trip(self):
         line = json.dumps({
             "problem": "sweep",
