@@ -70,14 +70,13 @@ def count_valuations_lineage(
     db: IncompleteDatabase, query: BooleanQuery
 ) -> int:
     """``#Val(q)(D)`` via lineage compilation and exact model counting."""
+    # A probe's encoding only: the search orders by nulls, the probe by
+    # variables.
     probe = memoized_probe("val", db, query)
-    if probe is not None:  # reuse its encoding and, reversed, its order
-        encoding, order = probe.encoding, probe.order[::-1]
-    else:
-        encoding, order = compile_valuation_cnf(db, query), None
+    encoding = probe.encoding if probe else compile_valuation_cnf(db, query)
     if encoding.total_valuations == 0:
         return 0
-    return encoding.count_from_models(count_models(encoding.cnf, order=order))
+    return encoding.count_from_models(count_models(encoding.cnf))
 
 
 def count_completions_lineage(

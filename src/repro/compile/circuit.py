@@ -8,8 +8,11 @@ A :class:`DDNNF` is the trace of one exact model-counting search
   set of literals (the decision plus everything unit propagation forced),
   lists the variables the branch *freed* (eliminated without assigning —
   both values extend), and points at a sub-circuit.  Branches of one node
-  assign the decision variable opposite values, so no assignment is
-  counted twice;
+  exclude each other: a two-way decision sets one variable true in one
+  branch and false in the other, and a k-way decision (one per null of a
+  ``#Val`` search) sets a different member of an exactly-one block true
+  in each, which sets the others false — so no assignment is counted
+  twice;
 * **product nodes** are decomposable conjunctions: the children are the
   variable-disjoint components the residual formula split into;
 * **cache hits** of the search become shared sub-circuits — the circuit
@@ -59,7 +62,9 @@ drops out.  :meth:`_Plan.upward` then computes every branch weight with
 one ``multiply.reduceat``, and each level with a gather and a
 ``multiply.reduceat`` (products) and a gather, a multiply by the branch
 weights and an ``add.reduceat`` (decisions): O(depth) vector operations
-per pass, not one interpreter step per literal.  :meth:`_Plan.downward`
+per pass, not one interpreter step per literal (a wide column gathers
+and combines each run position in turn instead, in the same order; see
+:class:`_Runs`).  :meth:`_Plan.downward`
 walks the same levels parents-first with segmented sibling products (no
 division, so a zero child stays exact) and sorted scatter-adds, and
 writes all literal counts with one scatter-add of per-branch masses.
@@ -88,7 +93,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as _np
 
@@ -190,10 +195,14 @@ class _Runs:
     """Runs of a flat array, grouped into consecutive blocks (the levels),
     each run reduced to one item by :meth:`reduce` on one block's items.
 
-    A one-wide column reduces with ``reduceat``; a wider one by pairwise
-    halving, since a 2-D ``reduceat`` pays per run and row.  The halving
-    steps of every block are laid out together, on the first wide
-    reduction.
+    A one-wide column reduces with ``reduceat``; a wider one position by
+    position, since a 2-D ``reduceat`` pays per run and row: each run's
+    first item, then its k-th item combined in for k = 1, 2, … over the
+    runs longer than k.  That is ``reduceat``'s left-to-right order, so
+    both widths associate alike.  :meth:`reduce_from` takes the items from
+    a gather, so a wide reduction reads each item once, at its position,
+    and builds no column of every item.  The positions of every block are
+    laid out together, on the first wide reduction.
     """
 
     __slots__ = ("starts", "total", "blocks", "local", "steps")
@@ -215,52 +224,49 @@ class _Runs:
         ]
         self.steps: list | None = None
 
-    def _halvings(self) -> list:
-        """Per block, per step: the items kept (each run's even
-        positions), which of them have a partner (``None``: all), and the
-        partners — all relative to the block."""
+    def _positions(self) -> list:
+        """Per block, per position k >= 1: the runs longer than k
+        (``None``: all) and their k-th items, relative to the block."""
         lengths = _np.diff(_np.append(self.starts, self.total))
-        counts = _np.diff(self.blocks)
-        steps: list = [[] for _ in counts]
-        while lengths.size and lengths.max() > 1:
-            kept = (lengths + 1) // 2
-            item = _within(kept)
-            run_first = _np.cumsum(lengths) - lengths
-            take = _np.repeat(run_first, kept) + 2 * item
-            paired = 2 * item + 1 < _np.repeat(lengths, kept)
-            into = _np.append(run_first, lengths.sum())[self.blocks]
-            out = _np.append(_np.cumsum(kept) - kept, kept.sum())[self.blocks]
-            take -= _np.repeat(into[:-1], _np.diff(out))
-            pairs = _np.flatnonzero(paired)
-            pair_bounds = _np.searchsorted(pairs, out)
-            for block in _np.flatnonzero(_np.diff(pair_bounds)):
-                p0, p1 = pair_bounds[block], pair_bounds[block + 1]
-                o0, o1 = out[block], out[block + 1]
-                chosen = take[o0:o1]
-                partners = pairs[p0:p1] - o0
-                steps[block].append((
-                    _ids(chosen),
-                    None if p1 - p0 == o1 - o0 else _ids(partners),
-                    _ids(chosen[partners] + 1),
+        steps = []
+        for local, lo, hi in zip(self.local, self.blocks[:-1], self.blocks[1:]):
+            runs = lengths[lo:hi]
+            positions = []
+            for k in range(1, int(runs.max(initial=1))):
+                longer = _np.flatnonzero(runs > k)
+                positions.append((
+                    None if longer.size == runs.size else _ids(longer),
+                    local[longer] + k,
                 ))
-            lengths = kept
+            steps.append(positions)
         return steps
 
     def reduce(
         self, op: _np.ufunc, items: _np.ndarray, block: int = 0
     ) -> _np.ndarray:
-        if items.shape[1] == 1:
-            return op.reduceat(items, self.local[block], axis=0)
+        return self.reduce_from(op, items.__getitem__, items.shape[1], block)
+
+    def reduce_from(
+        self,
+        op: _np.ufunc,
+        take: Callable[..., _np.ndarray],
+        width: int,
+        block: int = 0,
+    ) -> _np.ndarray:
+        """:meth:`reduce` of the ``width``-wide items ``take(index)``
+        returns for an index into the block (``slice(None)``: all)."""
+        local = self.local[block]
+        if width == 1:
+            return op.reduceat(take(slice(None)), local, axis=0)
         if self.steps is None:
-            self.steps = self._halvings()
-        for take, paired, partner in self.steps[block]:
-            head = items[take]
-            if paired is None:
-                op(head, items[partner], out=head)
+            self.steps = self._positions()
+        result = take(local)
+        for longer, at in self.steps[block]:
+            if longer is None:
+                op(result, take(at), out=result)
             else:
-                head[paired] = op(head[paired], items[partner])
-            items = head
-        return items
+                result[longer] = op(result[longer], take(at))
+        return result
 
 
 class _Plan:
@@ -557,17 +563,20 @@ class _Plan:
             values[self.free_nodes] = tables.values(self.free_vars) + (
                 tables.values(self.free_vars + self.num_variables)
             )
-        branch_child = self.branch_child
+        width = tables.width
         with _span("circuit.upward", nodes=self.size):
             for level, (nodes, kids, deciders, lo, hi) in enumerate(self.levels):
                 if nodes is not None:
-                    values[nodes] = self.product_runs.reduce(
-                        _np.multiply, values[kids], level
+                    values[nodes] = self.product_runs.reduce_from(
+                        _np.multiply, lambda at: values[kids[at]], width, level
                     )
                 if deciders is not None:
-                    sums = self.branch_runs.reduce(
+                    child = self.branch_child[lo:hi]
+                    weight = weights[lo:hi]
+                    sums = self.branch_runs.reduce_from(
                         _np.add,
-                        values[branch_child[lo:hi]] * weights[lo:hi],
+                        lambda at: values[child[at]] * weight[at],
+                        width,
                         level,
                     )
                     values[deciders] = _np.maximum(sums, 1) if clamp else sums

@@ -387,8 +387,8 @@ def dpdb_probe(
     Compiles the matching encoding once, reads the two-phase greedy
     elimination width off the cached primal masks, and reports budget
     overruns instead of paying for huge instances.  The runners reuse the
-    probe's encoding and elimination (:func:`memoized_probe`), so planning
-    never duplicates work the solve would redo.
+    probe's encoding, and the DP its elimination (:func:`memoized_probe`),
+    so planning never duplicates work the solve would redo.
     """
     key = (kind, db, query)
     _PROBES[key] = probe = _PROBES.pop(key, None) or _probe(kind, db, query)

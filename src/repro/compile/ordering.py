@@ -9,7 +9,10 @@ on top of the greedy eliminations computed here:
 
 * the **trail core** branches in *reverse* elimination order, so the
   residual formula falls apart into the decomposition's subtrees, which
-  the component cache then conquers independently;
+  the component cache then conquers independently.  A full count orders
+  by nulls: :func:`exactly_one_blocks` finds the formula's exactly-one
+  blocks, and :func:`branching_order` eliminates the graph that contracts
+  each block to one vertex, then lists the block's variables together;
 * the **dpdb backend** (:mod:`repro.compile.decompose` /
   :mod:`repro.compile.dpdb`) turns the elimination *bags* — the
   neighborhoods each vertex had at elimination time — directly into a
@@ -36,14 +39,14 @@ The module has one primal-graph build and one elimination.
 planner's width probe, the decomposer and the model counter share one
 build; :func:`refined_elimination_masks` is the one two-phase greedy
 elimination all of them run, and :func:`branching_order` is its reverse
-for the search.
+for the search (over the block-contracted graph when given blocks).
 """
 
 from __future__ import annotations
 
 import heapq
 import weakref
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.complexity.cnf import CNF
 
@@ -272,7 +275,45 @@ def refined_elimination_masks(
     return order, width, bags
 
 
-def branching_order(cnf: CNF) -> tuple[list[int], int]:
+def exactly_one_blocks(cnf: CNF) -> list[tuple[int, ...]]:
+    """The formula's exactly-one blocks, as ascending variable tuples.
+
+    A block is an all-positive clause of two or more literals whose
+    members are pairwise excluded by ``(-x, -y)`` binary clauses: the
+    shape :meth:`~repro.complexity.cnf.CNF.add_exactly_one` writes for
+    each null's choice variables, so in a ``#Val`` encoding a block is a
+    null and its models are the null's values.  Blocks are disjoint:
+    clauses are read in order, and one that shares a variable with a
+    block already found is not a block.  (Clauses are stored sorted, so a
+    pair and a block list their variables ascending.)
+    """
+    clauses = cnf.clauses
+    excluded = {
+        (-clause[0], -clause[1])
+        for clause in clauses
+        if len(clause) == 2 and clause[0] < 0 and clause[1] < 0
+    }
+    blocks: list[tuple[int, ...]] = []
+    taken: set[int] = set()
+    for clause in clauses:
+        if (
+            len(clause) < 2
+            or min(clause) < 0
+            or not taken.isdisjoint(clause)
+            or not all(
+                (left, right) in excluded
+                for i, left in enumerate(clause) for right in clause[i + 1:]
+            )
+        ):
+            continue
+        blocks.append(clause)
+        taken.update(clause)
+    return blocks
+
+
+def branching_order(
+    cnf: CNF, blocks: Sequence[Sequence[int]] = ()
+) -> tuple[list[int], int]:
     """Static branching order for the counter: reverse elimination order.
 
     The last vertex eliminated corresponds to the root bag of the induced
@@ -281,7 +322,49 @@ def branching_order(cnf: CNF) -> tuple[list[int], int]:
     absent from every clause are unconstrained and omitted.  Also returns
     the induced width as a difficulty estimate.  (The counter turns the
     order into a flat positional rank table itself.)
+
+    With ``blocks`` (disjoint variable sets, as :func:`exactly_one_blocks`
+    finds them) the elimination runs on the quotient graph that contracts
+    each block to its lowest variable, so a null is ordered as one vertex;
+    the reversed order then lists each block's variables together,
+    ascending, where its vertex stands.  The width stays a variable-level
+    figure: the largest bag, blocks expanded, less one.
     """
-    order, width, _ = refined_elimination_masks(primal_masks(cnf))
+    masks = primal_masks(cnf)
+    if not blocks:
+        order, width, _ = refined_elimination_masks(masks)
+        order.reverse()
+        return order, width
+    head = list(range(cnf.num_variables + 1))
+    members: dict[int, list[int]] = {}
+    for block in blocks:
+        block = sorted(block)
+        members[block[0]] = block
+        for variable in block:
+            head[variable] = block[0]
+    quotient: dict[int, int] = {}
+    for variable, mask in masks.items():
+        contracted = 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            contracted |= 1 << head[low.bit_length() - 1]
+        vertex = head[variable]
+        quotient[vertex] = quotient.get(vertex, 0) | contracted
+    for vertex in quotient:
+        quotient[vertex] &= ~(1 << vertex)
+    order, _width, bags = refined_elimination_masks(quotient)
+    grouped = sum(1 << vertex for vertex in members)
+    width = 0
+    for bag in bags:
+        size = bag.bit_count()
+        rest = bag & grouped
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            size += len(members[low.bit_length() - 1]) - 1
+        width = max(width, size - 1)
     order.reverse()
-    return order, width
+    return [
+        variable for vertex in order for variable in members.get(vertex, (vertex,))
+    ], width

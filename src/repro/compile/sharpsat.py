@@ -17,10 +17,11 @@ in-place state** instead of immutable formula copies:
   they bridge; variable-disjoint parts are counted independently and
   multiplied;
 * **component caching** — a component is memoised under its variable
-  bitset and the sorted packed contents of its live long clauses (each
-  reduced clause packs into one int).  Its live binary clauses are the
-  stored ones inside its variables, so two components share a key exactly
-  when their clauses are equal, the reference counter's cache equivalence;
+  bitset and the sorted contents of its live long clauses, each reduced
+  clause one int of literal bits cut from a static table by one bit-AND.
+  Its live binary clauses are the stored ones inside its variables, so
+  two components share a key exactly when their clauses are equal, the
+  reference counter's cache equivalence;
 * **root unit propagation** runs once before the search: the input's
   unit clauses and what they force land on the root trail, and the
   recorded circuit's root decision node carries them;
@@ -28,6 +29,13 @@ in-place state** instead of immutable formula copies:
   (:func:`repro.compile.ordering.branching_order`) — the primal graph is
   memoized per CNF, so a formula the planner's width probe already saw
   costs the counter no second build;
+* **search by nulls**: a full count finds the formula's exactly-one
+  blocks (:func:`~repro.compile.ordering.exactly_one_blocks`; in a
+  ``#Val`` encoding, one per null), orders them as single vertices, and
+  decides a block of three or more variables in one **k-way decision**,
+  one branch per unassigned member (that member true; the block's binary
+  clauses set the rest false).  Projected searches keep the
+  variable-level order and two-way decisions;
 * optional **projected counting**: with a projection set ``P``, models
   that agree on ``P`` are counted once — the engine branches on ``P``
   variables only and falls back to a satisfiability check once a component
@@ -56,7 +64,7 @@ from operator import or_
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.complexity.cnf import CNF
-from repro.compile.ordering import branching_order
+from repro.compile.ordering import branching_order, exactly_one_blocks
 from repro.compile.trail import ClauseStore
 from repro.obs import incr as _incr, span as _span
 
@@ -80,7 +88,8 @@ class ModelCounter:
     ``projection`` — variables to count over; ``None`` counts full models.
     ``order`` — static branching order; defaults to
     :func:`~repro.compile.ordering.branching_order` of the formula, the
-    reverse of its two-phase elimination order.
+    reverse of its two-phase elimination order, with the formula's
+    exactly-one blocks as single vertices when counting full models.
     ``trace`` — optional :class:`TraceBuilder`; when given, :meth:`count`
     additionally records the search as a d-DNNF circuit rooted at
     :attr:`trace_root`.
@@ -112,9 +121,11 @@ class ModelCounter:
         self.width: int | None
         self._stats_flushed = False
         self._store = store = ClauseStore(cnf.num_variables, cnf.clauses)
+        # A full count orders and branches by the exactly-one blocks.
+        blocks = exactly_one_blocks(cnf) if self._projection is None else []
         if order is None:
             with _span("compile.ordering", variables=cnf.num_variables):
-                order, width = branching_order(cnf)
+                order, width = branching_order(cnf, blocks)
             self.width = width
         else:
             order = list(order)
@@ -136,33 +147,35 @@ class ModelCounter:
         self._proj_mask: int | None = None
         if self._projection is not None:
             self._proj_mask = sum(bits[v] for v in self._projection)
-        self._key_base = base = 2 * cnf.num_variables + 2
+        size = store.num_variables
+        #: ``_choices[bit]``: the block of the variable at that rank bit
+        #: when it has three or more variables, else ``None``.
+        self._choices: list[tuple[int, ...] | None] = [None] * size
+        for block in blocks:
+            if len(block) > 2:
+                for variable in block:
+                    self._choices[bits[variable].bit_length() - 1] = block
         self._cache: dict = {}
         self._sat_cache: dict[tuple, bool] = {}
         self._result: int | None = None
 
-        # The split's static tables: per clause its length, rank bits and
-        # packed content; per rank bit its binary neighbours, and the
-        # binary clauses whose lower bit it is, as ``(index, other
+        # The split's static tables: per clause its rank bits and its
+        # literal bits (literal ``v`` at ``v``'s rank bit, ``-v`` that bit
+        # shifted up by ``size``); per rank bit its binary neighbours, and
+        # the binary clauses whose lower bit it is, as ``(index, other
         # variable)``.
-        lengths = []
         masks = []
-        full_pack = []
+        contents = []
         for clause in store.clauses:
-            lengths.append(len(clause))
             mask = 0
-            packed = 0
+            content = 0
             for literal in clause:
                 mask |= bits[literal]
-                packed = packed * base + (
-                    2 * literal if literal > 0 else 1 - 2 * literal
-                )
+                content |= bits[literal] if literal > 0 else bits[literal] << size
             masks.append(mask)
-            full_pack.append(packed)
-        self._lengths = lengths
+            contents.append(content)
         self._clause_masks = masks
-        self._full_pack = full_pack
-        size = store.num_variables
+        self._contents = contents
         adjacent = [0] * size
         binaries: list[list[tuple[int, int]]] = [[] for _ in range(size)]
         lower = [0] * len(store.clauses)
@@ -293,23 +306,20 @@ class ModelCounter:
         binary clause is satisfied or has both variables unassigned, so
         that adjacency is the live binary clauses.  The live long clauses
         then attach to the groups they meet, merging those they bridge; a
-        variable no live clause holds joins no component.  A long clause
-        propagation never touched (``free == len``) reuses its static
-        bitset and packed content (base-``2n+2`` digits in stored order).
-        Components come ordered by smallest live clause index, binary
-        clauses included: the order the circuit's nodes follow.
+        variable no live clause holds joins no component.  A live clause's
+        unassigned variables are exactly its rank bits inside
+        ``variables``, so its residual bitset and its residual content (the
+        literal bits of those variables) are each one bit-AND of a static
+        table.  Components come ordered by smallest live clause index,
+        binary clauses included: the order the circuit's nodes follow.
         """
         store = self._store
         value = store.value
-        clauses = store.clauses
         sat = store.sat
-        free = store.free
-        lengths = self._lengths
         clause_masks = self._clause_masks
-        full_pack = self._full_pack
-        bits = self._bits
-        base = self._key_base
+        contents = self._contents
         adjacent = self._adjacent
+        scope = variables | variables << store.num_variables
 
         # Each group: [variable bitset, positions of its long clauses].
         groups: list[list] = []
@@ -334,28 +344,9 @@ class ModelCounter:
                 frontier = reach & remaining
             groups.append([group, []])
 
-        live = []
-        masks = []
-        packs = []
-        for ci in indices:
-            if sat[ci]:
-                continue
-            live.append(ci)
-            if free[ci] == lengths[ci]:
-                masks.append(clause_masks[ci])
-                packs.append(full_pack[ci])
-            else:
-                mask = 0
-                packed = 0
-                for literal in clauses[ci]:
-                    variable = literal if literal > 0 else -literal
-                    if not value[variable]:
-                        mask |= bits[variable]
-                        packed = packed * base + (
-                            2 * literal if literal > 0 else 1 - 2 * literal
-                        )
-                masks.append(mask)
-                packs.append(packed)
+        live = [ci for ci in indices if not sat[ci]]
+        masks = [clause_masks[ci] & variables for ci in live]
+        packs = [contents[ci] & scope for ci in live]
         # With one group and no lonely variable, every live long clause
         # lies inside the group.
         if lonely or len(groups) != 1:
@@ -456,12 +447,24 @@ class ModelCounter:
             if trace is not None:
                 node = trace.constant(satisfiable)
         else:
-            variable = self._variables[(pick & -pick).bit_length() - 1]
+            position = (pick & -pick).bit_length() - 1
+            variable = self._variables[position]
             store = self._store
             bits = self._bits
+            block = self._choices[position]
+            if block is None:
+                literals: Sequence[int] = (variable, -variable)
+            else:
+                # One branch per value of the null.  No member is true
+                # (its binaries would have set the unassigned pick false),
+                # so the block's clause is live and one of its unassigned
+                # members is true in every model: those branches are
+                # exhaustive, and the binaries make them exclusive.
+                value = store.value
+                literals = [member for member in block if not value[member]]
             result = 0
             branches = []
-            for literal in (variable, -variable):
+            for literal in literals:
                 self.decisions += 1
                 mark = store.mark()
                 if not store.propagate((literal,)):

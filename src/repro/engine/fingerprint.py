@@ -122,14 +122,32 @@ def _canonical_db(
     some database isomorphism carries one weight table onto the other —
     which provably preserves the weighted count.
     """
-    nulls = db.nulls
+    return _canonical_form(*_content(db))
+
+
+def _content(db: IncompleteDatabase) -> tuple:
+    """What database equality compares: the facts, the domain items and
+    the uniform flag."""
+    return (
+        db.facts,
+        frozenset((null, db.domain_of(null)) for null in db.nulls),
+        db.is_uniform,
+    )
+
+
+def _canonical_form(
+    facts: frozenset, domains: frozenset, uniform: bool
+) -> tuple[Canonical, dict[Null, int]]:
+    """:func:`_canonical_db` from a database's :func:`_content`."""
+    dom = dict(domains)
+    nulls = sorted(dom)
     signature: dict[Null, str] = {
-        null: repr(tuple(sorted(repr(v) for v in db.domain_of(null))))
+        null: repr(tuple(sorted(repr(v) for v in dom[null])))
         for null in nulls
     }
     for _ in range(2):
         occurrences: dict[Null, list[str]] = {null: [] for null in nulls}
-        for fact in db.facts:
+        for fact in facts:
             shape = (
                 fact.relation,
                 tuple(
@@ -147,7 +165,7 @@ def _canonical_db(
 
     ordered = sorted(nulls, key=lambda n: (signature[n], repr(n.label)))
     index = {null: i for i, null in enumerate(ordered)}
-    facts = tuple(
+    canonical_facts = tuple(
         sorted(
             (
                 fact.relation,
@@ -156,27 +174,32 @@ def _canonical_db(
                     for t in fact.terms
                 ),
             )
-            for fact in db.facts
+            for fact in facts
         )
     )
-    domains = tuple(
-        tuple(sorted(repr(v) for v in db.domain_of(null))) for null in ordered
+    canonical_domains = tuple(
+        tuple(sorted(repr(v) for v in dom[null])) for null in ordered
     )
-    return ("db", db.is_uniform, facts, domains), index
+    return ("db", uniform, canonical_facts, canonical_domains), index
 
 
 @lru_cache(maxsize=256)
-def _canonical_text(db: IncompleteDatabase) -> tuple[str, dict[Null, int]]:
-    """``repr`` of :func:`_canonical_db`'s form, with its null relabeling.
+def _canonical_text(
+    facts: frozenset, domains: frozenset, uniform: bool
+) -> tuple[str, dict[Null, int]]:
+    """``repr`` of the canonical form of a database's :func:`_content`,
+    with its null relabeling.
 
-    Memoized by database equality (facts and domains), for the 256 most
-    recently used databases; the memo keeps the text, not the larger form.
-    The result is shared, so callers must not mutate the relabeling.
-    Databases that are equal but spell a constant with different types
-    (``1``, ``1.0``, ``True``) share the text computed first, which is
-    sound: equal databases have equal counts.
+    Memoized by that content, so by database equality, for the 256 most
+    recently used contents; the memo keeps the text, not the larger form,
+    and holds facts and nulls but no database (a database would keep its
+    provenance ancestors alive).  The result is shared, so callers must
+    not mutate the relabeling.  Databases that are equal but spell a
+    constant with different types (``1``, ``1.0``, ``True``) share the
+    text computed first, which is sound: equal databases have equal
+    counts.
     """
-    form, index = _canonical_db(db)
+    form, index = _canonical_form(facts, domains, uniform)
     return repr(form), index
 
 
@@ -274,8 +297,11 @@ def _weights_text(weights, index: Mapping[Null, int] | None) -> str:
         return "()"
     items = []
     for null, table in weights.items():
+        # A key that is not a null (a bare label) is named by its constant
+        # key, a tuple, which no null's quoted label text equals.
+        label = repr(null.label) if is_null(null) else _constant_key(null)
         if index is None:
-            key = repr(repr(null.label))
+            key = repr(label)
         else:
             position = index.get(null)
             # A null the database does not have: the job will fail in
@@ -283,7 +309,7 @@ def _weights_text(weights, index: Mapping[Null, int] | None) -> str:
             # deterministic label-exact key is sound (equal fingerprints
             # fail identically) — and the batch must not crash here.
             key = (
-                repr(("unknown", repr(null.label)))
+                repr(("unknown", label))
                 if position is None
                 else repr(position)
             )
@@ -397,7 +423,7 @@ def fingerprint_on(
         db_text = _exact_text(db)
         extras = "(%s,)" % _weights_text(job.weights, None)
     else:
-        db_text, index = _canonical_text(db)
+        db_text, index = _canonical_text(*_content(db))
         if problem == "approx-val":
             extras = repr((job.epsilon, job.delta, job.seed))
         elif problem == "val-weighted":

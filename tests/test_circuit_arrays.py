@@ -18,9 +18,10 @@ cannot be serialized or listed as if the program were its own.
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from repro.compile.circuit import DDNNF
+from repro.compile.circuit import DDNNF, _Runs
 from repro.compile.ddnnf_trace import TraceBuilder
 from repro.compile.backend import ValuationCircuit
 from repro.compile.sharpsat import ModelCounter
@@ -555,3 +556,56 @@ class TestPinnedCircuits:
             assert pinned_draws.sample(random.Random(index)) == (
                 rewritten_draws.sample(random.Random(index))
             )
+
+
+class TestRunsReduce:
+    """A wide reduction, position by position, equals ``reduceat`` run on
+    each column alone (the one-wide lane): int64 and exact object columns,
+    and object floats bit for bit, since both associate left to right."""
+
+    @staticmethod
+    def _layout(rng):
+        lengths = [rng.randint(1, 6) for _ in range(rng.randint(1, 24))]
+        starts = [sum(lengths[:i]) for i in range(len(lengths))]
+        cuts = sorted(rng.sample(range(1, len(lengths)), rng.randint(0, len(lengths) - 1)))
+        return lengths, starts, [0, *cuts, len(lengths)]
+
+    @staticmethod
+    def _column(rng, kind, size):
+        if kind == "int64":
+            return np.array([rng.randint(-9, 9) for _ in range(size)], dtype=np.int64)
+        if kind == "object":
+            return np.array(
+                [rng.choice([rng.randint(-9, 9) << 70, Fraction(rng.randint(-5, 5), 3)])
+                 for _ in range(size)],
+                dtype=object,
+            )
+        return np.array([rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8)
+                         for _ in range(size)], dtype=object)
+
+    @pytest.mark.parametrize("kind", ["int64", "object", "float"])
+    def test_wide_reductions_equal_the_one_wide_lane(self, kind):
+        rng = random.Random(kind)
+        seen = set()
+        for _trial in range(60):
+            lengths, starts, blocks = self._layout(rng)
+            total = sum(lengths)
+            runs = _Runs(np.array(starts), total, blocks)
+            bounds = [*starts, total]
+            width = rng.randint(2, 5)
+            for block in range(len(blocks) - 1):
+                lo, hi = bounds[blocks[block]], bounds[blocks[block + 1]]
+                seen.update(lengths[blocks[block]:blocks[block + 1]])
+                items = np.stack(
+                    [self._column(rng, kind, hi - lo) for _ in range(width)], axis=1
+                )
+                for op in (np.add, np.multiply):
+                    wide = runs.reduce(op, items.copy(), block)
+                    for column in range(width):
+                        narrow = runs.reduce(op, items[:, column:column + 1], block)
+                        got, want = wide[:, column].tolist(), narrow[:, 0].tolist()
+                        if kind == "float":
+                            got = [value.hex() for value in got]
+                            want = [value.hex() for value in want]
+                        assert got == want
+        assert seen == set(range(1, 7))

@@ -34,6 +34,7 @@ from repro.compile.lineage import enumerate_valuation_matches
 from repro.compile.variables import ChoiceVariables
 from repro.complexity.cnf import CNF
 from repro.core.query import Atom, BCQ, Const, CustomQuery, UCQ
+from repro.db.deltas import ResolveNull, RestrictDomain
 from repro.db.fact import Fact
 from repro.db.incomplete import IncompleteDatabase
 from repro.db.terms import Null
@@ -582,3 +583,75 @@ class TestDispatchRouting:
         partial = {null: {sorted(db.domain_of(null), key=repr)[0]: 1}}
         with pytest.raises(ValueError):
             resolve_null_weights(db, partial)
+
+
+class TestNullLevelSearch:
+    """The trail core searches ``#Val`` by nulls: a null-level branching
+    order and one decision per null of three or more values.  Its circuit
+    answers every question as the reference core's circuit (the old order,
+    one variable per decision) does, on seeded non-uniform instances with
+    domains of one to four values, Codd and naive, with and without
+    matches: counts, int and Fraction weighted counts, marginals, the
+    resolve and restrict children, and seeded samples."""
+
+    @staticmethod
+    def _tables(rng, db, fractions):
+        return {
+            null: {
+                value: (
+                    Fraction(rng.randint(0, 4), rng.randint(1, 3))
+                    if fractions else rng.randint(0, 3)
+                )
+                for value in sorted(db.domain_of(null))
+            }
+            for null in db.nulls
+        }
+
+    def _assert_same_answers(self, rng, trail, reference, db):
+        assert trail.count() == reference.count()
+        for fractions in (False, True):
+            weights = self._tables(rng, db, fractions)
+            assert trail.weighted_count(weights) == reference.weighted_count(weights)
+        for weights in (None, self._tables(rng, db, True)):
+            try:
+                expected = reference.marginals(weights)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    trail.marginals(weights)
+            else:
+                assert trail.marginals(weights) == expected
+        if trail.count():
+            for seed in range(3):
+                assert trail.sample_valuation(seed=seed) == (
+                    reference.sample_valuation(seed=seed)
+                )
+
+    def test_answers_match_the_reference_circuit(self):
+        rng = random.Random(37)
+        queries = QUERIES[:4] + [BCQ([Atom("T", ["x"])])]  # T: no matches
+        widest = []
+        matched = []
+        for trial in range(40):
+            db = random_incomplete_db(
+                {"R": 2, "S": 1}, seed=1000 + trial, num_nulls=4,
+                domain_size=4, uniform=False, codd=trial % 2 == 1,
+            )
+            query = queries[trial % len(queries)]
+            trail = ValuationCircuit(db, query)
+            reference = ValuationCircuit(db, query, reference=True)
+            branches = trail.circuit._plan().branch_node
+            widest.append(int(max(Counter(branches.tolist()).values(), default=0)))
+            matched.append(trail.num_matches > 0)
+            self._assert_same_answers(rng, trail, reference, db)
+            null = rng.choice(db.nulls)
+            values = sorted(db.domain_of(null))
+            deltas = [ResolveNull(null, rng.choice(values))]
+            if len(values) > 1:
+                deltas.append(RestrictDomain(null, frozenset(values[1:])))
+            for delta in deltas:
+                child = db.apply(delta)
+                self._assert_same_answers(
+                    rng, trail.condition(delta), reference.condition(delta), child
+                )
+        assert max(widest) >= 3  # some decisions branch once per value
+        assert any(matched) and not all(matched)

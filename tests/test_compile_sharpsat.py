@@ -1,5 +1,6 @@
 """Tests for the exact model counter and its ordering heuristic."""
 
+import importlib.util
 import os
 import random
 import subprocess
@@ -10,11 +11,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.complexity.cnf import CNF, CNF3, count_models_brute, count_sat
+from repro.core.query import Atom, BCQ
+from repro.db.fact import Fact
+from repro.db.incomplete import IncompleteDatabase
+from repro.db.terms import Null
 from repro.compile import ordering
 from repro.compile.ddnnf_trace import TraceBuilder
 from repro.compile.encode import compile_completion_cnf, compile_valuation_cnf
 from repro.compile.ordering import (
     branching_order,
+    exactly_one_blocks,
     primal_masks,
     refined_elimination_masks,
 )
@@ -267,7 +273,8 @@ class TestOrdering:
     @given(small_cnfs(max_variables=8, max_clauses=12))
     @settings(max_examples=60, deadline=None)
     def test_counter_orders_by_branching_order(self, cnf):
-        order, width = branching_order(cnf)
+        # A full count orders by the formula's exactly-one blocks.
+        order, width = branching_order(cnf, exactly_one_blocks(cnf))
         counter = ModelCounter(cnf)
         assert counter.width == width
         # Rank bits: the order first, then the variables it omits.
@@ -275,6 +282,91 @@ class TestOrdering:
         assert counter._variables[len(order):] == sorted(
             set(range(1, cnf.num_variables + 1)) - set(order)
         )
+
+
+class TestExactlyOneBlocks:
+    """Blocks are all-positive clauses whose members are pairwise
+    excluded; the null-level order lists each block's variables together."""
+
+    def test_choice_variable_blocks_are_found(self):
+        a, b, c, d = (Null(label) for label in "abcd")
+        db = IncompleteDatabase(
+            [Fact("R", [a, b]), Fact("R", [c, d]), Fact("S", [b])],
+            dom={a: ["x"], b: ["x", "y"], c: ["x", "y", "z"],
+                 d: ["w", "x", "y", "z"]},
+        )
+        encoding = compile_valuation_cnf(db, BCQ([Atom("R", ["u", "u"])]))
+        choices = encoding.choices
+        # The one-value null is a unit clause, not a block.
+        assert exactly_one_blocks(encoding.cnf) == [
+            tuple(choices.var(null, value) for value in sorted(db.domain_of(null)))
+            for null in (b, c, d)
+        ]
+
+    def test_size_two_blocks_are_found(self):
+        cnf = CNF(4, [(1, 2), (-1, -2), (3, 4)])
+        assert exactly_one_blocks(cnf) == [(1, 2)]
+
+    def test_a_clause_without_pairwise_exclusion_is_no_block(self):
+        cnf = CNF(3, [(1, 2, 3), (-1, -2), (-2, -3)])  # 1 and 3 may both hold
+        assert exactly_one_blocks(cnf) == []
+        cnf.add_clause((-1, -3))
+        assert exactly_one_blocks(cnf) == [(1, 2, 3)]
+        assert exactly_one_blocks(CNF(3, [(1, -2, 3), (-1, -3)])) == []
+
+    def test_of_two_overlapping_blocks_the_first_wins(self):
+        first, second = CNF(4), CNF(4)
+        first.add_exactly_one([2, 3, 4])
+        first.add_exactly_one([1, 2])
+        second.add_exactly_one([1, 2])
+        second.add_exactly_one([2, 3, 4])
+        assert exactly_one_blocks(first) == [(2, 3, 4)]
+        assert exactly_one_blocks(second) == [(1, 2)]
+
+    def test_the_null_level_order_keeps_each_block_together(self):
+        db, query = scaling_hard_val_instance(10, chord_probability=0.2, seed=3)
+        cnf = compile_valuation_cnf(db, query).cnf
+        blocks = exactly_one_blocks(cnf)
+        assert len(blocks) == len(db.nulls)
+        order, _width = branching_order(cnf, blocks)
+        assert sorted(order) == sorted(branching_order(cnf)[0])
+        position = {variable: rank for rank, variable in enumerate(order)}
+        for block in blocks:
+            start = position[block[0]]
+            assert tuple(order[start:start + len(block)]) == block
+
+    def test_width_counts_expanded_bags(self):
+        # Two three-variable blocks joined by one binary clause: the first
+        # block's bag holds both, six variables.
+        cnf = CNF(6)
+        cnf.add_exactly_one([1, 2, 3])
+        cnf.add_exactly_one([4, 5, 6])
+        cnf.add_clause((-1, -4))
+        assert branching_order(cnf, exactly_one_blocks(cnf)) == (
+            [4, 5, 6, 1, 2, 3], 5,
+        )
+        lone = CNF(3)
+        lone.add_exactly_one([1, 2, 3])
+        assert branching_order(lone, exactly_one_blocks(lone)) == ([1, 2, 3], 2)
+
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_branches_once_per_value(self, size):
+        # One null of three or four values: one decision node, one branch
+        # per value.
+        members = list(range(1, size + 1))
+        cnf = CNF(size)
+        cnf.add_exactly_one(members)
+        trace = TraceBuilder()
+        counter = ModelCounter(cnf, trace=trace)
+        assert counter.count() == size
+        assert counter.stats()["decisions"] == size
+        circuit = trace.build(counter.trace_root, size)
+        assert circuit.count() == size
+        assert circuit._plan().branch_node.tolist() == [circuit.root] * size
+        # The projected search keeps the variable-at-a-time branching.
+        projected = ModelCounter(cnf, projection=members)
+        assert projected.count() == size
+        assert projected.stats()["decisions"] == 2 * (size - 1)
 
 
 def _rescan_eliminate(masks, use_min_fill, delay):
@@ -536,6 +628,56 @@ class TestPinnedProbeEliminations:
             assert output == expected, seed
 
 
+def _load(name, relative):
+    """A module of the repository's ``perfbench/`` or ``benchmarks/``."""
+    path = Path(__file__).resolve().parent.parent / relative
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)
+    return module
+
+
+#: ``(decisions, cache entries, circuit nodes)`` of the trail search, under
+#: the null-level order with one decision per null, on the chorded-cycle
+#: ``#Val`` instances of perfbench's ``SESSION_INSTANCES`` and of the
+#: harness's quick circuit batch, in their order.
+PINNED_SESSION_SHAPES = [(2550, 1099, 2832), (1272, 580, 1041), (1893, 868, 2067)]
+PINNED_HARNESS_SHAPES = [
+    (831, 394, 810), (2550, 1099, 2832), (2043, 937, 1698),
+    (1893, 868, 2067), (2319, 1153, 2349), (1449, 664, 1338),
+]
+
+
+class TestPinnedCompileShapes:
+    """The search's shape on the benchmarked compiles.  A change that moves
+    it restates the pinned triples on purpose, and says so."""
+
+    def test_the_benchmarked_compiles_hold_their_shape(self):
+        workloads = _load("_perfbench_workloads", "perfbench/workloads.py")
+        harness = _load("_benchmarks_harness", "benchmarks/harness.py")
+        instances = [
+            scaling_hard_val_instance(size, chord_probability=chords, seed=seed)
+            for size, chords, seed in workloads.SESSION_INSTANCES
+        ] + [(job.db, job.query) for job in harness.circuit_workload(True)]
+        shapes = {}
+        found = []
+        for db, query in instances:
+            cnf = compile_valuation_cnf(db, query).cnf
+            key = (cnf.num_variables, cnf.clauses)
+            if key not in shapes:
+                trace = TraceBuilder()
+                counter = ModelCounter(cnf, trace=trace)
+                counter.count()
+                stats = counter.stats()
+                shapes[key] = (
+                    stats["decisions"],
+                    stats["cache_entries"],
+                    trace.build(counter.trace_root, cnf.num_variables).num_nodes,
+                )
+            found.append(shapes[key])
+        assert found == PINNED_SESSION_SHAPES + PINNED_HARNESS_SHAPES
+
+
 def _merge_split(counter, indices):
     """The split oracle: ``ModelCounter._split``'s contract computed by a
     merge loop.  Clauses are taken highest index first; a clause joins the
@@ -543,7 +685,7 @@ def _merge_split(counter, indices):
     opens a group of its own when it meets none."""
     store = counter._store
     value = store.value
-    base = counter._key_base
+    base = 2 * store.num_variables + 2
     group_masks = []
     group_members = []
     group_packed = []
@@ -652,9 +794,9 @@ def _unassigned(counter):
     )
 
 
-def _checked_counter(cnf, projection=None):
+def _checked_counter(cnf, projection=None, order=None):
     """A counter whose every split is checked against the oracle."""
-    counter = ModelCounter(cnf, projection=projection)
+    counter = ModelCounter(cnf, projection=projection, order=order)
     split = counter._split
     calls = []
 
@@ -727,8 +869,10 @@ class TestVariableSplit:
         self._walk(cnf, projection, data)
 
     def test_chorded_cycle_count_checks_every_split(self):
+        # Under the null-level order no split of this instance returns
+        # more than one component; the variable-level order still does.
         cnf, _projection = _chorded_cycle_val_cnf()
-        counter, calls = _checked_counter(cnf)
+        counter, calls = _checked_counter(cnf, order=branching_order(cnf)[0])
         assert counter.count() == count_models(cnf)
         assert calls and max(calls) > 1
 
@@ -754,6 +898,26 @@ class TestVariableSplit:
             (_all_live(counter, members, mask), _variables_of(counter, mask))
             for members, mask, _key in components
         ]
+
+    def test_keys_tell_negative_literals_apart(self):
+        # Two states leave the same variables and residual long clauses
+        # with the same positive literals, (1, -2, 3) and (1, 3, -4): only
+        # their negative literals tell the components apart.
+        cnf = CNF(6, [(1, -2, 3, 5), (1, 3, -4, 6), (-3, -4), (-2, -3)])
+        counter = ModelCounter(cnf)
+        store = counter._store
+        keys = []
+        for literals in ((-5, 6), (5, -6)):
+            mark = store.mark()
+            assert store.propagate(literals)
+            _assert_split_matches_merge(
+                counter, store.long, _unassigned(counter), keys
+            )
+            store.backtrack(mark)
+        _assert_keys_exact(keys)
+        (first, _), (second, _) = keys  # one component each
+        assert first[0] == second[0]  # over the same variables
+        assert first != second
 
     def test_path_links_in_ascending_order(self):
         links = [(v, v + 1) for v in range(1, 12)]

@@ -385,3 +385,22 @@ class TestExactTextMemo:
         # The most recent entries survive; the oldest were evicted.
         assert id(databases[-1]) in fingerprint._EXACT_TEXTS
         assert id(databases[0]) not in fingerprint._EXACT_TEXTS
+
+
+class TestMalformedWeightKeys:
+    """A weight table keyed by a bare label, not a null, fails its own job
+    with the solve's error; the batch and the other jobs run."""
+
+    @pytest.mark.parametrize("problem", ["val-weighted", "marginals"])
+    def test_a_label_key_fails_only_its_job(self, problem):
+        db = _db("n1", "n2")
+        query = BCQ([Atom("R", ["x", "y"])])
+        bad = CountJob(problem, db, query, weights={"n1": {"x": 2, "y": 1}})
+        results = BatchEngine(workers=0).run([CountJob("val", db, query), bad])
+        assert results[0].ok
+        assert not results[1].ok
+        assert results[1].error == (
+            "ValueError: weights given for nulls not in the database: 'n1'"
+        )
+        twin = CountJob(problem, db, query, weights={Null("n1"): {"x": 2, "y": 1}})
+        assert fingerprint_job(bad) == fingerprint_job(bad) != fingerprint_job(twin)

@@ -9,6 +9,7 @@ its fingerprint and its solve, and each database object's label-exact
 form once, however many jobs and circuit fetches ask about it.
 """
 
+import gc
 import importlib.util
 import json
 import sys
@@ -111,3 +112,24 @@ class TestSessionBookkeeping:
         # each child the stream reads (an equal but distinct object).
         assert set(calls.values()) == {1}
         assert len(calls) == 1 + 3 + 3
+
+
+class TestCanonicalMemo:
+    def test_the_memo_keeps_no_database_alive(self):
+        # The memo is keyed by database content: after a session's stream
+        # and engine are dropped, none of its databases (each with its
+        # provenance ancestors) outlives them.
+        def alive():
+            gc.collect()
+            return sum(
+                isinstance(item, IncompleteDatabase) for item in gc.get_objects()
+            )
+
+        fingerprint._canonical_text.cache_clear()
+        before = alive()
+        questions = _workloads().session_stream(1, 8)
+        engine = BatchEngine(workers=0)
+        for question in questions:
+            assert engine.run([question.job])[0].ok
+        del questions, question, engine
+        assert alive() == before
