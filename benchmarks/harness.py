@@ -71,15 +71,14 @@ try:  # pragma: no cover - import side effect
     import repro  # noqa: F401
 except ImportError:  # pragma: no cover - running without PYTHONPATH=src
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+# The recount oracle the amortized path times as its baseline lives in tests/.
+if REPO_ROOT not in sys.path:
+    sys.path.append(REPO_ROOT)
 
 import random
 
 from repro.approx.fpras import KarpLubyEstimator
-from repro.compile.backend import (
-    ValuationCircuit,
-    count_valuations_lineage,
-    valuation_marginals_recount,
-)
+from repro.compile.backend import ValuationCircuit, count_valuations_lineage
 from repro.compile.dpdb import (
     count_valuations_dpdb,
     dpdb_probe,
@@ -310,6 +309,8 @@ def path_amortized(quick: bool) -> dict:
     marginals); the amortized path compiles one d-DNNF circuit and runs
     linear passes.  Answers are asserted identical, exactly.
     """
+    from tests.circuit_oracles import valuation_marginals_recount
+
     size = 14 if quick else 18
     db, query = scaling_hard_val_instance(
         size, chord_probability=0.1, seed=5
@@ -501,11 +502,12 @@ def path_dpdb(quick: bool) -> dict:
     paying for the cycles.  Both sides run their full front doors;
     answers are asserted bit-identical — the DP is a drop-in for the
     search on these cells, not an approximation.  The width probe is
-    memoized exactly as the planner's is, and the trail side reuses the
-    memoized probe's encoding and elimination order as a lineage run
-    after the planner's probe does, so the first dpdb repeat pays for
-    the encoding and best-of timing on both sides reflects the steady
-    state the engine sees.
+    memoized exactly as the planner's is: the DP counts off the probe's
+    elimination, and the trail side reuses only the probe's encoding (the
+    search orders itself, by nulls), as a lineage run after the planner's
+    probe does.  So the first dpdb repeat pays for the encoding, and
+    best-of timing on both sides reflects the steady state the engine
+    sees.
     """
     if quick:
         grid = scaling_grid_val_instance(3, 16, num_colors=3)

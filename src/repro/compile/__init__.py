@@ -46,7 +46,6 @@ from repro.compile.backend import (
     count_valuations_lineage,
     explain,
     lineage_supports,
-    valuation_marginals_recount,
 )
 from repro.compile.circuit import DDNNF, CircuitSampler
 from repro.compile.ddnnf_trace import TraceBuilder
@@ -73,7 +72,6 @@ __all__ = [
     "count_completions_lineage",
     "count_valuations_lineage",
     "explain",
-    "valuation_marginals_recount",
     "lineage_supports",
     "DDNNF",
     "CircuitSampler",

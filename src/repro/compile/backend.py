@@ -799,39 +799,6 @@ def artifact_from_bytes(
     )
 
 
-def valuation_marginals_recount(
-    db: IncompleteDatabase, query: BooleanQuery
-) -> dict[Null, dict[Term, Fraction]]:
-    """Reference marginals by conditioning and re-counting, per value.
-
-    One full model-counting search per ``(null, value)`` pair — the loop
-    the circuit passes replace.  Kept as the cross-validation oracle and
-    the honest baseline for the amortization benchmark.
-    """
-    encoding = compile_valuation_cnf(db, query)
-    total = encoding.total_valuations
-    satisfying = total - count_models(encoding.cnf)
-    if not satisfying:
-        raise ValueError(
-            "no valuation satisfies the query; marginals are undefined"
-        )
-    result: dict[Null, dict[Term, Fraction]] = {}
-    for null in db.nulls:
-        domain = sorted(db.domain_of(null), key=repr)
-        pinned_total = total // len(domain)
-        for value in domain:
-            variable = encoding.choices.var(null, value)
-            pinned = CNF(
-                encoding.cnf.num_variables,
-                list(encoding.cnf.clauses) + [(variable,)],
-            )
-            satisfying_pinned = pinned_total - count_models(pinned)
-            result.setdefault(null, {})[value] = Fraction(
-                satisfying_pinned, satisfying
-            )
-    return result
-
-
 # ---------------------------------------------------------------------------
 # explain reports
 # ---------------------------------------------------------------------------
@@ -880,7 +847,6 @@ __all__ = [
     "count_completions_lineage",
     "ValuationCircuit",
     "CompletionCircuit",
-    "valuation_marginals_recount",
     "explain",
     "LineageReport",
     "lineage_supports",

@@ -1,83 +1,92 @@
 """Width-bounded model counting by DP over a tree decomposition.
 
 The ``method='dpdb'`` backend: instead of *searching* for models the way
-the trail core does, run a **join/project/sum dynamic program** over the
-rooted tree decomposition of :mod:`repro.compile.decompose` — the
-dp_on_dbs idea (Fichte, Hecher, Thier, Woltran) with vectorized in-memory
-tables in place of SQL relations.  Cost is ``O(nodes * 2^(width+1))``
-table cells: linear in formula size once the width is bounded, and
-entirely immune to bad branching orders — the exact opposite cost profile
-of DPLL-style search, which is why the planner keeps both.
+the trail core does, run a **join/project/sum dynamic program** over a
+rooted tree decomposition of the formula's primal graph — the dp_on_dbs
+idea (Fichte, Hecher, Thier, Woltran) with vectorized in-memory tables in
+place of SQL relations.  Cost is ``O(nodes * 2^(width+1))`` table cells:
+linear in formula size once the width is bounded, and entirely immune to
+bad branching orders — the exact opposite cost profile of DPLL-style
+search, which is why the planner keeps both.
 
-**The DP.**  Processing elimination positions in ascending order (parents
-always come later) each node holds a ``(2,)*|bag|`` table, one axis per
-bag variable from the highest down (so its C-order cells are the flat
-``2^|bag|`` index, lowest variable at bit 0):
+**The tree.**  A greedy elimination of the primal graph
+(:func:`~repro.compile.ordering.refined_elimination_masks`) already *is*
+a tree decomposition.  Each elimination position is a node; its bag is
+the eliminated vertex plus its neighbours still alive at that point, and
+the bag minus the vertex is the node's *separator*, the interface its
+message crosses.  A node's parent is the node of its first-eliminated
+separator vertex: the separator is a clique when that vertex goes, so it
+lies inside the parent's bag.  Parents always come later in the order,
+so ascending position is a leaves-first schedule (no recursion), and a
+node with an empty separator is a root, one per connected component.
+Each clause is checked at the node of its first-eliminated variable,
+whose bag holds every variable of the clause (a clause is a clique of
+the primal graph), and a variable in no clause enters no bag.  The DP
+reads this tree off the elimination it is handed (the planner's width
+probe's, so probing and solving share one elimination) or runs the
+elimination itself; the tree's width is the elimination width.
+
+**The DP.**  Processing nodes in ascending order, each holds a
+``(2,)*|bag|`` table, one axis per bag variable from the highest down
+(so its C-order cells are the flat ``2^|bag|`` index, lowest variable at
+bit 0):
 
 * *join* — multiply in each child's message, reshaped to broadcast over
-  the child's separator (a subset of this bag by construction);
+  the child's separator;
 * *introduce* — the table starts as ones over the whole bag, and each
-  clause attached to this bag zeroes its one falsifying corner;
-* *project* (forget) — sum out the node's eliminated axis, weighting
-  the two polarities by the variable's ``(w⁺, w⁻)`` pair, and pass the
+  clause homed at this node zeroes its one falsifying corner;
+* *project* (forget) — sum out the node's eliminated axis and pass the
   result up as this node's message.
 
 Every root's message is a scalar; the model count is the product of the
-root scalars times a free factor ``w⁺+w⁻`` per variable in no clause —
-the same per-variable weight-table convention as
-:mod:`repro.compile.circuit` (``WeightMap``: variable → ``(w⁺, w⁻)``,
-unweighted = ``(1, 1)``).
+root scalars times 2 per variable in no clause.
 
-**Projected counting.**  For ``#Comp``-style questions the decomposition
-eliminates every auxiliary variable before any projected one, so the
-forest splits into a pure-auxiliary zone whose subtrees sit below a
-pure-projected zone.  Auxiliary-zone messages are plain extension counts;
-the moment a message crosses into the projected zone (or leaves a
-pure-auxiliary component at its root) it is clamped to an existence
-indicator ``[count > 0]``.  That is sound because extension counts are
-nonnegative and multiply across disjoint subtrees:
-``[a*b > 0] = [a > 0] * [b > 0]``.  Above the boundary the DP sums
-projected variables normally, so the root scalars count *distinct
-projected assignments* — the projected model count, bit-identical to the
-trail core's.  (Projected counting is unweighted; mixing ``weights`` and
-``projection`` is rejected.)
+**Projected counting.**  For ``#Comp``-style questions the elimination
+takes every auxiliary variable before any projected one, so the forest
+splits into two zones: pure-auxiliary subtrees below a pure-projected
+zone.  Auxiliary-zone messages are plain extension counts; the moment a
+message crosses into the projected zone (or leaves a pure-auxiliary
+component at its root) it is clamped to an existence indicator
+``[count > 0]``.  That is sound because extension counts are nonnegative
+and multiply across disjoint subtrees: ``[a*b > 0] = [a > 0] * [b > 0]``.
+Above the boundary the DP sums projected variables normally, so the root
+scalars count *distinct projected assignments* — the projected model
+count, bit-identical to the trail core's.  The clamp rests on that
+order, so a projected count handed any other order is refused.  The
+constrained order can be wider than the free one; that honest, larger
+width is what the planner's probe quotes for ``#Comp``.
 
 **Table lanes.**  The DP makes one pass, and each node picks its own
 lane before it builds its table: numpy int64 arrays when
-``max(|w⁺|+|w⁻|, 1) × ∏ max(peak, 1)`` over its children stays below
-``2^62``, exact Python-int/Fraction object arrays otherwise.  A child's
-*peak* is the exact ``max |cell|`` of its finished message, and the
-product bounds every cell the node computes, so an int64 table cannot
-overflow; a message that crosses lanes is cast at the join.  Large
-counts thus stay in int64 at the leaves and go exact only in the upper
-nodes that need it (``stats["path"]`` reports ``int64``, ``mixed`` or
-``object``) — the dp_on_dbs way of keeping counts in exact columns, with
-no guard pass.
+``2 × ∏ max(peak, 1)`` over its children stays below ``2^62``, exact
+Python-int object arrays otherwise.  A child's *peak* is the largest
+cell of its finished message, and the product bounds every cell the node
+computes, so an int64 table cannot overflow; a message that crosses
+lanes is cast at the join.  A leaf's bound is 2, so counts stay in int64
+at the leaves and go exact only in the upper nodes that need it
+(``stats["path"]`` reports ``int64`` or ``mixed``, and ``empty-clause``
+when an empty clause answers 0 without tables) — the dp_on_dbs way of
+keeping counts in exact columns, with no guard pass.
 
 The planner talks to this module through :func:`dpdb_probe` — a memoized
 width probe that compiles the encoding once, reads the two-phase greedy
-elimination width off the (cached) primal masks, and hands the order to
-the runner so probing and solving share one elimination — and falls back
-to the trail core when the width exceeds :data:`DPDB_HARD_WIDTH_CAP` or
-the probe blows its budget.  The trail core, there or when ``auto``
-passes ``dpdb`` over, takes the memoized probe's encoding
-(:func:`memoized_probe`), so a question is encoded once.
+elimination width off the (cached) primal masks, and hands the order and
+bags to the runner — and falls back to the trail core when the width
+exceeds :data:`DPDB_HARD_WIDTH_CAP` or the probe blows its budget.  The
+trail core, there or when ``auto`` passes ``dpdb`` over, takes the
+memoized probe's encoding (:func:`memoized_probe`), so a question is
+encoded once.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator
 
 import numpy as _np
 
 from repro.compile.circuit import _INT64_SAFE
-from repro.compile.decompose import (
-    Decomposition,
-    decompose,
-    decompose_from_elimination,
-)
 from repro.compile.encode import (
     compile_completion_cnf,
     compile_valuation_cnf,
@@ -114,162 +123,180 @@ DPDB_PROBE_CLAUSE_LIMIT = 50_000
 def count_models_dpdb(
     cnf: CNF,
     projection: Iterable[int] | None = None,
-    weights: Mapping[int, tuple] | None = None,
-    decomposition: Decomposition | None = None,
+    order: list[int] | None = None,
+    bags: list[int] | None = None,
     stats: dict[str, Any] | None = None,
-) -> Any:
+) -> int:
     """Model count of ``cnf`` by tree-decomposition DP.
 
     Semantics match :func:`repro.compile.sharpsat.count_models` exactly:
     counts over all ``cnf.num_variables`` variables (a variable in no
-    clause contributes a free factor), and ``projection`` switches to the
+    clause contributes a factor 2), and ``projection`` switches to the
     distinct-restrictions projected count where only free *projected*
-    variables contribute factors.  ``weights`` maps ``variable ->
-    (w_pos, w_neg)`` in the :mod:`repro.compile.circuit` convention and
-    is exact for int/Fraction weights; it cannot be combined with
-    ``projection``.  ``stats``, when given a dict, is filled with the
-    width/table numbers the obs spans record.
+    variables contribute factors.  ``order`` and ``bags`` are an
+    elimination of ``cnf``'s primal graph as
+    :func:`~repro.compile.ordering.refined_elimination_masks` returns it
+    (the width probe's); pass both or neither.  With neither, the DP runs
+    that elimination itself, projected variables last.  ``stats``, when
+    given a dict, is filled with the tree and table numbers the obs spans
+    record.
     """
-    if weights and projection is not None:
-        raise ValueError("projected counting is unweighted; pass one of the two")
-
-    projection_mask = 0
-    projected = projection is not None
-    if projected:
-        assert projection is not None
+    delay = 0
+    if projection is not None:
         for variable in projection:
             if variable < 1 or variable > cnf.num_variables:
                 raise ValueError(
                     "projection variables must be in 1..num_variables"
                 )
-            projection_mask |= 1 << variable
+            delay |= 1 << variable
 
-    if decomposition is None:
-        decomposition = decompose(cnf, projection=projection)
-    elif decomposition.projection_mask != projection_mask:
-        raise ValueError(
-            "decomposition was built for a different projection; "
-            "rebuild it with decompose(cnf, projection=...)"
-        )
+    masks = primal_masks(cnf)
+    if order is None or bags is None:
+        if order is not None or bags is not None:
+            raise ValueError("pass an elimination's order and bags together")
+        order, _width, bags = refined_elimination_masks(masks, delay=delay)
+
+    parent, homes = _tree(cnf, order, bags)
+    clamps = (
+        [False] * len(order)
+        if projection is None
+        else _clamps(order, parent, delay)
+    )
+    free = [
+        variable
+        for variable in range(1, cnf.num_variables + 1)
+        if variable not in masks
+    ]
+    max_bag = max((bag.bit_count() for bag in bags), default=0)
+    shape = {
+        "nodes": len(order),
+        "width": max(max_bag - 1, 0),
+        "max_bag": max_bag,
+        "roots": parent.count(-1),
+        "clauses": sum(map(len, homes)),
+        "free_variables": len(free),
+    }
 
     if any(not clause for clause in cnf.clauses):
         if stats is not None:
-            stats.update(decomposition.stats(), path="empty-clause", rows=0)
+            stats.update(shape, path="empty-clause", rows=0)
         return 0
-
-    positive, negative, all_int = _weight_columns(cnf.num_variables, weights)
 
     _incr("dpdb.runs")
     with _span(
         "dpdb.tables",
-        nodes=len(decomposition),
-        width=decomposition.width,
-        max_bag=decomposition.max_bag,
-        projected=projected,
+        nodes=shape["nodes"],
+        width=shape["width"],
+        max_bag=max_bag,
+        projected=projection is not None,
     ) as live:
-        path, factors, rows = _solve(
-            decomposition, positive, negative, all_int, projected
-        )
+        path, factors, rows = _solve(order, bags, parent, homes, clamps)
         live.fields["rows"] = rows
 
-    result: Any = 1
+    result = 1
     for factor in factors:
-        result = result * factor
-    if projected:
-        result = result * (
-            1 << (projection_mask & _free_mask(decomposition)).bit_count()
-        )
-    else:
-        for variable in decomposition.free_variables:
-            result = result * (positive[variable] + negative[variable])
-
+        result *= factor
+    if projection is not None:
+        free = [variable for variable in free if (delay >> variable) & 1]
     if stats is not None:
-        stats.update(decomposition.stats())
-        stats["path"] = path
-        stats["rows"] = rows
-    return result
+        stats.update(shape, path=path, rows=rows)
+    return result << len(free)
 
 
-def _free_mask(decomposition: Decomposition) -> int:
-    mask = 0
-    for variable in decomposition.free_variables:
-        mask |= 1 << variable
-    return mask
+def _tree(
+    cnf: CNF, order: list[int], bags: list[int]
+) -> tuple[list[int], list[list[tuple[int, ...]]]]:
+    """Each node's parent (``-1`` at a root) and the clauses homed at it.
 
-
-def _weight_columns(
-    num_variables: int, weights: Mapping[int, tuple] | None
-) -> tuple[list[Any], list[Any], bool]:
-    """Per-variable ``(w⁺, w⁻)`` columns, defaulting to ``(1, 1)``."""
-    positive: list[Any] = [1] * (num_variables + 1)
-    negative: list[Any] = [1] * (num_variables + 1)
-    all_int = True
-    for variable, pair in (weights or {}).items():
-        if variable < 1 or variable > num_variables:
-            raise ValueError(
-                "weight for variable %r outside 1..%d"
-                % (variable, num_variables)
+    A parent is the first-eliminated vertex of the node's separator; a
+    clause's home is its first-eliminated variable.  The empty clause has
+    no home: the caller answers it without a DP.
+    """
+    position = [0] * (cnf.num_variables + 1)
+    for node, variable in enumerate(order):
+        position[variable] = node
+    parent: list[int] = []
+    for node, variable in enumerate(order):
+        separator = bags[node] ^ (1 << variable)
+        parent.append(
+            min(position[v] for v in _bits(separator)) if separator else -1
+        )
+    homes: list[list[tuple[int, ...]]] = [[] for _ in order]
+    for clause in cnf.clauses:
+        if clause:
+            homes[min(position[abs(literal)] for literal in clause)].append(
+                clause
             )
-        w_pos, w_neg = pair[0], pair[1]
-        positive[variable] = w_pos
-        negative[variable] = w_neg
-        if all_int and not (
-            isinstance(w_pos, int) and isinstance(w_neg, int)
-        ):
-            all_int = False
-    return positive, negative, all_int
+    return parent, homes
+
+
+def _clamps(order: list[int], parent: list[int], delay: int) -> list[bool]:
+    """Which nodes' messages cross the auxiliary/projected boundary.
+
+    In a projected count an auxiliary node's message is an extension
+    count; it becomes an existence indicator the moment it leaves the
+    auxiliary zone — into a projected-variable parent, or out of the top
+    of a pure-auxiliary component.  ``delay`` is the projection's bitset;
+    an order that takes a projected variable before an auxiliary one has
+    no such boundary and raises ``ValueError``.
+    """
+    projected = [(delay >> variable) & 1 for variable in order]
+    if projected != sorted(projected):
+        raise ValueError(
+            "a projected count needs an elimination that takes every "
+            "auxiliary variable before any projected one"
+        )
+    return [
+        not projected[node] and (up < 0 or bool(projected[up]))
+        for node, up in enumerate(parent)
+    ]
 
 
 def _solve(
-    decomposition: Decomposition,
-    positive: list[Any],
-    negative: list[Any],
-    all_int: bool,
-    projected: bool,
-) -> tuple[str, list[Any], int]:
+    order: list[int],
+    bags: list[int],
+    parent: list[int],
+    homes: list[list[tuple[int, ...]]],
+    clamps: list[bool],
+) -> tuple[str, list[int], int]:
     """The one DP pass; returns ``(path, root_factors, cells_processed)``.
 
-    Each node takes the int64 lane when ``max(|w⁺|+|w⁻|, 1)`` times the
-    product of its children's ``max(peak, 1)`` stays below
-    ``_INT64_SAFE``: every cell after each join, clause and the forget is
-    bounded by that product.  The clamps matter — without them a zero
-    weight or an all-zero child would let a huge sibling's product into
-    int64 before the zero arrives.
+    Each node takes the int64 lane when 2 times the product of its
+    children's ``max(peak, 1)`` stays below ``_INT64_SAFE``: every cell
+    after each join, clause and the forget is bounded by that product.
+    The clamp to 1 matters: without it an unsatisfiable child (peak 0)
+    would let a huge sibling's message into int64 beside it.
     """
     np = _np
-    messages: list[Any] = [None] * len(decomposition)
-    peaks = [0] * len(decomposition)
-    factors: list[Any] = []
+    #: node -> the ``(separator, message, peak)`` of each finished child.
+    inbox: dict[int, list[tuple[int, Any, int]]] = {}
+    factors: list[int] = []
     rows = 0
     exact_nodes = 0
 
-    for node in range(len(decomposition)):
-        eliminated = decomposition.order[node]
-        w_pos, w_neg = positive[eliminated], negative[eliminated]
-        bound = max(abs(w_pos) + abs(w_neg), 1)
-        for child in decomposition.children[node]:
-            bound *= max(peaks[child], 1)
-        dtype: Any = np.int64 if all_int and bound < _INT64_SAFE else object
+    for node, eliminated in enumerate(order):
+        children = inbox.pop(node, [])
+        bound = 2
+        for _separator, _message, peak in children:
+            bound *= max(peak, 1)
+        dtype: Any = np.int64 if bound < _INT64_SAFE else object
         if dtype is object:
             exact_nodes += 1
 
-        axes = list(_bits(decomposition.bags[node]))[::-1]
+        axes = list(_bits(bags[node]))[::-1]
         axis = {variable: position for position, variable in enumerate(axes)}
         size = 1 << len(axes)
         table = np.ones((2,) * len(axes), dtype=dtype)
 
-        for child in decomposition.children[node]:
-            message = messages[child]
-            messages[child] = None
+        for separator, message, _peak in children:
             if message.dtype != dtype:
                 message = message.astype(dtype)
-            separator = decomposition.separator(child)
             table *= message.reshape(
                 [2 if (separator >> variable) & 1 else 1 for variable in axes]
             )
             rows += size
 
-        for clause in decomposition.node_clauses[node]:
+        for clause in homes[node]:
             # A CNF clause never holds a variable twice, so the cells it
             # falsifies are one corner: each literal false, the rest free.
             corner: list[Any] = [slice(None)] * len(axes)
@@ -281,47 +308,20 @@ def _solve(
             table[tuple(corner)] = 0
             rows += size
 
-        at = axis[eliminated]
-        if w_pos == 1 and w_neg == 1:
-            message = table.sum(axis=at)
-        else:
-            message = w_neg * table.take(0, at) + w_pos * table.take(1, at)
-        clamp = _clamp_message(decomposition, node, projected)
-        if decomposition.parent[node] < 0:
+        message = table.sum(axis=axis[eliminated])
+        up = parent[node]
+        if up < 0:
             # A root's bag is its eliminated variable alone: a scalar.
-            factor = message if dtype is object else int(message)
-            factors.append(int(factor > 0) if clamp else factor)
+            factor = int(message)
+            factors.append(int(factor > 0) if clamps[node] else factor)
         else:
-            messages[node] = _indicator(message, dtype) if clamp else message
-            peaks[node] = int(abs(messages[node]).max())
+            if clamps[node]:
+                message = _indicator(message, dtype)
+            inbox.setdefault(up, []).append(
+                (bags[node] ^ (1 << eliminated), message, int(message.max()))
+            )
 
-    if not exact_nodes:
-        return "int64", factors, rows
-    if exact_nodes == len(decomposition):
-        return "object", factors, rows
-    return "mixed", factors, rows
-
-
-def _clamp_message(
-    decomposition: Decomposition, node: int, projected: bool
-) -> bool:
-    """Does ``node``'s message cross the auxiliary/projected boundary?
-
-    In projected mode an auxiliary node's message is an extension count;
-    it becomes an existence indicator the moment it leaves the auxiliary
-    zone — into a projected-variable parent, or out of the top of a
-    pure-auxiliary component.
-    """
-    if not projected:
-        return False
-    if (decomposition.projection_mask >> decomposition.order[node]) & 1:
-        return False
-    parent = decomposition.parent[node]
-    if parent < 0:
-        return True
-    return bool(
-        (decomposition.projection_mask >> decomposition.order[parent]) & 1
-    )
+    return ("mixed" if exact_nodes else "int64"), factors, rows
 
 
 def _indicator(message: Any, dtype: Any) -> Any:
@@ -349,8 +349,9 @@ def _bits(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class DpdbProbe:
-    """One memoized width probe: verdict, width, and the elimination the
-    runner can reuse (``order``/``bags`` are probe-owned; treat as
+    """One memoized width probe: verdict, width, and what the runners can
+    reuse: the encoding (kept by an over-budget probe too) and the
+    elimination (``order``/``bags`` are probe-owned; treat as
     read-only)."""
 
     ok: bool
@@ -361,7 +362,6 @@ class DpdbProbe:
     encoding: Any = None
     order: Any = None
     bags: Any = None
-    projection_mask: int = 0
 
     def detail(self) -> dict[str, Any]:
         """The gate detail surfaced in ``Plan`` rows and ``plan --json``."""
@@ -401,9 +401,10 @@ def memoized_probe(
     kind: str, db: IncompleteDatabase, query: BooleanQuery | None
 ) -> DpdbProbe | None:
     """The memo's probe for ``(kind, D, q)`` if it holds an encoding, else
-    ``None``; never probes (a lineage runner must not pay for one)."""
+    ``None``; never probes (a lineage runner must not pay for one).  An
+    over-budget probe holds the encoding it measured."""
     probe = _PROBES.get((kind, db, query))
-    return probe if probe is not None and probe.ok else None
+    return probe if probe is not None and probe.encoding is not None else None
 
 
 def _probe(
@@ -427,12 +428,12 @@ def _probe(
         )
     if kind == "val" and query is not None:  # a None was refused above
         valuation = compile_valuation_cnf(db, query)
-        return _probe_cnf(valuation, valuation.cnf, projection_mask=0)
+        return _probe_cnf(valuation, valuation.cnf, delay=0)
     completion = compile_completion_cnf(db, query)
-    projection_mask = 0
+    delay = 0
     for variable in completion.projection:
-        projection_mask |= 1 << variable
-    return _probe_cnf(completion, completion.cnf, projection_mask)
+        delay |= 1 << variable
+    return _probe_cnf(completion, completion.cnf, delay)
 
 
 def _budget_reason(db: IncompleteDatabase) -> str | None:
@@ -445,31 +446,31 @@ def _budget_reason(db: IncompleteDatabase) -> str | None:
     return None
 
 
-def _probe_cnf(encoding: Any, cnf: CNF, projection_mask: int) -> DpdbProbe:
+def _probe_cnf(encoding: Any, cnf: CNF, delay: int) -> DpdbProbe:
+    over: str | None = None
     if cnf.num_variables > DPDB_PROBE_VARIABLE_LIMIT:
-        return DpdbProbe(
-            ok=False,
-            reason="width probe over budget (%d encoding variables > %d)"
-            % (cnf.num_variables, DPDB_PROBE_VARIABLE_LIMIT),
-            width=None,
-            variables=cnf.num_variables,
-            clauses=len(cnf),
+        over = "%d encoding variables > %d" % (
+            cnf.num_variables, DPDB_PROBE_VARIABLE_LIMIT
         )
-    if len(cnf) > DPDB_PROBE_CLAUSE_LIMIT:
+    elif len(cnf) > DPDB_PROBE_CLAUSE_LIMIT:
+        over = "%d clauses > %d" % (len(cnf), DPDB_PROBE_CLAUSE_LIMIT)
+    if over is not None:
+        # The encoding stays on the probe: the trail core that answers
+        # instead takes it (see :func:`memoized_probe`).
         return DpdbProbe(
             ok=False,
-            reason="width probe over budget (%d clauses > %d)"
-            % (len(cnf), DPDB_PROBE_CLAUSE_LIMIT),
+            reason="width probe over budget (%s)" % over,
             width=None,
             variables=cnf.num_variables,
             clauses=len(cnf),
+            encoding=encoding,
         )
     masks = primal_masks(cnf)
     with _span(
         "dpdb.probe", variables=cnf.num_variables, clauses=len(cnf)
     ):
         order, width, bags = refined_elimination_masks(
-            masks, delay=projection_mask
+            masks, delay=delay
         )
     return DpdbProbe(
         ok=True,
@@ -480,7 +481,6 @@ def _probe_cnf(encoding: Any, cnf: CNF, projection_mask: int) -> DpdbProbe:
         encoding=encoding,
         order=order,
         bags=bags,
-        projection_mask=projection_mask,
     )
 
 
@@ -507,10 +507,9 @@ def count_valuations_dpdb(db: IncompleteDatabase, query: BooleanQuery) -> int:
     encoding = probe.encoding
     if encoding.total_valuations == 0:
         return 0
-    decomposition = decompose_from_elimination(
-        encoding.cnf, probe.order, probe.width, probe.bags
+    falsifying = count_models_dpdb(
+        encoding.cnf, order=probe.order, bags=probe.bags
     )
-    falsifying = count_models_dpdb(encoding.cnf, decomposition=decomposition)
     return int(encoding.count_from_models(falsifying))
 
 
@@ -528,19 +527,8 @@ def count_completions_dpdb(
         _note_fallback("comp", probe)
         return count_completions_lineage(db, query)
     encoding = probe.encoding
-    decomposition = decompose_from_elimination(
-        encoding.cnf,
-        probe.order,
-        probe.width,
-        probe.bags,
-        projection_mask=probe.projection_mask,
-    )
-    return int(
-        count_models_dpdb(
-            encoding.cnf,
-            projection=encoding.projection,
-            decomposition=decomposition,
-        )
+    return count_models_dpdb(
+        encoding.cnf, encoding.projection, probe.order, probe.bags
     )
 
 

@@ -13,10 +13,10 @@ on top of the greedy eliminations computed here:
   by nulls: :func:`exactly_one_blocks` finds the formula's exactly-one
   blocks, and :func:`branching_order` eliminates the graph that contracts
   each block to one vertex, then lists the block's variables together;
-* the **dpdb backend** (:mod:`repro.compile.decompose` /
-  :mod:`repro.compile.dpdb`) turns the elimination *bags* — the
-  neighborhoods each vertex had at elimination time — directly into a
-  rooted tree decomposition and runs the join/project/sum DP over it.
+* the **dpdb backend** (:mod:`repro.compile.dpdb`) reads a rooted tree
+  decomposition straight off the elimination *bags* — each vertex with
+  the neighborhood it had at elimination time — and runs the
+  join/project/sum DP over it.
 
 Internally the greedy loop runs over **integer bitsets**: each vertex's
 neighborhood is one Python int with bit ``v`` set for neighbor ``v``, so
@@ -36,7 +36,7 @@ lives on in ``tests/test_compile_sharpsat.py`` as the oracle.
 
 The module has one primal-graph build and one elimination.
 :func:`primal_masks` memoizes the bitset graph per CNF object, so the
-planner's width probe, the decomposer and the model counter share one
+planner's width probe, the DP and the model counter share one
 build; :func:`refined_elimination_masks` is the one two-phase greedy
 elimination all of them run, and :func:`branching_order` is its reverse
 for the search (over the block-contracted graph when given blocks).
@@ -85,7 +85,7 @@ def primal_masks(cnf: CNF) -> dict[int, int]:
 
     The result is memoized per CNF object (invalidated when the clause or
     variable count changes), so the planner's width probe,
-    :func:`branching_order` and the dpdb decomposer all share one build.
+    :func:`branching_order` and the dpdb DP all share one build.
     Callers must treat the returned dict as read-only.
     """
     cached = _PRIMAL_CACHE.get(cnf)
@@ -262,8 +262,8 @@ def refined_elimination_masks(
     Returns ``(order, width, bags)``; ``width`` — the largest neighborhood
     at elimination time — is the width of the tree decomposition the
     order induces, an upper bound on the treewidth.  The dpdb width probe,
-    the decomposer and :func:`branching_order` all run this, so the width
-    the planner quotes is the width the decomposition actually gets.
+    the DP and :func:`branching_order` all run this, so the width the
+    planner quotes is the width the DP's tree actually gets.
     """
     order, width, bags = _greedy_eliminate(masks, use_min_fill=False, delay=delay)
     if width <= MIN_FILL_REFINE_WIDTH and len(masks) <= MIN_FILL_VERTEX_LIMIT:

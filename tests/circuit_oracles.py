@@ -11,12 +11,17 @@ circuit, and the sampler that walked the program node by node
 (:class:`Sampler`).  :func:`encode` and :func:`decode` translate between
 a circuit and the node-tuple view: ``(FALSE,)``, ``(TRUE,)``,
 ``(PRODUCT, children)`` and ``(DECISION, branches)``, a branch being
-``(literals, freed variables, child)``.
+``(literals, freed variables, child)``.  The marginals the circuit's
+downward pass reads off at once are recounted the way they were before
+circuits, one search per ``(null, value)`` pair
+(:func:`valuation_marginals_recount`); the benchmark harness's
+``amortized`` path times that loop as its baseline.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -29,6 +34,12 @@ from repro.compile.circuit import (
     KIND_TRUE,
     draw_index,
 )
+from repro.compile.encode import compile_valuation_cnf
+from repro.compile.sharpsat import count_models
+from repro.complexity.cnf import CNF
+from repro.core.query import BooleanQuery
+from repro.db.incomplete import IncompleteDatabase
+from repro.db.terms import Null, Term
 
 #: Node kinds of the tuple view.
 FALSE, TRUE, DECISION, PRODUCT = "F", "T", "D", "P"
@@ -456,6 +467,39 @@ class Sampler:
         return assignment
 
 
+def valuation_marginals_recount(
+    db: IncompleteDatabase, query: BooleanQuery
+) -> dict[Null, dict[Term, Fraction]]:
+    """Reference marginals by conditioning and re-counting, per value.
+
+    One full model-counting search per ``(null, value)`` pair — the loop
+    the circuit passes replace.  Kept as the cross-validation oracle and
+    the honest baseline for the amortization benchmark.
+    """
+    encoding = compile_valuation_cnf(db, query)
+    total = encoding.total_valuations
+    satisfying = total - count_models(encoding.cnf)
+    if not satisfying:
+        raise ValueError(
+            "no valuation satisfies the query; marginals are undefined"
+        )
+    result: dict[Null, dict[Term, Fraction]] = {}
+    for null in db.nulls:
+        domain = sorted(db.domain_of(null), key=repr)
+        pinned_total = total // len(domain)
+        for value in domain:
+            variable = encoding.choices.var(null, value)
+            pinned = CNF(
+                encoding.cnf.num_variables,
+                list(encoding.cnf.clauses) + [(variable,)],
+            )
+            satisfying_pinned = pinned_total - count_models(pinned)
+            result.setdefault(null, {})[value] = Fraction(
+                satisfying_pinned, satisfying
+            )
+    return result
+
+
 __all__ = [
     "DECISION",
     "FALSE",
@@ -471,4 +515,5 @@ __all__ = [
     "rewrite",
     "tables",
     "upward",
+    "valuation_marginals_recount",
 ]

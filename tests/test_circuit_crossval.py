@@ -24,12 +24,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.compile import (
-    CompletionCircuit,
-    ValuationCircuit,
-    count_models,
-    valuation_marginals_recount,
-)
+from repro.compile import CompletionCircuit, ValuationCircuit, count_models
 from repro.compile.lineage import enumerate_valuation_matches
 from repro.compile.variables import ChoiceVariables
 from repro.complexity.cnf import CNF
@@ -61,6 +56,7 @@ from repro.workloads.generators import (
     random_incomplete_db,
     scaling_hard_val_instance,
 )
+from tests.circuit_oracles import valuation_marginals_recount
 
 QUERIES = [
     BCQ([Atom("R", ["x", "y"])]),

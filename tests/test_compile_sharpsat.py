@@ -596,8 +596,10 @@ from repro.workloads import generators
 for kind, call in %r:
     probe = dpdb_probe(kind, *eval(call, vars(generators)))
     triple = (probe.order, probe.width, probe.bags)
+    projection = probe.encoding.projection if kind == "comp" else ()
     degree = ordering._greedy_eliminate(
-        ordering.primal_masks(probe.encoding.cnf), False, probe.projection_mask
+        ordering.primal_masks(probe.encoding.cnf), False,
+        sum(1 << variable for variable in projection),
     )
     wins = probe.width < degree[1]
     assert wins or triple == degree

@@ -3,24 +3,24 @@
 Three layers of coverage for ``method='dpdb'``:
 
 * randomized differential — dpdb == trail core == reference core,
-  bit-identically, on full *and* projected counts, plus exact weighted
-  evaluation (negative ints and Fractions) against brute enumeration;
-* directed structure — the decomposition's join/introduce/forget shape,
-  bag invariants and the per-node int64/object table lanes;
-* the planner seam — the width probe, the width-threshold fallback, and
-  the width detail surfaced in plans.
+  bit-identically, on full *and* projected counts;
+* directed structure — the tree the DP reads off its elimination (bag
+  invariants, join nodes, forests), the per-node int64/object table
+  lanes, and the probe's elimination as the one the DP counts off;
+* the planner seam — the width probe, the width-threshold fallback, the
+  width detail surfaced in plans, and one encoding per question.
 """
 
 import random
-from fractions import Fraction
+from collections import Counter
 
 import pytest
 
+from repro.compile import dpdb
 from repro.compile.backend import (
     count_completions_lineage,
     count_valuations_lineage,
 )
-from repro.compile.decompose import decompose
 from repro.compile.dpdb import (
     DPDB_HARD_WIDTH_CAP,
     DPDB_WIDTH_LIMIT,
@@ -65,27 +65,47 @@ def _random_cnf(rng, max_variables=9, max_clauses=14):
     return cnf
 
 
-def _weighted_brute(cnf, weights):
-    """Exact weighted model 'count' by full enumeration (tiny CNFs only)."""
-    total = 0
-    for assignment in range(1 << cnf.num_variables):
-        satisfied = all(
-            any(
-                (assignment >> (literal - 1)) & 1
-                if literal > 0
-                else not (assignment >> (-literal - 1)) & 1
-                for literal in clause
-            )
-            for clause in cnf.clauses
-        )
-        if not satisfied:
-            continue
-        product = 1
-        for variable in range(1, cnf.num_variables + 1):
-            w_pos, w_neg = weights.get(variable, (1, 1))
-            product *= w_pos if (assignment >> (variable - 1)) & 1 else w_neg
-        total += product
-    return total
+def _trees(call):
+    """Run ``call()`` and return ``(order, bags, parent, homes)`` for each
+    tree the DP built meanwhile: the elimination it counted off and the
+    tree it read from it."""
+    built = []
+    tree = dpdb._tree
+
+    def spy(cnf, order, bags):
+        parent, homes = tree(cnf, order, bags)
+        built.append((order, bags, parent, homes))
+        return parent, homes
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dpdb, "_tree", spy)
+        call()
+    return built
+
+
+def _own_tree(cnf, projection=None):
+    """The elimination and tree ``count_models_dpdb`` builds for ``cnf``
+    by itself, and the run's stats."""
+    stats = {}
+    (own,) = _trees(
+        lambda: count_models_dpdb(cnf, projection=projection, stats=stats)
+    )
+    return own, stats
+
+
+def _chain(cnf, variables):
+    """``a ∨ b`` for each consecutive pair: a length-``n`` chain has
+    ``F(n + 2)`` models (no two adjacent variables false)."""
+    for left, right in zip(variables, variables[1:]):
+        cnf.add_clause((left, right))
+    return cnf
+
+
+def _fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
 
 
 class TestDifferentialSolver:
@@ -110,27 +130,6 @@ class TestDifferentialSolver:
                 cnf, projection=projection
             ).count()
 
-    def test_weighted_counts_match_brute_enumeration(self):
-        rng = random.Random(42)
-        for _ in range(40):
-            cnf = _random_cnf(rng, max_variables=7, max_clauses=10)
-            weights = {}
-            for variable in range(1, cnf.num_variables + 1):
-                if rng.random() < 0.7:
-                    if rng.random() < 0.5:
-                        weights[variable] = (
-                            rng.randint(-3, 5),
-                            rng.randint(-2, 4),
-                        )
-                    else:
-                        weights[variable] = (
-                            Fraction(rng.randint(-3, 5), rng.randint(1, 4)),
-                            Fraction(rng.randint(-2, 4), rng.randint(1, 3)),
-                        )
-            assert count_models_dpdb(cnf, weights=weights) == (
-                _weighted_brute(cnf, weights)
-            )
-
     def test_empty_clause_short_circuits_to_zero(self):
         cnf = CNF(3, [(1, 2), ()])
         stats = {}
@@ -138,7 +137,7 @@ class TestDifferentialSolver:
         assert stats["path"] == "empty-clause"
 
     def test_empty_clause_fills_every_stats_key(self):
-        """The short circuit reports the decomposition's numbers and zero
+        """The short circuit reports the tree's numbers and zero
         rows, under the same keys as a run that fills tables."""
         cnf = CNF(3, [(1, 2), (), (-3,)])
         stats, normal = {}, {}
@@ -150,10 +149,27 @@ class TestDifferentialSolver:
             {"nodes": 3, "width": 1}
         )
 
-    def test_weights_and_projection_are_mutually_exclusive(self):
-        cnf = CNF(2, [(1, 2)])
+    def test_order_and_bags_come_together(self):
+        cnf = CNF(3, [(1, 2), (2, 3)])
+        order, _width, bags = refined_elimination_masks(primal_masks(cnf))
+        assert count_models_dpdb(cnf, order=order, bags=bags) == 5
         with pytest.raises(ValueError):
-            count_models_dpdb(cnf, projection=[1], weights={1: (2, 1)})
+            count_models_dpdb(cnf, order=order)
+        with pytest.raises(ValueError):
+            count_models_dpdb(cnf, bags=bags)
+
+    def test_projected_count_refuses_an_order_without_zones(self):
+        # The free elimination takes 1, 2, 3, 4 in turn: projected 2
+        # before auxiliary 3, so no boundary separates the zones.
+        cnf = CNF(4, [(1, 2), (2, 3), (3, 4)])
+        order, _width, bags = refined_elimination_masks(primal_masks(cnf))
+        assert order == [1, 2, 3, 4]
+        assert count_models_dpdb(cnf, order=order, bags=bags) == 8
+        with pytest.raises(ValueError, match="auxiliary"):
+            count_models_dpdb(cnf, (2, 4), order, bags)
+        assert count_models_dpdb(cnf, (2, 4)) == count_models(
+            cnf, projection=(2, 4)
+        )
 
 
 class TestDifferentialFrontDoors:
@@ -218,144 +234,117 @@ class TestTableDtypes:
         assert count_models_dpdb(cnf, stats=stats) == 7**40
         assert stats["path"] == "int64"
 
-    def test_huge_weights_fall_back_to_object_tables(self):
-        # The leaves (bound 2^41) run int64; their parents (bound 2^82)
-        # run exact.
-        cnf = CNF(4, [(1, 2), (3, 4)])
-        big = 1 << 40
-        weights = {v: (big, big) for v in range(1, 5)}
+    def test_a_long_chain_goes_exact_above_2_62(self):
+        # The chain's messages grow like F(k); past 2^62 the nodes above
+        # run exact, while the leaves stay int64.
+        cnf = _chain(CNF(100), range(1, 101))
         stats = {}
-        result = count_models_dpdb(cnf, weights=weights, stats=stats)
+        assert count_models_dpdb(cnf, stats=stats) == _fibonacci(102)
         assert stats["path"] == "mixed"
-        assert result == _weighted_brute(cnf, weights)
+        assert _fibonacci(102) == count_models(cnf)
 
-    def test_zero_weight_node_over_a_huge_child_goes_exact(self):
-        # Chain 1-2-3-4: the message node 2 passes up exceeds 2^62, and
-        # variable 3 weighs (0, 0).  Without the weight clamp node 3's
-        # bound would be 0 and the huge message would be cast to int64.
-        cnf = CNF(4, [(1, 2), (2, 3), (3, 4)])
-        big = 1 << 40
-        weights = {1: (big, big), 2: (big, big), 3: (0, 0)}
-        assert decompose(cnf).order == [1, 2, 3, 4]
-        stats = {}
-        result = count_models_dpdb(cnf, weights=weights, stats=stats)
+    def test_unsatisfiable_child_beside_a_huge_one_goes_exact(self):
+        # Node 97 joins the all-zero message of variable 1 (all four
+        # clauses over 1 and 97) with the chain 2..96, whose message
+        # exceeds 2^62.  Without the peak clamp the join's bound would be
+        # 0 and the chain's message would be cast to int64.
+        cnf = _chain(CNF(97), range(2, 98))
+        for clause in ((1, 97), (1, -97), (-1, 97), (-1, -97)):
+            cnf.add_clause(clause)
+        (order, _bags, parent, _homes), stats = _own_tree(cnf)
+        root = order.index(97)
+        joined = sorted(
+            order[node] for node, up in enumerate(parent) if up == root
+        )
+        assert parent[root] == -1 and joined == [1, 96]
         assert stats["path"] == "mixed"
-        assert result == _weighted_brute(cnf, weights) == 0
-
-    def test_all_zero_child_beside_a_huge_one_goes_exact(self):
-        # Node 5 joins the all-zero message of variable 1 (weight (0, 0))
-        # with the chain 2-3-4, whose message exceeds 2^62.  Without the
-        # peak clamp the join's bound would be 0.
-        cnf = CNF(5, [(1, 5), (2, 3), (3, 4), (4, 5)])
-        big = 1 << 40
-        weights = {1: (0, 0), 2: (big, big), 3: (big, -big), 4: (big, big)}
-        decomposition = decompose(cnf)
-        root = decomposition.roots[0]
-        joined = [
-            decomposition.order[child]
-            for child in decomposition.children[root]
-        ]
-        assert decomposition.order[root] == 5 and sorted(joined) == [1, 4]
-        stats = {}
-        result = count_models_dpdb(cnf, weights=weights, stats=stats)
-        assert stats["path"] == "mixed"
-        assert result == _weighted_brute(cnf, weights)
-
-    def test_signed_weight_fuzz_matches_brute_enumeration(self):
-        rng = random.Random(20261017)
-        paths = {}
-        for scale in (1, 1 << 20, 1 << 31, 1 << 40):
-            for _ in range(75):
-                cnf = _random_cnf(rng, max_variables=8, max_clauses=12)
-                weights = {
-                    variable: (
-                        rng.randint(-scale, scale),
-                        rng.randint(-scale, scale),
-                    )
-                    for variable in range(1, cnf.num_variables + 1)
-                    if rng.random() < 0.8
-                }
-                stats = {}
-                result = count_models_dpdb(cnf, weights=weights, stats=stats)
-                assert result == _weighted_brute(cnf, weights)
-                paths[stats["path"]] = paths.get(stats["path"], 0) + 1
-        # Leaves never need object columns at these scales (one weight
-        # pair is below 2^41), so the runs split into all-int64 and mixed.
-        assert set(paths) == {"int64", "mixed"}
-
-    def test_fraction_weights_take_the_object_path(self):
-        cnf = CNF(3, [(1, -2), (2, 3)])
-        weights = {1: (Fraction(1, 3), Fraction(2, 3))}
-        stats = {}
-        result = count_models_dpdb(cnf, weights=weights, stats=stats)
-        assert stats["path"] == "object"
-        assert result == _weighted_brute(cnf, weights)
+        assert count_models_dpdb(cnf) == count_models(cnf) == 0
 
 
 class TestDecompositionStructure:
-    """Directed checks of bags, parents, clause homes, and node kinds."""
+    """Directed checks of bags, parents, clause homes, and node kinds, on
+    the tree the DP itself reads off its elimination."""
 
-    def _check_invariants(self, cnf, decomposition):
-        order = decomposition.order
-        for node in range(len(decomposition)):
-            bag = decomposition.bags[node]
-            assert (bag >> order[node]) & 1  # own vertex in own bag
-            parent = decomposition.parent[node]
-            if parent >= 0:
-                assert parent > node  # parents later: ascending schedule
-                separator = decomposition.separator(node)
-                assert separator & ~decomposition.bags[parent] == 0
+    def _check_invariants(self, cnf, order, bags, parent, homes):
+        for node, variable in enumerate(order):
+            bag = bags[node]
+            assert (bag >> variable) & 1  # own vertex in own bag
+            separator = bag & ~(1 << variable)
+            up = parent[node]
+            if up >= 0:
+                assert up > node  # parents later: ascending schedule
+                assert separator & ~bags[up] == 0
+                # The parent is the first-eliminated separator vertex.
+                assert (separator >> order[up]) & 1
+                assert all(
+                    not (separator >> order[before]) & 1
+                    for before in range(node + 1, up)
+                )
             else:
-                assert node in decomposition.roots
+                assert separator == 0  # a root ends its component
         homed = 0
-        for node, clauses in enumerate(decomposition.node_clauses):
+        for node, clauses in enumerate(homes):
             for clause in clauses:
                 homed += 1
                 for literal in clause:
-                    assert (decomposition.bags[node] >> abs(literal)) & 1
+                    assert (bags[node] >> abs(literal)) & 1
         assert homed == sum(1 for clause in cnf.clauses if clause)
 
     def test_chain_is_a_width_one_path(self):
         cnf = CNF(6, [(-v, v + 1) for v in range(1, 6)])
-        decomposition = decompose(cnf)
-        assert decomposition.width == 1
-        self._check_invariants(cnf, decomposition)
-        assert all(len(kids) <= 1 for kids in decomposition.children)
+        own, stats = _own_tree(cnf)
+        assert stats["width"] == 1
+        self._check_invariants(cnf, *own)
+        parent = own[2]
+        assert max(Counter(up for up in parent if up >= 0).values()) == 1
 
     def test_star_of_chains_has_a_join_node(self):
         # Three chains meeting at variable 1: the shared endpoint joins.
         cnf = CNF(7, [(1, 2), (2, 3), (1, 4), (4, 5), (1, 6), (6, 7)])
-        decomposition = decompose(cnf)
-        self._check_invariants(cnf, decomposition)
-        assert any(len(kids) >= 2 for kids in decomposition.children)
+        own, _stats = _own_tree(cnf)
+        self._check_invariants(cnf, *own)
+        parent = own[2]
+        assert max(Counter(up for up in parent if up >= 0).values()) >= 2
         assert count_models_dpdb(cnf) == count_models_brute(cnf)
 
     def test_disconnected_formula_yields_a_forest(self):
         cnf = CNF(6, [(1, 2), (3, 4), (5, 6)])
-        decomposition = decompose(cnf)
-        assert len(decomposition.roots) == 3
-        self._check_invariants(cnf, decomposition)
+        own, stats = _own_tree(cnf)
+        assert own[2].count(-1) == stats["roots"] == 3
+        self._check_invariants(cnf, *own)
 
     def test_free_variables_never_enter_bags(self):
         cnf = CNF(5, [(1, 2)])  # 3, 4, 5 occur in no clause
-        decomposition = decompose(cnf)
-        assert set(decomposition.free_variables) == {3, 4, 5}
+        (order, bags, _parent, _homes), stats = _own_tree(cnf)
+        assert stats["free_variables"] == 3
+        assert sorted(order) == [1, 2]
+        assert all(bag & 0b111000 == 0 for bag in bags)
         assert count_models_dpdb(cnf) == count_models_brute(cnf)
 
-    def test_projected_decomposition_delays_projection_variables(self):
+    def test_random_trees_keep_the_invariants(self):
+        rng = random.Random(20261021)
+        for _ in range(40):
+            cnf = _random_cnf(rng, max_variables=12, max_clauses=18)
+            projection = rng.sample(
+                range(1, cnf.num_variables + 1),
+                rng.randint(0, cnf.num_variables),
+            )
+            for chosen in (None, projection):
+                own, _stats = _own_tree(cnf, chosen)
+                self._check_invariants(cnf, *own)
+
+    def test_projected_elimination_delays_projection_variables(self):
         cnf = CNF(4, [(1, 2), (2, 3), (3, 4)])
         projection = (2, 4)
-        decomposition = decompose(cnf, projection=projection)
-        positions = {
-            variable: index
-            for index, variable in enumerate(decomposition.order)
-        }
+        (order, bags, _parent, _homes), stats = _own_tree(
+            cnf, projection
+        )
+        positions = {variable: index for index, variable in enumerate(order)}
         assert max(positions[1], positions[3]) < min(
             positions[2], positions[4]
         )
-        stats = decomposition.stats()
-        assert stats["width"] == decomposition.width
-        assert stats["nodes"] == len(decomposition)
+        assert stats["width"] == max(bag.bit_count() for bag in bags) - 1
+        assert stats["nodes"] == len(order)
 
 
 def _width(cnf):
@@ -390,27 +379,31 @@ class TestWidthProbe:
         assert detail["width_limit"] == DPDB_WIDTH_LIMIT
 
     @pytest.mark.parametrize(
-        "instance",
+        "kind, instance",
         [
-            scaling_block_comp_instance(6, seed=3),
-            scaling_hard_comp_instance(6, seed=6),
+            ("val", scaling_hard_val_instance(8, seed=1)),
+            ("comp", scaling_block_comp_instance(6, seed=3)),
+            ("comp", scaling_hard_comp_instance(6, seed=6)),
         ],
-        ids=["block", "hard"],
+        ids=["cycle", "block", "hard"],
     )
-    def test_projected_probe_and_decompose_share_one_elimination(
-        self, instance
-    ):
+    def test_probe_and_the_dp_share_one_elimination(self, kind, instance):
         db, query = instance
         probe_cache_clear()
-        probe = dpdb_probe("comp", db, query)
+        probe = dpdb_probe(kind, db, query)
         encoding = probe.encoding
-        decomposition = decompose(
-            encoding.cnf, projection=encoding.projection
+        projection = encoding.projection if kind == "comp" else None
+        # The DP left to itself eliminates as the probe did ...
+        (order, bags, _parent, _homes), stats = _own_tree(
+            encoding.cnf, projection
         )
-        assert (decomposition.order, decomposition.width, decomposition.bags) == (
+        assert (order, stats["width"], bags) == (
             probe.order, probe.width, probe.bags
         )
-        assert decomposition.projection_mask == probe.projection_mask
+        # ... and the runner hands it the probe's elimination itself.
+        runner = count_valuations_dpdb if kind == "val" else count_completions_dpdb
+        (handed,) = _trees(lambda: runner(db, query))
+        assert handed[0] is probe.order and handed[1] is probe.bags
 
     def test_probe_rejects_other_kinds(self):
         db, query = scaling_hard_val_instance(4)
@@ -550,6 +543,27 @@ class TestOneEncoding:
         probe_cache_clear()
         solve("comp", db, query, method="lineage")
         assert memoized_probe("comp", db, query) is None
+
+    @pytest.mark.parametrize("method", ["auto", "dpdb"])
+    @pytest.mark.parametrize("kind", ["val", "comp"])
+    def test_over_budget_probe_keeps_its_encoding(
+        self, monkeypatch, kind, method
+    ):
+        # Past the clause budget the probe measures no width, and the
+        # trail core answers from the encoding the probe made.
+        monkeypatch.setattr(dpdb, "DPDB_PROBE_CLAUSE_LIMIT", 10)
+        if kind == "val":
+            db, query = scaling_hard_val_instance(8, seed=1)
+        else:
+            db, query = scaling_hard_comp_instance(6, seed=1)
+        probe_cache_clear()
+        with capture() as captured:
+            answer = solve(kind, db, query, method=method)
+        assert _spans(captured)["compile.encode"] == 1
+        probe = memoized_probe(kind, db, query)
+        assert not probe.ok and "over budget" in probe.reason
+        probe_cache_clear()
+        assert answer.count == solve(kind, db, query, method="lineage").count
 
     def test_fallback_above_the_cap_encodes_once(self):
         db, query = scaling_hard_comp_instance(20)

@@ -5,14 +5,13 @@ tables became one axis per bag variable: each table is a flat vector over
 the ``2^w`` bag assignments (bit ``b`` of a cell's index is the ``b``-th
 lowest bag variable), a child message joins through a selector gathered
 bit by bit, and a clause zeroes the cells a mask test flags.  The tensor
-DP must return the same ``(path, root factors, rows)`` on every
-decomposition: full and projected random CNFs, weights that drive every
-lane mix, and the decompositions of the perfbench ``solve_hard``
-families.
+DP must return the same ``(path, root factors, rows)`` on every tree the
+DP reads off an elimination: full and projected random CNFs, long chains
+whose messages pass ``2^62`` (so both lanes, int64 and mixed, run), and
+the probe eliminations of the perfbench ``solve_hard`` families.
 """
 
 import random
-from fractions import Fraction
 from typing import Any, Iterator
 
 import numpy as np
@@ -20,7 +19,7 @@ import pytest
 
 from repro.compile import dpdb
 from repro.compile.circuit import _INT64_SAFE
-from repro.compile.decompose import decompose, decompose_from_elimination
+from repro.compile.ordering import primal_masks, refined_elimination_masks
 from repro.complexity.cnf import CNF
 from repro.core.query import Atom, BCQ
 from repro.workloads.generators import (
@@ -52,32 +51,34 @@ def _flat_indicator(message: Any, dtype: Any) -> Any:
     return (message > 0).astype(dtype)
 
 
-def _flat_solve(decomposition, positive, negative, all_int, projected):
+def _flat_solve(order, bags, parent, homes, clamps):
     """The flat-index DP pass: ``(path, root_factors, cells_processed)``."""
-    messages: list[Any] = [None] * len(decomposition)
-    peaks = [0] * len(decomposition)
+    children: list[list[int]] = [[] for _ in order]
+    for node, up in enumerate(parent):
+        if up >= 0:
+            children[up].append(node)
+    messages: list[Any] = [None] * len(order)
+    peaks = [0] * len(order)
     factors: list[Any] = []
     rows = 0
     exact_nodes = 0
 
-    for node in range(len(decomposition)):
-        eliminated = decomposition.order[node]
-        w_pos, w_neg = positive[eliminated], negative[eliminated]
-        bound = max(abs(w_pos) + abs(w_neg), 1)
-        for child in decomposition.children[node]:
+    for node, eliminated in enumerate(order):
+        bound = 2
+        for child in children[node]:
             bound *= max(peaks[child], 1)
-        dtype: Any = np.int64 if all_int and bound < _INT64_SAFE else object
+        dtype: Any = np.int64 if bound < _INT64_SAFE else object
         if dtype is object:
             exact_nodes += 1
 
-        bag_vars = list(_bits(decomposition.bags[node]))
+        bag_vars = list(_bits(bags[node]))
         width = len(bag_vars)
         at = {variable: bit for bit, variable in enumerate(bag_vars)}
         size = 1 << width
         table = np.ones(size, dtype=dtype)
         index = None
 
-        for child in decomposition.children[node]:
+        for child in children[node]:
             message = messages[child]
             messages[child] = None
             if message.dtype != dtype:
@@ -85,14 +86,13 @@ def _flat_solve(decomposition, positive, negative, all_int, projected):
             if index is None:
                 index = np.arange(size, dtype=np.int64)
             selector = np.zeros(size, dtype=np.int64)
-            for bit, variable in enumerate(
-                _bits(decomposition.separator(child))
-            ):
+            separator = bags[child] & ~(1 << order[child])
+            for bit, variable in enumerate(_bits(separator)):
                 selector |= ((index >> at[variable]) & 1) << bit
             table = table * message[selector]
             rows += size
 
-        for clause in decomposition.node_clauses[node]:
+        for clause in homes[node]:
             pos_mask = 0
             neg_mask = 0
             for literal in clause:
@@ -110,10 +110,10 @@ def _flat_solve(decomposition, positive, negative, all_int, projected):
 
         bit = at[eliminated]
         split = table.reshape(1 << (width - 1 - bit), 2, 1 << bit)
-        message = (w_neg * split[:, 0, :] + w_pos * split[:, 1, :]).reshape(-1)
-        if dpdb._clamp_message(decomposition, node, projected):
+        message = (split[:, 0, :] + split[:, 1, :]).reshape(-1)
+        if clamps[node]:
             message = _flat_indicator(message, dtype)
-        if decomposition.parent[node] < 0:
+        if parent[node] < 0:
             factors.append(message[0] if dtype is object else int(message[0]))
         else:
             messages[node] = message
@@ -121,17 +121,28 @@ def _flat_solve(decomposition, positive, negative, all_int, projected):
 
     if not exact_nodes:
         return "int64", factors, rows
-    if exact_nodes == len(decomposition):
+    if exact_nodes == len(order):
         return "object", factors, rows
     return "mixed", factors, rows
 
 
-def _both(decomposition, num_variables, weights=None, projected=False):
-    """Run both DPs on one decomposition; assert they agree; return the
+def _both(cnf, projection=None, order=None, bags=None):
+    """Run both DPs on the tree the DP reads off ``cnf``'s elimination
+    (its own, or the one handed in); assert they agree; return the
     tensor DP's path."""
-    columns = dpdb._weight_columns(num_variables, weights)
-    got = dpdb._solve(decomposition, *columns, projected)
-    expected = _flat_solve(decomposition, *columns, projected)
+    delay = sum(1 << variable for variable in projection or ())
+    if order is None:
+        order, _width, bags = refined_elimination_masks(
+            primal_masks(cnf), delay=delay
+        )
+    parent, homes = dpdb._tree(cnf, order, bags)
+    clamps = (
+        [False] * len(order)
+        if projection is None
+        else dpdb._clamps(order, parent, delay)
+    )
+    got = dpdb._solve(order, bags, parent, homes, clamps)
+    expected = _flat_solve(order, bags, parent, homes, clamps)
     assert got == expected
     return got[0]
 
@@ -149,75 +160,55 @@ def _random_cnf(rng, max_variables=10, max_clauses=16):
     return cnf
 
 
+def _with_chain(rng, cnf, length):
+    """``cnf`` plus a chain of ``length`` fresh variables (``a ∨ b`` per
+    consecutive pair, a random literal of ``cnf`` tying on its first), so
+    messages up the chain grow like Fibonacci numbers."""
+    base = cnf.num_variables
+    chained = CNF(base + length, list(cnf.clauses))
+    anchor = rng.randint(1, base)
+    chained.add_clause((anchor if rng.random() < 0.5 else -anchor, base + 1))
+    for variable in range(base + 1, base + length):
+        chained.add_clause((variable, variable + 1))
+    return chained
+
+
 class TestRandomCnfs:
     def test_full_and_projected(self):
         rng = random.Random(20261018)
         for _ in range(200):
             cnf = _random_cnf(rng)
-            _both(decompose(cnf), cnf.num_variables)
+            _both(cnf)
             projection = rng.sample(
                 range(1, cnf.num_variables + 1),
                 rng.randint(0, cnf.num_variables),
             )
-            _both(
-                decompose(cnf, projection=projection),
-                cnf.num_variables,
-                projected=True,
-            )
+            _both(cnf, projection)
 
-    @pytest.mark.parametrize(
-        "kind", ["unit", "small", "zero", "negative", "near-2^62", "fraction"]
-    )
-    def test_weighted(self, kind):
-        rng = random.Random("weights-" + kind)
+    @pytest.mark.parametrize("kind", ["full", "projected", "unsatisfiable"])
+    def test_both_lanes_occur(self, kind):
+        # A chain of 100 carries messages past 2^62, so the nodes above
+        # its 90th or so run exact while the rest of the forest stays
+        # int64; a short one keeps every node int64.
+        rng = random.Random("lanes-" + kind)
         paths = set()
-        for _ in range(60):
+        for round_index in range(40):
             cnf = _random_cnf(rng, max_variables=9, max_clauses=12)
-            weights = {
-                variable: _weight(rng, kind)
-                for variable in range(1, cnf.num_variables + 1)
-                if rng.random() < 0.8
-            }
-            paths.add(_both(decompose(cnf), cnf.num_variables, weights))
-        if kind == "fraction":
-            assert "object" in paths
-        if kind == "near-2^62":
-            assert {"mixed", "object"} <= paths
-
-    def test_every_lane_mix_occurs(self):
-        # One big-weighted variable sends the nodes at and above it exact
-        # while the rest of the forest stays int64; one Fraction sends
-        # every node exact.
-        rng = random.Random(7)
-        paths = set()
-        for round_index in range(120):
-            cnf = _random_cnf(rng, max_variables=9, max_clauses=12)
-            variable = rng.randint(1, cnf.num_variables)
-            weights = [
-                {},
-                {variable: ((1 << 61) + rng.randint(0, 9), rng.randint(-3, 3))},
-                {variable: (Fraction(1, 3), 2)},
-            ][round_index % 3]
-            paths.add(_both(decompose(cnf), cnf.num_variables, weights))
-        assert paths == {"int64", "mixed", "object"}
-
-
-def _weight(rng, kind):
-    if kind == "unit":
-        return (1, 1)
-    if kind == "small":
-        return (rng.randint(0, 4), rng.randint(0, 4))
-    if kind == "zero":
-        return rng.choice([(0, 0), (0, 1), (1, 0)])
-    if kind == "negative":
-        return (rng.randint(-5, 5), rng.randint(-5, -1))
-    if kind == "near-2^62":
-        near = (1 << 62) - rng.randint(1, 1 << 20)
-        return (rng.choice([near, -near, 1]), rng.choice([near, 0, 1]))
-    return (
-        Fraction(rng.randint(-3, 5), rng.randint(1, 4)),
-        Fraction(rng.randint(-2, 4), rng.randint(1, 3)),
-    )
+            if kind == "unsatisfiable":
+                # Clauses that no value of the anchor satisfies, so the
+                # chain's huge message joins an all-zero one.
+                anchor = rng.randint(1, cnf.num_variables)
+                cnf.add_clause((anchor,))
+                cnf.add_clause((-anchor,))
+            cnf = _with_chain(rng, cnf, 100 if round_index % 2 else 20)
+            projection = None
+            if kind == "projected":
+                projection = rng.sample(
+                    range(1, cnf.num_variables + 1),
+                    rng.randint(0, cnf.num_variables),
+                )
+            paths.add(_both(cnf, projection))
+        assert paths == {"int64", "mixed"}
 
 
 RANDOM_COMP_QUERY = BCQ([Atom("R", ["x", "y"]), Atom("S", ["y"])])
@@ -248,30 +239,16 @@ def _hard_families():
 
 
 class TestHardFamilies:
-    def test_probe_decompositions_match(self):
+    def test_probe_eliminations_match(self):
         dpdb.probe_cache_clear()
-        rng = random.Random(3)
         checked = 0
         for kind, (db, query) in _hard_families():
             probe = dpdb.dpdb_probe(kind, db, query)
             if not probe.ok or probe.width > dpdb.DPDB_HARD_WIDTH_CAP:
                 continue
-            cnf = probe.encoding.cnf
-            decomposition = decompose_from_elimination(
-                cnf,
-                probe.order,
-                probe.width,
-                probe.bags,
-                projection_mask=probe.projection_mask,
-            )
-            projected = kind == "comp"
-            _both(decomposition, cnf.num_variables, projected=projected)
-            if not projected:
-                weights = {
-                    variable: (rng.randint(-3, 3), rng.randint(0, 4))
-                    for variable in range(1, cnf.num_variables + 1)
-                }
-                _both(decomposition, cnf.num_variables, weights)
+            encoding = probe.encoding
+            projection = encoding.projection if kind == "comp" else None
+            _both(encoding.cnf, projection, probe.order, probe.bags)
             checked += 1
         dpdb.probe_cache_clear()
         assert checked >= 15
