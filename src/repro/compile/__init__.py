@@ -32,8 +32,11 @@ not in the number of nulls, which is what turns the hard cells from
 toy-only into a workload.  Its two compiled artifacts,
 :class:`ValuationCircuit` (``#Val``) and :class:`CompletionCircuit`
 (``#Comp``), share one constructor, one trace compile and one binary
-codec; :data:`~repro.compile.backend.ARTIFACTS` maps each problem kind
-to its class, :func:`artifact_from_bytes` rehydrates either, and
+codec (:mod:`repro.compile.serialize`: one checksummed frame holding the
+header ints and the circuit program's int list as it stands);
+:data:`~repro.compile.backend.ARTIFACTS` maps each problem kind to its
+class, :func:`artifact_from_bytes` rehydrates either (checking the
+payload against the instance before it builds the circuit), and
 :func:`explain` reports what one compile saw and recorded.
 """
 

@@ -41,15 +41,7 @@ from repro.compile.encode import (
     compile_valuation_cnf,
 )
 from repro.compile.lineage import lineage_supports
-from repro.compile.serialize import (
-    CircuitFormatError,
-    Reader,
-    Writer,
-    dumps_circuit,
-    frame,
-    loads_circuit,
-    unframe,
-)
+from repro.compile.serialize import CircuitFormatError, Payload, dumps, loads
 from repro.compile.sharpsat import ModelCounter, count_models
 from repro.compile.variables import ChoiceVariables, FactVariables
 from repro.core.query import BooleanQuery
@@ -147,7 +139,7 @@ class _CircuitArtifact:
     kind: str
     #: Frame magic of :meth:`to_bytes`.
     magic: bytes
-    #: Per-kind uint attributes framed between the count and the stats.
+    #: Per-kind int attributes framed between the count and the stats.
     header: tuple[str, ...] = ()
 
     def __init__(
@@ -165,8 +157,9 @@ class _CircuitArtifact:
         raise NotImplementedError
 
     @staticmethod
-    def _rebind(db: IncompleteDatabase, circuit: DDNNF, header: tuple):
-        """The variable map of ``db`` for a rehydrated ``circuit``; raises
+    def _rebind(db: IncompleteDatabase, payload: Payload, header: list):
+        """The variable map of ``db`` for a decoded ``payload`` whose
+        circuit is not built yet; raises
         :class:`~repro.compile.serialize.CircuitFormatError` when the
         payload cannot belong to ``db``."""
         raise NotImplementedError
@@ -181,7 +174,7 @@ class _CircuitArtifact:
         self,
         db: IncompleteDatabase,
         variables,
-        header: tuple,
+        header: Sequence[int],
         circuit: DDNNF,
         count: int,
         stats: tuple,
@@ -202,26 +195,26 @@ class _CircuitArtifact:
     # -- serialization -----------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """The artifact as a versioned binary payload.
+        """The artifact as a versioned binary payload
+        (:mod:`repro.compile.serialize`).
 
         Only process-independent state travels: the count, the
-        :attr:`header` fields, the compile statistics and the d-DNNF node
-        table.  The variable map is *not* serialized — :meth:`from_bytes`
-        rebuilds it deterministically from the instance, which keeps the
-        format free of pickled objects.
+        :attr:`header` fields, the compile statistics and the circuit's
+        program.  The variable map does not: :meth:`from_bytes` rebuilds
+        it from the instance, which keeps the format free of pickled
+        objects.  Raises :class:`ValueError` on a conditioned artifact,
+        whose circuit is pinned on its parent's program: no instance would
+        accept the payload, since a conditioned instance has lost choice
+        variables the program still holds.
         """
-        writer = Writer()
-        writer.uint(self._count)
-        for name in self.header:
-            writer.uint(getattr(self, name))
-        writer.uint(self.num_clauses)
         width = self.heuristic_width  # framed as width + 1, 0 for None
-        writer.uint(0 if width is None else width + 1)
-        writer.uint(self.cache_entries)
-        writer.uint(self.components_split)
+        header = (
+            self._count, *(getattr(self, name) for name in self.header),
+            self.num_clauses, 0 if width is None else width + 1,
+            self.cache_entries, self.components_split,
+        )
         with _span("compile.serialize", nodes=self.circuit.num_nodes):
-            writer.blob(dumps_circuit(self.circuit))
-        return frame(self.magic, writer.getvalue())
+            return dumps(self.magic, header, self.circuit)
 
     @classmethod
     def from_bytes(cls, data: bytes, db: IncompleteDatabase):
@@ -231,23 +224,19 @@ class _CircuitArtifact:
         deterministic (choice variables in null order with sorted domain
         values, then one variable per sorted potential fact), so the
         rebuilt map names exactly the variables the serialized circuit
-        was compiled over.  Raises
+        was compiled over.  The payload is checked against ``db`` before
+        its circuit is built.  Raises
         :class:`~repro.compile.serialize.CircuitFormatError` on version
         mismatch, corruption, or a payload paired with the wrong
         database.
         """
-        reader = Reader(unframe(data, cls.magic))
-        count = reader.uint()
-        header = tuple(reader.uint() for _name in cls.header)
-        num_clauses, width = reader.uint(), reader.uint()
-        stats = (
-            num_clauses, width - 1 if width else None,
-            reader.uint(), reader.uint(),
+        payload = loads(data, cls.magic, len(cls.header) + 5)
+        count, *header, num_clauses, width, entries, split = payload.header
+        variables = cls._rebind(db, payload, header)
+        return cls._build(
+            db, variables, header, payload.circuit(), count,
+            (num_clauses, width - 1 if width else None, entries, split),
         )
-        circuit = loads_circuit(reader.blob())
-        reader.expect_end()
-        variables = cls._rebind(db, circuit, header)
-        return cls._build(db, variables, header, circuit, count, stats)
 
     # -- accounting --------------------------------------------------------
 
@@ -326,39 +315,28 @@ class ValuationCircuit(_CircuitArtifact):
         )
 
     @staticmethod
-    def _rebind(db, circuit, header):
+    def _rebind(db, payload, header):
         cnf = CNF()
         choices = ChoiceVariables(cnf, db)
-        # The complement encoding allocates choice variables only, so the
-        # circuit's variable universe must be exactly the rebuilt map's.
-        if circuit.num_variables != cnf.num_variables:
+        # The complement encoding allocates choice variables only, and a
+        # full count counts over all of them, so the circuit's variable
+        # universe must be exactly the rebuilt map's.
+        if (
+            payload.num_variables != cnf.num_variables
+            or payload.countable != choices.variables()
+        ):
             raise CircuitFormatError(
-                "artifact has %d variables but the database allocates %d "
-                "choice variables — wrong instance for this payload"
-                % (circuit.num_variables, cnf.num_variables)
+                "artifact counts %d of %d variables but the database "
+                "allocates %d choice variables — wrong instance for this "
+                "payload"
+                % (len(payload.countable), payload.num_variables,
+                   cnf.num_variables)
             )
         if header[0] != count_total_valuations(db):
             raise CircuitFormatError(
                 "artifact total valuation count does not match the database"
             )
         return choices.items()
-
-    def to_bytes(self) -> bytes:
-        """See :meth:`_CircuitArtifact.to_bytes`.
-
-        Raises :class:`ValueError` on a conditioned artifact whose
-        instance lost choice variables: conditioning keeps the parent's
-        variable universe, rehydration rebuilds the instance's own, so
-        no instance would accept the payload.
-        """
-        if self.circuit.num_variables != len(self._variables):
-            raise ValueError(
-                "cannot serialize a conditioned artifact: its circuit keeps "
-                "the parent's %d choice variables but its instance "
-                "allocates %d; compile the instance to ship it"
-                % (self.circuit.num_variables, len(self._variables))
-            )
-        return super().to_bytes()
 
     # -- deltas ------------------------------------------------------------
 
@@ -673,11 +651,17 @@ class CompletionCircuit(_CircuitArtifact):
         )
 
     @staticmethod
-    def _rebind(db, circuit, header):
+    def _rebind(db, payload, header):
         cnf = CNF()
         ChoiceVariables(cnf, db)  # allocates the choice block first
         facts = FactVariables(cnf, db)
-        if circuit.countable != frozenset(facts.variables()):
+        # The commanders and the query's witnesses come after these, and
+        # the witnesses depend on the query: without it only a floor on
+        # the variable count can be checked.
+        if (
+            payload.countable != facts.variables()
+            or payload.num_variables < cnf.num_variables
+        ):
             raise CircuitFormatError(
                 "artifact projection does not match the database's "
                 "potential facts — wrong instance for this payload"

@@ -45,10 +45,12 @@ ordered **array of ints** plus a per-node offset table (a
 :class:`_Program`): each node is ``[kind, …]`` with kind codes
 ``0``/``1`` for the false/true constants, ``2`` for decisions (branch
 count, then per branch ``nlits, lits…, nfree, freed…, child``) and ``3``
-for products (child count, children…).  Children precede parents by
-construction.  :class:`~repro.compile.ddnnf_trace.TraceBuilder` emits
-this layout directly while the search runs, and the binary codec
-(:mod:`repro.compile.serialize`) parses straight into it.
+for products (child count, children…), the nodes' segments back to back
+in id order.  Children precede parents by construction.
+:class:`~repro.compile.ddnnf_trace.TraceBuilder` emits this layout
+directly while the search runs; the artifacts' codec
+(:mod:`repro.compile.serialize`) writes the int list as it stands and
+reads it back, rebuilding the offsets in one validating walk.
 
 **Levels.**  The passes do not walk that program node by node.  The first
 pass builds a compact int32 :class:`_Plan` of it, once per program: the
@@ -76,8 +78,8 @@ circuit shares its parent's program and plan and carries *pins*, which
 enter the weight vector — a literal contradicting a pin weighs 0, so a
 pinned freed variable contributes only its pinned weight.  Conditioning
 touches no node: it copies the parent's pin vector (one bool per weight
-slot) and sets the new pins.  A pinned circuit cannot be serialized (it
-holds its parent's program, unpinned).
+slot) and sets the new pins.  An artifact whose circuit is pinned cannot
+be serialized (the circuit holds its parent's program, unpinned).
 
 **Lanes.**  Both passes touch node values only through ``*`` and ``+``,
 so one body runs on whatever the weight vector holds, and the row count
@@ -632,10 +634,10 @@ class DDNNF:
     """A smooth deterministic d-DNNF circuit over CNF variables.
 
     ``code`` and ``offsets`` are the flat node program (see the module
-    docstring), children before parents; the trace builder and the binary
-    codec both emit it.  ``root`` is the root node id; ``countable`` the
-    variables the counting passes see (the projection set, or all
-    variables).
+    docstring), children before parents; the trace builder and the
+    artifacts' codec both build one.  ``root`` is the root node id;
+    ``countable`` the variables the counting passes see (the projection
+    set, or all variables).
     """
 
     __slots__ = ("_program", "_pins", "_count")
@@ -730,31 +732,6 @@ class DDNNF:
             self.num_nodes, self.num_edges, len(self.countable),
             "" if self._pins is None else ", pinned",
         )
-
-    # -- serialization -----------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """The circuit as a compact, versioned, checksummed binary payload.
-
-        The node table is written in its native topological order, so
-        ``from_bytes`` rehydrates an identical circuit in any process —
-        see :mod:`repro.compile.serialize` for the format.  ``ValueError``
-        on a pinned circuit.
-        """
-        from repro.compile.serialize import dumps_circuit
-
-        return dumps_circuit(self)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "DDNNF":
-        """Rehydrate a circuit serialized by :meth:`to_bytes`.
-
-        Raises :class:`~repro.compile.serialize.CircuitFormatError` on a
-        version mismatch, checksum failure, or malformed node table.
-        """
-        from repro.compile.serialize import loads_circuit
-
-        return loads_circuit(data)
 
     # -- conditioning ------------------------------------------------------
 

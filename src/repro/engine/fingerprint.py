@@ -290,8 +290,9 @@ def _weights_text(weights, index: Mapping[Null, int] | None) -> str:
     label-exact ones).  Weights are keyed by ``repr`` — exact for the
     int/Fraction weights the engine deals in.  The text is the ``repr`` of
     a tuple of ``(null key, sorted (constant key, weight repr) pairs)``
-    items in text order, a persisted format (the ``fingerprint_job``
-    digests key ``perfbench/reference.json``).
+    items in text order (``None`` for the pairs of a null mapped to
+    ``None``), a persisted format (the ``fingerprint_job`` digests key
+    ``perfbench/reference.json``).
     """
     if not weights:
         return "()"
@@ -313,12 +314,18 @@ def _weights_text(weights, index: Mapping[Null, int] | None) -> str:
                 if position is None
                 else repr(position)
             )
-        entries = tuple(dict(table).items())
-        types = tuple(map(type, chain.from_iterable(entries)))
-        if _EXACT_TYPES.issuperset(types):
-            inner = _table_text(entries, types)
+        if table is None:
+            # "Null left out": its own text, which no table's equals, so a
+            # None for a null the database lacks (an error) and the
+            # no-weights job never share a fingerprint.
+            inner = "None"
         else:
-            inner = _table_text.__wrapped__(entries, types)
+            entries = tuple(dict(table).items())
+            types = tuple(map(type, chain.from_iterable(entries)))
+            if _EXACT_TYPES.issuperset(types):
+                inner = _table_text(entries, types)
+            else:
+                inner = _table_text.__wrapped__(entries, types)
         items.append("(%s, %s)" % (key, inner))
     items.sort()
     return _tuple_text(items)

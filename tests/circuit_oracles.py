@@ -16,10 +16,13 @@ downward pass reads off at once are recounted the way they were before
 circuits, one search per ``(null, value)`` pair
 (:func:`valuation_marginals_recount`); the benchmark harness's
 ``amortized`` path times that loop as its baseline.
+:func:`program_digest` names a circuit's program independently of any
+wire format, for comparing circuits across checkouts.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -49,6 +52,17 @@ def _program(circuit):
     if circuit._pins is not None:
         raise ValueError("cannot walk a pinned circuit as its own program")
     return circuit._program
+
+
+def program_digest(circuit) -> str:
+    """SHA-256 of an unpinned circuit's program: its ``code``, ``root``,
+    ``num_variables`` and sorted ``countable`` variables."""
+    program = _program(circuit)
+    text = repr((
+        program.code, program.root, program.num_variables,
+        sorted(program.countable),
+    ))
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
 def encode(nodes, root, num_variables, countable) -> DDNNF:

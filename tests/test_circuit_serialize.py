@@ -1,38 +1,50 @@
-"""Circuit artifact serialization: round-trips, rejection, accounting.
+"""Circuit artifact serialization: round trips, refusals, accounting.
 
-The batch engine ships circuits compiled in worker processes back to the
-parent as versioned binary payloads, so the codec must preserve every
-question a circuit answers — bit for bit — and must reject anything it
-cannot trust (wrong version, corruption, wrong instance).
+No engine path ships a circuit, but an artifact can still be written to
+bytes and rebuilt from them, so the codec must preserve every question an
+artifact answers — bit for bit — and must refuse anything it cannot trust
+(another version, corruption, a malformed program, another instance)
+with :class:`CircuitFormatError`, checking the instance before it builds
+a circuit.
 """
 
 from __future__ import annotations
 
 import random
+import zlib
+from collections import Counter
 
 import pytest
 
+from repro.compile import circuit as circuit_module
 from repro.compile.backend import (
     CompletionCircuit,
     ValuationCircuit,
     artifact_from_bytes,
 )
+from repro.compile.circuit import (
+    KIND_DECISION,
+    KIND_FALSE,
+    KIND_PRODUCT,
+    KIND_TRUE,
+)
 from repro.compile.serialize import (
     CircuitFormatError,
     FORMAT_VERSION,
-    Reader,
-    Writer,
-    dumps_circuit,
     frame,
-    loads_circuit,
+    loads,
     unframe,
 )
 from repro.core.query import Atom, BCQ
+from repro.db.fact import Fact
+from repro.db.incomplete import IncompleteDatabase
+from repro.db.terms import Null
 from repro.workloads.generators import (
     random_incomplete_db,
     scaling_hard_comp_instance,
     scaling_hard_val_instance,
 )
+from tests.circuit_oracles import program_digest
 
 
 def _weights_for(db, salt=0):
@@ -47,49 +59,55 @@ def _weights_for(db, salt=0):
     }
 
 
-class TestVarints:
-    def test_uint_roundtrip_includes_bigints(self):
-        writer = Writer()
-        values = [0, 1, 127, 128, 300, 2**31, 2**64 + 17, 3**200]
-        for value in values:
-            writer.uint(value)
-        reader = Reader(writer.getvalue())
-        assert [reader.uint() for _ in values] == values
-        reader.expect_end()
+def _rechecksum(payload: bytes) -> bytes:
+    """``payload`` with its frame's crc32 recomputed over its body."""
+    body = payload[10:]
+    return payload[:6] + zlib.crc32(body).to_bytes(4, "little") + body
 
-    def test_signed_roundtrip(self):
-        writer = Writer()
-        values = [0, -1, 1, -2, 2, 12345, -12345, -(2**70), 2**70]
-        for value in values:
-            writer.int(value)
-        reader = Reader(writer.getvalue())
-        assert [reader.int() for _ in values] == values
+
+def _decoded(artifact):
+    """The :class:`~repro.compile.serialize.Payload` of ``artifact``."""
+    kind = type(artifact)
+    return loads(artifact.to_bytes(), kind.magic, len(kind.header) + 5)
+
+
+def _encoded(kind, payload) -> bytes:
+    """A payload's bytes, laid out as the codec lays them out."""
+    return frame(kind.magic, [
+        *payload.header, payload.num_variables, payload.root,
+        len(payload.countable), *payload.countable,
+        len(payload.code), *payload.code,
+    ])
+
+
+class TestFrame:
+    def test_ints_round_trip_includes_bigints(self):
+        values = [
+            0, 1, -1, 63, 64, -64, -65, 127, 128, 300, 2**31, 2**64 + 17,
+            -(2**70), 2**70, 3**200,
+        ]
+        assert unframe(frame(b"GOOD", values), b"GOOD") == values
 
     def test_truncated_varint_rejected(self):
+        payload = _rechecksum(frame(b"GOOD", [300])[:-1])
         with pytest.raises(CircuitFormatError, match="truncated"):
-            Reader(b"\xff").uint()
+            unframe(payload, b"GOOD")
 
-    def test_trailing_bytes_rejected(self):
-        reader = Reader(b"\x01\x02")
-        reader.uint()
-        with pytest.raises(CircuitFormatError, match="trailing"):
-            reader.expect_end()
-
-
-class TestFraming:
     def test_bad_magic(self):
-        payload = frame(b"GOOD", b"body")
+        payload = frame(b"GOOD", [1, 2])
         with pytest.raises(CircuitFormatError, match="magic"):
             unframe(payload, b"EVIL")
 
     def test_version_mismatch_rejected(self):
-        payload = frame(b"GOOD", b"body", version=FORMAT_VERSION + 1)
-        with pytest.raises(CircuitFormatError, match="version"):
-            unframe(payload, b"GOOD")
+        for version in (1, FORMAT_VERSION + 1):
+            payload = bytearray(frame(b"GOOD", [1, 2]))
+            payload[4:6] = version.to_bytes(2, "little")
+            with pytest.raises(CircuitFormatError, match="version %d" % version):
+                unframe(bytes(payload), b"GOOD")
 
     def test_corrupted_body_rejected(self):
-        payload = bytearray(frame(b"GOOD", b"body-bytes"))
-        payload[-1] ^= 0xFF
+        payload = bytearray(frame(b"GOOD", [1, 2, 3]))
+        payload[-1] ^= 0x7F
         with pytest.raises(CircuitFormatError, match="checksum"):
             unframe(bytes(payload), b"GOOD")
 
@@ -99,28 +117,30 @@ class TestFraming:
 
 
 class TestDDNNFRoundtrip:
-    def _circuits(self):
+    """Each circuit through its artifact's round trip."""
+
+    def _pairs(self):
         for size in (6, 8, 10):
             db, query = scaling_hard_val_instance(size, seed=size)
-            yield ValuationCircuit(db, query).circuit
+            compiled = ValuationCircuit(db, query)
+            restored = ValuationCircuit.from_bytes(compiled.to_bytes(), db)
+            yield compiled.circuit, restored.circuit
 
     def test_counts_and_structure_preserved(self):
-        for circuit in self._circuits():
-            data = circuit.to_bytes()
-            restored = type(circuit).from_bytes(data)
+        for circuit, restored in self._pairs():
             assert restored.count() == circuit.count()
             assert restored.num_nodes == circuit.num_nodes
             assert restored.num_edges == circuit.num_edges
             assert restored.countable == circuit.countable
             assert restored.root == circuit.root
             assert restored.num_variables == circuit.num_variables
-            # A second serialization of the restored circuit is identical.
-            assert restored.to_bytes() == data
+            assert restored._program.code == circuit._program.code
+            assert restored._program.offsets == circuit._program.offsets
+            assert program_digest(restored) == program_digest(circuit)
 
     def test_evaluate_and_literal_counts_preserved(self):
         rng = random.Random(5)
-        for circuit in self._circuits():
-            restored = type(circuit).from_bytes(circuit.to_bytes())
+        for circuit, restored in self._pairs():
             weights = {
                 variable: (rng.randrange(4), rng.randrange(1, 4))
                 for variable in sorted(circuit.countable)
@@ -131,8 +151,7 @@ class TestDDNNFRoundtrip:
             )
 
     def test_sampler_determinism(self):
-        for circuit in self._circuits():
-            restored = type(circuit).from_bytes(circuit.to_bytes())
+        for circuit, restored in self._pairs():
             original = circuit.sampler()
             rehydrated = restored.sampler()
             assert rehydrated.total == original.total
@@ -142,35 +161,242 @@ class TestDDNNFRoundtrip:
                 ) == original.sample(random.Random(seed))
 
     def test_tampered_node_table_rejected(self):
-        circuit = next(iter(self._circuits()))
-        data = bytearray(circuit.to_bytes())
-        data[20] ^= 0x55  # body byte: crc must catch it
-        with pytest.raises(CircuitFormatError):
-            loads_circuit(bytes(data))
-
-    def test_zero_delta_in_countable_list_rejected(self):
-        # A CRC-valid payload whose countable list starts at variable 0
-        # (first delta 0) must be rejected by structural validation.
-        from repro.compile.serialize import CIRCUIT_MAGIC
-
-        writer = Writer()
-        writer.uint(2)  # num_variables
-        writer.uint(1)  # root -> the TRUE constant
-        writer.uint(2)  # two countable entries...
-        writer.uint(0)  # ...the first with delta 0 (variable 0)
-        writer.uint(1)
-        writer.uint(2)  # node table: FALSE, TRUE
-        writer.uint(0)
-        writer.uint(1)
-        with pytest.raises(CircuitFormatError, match="ascending"):
-            loads_circuit(frame(CIRCUIT_MAGIC, writer.getvalue()))
+        db, query = scaling_hard_val_instance(6, seed=6)
+        data = bytearray(ValuationCircuit(db, query).to_bytes())
+        data[-3] ^= 0x55  # body byte: crc must catch it
+        with pytest.raises(CircuitFormatError, match="checksum"):
+            ValuationCircuit.from_bytes(bytes(data), db)
 
     def test_version_bump_rejected_before_body(self):
-        circuit = next(iter(self._circuits()))
-        data = bytearray(circuit.to_bytes())
+        db, query = scaling_hard_val_instance(6, seed=6)
+        data = bytearray(ValuationCircuit(db, query).to_bytes())
         data[4] = 0x63  # version field of the frame header
         with pytest.raises(CircuitFormatError, match="version 99"):
-            loads_circuit(bytes(data))
+            ValuationCircuit.from_bytes(bytes(data), db)
+
+
+class TestRefusals:
+    """Every refusal of a framed, checksummed payload that a mutation
+    could reach: each raises :class:`CircuitFormatError`."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        db, query = scaling_hard_val_instance(6, seed=6)
+        return db, _decoded(ValuationCircuit(db, query))
+
+    def _refused(self, case, match, **fields):
+        db, payload = case
+        data = _encoded(ValuationCircuit, payload._replace(**fields))
+        with pytest.raises(CircuitFormatError, match=match):
+            ValuationCircuit.from_bytes(data, db)
+
+    def test_the_hand_program_loads(self, case):
+        # The tests below break hand programs like this one in one place.
+        db, payload = case
+        # Node 2 decides variable 1 and frees variable 2 in both branches.
+        code = [KIND_FALSE, KIND_TRUE, KIND_DECISION, 2, 1, 1, 1, 2, 1, 1, -1, 1, 2, 1]
+        restored = ValuationCircuit.from_bytes(
+            _encoded(ValuationCircuit, payload._replace(code=code, root=2)), db
+        )
+        assert restored.circuit.num_nodes == 3
+        assert restored.circuit.count() == 4
+
+    def test_unknown_node_kind(self, case):
+        self._refused(case, "unknown node kind", code=[0, 1, 7], root=1)
+
+    def test_child_not_before_parent(self, case):
+        for code in ([0, 1, KIND_PRODUCT, 1, 2], [0, 1, KIND_PRODUCT, 2, 1, 3]):
+            self._refused(case, "does not come before", code=code, root=2)
+        self._refused(
+            case, "does not come before",
+            code=[0, 1, KIND_DECISION, 1, 1, 1, 0, 2], root=2,
+        )
+        self._refused(
+            case, "does not come before",
+            code=[0, 1, KIND_PRODUCT, 1, -1], root=2,
+        )
+
+    def test_literal_zero_or_past_the_variables(self, case):
+        n = case[1].num_variables
+        for literal in (0, n + 1, -(n + 1)):
+            self._refused(
+                case, "literal outside",
+                code=[0, 1, KIND_DECISION, 1, 1, literal, 0, 1], root=2,
+            )
+
+    def test_freed_variable_out_of_range(self, case):
+        n = case[1].num_variables
+        for variable in (0, -1, n + 1):
+            self._refused(
+                case, "freed variable outside",
+                code=[0, 1, KIND_DECISION, 1, 0, 1, variable, 1], root=2,
+            )
+
+    def test_root_out_of_range(self, case):
+        for root in (2, 10**9):
+            self._refused(case, "root", code=[KIND_FALSE, KIND_TRUE], root=root)
+
+    def test_negative_or_overlong_lengths(self, case):
+        for code in (
+            [0, 1, KIND_PRODUCT, -1],
+            [0, 1, KIND_DECISION, -1],
+            [0, 1, KIND_DECISION, 1, -2, 1, 0, 1],
+            [0, 1, KIND_DECISION, 1, 1, 1, -1, 1],
+            [0, 1, KIND_PRODUCT, 5, 1],
+            [0, 1, KIND_DECISION, 2, 0, 0, 1],
+        ):
+            self._refused(case, "truncated|branches", code=code, root=2)
+
+    def test_countable_list_not_strictly_ascending_from_1(self, case):
+        n = case[1].num_variables
+        for countable in ([0, 1], [1, 1], [2, 1], [1, n + 1], [-1]):
+            self._refused(case, "ascending", countable=countable)
+
+    def test_negative_header_field(self, case):
+        header = list(case[1].header)
+        header[0] = -1
+        self._refused(case, "negative", header=header)
+        self._refused(case, "negative", root=-1)
+
+    def test_truncation(self, case):
+        db, payload = case
+        data = _encoded(ValuationCircuit, payload)
+        for cut in (11, 14, 20, len(data) - 1):
+            with pytest.raises(CircuitFormatError, match="truncated"):
+                ValuationCircuit.from_bytes(_rechecksum(data[:cut]), db)
+
+    def test_trailing_bytes(self, case):
+        db, payload = case
+        data = _rechecksum(_encoded(ValuationCircuit, payload) + b"\x00\x02")
+        with pytest.raises(CircuitFormatError, match="2 trailing"):
+            ValuationCircuit.from_bytes(data, db)
+
+    def test_short_payload_and_bad_magic(self, case):
+        db, payload = case
+        with pytest.raises(CircuitFormatError, match="shorter"):
+            ValuationCircuit.from_bytes(b"RVAL\x02\x00", db)
+        data = _encoded(CompletionCircuit, payload)
+        with pytest.raises(CircuitFormatError, match="magic"):
+            ValuationCircuit.from_bytes(data, db)
+
+    def test_version_1_payload(self, case):
+        db, payload = case
+        data = bytearray(_encoded(ValuationCircuit, payload))
+        data[4:6] = (1).to_bytes(2, "little")
+        with pytest.raises(CircuitFormatError, match="version 1 "):
+            ValuationCircuit.from_bytes(bytes(data), db)
+
+
+class TestInstanceCheckedFirst:
+    """A payload is compared with its instance before any program is
+    built, so a payload of another instance sizes no allocation."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        init = circuit_module._Program.__init__
+
+        def spy(program, *args, **kwargs):
+            calls.append(args)
+            init(program, *args, **kwargs)
+
+        monkeypatch.setattr(circuit_module._Program, "__init__", spy)
+        return calls
+
+    def _refused(self, kind, data, db, built, match="wrong instance|total"):
+        with pytest.raises(CircuitFormatError, match=match):
+            kind.from_bytes(data, db)
+        assert built == []
+
+    def test_valuation_payloads(self, built):
+        db, query = scaling_hard_val_instance(6, seed=1)
+        other, _ = scaling_hard_val_instance(7, seed=2)
+        payload = _decoded(ValuationCircuit(db, query))
+        built.clear()
+        self._refused(ValuationCircuit, _encoded(ValuationCircuit, payload), other, built)
+        # Few bytes declaring 2 * 10**8 variables: refused unallocated.
+        huge = payload._replace(
+            num_variables=2 * 10**8, countable=[], code=[0, 1], root=1,
+        )
+        self._refused(ValuationCircuit, _encoded(ValuationCircuit, huge), db, built)
+        # A full count counts over every choice variable.
+        self._refused(
+            ValuationCircuit,
+            _encoded(ValuationCircuit, payload._replace(countable=payload.countable[1:])),
+            db, built,
+        )
+        header = list(payload.header)
+        header[1] += 1  # the total valuation count
+        self._refused(
+            ValuationCircuit,
+            _encoded(ValuationCircuit, payload._replace(header=header)),
+            db, built,
+        )
+        ValuationCircuit.from_bytes(_encoded(ValuationCircuit, payload), db)
+        assert len(built) == 1
+
+    def test_completion_payloads(self, built):
+        db, query = scaling_hard_comp_instance(5, seed=1)
+        other, _ = scaling_hard_comp_instance(6, seed=2)
+        payload = _decoded(CompletionCircuit(db, query))
+        built.clear()
+        self._refused(CompletionCircuit, _encoded(CompletionCircuit, payload), other, built)
+        floor = payload.countable[-1]  # the choice-plus-fact count
+        self._refused(
+            CompletionCircuit,
+            _encoded(CompletionCircuit, payload._replace(num_variables=floor - 1)),
+            db, built, match="ascending",
+        )
+        self._refused(
+            CompletionCircuit,
+            _encoded(CompletionCircuit, payload._replace(
+                countable=payload.countable[:-1])),
+            db, built,
+        )
+        CompletionCircuit.from_bytes(_encoded(CompletionCircuit, payload), db)
+        assert len(built) == 1
+
+
+class TestFuzz:
+    def test_mutated_payloads_are_refused_or_answer(self):
+        """Overwritten, truncated and inserted bytes under a recomputed
+        checksum: each payload is refused, or it loads and answers."""
+        rng = random.Random(39)
+        vdb, vquery = scaling_hard_val_instance(5, seed=1)
+        cdb, cquery = scaling_hard_comp_instance(5, seed=1)
+        completion = CompletionCircuit(cdb, cquery)
+        cases = [
+            (ValuationCircuit(vdb, vquery), vdb, _weights_for(vdb)),
+            (completion, cdb, {
+                fact: 2 + index
+                for index, fact in enumerate(completion._variables.facts())
+            }),
+        ]
+        outcomes: Counter = Counter()
+        for index in range(1000):
+            artifact, db, weights = cases[index % 2]
+            data = bytearray(artifact.to_bytes())
+            mode = rng.randrange(3)
+            if mode == 0:
+                for _ in range(rng.randint(1, 3)):
+                    data[rng.randrange(10, len(data))] = rng.randrange(256)
+            elif mode == 1:
+                del data[rng.randrange(10, len(data)):]
+            else:
+                for _ in range(rng.randint(1, 4)):
+                    data.insert(rng.randrange(10, len(data) + 1), rng.randrange(256))
+            try:
+                restored = type(artifact).from_bytes(_rechecksum(bytes(data)), db)
+            except CircuitFormatError:
+                outcomes["refused"] += 1
+                continue
+            restored.count()
+            restored.circuit.count()
+            restored.weighted_count(weights)
+            restored.circuit.literal_counts()
+            outcomes["loaded"] += 1
+        assert sum(outcomes.values()) == 1000
+        assert outcomes["refused"] > 900
 
 
 class TestValuationCircuitRoundtrip:
@@ -252,6 +478,18 @@ class TestCompletionCircuitRoundtrip:
         restored = CompletionCircuit.from_bytes(compiled.to_bytes(), db)
         assert restored.count() == compiled.count()
 
+    def test_count_past_2_to_the_64_survives(self):
+        nulls = [Null("n%d" % i) for i in range(50)]
+        db = IncompleteDatabase(
+            [Fact("R", [null]) for null in nulls],
+            dom={null: ["%s%d" % (null.label, j) for j in range(3)]
+                 for null in nulls},
+        )
+        compiled = CompletionCircuit(db, None)
+        assert compiled.count() == 3**50 > 2**64
+        restored = CompletionCircuit.from_bytes(compiled.to_bytes(), db)
+        assert restored.count() == restored.circuit.count() == 3**50
+
     def test_wrong_database_rejected(self):
         db, query = scaling_hard_comp_instance(5, seed=1)
         other_db, _ = scaling_hard_comp_instance(6, seed=2)
@@ -307,11 +545,11 @@ class TestArtifactDispatch:
             ResolveNull(null, domain[0]),
             RestrictDomain(null, frozenset(domain[:2])),
         ):
-            with pytest.raises(ValueError, match="conditioned artifact"):
+            with pytest.raises(ValueError, match="conditioned artifact.*pinned"):
                 parent.condition(delta).to_bytes()
 
-    def test_bare_circuit_payload_is_not_a_wrapper(self):
+    def test_one_kind_is_not_the_other(self):
         db, query = scaling_hard_val_instance(8, seed=4)
-        bare = dumps_circuit(ValuationCircuit(db, query).circuit)
-        with pytest.raises(CircuitFormatError):
-            artifact_from_bytes(bare, db)
+        data = ValuationCircuit(db, query).to_bytes()
+        with pytest.raises(CircuitFormatError, match="magic"):
+            CompletionCircuit.from_bytes(data, db)

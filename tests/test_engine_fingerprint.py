@@ -231,7 +231,7 @@ def _weights_form(weights, index):
             key = index[null]
         else:
             key = ("unknown", repr(null.label))
-        inner = tuple(
+        inner = None if table is None else tuple(
             sorted(
                 (fingerprint._constant_key(value), repr(weight))
                 for value, weight in dict(table).items()
@@ -349,6 +349,47 @@ class TestWeightsText:
             texts = [fingerprint._weights_text({null: t}, None) for t in spellings]
             assert texts == [repr(_weights_form({null: t}, None)) for t in spellings]
             assert len(set(texts)) == len(spellings)
+
+
+class TestNoneTables:
+    """``{null: None}`` leaves the null out: such jobs are solved, and
+    fingerprinted apart from the jobs they might be confused with."""
+
+    def test_text_is_the_forms_repr(self):
+        db = _db()
+        _form, index = fingerprint._canonical_db(db)
+        a, b = db.nulls
+        for weights in ({a: None}, {a: None, b: {"y": 2, "z": 3}}, {Null("zz"): None}):
+            for coordinates in (None, index):
+                assert fingerprint._weights_text(weights, coordinates) == repr(
+                    _weights_form(weights, coordinates)
+                )
+
+    def test_engine_answers_every_job_kind(self):
+        from repro.exact.dispatch import solve
+        from repro.workloads.generators import scaling_hard_val_instance
+
+        db, query = scaling_hard_val_instance(5, seed=1)
+        first, unknown = db.nulls[0], Null("zz")
+        jobs = [
+            CountJob("val-weighted", db, query, weights={first: None}),
+            CountJob("sweep", db, query, weights=[{first: None}, None]),
+            CountJob("marginals", db, query, weights={first: None}),
+            CountJob("val-weighted", db, query, weights={unknown: None}),
+            CountJob("val-weighted", db, query),
+            CountJob("marginals", db, query),
+        ]
+        results = BatchEngine(workers=0).run(jobs)
+        assert [result.ok for result in results] == [True, True, True, False, True, True]
+        expected = solve("val-weighted", db, query, weights={first: None}).count
+        assert expected == 213
+        assert results[0].count == results[4].count == expected
+        assert results[1].count == [expected, expected]
+        assert results[2].count == results[5].count
+        assert "not in the database" in results[3].error
+        # A None for an unknown null fails, so it must not share the
+        # no-weights fingerprint.
+        assert len(set(fingerprint_jobs(jobs))) == len(jobs)
 
 
 class TestExactTextMemo:

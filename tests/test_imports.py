@@ -8,7 +8,8 @@ would therefore pass lint and fail only when its branch runs, and the
 harness and perfbench run only in CI's bench job.  This test walks every
 file's syntax tree, function bodies included, and imports each
 ``repro.*`` module and name it finds; it reads the files and runs none
-of them.
+of them.  It also checks that no module of the package imports one of
+the test oracles.
 """
 
 import ast
@@ -76,6 +77,31 @@ def test_every_repro_import_resolves():
         if message is not None
     ]
     assert not failures, "\n".join(failures)
+
+
+def test_no_installed_module_imports_a_test_module():
+    """Oracles live in ``tests/`` (``circuit_oracles``,
+    ``comp_uniform_oracle``, ...): the package never imports one, by its
+    bare name or through the ``tests`` package."""
+    tests = ROOT / "tests"
+    local = {"tests"} | {path.stem for path in tests.glob("*.py")}
+    assert {"circuit_oracles", "comp_uniform_oracle"} <= local
+    found = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found.extend(
+                "%s:%d imports %s" % (path.relative_to(ROOT), node.lineno, module)
+                for module in modules
+                if module.split(".")[0] in local
+            )
+    assert not found, "\n".join(found)
 
 
 def _loads_numpy_random(modules: str) -> bool:
